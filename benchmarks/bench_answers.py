@@ -11,8 +11,8 @@ cross-grounding pool.  Three claims made executable:
   (``Fraction`` equality, every fact, every answer);
 * on medium multi-answer generator instances the engine attributes all
   answers at least 5x faster than the seed per-fact loop;
-* with a persistent cache directory, a second engine (fresh process
-  state) serves the whole answer batch warm from disk.
+* with a durable SQLite store, a second engine (fresh process state)
+  serves the whole answer batch warm from disk.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.parser import parse_query
-from repro.engine import BatchAttributionEngine, PersistentResultCache
+from repro.engine import BatchAttributionEngine, SQLiteResultStore
 from repro.shapley.aggregates import aggregate_attribution, candidate_answers
 from repro.shapley.answers import ground_at_answer
 from repro.shapley.exact import shapley_value
@@ -115,20 +115,17 @@ def test_aggregate_engine_matches_seed_linearity(benchmark, report, quick):
 
 
 def test_persistent_cache_cold_vs_warm(benchmark, report, quick, tmp_path):
-    """A fresh engine over a populated cache dir serves the batch warm."""
+    """A fresh engine over a populated store file serves the batch warm."""
     q = parse_query(ANSWERS_Q1)
     db = star_join_database(8 if quick else 14, 5, rng=random.Random(29))
+    path = tmp_path / "results.db"
 
-    cold_engine = BatchAttributionEngine(
-        persistent=PersistentResultCache(tmp_path)
-    )
+    cold_engine = BatchAttributionEngine(shared=SQLiteResultStore(path))
     start = time.perf_counter()
     cold = cold_engine.batch_answers(db, q)
     cold_seconds = time.perf_counter() - start
 
-    warm_engine = BatchAttributionEngine(
-        persistent=PersistentResultCache(tmp_path)
-    )
+    warm_engine = BatchAttributionEngine(shared=SQLiteResultStore(path))
     start = time.perf_counter()
     warm = warm_engine.batch_answers(db, q)
     warm_seconds = time.perf_counter() - start
@@ -139,13 +136,13 @@ def test_persistent_cache_cold_vs_warm(benchmark, report, quick, tmp_path):
     benchmark(lambda: warm_engine.batch_answers(db, q))
     report(
         "E-ANSWERS: persistent result cache, cold vs warm (fresh engine)",
-        ("answers", "cold", "warm (disk)", "persistent stats"),
+        ("answers", "cold", "warm (disk)", "store stats"),
         [
             (
                 len(warm.per_answer),
                 f"{cold_seconds * 1000:.1f} ms",
                 f"{warm_seconds * 1000:.2f} ms",
-                repr(warm_engine.persistent.stats.snapshot()),
+                repr(warm_engine.shared.stats.snapshot()),
             )
         ],
     )

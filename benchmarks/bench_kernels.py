@@ -2,8 +2,8 @@
 
 Three claims made executable (ISSUE 8):
 
-* **equivalence** — every kernel tier (schoolbook / packed / gmpy where
-  installed) returns bit-identical convolutions, and engine results are
+* **equivalence** — every kernel tier (schoolbook / packed) returns
+  bit-identical convolutions, and engine results are
   bit-identical across kernels, executors (serial vs ``jobs=2``), and
   through the daemon's wire protocol;
 * **speedup** (the acceptance claim) — on a convolution-heavy star-join
@@ -79,10 +79,7 @@ def test_convolution_tiers_agree_and_scale(benchmark, report, quick):
         right = [rng.randrange(10**6) for _ in range(length)]
         timings = {}
         reference = None
-        for name in (kernels.SCHOOLBOOK, kernels.PACKED, kernels.GMPY):
-            if name == kernels.GMPY and not kernels.gmpy_available():
-                timings[name] = None
-                continue
+        for name in (kernels.SCHOOLBOOK, kernels.PACKED):
             with kernels.use_kernel(name):
                 start = time.perf_counter()
                 out = kernels.convolve(left, right)
@@ -97,16 +94,13 @@ def test_convolution_tiers_agree_and_scale(benchmark, report, quick):
                 kernels.tier_for_sizes(length, length),
                 f"{timings[kernels.SCHOOLBOOK] * 1000:.2f} ms",
                 f"{timings[kernels.PACKED] * 1000:.2f} ms",
-                "-"
-                if timings[kernels.GMPY] is None
-                else f"{timings[kernels.GMPY] * 1000:.2f} ms",
             )
         )
     big = [rng.randrange(10**6) for _ in range(256)]
     benchmark(lambda: kernels.convolve(big, big))
     report(
         "E-KERNELS: pairwise convolution by tier (bit-identical outputs)",
-        ("vector", "auto tier", "schoolbook", "packed", "gmpy"),
+        ("vector", "auto tier", "schoolbook", "packed"),
         rows,
     )
 
@@ -202,7 +196,7 @@ def test_bit_identity_across_kernels_executors_and_daemon(
     assert kernel_metrics["active"] in kernels.KERNEL_NAMES
     executed = sum(
         kernel_metrics["counters"][name]
-        for name in ("schoolbook_calls", "packed_calls", "gmpy_calls")
+        for name in ("schoolbook_calls", "packed_calls")
     )
     assert executed > 0, "daemon metrics should report executed convolutions"
     report(

@@ -42,7 +42,6 @@ from repro.engine import (
     BatchAttributionEngine,
     BatchResult,
     MethodPolicy,
-    PersistentResultCache,
     SerialExecutor,
     ShardedExecutor,
     default_engine,
@@ -84,7 +83,6 @@ __all__ = [
     "Database",
     "Fact",
     "MethodPolicy",
-    "PersistentResultCache",
     "SerialExecutor",
     "ShardedExecutor",
     "UnionQuery",

@@ -35,23 +35,27 @@ cross-grounding pool, and ``--aggregate count`` / ``--aggregate sum
 every fact.  ``--answer`` restricts to specific tuples (repeatable);
 without it every candidate answer is attributed.
 
-``--cache-dir`` (on ``batch`` and ``answers``) turns on the persistent
-on-disk result cache (:mod:`repro.engine.persistent`): results are
-written as versioned JSON keyed by request fingerprints, so a later
-*process* serves the same requests warm without recomputing.
+``--cache-dir DIR`` (on ``batch``, ``answers``, ``trace`` and ``serve``)
+turns on the durable result store: the SQLite file ``DIR/results.db``
+(:mod:`repro.engine.sqlite_store`) holds results keyed by request
+fingerprints, so a later *process* serves the same requests warm without
+recomputing.  It is the same store a daemon fleet shares through
+``serve --shared-store PATH``: one process with a cache directory is a
+fleet of one.
 
 ``--jobs N`` (on ``batch`` and ``answers``) switches the engine to the
 sharded executor (:mod:`repro.engine.executors`): the planner's
 independent grounding and component tasks are distributed over ``N``
 worker processes and their count vectors merged back — results are
 bit-identical to serial execution.  ``--stats`` reports the per-layer
-accounting of the plan/execute pipeline: cache counters (historical
-keys), planner prunes, store hits, and executor task placement.
+accounting of the plan/execute pipeline: cache counters, planner
+prunes, store hits, and executor task placement.
 
 ``serve`` starts the attribution daemon (:mod:`repro.server`): one warm
 engine behind a Unix-domain socket (``--socket PATH``) or TCP endpoint
-(``--tcp HOST:PORT``), optionally with a persistent store
-(``--cache-dir``) and sharded executor (``--jobs``).  Admission control
+(``--tcp HOST:PORT``), optionally with a durable store (``--cache-dir``
+for one daemon, ``--shared-store`` for a fleet on one file) and sharded
+executor (``--jobs``).  Admission control
 is tunable: ``--max-inflight`` bounds concurrent compute requests,
 ``--per-client-rps`` rate-limits each client connection, and
 ``--drain-timeout`` caps the graceful drain on SIGTERM/``shutdown``.
@@ -131,6 +135,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 from repro.core.classify import classify
@@ -161,6 +166,20 @@ def _parse_fact(relation: str, args: Sequence[str]) -> Fact:
     return Fact(relation, _convert_tokens(args))
 
 
+def _open_store(path):
+    """The durable result store at ``path``, or a one-line CLI error."""
+    import sqlite3
+
+    from repro.engine import SQLiteResultStore
+
+    try:
+        return SQLiteResultStore(path)
+    except sqlite3.Error as error:
+        # A file that is not a SQLite database, or one SQLite cannot
+        # open: report it like any other unusable input file.
+        raise ValueError(f"cannot open result store {path}: {error}") from None
+
+
 def _make_engine(options: argparse.Namespace):
     """The shared engine, or a dedicated one for --cache-dir / --jobs /
     --shared-store."""
@@ -171,20 +190,17 @@ def _make_engine(options: argparse.Namespace):
     shared_store = getattr(options, "shared_store", None)
     if cache_dir is None and jobs is None and shared_store is None:
         return default_engine()
-    persistent = None
+    if cache_dir is not None and shared_store is not None:
+        raise ValueError(
+            "--cache-dir and --shared-store both name the durable result"
+            " store; pass one"
+        )
     if cache_dir is not None:
-        from repro.engine.persistent import PersistentResultCache
-
-        persistent = PersistentResultCache(cache_dir)
-    shared = None
-    if shared_store is not None:
-        from repro.engine import SQLiteResultStore
-
-        shared = SQLiteResultStore(shared_store)
+        shared_store = Path(cache_dir) / "results.db"
+    shared = None if shared_store is None else _open_store(shared_store)
     # A dedicated instance: the process-wide default engine must not keep
-    # a handle on this invocation's cache directory, shared store, or
-    # worker pool.
-    return BatchAttributionEngine(persistent=persistent, jobs=jobs, shared=shared)
+    # a handle on this invocation's store or worker pool.
+    return BatchAttributionEngine(jobs=jobs, shared=shared)
 
 
 def _policy_from_options(options: argparse.Namespace):
@@ -262,8 +278,6 @@ def _load_delta(options: argparse.Namespace):
     update = getattr(options, "update", None)
     if update is None:
         return None
-    from pathlib import Path
-
     from repro.engine.delta import delta_from_dict
 
     return delta_from_dict(json.loads(Path(update).read_text()))
@@ -712,7 +726,6 @@ def _render_metrics(document: dict) -> None:
     kernel = document.get("kernel", {})
     if kernel:
         print(f"kernel[active]: {kernel.get('active', 'auto')}")
-        print(f"kernel[gmpy_available]: {kernel.get('gmpy_available', False)}")
         counters = kernel.get("counters", {})
         for name in sorted(counters):
             print(f"kernel[{name}]: {counters[name]}")
@@ -951,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent on-disk result cache (warm across processes)",
+        help="SQLite result store at DIR/results.db (warm across processes)",
     )
     p_batch.add_argument(
         "--jobs",
@@ -1052,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_answers.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent on-disk result cache (warm across processes)",
+        help="SQLite result store at DIR/results.db (warm across processes)",
     )
     p_answers.add_argument(
         "--jobs",
@@ -1126,7 +1139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent on-disk result store for the daemon's engine",
+        help="SQLite result store at DIR/results.db for the daemon's"
+        " engine (a fleet of one; use --shared-store to name the file)",
     )
     p_serve.add_argument(
         "--shared-store",
@@ -1234,8 +1248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent on-disk result cache (store.get spans show tier"
-        " and hit/miss)",
+        help="SQLite result store at DIR/results.db (store.get spans show"
+        " tier and hit/miss)",
     )
     p_trace.add_argument(
         "--connect",

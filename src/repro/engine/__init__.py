@@ -13,9 +13,9 @@ Architecture (plan/execute engine, PR 3)
     request ──► planner ──► Plan (DAG) ──► executor ──► results ──► store
                  │                           │                        │
                  │ method dispatch           │ SerialExecutor         │ MemoryResultStore (LRU)
-                 │ fingerprint node ids      │ ShardedExecutor        │ PersistentResultCache
+                 │ fingerprint node ids      │ ShardedExecutor        │ SQLiteResultStore
                  │ store pruning             │   (ProcessPool,        │ TieredResultStore
-                 │ up-front validation       │    BundlePool merge)   │   (promotion)
+                 │ up-front validation       │    BundlePool merge)   │   (memory → durable)
 
 * The **planner** (:mod:`repro.engine.plan`) turns a ``(database, query,
   groundings)`` request into an explicit DAG: one grounding task per
@@ -32,11 +32,12 @@ Architecture (plan/execute engine, PR 3)
   the count vectors back through the :class:`BundlePool` — exact integer
   arithmetic makes sharded results bit-identical to serial ones.
 * **Result stores** (:mod:`repro.engine.stores`) decide whether a node
-  needed computing at all: the in-memory LRU and the on-disk
-  :class:`PersistentResultCache` (optionally bounded via
-  ``max_entries``/``max_bytes`` LRU eviction) are interchangeable behind
-  :class:`ResultStore`, and compose into a :class:`TieredResultStore`
-  with read-through promotion.
+  needed computing at all: the in-memory LRU and the durable
+  :class:`SQLiteResultStore` (one file, shared by any number of
+  processes, optionally bounded via ``max_entries``/``max_bytes`` LRU
+  eviction) are interchangeable behind :class:`ResultStore`, and
+  compose into a :class:`TieredResultStore` with read-through
+  promotion.
 * The engine is **delta-aware** (:mod:`repro.engine.delta`,
   PR 5): store keys cover only a request's query-relevant facts, so a
   fact insertion/deletion/flip (:class:`DatabaseDelta`,
@@ -104,7 +105,7 @@ Usage::
     engine = BatchAttributionEngine(jobs=4)          # sharded backend
     engine.batch_answers(database, non_boolean_query)
     engine.stats                # per-layer accounting:
-    #   components/results/persistent (caches, historical keys),
+    #   components/results/shared (caches),
     #   planner (pruned vs planned), store (any-tier hits),
     #   executor (tasks, shipped, fallbacks)
 
@@ -152,6 +153,7 @@ from repro.engine.executors import (
     execute_grounding_task,
 )
 from repro.engine.fingerprint import (
+    digest_key,
     fingerprint_component,
     fingerprint_database,
     fingerprint_grounding,
@@ -161,7 +163,6 @@ from repro.engine.fingerprint import (
     fingerprint_sampled,
     relevant_facts,
 )
-from repro.engine.persistent import PersistentResultCache, digest_key
 from repro.engine.sqlite_store import SQLiteResultStore
 from repro.engine.plan import (
     BundleTask,
@@ -217,7 +218,6 @@ __all__ = [
     "METHODS",
     "MemoryResultStore",
     "MethodPolicy",
-    "PersistentResultCache",
     "Plan",
     "PlanRequest",
     "PlanStats",

@@ -15,14 +15,15 @@ three interchangeable layers:
    :class:`repro.engine.executors.ShardedExecutor` across worker
    processes, merging count vectors back through the bundle pool;
 3. a **result store** (:mod:`repro.engine.stores`) keeps finished
-   results — the in-memory LRU and the optional persistent on-disk cache
-   compose into one :class:`repro.engine.stores.TieredResultStore` with
-   read-through promotion.
+   results — the in-memory LRU and the optional durable SQLite store
+   (:mod:`repro.engine.sqlite_store`) compose into one
+   :class:`repro.engine.stores.TieredResultStore` with read-through
+   promotion.
 
 Shapley and Banzhaf values fall out of the same per-fact count vectors,
 so the engine always materializes both.  ``stats`` exposes per-layer
 accounting (planner prunes, store hits, executor tasks) alongside the
-historical per-cache counters.
+per-cache counters.
 
 Engines are cheap to construct; share one instance (see
 :func:`default_engine`) to share the caches.  The environment variables
@@ -50,6 +51,7 @@ from repro.engine.executors import (
     SerialExecutor,
     ShardedExecutor,
 )
+from repro.engine.fingerprint import digest_key, fingerprint_database
 from repro.engine.plan import Plan, PlanRequest, PlanStats, SampleStats, build_plan
 from repro.engine.policy import MethodPolicy, resolve_policy
 from repro.engine.results import (
@@ -64,8 +66,6 @@ from repro.util import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from fractions import Fraction
-
-    from repro.engine.persistent import PersistentResultCache
 
 
 def environment_problems() -> list[str]:
@@ -146,7 +146,7 @@ class BatchAttributionEngine:
 
     Instances hold two bounded LRU caches: a *result* cache keyed on the
     whole ``(database, query, X, grounding)`` request — wrapped, together
-    with the optional persistent cache, into the engine's result store —
+    with the optional durable store, into the engine's result store —
     and a *component* cache keyed on ``(component fingerprint, scoped
     facts)`` that lets overlapping requests share per-component count
     bundles.
@@ -154,19 +154,18 @@ class BatchAttributionEngine:
     ``executor`` picks the backend (default: serial, or whatever
     ``REPRO_JOBS`` says); ``jobs`` is a convenience shortcut for
     ``executor=ShardedExecutor(jobs=...)``.  ``store`` replaces the whole
-    result layer; when omitted it is built from the LRU, ``shared``, and
-    ``persistent``.  ``shared`` is the fleet tier — typically a
-    :class:`repro.engine.sqlite_store.SQLiteResultStore` whose file N
-    daemons point at — slotted between the in-memory LRU and the
-    per-process JSON cache, so sibling daemons serve each other's warm
-    results and retirement propagates fleet-wide.
+    result layer; when omitted it is built from the LRU and ``shared``.
+    ``shared`` is the durable tier — typically a
+    :class:`repro.engine.sqlite_store.SQLiteResultStore`, behind the
+    in-memory LRU.  One process with a store is a fleet of one: N daemons
+    pointed at the same file serve each other's warm results, and
+    retirement propagates fleet-wide.
     """
 
     def __init__(
         self,
         component_cache_size: int = 512,
         result_cache_size: int = 128,
-        persistent: "PersistentResultCache | None" = None,
         executor: Executor | None = None,
         store: ResultStore | None = None,
         jobs: int | None = None,
@@ -177,12 +176,9 @@ class BatchAttributionEngine:
     ) -> None:
         self.component_cache: LRUCache = LRUCache(component_cache_size)
         self.result_cache: LRUCache = LRUCache(result_cache_size)
-        self.persistent = persistent
         self.shared = shared
         if store is None:
-            store = TieredResultStore(
-                MemoryResultStore(self.result_cache), shared, persistent
-            )
+            store = TieredResultStore(MemoryResultStore(self.result_cache), shared)
         self.store = store
         if jobs is not None and jobs < 1:
             # Same contract as ShardedExecutor: reject broken job counts
@@ -296,7 +292,6 @@ class BatchAttributionEngine:
         *,
         exogenous_relations: AbstractSet[str] | None = None,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
         grounding: tuple[Constant, ...] | None = None,
         pool: BundlePool | None = None,
         trace: "bool | _tracing.Tracer | None" = None,
@@ -314,9 +309,7 @@ class BatchAttributionEngine:
         serves every request: exact algorithms where the dichotomy
         allows, the Section 5 additive FPRAS beyond them.  A sampled
         result carries its accuracy metadata in ``result.estimate`` and
-        an empty Banzhaf mapping.  ``allow_brute_force`` is the
-        deprecated spelling (``True`` = ``auto``, ``False`` =
-        ``exact``) and warns once per process.
+        an empty Banzhaf mapping.
 
         ``grounding`` carries the head constants when ``query`` is the
         grounding ``q_t`` of a non-Boolean query at answer ``t``; it is
@@ -330,7 +323,7 @@ class BatchAttributionEngine:
         :class:`repro.obs.tracing.Tracer` instance nests the request's
         spans under the caller's, ``None`` defers to the engine default.
         """
-        method_policy = resolve_policy(policy, allow_brute_force)
+        method_policy = resolve_policy(policy)
         with self._request_scope(trace, "batch") as scope:
             version = self._note_version(database)
             plan = build_plan(
@@ -366,7 +359,6 @@ class BatchAttributionEngine:
         *,
         exogenous_relations: AbstractSet[str] | None = None,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
         trace: "bool | _tracing.Tracer | None" = None,
     ) -> AnswerBatchResult:
         """One plan covering every grounding ``q_t`` of a non-Boolean query.
@@ -385,7 +377,7 @@ class BatchAttributionEngine:
         from repro.shapley.aggregates import candidate_answers
         from repro.shapley.answers import ground_at_answer, head_assignment
 
-        method_policy = resolve_policy(policy, allow_brute_force)
+        method_policy = resolve_policy(policy)
         if query.is_boolean:
             raise ValueError("batch_answers needs a query with head variables")
         with self._request_scope(trace, "batch_answers") as scope:
@@ -434,11 +426,9 @@ class BatchAttributionEngine:
         """Count distinct database fingerprints for the delta accounting.
 
         Returns the version fingerprint so each public call computes it
-        exactly once (``_execute`` reuses it for the persistent store's
+        exactly once (``_execute`` reuses it for the durable store's
         writer tag instead of re-sorting the whole fact set).
         """
-        from repro.engine.fingerprint import fingerprint_database
-
         version = fingerprint_database(database)
         if version not in self._versions and len(self._versions) < self._versions_cap:
             self._versions.add(version)
@@ -459,21 +449,13 @@ class BatchAttributionEngine:
         Fresh results are stored as their *projection* to the request's
         relevant endogenous facts, under the relevance-scoped key — the
         form every database version can inflate back from.  When a
-        persistent store is attached, entries are tagged with the
-        database ``version`` fingerprint that wrote them so superseded
-        versions can be retired (evicted first) later.
+        durable store is attached, entries are tagged with the database
+        ``version`` fingerprint that wrote them so superseded versions
+        can be retired (evicted first) later.
         """
         cache = pool if pool is not None else self.component_cache
-        if version is not None and (
-            self.persistent is not None or self.shared is not None
-        ):
-            from repro.engine.persistent import digest_key
-
-            writer = digest_key(version)
-            if self.persistent is not None:
-                self.persistent.writer_version = writer
-            if self.shared is not None and hasattr(self.shared, "writer_version"):
-                self.shared.writer_version = writer
+        if version is not None and hasattr(self.shared, "writer_version"):
+            self.shared.writer_version = digest_key(version)
         reused_before = cache.stats.hits
         dirty_before = cache.stats.misses
         with _tracing.maybe_span(
@@ -560,7 +542,6 @@ class BatchAttributionEngine:
         exogenous_relations: AbstractSet[str] | None = None,
         *,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
     ) -> dict[Fact, "Fraction"]:
         return dict(
             self.batch(
@@ -568,7 +549,6 @@ class BatchAttributionEngine:
                 query,
                 exogenous_relations=exogenous_relations,
                 policy=policy,
-                allow_brute_force=allow_brute_force,
             ).shapley
         )
 
@@ -579,7 +559,6 @@ class BatchAttributionEngine:
         exogenous_relations: AbstractSet[str] | None = None,
         *,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
     ) -> dict[Fact, "Fraction"]:
         return dict(
             self.batch(
@@ -587,7 +566,6 @@ class BatchAttributionEngine:
                 query,
                 exogenous_relations=exogenous_relations,
                 policy=policy,
-                allow_brute_force=allow_brute_force,
             ).banzhaf
         )
 
@@ -738,18 +716,17 @@ class BatchAttributionEngine:
     def stats(self) -> dict[str, object]:
         """Per-layer accounting snapshot.
 
-        The historical per-cache keys (``components``, ``results``,
-        ``persistent``) are kept as aliases; ``planner``, ``store`` and
-        ``executor`` report the plan/execute layers: how many plan nodes
-        were pruned against how many planned, whether *any* store tier
-        held a result, and where the executed tasks actually ran.
+        ``components`` and ``results`` are the two LRU caches and
+        ``shared`` the durable tier (when attached); ``planner``,
+        ``store`` and ``executor`` report the plan/execute layers: how
+        many plan nodes were pruned against how many planned, whether
+        *any* store tier held a result, and where the executed tasks
+        actually ran.
         """
         counters: dict[str, object] = {
             "components": self.component_cache.stats.snapshot(),
             "results": self.result_cache.stats.snapshot(),
         }
-        if self.persistent is not None:
-            counters["persistent"] = self.persistent.stats.snapshot()
         if self.shared is not None:
             counters["shared"] = self.shared.stats.snapshot()
             claim_stats = getattr(self.shared, "claim_stats", None)
@@ -769,31 +746,21 @@ class BatchAttributionEngine:
         return counters
 
     def retire_version(self, database: Database) -> int:
-        """Mark a superseded database version's persistent entries stale.
+        """Mark a superseded database version's durable entries stale.
 
         Called by the serving layer when ``database`` is replaced by a
         successor (``db_update``): entries the version wrote are
-        back-dated so bounded-cache eviction takes them first.  Entries
+        back-dated so bounded-store eviction takes them first.  Entries
         still valid across the delta re-earn their stamp on their next
         hit; live-version hot entries are never pushed out by stale
-        ones.  Retires through both durable tiers — the per-process
-        JSON cache and the fleet-shared store, where one daemon's
-        retirement reaches every sibling.  Returns the total number of
-        entries retired (0 without a durable store).
+        ones.  The durable store may be shared by a fleet, so one
+        daemon's retirement reaches every sibling.  Returns the number
+        of entries retired (0 without a durable store).
         """
-        shared_retire = getattr(self.shared, "retire", None)
-        if self.persistent is None and not callable(shared_retire):
+        retire = getattr(self.shared, "retire", None)
+        if not callable(retire):
             return 0
-        from repro.engine.fingerprint import fingerprint_database
-        from repro.engine.persistent import digest_key
-
-        version = digest_key(fingerprint_database(database))
-        retired = 0
-        if self.persistent is not None:
-            retired += self.persistent.retire(version)
-        if callable(shared_retire):
-            retired += shared_retire(version)
-        return retired
+        return retire(digest_key(fingerprint_database(database)))
 
     def clear(self) -> None:
         """Drop all cached entries (statistics are kept).
@@ -801,9 +768,8 @@ class BatchAttributionEngine:
         Clears the component cache, the result LRU, and — when a custom
         ``store`` exposing ``clear()`` was supplied — that store too.
         The default tiered store intentionally has no ``clear``: its
-        memory tier *is* the result LRU cleared above, and the
-        persistent tier survives (as it always has) so other processes
-        keep their warm entries.
+        memory tier *is* the result LRU cleared above, and the durable
+        tier survives so other processes keep their warm entries.
         """
         self.component_cache.clear()
         self.result_cache.clear()

@@ -23,12 +23,16 @@ delta only invalidates the requests — and, one level down, the Gaifman
 components — it actually touches.
 
 Every fingerprint is a hashable tuple tree, usable directly as an
-:class:`repro.engine.cache.LRUCache` key.
+:class:`repro.engine.cache.LRUCache` key; :func:`digest_key` hashes one
+to the stable hex digest that keys durable store rows, daemon database
+handles, and sampler seeds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import hashlib
+import json
+from typing import Any, Iterable
 
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
@@ -130,8 +134,8 @@ def fingerprint_grounding(answer: tuple[Constant, ...]) -> tuple:
     or constants that compare equal across Python types such as ``1`` and
     ``True``) while asking about different answer tuples.  The grounding
     fingerprint keeps the answer itself — with each constant tagged by its
-    concrete type — so such requests can never collide in the result or
-    persistent caches.
+    concrete type — so such requests can never collide in the result
+    stores.
     """
     return tuple(
         ("ground", type(value).__name__, value) for value in answer
@@ -228,6 +232,36 @@ def fingerprint_sampled(base_key: tuple, contract: tuple) -> tuple:
     return ("sampled", base_key, contract)
 
 
+def _encode(obj: Any) -> Any:
+    """Canonical JSON-able encoding of a fingerprint tuple tree.
+
+    Every value carries a type tag so that Python values that compare
+    equal across types (``1 == True == 1.0``) produce distinct digests.
+    """
+    if isinstance(obj, tuple):
+        return ["tuple", [_encode(item) for item in obj]]
+    if isinstance(obj, Fact):
+        return ["fact", obj.relation, [_encode(arg) for arg in obj.args]]
+    if isinstance(obj, bool):
+        return ["bool", obj]
+    if isinstance(obj, int):
+        return ["int", str(obj)]
+    if isinstance(obj, float):
+        return ["float", repr(obj)]
+    if isinstance(obj, str):
+        return ["str", obj]
+    if obj is None:
+        return ["none"]
+    # Exotic hashable constants: fall back to their type and repr.
+    return ["repr", type(obj).__name__, repr(obj)]
+
+
+def digest_key(key: tuple) -> str:
+    """Stable SHA-256 hex digest of a fingerprint tuple."""
+    rendered = json.dumps(_encode(key), separators=(",", ":"), sort_keys=False)
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
 def fingerprint_sample_state(base_key: tuple) -> tuple:
     """The store key of a request's resumable sampler state.
 
@@ -240,6 +274,7 @@ def fingerprint_sample_state(base_key: tuple) -> tuple:
 
 
 __all__ = [
+    "digest_key",
     "fingerprint_atoms",
     "fingerprint_component",
     "fingerprint_database",

@@ -57,6 +57,7 @@ from repro.core.paths import has_non_hierarchical_path
 from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.engine.bundles import top_level_components
 from repro.engine.fingerprint import (
+    digest_key,
     fingerprint_request,
     fingerprint_sample_state,
     fingerprint_sampled,
@@ -284,8 +285,8 @@ class Plan:
     #: engine folds this into its delta stats).
     zero_filled: int = 0
     #: The convolution kernel active when this plan was built — the
-    #: ``REPRO_KERNEL`` selection (``auto`` / ``schoolbook`` / ``packed``
-    #: / ``gmpy``), re-read from the environment at plan time.
+    #: ``REPRO_KERNEL`` selection (``auto`` / ``schoolbook`` /
+    #: ``packed``), re-read from the environment at plan time.
     kernel: str = "auto"
     #: Per-request kernel accounting: the engine attaches the
     #: :class:`repro.util.kernels.KernelStats` delta observed between
@@ -380,8 +381,6 @@ def _plan_sampled(
        — like every relevance-scoped entry — valid across database
        versions whose deltas leave the slice untouched.
     """
-    from repro.engine.persistent import digest_key
-
     contract = policy.contract()
     if strata != 1:
         # A stratified estimate is a different number from the plain one

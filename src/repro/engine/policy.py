@@ -31,15 +31,13 @@ stack unchanged:
   so result stores and the daemon's request coalescer never conflate
   accuracy classes.
 
-``allow_brute_force`` survives as a deprecation shim:
-:func:`resolve_policy` maps ``True`` to ``auto`` and ``False`` to
-``exact`` — bit-identical behavior for every previously *working* call
-site — and warns once per process.
+Only the wire protocol still reads the legacy ``allow_brute_force``
+field (``True`` means ``auto``, ``False`` means ``exact``), so old
+clients keep working (:meth:`MethodPolicy.from_params`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 #: The method names a policy may request.
@@ -116,48 +114,13 @@ class MethodPolicy:
         return cls("auto" if legacy else "exact")
 
 
-_WARNED = False
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the once-per-process shim warning (test helper)."""
-    global _WARNED
-    _WARNED = False
-
-
-def resolve_policy(
-    policy: "MethodPolicy | str | None",
-    allow_brute_force: bool | None = None,
-    *,
-    stacklevel: int = 3,
-) -> MethodPolicy:
-    """The deprecation shim: one policy out of old and new spellings.
+def resolve_policy(policy: "MethodPolicy | str | None") -> MethodPolicy:
+    """The :class:`MethodPolicy` a front door was handed.
 
     ``policy`` may be a :class:`MethodPolicy`, a bare method name
     (``"sampled"`` coerces to ``MethodPolicy("sampled")`` with default
-    accuracy), or ``None`` (the ``auto`` default).  A non-``None``
-    ``allow_brute_force`` maps ``True -> auto`` / ``False -> exact``
-    and emits a :class:`DeprecationWarning` once per process; passing
-    both spellings is an error — silently preferring either would make
-    migration bugs invisible.
+    accuracy), or ``None`` (the ``auto`` default).
     """
-    global _WARNED
-    if allow_brute_force is not None:
-        if policy is not None:
-            raise ValueError(
-                "pass either policy= or the deprecated allow_brute_force=,"
-                " not both"
-            )
-        if not _WARNED:
-            _WARNED = True
-            warnings.warn(
-                "allow_brute_force is deprecated; use"
-                " policy=MethodPolicy('auto') instead of True and"
-                " policy=MethodPolicy('exact') instead of False",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-        return MethodPolicy("auto" if allow_brute_force else "exact")
     if policy is None:
         return MethodPolicy()
     if isinstance(policy, str):

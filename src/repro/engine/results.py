@@ -10,7 +10,7 @@ This module owns the *outputs* of the plan/execute pipeline:
   engine's per-fact count vectors into both measures at once.
 
 Result objects are what the result stores (:mod:`repro.engine.stores`,
-:mod:`repro.engine.persistent`) persist and what executors
+:mod:`repro.engine.sqlite_store`) persist and what executors
 (:mod:`repro.engine.executors`) return for each plan node, so the layer
 sits below both and imports neither.
 """

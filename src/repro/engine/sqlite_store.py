@@ -1,40 +1,42 @@
-"""SQLite-backed shared result store: one file, many daemons, shared warmth.
+"""SQLite-backed result store: the engine's one durable tier.
 
-The persistent JSON cache (:mod:`repro.engine.persistent`) already makes
-results survive a process; this module makes them *shared* between live
-processes.  A :class:`SQLiteResultStore` is a conforming
+A :class:`SQLiteResultStore` is a conforming
 :class:`repro.engine.stores.ResultStore` whose entries live in a single
-SQLite file opened in WAL mode, so N daemons pointed at the same path
-read each other's freshly computed results the moment they are committed
-— the shared tier of the fleet layer.
+SQLite file opened in WAL mode.  Results survive the process that
+computed them, and N processes pointed at the same path read each
+other's freshly computed results the moment they are committed.  One
+process with ``--cache-dir DIR`` (the file ``DIR/results.db``) and a
+fleet of daemons with ``--shared-store PATH`` run the same code: a
+single process is a fleet of one.
 
 Design points:
 
-* **One dialect.** Rows store exactly the versioned JSON payloads of
-  :func:`repro.engine.persistent.encode_stored_value`, keyed by
-  :func:`repro.engine.persistent.digest_key` — a value round-trips
-  bit-identically whether it was served from memory, the JSON-file
-  cache, or this store, and the two durable tiers can never disagree.
+* **One payload dialect.** Rows store the versioned JSON documents of
+  :func:`encode_stored_value`, keyed by
+  :func:`repro.engine.fingerprint.digest_key` — exact ``Fraction``
+  results and resumable :class:`~repro.shapley.sampling.SampleState`
+  values round-trip bit-identically, whichever process wrote them.
 * **Concurrent-writer safe.** WAL journaling plus short ``BEGIN
   IMMEDIATE`` transactions make every upsert atomic under concurrent
-  daemon writers; readers never block writers.  SQLite errors (a locked
-  or corrupt file) degrade to misses/skips, never exceptions — losing
-  the shared tier costs recomputation, not correctness.
+  writers; readers never block writers.  SQLite errors (a locked or
+  corrupt file) degrade to misses/skips, never exceptions — losing the
+  durable tier costs recomputation, not correctness.
 * **Access-stamp LRU.** Every hit on a *bounded* store re-stamps its
   row (an unbounded store never evicts, so its hits stay read-only —
   except to revive a retired row, since a bounded opener of the same
   file could otherwise drain it); every bounded write evicts the
-  stalest rows until ``max_entries``/``max_bytes`` hold again (with
-  the same 7/8 low-water amortization as the JSON cache).
-  :meth:`retire` back-dates a superseded database version's rows to
-  :data:`repro.engine.persistent.RETIRED_STAMP` so eviction drains them
+  stalest rows until ``max_entries``/``max_bytes`` hold again, with
+  large caps draining to a 7/8 low-water mark so the sweep amortizes.
+  :meth:`SQLiteResultStore.retire` back-dates a superseded database
+  version's rows to :data:`RETIRED_STAMP` so eviction drains them
   first — retirement propagates fleet-wide through the shared file.
-* **Claim markers.** :meth:`claim` is an insert-if-absent marker with a
-  TTL: when identical requests land on *different* daemons at the same
-  time, exactly one wins the claim and computes; the losers
-  :meth:`await_claim` (poll until the winner releases or the TTL
-  expires) and then find the winner's row warm in the store instead of
-  recomputing.  A crashed winner's claim simply expires.
+* **Claim markers.** :meth:`SQLiteResultStore.claim` is an
+  insert-if-absent marker with a TTL: when identical requests land on
+  *different* daemons at the same time, exactly one wins the claim and
+  computes; the losers :meth:`SQLiteResultStore.await_claim` (poll until
+  the winner releases or the TTL expires) and then find the winner's row
+  warm in the store instead of recomputing.  A crashed winner's claim
+  simply expires.
 """
 
 from __future__ import annotations
@@ -46,19 +48,125 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.cache import CacheStats
-from repro.engine.persistent import (
-    RETIRED_STAMP,
-    decode_stored_value,
-    digest_key,
-    encode_stored_value,
+from repro.engine.fingerprint import digest_key
+from repro.engine.results import BatchResult
+from repro.io import (
+    attribution_from_rows,
+    attribution_to_rows,
+    estimate_from_dict,
+    estimate_to_dict,
+    fact_from_row,
+    fact_is_json_safe,
+    fact_to_row,
 )
 from repro.obs import tracing as _tracing
+from repro.shapley.sampling import SampleState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type names
     from repro.engine.stores import StoredValue
+
+#: Version of the stored payload documents.  3 since the approximation
+#: tier: payloads are discriminated by ``kind`` — ``"result"`` documents
+#: (optionally carrying a sampled result's ``estimate`` block) and
+#: ``"sample-state"`` documents (the resumable permutation-stream state
+#: behind anytime refinement).
+FORMAT_VERSION = 3
+
+#: Access stamp given to retired (superseded-version) rows: far in the
+#: past, so LRU eviction drains them before any live row.
+RETIRED_STAMP = 1.0
+
+
+def _encode_result(result: BatchResult) -> dict | None:
+    shapley = attribution_to_rows(result.shapley)
+    banzhaf = attribution_to_rows(result.banzhaf)
+    if shapley is None or banzhaf is None:
+        return None
+    payload: dict[str, Any] = {
+        "kind": "result",
+        "method": result.method,
+        "player_count": result.player_count,
+        "shapley": shapley,
+        "banzhaf": banzhaf,
+    }
+    if result.estimate is not None:
+        payload["estimate"] = estimate_to_dict(result.estimate)
+    return payload
+
+
+def _encode_state(state: SampleState) -> dict | None:
+    totals = []
+    for player in sorted(state.totals, key=repr):
+        if not fact_is_json_safe(player):
+            return None
+        totals.append(fact_to_row(player) + [state.totals[player]])
+    payload: dict[str, Any] = {
+        "kind": "sample-state",
+        "seed": state.seed,
+        "rounds": state.rounds,
+        "evaluations": state.evaluations,
+        "totals": totals,
+    }
+    if state.strata != 1:
+        # Written only when stratified, so plain states keep the
+        # historical byte-for-byte payload.
+        payload["strata"] = state.strata
+    return payload
+
+
+def encode_stored_value(value: "StoredValue") -> dict | None:
+    """The versioned JSON payload for one stored value, or None.
+
+    ``None`` means some constant in the value does not survive JSON
+    (the facts' constants must round-trip through JSON scalars, see
+    :func:`repro.io.attribution_to_rows`); the entry is then simply not
+    persisted.
+    """
+    if isinstance(value, SampleState):
+        payload = _encode_state(value)
+    else:
+        payload = _encode_result(value)
+    if payload is not None:
+        payload["version"] = FORMAT_VERSION
+    return payload
+
+
+def decode_stored_value(payload: dict) -> "StoredValue":
+    """Decode a payload produced by :func:`encode_stored_value`.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on malformed or
+    version-mismatched documents; the store treats those as misses.
+    """
+    if not isinstance(payload, dict) or payload.get("version") != FORMAT_VERSION:
+        raise ValueError("unsupported stored-value document")
+    kind = payload.get("kind", "result")
+    if kind == "sample-state":
+        return SampleState(
+            seed=int(payload["seed"]),
+            rounds=int(payload["rounds"]),
+            totals={
+                fact_from_row([relation, args]): int(total)
+                for relation, args, total in payload["totals"]
+            },
+            evaluations=int(payload["evaluations"]),
+            # States written before stratified rounds carry no "strata"
+            # key; they are plain (strata=1) states.
+            strata=int(payload.get("strata", 1)),
+        )
+    if kind != "result":
+        raise ValueError(f"unknown payload kind {kind!r}")
+    raw_estimate = payload.get("estimate")
+    return BatchResult(
+        shapley=attribution_from_rows(payload["shapley"]),
+        banzhaf=attribution_from_rows(payload["banzhaf"]),
+        method=payload["method"],
+        player_count=payload["player_count"],
+        estimate=None if raw_estimate is None else estimate_from_dict(raw_estimate),
+    )
+
 
 _SCHEMA = """\
 CREATE TABLE IF NOT EXISTS results (
@@ -132,9 +240,9 @@ class SQLiteResultStore:
         self.timeout = float(timeout)
         self.stats = CacheStats()
         self.claim_stats = ClaimStats()
-        # Same contract as PersistentResultCache: the engine stamps the
-        # writing database version's digest here before each execution
-        # so retire() can target superseded versions later.
+        # The engine stamps the writing database version's digest here
+        # before each execution so retire() can target superseded
+        # versions later.
         self.writer_version: str | None = None
         self._lock = threading.Lock()
         self._conn: sqlite3.Connection | None = None
@@ -275,9 +383,9 @@ class SQLiteResultStore:
     def _enforce_limits(self, conn: sqlite3.Connection) -> None:
         """Evict stalest rows until both caps hold (same-transaction).
 
-        Mirrors the JSON cache's policy: large caps drain to a 7/8
-        low-water mark so the sweep amortizes, small caps are exact, and
-        only a dimension that was actually crossed drains.
+        Large caps drain to a 7/8 low-water mark so the sweep amortizes,
+        small caps are exact, and only a dimension that was actually
+        crossed drains.
         """
         if self.max_entries is None and self.max_bytes is None:
             return
@@ -410,9 +518,9 @@ class SQLiteResultStore:
         """Back-date every row written by ``version``; returns the count.
 
         One UPDATE: retired rows drop to the epoch-adjacent
-        :data:`RETIRED_STAMP` so bounded eviction drains them first,
-        exactly like the JSON cache — and because the file is shared,
-        one daemon's ``db_update`` retires the whole fleet's entries.
+        :data:`RETIRED_STAMP` so bounded eviction drains them first —
+        and because the file is shared, one daemon's ``db_update``
+        retires the whole fleet's entries.
         A later hit re-earns a live stamp.
         """
         with self._lock:
@@ -437,4 +545,11 @@ class SQLiteResultStore:
                 pass
 
 
-__all__ = ["ClaimStats", "SQLiteResultStore"]
+__all__ = [
+    "ClaimStats",
+    "FORMAT_VERSION",
+    "RETIRED_STAMP",
+    "SQLiteResultStore",
+    "decode_stored_value",
+    "encode_stored_value",
+]

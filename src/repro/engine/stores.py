@@ -11,11 +11,14 @@ Two concrete stores plus one combinator cover the engine's needs:
 
 * :class:`MemoryResultStore` — the in-process LRU
   (:class:`repro.engine.cache.LRUCache`) behind the store interface;
-* :class:`repro.engine.persistent.PersistentResultCache` — the on-disk
-  cache (already a conforming store: ``get``/``put``/``stats``);
+* :class:`repro.engine.sqlite_store.SQLiteResultStore` — the one durable
+  tier: a SQLite file that outlives the process and may be shared by a
+  whole daemon fleet (already a conforming store:
+  ``get``/``put``/``stats``);
 * :class:`TieredResultStore` — an ordered chain (fastest first) with
   read-through promotion: a hit in a slower tier is copied into every
   faster tier, so a disk-warm entry becomes memory-warm on first use.
+  The engine builds it as memory → durable.
 
 All stores share the contract that a hit returns a value *equal* to what
 a fresh computation would produce — exact ``Fraction`` results make that

@@ -15,8 +15,8 @@ Attribution results serialize as rows of ``[relation, [args...],
 numerator, denominator]`` with the numerator/denominator as *strings* —
 exact ``Fraction`` arithmetic routinely produces integers beyond every
 fixed-width range, so nothing here ever goes through a float.  These
-helpers are the one dialect shared by the engine's persistent result
-cache (:mod:`repro.engine.persistent`), the attribution service's wire
+helpers are the one dialect shared by the engine's durable result
+store (:mod:`repro.engine.sqlite_store`), the attribution service's wire
 protocol (:mod:`repro.server.protocol`), and the CLI's ``--json`` output,
 so a document produced by any of them is readable by all of them.
 Sampled results additionally carry an ``estimate`` block (their
@@ -51,9 +51,7 @@ def write_json_atomic(
     The document is written to a temporary file in the same directory and
     ``os.replace``-d into place, so concurrent readers and writers only
     ever observe complete documents.  Returns False (after cleaning up
-    the temporary file) instead of raising on I/O errors — callers such
-    as the engine's persistent result cache treat a failed write as a
-    skipped cache entry, never as a failed computation; callers that
+    the temporary file) instead of raising on I/O errors; callers that
     must not fail silently (e.g. an explicit trace export) raise on a
     False return.  ``indent=None`` writes the compact separators form;
     an integer pretty-prints for human-facing documents.
@@ -92,8 +90,8 @@ JSON_SCALARS = (str, int, float, bool, type(None))
 def fact_to_row(item: Fact) -> list[Any]:
     """The ``[relation, [args...]]`` row of one fact.
 
-    Shared by the database layout below and the engine's persistent
-    result cache (:mod:`repro.engine.persistent`), so both speak the same
+    Shared by the database layout below and the engine's durable result
+    store (:mod:`repro.engine.sqlite_store`), so both speak the same
     on-disk dialect.
     """
     return [item.relation, list(item.args)]
@@ -130,7 +128,7 @@ def attribution_to_rows(values: Mapping[Fact, Fraction]) -> list[list[Any]] | No
     Rows iterate facts in the canonical sorted-by-``repr`` order.  Returns
     None when some constant is not a JSON scalar (such facts would not
     round-trip); callers decide whether that means "skip the cache entry"
-    (the persistent store) or "reject the request" (the wire protocol).
+    (the durable store) or "reject the request" (the wire protocol).
     """
     rows = []
     for item in sorted(values, key=repr):

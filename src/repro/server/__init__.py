@@ -3,7 +3,7 @@
 The engine made all-facts attribution cheap *per request*; this package
 makes it cheap *per fleet*.  A long-lived daemon keeps one warm
 :class:`~repro.engine.core.BatchAttributionEngine` — tiered in-memory +
-persistent result store, serial or sharded executor — behind a
+durable SQLite result store, serial or sharded executor — behind a
 Unix-domain or TCP socket, so clients skip Python startup, cold caches,
 and database re-parsing on every request (the ROADMAP's "heavy traffic"
 serving step).

@@ -478,15 +478,13 @@ class AttributionClient:
         exogenous: Iterable[str] | None = None,
         *,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
         trace: bool = False,
     ):
         """All-facts attribution of one Boolean query, served warm.
 
         ``policy`` selects the method/accuracy class exactly as on the
         in-process engine (a :class:`~repro.engine.policy.MethodPolicy`
-        or a bare method name); ``allow_brute_force`` survives as the
-        deprecated spelling and warns once per process.  Returns a
+        or a bare method name).  Returns a
         :class:`~repro.engine.results.BatchResult` bit-identical to what
         an in-process engine would produce — including the ``estimate``
         accuracy block on sampled answers; the raw wire payload
@@ -494,7 +492,7 @@ class AttributionClient:
         :attr:`last_response`.  ``trace=True`` asks the daemon to record
         the request end to end; the document lands on :attr:`last_trace`.
         """
-        method_policy = resolve_policy(policy, allow_brute_force)
+        method_policy = resolve_policy(policy)
         result = self._with_handle(
             database,
             lambda handle: self.call(
@@ -528,7 +526,7 @@ class AttributionClient:
         first (the upload is not pipelined); no transparent stale-handle
         retry happens on this path.
         """
-        method_policy = resolve_policy(policy, None)
+        method_policy = resolve_policy(policy)
         return self.submit(
             "batch",
             decode=lambda result: batch_result_from_dict(result["result"]),
@@ -605,7 +603,6 @@ class AttributionClient:
         exogenous: Iterable[str] | None = None,
         *,
         policy: MethodPolicy | str | None = None,
-        allow_brute_force: bool | None = None,
         trace: bool = False,
     ):
         """Per-answer attribution of a non-Boolean query, served warm.
@@ -613,7 +610,7 @@ class AttributionClient:
         Returns an :class:`~repro.engine.results.AnswerBatchResult`
         (aggregate via its :meth:`aggregate`, exactly as in-process).
         """
-        method_policy = resolve_policy(policy, allow_brute_force)
+        method_policy = resolve_policy(policy)
         result = self._with_handle(
             database,
             lambda handle: self.call(
@@ -658,7 +655,7 @@ class AttributionClient:
     ) -> PendingRequest:
         """Pipelined :meth:`answers`; decodes to an
         :class:`~repro.engine.results.AnswerBatchResult`."""
-        method_policy = resolve_policy(policy, None)
+        method_policy = resolve_policy(policy)
         return self.submit(
             "answers",
             decode=self._decode_answers,

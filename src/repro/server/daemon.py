@@ -4,7 +4,7 @@ Every CLI invocation pays Python startup, cold caches, and a database
 re-parse before the first count vector exists.  The daemon pays those
 costs **once**: it owns a single long-lived
 :class:`~repro.engine.core.BatchAttributionEngine` (tiered in-memory +
-optional persistent store, serial or sharded executor) and serves
+optional durable SQLite store, serial or sharded executor) and serves
 attribution requests over a Unix-domain or TCP socket using the framed
 protocol of :mod:`repro.server.protocol`.  A request that the warm store
 already holds is answered without executing a single plan node; a request
@@ -795,8 +795,8 @@ class AttributionDaemon:
 
         The base version stays queryable (other clients may hold its
         handle, and the registry's version chain is what bounds how many
-        versions accumulate); its persistent store entries are retired so
-        bounded caches drain superseded results first.
+        versions accumulate); its durable store entries are retired so
+        bounded stores drain superseded results first.
         """
         handle = str(payload.get("db"))
         document = payload.get("delta")
@@ -806,8 +806,8 @@ class AttributionDaemon:
         successor_handle, base, successor = self.registry.update(handle, delta)
         if successor_handle != handle:
             # A no-op delta supersedes nothing — retiring would back-date
-            # the *live* version's own entries.  The retire scan is pure
-            # best-effort filesystem work (reads + utime), so it runs
+            # the *live* version's own entries.  Retiring is one
+            # best-effort UPDATE on the durable store, so it runs
             # outside the engine lock: concurrent requests keep serving,
             # and a racing write at worst re-earns its stamp on next hit.
             self.engine.retire_version(base)

@@ -204,8 +204,7 @@ class FleetClient:
         if cached is not None and cached[0] is database:
             self._digests.move_to_end(id(database))
             return cached[1]
-        from repro.engine.fingerprint import fingerprint_database
-        from repro.engine.persistent import digest_key
+        from repro.engine.fingerprint import digest_key, fingerprint_database
         from repro.server.registry import HANDLE_PREFIX
 
         # The registry's exact handle derivation, so routing by object

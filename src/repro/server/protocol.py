@@ -28,7 +28,7 @@ a generic :class:`ServerError` carrying the original type name.
 
 Attribution payloads use the shared row dialect of :mod:`repro.io`
 (``Fraction`` values as exact numerator/denominator string pairs), so the
-protocol, the persistent cache, and the CLI's ``--json`` output all speak
+protocol, the durable result store, and the CLI's ``--json`` output all speak
 the same format.
 """
 

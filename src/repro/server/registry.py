@@ -40,8 +40,7 @@ from typing import Any, Awaitable, Callable, TypeVar
 from repro.core.database import Database
 from repro.engine.cache import CacheStats
 from repro.engine.delta import DatabaseDelta, apply_delta
-from repro.engine.fingerprint import fingerprint_database
-from repro.engine.persistent import digest_key
+from repro.engine.fingerprint import digest_key, fingerprint_database
 from repro.server.protocol import CoalescedRequestAborted, UnknownHandleError
 
 Value = TypeVar("Value")

@@ -107,7 +107,6 @@ def banzhaf_all_values(
     exogenous_relations: AbstractSet[str] | None = None,
     *,
     policy=None,
-    allow_brute_force: bool | None = None,
 ) -> dict[Fact, Fraction]:
     """Exact Banzhaf values of every endogenous fact, via the batch engine.
 
@@ -117,8 +116,7 @@ def banzhaf_all_values(
     engine is configured with.  ``policy`` follows
     :func:`repro.shapley.exact.shapley_all_values` — but note the
     ``sampled`` method estimates Shapley only, so a sampled policy here
-    returns an empty mapping; ``allow_brute_force`` is the deprecated
-    boolean spelling and warns once per process.
+    returns an empty mapping.
     """
     from repro.engine import default_engine
 
@@ -127,7 +125,6 @@ def banzhaf_all_values(
         query,
         exogenous_relations,
         policy=policy,
-        allow_brute_force=allow_brute_force,
     )
 
 

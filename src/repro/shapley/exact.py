@@ -133,7 +133,6 @@ def shapley_all_values(
     exogenous_relations: AbstractSet[str] | None = None,
     *,
     policy=None,
-    allow_brute_force: bool | None = None,
 ) -> dict[Fact, Fraction]:
     """Shapley values of every endogenous fact, exact or sampled per policy.
 
@@ -148,8 +147,7 @@ def shapley_all_values(
     the default ``auto`` serves even non-hierarchical queries too large
     for brute force as Hoeffding-bounded estimates, while ``exact``
     fails at plan time with an :class:`IntractableQueryError` naming
-    the player count.  ``allow_brute_force`` survives as the deprecated
-    boolean spelling and warns once per process.
+    the player count.
     """
     from repro.engine import default_engine
 
@@ -158,7 +156,6 @@ def shapley_all_values(
         query,
         exogenous_relations,
         policy=policy,
-        allow_brute_force=allow_brute_force,
     )
 
 

@@ -2,8 +2,8 @@
 
 The utilities are deliberately dependency-free: exact combinatorics over
 Python integers / :class:`fractions.Fraction` (now backed by the tiered
-exact-integer kernels of :mod:`repro.util.kernels` — ``gmpy2`` is
-optional, never required), and a tiny undirected-graph toolkit
+exact-integer kernels of :mod:`repro.util.kernels`), and a tiny
+undirected-graph toolkit
 sufficient for Gaifman graphs and exogenous atom graphs.
 """
 

@@ -15,7 +15,7 @@ to polynomial multiplication of their vectors, provided here as
 
 This module is the stable public façade; the heavy lifting lives in the
 tiered kernel layer (:mod:`repro.util.kernels`): size-tiered convolution
-(schoolbook / single-big-int limb packing / optional gmpy2, overridable
+(schoolbook / single-big-int limb packing, overridable
 via ``REPRO_KERNEL``), balanced product trees, and memoized
 factorial/binomial/Shapley-weight tables.  Every kernel is exact and
 bit-identical to the schoolbook reference.

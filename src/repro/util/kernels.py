@@ -12,11 +12,10 @@ rational API bit-identical:
   is a single-big-int kernel (Kronecker substitution: each count is a
   fixed-width limb of one padded integer, so CPython's subquadratic
   big-int multiplication performs the whole convolution in one
-  multiply); ``gmpy`` is the same limb packing on top of ``gmpy2``'s
-  GMP-backed multiply, used only when the optional dependency imports.
-  :func:`convolve` picks a tier per call from the operand sizes; the
-  ``REPRO_KERNEL`` environment variable (re-read at plan time by
-  :func:`repro.engine.plan.build_plan`) forces one tier everywhere.
+  multiply).  :func:`convolve` picks a tier per call from the operand
+  sizes; the ``REPRO_KERNEL`` environment variable (re-read at plan
+  time by :func:`repro.engine.plan.build_plan`) forces one tier
+  everywhere.
 * **Balanced product trees.**  :func:`convolve_many` reduces a factor
   list pairwise in rounds instead of folding left, keeping operand
   sizes balanced — the shape under which the packed kernel's
@@ -51,32 +50,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.obs import tracing as _tracing
-
-try:  # pragma: no cover - exercised only where gmpy2 is installed
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - the common case in CI
-    _gmpy2 = None
 
 #: Kernel tier names, as accepted by ``REPRO_KERNEL``.
 AUTO = "auto"
 SCHOOLBOOK = "schoolbook"
 PACKED = "packed"
-GMPY = "gmpy"
-KERNEL_NAMES = (AUTO, SCHOOLBOOK, PACKED, GMPY)
+KERNEL_NAMES = (AUTO, SCHOOLBOOK, PACKED)
 
 #: Auto-tier cutover: schoolbook wins below this ``len(a) * len(b)``
 #: work bound, the single-multiply packed kernel above it (measured
 #: crossover is near 16x16 on CPython 3.11; 400 keeps a safety margin
 #: so short-vector workloads never regress).
 PACK_THRESHOLD = 400
-
-
-def gmpy_available() -> bool:
-    """Whether the optional GMP-backed kernel can run in this process."""
-    return _gmpy2 is not None
 
 
 @dataclass
@@ -92,30 +80,24 @@ class KernelStats:
 
     schoolbook_calls: int = 0
     packed_calls: int = 0
-    gmpy_calls: int = 0
     tree_products: int = 0
     plan_selections_schoolbook: int = 0
     plan_selections_packed: int = 0
-    plan_selections_gmpy: int = 0
 
     def merge(self, other: "KernelStats") -> None:
         self.schoolbook_calls += other.schoolbook_calls
         self.packed_calls += other.packed_calls
-        self.gmpy_calls += other.gmpy_calls
         self.tree_products += other.tree_products
         self.plan_selections_schoolbook += other.plan_selections_schoolbook
         self.plan_selections_packed += other.plan_selections_packed
-        self.plan_selections_gmpy += other.plan_selections_gmpy
 
     def snapshot(self) -> "KernelStats":
         return KernelStats(
             self.schoolbook_calls,
             self.packed_calls,
-            self.gmpy_calls,
             self.tree_products,
             self.plan_selections_schoolbook,
             self.plan_selections_packed,
-            self.plan_selections_gmpy,
         )
 
     def delta(self, before: "KernelStats") -> "KernelStats":
@@ -127,7 +109,6 @@ class KernelStats:
         return KernelStats(
             max(0, self.schoolbook_calls - before.schoolbook_calls),
             max(0, self.packed_calls - before.packed_calls),
-            max(0, self.gmpy_calls - before.gmpy_calls),
             max(0, self.tree_products - before.tree_products),
             max(
                 0,
@@ -135,18 +116,15 @@ class KernelStats:
                 - before.plan_selections_schoolbook,
             ),
             max(0, self.plan_selections_packed - before.plan_selections_packed),
-            max(0, self.plan_selections_gmpy - before.plan_selections_gmpy),
         )
 
     def __repr__(self) -> str:
         return (
             f"KernelStats(schoolbook_calls={self.schoolbook_calls},"
             f" packed_calls={self.packed_calls},"
-            f" gmpy_calls={self.gmpy_calls},"
             f" tree_products={self.tree_products},"
             f" plan_selections_schoolbook={self.plan_selections_schoolbook},"
-            f" plan_selections_packed={self.plan_selections_packed},"
-            f" plan_selections_gmpy={self.plan_selections_gmpy})"
+            f" plan_selections_packed={self.plan_selections_packed})"
         )
 
 
@@ -171,18 +149,12 @@ def refresh_from_environment() -> str:
 
     Called once per plan (:func:`repro.engine.plan.build_plan`), so an
     environment change takes effect on the next request without
-    re-importing.  Unknown values degrade to ``auto`` and a forced
-    ``gmpy`` without the optional dependency degrades to ``packed`` —
-    the environment can tune kernels but never break a computation.
+    re-importing.  Unknown values degrade to ``auto`` — the environment
+    can tune kernels but never break a computation.
     """
     global _FORCED
     raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if raw in ("", AUTO) or raw not in KERNEL_NAMES:
-        _FORCED = None
-    elif raw == GMPY and _gmpy2 is None:
-        _FORCED = PACKED
-    else:
-        _FORCED = raw
+    _FORCED = None if raw in ("", AUTO) or raw not in KERNEL_NAMES else raw
     return active_kernel_name()
 
 
@@ -195,8 +167,7 @@ def kernel_description() -> str:
     """A one-line human description of the serial kernel configuration."""
     if _FORCED is not None:
         return f"{_FORCED} (forced via REPRO_KERNEL)"
-    fast = GMPY if _gmpy2 is not None else PACKED
-    return f"auto (schoolbook<{PACK_THRESHOLD}, then {fast})"
+    return f"auto (schoolbook<{PACK_THRESHOLD}, then {PACKED})"
 
 
 @contextmanager
@@ -206,12 +177,7 @@ def use_kernel(name: str) -> Iterator[str]:
         raise ValueError(f"unknown kernel {name!r} (expected one of {KERNEL_NAMES})")
     global _FORCED
     previous = _FORCED
-    if name == AUTO:
-        _FORCED = None
-    elif name == GMPY and _gmpy2 is None:
-        _FORCED = PACKED
-    else:
-        _FORCED = name
+    _FORCED = None if name == AUTO else name
     try:
         yield active_kernel_name()
     finally:
@@ -242,11 +208,7 @@ def _pack(vector: Sequence[int], limb: int) -> int:
     )
 
 
-def _convolve_packed_nonneg(
-    left: Sequence[int],
-    right: Sequence[int],
-    multiply: Callable[[int, int], int],
-) -> list[int]:
+def _convolve_packed_nonneg(left: Sequence[int], right: Sequence[int]) -> list[int]:
     """Kronecker substitution over non-negative vectors: one big multiply.
 
     Each coefficient of the product is bounded by ``min(len(left),
@@ -261,7 +223,7 @@ def _convolve_packed_nonneg(
         return [0] * n
     bound = min(len(left), len(right)) * max_left * max_right
     limb = bound.bit_length() // 8 + 1
-    product = multiply(_pack(left, limb), _pack(right, limb))
+    product = _pack(left, limb) * _pack(right, limb)
     raw = product.to_bytes(n * limb, "little")
     return [
         int.from_bytes(raw[index * limb : (index + 1) * limb], "little")
@@ -269,15 +231,7 @@ def _convolve_packed_nonneg(
     ]
 
 
-def _gmpy_multiply(a: int, b: int) -> int:
-    return int(_gmpy2.mpz(a) * _gmpy2.mpz(b))
-
-
-def convolve_packed(
-    left: Sequence[int],
-    right: Sequence[int],
-    multiply: Callable[[int, int], int] = int.__mul__,
-) -> list[int]:
+def convolve_packed(left: Sequence[int], right: Sequence[int]) -> list[int]:
     """The single-big-int kernel, exact for arbitrary (signed) integers.
 
     Count vectors are non-negative on every real engine path, so the
@@ -289,26 +243,19 @@ def convolve_packed(
     if not left or not right:
         return []
     if min(left) >= 0 and min(right) >= 0:
-        return _convolve_packed_nonneg(left, right, multiply)
+        return _convolve_packed_nonneg(left, right)
     left_pos = [value if value > 0 else 0 for value in left]
     left_neg = [-value if value < 0 else 0 for value in left]
     right_pos = [value if value > 0 else 0 for value in right]
     right_neg = [-value if value < 0 else 0 for value in right]
-    pos_pos = _convolve_packed_nonneg(left_pos, right_pos, multiply)
-    neg_neg = _convolve_packed_nonneg(left_neg, right_neg, multiply)
-    pos_neg = _convolve_packed_nonneg(left_pos, right_neg, multiply)
-    neg_pos = _convolve_packed_nonneg(left_neg, right_pos, multiply)
+    pos_pos = _convolve_packed_nonneg(left_pos, right_pos)
+    neg_neg = _convolve_packed_nonneg(left_neg, right_neg)
+    pos_neg = _convolve_packed_nonneg(left_pos, right_neg)
+    neg_pos = _convolve_packed_nonneg(left_neg, right_pos)
     return [
         pos_pos[index] + neg_neg[index] - pos_neg[index] - neg_pos[index]
         for index in range(len(pos_pos))
     ]
-
-
-def convolve_gmpy(left: Sequence[int], right: Sequence[int]) -> list[int]:
-    """The packed kernel over gmpy2's GMP multiply (optional dependency)."""
-    if _gmpy2 is None:
-        raise RuntimeError("gmpy2 is not installed; the gmpy kernel is unavailable")
-    return convolve_packed(left, right, _gmpy_multiply)
 
 
 def tier_for_sizes(left_size: int, right_size: int) -> str:
@@ -317,7 +264,7 @@ def tier_for_sizes(left_size: int, right_size: int) -> str:
         return _FORCED
     if left_size * right_size < PACK_THRESHOLD:
         return SCHOOLBOOK
-    return GMPY if _gmpy2 is not None else PACKED
+    return PACKED
 
 
 def convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
@@ -339,9 +286,6 @@ def _convolve_tier(
     if tier == SCHOOLBOOK:
         _STATS.schoolbook_calls += 1
         return convolve_schoolbook(left, right)
-    if tier == GMPY:
-        _STATS.gmpy_calls += 1
-        return convolve_packed(left, right, _gmpy_multiply)
     _STATS.packed_calls += 1
     return convolve_packed(left, right)
 
@@ -458,8 +402,6 @@ def note_plan_selection(component_size: int) -> str:
     tier = tier_for_sizes(component_size + 1, component_size + 1)
     if tier == SCHOOLBOOK:
         _STATS.plan_selections_schoolbook += 1
-    elif tier == GMPY:
-        _STATS.plan_selections_gmpy += 1
     else:
         _STATS.plan_selections_packed += 1
     return tier
@@ -469,7 +411,6 @@ def kernel_metrics_document() -> dict:
     """The JSON form of the kernel layer for the daemon's ``metrics`` op."""
     return {
         "active": active_kernel_name(),
-        "gmpy_available": gmpy_available(),
         "counters": {
             name: value
             for name, value in vars(_STATS.snapshot()).items()
@@ -485,7 +426,6 @@ refresh_from_environment()
 
 __all__ = [
     "AUTO",
-    "GMPY",
     "KERNEL_NAMES",
     "PACKED",
     "PACK_THRESHOLD",
@@ -495,12 +435,10 @@ __all__ = [
     "active_kernel_name",
     "binomial_row",
     "convolve",
-    "convolve_gmpy",
     "convolve_many",
     "convolve_packed",
     "convolve_schoolbook",
     "factorial_cached",
-    "gmpy_available",
     "kernel_description",
     "kernel_metrics_document",
     "kernel_stats",

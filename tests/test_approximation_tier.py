@@ -1,16 +1,16 @@
 """The approximation tier end to end (PR 6 acceptance criteria).
 
-* The deprecated ``allow_brute_force`` spelling is **bit-identical** to
-  its :class:`MethodPolicy` replacement and warns exactly once per
-  process (re-armed via the test-only ``_reset_deprecation_warnings``);
+* one :class:`MethodPolicy` request shape: bare method names coerce,
+  contracts are validated, and the wire still maps the legacy
+  ``allow_brute_force`` field;
 * sampled estimates are **deterministic**: the same request draws the
   same permutation stream under the serial and the ``jobs=2`` sharded
-  backend, in-process and through the persistent tier;
+  backend, in-process and through the durable store;
 * ``refine`` tightens the bound by **extending** the stored stream —
   the per-request stats show resumed rounds and zero restarts — across
-  engines, processes (via the persistent cache), and the daemon;
+  engines, processes (via the durable store), and the daemon;
 * estimates and sample states **round-trip** the shared io dialect and
-  the on-disk cache without drift;
+  the durable store without drift;
 * a non-hierarchical query past the brute-force cap — the class the
   seed pipeline could only refuse — is **served** under ``auto`` as an
   ``(epsilon, delta)`` estimate in-process, via the CLI, and over the
@@ -34,11 +34,10 @@ from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
     MethodPolicy,
-    PersistentResultCache,
     ShardedExecutor,
+    SQLiteResultStore,
     resolve_policy,
 )
-from repro.engine.policy import _reset_deprecation_warnings
 from repro.io import batch_result_from_dict, batch_result_to_dict, save_database
 from repro.server import AttributionClient, AttributionDaemon
 from repro.shapley.sampling import (
@@ -79,41 +78,15 @@ def running_daemon(directory, engine=None):
         assert not thread.is_alive()
 
 
-class TestDeprecationShim:
-    def test_shim_is_bit_identical_and_warns_once(self):
-        db = figure_1_database()
-        q = parse_query(Q1)
-        modern = BatchAttributionEngine().batch(db, q, policy=MethodPolicy("auto"))
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="allow_brute_force"):
-            legacy = BatchAttributionEngine().batch(db, q, allow_brute_force=True)
-        assert legacy.shapley == modern.shapley
-        assert legacy.banzhaf == modern.banzhaf
-        assert legacy.method == modern.method
-        # Once per process: the second legacy call stays silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            BatchAttributionEngine().batch(db, q, allow_brute_force=True)
-
-    def test_false_maps_to_exact(self):
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            assert resolve_policy(None, False) == MethodPolicy("exact")
-        assert resolve_policy(None, True) == MethodPolicy("auto")
-
-    def test_both_spellings_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_policy(MethodPolicy("auto"), True)
-
+class TestPolicyValidation:
     def test_bare_method_names_coerce(self):
+        assert resolve_policy(None) == MethodPolicy()
         assert resolve_policy("sampled") == MethodPolicy("sampled")
+        policy = MethodPolicy("exact")
+        assert resolve_policy(policy) is policy
         with pytest.raises(ValueError, match="unknown method"):
             resolve_policy("guess")
 
-
-class TestPolicyValidation:
     @pytest.mark.parametrize("epsilon,delta", [(0.0, 0.05), (1.0, 0.05), (0.1, 0.0), (0.1, 1.5)])
     def test_contract_must_lie_in_open_unit_interval(self, epsilon, delta):
         with pytest.raises(ValueError, match="epsilon and delta"):
@@ -242,19 +215,18 @@ class TestRefinement:
         db = intractable_db(30)
         q = parse_query(INTRACTABLE_Q)
         policy = MethodPolicy("sampled", epsilon=0.2)
-        cold = BatchAttributionEngine(persistent=PersistentResultCache(tmp_path))
+        path = tmp_path / "results.db"
+        cold = BatchAttributionEngine(shared=SQLiteResultStore(path))
         first = cold.batch(db, q, policy=policy)
-        # A fresh engine on the same directory — a "new process" — serves
-        # the stored estimate without sampling a single round.
-        warm = BatchAttributionEngine(persistent=PersistentResultCache(tmp_path))
+        # A fresh engine on the same file — a "new process" — serves the
+        # stored estimate without sampling a single round.
+        warm = BatchAttributionEngine(shared=SQLiteResultStore(path))
         served = warm.batch(db, q, policy=policy)
         assert served.from_cache
         assert served.shapley == first.shapley
         assert served.estimate == first.estimate
         # And a third engine refines the *state*, not from scratch.
-        refining = BatchAttributionEngine(
-            persistent=PersistentResultCache(tmp_path)
-        )
+        refining = BatchAttributionEngine(shared=SQLiteResultStore(path))
         refined = refining.refine(db, q, epsilon=0.1)
         assert refined.estimate.resumed_rounds == first.estimate.rounds
         assert refining.counters()["sampler.restarts"] == 0
@@ -295,9 +267,9 @@ class TestEstimateRoundTrips:
             totals={fact("R", 1): 5, fact("T", 2): -3},
             evaluations=99,
         )
-        cache = PersistentResultCache(tmp_path)
-        assert cache.put(("sample-state", "k"), state)
-        revived = PersistentResultCache(tmp_path).get(("sample-state", "k"))
+        path = tmp_path / "results.db"
+        assert SQLiteResultStore(path).put(("sample-state", "k"), state)
+        revived = SQLiteResultStore(path).get(("sample-state", "k"))
         assert isinstance(revived, SampleState)
         assert revived == state
 

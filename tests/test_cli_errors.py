@@ -140,6 +140,40 @@ class TestCliErrorPaths:
         err = _one_clean_error(capsys)
         assert "serve" in err
 
+    def test_non_sqlite_shared_store_is_one_clean_error(self, capsys, tmp_path):
+        garbage = tmp_path / "garbage.db"
+        garbage.write_text("this is not a database\n" * 100)
+        code = main(["serve", "--socket", str(tmp_path / "s.sock"),
+                     "--shared-store", str(garbage)])
+        assert code == 2
+        err = _one_clean_error(capsys)
+        assert len(err.splitlines()) == 1
+        assert "garbage.db" in err and "not a database" in err
+        assert not (tmp_path / "s.sock").exists()
+
+    def test_non_sqlite_cache_dir_store_is_one_clean_error(
+        self, capsys, db_path, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "results.db").write_text("this is not a database\n" * 100)
+        assert main(["batch", db_path, Q1, "--cache-dir", str(cache)]) == 2
+        err = _one_clean_error(capsys)
+        assert len(err.splitlines()) == 1
+        assert "results.db" in err and "not a database" in err
+
+    def test_serve_takes_one_durable_store(self, capsys, tmp_path):
+        code = main(
+            [
+                "serve", "--socket", str(tmp_path / "s.sock"),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--shared-store", str(tmp_path / "shared.db"),
+            ]
+        )
+        assert code == 2
+        err = _one_clean_error(capsys)
+        assert "--cache-dir" in err and "--shared-store" in err
+
     def test_intractable_query_is_one_clean_error(self, capsys, tmp_path):
         from repro.core.database import Database
         from repro.core.facts import fact

@@ -11,7 +11,7 @@
   untouched executes *zero* new plan tasks (the relevance-scoped store
   key survives the version change), and the new irrelevant facts come
   back zero-filled;
-* the persistent store serves across versions and processes alike.
+* the durable store serves across versions and processes alike.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
     DatabaseDelta,
-    PersistentResultCache,
+    SQLiteResultStore,
     apply_delta,
     database_delta,
     delta_from_dict,
@@ -309,13 +309,17 @@ class TestDeltaScopedWork:
 class TestPersistentAcrossVersions:
     def test_disk_entries_survive_irrelevant_deltas(self, tmp_path, q1):
         database = figure_1_database()
-        writer = BatchAttributionEngine(persistent=PersistentResultCache(tmp_path))
+        writer = BatchAttributionEngine(
+            shared=SQLiteResultStore(tmp_path / "results.db")
+        )
         writer.batch(database, q1)
         successor = apply_delta(
             database,
             DatabaseDelta(added_endogenous=frozenset({fact("Audit", "x")})),
         )
-        reader = BatchAttributionEngine(persistent=PersistentResultCache(tmp_path))
+        reader = BatchAttributionEngine(
+            shared=SQLiteResultStore(tmp_path / "results.db")
+        )
         served = reader.batch(successor, q1)
         assert served.from_cache
         assert reader.executor_stats.tasks == 0

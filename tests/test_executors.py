@@ -25,7 +25,7 @@ from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
-    PersistentResultCache,
+    SQLiteResultStore,
     SerialExecutor,
     ShardedExecutor,
     default_engine,
@@ -83,10 +83,10 @@ class TestBackendEquivalence:
         query, db = _instance(seed)
         directory = tmp_path_factory.mktemp("store")
         cold = BatchAttributionEngine(
-            persistent=PersistentResultCache(directory)
+            shared=SQLiteResultStore(directory / "results.db")
         ).batch(db, query)
         pruned = BatchAttributionEngine(
-            persistent=PersistentResultCache(directory), executor=SHARDED
+            shared=SQLiteResultStore(directory / "results.db"), executor=SHARDED
         ).batch(db, query)
         assert not cold.from_cache
         if db.endogenous and cold.method != "brute-force":
@@ -322,10 +322,6 @@ class TestStatsAliases:
         engine.batch(running_example_db, q1)
         assert engine.stats["planner"].pruned == 1
         assert engine.stats["store"].hits == 1
-
-    def test_persistent_alias_present_when_attached(self, tmp_path):
-        engine = BatchAttributionEngine(persistent=PersistentResultCache(tmp_path))
-        assert "persistent" in engine.stats
 
     def test_clear_reaches_a_custom_store(self, running_example_db, q1):
         from repro.engine import MemoryResultStore

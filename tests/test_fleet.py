@@ -11,6 +11,7 @@ exactly one computation, audited through the store's claim counters.
 from __future__ import annotations
 
 import random
+import sqlite3
 import threading
 import time
 
@@ -18,6 +19,7 @@ import pytest
 
 from harness import running_daemon
 from repro.engine import BatchAttributionEngine, SQLiteResultStore
+from repro.engine.sqlite_store import RETIRED_STAMP
 from repro.server import AttributionClient, BackoffPolicy, FleetClient
 from repro.server.fleet import VNODES, merge_metrics_documents
 from repro.server.protocol import OverloadedError
@@ -196,10 +198,6 @@ class TestFanOut:
                     assert dict(fresh.shapley) != dict(cold.shapley)
                     # One daemon's update retired the base version's rows
                     # in the *shared* file — fleet-global retirement.
-                    import sqlite3
-
-                    from repro.engine.persistent import RETIRED_STAMP
-
                     with sqlite3.connect(
                         str(tmp_path / "shared.db")
                     ) as conn:

@@ -154,8 +154,9 @@ class TestCli:
         ]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        assert "cache[persistent]" in cold
-        # Same invocation again: the persistent cache must serve it warm.
+        assert "cache[shared]" in cold
+        assert (tmp_path / "cache" / "results.db").is_file()
+        # Same invocation again: the durable store must serve it warm.
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert "cached" in warm and "hits=1" in warm

@@ -2,7 +2,7 @@
 
 The headline contracts (ISSUE 8):
 
-* ``convolve_packed`` (and the gmpy variant where available) equals
+* ``convolve_packed`` equals
   ``convolve_schoolbook`` on arbitrary vectors — including the negative
   entries ``subtract_vectors`` can produce, empty vectors, and length-1
   edge cases — and the tiered :func:`repro.util.kernels.convolve` front
@@ -94,21 +94,6 @@ class TestPackedKernel:
             big, big
         )
 
-    @settings(max_examples=60, deadline=None)
-    @given(vectors, vectors)
-    def test_gmpy_kernel_matches_when_available(self, left, right):
-        if not kernels.gmpy_available():
-            pytest.skip("gmpy2 not installed")
-        assert kernels.convolve_gmpy(left, right) == kernels.convolve_schoolbook(
-            left, right
-        )
-
-    def test_gmpy_kernel_raises_cleanly_when_missing(self):
-        if kernels.gmpy_available():
-            pytest.skip("gmpy2 installed")
-        with pytest.raises(RuntimeError, match="gmpy2"):
-            kernels.convolve_gmpy([1, 2], [3, 4])
-
 
 class TestTieredDispatch:
     @settings(max_examples=100, deadline=None)
@@ -120,15 +105,7 @@ class TestTieredDispatch:
 
     def test_auto_tier_switches_on_operand_size(self):
         assert kernels.tier_for_sizes(4, 4) == kernels.SCHOOLBOOK
-        big = kernels.tier_for_sizes(64, 64)
-        assert big in (kernels.PACKED, kernels.GMPY)
-        assert (big == kernels.GMPY) == kernels.gmpy_available()
-
-    def test_forced_gmpy_degrades_to_packed_without_gmpy2(self):
-        if kernels.gmpy_available():
-            pytest.skip("gmpy2 installed")
-        with kernels.use_kernel(kernels.GMPY) as active:
-            assert active == kernels.PACKED
+        assert kernels.tier_for_sizes(64, 64) == kernels.PACKED
 
     def test_environment_refresh_parses_and_degrades(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "schoolbook")
@@ -139,9 +116,9 @@ class TestTieredDispatch:
         assert kernels.refresh_from_environment() == kernels.AUTO
         monkeypatch.delenv("REPRO_KERNEL")
         assert kernels.refresh_from_environment() == kernels.AUTO
+        # The retired gmpy tier is just another unknown value.
         monkeypatch.setenv("REPRO_KERNEL", "gmpy")
-        expected = kernels.GMPY if kernels.gmpy_available() else kernels.PACKED
-        assert kernels.refresh_from_environment() == expected
+        assert kernels.refresh_from_environment() == kernels.AUTO
 
     def test_use_kernel_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -271,7 +248,7 @@ class TestEngineBitIdentity:
             reference = BatchAttributionEngine(executor=SerialExecutor()).batch(
                 db, query
             )
-        for name in (kernels.PACKED, kernels.GMPY, kernels.AUTO):
+        for name in (kernels.PACKED, kernels.AUTO):
             with kernels.use_kernel(name):
                 result = BatchAttributionEngine(executor=SerialExecutor()).batch(
                     db, query
@@ -320,16 +297,9 @@ class TestEngineBitIdentity:
         engine.batch(db, query_q1())
         snapshot = engine.stats["kernel"]
         assert isinstance(snapshot, kernels.KernelStats)
-        executed = (
-            snapshot.schoolbook_calls
-            + snapshot.packed_calls
-            + snapshot.gmpy_calls
-        )
-        assert executed > 0
+        assert snapshot.schoolbook_calls + snapshot.packed_calls > 0
         selections = (
-            snapshot.plan_selections_schoolbook
-            + snapshot.plan_selections_packed
-            + snapshot.plan_selections_gmpy
+            snapshot.plan_selections_schoolbook + snapshot.plan_selections_packed
         )
         assert selections == 1
         flat = engine.counters()
@@ -339,13 +309,11 @@ class TestEngineBitIdentity:
     def test_metrics_document_shape(self):
         document = kernels.kernel_metrics_document()
         assert document["active"] in kernels.KERNEL_NAMES
-        assert isinstance(document["gmpy_available"], bool)
+        assert set(document) == {"active", "counters"}
         assert set(document["counters"]) == {
             "schoolbook_calls",
             "packed_calls",
-            "gmpy_calls",
             "tree_products",
             "plan_selections_schoolbook",
             "plan_selections_packed",
-            "plan_selections_gmpy",
         }

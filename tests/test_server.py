@@ -228,7 +228,7 @@ class TestWarmServing:
                 # Any attempt to compute — shared recursion or brute
                 # force — must now blow up loudly (the compute paths
                 # live in the executor layer since the plan/execute
-                # split, same patch points as test_persistent_cache).
+                # split, same patch points as test_sqlite_store).
                 import repro.engine.executors as executors
                 import repro.shapley.brute_force as brute
 

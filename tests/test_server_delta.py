@@ -12,14 +12,15 @@
   missing tokens get a typed :class:`AuthenticationError` frame for
   every operation (shutdown included) and the daemon keeps serving;
   Unix-domain sockets ignore the token entirely;
-* a superseded version's persistent entries are retired (back-dated) so
-  bounded on-disk caches drain them first.
+* a superseded version's durable store rows are retired (back-dated) so
+  bounded stores drain them first.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
+import sqlite3
 import threading
 from pathlib import Path
 
@@ -31,10 +32,10 @@ from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
     DatabaseDelta,
-    PersistentResultCache,
+    SQLiteResultStore,
     apply_delta,
 )
-from repro.engine.persistent import RETIRED_STAMP
+from repro.engine.sqlite_store import RETIRED_STAMP
 from repro.server import (
     AttributionClient,
     AttributionDaemon,
@@ -50,6 +51,12 @@ from repro.workloads.generators import (
 from repro.workloads.running_example import figure_1_database
 
 Q1 = "q1() :- Stud(x), not TA(x), Reg(x, y)"
+
+
+def _stamps(store: SQLiteResultStore) -> list[float]:
+    """The access stamp of every row in ``store``."""
+    with sqlite3.connect(str(store.path)) as conn:
+        return [row[0] for row in conn.execute("SELECT accessed FROM results")]
 
 
 @contextlib.contextmanager
@@ -177,20 +184,19 @@ class TestDbUpdate:
 class TestNoOpUpdates:
     def test_noop_update_does_not_retire_the_live_version(self, tmp_path):
         # A net-zero delta supersedes nothing: the live version's own
-        # persistent entries must keep their access stamps.
-        cache = PersistentResultCache(tmp_path / "cache")
-        engine = BatchAttributionEngine(persistent=cache)
+        # durable rows must keep their access stamps.
+        store = SQLiteResultStore(tmp_path / "results.db")
+        engine = BatchAttributionEngine(shared=store)
         db = figure_1_database()
         with running_daemon(tmp_path, engine=engine) as daemon:
             with AttributionClient(daemon.address) as client:
                 handle = client.load_database(db)
                 client.batch(handle, Q1)
-                entry = next(cache.directory.glob("*.json"))
-                stamp = entry.stat().st_mtime
+                [stamp] = _stamps(store)
                 assert stamp > RETIRED_STAMP
                 same = client.update_database(handle, delta=DatabaseDelta())
                 assert same == handle
-                assert entry.stat().st_mtime == stamp
+                assert _stamps(store) == [stamp]
 
 
 class TestVersionChainEviction:
@@ -316,21 +322,20 @@ class TestAuthToken:
 
 class TestPersistentRetirement:
     def test_update_retires_superseded_version_entries(self, tmp_path):
-        cache = PersistentResultCache(tmp_path / "cache")
-        engine = BatchAttributionEngine(persistent=cache)
+        store = SQLiteResultStore(tmp_path / "results.db")
+        engine = BatchAttributionEngine(shared=store)
         db = figure_1_database()
         with running_daemon(tmp_path, engine=engine) as daemon:
             with AttributionClient(daemon.address) as client:
                 handle = client.load_database(db)
                 client.batch(handle, Q1)
-                assert len(cache) == 1
-                entry = next(cache.directory.glob("*.json"))
-                assert entry.stat().st_mtime > RETIRED_STAMP
+                [stamp] = _stamps(store)
+                assert stamp > RETIRED_STAMP
                 client.update_database(
                     handle,
                     delta=DatabaseDelta(
                         added_endogenous=frozenset({fact("Reg", "Adam", "DB")})
                     ),
                 )
-                # The v1 entry is back-dated: first in line for eviction.
-                assert entry.stat().st_mtime == pytest.approx(RETIRED_STAMP)
+                # The v1 row is back-dated: first in line for eviction.
+                assert _stamps(store) == [pytest.approx(RETIRED_STAMP)]

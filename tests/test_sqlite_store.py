@@ -1,11 +1,13 @@
-"""The SQLite shared result store: one file, many writers, shared warmth.
+"""The SQLite result store: the one durable tier, for one process or a fleet.
 
-The fleet tier's acceptance bar (ISSUE 10): a conforming ResultStore in
-one WAL-mode SQLite file, safe under concurrent daemon writers, with
-access-stamp LRU bounds and claim markers that coalesce identical
-requests across processes.  The torture test at the bottom hammers one
-file from N real processes — no lost updates, bounded size,
-bit-identical reads.
+A conforming ResultStore in one WAL-mode SQLite file, safe under
+concurrent daemon writers, with access-stamp LRU bounds and claim
+markers that coalesce identical requests across processes.  A process
+that finds a warm row must serve it with *zero* engine recursions —
+process A populates the file, process B answers from it alone — and a
+file written by the previous release must still serve warm.  The
+torture test at the bottom hammers one file from N real processes — no
+lost updates, bounded size, bit-identical reads.
 """
 
 from __future__ import annotations
@@ -22,13 +24,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.database import Database
 from repro.core.facts import fact
+from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
     SQLiteResultStore,
     digest_key,
+    fingerprint_database,
 )
-from repro.engine.persistent import RETIRED_STAMP
+from repro.engine.sqlite_store import FORMAT_VERSION, RETIRED_STAMP
+from repro.io import database_to_dict
 from repro.shapley.sampling import SampleState
 from repro.workloads.running_example import figure_1_database
 
@@ -115,6 +121,98 @@ class TestRoundTrip:
         assert served is not None
         assert served.shapley[fact("R", 2)] == Fraction(1, 3)
 
+    def test_clear_removes_rows_and_claims(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "shared.db")
+        store.put(("key",), _result(0))
+        assert store.claim(("req",))
+        store.clear()
+        assert len(store) == 0
+        assert SQLiteResultStore(tmp_path / "shared.db").claim(("req",))
+
+    def test_version_mismatch_is_a_miss(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "shared.db")
+        store.put(("key",), _result(0))
+        with sqlite3.connect(str(store.path)) as conn:
+            payload = json.loads(
+                conn.execute("SELECT payload FROM results").fetchone()[0]
+            )
+            payload["version"] = FORMAT_VERSION + 1
+            conn.execute("UPDATE results SET payload = ?", (json.dumps(payload),))
+        assert store.get(("key",)) is None
+        assert store.stats.misses == 1
+
+    def test_digest_is_stable_and_hex(self):
+        key = (("a", 1), fact("R", 1, "x"), None, True)
+        first, second = digest_key(key), digest_key(key)
+        assert first == second
+        assert len(first) == 64
+        int(first, 16)
+        assert digest_key(((1,),)) != digest_key(((True,),))
+
+    def test_row_from_the_previous_release_serves_warm(
+        self, tmp_path, q1, monkeypatch
+    ):
+        """Payload bytes and digests are a file format: they never drift.
+
+        The row below is exactly what the previous release wrote for
+        ``q1`` on the Figure 1 database.  The current engine must find
+        it under the same digest and decode the same exact values
+        without running a single recursion, and a cold run today must
+        write the very same row.
+        """
+        import repro.engine.executors as executors
+
+        store = SQLiteResultStore(tmp_path / "results.db")
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute(
+                "INSERT INTO results (digest, payload, bytes, writer, accessed)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (
+                    PREVIOUS_DIGEST,
+                    PREVIOUS_PAYLOAD,
+                    len(PREVIOUS_PAYLOAD),
+                    PREVIOUS_WRITER,
+                    time.time(),
+                ),
+            )
+
+        def _refuse(*args, **kwargs):
+            raise AssertionError("a warm row must not recurse")
+
+        monkeypatch.setattr(executors, "batch_count_vectors", _refuse)
+        db = figure_1_database()
+        engine = BatchAttributionEngine(shared=store)
+        served = engine.batch(db, q1)
+        assert served.from_cache
+        assert served.method == "cntsat"
+        assert served.shapley[fact("TA", "Adam")] == Fraction(-3, 28)
+        assert served.banzhaf[fact("Reg", "Ben", "OS")] == Fraction(5, 64)
+        monkeypatch.undo()
+        fresh = SQLiteResultStore(tmp_path / "fresh.db")
+        BatchAttributionEngine(shared=fresh).batch(db, q1)
+        with sqlite3.connect(str(fresh.path)) as conn:
+            rows = conn.execute("SELECT digest, payload, writer FROM results")
+            assert rows.fetchall() == [
+                (PREVIOUS_DIGEST, PREVIOUS_PAYLOAD, PREVIOUS_WRITER)
+            ]
+
+
+#: One row as the previous release's store wrote it (``q1`` on Figure 1).
+PREVIOUS_DIGEST = "dbede1338471402db03b059301655dbc0caf28ad0bfb7a49633db2ac0f65b0d0"
+PREVIOUS_WRITER = "6741b798ae0ad26ffb3115f36e4fbd23d69cc595debf7526efde0e0e8a01acda"
+PREVIOUS_PAYLOAD = (
+    '{"banzhaf":[["Reg",["Adam","AI"],"3","64"],["Reg",["Adam","OS"],"3","64"],'
+    '["Reg",["Ben","OS"],"5","64"],["Reg",["Caroline","DB"],"15","64"],'
+    '["Reg",["Caroline","IC"],"15","64"],["TA",["Adam"],"-9","64"],'
+    '["TA",["Ben"],"-5","64"],["TA",["David"],"0","1"]],"kind":"result",'
+    '"method":"cntsat","player_count":8,"shapley":[["Reg",["Adam","AI"],"37",'
+    '"210"],["Reg",["Adam","OS"],"37","210"],["Reg",["Ben","OS"],"27","140"],'
+    '["Reg",["Caroline","DB"],"13","42"],["Reg",["Caroline","IC"],"13","42"],'
+    '["TA",["Adam"],"-3","28"],["TA",["Ben"],"-2","35"],["TA",["David"],"0",'
+    '"1"]],"version":3,"writer":'
+    '"6741b798ae0ad26ffb3115f36e4fbd23d69cc595debf7526efde0e0e8a01acda"}'
+)
+
 
 class TestEngineIntegration:
     def test_shared_warmth_across_engines(self, tmp_path, q1):
@@ -140,13 +238,47 @@ class TestEngineIntegration:
         store = SQLiteResultStore(tmp_path / "shared.db")
         engine = BatchAttributionEngine(shared=store)
         engine.batch(db, q1)
-        assert engine.retire_version(db) >= 1
+        with sqlite3.connect(str(store.path)) as conn:
+            writers = [row[0] for row in conn.execute("SELECT writer FROM results")]
+        # Every write is tagged with the database version that made it.
+        assert writers == [digest_key(fingerprint_database(db))]
+        assert engine.retire_version(db) == 1
         with sqlite3.connect(str(store.path)) as conn:
             stamps = [
                 row[0]
                 for row in conn.execute("SELECT accessed FROM results")
             ]
         assert min(stamps) == pytest.approx(RETIRED_STAMP)
+
+    def test_engine_tags_writes_with_the_database_version(self, tmp_path, q1):
+        db = figure_1_database()
+        store = SQLiteResultStore(tmp_path / "shared.db")
+        engine = BatchAttributionEngine(shared=store)
+        engine.batch(db, q1)
+        with sqlite3.connect(str(store.path)) as conn:
+            payload = json.loads(
+                conn.execute("SELECT payload FROM results").fetchone()[0]
+            )
+        # The payload itself carries the writer tag, not just the column.
+        assert payload["writer"] == digest_key(fingerprint_database(db))
+        assert engine.retire_version(db) == 1
+
+    def test_distinct_requests_get_distinct_entries(self, tmp_path, q1):
+        store = SQLiteResultStore(tmp_path / "shared.db")
+        engine = BatchAttributionEngine(shared=store)
+        db = figure_1_database()
+        engine.batch(db, q1)
+        engine.batch(db, q1, exogenous_relations=frozenset({"Stud"}))
+        assert len(store) == 2
+
+    def test_grounding_keys_stay_separate(self, tmp_path):
+        db = Database(endogenous=[fact("R", 1), fact("R", 2)])
+        grounded = parse_query("q() :- R(2)")
+        store = SQLiteResultStore(tmp_path / "shared.db")
+        engine = BatchAttributionEngine(shared=store)
+        engine.batch(db, grounded, grounding=(1, 2))
+        engine.batch(db, grounded, grounding=(2, 2))
+        assert len(store) == 2
 
     def test_stats_surface_claims(self, tmp_path, q1):
         db = figure_1_database()
@@ -211,6 +343,18 @@ class TestEviction:
             store.put(("key", index), _result(index))
         assert len(store) == 14  # 16 - 16 // 8
         assert store.stats.evictions == 3
+
+    def test_bounded_store_still_round_trips_through_engine(self, tmp_path, q1):
+        db = figure_1_database()
+        path = tmp_path / "shared.db"
+        cold = BatchAttributionEngine(
+            shared=SQLiteResultStore(path, max_entries=8)
+        ).batch(db, q1)
+        warm = BatchAttributionEngine(
+            shared=SQLiteResultStore(path, max_entries=8)
+        ).batch(db, q1)
+        assert warm.from_cache
+        assert dict(warm.shapley) == dict(cold.shapley)
 
     def test_retired_rows_evicted_before_live_ones(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "shared.db", max_entries=3)
@@ -302,6 +446,72 @@ class TestClaims:
     def test_await_claim_with_no_claim_is_immediate(self, tmp_path):
         store = SQLiteResultStore(tmp_path / "shared.db")
         assert store.await_claim(("never-claimed",)) is True
+
+
+CROSS_PROCESS_SCRIPT = r"""
+import json, sys
+from repro.engine import BatchAttributionEngine, SQLiteResultStore
+from repro.io import database_from_dict
+from repro.core.parser import parse_query
+
+mode, path, db_json, query_text = sys.argv[1:5]
+database = database_from_dict(json.loads(db_json))
+query = parse_query(query_text)
+
+if mode == "warm":
+    # Zero-recursion contract: any attempt to compute (shared recursion
+    # OR brute force) must blow up loudly.  The compute paths live in the
+    # executor layer since the plan/execute split.
+    import repro.engine.executors as executors
+    import repro.shapley.brute_force as brute
+
+    def _refuse(*args, **kwargs):
+        raise RuntimeError("warm path must not recurse")
+
+    executors.batch_count_vectors = _refuse
+    brute.shapley_all_brute_force = _refuse
+
+engine = BatchAttributionEngine(shared=SQLiteResultStore(path))
+result = engine.batch(database, query)
+print(json.dumps({
+    "from_cache": result.from_cache,
+    "method": result.method,
+    "shapley": sorted(
+        [repr(f), str(v)] for f, v in result.shapley.items()
+    ),
+}))
+"""
+
+
+class TestCrossProcess:
+    def test_process_b_serves_warm_with_zero_recursions(self, tmp_path):
+        """Process A populates the file; process B must answer from it."""
+        db = figure_1_database()
+
+        def run(mode: str) -> dict:
+            completed = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    CROSS_PROCESS_SCRIPT,
+                    mode,
+                    str(tmp_path / "results.db"),
+                    json.dumps(database_to_dict(db)),
+                    "q1() :- Stud(x), not TA(x), Reg(x, y)",
+                ],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            assert completed.returncode == 0, completed.stderr
+            return json.loads(completed.stdout)
+
+        cold = run("cold")
+        assert not cold["from_cache"]
+        warm = run("warm")
+        assert warm["from_cache"]
+        assert warm["method"] == cold["method"]
+        assert warm["shapley"] == cold["shapley"]
 
 
 TORTURE_SCRIPT = r"""

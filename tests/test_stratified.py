@@ -167,25 +167,25 @@ class TestEngineStrataFoldIn:
         from repro.engine import (
             BatchAttributionEngine,
             MethodPolicy,
-            PersistentResultCache,
+            SQLiteResultStore,
         )
 
         db = figure_1_database()
         policy = MethodPolicy("sampled", epsilon=0.4, delta=0.1)
         plain = BatchAttributionEngine(
-            persistent=PersistentResultCache(tmp_path)
+            shared=SQLiteResultStore(tmp_path / "results.db")
         ).batch(db, query_q1(), policy=policy)
         # A stratified engine sharing the store must not serve (or
         # clobber) the plain engine's estimate: its keys carry the
         # strata suffix.
         stratified_engine = BatchAttributionEngine(
-            sample_strata=3, persistent=PersistentResultCache(tmp_path)
+            sample_strata=3, shared=SQLiteResultStore(tmp_path / "results.db")
         )
         stratified = stratified_engine.batch(db, query_q1(), policy=policy)
         assert stratified.estimate.permutations == 3 * plain.estimate.permutations
         # And the plain estimate is still served bit-identically.
         replay = BatchAttributionEngine(
-            persistent=PersistentResultCache(tmp_path)
+            shared=SQLiteResultStore(tmp_path / "results.db")
         ).batch(db, query_q1(), policy=policy)
         assert dict(replay.shapley) == dict(plain.shapley)
 
@@ -193,18 +193,18 @@ class TestEngineStrataFoldIn:
         from repro.engine import (
             BatchAttributionEngine,
             MethodPolicy,
-            PersistentResultCache,
+            SQLiteResultStore,
         )
 
         db = figure_1_database()
         policy = MethodPolicy("sampled", epsilon=0.4, delta=0.1)
         first = BatchAttributionEngine(
-            sample_strata=2, persistent=PersistentResultCache(tmp_path)
+            sample_strata=2, shared=SQLiteResultStore(tmp_path / "results.db")
         ).batch(db, query_q1(), policy=policy)
         # A fresh stratified engine over the same store replays the
         # stored stratified state without recomputing a single round.
         replay = BatchAttributionEngine(
-            sample_strata=2, persistent=PersistentResultCache(tmp_path)
+            sample_strata=2, shared=SQLiteResultStore(tmp_path / "results.db")
         ).batch(db, query_q1(), policy=policy)
         assert dict(replay.shapley) == dict(first.shapley)
         assert replay.estimate.permutations == first.estimate.permutations
