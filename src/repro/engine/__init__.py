@@ -65,33 +65,32 @@ For a self-join-free query, the variable-connected components of the
 Gaifman graph touch disjoint relations and therefore own disjoint sets of
 database facts.  The query is the conjunction of its components, so the
 count vector ``c[k] = |Sat(D, q, k)|`` factorizes as the convolution
-(polynomial product) of per-component count vectors.  Perturbing one fact
-``f`` — moving it to the exogenous side for ``Sat^{+f}`` or deleting it
-for ``Sat^{-f}`` — only changes the factor of the component that owns
-``f``; every other component contributes the *same closed-form
-convolution term* it contributed to the baseline.  Prefix/suffix products
-over the component vectors make the "everything but component j" factor
-an O(1)-convolution lookup, so all ``m`` fact perturbations reuse the
-same baseline factors instead of recomputing them.  The identical
-argument applies one level down, where CntSat slices a component by its
-root variable's value and UNSAT vectors convolve (disjunction): a fact
-perturbs only its own slice.  Applied recursively this turns ``2m`` full
-recursions into one traversal with O(1) extra convolutions per fact per
-level — the measured ≥5x (typically 10–50x) speedup of
-``benchmarks/bench_engine.py``.  It is also what makes the DAG shard
-well: components are independent work units by construction
-(``benchmarks/bench_parallel.py`` measures the scaling).
+(polynomial product) of per-component count vectors; one level down,
+CntSat slices a component by its root variable's value and UNSAT
+vectors convolve (disjunction).  Perturbing one fact ``f`` — deleting it
+for ``Sat^{-f}``, or moving it to the exogenous side for ``Sat^{+f}``,
+which the partition identity ``Sat(k+1) = Sat^{+f}(k) + Sat^{-f}(k+1)``
+derives from the baseline — only changes the factor of the component
+and slice that own ``f``.  Both measures are linear functionals of
+``Sat^{-f}``, and every recursion step is affine in the owning child's
+vector, so the engine runs the recursion **forward once** for the
+baseline vectors, recording each step on a tape, and then pulls the
+measures' weight vectors **backward once** down the tape (correlation is
+the adjoint of convolution).  Every fact's Shapley and Banzhaf numerator
+falls out as a dot product with its ground-level deletion vector: ``2m``
+full recursions become one traversal in each direction, with no
+length-``n`` vector built per fact (``benchmarks/bench_engine.py`` and
+the ``exact-cold`` workload of ``perfbench/`` measure it).  It is also
+what makes the DAG shard well: components are independent work units by
+construction (``benchmarks/bench_parallel.py`` measures the scaling).
 
-On top of the shared recursion the engine keeps: **with/without
-sharing** (only the deletion vector ``Sat^{-f}`` is threaded through the
-recursion; ``Sat^{+f}`` is derived from the baseline via ``Sat(k+1) =
-Sat^{+f}(k) + Sat^{-f}(k+1)``); the bounded LRU **component-bundle
-cache** keyed on canonical fingerprints (:mod:`repro.engine.cache`,
-:mod:`repro.engine.fingerprint`); **answer batches**
-(:meth:`BatchAttributionEngine.batch_answers`) whose groundings share
-Gaifman-component bundles through a call-scoped :class:`BundlePool`; and
-grounding-aware request fingerprints so distinct answers ``q_t``,
-``q_t'`` never collide in any store.
+On top of the shared recursion the engine keeps: the bounded LRU
+**component-bundle cache** keyed on canonical fingerprints
+(:mod:`repro.engine.cache`, :mod:`repro.engine.fingerprint`); **answer
+batches** (:meth:`BatchAttributionEngine.batch_answers`) whose groundings
+share Gaifman-component bundles through a call-scoped
+:class:`BundlePool`; and grounding-aware request fingerprints so distinct
+answers ``q_t``, ``q_t'`` never collide in any store.
 
 Usage::
 
@@ -125,7 +124,6 @@ from repro.engine.bundles import (
     CountBundle,
     batch_count_vectors,
     bundle_for_component,
-    derive_with_vector,
     top_level_components,
 )
 from repro.engine.cache import BundlePool, CacheStats, LRUCache
@@ -185,6 +183,7 @@ from repro.engine.results import (
     AnswerBatchResult,
     AttributionEstimate,
     BatchResult,
+    fact_numerators,
     inflate_result,
     project_result,
     result_from_state,
@@ -238,11 +237,11 @@ __all__ = [
     "delta_from_dict",
     "delta_to_dict",
     "delta_touches_query",
-    "derive_with_vector",
     "digest_key",
     "dirty_components",
     "environment_problems",
     "execute_grounding_task",
+    "fact_numerators",
     "fingerprint_component",
     "fingerprint_database",
     "fingerprint_grounding",

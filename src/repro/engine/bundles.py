@@ -1,53 +1,60 @@
-"""One-pass per-fact count vectors for hierarchical self-join-free CQ¬s.
+"""Count vectors and per-fact Lemma 3.2 numerators in one shared recursion.
 
 The seed pipeline computes ``Shapley(D, q, f)`` fact-at-a-time: two full
 CntSat count vectors per endogenous fact, i.e. ``2m`` complete recursions
-for ``m`` facts.  This module computes the same information for *all*
-facts in a single traversal of the CntSat recursion tree by exploiting
-how the count vectors factorize:
+for ``m`` facts.  This module computes the same values for *all* facts
+with one forward traversal of the CntSat recursion tree and one backward
+pass over it.
 
-* **AND level** (variable-connected components of the Gaifman graph).
-  Components touch disjoint relations, hence disjoint fact sets, and
-  their count vectors combine by convolution.  Making a fact ``f``
-  exogenous or deleting it only changes the vector of *its* component;
-  every other component contributes the closed-form convolution term it
-  already contributed to the baseline.  With prefix/suffix convolution
-  products, the "everything except component j" factor costs O(1)
-  convolutions per component instead of a fresh recursion per fact.
+* **Forward tape.**  The forward pass computes only the baseline count
+  vector ``Sat`` of every subproblem, exactly as CntSat does: AND steps
+  (variable-connected components of the Gaifman graph, which touch
+  disjoint fact sets) convolve their children's vectors and the free
+  facts' binomial row; OR steps (slices of a component by its root
+  variable's value) convolve the slices' UNSAT vectors; ground
+  components are the base case.  Each :class:`CountBundle` records its
+  step and its children — the *tape* — next to its vector.
 
-* **OR level** (slices of a component by its root variable's value).
-  UNSAT vectors of slices convolve; a fact only perturbs its own slice,
-  so the same prefix/suffix sharing applies to the UNSAT factors.
+* **Backward cotangents.**  Lemma 3.2 needs, per fact ``f``, the vectors
+  with ``f`` exogenous (``Sat^{+f}``) and with ``f`` deleted
+  (``Sat^{-f}``).  They satisfy the partition identity ``Sat(k + 1) =
+  Sat^{+f}(k) + Sat^{-f}(k + 1)`` (a ``(k+1)``-subset either contains
+  ``f`` or not), so both the Shapley and the Banzhaf numerator are a
+  baseline constant minus a linear functional ``<c, Sat^{-f}>`` of the
+  deletion vector alone (:mod:`repro.engine.results` builds ``c``).
+  Every CntSat step is affine in the deletion vector of the one child
+  that owns ``f``: an AND step convolves it with the product ``rest`` of
+  the other factors, an OR step maps it to ``remaining - (players - d) *
+  rest``.  The adjoint of convolving with ``rest`` is correlating with it
+  (:func:`repro.util.kernels.correlate`), so :func:`pull_back` carries
+  ``c`` down the tape once, child by child, and finishes every fact with
+  a dot product against its tiny ground-level deletion vector.  No
+  length-``n`` vector is ever built per fact.
 
-* **Ground level.**  Base-case components are tiny (one atom, at most
-  one owned fact), so the deletion variant is recomputed directly.
-
-* **With/without sharing.**  The two variants the Lemma 3.2 reduction
-  needs per fact — ``f`` moved to the exogenous side (``Sat^{+f}``) and
-  ``f`` deleted (``Sat^{-f}``) — satisfy the partition identity
-
-      ``Sat(k + 1) = Sat^{+f}(k) + Sat^{-f}(k + 1)``
-
-  (a ``(k+1)``-subset either contains ``f`` or it does not), so only the
-  *deletion* vector is threaded through the recursion and the *with*
-  vector is derived from the baseline at the end
-  (:func:`derive_with_vector`).  This halves the per-fact convolution
-  work at every level of the recursion.
+* **Short outputs.**  A child owning ``s`` facts only needs the first
+  ``s`` entries of its cotangent.  At an OR step with many slices the
+  cotangent correlated with the slices before ``b`` advances one short
+  UNSAT factor at a time, and slice ``b`` then takes its ``s`` entries
+  from one short-output correlation with the suffix product after it.
 
 Facts that can never influence satisfaction — facts of relations the
 query does not mention, and facts that fail their atom's constant or
 repeated-variable pattern — are recognized up front and reported with a
-zero delta instead of being dragged through the recursion.
+zero value instead of being dragged through the recursion.
 
-Per-component results are memoized in a caller-supplied
+Per-component bundles are memoized in a caller-supplied
 :class:`repro.engine.cache.LRUCache` keyed by
 :func:`repro.engine.fingerprint.fingerprint_component`, so overlapping
-and repeated requests share sub-results across engine calls.
+and repeated requests share sub-results across engine calls.  Bundles
+hold only baseline vectors, so one cached tape serves every request and
+every database size it appears in; the cotangent, which depends on the
+request's player count, is never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from repro.core.database import Database
@@ -63,6 +70,7 @@ from repro.util.combinatorics import (
     convolve_many,
     subtract_vectors,
 )
+from repro.util.kernels import correlate
 
 # Anything with get_or_compute(key, thunk): an engine LRU or a call-scoped
 # pool layered on top of one (cross-grounding sharing in batch_answers).
@@ -78,77 +86,72 @@ class _Scoped:
     endogenous: frozenset[Fact]
 
 
+#: :attr:`CountBundle.kind` of the three CntSat steps.
+AND = "and"
+OR = "or"
+GROUND = "ground"
+
+
 @dataclass(frozen=True)
 class CountBundle:
-    """Count vectors of a subproblem, for the baseline and per owned fact.
+    """The baseline count vector of a subproblem and its step on the tape.
 
-    ``sat`` has length ``owned + 1``; for every owned fact ``f``,
-    ``deltas[f]`` is the *deletion* vector ``Sat^{-f}`` over the remaining
-    ``owned - 1`` facts (``f`` removed from the database).  The *with*
-    vector ``Sat^{+f}`` is never materialized below the top level: it
-    follows from ``sat`` and ``deltas[f]`` via the partition identity of
-    :func:`derive_with_vector`.  Facts in ``zero`` provably have
-    ``sat_exo == sat_del`` (their Shapley and Banzhaf values vanish) and
-    carry no vectors.
+    ``sat`` has length ``owned + 1``.  ``kind`` is the CntSat step that
+    produced it and ``parts`` that step's inputs: the child bundles of an
+    :data:`AND` step (components; the other ``owned - sum(child.owned)``
+    facts are free) or an :data:`OR` step (root-variable slices), and for
+    a :data:`GROUND` component the ``(fact, deletion vector)`` pairs of
+    its owned facts.  Facts in ``zero`` provably have ``Sat^{+f} ==
+    Sat^{-f}`` (their Shapley and Banzhaf values vanish); every other
+    owned fact is reached by exactly one path down the tape.  A bundle
+    without such a fact is never descended into and has no ``parts``.
     """
 
     owned: int
     sat: tuple[int, ...]
-    deltas: dict[Fact, tuple[int, ...]]
     zero: frozenset[Fact]
+    kind: str
+    parts: tuple
+
+    @property
+    def live(self) -> bool:
+        """Whether any owned fact has a possibly non-zero value."""
+        return self.owned > len(self.zero)
 
 
-def derive_with_vector(
-    baseline: Sequence[int], without: Sequence[int]
-) -> tuple[int, ...]:
-    """``Sat^{+f}`` from the baseline and ``Sat^{-f}`` vectors.
+#: The empty fact set every bundle without zero facts shares.
+_NO_FACTS: frozenset[Fact] = frozenset()
 
-    A ``(k+1)``-subset of the ``n`` facts either contains ``f`` — then its
-    other ``k`` elements satisfy the query with ``f`` exogenous — or it
-    does not, so ``Sat(k+1) = Sat^{+f}(k) + Sat^{-f}(k+1)``.  ``baseline``
-    has length ``n + 1`` and ``without`` length ``n``; the result has
-    length ``n`` (one entry per size ``0 .. n-1`` over ``n - 1`` facts).
+
+def _step(
+    owned: int, sat: Sequence[int], zero: set[Fact], kind: str, parts: tuple
+) -> CountBundle:
+    """One tape entry.
+
+    Cached bundles keep their whole subtree alive, so an entry the
+    backward pass never descends into — one without a live fact — keeps
+    only its vector, and empty fact sets are shared.
     """
-    length = len(baseline) - 1
-    return tuple(
-        baseline[k + 1] - (without[k + 1] if k + 1 < len(without) else 0)
-        for k in range(length)
-    )
+    facts = frozenset(zero) if zero else _NO_FACTS
+    if owned == len(facts):
+        parts = ()
+    return CountBundle(owned, tuple(sat), facts, kind, parts)
 
 
 @dataclass(frozen=True)
 class BatchVectors:
-    """Full-database count vectors for every endogenous fact.
+    """The forward pass over a whole database.
 
-    ``baseline[k] == |Sat(D, q, k)|`` (length ``total_players + 1``), and
-    ``per_fact[f] == (Sat^{+f}, Sat^{-f})`` over ``Dn ∖ {f}`` (length
-    ``total_players``), exactly the two vectors the Lemma 3.2 reduction
-    consumes.  ``zero_facts`` hold the facts with identical vectors.
+    ``baseline[k] == |Sat(D, q, k)|`` (length ``total_players + 1``);
+    ``root`` is the tape of the query-relation facts, and the other
+    ``total_players - root.owned`` endogenous facts are outside the
+    query.  ``zero_facts`` hold every fact with a provably zero value.
     """
 
     total_players: int
     baseline: tuple[int, ...]
-    per_fact: dict[Fact, tuple[tuple[int, ...], tuple[int, ...]]]
+    root: CountBundle
     zero_facts: frozenset[Fact]
-
-
-def _prefix_suffix(
-    vectors: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Prefix and suffix convolution products of ``vectors``.
-
-    ``prefix[i]`` is the product of ``vectors[:i]`` and ``suffix[i]`` the
-    product of ``vectors[i:]``; ``convolve(prefix[i], suffix[i + 1])`` is
-    then the product of everything except ``vectors[i]``.
-    """
-    n = len(vectors)
-    prefix: list[list[int]] = [[1]]
-    for index in range(n):
-        prefix.append(convolve(prefix[index], vectors[index]))
-    suffix: list[list[int]] = [[1]] * (n + 1)
-    for index in range(n - 1, -1, -1):
-        suffix[index] = convolve(vectors[index], suffix[index + 1])
-    return prefix, suffix
 
 
 def _components(scope: Sequence[_Scoped]) -> list[list[_Scoped]]:
@@ -205,37 +208,18 @@ def _restricted_components(
 
 
 def _bundle_scope(scope: Sequence[_Scoped], cache: BundleCache) -> CountBundle:
-    """AND level: restriction, component split, and convolution sharing.
-
-    The prefix/suffix chains exist only to supply the "everything except
-    component ``j``" factor of the delta vectors; when no component owns
-    a delta (every endogenous fact is provably zero) the chains are
-    skipped and the baseline reduces through the balanced product tree
-    of :func:`convolve_many` — same integers, half the convolutions.
-    """
+    """AND step: restriction, component split, and one product of the parts."""
     components, free_facts = _restricted_components(scope)
-    bundles = [_bundle_component(component, cache) for component in components]
-    free = len(free_facts)
-    free_vector = binomial_vector(free)
-    sat_vectors = [bundle.sat for bundle in bundles]
-    owned = sum(bundle.owned for bundle in bundles) + free
-
-    deltas: dict[Fact, tuple[int, ...]] = {}
+    children = tuple(_bundle_component(component, cache) for component in components)
+    owned = sum(child.owned for child in children) + len(free_facts)
+    sat = convolve(
+        convolve_many([child.sat for child in children]),
+        binomial_vector(len(free_facts)),
+    )
     zero = set(free_facts)
-    for bundle in bundles:
-        zero |= bundle.zero
-    if any(bundle.deltas for bundle in bundles):
-        prefix, suffix = _prefix_suffix(sat_vectors)
-        sat = tuple(convolve(prefix[len(bundles)], free_vector))
-        for j, bundle in enumerate(bundles):
-            if not bundle.deltas:
-                continue
-            rest = convolve(convolve(prefix[j], suffix[j + 1]), free_vector)
-            for item, sat_del in bundle.deltas.items():
-                deltas[item] = tuple(convolve(sat_del, rest))
-    else:
-        sat = tuple(convolve(convolve_many(sat_vectors), free_vector))
-    return CountBundle(owned, sat, deltas, frozenset(zero))
+    for child in children:
+        zero |= child.zero
+    return _step(owned, sat, zero, AND, children)
 
 
 def _bundle_component(component: list[_Scoped], cache: BundleCache) -> CountBundle:
@@ -292,33 +276,19 @@ def _bundle_component_fresh(component: list[_Scoped], cache: BundleCache) -> Cou
             )
         slice_bundles.append(_bundle_scope(slice_scope, cache))
 
-    unsat_vectors = [
-        subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
-        for bundle in slice_bundles
-    ]
-    deltas: dict[Fact, tuple[int, ...]] = {}
+    unsat = convolve_many(_unsat_vectors(slice_bundles))
+    sat = subtract_vectors(binomial_vector(total), unsat)
     zero: set[Fact] = set()
     for bundle in slice_bundles:
         zero |= bundle.zero
-    if any(bundle.deltas for bundle in slice_bundles):
-        # The suffix chain only feeds the per-fact "rest" factors below.
-        prefix, suffix = _prefix_suffix(unsat_vectors)
-        all_unsat = prefix[len(unsat_vectors)]
-        remaining = binomial_vector(total - 1) if total else []
-        for b, bundle in enumerate(slice_bundles):
-            if not bundle.deltas:
-                continue
-            rest = convolve(prefix[b], suffix[b + 1])
-            slice_players = binomial_vector(bundle.owned - 1)
-            for item, sat_del in bundle.deltas.items():
-                unsat_del = subtract_vectors(slice_players, sat_del)
-                deltas[item] = tuple(
-                    subtract_vectors(remaining, convolve(unsat_del, rest))
-                )
-    else:
-        all_unsat = convolve_many(unsat_vectors)
-    sat = tuple(subtract_vectors(binomial_vector(total), all_unsat))
-    return CountBundle(total, sat, deltas, frozenset(zero))
+    return _step(total, sat, zero, OR, tuple(slice_bundles))
+
+
+def _unsat_vectors(slices: Sequence[CountBundle]) -> list[list[int]]:
+    """The UNSAT count vector of every slice of an OR step."""
+    return [
+        subtract_vectors(binomial_vector(bundle.owned), bundle.sat) for bundle in slices
+    ]
 
 
 def _ground_vector(component: list[_Scoped]) -> tuple[int, ...]:
@@ -348,9 +318,8 @@ def _ground_vector(component: list[_Scoped]) -> tuple[int, ...]:
 
 
 def _bundle_ground(component: list[_Scoped]) -> CountBundle:
-    """Ground level: recompute the deletion variant per owned fact directly."""
-    sat = _ground_vector(component)
-    deltas: dict[Fact, tuple[int, ...]] = {}
+    """Ground step: the deletion vector of every owned fact, recomputed directly."""
+    deletions = []
     for index, scoped in enumerate(component):
         for item in scoped.endogenous:
             del_variant = list(component)
@@ -359,9 +328,9 @@ def _bundle_ground(component: list[_Scoped]) -> CountBundle:
                 scoped.exogenous,
                 scoped.endogenous - {item},
             )
-            deltas[item] = _ground_vector(del_variant)
+            deletions.append((item, _ground_vector(del_variant)))
     owned = sum(len(scoped.endogenous) for scoped in component)
-    return CountBundle(owned, sat, deltas, frozenset())
+    return _step(owned, _ground_vector(component), set(), GROUND, tuple(deletions))
 
 
 def _initial_scope(database: Database, query: ConjunctiveQuery) -> list[_Scoped]:
@@ -433,7 +402,9 @@ def batch_count_vectors(
     query: ConjunctiveQuery,
     cache: BundleCache | None = None,
 ) -> BatchVectors:
-    """All Lemma 3.2 count vectors of ``(D, q)`` in one shared recursion.
+    """The forward pass over ``(D, q)``: the baseline vector and its tape.
+
+    :func:`pull_back` then runs the backward pass over the tape.
 
     Raises :class:`SelfJoinError` / :class:`NotHierarchicalError` outside
     the tractable class of Theorem 3.1, exactly like
@@ -451,21 +422,127 @@ def batch_count_vectors(
     if cache is None:
         cache = LRUCache(0)
 
-    bundle = _bundle_scope(_initial_scope(database, query), cache)
-
+    root = _bundle_scope(_initial_scope(database, query), cache)
     query_relations = query.relation_names
     unused = frozenset(
         item for item in database.endogenous if item.relation not in query_relations
     )
-    outside = binomial_vector(len(unused))
     total = len(database.endogenous)
-    baseline = tuple(convolve(bundle.sat, outside))
+    baseline = tuple(convolve(root.sat, binomial_vector(len(unused))))
     assert len(baseline) == total + 1, (len(baseline), total + 1)
+    return BatchVectors(total, baseline, root, root.zero | unused)
 
-    per_fact = {}
-    for item, sat_del in bundle.deltas.items():
-        without = tuple(convolve(sat_del, outside))
-        per_fact[item] = (derive_with_vector(baseline, without), without)
-    zero_facts = bundle.zero | unused
-    assert len(per_fact) + len(zero_facts) == total
-    return BatchVectors(total, baseline, per_fact, zero_facts)
+
+def pull_back(
+    vectors: BatchVectors, cotangents: Sequence[Sequence[int]]
+) -> dict[Fact, list[int]]:
+    """``<c, Sat^{-f}>`` for every live fact ``f`` and every cotangent ``c``.
+
+    Each cotangent has length ``total_players``, one entry per coalition
+    size of the deletion vector ``Sat^{-f}`` over ``Dn ∖ {f}``.  Returns
+    one integer per cotangent for every fact outside ``zero_facts``, in
+    one backward pass over the tape and without building any ``Sat^{-f}``.
+    """
+    numerators: dict[Fact, list[int]] = {}
+    root = vectors.root
+    if root.live:
+        outside = binomial_vector(vectors.total_players - root.owned)
+        _pull_back(
+            root,
+            [correlate(c, outside, root.owned) for c in cotangents],
+            [0] * len(cotangents),
+            numerators,
+        )
+    return numerators
+
+
+def _dot(left: Sequence[int], right: Sequence[int]) -> int:
+    return sum(map(mul, left, right))
+
+
+def _pull_back(
+    bundle: CountBundle,
+    cotangents: list[list[int]],
+    offsets: list[int],
+    out: dict[Fact, list[int]],
+) -> None:
+    """Set ``out[f]`` to ``offset + <g, d_f>`` per cotangent ``g``.
+
+    ``f`` ranges over the live facts of ``bundle``, ``d_f`` is the
+    fact's deletion vector over the bundle's other ``owned - 1`` facts,
+    and every ``g`` has length ``owned``.
+    """
+    if bundle.kind == GROUND:
+        for item, deletion in bundle.parts:
+            out[item] = [o + _dot(g, deletion) for g, o in zip(cotangents, offsets)]
+    elif bundle.kind == AND:
+        _pull_back_and(bundle, cotangents, offsets, out)
+    else:
+        _pull_back_or(bundle, cotangents, offsets, out)
+
+
+def _pull_back_and(
+    bundle: CountBundle,
+    cotangents: list[list[int]],
+    offsets: list[int],
+    out: dict[Fact, list[int]],
+) -> None:
+    """AND step: ``d_f = d_child * rest``, so ``g`` pulls back to ``corr(g, rest)``.
+
+    The free facts' binomial row is a factor of every child's ``rest``
+    and is correlated away once, up front.
+    """
+    children = bundle.parts
+    bound = sum(child.owned for child in children)
+    if bound < bundle.owned:
+        free = binomial_vector(bundle.owned - bound)
+        cotangents = [correlate(g, free, bound) for g in cotangents]
+    for j, child in enumerate(children):
+        if child.live:
+            rest = convolve_many(
+                [other.sat for i, other in enumerate(children) if i != j]
+            )
+            _pull_back(
+                child,
+                [correlate(g, rest, child.owned) for g in cotangents],
+                offsets,
+                out,
+            )
+
+
+def _pull_back_or(
+    bundle: CountBundle,
+    cotangents: list[list[int]],
+    offsets: list[int],
+    out: dict[Fact, list[int]],
+) -> None:
+    """OR step: ``d_f = remaining - (players - d_child) * rest``.
+
+    With ``g_b = corr(g, rest)`` for slice ``b`` (``rest`` the product of
+    the other slices' UNSAT vectors), ``<g, d_f> = <g, remaining> -
+    <g_b, players> + <g_b, d_child>``: the first two terms join the
+    offset and ``g_b`` continues down.  ``prefix`` holds each cotangent
+    correlated with the UNSAT vectors of the slices before ``b``, one
+    short factor at a time; ``suffix[b + 1]`` is the product of those
+    after it, and slice ``b`` needs only its ``owned`` outputs of their
+    correlation.
+    """
+    slices = bundle.parts
+    live = [b for b, child in enumerate(slices) if child.live]
+    unsat = _unsat_vectors(slices)
+    suffix = [[1]] * (len(slices) + 1)
+    for b in range(len(slices) - 1, live[0], -1):
+        suffix[b] = convolve(unsat[b], suffix[b + 1])
+    remaining = binomial_vector(bundle.owned - 1)
+    base = [o + _dot(g, remaining) for g, o in zip(cotangents, offsets)]
+    prefix = cotangents
+    for b in range(live[-1] + 1):
+        child = slices[b]
+        if child.live:
+            local = [correlate(p, suffix[b + 1], child.owned) for p in prefix]
+            players = binomial_vector(child.owned - 1)
+            _pull_back(
+                child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
+            )
+        if b < live[-1]:
+            prefix = [correlate(p, unsat[b], len(p) - child.owned) for p in prefix]

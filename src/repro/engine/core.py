@@ -729,9 +729,6 @@ class BatchAttributionEngine:
         }
         if self.shared is not None:
             counters["shared"] = self.shared.stats.snapshot()
-            claim_stats = getattr(self.shared, "claim_stats", None)
-            if claim_stats is not None:
-                counters["claims"] = claim_stats.snapshot()
         if isinstance(getattr(self.store, "stats", None), CacheStats):
             counters["store"] = self.store.stats.snapshot()
         counters["planner"] = self.planner_stats.snapshot()

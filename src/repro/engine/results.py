@@ -6,8 +6,13 @@ This module owns the *outputs* of the plan/execute pipeline:
   request, plus provenance (method, player count, cache origin);
 * :class:`AnswerBatchResult` — the per-answer results of a non-Boolean
   request, with the linearity-based :meth:`AnswerBatchResult.aggregate`;
-* :func:`result_from_vectors` — the Lemma 3.2 assembly turning the
-  engine's per-fact count vectors into both measures at once.
+* :func:`fact_numerators` and :func:`result_from_vectors` — the Lemma
+  3.2 assembly.  The forward pass of :mod:`repro.engine.bundles` yields
+  the baseline count vector and a tape; both measures are linear
+  functionals of each fact's deletion vector, so their weight vectors
+  (the *cotangents*) are pulled back down the tape once, every fact's
+  Shapley and Banzhaf numerator comes out as one integer, and each value
+  is normalized to a ``Fraction`` once.
 
 Result objects are what the result stores (:mod:`repro.engine.stores`,
 :mod:`repro.engine.sqlite_store`) persist and what executors
@@ -19,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping
 
 from repro.core.facts import Constant, Fact
-from repro.engine.bundles import BatchVectors
+from repro.engine.bundles import BatchVectors, pull_back
 from repro.engine.cache import CacheStats
 from repro.shapley.sampling import SampleState, achieved_epsilon
-from repro.util.kernels import ShapleyAccumulator
+from repro.util.kernels import factorial_cached, shapley_weights
 
 
 @dataclass(frozen=True)
@@ -228,34 +234,51 @@ def result_from_state(
     )
 
 
+def fact_numerators(vectors: BatchVectors) -> dict[Fact, tuple[int, int]]:
+    """Lemma 3.2 numerators: ``(Shapley · n!, Banzhaf · 2^(n-1))`` per live fact.
+
+    With ``S`` the baseline, ``D = Sat^{-f}`` and ``w = shapley_weights(n)``,
+    the partition identity ``Sat^{+f}(k) = S(k+1) - D(k+1)`` turns the
+    Shapley numerator ``Σ_k w_k (Sat^{+f}(k) - D(k))`` into ``Σ_k w_k
+    S(k+1) - <c, D>`` with ``c_j = w_j + w_{j-1}``, and the Banzhaf one
+    into ``Σ_k S(k+1) - <(1, 2, 2, ...), D>``.  Both inner products come
+    out of one backward pass (:func:`repro.engine.bundles.pull_back`).
+    """
+    if not vectors.root.live:
+        return {}
+    weights = shapley_weights(vectors.total_players)
+    cotangents = (
+        [w + before for w, before in zip(weights, (0, *weights))],
+        [1] + [2] * (len(weights) - 1),
+    )
+    above = vectors.baseline[1:]
+    shapley_base, banzhaf_base = sum(map(mul, weights, above)), sum(above)
+    return {
+        item: (shapley_base - shapley, banzhaf_base - banzhaf)
+        for item, (shapley, banzhaf) in pull_back(vectors, cotangents).items()
+    }
+
+
 def result_from_vectors(vectors: BatchVectors, method: str) -> BatchResult:
-    """Lemma 3.2 assembly: weighted sums of the per-fact vector deltas.
+    """Lemma 3.2 assembly: both measures from the per-fact numerators.
 
-    Shapley and Banzhaf values fall out of the same ``(Sat^{+f},
-    Sat^{-f})`` vectors — only the weights differ — so the convolution
-    task of every plan always materializes both measures.
-
-    Assembly is *deferred*: per fact, the Shapley numerator accumulates
-    as one integer over the shared weight table
-    (:class:`repro.util.kernels.ShapleyAccumulator`) and normalizes to a
-    single ``Fraction`` at the end — bit-identical to the historical
-    per-size ``Fraction`` multiply-add, minus one gcd per coalition
-    size.
+    Shapley and Banzhaf values are linear in the same deletion vectors
+    — only the weights differ — so the convolution task of every plan
+    always materializes both measures.  Each value is one integer
+    numerator (:func:`fact_numerators`) over ``n!`` or ``2^(n-1)``,
+    normalized to a ``Fraction`` once: bit-identical to summing the
+    per-size ``Fraction`` terms, because ``Fraction`` canonicalizes.
     """
     players = vectors.total_players
     shapley: dict[Fact, Fraction] = {item: Fraction(0) for item in vectors.zero_facts}
     banzhaf = dict(shapley)
-    denominator = 2 ** (players - 1)
-    for item, (sat_exo, sat_del) in vectors.per_fact.items():
-        accumulator = ShapleyAccumulator(players)
-        difference_total = 0
-        for k in range(players):
-            difference = sat_exo[k] - sat_del[k]
-            if difference:
-                accumulator.add(k, difference)
-                difference_total += difference
-        shapley[item] = accumulator.value()
-        banzhaf[item] = Fraction(difference_total, denominator)
+    numerators = fact_numerators(vectors)
+    if numerators:
+        shapley_denominator = factorial_cached(players)
+        banzhaf_denominator = 2 ** (players - 1)
+        for item, (shapley_numerator, banzhaf_numerator) in numerators.items():
+            shapley[item] = Fraction(shapley_numerator, shapley_denominator)
+            banzhaf[item] = Fraction(banzhaf_numerator, banzhaf_denominator)
     return BatchResult(shapley, banzhaf, method, players)
 
 
@@ -264,6 +287,7 @@ __all__ = [
     "AttributionEstimate",
     "BatchResult",
     "aggregate_spec",
+    "fact_numerators",
     "inflate_result",
     "project_result",
     "result_from_state",

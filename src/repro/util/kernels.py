@@ -2,10 +2,11 @@
 
 Every exact result in the stack — serial, sharded, daemon-served,
 delta-reused — bottoms out in two integer-arithmetic hot loops: count
-vector convolution (:func:`repro.util.combinatorics.convolve`) and the
-Lemma 3.2 weighted assembly that turns per-fact vector deltas into
-Shapley values.  This module makes both fast while keeping the public
-rational API bit-identical:
+vector convolution (:func:`repro.util.combinatorics.convolve`) in the
+engine's forward pass, and correlation (:func:`correlate`, its adjoint)
+in the backward pass that turns Lemma 3.2 weight vectors into per-fact
+Shapley and Banzhaf numerators.  This module makes both fast while
+keeping the public rational API bit-identical:
 
 * **Tiered convolution kernels.**  ``schoolbook`` is the classic
   O(n^2) multiply-add loop, unbeatable for short vectors; ``packed``
@@ -16,6 +17,10 @@ rational API bit-identical:
   sizes; the ``REPRO_KERNEL`` environment variable (re-read at plan
   time by :func:`repro.engine.plan.build_plan`) forces one tier
   everywhere.
+* **Short-output correlation.**  :func:`correlate` computes only the
+  leading outputs a caller asks for, looping over whichever of output
+  and kernel is shorter, so pulling a factorial-sized cotangent through
+  a long count vector costs one C-level dot product per needed entry.
 * **Balanced product trees.**  :func:`convolve_many` reduces a factor
   list pairwise in rounds instead of folding left, keeping operand
   sizes balanced — the shape under which the packed kernel's
@@ -50,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import Iterator, Sequence
 
 from repro.obs import tracing as _tracing
@@ -317,6 +323,36 @@ def convolve_many(vectors: Sequence[Sequence[int]]) -> list[int]:
     return list(items[0])
 
 
+def correlate(
+    coefficients: Sequence[int], kernel: Sequence[int], out_len: int
+) -> list[int]:
+    """The first ``out_len`` entries of the correlation of two vectors.
+
+    ``result[i] == sum(coefficients[i + j] * kernel[j] for j in
+    range(len(kernel)))``, with entries past the end of ``coefficients``
+    counting as zero.  Correlation is the adjoint of convolution —
+    ``<c, convolve(d, r)> == <correlate(c, r, len(d)), d>`` — which is
+    how the engine's reverse-mode Lemma 3.2 pass pulls a cotangent back
+    through a product factor (:mod:`repro.engine.bundles`).  Only the
+    requested outputs are computed, looping over the shorter side: one
+    C-level dot product per output when the output is short, one scaled
+    slice per kernel entry when the kernel is.
+    """
+    if out_len < 0:
+        raise ValueError("correlate requires out_len >= 0")
+    if out_len <= len(kernel):
+        width = len(kernel)
+        return [
+            sum(map(mul, coefficients[i : i + width], kernel)) for i in range(out_len)
+        ]
+    result = [0] * out_len
+    for j, weight in enumerate(kernel):
+        if weight:
+            window = coefficients[j : j + out_len]
+            result[: len(window)] = [a + weight * b for a, b in zip(result, window)]
+    return result
+
+
 # ----------------------------------------------------------------------
 # Shared weight tables and deferred rational assembly
 # ----------------------------------------------------------------------
@@ -438,6 +474,7 @@ __all__ = [
     "convolve_many",
     "convolve_packed",
     "convolve_schoolbook",
+    "correlate",
     "factorial_cached",
     "kernel_description",
     "kernel_metrics_document",

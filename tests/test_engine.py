@@ -9,7 +9,12 @@ from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import fact
 from repro.core.parser import parse_query, parse_ucq
-from repro.engine import BatchAttributionEngine, batch_count_vectors, default_engine
+from repro.engine import (
+    BatchAttributionEngine,
+    batch_count_vectors,
+    default_engine,
+    fact_numerators,
+)
 from repro.engine.cache import LRUCache
 from repro.engine.fingerprint import fingerprint_atoms, fingerprint_request
 from repro.logic.cnf import CnfFormula
@@ -19,6 +24,8 @@ from repro.shapley.banzhaf import banzhaf_all_brute_force, banzhaf_all_values
 from repro.shapley.brute_force import shapley_all_brute_force
 from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import shapley_all_values, shapley_all_values_per_fact
+from repro.shapley.exoshap import rewrite_to_hierarchical
+from repro.util.kernels import shapley_weights
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -32,6 +39,28 @@ from repro.workloads.running_example import (
 )
 
 
+def _reference_numerators(db, q, f):
+    """Seed-path ``(Shapley · n!, Banzhaf · 2^(n-1))`` numerators of ``f``.
+
+    Two full CntSat runs on edited databases, weighted size by size.
+    """
+    sat_exo = count_satisfying_subsets(db.with_fact_exogenous(f), q)
+    sat_del = count_satisfying_subsets(db.without_fact(f), q)
+    weights = shapley_weights(len(db.endogenous))
+    differences = [a - b for a, b in zip(sat_exo, sat_del)]
+    return sum(w * d for w, d in zip(weights, differences)), sum(differences)
+
+
+def _assert_numerators_match_cntsat(db, q):
+    vectors = batch_count_vectors(db, q)
+    assert list(vectors.baseline) == count_satisfying_subsets(db, q)
+    numerators = fact_numerators(vectors)
+    assert set(numerators) | set(vectors.zero_facts) == set(db.endogenous)
+    assert not set(numerators) & vectors.zero_facts
+    for f in db.endogenous:
+        assert numerators.get(f, (0, 0)) == _reference_numerators(db, q, f), f
+
+
 class TestBatchVectors:
     def test_baseline_matches_cntsat(self, running_example_db, q1):
         vectors = batch_count_vectors(running_example_db, q1)
@@ -39,25 +68,18 @@ class TestBatchVectors:
             running_example_db, q1
         )
 
-    def test_per_fact_vectors_match_cntsat_on_edited_databases(
+    def test_per_fact_numerators_match_cntsat_on_edited_databases(
         self, running_example_db, q1
     ):
-        # The engine's shared recursion must reproduce, for every fact,
-        # exactly the two vectors the seed pipeline computes from scratch.
-        vectors = batch_count_vectors(running_example_db, q1)
-        for f, (sat_exo, sat_del) in vectors.per_fact.items():
-            assert list(sat_exo) == count_satisfying_subsets(
-                running_example_db.with_fact_exogenous(f), q1
-            )
-            assert list(sat_del) == count_satisfying_subsets(
-                running_example_db.without_fact(f), q1
-            )
+        # The backward pass must reproduce, for every fact, exactly the
+        # numerators the seed pipeline computes from two fresh CntSat runs.
+        _assert_numerators_match_cntsat(running_example_db, q1)
 
     def test_every_fact_is_covered_once(self, running_example_db, q1):
         vectors = batch_count_vectors(running_example_db, q1)
-        covered = set(vectors.per_fact) | set(vectors.zero_facts)
-        assert covered == set(running_example_db.endogenous)
-        assert not set(vectors.per_fact) & vectors.zero_facts
+        live = set(fact_numerators(vectors))
+        assert live | set(vectors.zero_facts) == set(running_example_db.endogenous)
+        assert not live & vectors.zero_facts
 
     def test_irrelevant_facts_are_zero(self, q1):
         db = figure_1_database()
@@ -66,8 +88,11 @@ class TestBatchVectors:
         assert fact("Unrelated", 1) in vectors.zero_facts
 
     def test_property_random_hierarchical_instances(self, rng):
-        # Randomized cross-check of the shared recursion against the seed
-        # CntSat on fresh per-fact databases.
+        # Randomized cross-check of the backward pass against the seed
+        # CntSat on fresh per-fact databases: random hierarchical CQ¬s
+        # (negated atoms, repeated variables), free facts that fail a
+        # constant or repeated-variable pattern, facts outside the query,
+        # and the hierarchical rewrite the ExoShap route runs on.
         checked = 0
         while checked < 12:
             q = random_hierarchical_query(rng=rng)
@@ -75,13 +100,27 @@ class TestBatchVectors:
             if not db.endogenous or len(db.endogenous) > 12:
                 continue
             checked += 1
-            vectors = batch_count_vectors(db, q)
-            assert list(vectors.baseline) == count_satisfying_subsets(db, q)
-            for f, (sat_exo, sat_del) in vectors.per_fact.items():
-                assert list(sat_exo) == count_satisfying_subsets(
-                    db.with_fact_exogenous(f), q
-                )
-                assert list(sat_del) == count_satisfying_subsets(db.without_fact(f), q)
+            _assert_numerators_match_cntsat(db, q)
+
+        free = Database(
+            endogenous=[
+                fact("R", 1, 1),
+                fact("R", 1, 2),  # free: constant mismatch
+                fact("S", 1),
+                fact("T", 1, 2, 2),
+                fact("T", 1, 2, 3),  # free: repeated-variable mismatch
+                fact("Unrelated", 4),  # outside the query
+            ],
+            exogenous=[fact("R", 2, 1), fact("T", 2, 5, 5)],
+        )
+        _assert_numerators_match_cntsat(
+            free, parse_query("q() :- R(x, 1), not S(x), T(x, y, y)")
+        )
+
+        rewrite = rewrite_to_hierarchical(
+            figure_1_database(), query_q2(), {"Stud", "Course"}
+        )
+        _assert_numerators_match_cntsat(rewrite.database, rewrite.query)
 
 
 class TestBatchEngine:

@@ -8,7 +8,7 @@ Covers the PR 2 tentpole surface:
   regression for two groundings whose atom sets coincide;
 * the documented deterministic orderings (facts and answers sorted by
   ``repr``) on every path out of the engine;
-* the with/without sharing identity behind the per-fact vectors.
+* the with/without sharing identity behind the per-fact numerators.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.engine import (
     BundlePool,
     LRUCache,
     batch_count_vectors,
-    derive_with_vector,
+    fact_numerators,
     fingerprint_grounding,
     fingerprint_request,
 )
@@ -38,6 +38,8 @@ from repro.shapley.answers import (
     shapley_for_answer,
 )
 from repro.shapley.brute_force import shapley_brute_force
+from repro.shapley.cntsat import count_satisfying_subsets
+from repro.util.kernels import shapley_weights
 from repro.workloads.generators import star_join_database
 from repro.workloads.running_example import figure_1_database
 
@@ -211,8 +213,10 @@ class TestAnswerHelpers:
 
 
 class TestWithWithoutSharing:
-    def test_derive_with_vector_identity(self):
-        # Sat(k+1) = Sat^{+f}(k) + Sat^{-f}(k+1) on a concrete instance.
+    def test_numerators_follow_the_partition_identity(self):
+        # Sat(k+1) = Sat^{+f}(k) + Sat^{-f}(k+1) turns each measure into a
+        # baseline constant minus a functional of Sat^{-f} alone; the
+        # backward pass must agree with the seed's two-vector form.
         db = Database(
             endogenous=[fact("R", 1), fact("R", 2), fact("S", 1, 1)],
             exogenous=[fact("S", 2, 2)],
@@ -220,12 +224,19 @@ class TestWithWithoutSharing:
         q = parse_query("q() :- R(x), S(x, y)")
         vectors = batch_count_vectors(db, q, LRUCache(16))
         m = vectors.total_players
-        for item, (sat_exo, sat_del) in vectors.per_fact.items():
+        weights = shapley_weights(m)
+        numerators = fact_numerators(vectors)
+        assert set(numerators) == set(db.endogenous) - vectors.zero_facts
+        for item, (shapley, banzhaf) in numerators.items():
+            sat_del = count_satisfying_subsets(db.without_fact(item), q)
+            sat_exo = count_satisfying_subsets(db.with_fact_exogenous(item), q)
             assert len(sat_exo) == m and len(sat_del) == m
-            assert sat_exo == derive_with_vector(vectors.baseline, sat_del)
             for k in range(m):
                 below = sat_del[k + 1] if k + 1 < m else 0
                 assert vectors.baseline[k + 1] == sat_exo[k] + below
+            differences = [a - b for a, b in zip(sat_exo, sat_del)]
+            assert shapley == sum(w * d for w, d in zip(weights, differences))
+            assert banzhaf == sum(differences)
 
     def test_bundle_pool_reads_and_writes_through(self):
         backing = LRUCache(8)

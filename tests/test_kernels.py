@@ -7,6 +7,9 @@ The headline contracts (ISSUE 8):
   entries ``subtract_vectors`` can produce, empty vectors, and length-1
   edge cases — and the tiered :func:`repro.util.kernels.convolve` front
   door equals it under every ``REPRO_KERNEL`` forcing;
+* ``correlate`` — the adjoint of convolution the engine's backward pass
+  runs on — equals the naive ``sum_j c[i + j] * r[j]`` on signed,
+  empty, singleton and boundary-length inputs;
 * ``convolve_many``'s balanced product tree is bit-identical to the
   sequential left fold, with the historical semantics at the edges
   (empty product ``[1]``, any empty factor nulls to ``[]``);
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
+from repro.core.parser import parse_query
 from repro.engine.plan import PlanRequest, build_plan
 from repro.util import kernels
 from repro.util.combinatorics import (
@@ -158,6 +162,60 @@ class TestProductTree:
         assert stats.schoolbook_calls >= 3
 
 
+def _naive_correlate(coefficients, kernel, out_len):
+    return [
+        sum(
+            coefficients[i + j] * kernel[j]
+            for j in range(len(kernel))
+            if i + j < len(coefficients)
+        )
+        for i in range(out_len)
+    ]
+
+
+class TestCorrelate:
+    @settings(max_examples=200, deadline=None)
+    @given(vectors, vectors, st.integers(min_value=0, max_value=30))
+    def test_correlate_equals_naive_sum_on_signed_vectors(
+        self, coefficients, kernel, out_len
+    ):
+        assert kernels.correlate(coefficients, kernel, out_len) == _naive_correlate(
+            coefficients, kernel, out_len
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors, st.lists(entries, min_size=1, max_size=24))
+    def test_out_len_at_the_boundaries(self, coefficients, kernel):
+        # Both loop orders meet at out_len == len(kernel); the "valid"
+        # length len(coefficients) - len(kernel) + 1 is what the engine asks
+        # for, and anything longer runs off the end into zeros.
+        valid = max(0, len(coefficients) - len(kernel) + 1)
+        edges = {len(kernel) - 1, len(kernel), len(kernel) + 1, valid, valid + 1}
+        for out_len in edges:
+            assert kernels.correlate(coefficients, kernel, out_len) == (
+                _naive_correlate(coefficients, kernel, out_len)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors, st.lists(entries, min_size=1, max_size=12), vectors)
+    def test_correlate_is_the_adjoint_of_convolve(self, cotangent, delta, rest):
+        # <c, d * r> == <corr(c, r, len(d)), d>: the backward-pass identity.
+        product = kernels.convolve_schoolbook(delta, rest)
+        left = sum(c * p for c, p in zip(cotangent, product))
+        pulled = kernels.correlate(cotangent, rest, len(delta))
+        assert left == sum(g * d for g, d in zip(pulled, delta))
+
+    def test_empty_and_singleton_edges(self):
+        assert kernels.correlate([], [], 0) == []
+        assert kernels.correlate([], [1, 2], 3) == [0, 0, 0]
+        assert kernels.correlate([1, 2], [], 2) == [0, 0]
+        assert kernels.correlate([3], [5], 1) == [15]
+        assert kernels.correlate([-2, 7], [3], 2) == [-6, 21]
+        assert kernels.correlate([1, 2, 3], [1, -1], 2) == [-1, -1]
+        with pytest.raises(ValueError):
+            kernels.correlate([1], [1], -1)
+
+
 class TestWeightTables:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
@@ -277,6 +335,23 @@ class TestEngineBitIdentity:
                 db, query_q1()
             )
         _assert_identical(reference, packed)
+
+    def test_star_join_answers_identical_serial_and_sharded(self):
+        # Tape bundles computed in worker processes are shipped home and
+        # shared across groundings through the BundlePool; the backward
+        # pass over them must reproduce the serial values bit for bit.
+        db = star_join_database(30, 8, rng=random.Random(30))
+        query = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+        serial = BatchAttributionEngine(executor=SerialExecutor()).batch_answers(
+            db, query
+        )
+        engine = BatchAttributionEngine(executor=SHARDED)
+        sharded = engine.batch_answers(db, query)
+        assert list(serial.per_answer) == list(sharded.per_answer)
+        for answer, result in serial.per_answer.items():
+            _assert_identical(result, sharded.per_answer[answer])
+        stats = engine.stats["executor"]
+        assert stats.shipped > 0 or stats.fallbacks > 0
 
     def test_environment_forcing_applies_at_plan_time(self, monkeypatch):
         db = star_join_database(12, 3, rng=random.Random(9))
