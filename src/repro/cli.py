@@ -35,19 +35,29 @@ cross-grounding pool, and ``--aggregate count`` / ``--aggregate sum
 every fact.  ``--answer`` restricts to specific tuples (repeatable);
 without it every candidate answer is attributed.
 
-``--cache-dir DIR`` (on ``batch``, ``answers``, ``trace`` and ``serve``)
-turns on the durable result store: the SQLite file ``DIR/results.db``
+Every compute command — ``batch``, ``answers`` and ``trace`` — takes the
+same front-door flags and computes through one code path whichever door
+they open: ``--exogenous``, ``--method``/``--epsilon``/``--delta``, the
+in-process engine's ``--jobs``/``--cache-dir``, or ``--connect ADDR``
+(one daemon, or a comma-separated fleet) with ``--timeout`` and
+``--auth-token``.  ``batch`` and ``answers`` also share the report flags
+``--measure``, ``--stats``, ``--json``, ``--update`` and
+``--trace``/``--trace-out``.  Each invocation gets a dedicated engine, so
+one in-process run never sees another's warm caches.
+
+``--cache-dir DIR`` (also on ``serve``) turns on the durable result
+store: the SQLite file ``DIR/results.db``
 (:mod:`repro.engine.sqlite_store`) holds results keyed by request
 fingerprints, so a later *process* serves the same requests warm without
 recomputing.  It is the same store a daemon fleet shares through
 ``serve --shared-store PATH``: one process with a cache directory is a
 fleet of one.
 
-``--jobs N`` (on ``batch`` and ``answers``) switches the engine to the
-sharded executor (:mod:`repro.engine.executors`): the planner's
-independent grounding and component tasks are distributed over ``N``
-worker processes and their count vectors merged back — results are
-bit-identical to serial execution.  ``--stats`` reports the per-layer
+``--jobs N`` switches the engine to the sharded executor
+(:mod:`repro.engine.executors`): the planner's independent grounding and
+component tasks are distributed over ``N`` worker processes and their
+count vectors merged back — results are bit-identical to serial
+execution.  ``--stats`` reports the per-layer
 accounting of the plan/execute pipeline: cache counters, planner
 prunes, store hits, and executor task placement.
 
@@ -61,8 +71,7 @@ is tunable: ``--max-inflight`` bounds concurrent compute requests,
 ``--drain-timeout`` caps the graceful drain on SIGTERM/``shutdown``.
 ``metrics --connect ADDR`` prints the live serving metrics (per-op
 latency histograms, queue depth, shed counters, coalescing ratio) of a
-running daemon.  ``--connect ADDR``
-(on ``batch`` and ``answers``) routes the command through a running
+running daemon.  ``--connect ADDR`` routes the command through a running
 daemon instead of computing in-process: the database uploads once per
 invocation (content-addressed, so re-uploads are cheap), results come
 back as exact ``Fraction`` values, and repeated queries are served from
@@ -71,7 +80,7 @@ the daemon's warm stores::
     python -m repro serve --socket /tmp/repro.sock --cache-dir cache/ &
     python -m repro batch db.json QUERY --connect /tmp/repro.sock
 
-``--method`` (on ``batch`` and ``answers``) selects the algorithm family
+``--method`` selects the algorithm family
 through the engine's unified :class:`~repro.engine.policy.MethodPolicy`:
 ``auto`` (the default — polynomial algorithms when the dichotomy allows,
 bounded brute force, and Hoeffding-bounded sampling for everything else;
@@ -90,13 +99,13 @@ roughly halves the achieved bound::
     python -m repro batch db.json QUERY --method sampled --epsilon 0.05
     python -m repro batch db.json QUERY --refine --connect /tmp/repro.sock
 
-``--json`` (on ``batch`` and ``answers``) prints one machine-readable
+``--json`` prints one machine-readable
 JSON document instead of the text report: values as exact
 numerator/denominator string pairs (the shared dialect of
 :mod:`repro.io`, identical to the wire protocol's) plus the per-layer
 ``stats`` block.
 
-``--update delta.json`` (on ``batch`` and ``answers``) applies a
+``--update delta.json`` applies a
 fact-level delta before computing — the incremental-maintenance path of
 the delta-aware engine.  The file holds ``add_endogenous`` /
 ``add_exogenous`` / ``remove`` fact rows (the dialect of
@@ -108,7 +117,7 @@ it the delta is applied locally before the engine runs::
     python -m repro answers db.json QUERY --connect /run/repro.sock \
         --update delta.json
 
-``--trace`` (on ``batch`` and ``answers``) records a hierarchical span
+``--trace`` records a hierarchical span
 trace of each request — planner prunes, store tiers with hit/miss,
 kernel convolutions, sampler rounds, and (with ``--jobs``) per-worker
 lanes; with ``--connect`` the daemon contributes its admission and
@@ -181,15 +190,12 @@ def _open_store(path):
 
 
 def _make_engine(options: argparse.Namespace):
-    """The shared engine, or a dedicated one for --cache-dir / --jobs /
-    --shared-store."""
-    from repro.engine import BatchAttributionEngine, default_engine
+    """A dedicated engine for this invocation (--cache-dir / --jobs /
+    --shared-store configure it)."""
+    from repro.engine import BatchAttributionEngine
 
     cache_dir = getattr(options, "cache_dir", None)
-    jobs = getattr(options, "jobs", None)
     shared_store = getattr(options, "shared_store", None)
-    if cache_dir is None and jobs is None and shared_store is None:
-        return default_engine()
     if cache_dir is not None and shared_store is not None:
         raise ValueError(
             "--cache-dir and --shared-store both name the durable result"
@@ -198,9 +204,101 @@ def _make_engine(options: argparse.Namespace):
     if cache_dir is not None:
         shared_store = Path(cache_dir) / "results.db"
     shared = None if shared_store is None else _open_store(shared_store)
-    # A dedicated instance: the process-wide default engine must not keep
-    # a handle on this invocation's store or worker pool.
-    return BatchAttributionEngine(jobs=jobs, shared=shared)
+    # Never the process-wide default engine: one invocation's warm caches,
+    # store, or worker pool must not leak into the next one.
+    return BatchAttributionEngine(jobs=getattr(options, "jobs", None), shared=shared)
+
+
+class _LocalAttributor:
+    """The in-process engine in the call shapes of the daemon clients.
+
+    :class:`~repro.server.client.AttributionClient` and
+    :class:`~repro.server.fleet.FleetClient` share ``update_database``,
+    ``batch``, ``refine``, ``answers``, ``stats`` and ``last_trace``;
+    wrapping the engine in the same shapes lets every command compute
+    through one code path whichever front door :func:`_attributor` opens.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def __enter__(self) -> "_LocalAttributor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        # The invocation's durable store closes with it, as a client's
+        # socket does.
+        if self.engine.shared is not None:
+            self.engine.shared.close()
+
+    @property
+    def last_trace(self) -> dict | None:
+        return self.engine.last_trace
+
+    def update_database(self, database, *, delta):
+        from repro.engine.delta import apply_delta
+
+        return apply_delta(database, delta)
+
+    def batch(self, database, query, exogenous=None, *, policy=None, trace=False):
+        return self.engine.batch(
+            database, query, exogenous_relations=exogenous, policy=policy, trace=trace
+        )
+
+    def refine(
+        self, database, query, exogenous=None, *, epsilon=None, delta=None, trace=False
+    ):
+        return self.engine.refine(
+            database,
+            query,
+            exogenous_relations=exogenous,
+            epsilon=epsilon,
+            delta=delta,
+            trace=trace,
+        )
+
+    def answers(
+        self, database, query, answers=None, exogenous=None, *, policy=None, trace=False
+    ):
+        return self.engine.batch_answers(
+            database,
+            query,
+            answers,
+            exogenous_relations=exogenous,
+            policy=policy,
+            trace=trace,
+        )
+
+    def stats(self) -> dict:
+        return {"engine": self.engine.counters()}
+
+
+def _attributor(options: argparse.Namespace):
+    """The invocation's front door: the engine, one daemon, or a fleet.
+
+    Without ``--connect`` a dedicated in-process engine; with one address
+    an :class:`~repro.server.client.AttributionClient`; with a
+    comma-separated ``--connect a.sock,b.sock`` a
+    :class:`~repro.server.fleet.FleetClient` (consistent-hash routing with
+    failover, fan-out database updates).  All three answer the same calls.
+    """
+    if not options.connect:
+        return _LocalAttributor(_make_engine(options))
+    if (
+        getattr(options, "cache_dir", None) is not None
+        or getattr(options, "jobs", None) is not None
+    ):
+        # --jobs/--cache-dir configure an in-process engine; a daemon has
+        # its own.
+        raise ValueError(
+            "--connect routes through a daemon, so --jobs/--cache-dir"
+            " have no effect here; set them on `python -m repro serve` instead"
+        )
+    if "," in options.connect:
+        from repro.server.fleet import FleetClient as door
+    else:
+        from repro.server.client import AttributionClient as door
+    return door(options.connect, timeout=options.timeout, auth_token=options.auth_token)
 
 
 def _policy_from_options(options: argparse.Namespace):
@@ -230,13 +328,19 @@ def _provenance(result) -> str:
     return label
 
 
-def _print_stats(engine) -> None:
-    """Per-layer accounting: caches first (historical format), then layers."""
+def _print_stats(attributor, stats: dict) -> None:
+    """The --stats text: the engine's per-layer lines, or the daemon's
+    sections (two dialects until the stats share one registry)."""
     from repro.engine import CacheStats
 
-    for name, stats in engine.stats.items():
-        prefix = "cache" if isinstance(stats, CacheStats) else "layer"
-        print(f"{prefix}[{name}]: {stats!r}")
+    if not isinstance(attributor, _LocalAttributor):
+        for section in sorted(stats):
+            print(f"server[{section}]: {json.dumps(stats[section], sort_keys=True)}")
+        return
+    # Caches first (historical format), then layers.
+    for name, layer in attributor.engine.stats.items():
+        prefix = "cache" if isinstance(layer, CacheStats) else "layer"
+        print(f"{prefix}[{name}]: {layer!r}")
 
 
 def _cmd_classify(options: argparse.Namespace) -> int:
@@ -267,12 +371,6 @@ def _cmd_shapley(options: argparse.Namespace) -> int:
     return 0
 
 
-def _print_remote_stats(stats: dict) -> None:
-    """Per-layer daemon accounting, one line per section."""
-    for section in sorted(stats):
-        print(f"server[{section}]: {json.dumps(stats[section], sort_keys=True)}")
-
-
 def _load_delta(options: argparse.Namespace):
     """The --update delta, or None; malformed files raise ValueError."""
     update = getattr(options, "update", None)
@@ -281,43 +379,6 @@ def _load_delta(options: argparse.Namespace):
     from repro.engine.delta import delta_from_dict
 
     return delta_from_dict(json.loads(Path(update).read_text()))
-
-
-def _reject_engine_flags_with_connect(options: argparse.Namespace) -> bool:
-    """--jobs/--cache-dir configure an in-process engine; a daemon has its own."""
-    if options.connect and (options.cache_dir is not None or options.jobs is not None):
-        print(
-            "error: --connect routes through a daemon, so --jobs/--cache-dir"
-            " have no effect here; set them on `python -m repro serve` instead",
-            file=sys.stderr,
-        )
-        return True
-    return False
-
-
-def _connect_client(options: argparse.Namespace):
-    """The --connect client: one daemon, or a routed fleet for a comma-list.
-
-    A comma-separated ``--connect a.sock,b.sock`` gets a
-    :class:`~repro.server.fleet.FleetClient` — consistent-hash routing
-    with failover, fan-out database upload/update — behind the same
-    client surface a single :class:`AttributionClient` offers.
-    """
-    if "," in options.connect:
-        from repro.server.fleet import FleetClient
-
-        return FleetClient(
-            options.connect,
-            timeout=options.timeout,
-            auth_token=options.auth_token,
-        )
-    from repro.server.client import AttributionClient
-
-    return AttributionClient(
-        options.connect,
-        timeout=options.timeout,
-        auth_token=options.auth_token,
-    )
 
 
 def _trace_wanted(options: argparse.Namespace) -> bool:
@@ -359,8 +420,7 @@ def _finish_traces(
 
 
 def _cmd_batch(options: argparse.Namespace) -> int:
-    if _reject_engine_flags_with_connect(options):
-        return 2
+    attributor = _attributor(options)
     if options.refine and options.method not in (None, "sampled"):
         print(
             "error: --refine always resumes the sampled method; drop"
@@ -373,78 +433,36 @@ def _cmd_batch(options: argparse.Namespace) -> int:
     delta = _load_delta(options)
     exogenous = frozenset(options.exogenous) if options.exogenous else None
     queries = [(text, parse_query(text)) for text in options.queries]
-    repeats = max(1, options.repeat)
+    want_trace = _trace_wanted(options)
     results = []
     traces: list[tuple[str, dict | None]] = []
-    want_trace = _trace_wanted(options)
-    stats: dict | None = None
-    engine = None
-    if options.connect:
-        with _connect_client(options) as client:
-            if delta is not None:
-                # Upload the base once, ship only the delta: the daemon's
-                # warm stores carry everything the delta did not touch.
-                handle = client.update_database(database, delta=delta)
-            else:
-                handle = client.load_database(database)
-
-            def remote(text: str):
+    with attributor:
+        # With a daemon the base uploads once and only the delta travels:
+        # its warm stores carry everything the delta did not touch.
+        target = (
+            database
+            if delta is None
+            else attributor.update_database(database, delta=delta)
+        )
+        for text, query in queries:
+            for _ in range(max(1, options.repeat)):
                 if options.refine:
-                    return client.refine(
-                        handle,
-                        text,
+                    result = attributor.refine(
+                        target,
+                        query,
                         exogenous,
                         epsilon=options.epsilon,
                         delta=options.delta,
                         trace=want_trace,
                     )
-                return client.batch(
-                    handle, text, exogenous, policy=policy, trace=want_trace
-                )
-
-            for text, query in queries:
-                result = remote(text)
-                for _ in range(repeats - 1):
-                    result = remote(text)
-                results.append((text, query, result))
-                if want_trace:
-                    traces.append((text, client.last_trace))
-            if options.stats or options.json:
-                stats = client.stats()
-    else:
-        if delta is not None:
-            from repro.engine.delta import apply_delta
-
-            database = apply_delta(database, delta)
-        engine = _make_engine(options)
-
-        def local(query):
-            if options.refine:
-                return engine.refine(
-                    database,
-                    query,
-                    exogenous_relations=exogenous,
-                    epsilon=options.epsilon,
-                    delta=options.delta,
-                    trace=True if want_trace else None,
-                )
-            return engine.batch(
-                database,
-                query,
-                exogenous_relations=exogenous,
-                policy=policy,
-                trace=True if want_trace else None,
-            )
-
-        for text, query in queries:
-            result = local(query)
-            for _ in range(repeats - 1):
-                result = local(query)
+                else:
+                    result = attributor.batch(
+                        target, query, exogenous, policy=policy, trace=want_trace
+                    )
             results.append((text, query, result))
             if want_trace:
-                traces.append((text, engine.last_trace))
-        if options.json:
-            stats = {"engine": engine.counters()}
+                traces.append((text, attributor.last_trace))
+        stats = attributor.stats() if options.stats or options.json else None
     if options.json:
         document = {
             "database": options.database,
@@ -482,16 +500,12 @@ def _cmd_batch(options: argparse.Namespace) -> int:
             print(f"  {'(shapley sum)':32} {total!s}")
     _finish_traces(options, traces)
     if options.stats:
-        if engine is not None:
-            _print_stats(engine)
-        elif stats is not None:
-            _print_remote_stats(stats)
+        _print_stats(attributor, stats)
     return 0
 
 
 def _cmd_answers(options: argparse.Namespace) -> int:
-    if _reject_engine_flags_with_connect(options):
-        return 2
+    attributor = _attributor(options)
     database = load_database(options.database)
     query = parse_query(options.query)
     if query.is_boolean:
@@ -533,45 +547,18 @@ def _cmd_answers(options: argparse.Namespace) -> int:
             return 2
     policy = _policy_from_options(options)
     delta = _load_delta(options)
-    traces: list[tuple[str, dict | None]] = []
     want_trace = _trace_wanted(options)
-    stats: dict | None = None
-    engine = None
-    if options.connect:
-        with _connect_client(options) as client:
-            target: object = database
-            if delta is not None:
-                target = client.update_database(database, delta=delta)
-            batch = client.answers(
-                target,
-                options.query,
-                requested,
-                exogenous,
-                policy=policy,
-                trace=want_trace,
-            )
-            if want_trace:
-                traces.append((options.query, client.last_trace))
-            if options.stats or options.json:
-                stats = client.stats()
-    else:
-        if delta is not None:
-            from repro.engine.delta import apply_delta
-
-            database = apply_delta(database, delta)
-        engine = _make_engine(options)
-        batch = engine.batch_answers(
-            database,
-            query,
-            requested,
-            exogenous_relations=exogenous,
-            policy=policy,
-            trace=True if want_trace else None,
+    with attributor:
+        target = (
+            database
+            if delta is None
+            else attributor.update_database(database, delta=delta)
         )
-        if want_trace:
-            traces.append((options.query, engine.last_trace))
-        if options.json:
-            stats = {"engine": engine.counters()}
+        batch = attributor.answers(
+            target, query, requested, exogenous, policy=policy, trace=want_trace
+        )
+        traces = [(options.query, attributor.last_trace)] if want_trace else []
+        stats = attributor.stats() if options.stats or options.json else None
     show_shapley = options.measure in ("shapley", "both")
     show_banzhaf = options.measure in ("banzhaf", "both")
 
@@ -646,10 +633,7 @@ def _cmd_answers(options: argparse.Namespace) -> int:
 
     _finish_traces(options, traces)
     if options.stats:
-        if engine is not None:
-            _print_stats(engine)
-        elif stats is not None:
-            _print_remote_stats(stats)
+        _print_stats(attributor, stats)
         print(f"pool: {batch.pool_stats!r}")
     return 0
 
@@ -737,100 +721,50 @@ def _render_metrics(document: dict) -> None:
 
 
 def _cmd_metrics(options: argparse.Namespace) -> int:
-    if "," in options.connect:
-        return _cmd_metrics_fleet(options)
-    from repro.server.client import AttributionClient
-
-    with AttributionClient(
-        options.connect,
-        timeout=options.timeout,
-        auth_token=options.auth_token,
-    ) as client:
+    with _attributor(options) as client:
         document = client.metrics()
     if options.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        # A fleet's unreachable nodes report their error instead.
+        print(
+            json.dumps(
+                document,
+                indent=2,
+                sort_keys=True,
+                default=lambda error: {"error": str(error)},
+            )
+        )
         return 0
-    _render_metrics(document)
-    return 0
-
-
-def _cmd_metrics_fleet(options: argparse.Namespace) -> int:
-    """Fleet metrics: per-node documents plus the exact bucket-wise merge."""
-    from repro.server.fleet import FleetClient
-
-    with FleetClient(
-        options.connect,
-        timeout=options.timeout,
-        auth_token=options.auth_token,
-    ) as fleet:
-        document = fleet.metrics()
-    nodes = document["nodes"]
-    reachable = {
-        address: doc for address, doc in nodes.items() if isinstance(doc, dict)
-    }
-    if options.json:
-        printable = {
-            "nodes": {
-                address: (doc if isinstance(doc, dict) else {"error": str(doc)})
-                for address, doc in nodes.items()
-            },
-            "fleet": document["fleet"],
+    nodes = document.get("nodes")
+    if nodes is not None:
+        # A fleet: per-node documents plus the exact bucket-wise merge.
+        reachable = {
+            address for address, doc in nodes.items() if isinstance(doc, dict)
         }
-        print(json.dumps(printable, indent=2, sort_keys=True))
-        return 0
-    print(f"fleet: {len(reachable)}/{len(nodes)} nodes reporting")
-    for address in sorted(set(nodes) - set(reachable)):
-        print(f"node[{address}]: unreachable ({nodes[address]})", file=sys.stderr)
-    _render_metrics(document["fleet"])
+        print(f"fleet: {len(reachable)}/{len(nodes)} nodes reporting")
+        for address in sorted(set(nodes) - reachable):
+            print(f"node[{address}]: unreachable ({nodes[address]})", file=sys.stderr)
+        document = document["fleet"]
+    _render_metrics(document)
     return 0
 
 
 def _cmd_trace(options: argparse.Namespace) -> int:
     """Run one traced request and print its span tree (optionally export)."""
-    if _reject_engine_flags_with_connect(options):
-        return 2
     from repro.obs import export_chrome, render_trace
 
+    attributor = _attributor(options)
     database = load_database(options.database)
     query = parse_query(options.query)
     exogenous = frozenset(options.exogenous) if options.exogenous else None
     policy = _policy_from_options(options)
-    if options.connect:
-        with _connect_client(options) as client:
-            if query.is_boolean:
-                client.batch(
-                    database, options.query, exogenous, policy=policy, trace=True
-                )
-            else:
-                client.answers(
-                    database,
-                    options.query,
-                    None,
-                    exogenous,
-                    policy=policy,
-                    trace=True,
-                )
-            document = client.last_trace
-    else:
-        engine = _make_engine(options)
+    with attributor:
         if query.is_boolean:
-            engine.batch(
-                database,
-                query,
-                exogenous_relations=exogenous,
-                policy=policy,
-                trace=True,
-            )
+            attributor.batch(database, query, exogenous, policy=policy, trace=True)
         else:
-            engine.batch_answers(
-                database,
-                query,
-                None,
-                exogenous_relations=exogenous,
-                policy=policy,
-                trace=True,
+            attributor.answers(
+                database, query, None, exogenous, policy=policy, trace=True
             )
-        document = engine.last_trace
+        document = attributor.last_trace
     if document is None:
         print("error: no trace was recorded for the request", file=sys.stderr)
         return 2
@@ -897,6 +831,92 @@ def _add_method_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_front_door_flags(
+    parser: argparse.ArgumentParser, *, report: bool = True
+) -> None:
+    """The flags every compute command shares: inputs, method, and the
+    front door (in-process engine, ``--connect`` daemon or fleet).
+
+    ``report`` adds the attribution report's flags of batch and answers.
+    """
+    parser.add_argument(
+        "--exogenous", nargs="*", metavar="REL", help="exogenous relations (X)"
+    )
+    _add_method_flags(parser)
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="shard independent plan tasks across N worker processes"
+        " (default: in-process serial execution)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="SQLite result store at DIR/results.db (warm across processes)",
+    )
+    parser.add_argument(
+        "--connect",
+        metavar="ADDR",
+        help="route through a running attribution daemon (socket path or"
+        " HOST:PORT) instead of computing in-process; a comma-separated"
+        " list routes across a daemon fleet by consistent hashing",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-request socket timeout with --connect (default: wait as"
+        " long as the computation needs, like in-process execution)",
+    )
+    parser.add_argument(
+        "--auth-token",
+        metavar="TOKEN",
+        default=None,
+        help="auth token for a guarded TCP daemon with --connect"
+        " (default: REPRO_AUTH_TOKEN)",
+    )
+    if not report:
+        return
+    parser.add_argument(
+        "--measure",
+        choices=("shapley", "banzhaf", "both"),
+        default="shapley",
+        help="attribution measure(s) to print (default: shapley)",
+    )
+    parser.add_argument(
+        "--stats", action="store_true", help="print engine cache statistics"
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="print one machine-readable JSON document (exact"
+        " numerator/denominator pairs plus the per-layer stats block)",
+    )
+    parser.add_argument(
+        "--update",
+        metavar="DELTA.json",
+        help="apply a fact-level delta (add_endogenous/add_exogenous/remove"
+        " rows) before computing; with --connect the delta travels as one"
+        " db_update against the uploaded handle",
+    )
+    parser.add_argument(
+        "--trace",
+        action="store_true",
+        help="record a span trace of each request (engine, stores, kernels;"
+        " with --connect also the daemon's admission/coalescing) and print"
+        " the span tree",
+    )
+    parser.add_argument(
+        "--trace-out",
+        metavar="FILE.json",
+        help="export the first trace as Chrome trace_event JSON"
+        " (chrome://tracing / Perfetto; implies --trace)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -934,16 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument(
         "queries", nargs="+", metavar="QUERY", help="datalog-style query text(s)"
     )
-    p_batch.add_argument(
-        "--measure",
-        choices=("shapley", "banzhaf", "both"),
-        default="shapley",
-        help="attribution measure(s) to print (default: shapley)",
-    )
-    p_batch.add_argument(
-        "--exogenous", nargs="*", metavar="REL", help="exogenous relations (X)"
-    )
-    _add_method_flags(p_batch)
+    _add_front_door_flags(p_batch)
     p_batch.add_argument(
         "--refine",
         action="store_true",
@@ -957,70 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run each batch N times (repeats hit the result cache)",
-    )
-    p_batch.add_argument(
-        "--stats", action="store_true", help="print engine cache statistics"
-    )
-    p_batch.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="SQLite result store at DIR/results.db (warm across processes)",
-    )
-    p_batch.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard independent plan tasks across N worker processes"
-        " (default: in-process serial execution)",
-    )
-    p_batch.add_argument(
-        "--connect",
-        metavar="ADDR",
-        help="route through a running attribution daemon (socket path or"
-        " HOST:PORT) instead of computing in-process; a comma-separated"
-        " list routes across a daemon fleet by consistent hashing",
-    )
-    p_batch.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request socket timeout with --connect (default: wait as"
-        " long as the computation needs, like in-process execution)",
-    )
-    p_batch.add_argument(
-        "--json",
-        action="store_true",
-        help="print one machine-readable JSON document (exact"
-        " numerator/denominator pairs plus the per-layer stats block)",
-    )
-    p_batch.add_argument(
-        "--update",
-        metavar="DELTA.json",
-        help="apply a fact-level delta (add_endogenous/add_exogenous/remove"
-        " rows) before computing; with --connect the delta travels as one"
-        " db_update against the uploaded handle",
-    )
-    p_batch.add_argument(
-        "--auth-token",
-        metavar="TOKEN",
-        default=None,
-        help="auth token for a guarded TCP daemon with --connect"
-        " (default: REPRO_AUTH_TOKEN)",
-    )
-    p_batch.add_argument(
-        "--trace",
-        action="store_true",
-        help="record a span trace of each request (engine, stores, kernels;"
-        " with --connect also the daemon's admission/coalescing) and print"
-        " the span tree",
-    )
-    p_batch.add_argument(
-        "--trace-out",
-        metavar="FILE.json",
-        help="export the first trace as Chrome trace_event JSON"
-        " (chrome://tracing / Perfetto; implies --trace)",
     )
     p_batch.set_defaults(handler=_cmd_batch)
 
@@ -1039,12 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         " default: every candidate answer",
     )
     p_answers.add_argument(
-        "--measure",
-        choices=("shapley", "banzhaf", "both"),
-        default="shapley",
-        help="attribution measure(s) to print (default: shapley)",
-    )
-    p_answers.add_argument(
         "--aggregate",
         choices=("count", "sum"),
         help="also print the aggregate attribution over all answers",
@@ -1055,74 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="head position to sum for --aggregate sum",
     )
-    p_answers.add_argument(
-        "--exogenous", nargs="*", metavar="REL", help="exogenous relations (X)"
-    )
-    _add_method_flags(p_answers)
-    p_answers.add_argument(
-        "--stats", action="store_true", help="print engine cache statistics"
-    )
-    p_answers.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="SQLite result store at DIR/results.db (warm across processes)",
-    )
-    p_answers.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard independent grounding/component tasks across N worker"
-        " processes (default: in-process serial execution)",
-    )
-    p_answers.add_argument(
-        "--connect",
-        metavar="ADDR",
-        help="route through a running attribution daemon (socket path or"
-        " HOST:PORT) instead of computing in-process; a comma-separated"
-        " list routes across a daemon fleet by consistent hashing",
-    )
-    p_answers.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request socket timeout with --connect (default: wait as"
-        " long as the computation needs, like in-process execution)",
-    )
-    p_answers.add_argument(
-        "--json",
-        action="store_true",
-        help="print one machine-readable JSON document (exact"
-        " numerator/denominator pairs plus the per-layer stats block)",
-    )
-    p_answers.add_argument(
-        "--update",
-        metavar="DELTA.json",
-        help="apply a fact-level delta (add_endogenous/add_exogenous/remove"
-        " rows) before computing; with --connect the delta travels as one"
-        " db_update against the uploaded handle",
-    )
-    p_answers.add_argument(
-        "--auth-token",
-        metavar="TOKEN",
-        default=None,
-        help="auth token for a guarded TCP daemon with --connect"
-        " (default: REPRO_AUTH_TOKEN)",
-    )
-    p_answers.add_argument(
-        "--trace",
-        action="store_true",
-        help="record a span trace of the request (engine, stores, kernels;"
-        " with --connect also the daemon's admission/coalescing) and print"
-        " the span tree",
-    )
-    p_answers.add_argument(
-        "--trace-out",
-        metavar="FILE.json",
-        help="export the trace as Chrome trace_event JSON"
-        " (chrome://tracing / Perfetto; implies --trace)",
-    )
+    _add_front_door_flags(p_answers)
     p_answers.set_defaults(handler=_cmd_answers)
 
     p_serve = commands.add_parser(
@@ -1233,44 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="datalog-style query text (Boolean queries run as a batch,"
         " queries with head variables as per-answer attribution)",
     )
-    p_trace.add_argument(
-        "--exogenous", nargs="*", metavar="REL", help="exogenous relations (X)"
-    )
-    _add_method_flags(p_trace)
-    p_trace.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard independent plan tasks across N worker processes"
-        " (worker spans land on their own lanes)",
-    )
-    p_trace.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="SQLite result store at DIR/results.db (store.get spans show"
-        " tier and hit/miss)",
-    )
-    p_trace.add_argument(
-        "--connect",
-        metavar="ADDR",
-        help="trace through a running attribution daemon (socket path or"
-        " HOST:PORT); adds the server's admission/coalescing spans",
-    )
-    p_trace.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request socket timeout with --connect",
-    )
-    p_trace.add_argument(
-        "--auth-token",
-        metavar="TOKEN",
-        default=None,
-        help="auth token for a guarded TCP daemon with --connect"
-        " (default: REPRO_AUTH_TOKEN)",
-    )
+    _add_front_door_flags(p_trace, report=False)
     p_trace.add_argument(
         "--out",
         metavar="FILE.json",

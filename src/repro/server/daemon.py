@@ -115,9 +115,6 @@ INLINE_OPS = frozenset({"ping", "stats", "metrics"})
 #: not compete with compute for queue slots.
 SIDE_OPS = frozenset({"db_load", "db_update"})
 
-#: Operations gated by admission control — the ones that cost engine time.
-COMPUTE_OPS = frozenset({"batch", "answers", "aggregate", "refine"})
-
 
 def _counters_delta(
     before: dict[str, int], after: dict[str, int]
@@ -658,7 +655,6 @@ class AttributionDaemon:
             if deadline_ms is None
             else self.admission.clock() + float(deadline_ms) / 1000.0
         )
-        key = None
         with _tracing.maybe_span(
             tracer,
             "server.request",
@@ -702,35 +698,32 @@ class AttributionDaemon:
                             pass
             finally:
                 self.admission.release()
-        return self._attach_trace(
-            result, tracer, key, payload.get("id"), started
-        )
+        if tracer is None:
+            # A traced leader embeds its trace id for its followers;
+            # an untraced copy drops it.
+            result.pop("trace_id", None)
+            return result
+        # The finished document rides the envelope; when the slowest-N
+        # buffer keeps it, one structured log line correlates request id,
+        # trace id, plan fingerprint, and the top spans.
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        document = tracer.document()
+        result["trace"] = document
+        result["trace_id"] = tracer.trace_id
+        if self.slow_traces.offer(document, elapsed_ms):
+            self._log(
+                "slow-request",
+                id=payload.get("id"),
+                trace_id=tracer.trace_id,
+                fingerprint=_tracing.label(key),
+                ms=round(elapsed_ms, 3),
+                top_spans=top_spans(document),
+            )
+        return result
 
     # ------------------------------------------------------------------
-    # Synchronous dispatch (compatibility surface; also: in-process use)
+    # Cheap and side operations (``_operations``)
     # ------------------------------------------------------------------
-    def dispatch(self, payload: dict[str, Any]) -> tuple[dict[str, Any], bool]:
-        """One request envelope in, one response envelope out, no loop.
-
-        Never raises: every failure — protocol violations included —
-        becomes a structured error frame.  The second element says
-        whether the daemon should stop after responding.  This is the
-        original synchronous entry point, kept for in-process callers
-        and tests; the serving path goes through the asyncio handlers.
-        """
-        request_id = payload.get("id")
-        self.count("requests")
-        try:
-            op = validate_request(payload)
-            if op == "shutdown":
-                return ok_response(request_id, {"stopping": True}), True
-            result = self._operations[op](self, payload)
-            return ok_response(request_id, result), False
-        except Exception as error:  # noqa: BLE001 - the frame is the boundary
-            self.count("errors")
-            return error_response(request_id, error), False
-
-    # -- cheap operations ------------------------------------------------
     def _op_ping(self, payload: dict[str, Any]) -> dict[str, Any]:
         return {"pong": True, "protocol": PROTOCOL_VERSION, "pid": os.getpid()}
 
@@ -738,11 +731,7 @@ class AttributionDaemon:
         return {
             "engine": self.engine.counters(),
             "registry": self.registry.counters(),
-            "coalescer": {
-                "leaders": self.coalescer.stats.leaders,
-                "followers": self.coalescer.stats.followers,
-                "aborted": self.coalescer.stats.aborted,
-            },
+            "coalescer": vars(self.coalescer.stats.snapshot()),
             "server": {
                 "requests": self.requests,
                 "errors": self.errors,
@@ -753,11 +742,7 @@ class AttributionDaemon:
     def _op_metrics(self, payload: dict[str, Any]) -> dict[str, Any]:
         """The live-metrics document — see :mod:`repro.server.metrics`."""
         document = self.metrics.snapshot(
-            coalescer={
-                "leaders": self.coalescer.stats.leaders,
-                "followers": self.coalescer.stats.followers,
-                "aborted": self.coalescer.stats.aborted,
-            },
+            coalescer=vars(self.coalescer.stats.snapshot()),
             draining=self._draining,
         )
         document["kernel"] = kernel_metrics_document()
@@ -823,12 +808,9 @@ class AttributionDaemon:
             **delta.accounting(base),
         }
 
-    # -- compute operations ----------------------------------------------
-    @staticmethod
-    def _exogenous(payload: dict[str, Any]) -> frozenset[str] | None:
-        relations = payload.get("exogenous")
-        return None if relations is None else frozenset(relations)
-
+    # ------------------------------------------------------------------
+    # Compute operations (``_preparers``, run by :meth:`_compute`)
+    # ------------------------------------------------------------------
     def _with_shared_claim(
         self, key: tuple, compute: Callable[[], dict[str, Any]]
     ) -> Callable[[], dict[str, Any]]:
@@ -888,78 +870,6 @@ class AttributionDaemon:
             while len(self._served_keys) > self.SERVED_KEY_CAPACITY:
                 self._served_keys.popitem(last=False)
 
-    def _coalesced(
-        self, key: tuple, compute: Callable[[], dict[str, Any]]
-    ) -> dict[str, Any]:
-        """Run ``compute`` once per concurrent identical request (sync path).
-
-        The leader's payload dict is shared with every follower, so the
-        per-request view is a copy with its own ``coalesced`` flag.
-        """
-        shared, coalesced = self.coalescer.run(key, compute)
-        result = dict(shared)
-        result["coalesced"] = coalesced
-        return result
-
-    def _attach_trace(
-        self,
-        result: dict[str, Any],
-        tracer: "_tracing.Tracer | None",
-        key: tuple | None,
-        request_id: Any,
-        started: float,
-    ) -> dict[str, Any]:
-        """Finish a traced request: response envelope, slow-trace ledger.
-
-        Untraced requests only have the leader's ``trace_id`` scrubbed
-        from their copy (a traced leader embeds it for its followers).
-        Traced ones get the finished document on the envelope, an offer
-        to the slowest-N buffer, and — when the buffer keeps it — one
-        structured ``slow-request`` log line correlating request id,
-        trace id, plan fingerprint, and the top spans.
-        """
-        if tracer is None:
-            result.pop("trace_id", None)
-            return result
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        document = tracer.document()
-        result["trace"] = document
-        result["trace_id"] = tracer.trace_id
-        if self.slow_traces.offer(document, elapsed_ms):
-            self._log(
-                "slow-request",
-                id=request_id,
-                trace_id=tracer.trace_id,
-                fingerprint=None if key is None else _tracing.label(key),
-                ms=round(elapsed_ms, 3),
-                top_spans=top_spans(document),
-            )
-        return result
-
-    def _compute_sync(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
-        """The synchronous dispatch twin of :meth:`_compute` (no admission)."""
-        tracer = _tracing.Tracer() if payload.get("trace") else None
-        if tracer is not None:
-            payload["_trace_id"] = tracer.trace_id
-        started = time.perf_counter()
-        key = None
-        with _tracing.maybe_span(
-            tracer, "server.request", op=op, id=payload.get("id"), sync=True
-        ):
-            key, compute = self._preparers[op](self, payload, tracer)
-            compute = self._with_shared_claim(key, compute)
-            with _tracing.maybe_span(tracer, "server.coalesce") as span:
-                result = self._coalesced(key, compute)
-                span.set("coalesced", result.get("coalesced", False))
-            if tracer is not None and result.get("coalesced"):
-                leader_id = result.get("trace_id")
-                if leader_id and leader_id != tracer.trace_id:
-                    with tracer.span(
-                        "server.coalesced", leader_trace_id=leader_id
-                    ):
-                        pass
-        return self._attach_trace(result, tracer, key, payload.get("id"), started)
-
     @staticmethod
     def _policy_key(policy: MethodPolicy) -> tuple:
         """The coalescing-key component of a request's method policy.
@@ -971,20 +881,61 @@ class AttributionDaemon:
         """
         return ("policy", policy.method, policy.contract())
 
+    def _request_inputs(self, payload: dict[str, Any], *, boolean: bool) -> tuple:
+        """A compute request's ``(handle, database, query, exogenous)``.
+
+        ``boolean`` is the query shape the op needs: batch and refine
+        attribute a Boolean query, answers and aggregate a query with
+        head variables.
+        """
+        op = payload.get("op")
+        handle = str(payload.get("db"))
+        database = self.registry.get(handle)
+        query = parse_query(str(payload.get("query")))
+        if boolean and not query.is_boolean:
+            raise ValueError(
+                f"{op} needs a Boolean query; use the answers operation for"
+                " queries with head variables"
+            )
+        if not boolean and query.is_boolean:
+            raise ValueError(f"{op} needs a query with head variables")
+        relations = payload.get("exogenous")
+        exogenous = None if relations is None else frozenset(relations)
+        return handle, database, query, exogenous
+
+    def _engine_compute(
+        self,
+        tracer: "_tracing.Tracer | None",
+        run: Callable[[], Any],
+        render: Callable[[Any], dict[str, Any]],
+    ) -> Callable[[], dict[str, Any]]:
+        """The compute step of a prepared op: ``run`` under the engine
+        lock, ``render`` its outcome, plus the request's counter delta.
+
+        A traced request's ``trace_id`` rides the shared result: how
+        coalesced followers learn which trace did the work.
+        """
+
+        def compute() -> dict[str, Any]:
+            with self._engine_lock:
+                before = self.engine.counters()
+                outcome = run()
+                after = self.engine.counters()
+            out = {**render(outcome), "stats": _counters_delta(before, after)}
+            if tracer is not None:
+                out["trace_id"] = tracer.trace_id
+            return out
+
+        return compute
+
     def _prepare_batch(
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
     ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
-        handle = str(payload.get("db"))
-        database = self.registry.get(handle)
-        query = parse_query(str(payload.get("query")))
-        if not query.is_boolean:
-            raise ValueError(
-                "batch needs a Boolean query; use the answers operation for"
-                " queries with head variables"
-            )
-        exogenous = self._exogenous(payload)
+        handle, database, query, exogenous = self._request_inputs(
+            payload, boolean=True
+        )
         policy = MethodPolicy.from_params(payload)
         # The policy is part of the key (see _policy_key).  The handle
         # pins the database *version*: the engine's store may share
@@ -996,29 +947,17 @@ class AttributionDaemon:
             self.engine.fingerprint(database, query, exogenous),
             self._policy_key(policy),
         )
-
-        def compute() -> dict[str, Any]:
-            with self._engine_lock:
-                before = self.engine.counters()
-                result = self.engine.batch(
-                    database,
-                    query,
-                    exogenous_relations=exogenous,
-                    policy=policy,
-                    trace=tracer,
-                )
-                after = self.engine.counters()
-            out = {
-                "result": batch_result_to_dict(result),
-                "stats": _counters_delta(before, after),
-            }
-            if tracer is not None:
-                # Visible to coalesced followers through the shared
-                # result: how they learn which trace did the work.
-                out["trace_id"] = tracer.trace_id
-            return out
-
-        return key, compute
+        return key, self._engine_compute(
+            tracer,
+            lambda: self.engine.batch(
+                database,
+                query,
+                exogenous_relations=exogenous,
+                policy=policy,
+                trace=tracer,
+            ),
+            lambda result: {"result": batch_result_to_dict(result)},
+        )
 
     def _prepare_refine(
         self,
@@ -1034,12 +973,9 @@ class AttributionDaemon:
         explicit ``epsilon``, each call roughly halves the achieved
         bound (4x the stored rounds).
         """
-        handle = str(payload.get("db"))
-        database = self.registry.get(handle)
-        query = parse_query(str(payload.get("query")))
-        if not query.is_boolean:
-            raise ValueError("refine needs a Boolean query")
-        exogenous = self._exogenous(payload)
+        handle, database, query, exogenous = self._request_inputs(
+            payload, boolean=True
+        )
         epsilon = payload.get("epsilon")
         delta = payload.get("delta")
         key = (
@@ -1049,40 +985,27 @@ class AttributionDaemon:
             None if epsilon is None else repr(float(epsilon)),
             None if delta is None else repr(float(delta)),
         )
-
-        def compute() -> dict[str, Any]:
-            with self._engine_lock:
-                before = self.engine.counters()
-                result = self.engine.refine(
-                    database,
-                    query,
-                    exogenous_relations=exogenous,
-                    epsilon=None if epsilon is None else float(epsilon),
-                    delta=None if delta is None else float(delta),
-                    trace=tracer,
-                )
-                after = self.engine.counters()
-            out = {
-                "result": batch_result_to_dict(result),
-                "stats": _counters_delta(before, after),
-            }
-            if tracer is not None:
-                out["trace_id"] = tracer.trace_id
-            return out
-
-        return key, compute
+        return key, self._engine_compute(
+            tracer,
+            lambda: self.engine.refine(
+                database,
+                query,
+                exogenous_relations=exogenous,
+                epsilon=None if epsilon is None else float(epsilon),
+                delta=None if delta is None else float(delta),
+                trace=tracer,
+            ),
+            lambda result: {"result": batch_result_to_dict(result)},
+        )
 
     def _prepare_answers(
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
     ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
-        handle = str(payload.get("db"))
-        database = self.registry.get(handle)
-        query = parse_query(str(payload.get("query")))
-        if query.is_boolean:
-            raise ValueError("answers needs a query with head variables")
-        exogenous = self._exogenous(payload)
+        handle, database, query, exogenous = self._request_inputs(
+            payload, boolean=False
+        )
         policy = MethodPolicy.from_params(payload)
         requested = payload.get("answers")
         answers = (
@@ -1097,19 +1020,8 @@ class AttributionDaemon:
             self._policy_key(policy),
         )
 
-        def compute() -> dict[str, Any]:
-            with self._engine_lock:
-                before = self.engine.counters()
-                batch = self.engine.batch_answers(
-                    database,
-                    query,
-                    answers,
-                    exogenous_relations=exogenous,
-                    policy=policy,
-                    trace=tracer,
-                )
-                after = self.engine.counters()
-            out = {
+        def render(batch) -> dict[str, Any]:
+            return {
                 "answers": [
                     {"answer": list(answer), "result": batch_result_to_dict(result)}
                     for answer, result in batch.per_answer.items()
@@ -1118,13 +1030,20 @@ class AttributionDaemon:
                     "hits": batch.pool_stats.hits,
                     "misses": batch.pool_stats.misses,
                 },
-                "stats": _counters_delta(before, after),
             }
-            if tracer is not None:
-                out["trace_id"] = tracer.trace_id
-            return out
 
-        return key, compute
+        return key, self._engine_compute(
+            tracer,
+            lambda: self.engine.batch_answers(
+                database,
+                query,
+                answers,
+                exogenous_relations=exogenous,
+                policy=policy,
+                trace=tracer,
+            ),
+            render,
+        )
 
     def _prepare_aggregate(
         self,
@@ -1134,12 +1053,9 @@ class AttributionDaemon:
         from repro.engine.results import aggregate_spec
         from repro.io import attribution_to_rows
 
-        handle = str(payload.get("db"))
-        database = self.registry.get(handle)
-        query = parse_query(str(payload.get("query")))
-        if query.is_boolean:
-            raise ValueError("aggregate needs a query with head variables")
-        exogenous = self._exogenous(payload)
+        handle, database, query, exogenous = self._request_inputs(
+            payload, boolean=False
+        )
         kind = str(payload.get("aggregate"))
         index = payload.get("value_index")
         weight, label = aggregate_spec(kind, index, len(query.head))
@@ -1150,17 +1066,7 @@ class AttributionDaemon:
             label,
         )
 
-        def compute() -> dict[str, Any]:
-            with self._engine_lock:
-                before = self.engine.counters()
-                batch = self.engine.batch_answers(
-                    database,
-                    query,
-                    None,
-                    exogenous_relations=exogenous,
-                    trace=tracer,
-                )
-                after = self.engine.counters()
+        def render(batch) -> dict[str, Any]:
             try:
                 totals = batch.aggregate(weight)
             except TypeError as error:
@@ -1173,29 +1079,15 @@ class AttributionDaemon:
                     "aggregate values contain constants that do not"
                     " round-trip through JSON scalars"
                 )
-            out = {
-                "label": label,
-                "values": rows,
-                "stats": _counters_delta(before, after),
-            }
-            if tracer is not None:
-                out["trace_id"] = tracer.trace_id
-            return out
+            return {"label": label, "values": rows}
 
-        return key, compute
-
-    # -- synchronous op table (dispatch + the async cheap/side paths) ----
-    def _op_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return self._compute_sync("batch", payload)
-
-    def _op_refine(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return self._compute_sync("refine", payload)
-
-    def _op_answers(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return self._compute_sync("answers", payload)
-
-    def _op_aggregate(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return self._compute_sync("aggregate", payload)
+        return key, self._engine_compute(
+            tracer,
+            lambda: self.engine.batch_answers(
+                database, query, None, exogenous_relations=exogenous, trace=tracer
+            ),
+            render,
+        )
 
     _operations: dict[str, Callable[["AttributionDaemon", dict[str, Any]], dict]] = {
         "ping": _op_ping,
@@ -1203,10 +1095,6 @@ class AttributionDaemon:
         "metrics": _op_metrics,
         "db_load": _op_db_load,
         "db_update": _op_db_update,
-        "batch": _op_batch,
-        "answers": _op_answers,
-        "aggregate": _op_aggregate,
-        "refine": _op_refine,
     }
 
     _preparers: dict[

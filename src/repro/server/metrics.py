@@ -78,9 +78,9 @@ class OpMetrics:
 class DaemonMetrics:
     """The daemon-wide metrics ledger behind the ``metrics`` operation.
 
-    One lock guards every mutation: observations come from the event
-    loop *and* (for the synchronous compatibility dispatch path) from
-    arbitrary threads, and a snapshot must never tear — the acceptance
+    One lock guards every mutation: the event loop records while other
+    threads may take a snapshot at any time, and a snapshot must never
+    tear — the acceptance
     bar is that these counters reconcile exactly with a client-side
     request log.
     """

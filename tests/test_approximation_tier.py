@@ -19,14 +19,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
-import threading
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from harness import running_daemon
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import fact
@@ -39,7 +37,7 @@ from repro.engine import (
     resolve_policy,
 )
 from repro.io import batch_result_from_dict, batch_result_to_dict, save_database
-from repro.server import AttributionClient, AttributionDaemon
+from repro.server import AttributionClient
 from repro.shapley.sampling import (
     SampleState,
     achieved_epsilon,
@@ -62,20 +60,6 @@ def intractable_db(players: int = 30) -> Database:
         + [fact("T", i) for i in range(half)],
         exogenous=[fact("S", i, i) for i in range(half)],
     )
-
-
-@contextlib.contextmanager
-def running_daemon(directory, engine=None):
-    daemon = AttributionDaemon(str(Path(directory) / "daemon.sock"), engine=engine)
-    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield daemon
-    finally:
-        daemon.shutdown()
-        thread.join(timeout=10)
-        daemon.close()
-        assert not thread.is_alive()
 
 
 class TestPolicyValidation:

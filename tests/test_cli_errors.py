@@ -24,18 +24,6 @@ Q1 = "q1() :- Stud(x), not TA(x), Reg(x, y)"
 ANS = "ans(x) :- Stud(x), not TA(x), Reg(x, y)"
 
 
-@pytest.fixture(autouse=True)
-def fresh_default_engine():
-    """CLI runs without --jobs/--cache-dir share the process-wide engine;
-    start each test cold so provenance and stats assertions are
-    deterministic regardless of suite order."""
-    from repro.engine import reset_default_engine
-
-    reset_default_engine()
-    yield
-    reset_default_engine()
-
-
 @pytest.fixture
 def db_path(tmp_path):
     path = tmp_path / "db.json"

@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from harness import running_daemon
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError, QuerySyntaxError
 from repro.core.facts import fact
@@ -56,21 +57,6 @@ Q1 = "q1() :- Stud(x), not TA(x), Reg(x, y)"
 ANS = "ans(x) :- Stud(x), not TA(x), Reg(x, y)"
 
 seeds = st.integers(min_value=0, max_value=10_000)
-
-
-@contextlib.contextmanager
-def running_daemon(directory, engine=None, name="daemon.sock"):
-    """An in-process daemon on a Unix socket, cleaned up afterwards."""
-    daemon = AttributionDaemon(str(Path(directory) / name), engine=engine)
-    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield daemon
-    finally:
-        daemon.shutdown()
-        thread.join(timeout=10)
-        daemon.close()
-        assert not thread.is_alive()
 
 
 def _assert_identical(left, right):
@@ -558,34 +544,45 @@ class TestLifecycle:
 
 
 class TestCliIntegration:
-    @pytest.fixture(autouse=True)
-    def fresh_default_engine(self):
-        """The local CLI path shares the process-wide engine; start cold
-        so provenance lines match a fresh daemon's regardless of order."""
-        from repro.engine import reset_default_engine
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["batch", Q1, "--measure", "both"],
+            ["answers", ANS, "--aggregate", "count", "--measure", "both"],
+            ["batch", Q1, "--update", "delta.json"],
+        ],
+        ids=["batch", "answers-aggregate", "batch-update"],
+    )
+    @pytest.mark.parametrize("nodes", [1, 2], ids=["daemon", "fleet"])
+    def test_connect_output_matches_local_output(
+        self, tmp_path, capsys, monkeypatch, command, nodes
+    ):
+        """Every front door prints the same bytes as the in-process run.
 
-        reset_default_engine()
-        yield
-        reset_default_engine()
-
-    def test_connect_output_matches_local_output(self, tmp_path, capsys):
+        Each door gets fresh daemons: a warm node would add ``, cached``
+        to the provenance lines.
+        """
         from repro.cli import main
 
-        db_path = tmp_path / "db.json"
-        save_database(figure_1_database(), db_path)
-        local = main(["batch", str(db_path), Q1, "--measure", "both"])
-        assert local == 0
-        local_out = capsys.readouterr().out
-        with running_daemon(tmp_path) as daemon:
-            code = main(
-                [
-                    "batch", str(db_path), Q1,
-                    "--measure", "both",
-                    "--connect", daemon.address,
-                ]
+        monkeypatch.chdir(tmp_path)
+        save_database(figure_1_database(), "db.json")
+        Path("delta.json").write_text(
+            json.dumps(
+                {"add_endogenous": [["Reg", ["Adam", "DB"]]], "remove": [["TA", ["Ben"]]]}
             )
-            assert code == 0
-            assert capsys.readouterr().out == local_out
+        )
+        verb, query, *flags = command
+        args = [verb, "db.json", query, *flags]
+        assert main(args) == 0
+        local_out = capsys.readouterr().out
+        with contextlib.ExitStack() as stack:
+            daemons = [
+                stack.enter_context(running_daemon(tmp_path, name=f"node{i}.sock"))
+                for i in range(nodes)
+            ]
+            connect = ",".join(daemon.address for daemon in daemons)
+            assert main([*args, "--connect", connect]) == 0
+        assert capsys.readouterr().out == local_out
 
     def test_connect_answers_json_round_trips_fractions(self, tmp_path, capsys):
         from repro.cli import main

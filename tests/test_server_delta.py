@@ -22,10 +22,10 @@ import contextlib
 import random
 import sqlite3
 import threading
-from pathlib import Path
 
 import pytest
 
+from harness import running_daemon
 from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_query
@@ -57,20 +57,6 @@ def _stamps(store: SQLiteResultStore) -> list[float]:
     """The access stamp of every row in ``store``."""
     with sqlite3.connect(str(store.path)) as conn:
         return [row[0] for row in conn.execute("SELECT accessed FROM results")]
-
-
-@contextlib.contextmanager
-def running_daemon(directory, name="daemon.sock", **kwargs):
-    daemon = AttributionDaemon(str(Path(directory) / name), **kwargs)
-    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield daemon
-    finally:
-        daemon.shutdown()
-        thread.join(timeout=10)
-        daemon.close()
-        assert not thread.is_alive()
 
 
 @contextlib.contextmanager

@@ -26,7 +26,6 @@ import random
 
 import pytest
 
-from repro.core.parser import parse_query
 from repro.engine import BatchAttributionEngine, ShardedExecutor
 from repro.obs import (
     NullTracer,
@@ -304,44 +303,26 @@ class TestSlowTraceBuffer:
 
 
 class TestDaemonTraces:
+    """Traced requests through a running daemon and a real client."""
+
+    QUERY = "q1() :- Stud(x), not TA(x), Reg(x, y)"
+
     @pytest.fixture()
-    def daemon(self, tmp_path):
-        from repro.server.daemon import AttributionDaemon
+    def served(self, tmp_path):
+        """A running daemon, a connected client, and a loaded handle."""
+        from harness import running_daemon
+        from repro.server import AttributionClient
 
-        daemon = AttributionDaemon(str(tmp_path / "trace-test.sock"))
-        try:
-            yield daemon
-        finally:
-            daemon.close()
+        with running_daemon(tmp_path, name="trace-test.sock") as daemon:
+            with AttributionClient(daemon.address) as client:
+                yield daemon, client, client.load_database(figure_1_database())
 
-    def _loaded(self, daemon) -> str:
-        from repro.io import database_to_dict
-
-        response, _ = daemon.dispatch(
-            {
-                "v": 3,
-                "op": "db_load",
-                "id": 1,
-                "database": database_to_dict(figure_1_database()),
-            }
-        )
-        assert response["ok"], response
-        return response["result"]["handle"]
-
-    def test_trace_rides_the_response_envelope(self, daemon, caplog):
-        handle = self._loaded(daemon)
-        request = {
-            "v": 3,
-            "op": "batch",
-            "id": 2,
-            "db": handle,
-            "query": "q1() :- Stud(x), not TA(x), Reg(x, y)",
-            "trace": True,
-        }
+    def test_trace_rides_the_response_envelope(self, served, caplog):
+        _, client, handle = served
         with caplog.at_level(logging.INFO, logger="repro.server"):
-            response, _ = daemon.dispatch(request)
-        assert response["ok"], response
-        result = response["result"]
+            pending = client.submit("batch", db=handle, query=self.QUERY, trace=True)
+            pending.result()
+        result = client.last_response
         document = result["trace"]
         assert result["trace_id"] == document["trace_id"]
         _assert_well_formed(trace_from_dict(document))
@@ -357,47 +338,25 @@ class TestDaemonTraces:
             if record.message.startswith('{"event":"slow-request"')
         ]
         assert len(slow_lines) == 1
-        assert slow_lines[0]["id"] == 2
+        assert slow_lines[0]["id"] == pending.request_id
         assert slow_lines[0]["trace_id"] == result["trace_id"]
         assert slow_lines[0]["top_spans"]
 
-    def test_untraced_requests_stay_clean(self, daemon):
-        handle = self._loaded(daemon)
-        request = {
-            "v": 3,
-            "op": "batch",
-            "id": 3,
-            "db": handle,
-            "query": "q1() :- Stud(x), not TA(x), Reg(x, y)",
-        }
-        response, _ = daemon.dispatch(request)
-        result = response["result"]
+    def test_untraced_requests_stay_clean(self, served):
+        daemon, client, handle = served
+        client.batch(handle, self.QUERY)
+        result = client.last_response
         assert "trace" not in result
         assert "trace_id" not in result
         # Nothing was offered to the slow-trace buffer either.
         assert len(daemon.slow_traces) == 0
 
-    def test_metrics_expose_the_slow_traces(self, daemon):
-        handle = self._loaded(daemon)
-        for index, query in enumerate(
-            (
-                "q1() :- Stud(x), not TA(x), Reg(x, y)",
-                "q2() :- Stud(x), TA(x), Reg(x, y)",
-            )
-        ):
-            response, _ = daemon.dispatch(
-                {
-                    "v": 3,
-                    "op": "batch",
-                    "id": 10 + index,
-                    "db": handle,
-                    "query": query,
-                    "trace": True,
-                }
-            )
-            assert response["ok"], response
-        response, _ = daemon.dispatch({"v": 3, "op": "metrics", "id": 20})
-        slow = response["result"]["slow_traces"]
+    def test_metrics_expose_the_slow_traces(self, served):
+        _, client, handle = served
+        for query in (self.QUERY, "q2() :- Stud(x), TA(x), Reg(x, y)"):
+            client.batch(handle, query, trace=True)
+            assert client.last_trace is not None
+        slow = client.metrics()["slow_traces"]
         assert len(slow) == 2
         assert all("duration_ms" in entry for entry in slow)
         durations = [entry["duration_ms"] for entry in slow]
