@@ -14,7 +14,10 @@ processed.
 All entry points accept either a :class:`~repro.core.database.Database`
 (evaluated over *all* its facts) or a plain iterable of facts, because the
 Shapley game repeatedly evaluates ``q`` on hypothetical fact sets
-``Dx ∪ E``.
+``Dx ∪ E``.  When those sets grow one fact at a time, as along the
+permutation prefixes of the Section 5 samplers,
+:class:`PrefixEvaluator` answers each step from a witness table built
+once instead of re-running the join.
 """
 
 from __future__ import annotations
@@ -158,6 +161,90 @@ def holds(query: BooleanQuery, facts: FactSource) -> bool:
     if isinstance(query, UnionQuery):
         return any(holds(disjunct, index) for disjunct in query.disjuncts)
     return next(find_homomorphisms(query, index), None) is not None
+
+
+class PrefixEvaluator:
+    """``q(Dx ∪ S)`` along growing coalitions ``S ⊆ Dn``, one fact at a time.
+
+    The permutation samplers of Section 5 evaluate the query on every
+    prefix of a random order of ``Dn``; consecutive prefixes differ by
+    one fact.  Instead of re-running the join per prefix, the evaluator
+    builds the query's *witness table* once: every homomorphism of the
+    positive atoms into ``D`` (the union over disjuncts for a UCQ¬),
+    kept as its endogenous positive image and its negative image.  Any
+    coalition ``S ⊆ Dn`` makes ``Dx ∪ S ⊆ D``, so every homomorphism
+    into ``Dx ∪ S`` is in the table, and it witnesses ``q`` exactly when
+    its positive image lies in ``S`` and its negative image misses it.
+
+    Witnesses that can never hold — a negative image with an exogenous
+    fact, or one meeting its own positive image — are dropped at build
+    time.  A sweep keeps, per witness, the number of positive facts
+    still missing plus negative facts already present, and a count of
+    witnesses at zero: adding a player touches only the witnesses that
+    mention it.
+    """
+
+    def __init__(self, query: BooleanQuery, database: Database) -> None:
+        endogenous = database.endogenous
+        exogenous = database.exogenous
+        index = FactIndex(database)
+        witnesses: set[tuple[frozenset[Fact], frozenset[Fact]]] = set()
+        disjuncts = query.disjuncts if isinstance(query, UnionQuery) else (query,)
+        for disjunct in disjuncts:
+            positives = disjunct.positive_atoms
+            assignments: Iterable[Assignment] = (
+                find_homomorphisms(disjunct.with_atoms(positives), index)
+                if positives
+                else ({},)
+            )
+            for assignment in assignments:
+                negative = {
+                    _ground_terms(atom, assignment) for atom in disjunct.negative_atoms
+                }
+                if not negative.isdisjoint(exogenous):
+                    continue
+                positive = frozenset(
+                    image
+                    for image in (_ground_terms(atom, assignment) for atom in positives)
+                    if image in endogenous
+                )
+                if negative.isdisjoint(positive):
+                    witnesses.add((positive, frozenset(negative & endogenous)))
+        self._initial: list[int] = []
+        self._positive: dict[Fact, list[int]] = {}
+        self._negative: dict[Fact, list[int]] = {}
+        for slot, (positive, negative) in enumerate(witnesses):
+            self._initial.append(len(positive))
+            for player in positive:
+                self._positive.setdefault(player, []).append(slot)
+            for player in negative:
+                self._negative.setdefault(player, []).append(slot)
+        self._initial_live = self._initial.count(0)
+        #: ``q(Dx)``, the outcome of the empty coalition, as 0 or 1.
+        self.empty = 1 if self._initial_live else 0
+
+    def sweep(self, order: Iterable[Fact]) -> list[int]:
+        """``q(Dx ∪ order[:i + 1])`` as 0 or 1, for each position ``i``.
+
+        ``order`` lists distinct endogenous facts; each call starts over
+        from the empty coalition.
+        """
+        pending = self._initial[:]
+        live = self._initial_live
+        positive = self._positive
+        negative = self._negative
+        outcomes = []
+        for player in order:
+            for slot in positive.get(player, ()):
+                pending[slot] -= 1
+                if not pending[slot]:
+                    live += 1
+            for slot in negative.get(player, ()):
+                if not pending[slot]:
+                    live -= 1
+                pending[slot] += 1
+            outcomes.append(1 if live else 0)
+        return outcomes
 
 
 def evaluate_boolean(query: BooleanQuery, facts: FactSource) -> int:

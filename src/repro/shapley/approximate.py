@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from repro.core.database import Database
-from repro.core.evaluation import holds
+from repro.core.evaluation import PrefixEvaluator, holds
 from repro.core.facts import Fact
 from repro.core.query import BooleanQuery
 
@@ -116,11 +116,13 @@ def approximate_shapley_all(
 
     The fact-at-a-time estimator costs two query evaluations per sample
     per fact.  Here each sampled permutation of ``Dn`` is swept once,
-    evaluating the query on its ``m + 1`` prefixes; the difference at
-    position ``i`` is a valid marginal-contribution sample for the fact
-    at that position — one permutation yields one sample for *every*
-    fact.  Total cost per round drops from ``2m`` evaluations per fact to
-    ``m + 1`` evaluations shared by all facts.
+    through the query's ``m + 1`` prefixes; the difference at position
+    ``i`` is a valid marginal-contribution sample for the fact at that
+    position — one permutation yields one sample for *every* fact.  A
+    :class:`~repro.core.evaluation.PrefixEvaluator`, built once per
+    call, evaluates the prefixes incrementally: a round costs the
+    witness-table updates of its ``m`` added facts, shared by all facts,
+    instead of ``2m`` query evaluations per fact.
 
     Each fact's estimate carries the usual per-fact additive
     ``(epsilon, delta)`` guarantee; the samples of different facts are
@@ -130,16 +132,13 @@ def approximate_shapley_all(
     count = samples if samples is not None else hoeffding_sample_count(epsilon, delta)
     rng = rng or random.Random()
     players = sorted(database.endogenous, key=repr)
-    exogenous = list(database.exogenous)
+    evaluator = PrefixEvaluator(query, database)
     totals: dict[Fact, int] = {player: 0 for player in players}
     for _ in range(count):
         permutation = players[:]
         rng.shuffle(permutation)
-        previous = 1 if holds(query, exogenous) else 0
-        prefix: list[Fact] = []
-        for player in permutation:
-            prefix.append(player)
-            current = 1 if holds(query, exogenous + prefix) else 0
+        previous = evaluator.empty
+        for player, current in zip(permutation, evaluator.sweep(permutation)):
             totals[player] += current - previous
             previous = current
     return {

@@ -10,6 +10,16 @@ can schedule, shard, and *resume*:
   position ``i`` is a marginal-contribution sample for the fact at that
   position: one permutation buys one sample for *every* fact.
 
+* **Incremental sweeps** — a sweep does not run the query on its ``m``
+  prefixes.  :func:`run_rounds` builds the query's witness table
+  (:class:`repro.core.evaluation.PrefixEvaluator`) once per round
+  range, and each added player updates only the witnesses that mention
+  it, so a sweep costs its witness updates — at most the table's total
+  size — rather than ``m`` joins.  The reported ``evaluations`` still
+  count one per prefix coalition (two per round range, plus ``m - 1``
+  per sweep), which keeps persisted states and the
+  ``sampler.evaluations`` counter comparable across versions.
+
 * **Antithetic rounds** — each round pairs a forward sweep with the
   sweep of the *reversed* permutation.  Reversal mirrors the coalition
   sizes (position ``k`` becomes ``m - 1 - k``), so the pair covers the
@@ -62,7 +72,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.core.database import Database
-from repro.core.evaluation import holds
+from repro.core.evaluation import PrefixEvaluator
 from repro.core.facts import Fact
 from repro.core.query import BooleanQuery
 from repro.obs import tracing as _tracing
@@ -76,9 +86,9 @@ class SampleState:
     ``totals`` maps each player to the integer sum of its marginal
     contributions over all ``2 * strata * rounds`` sweeps of rounds
     ``0 .. rounds - 1`` of the stream named by ``seed``; ``evaluations``
-    counts the query evaluations spent producing them (cumulative across
-    resumptions).  States are value objects: executors return fresh
-    ones, they are never mutated in place.
+    counts the prefix coalitions evaluated producing them (cumulative
+    across resumptions).  States are value objects: executors return
+    fresh ones, they are never mutated in place.
     """
 
     seed: int
@@ -195,7 +205,7 @@ def run_rounds(
 
     Returns the integer marginal totals contributed by exactly these
     rounds (``2 * strata`` sweeps each — see :func:`round_sweeps`) and
-    the number of query evaluations spent.  Totals are
+    the number of prefix coalitions evaluated.  Totals are
     order-independent integer sums, so disjoint round ranges — run
     serially, in worker processes, or in a later session — merge by
     plain addition.
@@ -226,26 +236,17 @@ def _run_rounds(
     totals: dict[Fact, int] = {player: 0 for player in players}
     if count <= 0 or not players:
         return totals, 0
-    exogenous = list(database.exogenous)
-    base = 1 if holds(query, exogenous) else 0
-    full = 1 if holds(query, exogenous + players) else 0
-    evaluations = 2
+    evaluator = PrefixEvaluator(query, database)
     for index in range(start, start + count):
         rng = round_rng(seed, index)
         for sweep in round_sweeps(players, rng, strata):
-            previous = base
-            prefix = list(exogenous)
-            last = len(sweep) - 1
-            for position, player in enumerate(sweep):
-                prefix.append(player)
-                if position == last:
-                    current = full
-                else:
-                    current = 1 if holds(query, prefix) else 0
-                    evaluations += 1
+            previous = evaluator.empty
+            for player, current in zip(sweep, evaluator.sweep(sweep)):
                 totals[player] += current - previous
                 previous = current
-    return totals, evaluations
+    # One evaluation per prefix coalition: the empty and the full one
+    # once per range, the m - 1 others once per sweep.
+    return totals, 2 + count * 2 * strata * (len(players) - 1)
 
 
 def merge_totals(

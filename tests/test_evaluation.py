@@ -1,10 +1,12 @@
 """Unit tests for homomorphism search and query evaluation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.database import Database
 from repro.core.evaluation import (
     FactIndex,
+    PrefixEvaluator,
     answer_facts,
     answers,
     evaluate_boolean,
@@ -13,7 +15,7 @@ from repro.core.evaluation import (
 )
 from repro.core.facts import fact
 from repro.core.parser import parse_query, parse_ucq
-from repro.core.query import Variable
+from repro.core.query import Atom, ConjunctiveQuery, UnionQuery, Variable
 
 
 class TestHolds:
@@ -116,3 +118,124 @@ class TestFactIndex:
         index = FactIndex([fact("R", 1)])
         assert holds(q, index)
         assert holds(q, index)
+
+
+RELATIONS = {"R": 1, "S": 2, "T": 2}
+DOMAIN = (0, 1, 2)
+VARIABLES = tuple(Variable(name) for name in "xyz")
+# ``U`` occurs in no query, so its facts are players in no witness.
+UNIVERSE = [
+    fact(relation, *args)
+    for relation, args in [("R", (a,)) for a in DOMAIN]
+    + [(name, (a, b)) for name in ("S", "T") for a in DOMAIN for b in DOMAIN]
+    + [("U", (a,)) for a in DOMAIN]
+]
+
+
+@st.composite
+def cq_negs(draw):
+    """A Boolean CQ¬ over R/1, S/2, T/2 with constants, repeated variables,
+    self-joins and ground negated atoms; sometimes only ground negations."""
+    variable_term = st.sampled_from(VARIABLES)
+    constant_term = st.sampled_from(DOMAIN)
+    positives = []
+    if draw(st.integers(0, 5)):
+        for _ in range(draw(st.integers(1, 3))):
+            relation = draw(st.sampled_from(sorted(RELATIONS)))
+            terms = draw(
+                st.lists(
+                    st.one_of(variable_term, variable_term, constant_term),
+                    min_size=RELATIONS[relation],
+                    max_size=RELATIONS[relation],
+                )
+            )
+            positives.append(Atom(relation, tuple(terms)))
+    bound = sorted(
+        {var for atom in positives for var in atom.variables}, key=repr
+    )
+    safe_term = (
+        st.one_of(st.sampled_from(bound), constant_term) if bound else constant_term
+    )
+    negatives = []
+    for _ in range(draw(st.integers(0 if positives else 1, 2))):
+        relation = draw(st.sampled_from(sorted(RELATIONS)))
+        terms = draw(
+            st.lists(
+                safe_term, min_size=RELATIONS[relation], max_size=RELATIONS[relation]
+            )
+        )
+        negatives.append(Atom(relation, tuple(terms), negated=True))
+    return ConjunctiveQuery(tuple(positives + negatives))
+
+
+boolean_queries = st.one_of(
+    cq_negs(),
+    st.lists(cq_negs(), min_size=1, max_size=3).map(
+        lambda disjuncts: UnionQuery(tuple(disjuncts))
+    ),
+)
+
+
+@st.composite
+def databases_with_orders(draw):
+    """A database over UNIVERSE and a random order of its endogenous facts."""
+    flags = draw(
+        st.dictionaries(st.sampled_from(UNIVERSE), st.booleans(), max_size=14)
+    )
+    database = Database(
+        endogenous=[item for item, endogenous in flags.items() if endogenous],
+        exogenous=[item for item, endogenous in flags.items() if not endogenous],
+    )
+    order = draw(st.permutations(sorted(database.endogenous, key=repr)))
+    return database, order
+
+
+def assert_matches_holds(query, database, order):
+    evaluator = PrefixEvaluator(query, database)
+    exogenous = list(database.exogenous)
+    outcomes = [evaluator.empty] + evaluator.sweep(order)
+    expected = [
+        int(holds(query, exogenous + order[:size])) for size in range(len(order) + 1)
+    ]
+    assert outcomes == expected
+
+
+class TestPrefixEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(boolean_queries, databases_with_orders())
+    def test_every_prefix_matches_holds(self, query, database_and_order):
+        database, order = database_and_order
+        assert_matches_holds(query, database, order)
+        # Sweeps are independent: a second one starts from the empty
+        # coalition again, here along the reversed order.
+        assert_matches_holds(query, database, order[::-1])
+
+    def test_overlapping_images_never_witness(self):
+        # h(x) = h(y) = 1 maps S(x, y) and ¬S(y, x) onto the same fact.
+        q = parse_query("q() :- S(x, y), not S(y, x)")
+        db = Database(endogenous=[fact("S", 1, 1), fact("S", 1, 2), fact("S", 2, 1)])
+        order = [fact("S", 1, 1), fact("S", 1, 2), fact("S", 2, 1)]
+        assert PrefixEvaluator(q, db).sweep(order) == [0, 1, 0]
+        assert_matches_holds(q, db, order)
+
+    def test_exogenous_fact_blocks_negated_atom(self):
+        q = parse_query("q() :- R(x), not T(x, x)")
+        db = Database(
+            endogenous=[fact("R", 1), fact("R", 2)], exogenous=[fact("T", 1, 1)]
+        )
+        assert PrefixEvaluator(q, db).sweep([fact("R", 1), fact("R", 2)]) == [0, 1]
+
+    def test_ground_negations_only(self):
+        q = ConjunctiveQuery((Atom("R", (0,), negated=True),))
+        db = Database(endogenous=[fact("U", 0), fact("R", 0)])
+        evaluator = PrefixEvaluator(q, db)
+        assert evaluator.empty == 1
+        assert evaluator.sweep([fact("U", 0), fact("R", 0)]) == [1, 0]
+
+    def test_union_of_disjuncts(self):
+        u = parse_ucq("R(x), not T(x, x) | S(x, y)")
+        db = Database(
+            endogenous=[fact("R", 1), fact("T", 1, 1), fact("S", 1, 2)]
+        )
+        order = [fact("R", 1), fact("T", 1, 1), fact("S", 1, 2)]
+        assert PrefixEvaluator(u, db).sweep(order) == [1, 0, 1]
