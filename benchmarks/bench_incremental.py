@@ -155,7 +155,8 @@ def test_warm_delta_beats_cold_recompute_by_5x(report):
     """The acceptance floor: warm-delta latency ≥ 5x better than cold.
 
     The groundings of ``audit_query`` over ``hard_answers_database`` are
-    independent 2^|Dn| coalition enumerations; a 1-fact delta dirties
+    independent coalition enumerations over their relevance slices
+    (2^(1 + 2 * core) coalitions each); a 1-fact delta dirties
     exactly one of them, so a warm engine pays ~1/answers of the cold
     cost — far above the 5x floor on these sizes.
     """

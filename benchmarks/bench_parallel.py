@@ -128,10 +128,12 @@ def test_bundle_merge_serves_convolutions(benchmark, report, quick):
 def test_sharded_speedup_on_large_hard_instances(report):
     """The acceptance claim: > 1.3x over serial on large multi-answer runs.
 
-    The groundings of ``audit_query`` are independent 2^|Dn| coalition
-    enumerations — no shared work for the pool to collapse — so two
-    workers should approach 2x; 1.3x is the asserted floor that absorbs
-    pickling and pool overhead.
+    The groundings of ``audit_query`` are independent coalition
+    enumerations over each grounding's relevance slice (its own ``W``
+    fact plus the ``2 * core`` core facts, 2^9 coalitions here) — no
+    shared work for the pool to collapse — so two workers should
+    approach 2x; 1.3x is the asserted floor that absorbs pickling and
+    pool overhead.
     """
     q = audit_query()
     rows = []

@@ -151,6 +151,7 @@ from repro.engine.executors import (
     execute_grounding_task,
 )
 from repro.engine.fingerprint import (
+    FactIndex,
     digest_key,
     fingerprint_component,
     fingerprint_database,
@@ -212,6 +213,7 @@ __all__ = [
     "DeltaStats",
     "Executor",
     "ExecutorStats",
+    "FactIndex",
     "GroundingTask",
     "LRUCache",
     "METHODS",

@@ -38,7 +38,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import TYPE_CHECKING, AbstractSet, Iterable
+from fractions import Fraction
+from typing import AbstractSet, Iterable
 
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
@@ -63,9 +64,6 @@ from repro.engine.results import (
 from repro.engine.stores import MemoryResultStore, ResultStore, TieredResultStore
 from repro.obs import tracing as _tracing
 from repro.util import kernels
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from fractions import Fraction
 
 
 def environment_problems() -> list[str]:
@@ -128,6 +126,16 @@ def _executor_from_environment() -> Executor:
             # construction — it just loses the parallelism it asked for.
             return SerialExecutor()
     return SerialExecutor()
+
+
+def _zero_template(database: Database) -> dict[Fact, Fraction]:
+    """Every endogenous fact of ``D`` mapped to zero, sorted by ``repr``.
+
+    Built once per request; each answer's result is widened from it
+    (:func:`repro.engine.results.inflate_result`), which is how every
+    public mapping covers all of ``D.endogenous`` in the canonical order.
+    """
+    return dict.fromkeys(sorted(database.endogenous, key=repr), Fraction(0))
 
 
 class _RequestScope:
@@ -341,15 +349,14 @@ class BatchAttributionEngine:
             planned = plan.requests[0]
             if scope.tracer is not None:
                 scope.span.set("fingerprint", _tracing.label(planned.key))
+            zeros = _zero_template(database)
             if planned.node_id is None:
                 scope.span.set("pruned", True)
                 return self._finish(
-                    plan.satisfied[planned.key], database, from_cache=True
+                    plan.satisfied[planned.key], zeros, from_cache=True
                 )
             results = self._execute(plan, pool, version)
-            return self._finish(
-                results[planned.node_id], database, from_cache=False
-            )
+            return self._finish(results[planned.node_id], zeros, from_cache=False)
 
     def batch_answers(
         self,
@@ -411,6 +418,7 @@ class BatchAttributionEngine:
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
             results = self._execute(plan, pool, version)
+            zeros = _zero_template(database)
             per_answer: dict[tuple[Constant, ...], BatchResult] = {}
             for planned in plan.requests:
                 if planned.node_id is None:
@@ -418,7 +426,7 @@ class BatchAttributionEngine:
                 else:
                     result, cached = results[planned.node_id], False
                 per_answer[planned.request.grounding] = self._finish(
-                    result, database, from_cache=cached
+                    result, zeros, from_cache=cached
                 )
             return AnswerBatchResult(per_answer, pool.stats.snapshot())
 
@@ -438,7 +446,6 @@ class BatchAttributionEngine:
     def _note_plan(self, plan: Plan) -> None:
         """Fold one plan's accounting into the engine-level counters."""
         self.planner_stats.merge(plan.stats)
-        self.delta_stats.facts_zero_filled += plan.zero_filled
         self.sample_stats.merge(plan.sample)
 
     def _execute(
@@ -446,9 +453,10 @@ class BatchAttributionEngine:
     ) -> dict[tuple, BatchResult]:
         """Run a plan's tasks and write fresh results back to the store.
 
-        Fresh results are stored as their *projection* to the request's
-        relevant endogenous facts, under the relevance-scoped key — the
-        form every database version can inflate back from.  When a
+        Fresh results cover their task's relevance slice (the task's
+        database) and are stored in that form, under the relevance-scoped
+        key — the form every database version can inflate back from
+        (:func:`repro.engine.results.project_result`).  When a
         durable store is attached, entries are tagged with the database
         ``version`` fingerprint that wrote them so superseded versions
         can be retired (evicted first) later.
@@ -489,51 +497,30 @@ class BatchAttributionEngine:
                     self.store.put(task.sample_spec.state_key, state)
             if task.key is not None:
                 self.store.put(
-                    task.key, project_result(results[task.node_id], task.relevant)
+                    task.key,
+                    project_result(results[task.node_id], task.database.endogenous),
                 )
         return results
 
     def _finish(
-        self, result: BatchResult, database: Database, from_cache: bool
+        self, result: BatchResult, zeros: dict[Fact, Fraction], from_cache: bool
     ) -> BatchResult:
-        """Widen a sampled core to this version, then publish.
+        """Widen a slice-scoped result to the whole database, then publish.
 
-        Exact results always cover the full endogenous set; sampled
-        results are computed on the request's relevant slice and are
-        zero-filled (null players have exactly zero Shapley value) back
-        to the database's endogenous facts here.
-        """
-        if result.estimate is not None and len(result.shapley) < len(
-            database.endogenous
-        ):
-            result, filled = inflate_result(result, database.endogenous)
-            self.delta_stats.facts_zero_filled += filled
-        return self._public(result, from_cache)
-
-    @staticmethod
-    def _public(result: BatchResult, from_cache: bool) -> BatchResult:
-        """A caller-facing copy: mutating it must not corrupt the store.
-
-        The copy also normalizes both mappings to the canonical fact
-        ordering (sorted by ``repr``), so every path out of the engine —
-        fresh, memory-cached, or disk-cached, serial or sharded —
-        iterates identically.  The transport-only sampler state is
-        stripped: callers resume through the store, not through result
+        Every result inside the engine — executed or store-served, exact
+        or sampled — covers only its request's relevance slice.  Here,
+        once, the rest of ``D``'s endogenous facts (``zeros``, see
+        :func:`_zero_template`) are zero-filled (null players have
+        exactly zero Shapley and Banzhaf values) and counted in
+        ``delta.facts_zero_filled``.  The caller-facing copy iterates in
+        the canonical ``repr`` order on every path, so mutating it can
+        never corrupt the store; the transport-only sampler state is
+        stripped — callers resume through the store, not through result
         objects.
         """
-        return replace(
-            result,
-            shapley={
-                item: result.shapley[item]
-                for item in sorted(result.shapley, key=repr)
-            },
-            banzhaf={
-                item: result.banzhaf[item]
-                for item in sorted(result.banzhaf, key=repr)
-            },
-            from_cache=from_cache,
-            sample_state=None,
-        )
+        result, filled = inflate_result(result, zeros)
+        self.delta_stats.facts_zero_filled += filled
+        return replace(result, from_cache=from_cache, sample_state=None)
 
     def shapley_all(
         self,

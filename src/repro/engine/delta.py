@@ -17,8 +17,8 @@ components it touches.  This module makes that observation operational:
   moved at all, and which top-level Gaifman components of a query are
   *dirty* (own a touched fact) versus reusable as-is.
 * :class:`DeltaStats` is the engine's cross-version accounting —
-  distinct versions served, facts zero-filled on cross-version store
-  hits, and component lookups that were reused versus recomputed.
+  distinct versions served, null players zero-filled at the engine
+  boundary, and component lookups that were reused versus recomputed.
 
 Together with the relevance-scoped request fingerprints of
 :mod:`repro.engine.fingerprint` this is what lets one warm engine follow
@@ -214,10 +214,11 @@ class DeltaStats:
     """Cross-version accounting of the delta-aware engine.
 
     ``versions_seen`` counts distinct database fingerprints served;
-    ``facts_zero_filled`` counts endogenous null players zero-filled
-    while inflating relevance-scoped store hits — any hit whose request
-    has irrelevant endogenous facts contributes, whether the hit crossed
-    database versions or not; ``components_reused`` /
+    ``facts_zero_filled`` counts the endogenous null players the engine
+    zero-filled at its public boundary — once per fact per returned
+    result, for every result (fresh or store-served, exact or sampled,
+    same version or across versions) whose relevance slice misses some
+    of ``D``'s endogenous facts; ``components_reused`` /
     ``components_dirty`` count memoizable component lookups (top-level
     and nested) served from the bundle caches versus recomputed during
     execution.

@@ -40,7 +40,6 @@ import pickle
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Protocol, runtime_checkable
 
 from repro.engine.bundles import batch_count_vectors, bundle_for_component
@@ -117,14 +116,9 @@ def execute_grounding_task(task: GroundingTask, cache: BundleCache) -> BatchResu
     dependencies through ``cache`` — hitting entries an executor seeded,
     computing (and memoizing) whatever is missing.
     """
-    if task.method == "empty":
-        return BatchResult({}, {}, "empty", 0)
-    if task.method == "inconsistent":
-        zeros = {
-            item: Fraction(0)
-            for item in sorted(task.database.endogenous, key=repr)
-        }
-        return BatchResult(zeros, dict(zeros), "inconsistent", len(zeros))
+    if task.method in ("empty", "inconsistent"):
+        # No player can matter: the engine zero-fills every fact of D.
+        return BatchResult({}, {}, task.method, 0)
     if task.method == "brute-force":
         from repro.shapley.banzhaf import banzhaf_all_brute_force
         from repro.shapley.brute_force import shapley_all_brute_force
@@ -266,10 +260,8 @@ def _run_grounding_chunk(
 ) -> tuple[list[tuple[tuple, BatchResult]], dict | None]:
     """Worker payload: a chunk of self-contained grounding nodes.
 
-    Chunking matters for more than dispatch overhead: the tasks of one
-    answer batch share the same ``Database`` object, and pickling a chunk
-    in a single submission serializes that database once (pickle's memo)
-    instead of once per grounding.
+    Chunking amortizes the dispatch overhead: each task carries only its
+    grounding's relevance slice, so a chunk pickles small.
     """
     cache: LRUCache = LRUCache(64)
     tracer = _tracing.Tracer() if trace else None

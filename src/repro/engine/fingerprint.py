@@ -149,6 +149,72 @@ def query_atoms(query: BooleanQuery) -> tuple[Atom, ...]:
     return tuple(query.atoms)
 
 
+class FactIndex:
+    """One pass over ``D`` that serves the relevant slice of many queries.
+
+    Facts are indexed by relation, and — lazily, one relation at a time,
+    on the first atom with a constant over it — by ``(position,
+    constant)``.  :meth:`relevant` takes, for every atom, the smallest
+    candidate list among its constant positions and filters it with the
+    unchanged :meth:`repro.core.query.Atom.matches`; a dict lookup by
+    constant finds a superset of the positional matches, so the slice is
+    exactly the one a full scan would find.  Slicing every grounding of
+    an answer batch then costs ``O(|D| + Σ slice)`` instead of
+    ``O(groundings × |D|)``.
+
+    ``endogenous`` is the database's endogenous fact set, taken once;
+    ``endogenous_relations`` names the relations with at least one
+    endogenous fact — the schema-level view from which the planner
+    infers ``X`` (every other relation is exogenous, vacuously when it
+    has no facts at all).
+    """
+
+    __slots__ = ("endogenous", "endogenous_relations", "_by_relation", "_by_position")
+
+    def __init__(self, database: Database) -> None:
+        self.endogenous = database.endogenous
+        self.endogenous_relations = frozenset(
+            item.relation for item in self.endogenous
+        )
+        by_relation: dict[str, list[Fact]] = {}
+        for facts in (self.endogenous, database.exogenous):
+            for item in facts:
+                by_relation.setdefault(item.relation, []).append(item)
+        self._by_relation = by_relation
+        self._by_position: dict[str, dict[tuple[int, Constant], list[Fact]]] = {}
+
+    def _positions(self, relation: str) -> dict[tuple[int, Constant], list[Fact]]:
+        positions = self._by_position.get(relation)
+        if positions is None:
+            positions = {}
+            for item in self._by_relation.get(relation, ()):
+                for position, value in enumerate(item.args):
+                    positions.setdefault((position, value), []).append(item)
+            self._by_position[relation] = positions
+        return positions
+
+    def _candidates(self, atom: Atom) -> list[Fact]:
+        """The shortest indexed fact list that holds every match of ``atom``."""
+        best = self._by_relation.get(atom.relation, [])
+        for position, term in enumerate(atom.terms):
+            if not isinstance(term, Variable):
+                found = self._positions(atom.relation).get((position, term), [])
+                if len(found) < len(best):
+                    best = found
+        return best
+
+    def relevant(self, query: BooleanQuery) -> tuple[frozenset[Fact], frozenset[Fact]]:
+        """:func:`relevant_facts` of ``query`` against the indexed database."""
+        matched = {
+            item
+            for atom in query_atoms(query)
+            for item in self._candidates(atom)
+            if atom.matches(item)
+        }
+        endogenous = frozenset(item for item in matched if item in self.endogenous)
+        return endogenous, frozenset(matched - endogenous)
+
+
 def relevant_facts(
     database: Database, query: BooleanQuery
 ) -> tuple[frozenset[Fact], frozenset[Fact]]:
@@ -162,21 +228,10 @@ def relevant_facts(
     vector and attribution value) is a function of the relevant slice
     alone.  The test is deliberately conservative under cross-type
     equality (``1 == True``): a fact is only ever *included* spuriously,
-    which shrinks reuse but can never corrupt a result.
+    which shrinks reuse but can never corrupt a result.  Callers slicing
+    many queries against one database share a :class:`FactIndex`.
     """
-    atoms_by_relation: dict[str, list[Atom]] = {}
-    for atom in query_atoms(query):
-        atoms_by_relation.setdefault(atom.relation, []).append(atom)
-
-    def matched(item: Fact) -> bool:
-        return any(
-            atom.matches(item) for atom in atoms_by_relation.get(item.relation, ())
-        )
-
-    return (
-        frozenset(item for item in database.endogenous if matched(item)),
-        frozenset(item for item in database.exogenous if matched(item)),
-    )
+    return FactIndex(database).relevant(query)
 
 
 def fingerprint_request(
@@ -193,8 +248,8 @@ def fingerprint_request(
     entry — the cross-version reuse at the heart of the delta-aware
     engine.  Stored values are accordingly the *projection* of the result
     to the relevant facts (see
-    :func:`repro.engine.results.project_result`); the planner zero-fills
-    the current version's irrelevant endogenous facts on every hit.
+    :func:`repro.engine.results.project_result`); the engine zero-fills
+    the current version's irrelevant endogenous facts at its boundary.
 
     ``grounding`` carries the head constants when ``query`` was obtained
     by grounding a non-Boolean query at an answer tuple (see
@@ -274,6 +329,7 @@ def fingerprint_sample_state(base_key: tuple) -> tuple:
 
 
 __all__ = [
+    "FactIndex",
     "digest_key",
     "fingerprint_atoms",
     "fingerprint_component",

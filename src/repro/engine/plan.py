@@ -6,14 +6,18 @@ Planning does everything that must happen *before* any count vector is
 computed, and nothing that computes one:
 
 1. **Method dispatch** (the dichotomy of Theorems 3.1/4.3, steered by a
-   :class:`repro.engine.policy.MethodPolicy`): each grounding is
-   classified as ``cntsat``, ``exoshap`` (the rewrite runs at plan
-   time, once), ``brute-force`` (validated once, up front, against
-   ``MAX_BRUTE_FORCE_PLAYERS``), ``sampled`` (the Section 5 additive
-   FPRAS — the ``auto`` fallback for the intractable class, or forced),
-   ``empty``, or ``inconsistent``.  Under an ``exact`` policy,
-   intractable requests fail at plan time, before a single worker is
-   spawned; under ``auto`` nothing is intractable anymore.
+   :class:`repro.engine.policy.MethodPolicy`) on each grounding's
+   *relevance slice* — the facts some atom of ``q_t`` can match, cut
+   from one :class:`repro.engine.fingerprint.FactIndex` per plan; every
+   other fact is a null player, zero-filled at the engine boundary.
+   Each grounding is classified as ``cntsat``, ``exoshap`` (the
+   rewrite runs at plan time, once), ``brute-force`` (validated once,
+   up front, against ``MAX_BRUTE_FORCE_PLAYERS``), ``sampled`` (the
+   Section 5 additive FPRAS — the ``auto`` fallback for the
+   intractable class, or forced), ``empty``, or ``inconsistent``.
+   Under an ``exact`` policy, intractable requests fail at plan time,
+   before a single worker is spawned; under ``auto`` nothing is
+   intractable anymore.
 2. **Node construction**: one :class:`GroundingTask` per distinct
    request (the per-grounding convolution/assembly task) plus one
    :class:`BundleTask` per distinct top-level Gaifman component
@@ -29,8 +33,9 @@ computed, and nothing that computes one:
    never see them.  Keys are *relevance-scoped*
    (:func:`repro.engine.fingerprint.fingerprint_request`), so a request
    whose relevant slice a database delta did not touch is pruned even
-   against a different database version — the stored core result is
-   inflated back to this version's endogenous fact set
+   against a different database version.  Satisfied results stay in
+   their stored, slice-projected form; the engine zero-fills them — like
+   every executed result — at its public boundary
    (:func:`repro.engine.results.inflate_result`).
 4. **Bundle-reuse accounting**: when a ``bundle_cache`` is supplied,
    bundle nodes whose component fingerprint is already warm are counted
@@ -51,20 +56,19 @@ from typing import TYPE_CHECKING, AbstractSet, Sequence
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import Constant
-from repro.core.gaifman import infer_exogenous_relations
 from repro.core.hierarchy import is_hierarchical
 from repro.core.paths import has_non_hierarchical_path
 from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.engine.bundles import top_level_components
 from repro.engine.fingerprint import (
+    FactIndex,
     digest_key,
     fingerprint_request,
     fingerprint_sample_state,
     fingerprint_sampled,
-    relevant_facts,
 )
 from repro.engine.policy import MethodPolicy
-from repro.engine.results import BatchResult, inflate_result, result_from_state
+from repro.engine.results import BatchResult, result_from_state
 from repro.obs import tracing as _tracing
 from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS
 from repro.shapley.sampling import SampleState, rounds_for_contract, sample_seed
@@ -142,14 +146,15 @@ class SampleSpec:
 class GroundingTask:
     """A per-grounding node: count vectors + Lemma 3.2 assembly.
 
-    ``database``/``query`` are the pair the method actually runs on —
-    for ``exoshap`` they are the *rewritten* database and query produced
-    at plan time; for ``sampled`` the database is the request's
-    *relevant slice* (see :func:`sampled databases <build_plan>` below),
-    and ``sample_spec`` carries the round plan.  ``dependencies`` lists
-    the bundle node ids this task's recursion will consume; executors
-    may satisfy them in any order (or lazily, through the bundle cache)
-    before or while running the task.
+    ``database``/``query`` are the pair the method actually runs on:
+    the request's *relevance slice* (never the whole database), and for
+    ``exoshap`` the slice's *rewrite* produced at plan time.  The
+    ``inconsistent`` task carries neither — its result is empty and the
+    engine zero-fills it.  For ``sampled`` tasks ``sample_spec`` carries
+    the round plan.  ``dependencies`` lists the bundle node ids this
+    task's recursion will consume; executors may satisfy them in any
+    order (or lazily, through the bundle cache) before or while running
+    the task.
     """
 
     node_id: tuple
@@ -158,9 +163,6 @@ class GroundingTask:
     database: Database | None
     query: BooleanQuery | None
     dependencies: tuple[tuple, ...] = ()
-    #: The request's relevant endogenous facts — the projection the
-    #: engine stores under the (relevance-scoped) key after execution.
-    relevant: frozenset = frozenset()
     sample_spec: SampleSpec | None = None
 
 
@@ -279,11 +281,6 @@ class Plan:
     satisfied: dict[tuple, BatchResult] = field(default_factory=dict)
     stats: PlanStats = field(default_factory=PlanStats)
     sample: SampleStats = field(default_factory=SampleStats)
-    #: Endogenous null players zero-filled while inflating store hits.
-    #: Any relevance-scoped hit whose request has irrelevant endogenous
-    #: facts counts here — same-version or cross-version alike (the
-    #: engine folds this into its delta stats).
-    zero_filled: int = 0
     #: The convolution kernel active when this plan was built — the
     #: ``REPRO_KERNEL`` selection (``auto`` / ``schoolbook`` /
     #: ``packed``), re-read from the environment at plan time.
@@ -305,8 +302,17 @@ def _dispatch(
     query: BooleanQuery,
     exogenous_relations: AbstractSet[str] | None,
     policy: MethodPolicy,
+    endogenous_relations: AbstractSet[str],
 ) -> tuple[str, Database, BooleanQuery]:
     """The policy-steered dichotomy dispatch, with up-front validation.
+
+    ``database`` is the request's relevance slice; the irrelevant facts
+    of ``D`` are null players, zero-filled at the engine boundary.  The
+    schema-level quantities do not come from the slice: ``X`` defaults to
+    the query relations without endogenous facts in the *full* database
+    (``endogenous_relations``), so a relation whose endogenous facts all
+    fall outside ``q_t`` is never mistaken for an exogenous one.  Player
+    counts — and hence the brute-force cap — are the slice's.
 
     Returns ``(method, database, query)`` where the database/query pair
     is the one the method runs on (rewritten for ``exoshap``).  Raises
@@ -316,8 +322,6 @@ def _dispatch(
     never raises: the intractable class falls through to ``sampled``.
     """
     players = len(database.endogenous)
-    if players == 0:
-        return "empty", database, query
     if policy.method == "brute-force":
         if players > MAX_BRUTE_FORCE_PLAYERS:
             raise IntractableQueryError(
@@ -330,13 +334,21 @@ def _dispatch(
     if isinstance(query, ConjunctiveQuery):
         boolean = query.as_boolean()
         if exogenous_relations is None:
-            exogenous_relations = infer_exogenous_relations(boolean, database)
+            exogenous_relations = boolean.relation_names - endogenous_relations
         if boolean.is_self_join_free:
             if is_hierarchical(boolean):
                 return "cntsat", database, boolean
             if not has_non_hierarchical_path(boolean, exogenous_relations):
                 from repro.shapley.exoshap import rewrite_to_hierarchical
 
+                # The slice may hold none of a declared relation's
+                # endogenous facts; check the declaration against D.
+                declared = sorted(set(exogenous_relations) & endogenous_relations)
+                if declared:
+                    raise ValueError(
+                        f"relation {declared[0]} is declared exogenous but"
+                        " contains endogenous facts"
+                    )
                 rewrite = rewrite_to_hierarchical(
                     database, boolean, exogenous_relations
                 )
@@ -354,7 +366,6 @@ def _dispatch(
 def _plan_sampled(
     plan: Plan,
     request: PlanRequest,
-    database: Database,
     query: BooleanQuery,
     base_key: tuple,
     relevant: tuple[frozenset, frozenset],
@@ -371,7 +382,7 @@ def _plan_sampled(
     any contract over the same request extends one permutation stream.
     Three outcomes, checked in order:
 
-    1. the contract's own result entry is warm — inflate and prune;
+    1. the contract's own result entry is warm — prune;
     2. a stored state already holds enough rounds — build the (tighter)
        result from it at plan time, zero fresh work;
     3. otherwise emit a task whose spec resumes the stored state (or
@@ -404,9 +415,7 @@ def _plan_sampled(
     else:
         cached = None
     if cached is not None:
-        inflated, filled = inflate_result(cached, database.endogenous)
-        plan.zero_filled += filled
-        plan.satisfied[skey] = inflated
+        plan.satisfied[skey] = cached
         plan.stats.pruned += 1
         plan.requests.append(PlannedRequest(request, skey, None))
         return
@@ -429,10 +438,9 @@ def _plan_sampled(
     if restarted:
         plan.sample.restarts += 1
     if prior is not None and prior.rounds >= needed:
-        core = result_from_state(prior, policy.delta, state_digest=state_digest)
-        inflated, filled = inflate_result(core, database.endogenous)
-        plan.zero_filled += filled
-        plan.satisfied[skey] = inflated
+        plan.satisfied[skey] = result_from_state(
+            prior, policy.delta, state_digest=state_digest
+        )
         plan.stats.pruned += 1
         plan.sample.served_from_state += 1
         plan.requests.append(PlannedRequest(request, skey, None))
@@ -457,7 +465,6 @@ def _plan_sampled(
             "sampled",
             restricted,
             query,
-            relevant=relevant[0],
             sample_spec=spec,
         )
     )
@@ -486,9 +493,9 @@ def build_plan(
 
     Request keys are relevance-scoped, so store pruning works **across
     database versions**: a delta that leaves a request's relevant slice
-    untouched leaves its key (and hence its store entry) intact, and the
-    stored core result is inflated back to this version's endogenous
-    fact set here, at plan time.
+    untouched leaves its key (and hence its store entry) intact.  Every
+    result the plan yields — satisfied or executed — covers only its
+    slice; the engine zero-fills the rest of ``D`` at its boundary.
 
     ``include_bundles=False`` skips materializing the per-component
     bundle nodes.  Only a sharding executor consumes them (the serial
@@ -552,6 +559,9 @@ def _build_plan(
     # chosen tier is recorded on the plan (and in the kernel counters).
     plan.kernel = kernels.refresh_from_environment()
     plan.stats.requested = len(requests)
+    # One index of D serves every grounding's relevance slice; the
+    # executed tasks carry only their slice.
+    index = FactIndex(database)
     seen: set[tuple] = set()
     for request in requests:
         if request.inconsistent:
@@ -559,12 +569,12 @@ def _build_plan(
             if node_id not in seen:
                 seen.add(node_id)
                 plan.tasks.append(
-                    GroundingTask(node_id, None, "inconsistent", database, None)
+                    GroundingTask(node_id, None, "inconsistent", None, None)
                 )
                 plan.stats.planned += 1
             plan.requests.append(PlannedRequest(request, None, node_id))
             continue
-        relevant = relevant_facts(database, request.query)
+        relevant = index.relevant(request.query)
         key = fingerprint_request(
             database,
             request.query,
@@ -572,11 +582,10 @@ def _build_plan(
             request.grounding,
             relevant=relevant,
         )
-        if policy.method == "sampled" and database.endogenous:
+        if policy.method == "sampled" and index.endogenous:
             _plan_sampled(
                 plan,
                 request,
-                database,
                 _as_boolean(request.query),
                 key,
                 relevant,
@@ -610,22 +619,27 @@ def _build_plan(
                     f" and brute force over {cached.player_count} endogenous"
                     " facts is disabled"
                 )
-            inflated, filled = inflate_result(cached, database.endogenous)
-            plan.zero_filled += filled
-            plan.satisfied[key] = inflated
+            plan.satisfied[key] = cached
             plan.stats.pruned += 1
             plan.requests.append(PlannedRequest(request, key, None))
             continue
-        method, count_database, count_query = _dispatch(
-            database, request.query, exogenous_relations, policy
-        )
+        sliced = Database(endogenous=relevant[0], exogenous=relevant[1])
+        if index.endogenous:
+            method, count_database, count_query = _dispatch(
+                sliced,
+                request.query,
+                exogenous_relations,
+                policy,
+                index.endogenous_relations,
+            )
+        else:
+            method, count_database, count_query = "empty", sliced, request.query
         if method == "sampled":
             # An ``auto`` fallback: the request is re-planned on the
             # sampled path, under its accuracy-tagged key.
             _plan_sampled(
                 plan,
                 request,
-                database,
                 count_query,
                 key,
                 relevant,
@@ -658,7 +672,6 @@ def _build_plan(
                 count_database,
                 count_query,
                 tuple(dependencies),
-                relevant=relevant[0],
             )
         )
         plan.stats.planned += 1

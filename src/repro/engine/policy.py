@@ -19,7 +19,8 @@ stack unchanged:
               the query falls outside Theorems 3.1/4.3.
   ``brute-force``
               force coalition enumeration (still validated against
-              ``MAX_BRUTE_FORCE_PLAYERS``).
+              ``MAX_BRUTE_FORCE_PLAYERS``, counted on the relevance
+              slice).
   ``sampled`` force the additive FPRAS of Section 5, even for
               tractable queries.
   ========== =========================================================
@@ -56,6 +57,14 @@ class MethodPolicy:
     inside cache keys and coalescing keys.  ``epsilon``/``delta`` are
     validated in ``(0, 1)`` even for exact methods: a policy is one
     request shape, and front ends forward the accuracy fields blindly.
+
+    The brute-force cap (``MAX_BRUTE_FORCE_PLAYERS``) counts the players
+    of the request's *relevance slice* — the endogenous facts some atom
+    of ``q_t`` can match — not all of ``D``: every other fact is a null
+    player with an exact zero.  So a non-hierarchical grounding over a
+    large database whose slice fits under the cap is enumerated exactly
+    (``2^|slice|`` coalitions) under ``auto`` and a forced
+    ``brute-force``; ``exact`` still refuses it.
     """
 
     method: str = "auto"

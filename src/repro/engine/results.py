@@ -150,8 +150,9 @@ def project_result(result: BatchResult, relevant: frozenset[Fact]) -> BatchResul
     :func:`repro.engine.fingerprint.fingerprint_request`: facts outside
     the relevant slice are null players with provably zero values, so
     dropping them is lossless — :func:`inflate_result` zero-fills any
-    version's irrelevant facts back in on a hit.  ``player_count``
-    becomes the relevant-player count, the version-stable quantity.
+    version's irrelevant facts back in at the engine boundary.
+    ``player_count`` becomes the relevant-player count, the
+    version-stable quantity.
     """
     shapley = {
         item: value for item, value in result.shapley.items() if item in relevant
@@ -165,41 +166,42 @@ def project_result(result: BatchResult, relevant: frozenset[Fact]) -> BatchResul
 
 
 def inflate_result(
-    core: BatchResult, endogenous: frozenset[Fact]
+    core: BatchResult, zeros: Mapping[Fact, Fraction]
 ) -> tuple[BatchResult, int]:
-    """A stored core result widened to a concrete database version.
+    """A slice-scoped core result widened to a concrete database version.
 
-    Every endogenous fact of the current version missing from the core
-    mapping is a null player for this request and gets an exact zero;
-    ``player_count`` becomes the version's total.  Returns the widened
-    result and how many facts were zero-filled (surfaced in
-    :class:`repro.engine.delta.DeltaStats` — any relevance-scoped hit
-    with irrelevant endogenous facts fills, same-version or cross).
-    Shapley and Banzhaf dummy invariance make the widened values
-    bit-identical to a cold recomputation on this version.
+    ``zeros`` maps every endogenous fact of the version to ``Fraction(0)``
+    in output order — the engine builds it once per request, from the
+    facts sorted by ``repr``, and widens every answer from it.  Each fact
+    missing from the core mapping is a null player for this request and
+    keeps its exact zero; ``player_count`` becomes the version's total.
+    Returns the widened result and how many facts were zero-filled
+    (surfaced in :class:`repro.engine.delta.DeltaStats`).  Shapley and
+    Banzhaf dummy invariance make the widened values bit-identical to a
+    computation over the whole version.
 
     Sampled cores widen the same way — a null player's *estimate* is
     the exact zero, since its marginal contribution is zero in every
     permutation — but their (empty) Banzhaf mapping stays empty: a
     zero-fill there would fabricate values the sampler never estimated.
     """
-    zero = Fraction(0)
-    shapley = {item: core.shapley.get(item, zero) for item in endogenous}
+    # Merging into a copy of the template keeps its key order and reuses
+    # the stored hashes: no per-fact hashing or sorting per answer.
+    shapley = {**zeros, **core.shapley}
     if core.estimate is None:
-        banzhaf = {item: core.banzhaf.get(item, zero) for item in endogenous}
+        banzhaf = {**zeros, **core.banzhaf}
     else:
         banzhaf = dict(core.banzhaf)
-    filled = len(endogenous) - len(core.shapley)
     return (
         BatchResult(
             shapley,
             banzhaf,
             core.method,
-            len(endogenous),
+            len(zeros),
             estimate=core.estimate,
             sample_state=core.sample_state,
         ),
-        max(0, filled),
+        len(zeros) - len(core.shapley),
     )
 
 

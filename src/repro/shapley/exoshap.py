@@ -7,7 +7,7 @@ preserving every Shapley value, until the query is hierarchical:
 
 1. **Complement** (Lemma C.3): each negated exogenous atom ``¬R(t)`` is
    replaced by a positive atom over the complement relation ``R̄`` taken
-   over the active domain.
+   over the active domain (plus the query's constants).
 2. **Join** (Lemma 4.6): each connected component of the exogenous atom
    graph ``gx(q)`` is collapsed into a single exogenous atom whose relation
    materializes the join of the component's relations.
@@ -101,7 +101,10 @@ def rewrite_to_hierarchical(
     db = database.copy()
     taken = set(db.relation_names) | query.relation_names
     exo: set[str] = set(exogenous_relations) & query.relation_names
-    domain = sorted(db.active_domain(), key=repr)
+    # The query's own constants join Dom(D): a complement ¬R(x, c) must
+    # admit the constant c even when no fact of D mentions it.
+    constants = {value for atom in query.atoms for value in atom.constants}
+    domain = sorted(db.active_domain() | constants, key=repr)
 
     query, exo = _complement_negated_exogenous(db, query, exo, taken, domain)
     query, exo = _join_exogenous_components(db, query, exo, taken)

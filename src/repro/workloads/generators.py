@@ -184,9 +184,10 @@ def hard_answers_database(
     the classic non-hierarchical qRST core (``S`` exogenous, which does
     *not* rescue tractability — the non-hierarchical path between the
     endogenous ``R`` and ``T`` remains), so the engine's dichotomy sends
-    every grounding to coalition enumeration over all
-    ``num_answers + 2 * core_size`` endogenous facts.  The groundings are
-    independent and CPU-bound — the scaling workload of
+    every grounding to coalition enumeration over its relevance slice:
+    its own ``W`` fact and the core, ``1 + 2 * core_size`` endogenous
+    facts (the other answers' ``W`` facts are null players).  The
+    groundings are independent and CPU-bound — the scaling workload of
     ``benchmarks/bench_parallel.py``.
     """
     rng = rng or random.Random()

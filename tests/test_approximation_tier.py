@@ -36,10 +36,14 @@ from repro.engine import (
     MethodPolicy,
     ShardedExecutor,
     SQLiteResultStore,
+    relevant_facts,
     resolve_policy,
 )
 from repro.io import batch_result_from_dict, batch_result_to_dict, save_database
 from repro.server import AttributionClient
+from repro.shapley.answers import ground_at_answer
+from repro.shapley.banzhaf import banzhaf_all_brute_force
+from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS, shapley_all_brute_force
 from repro.shapley.sampling import (
     SampleState,
     achieved_epsilon,
@@ -48,8 +52,8 @@ from repro.shapley.sampling import (
     run_rounds,
     sample_seed,
 )
-from repro.workloads.generators import export_database
-from repro.workloads.queries import intro_export_query
+from repro.workloads.generators import export_database, hard_answers_database
+from repro.workloads.queries import audit_query, intro_export_query
 from repro.workloads.running_example import figure_1_database
 
 INTRACTABLE_Q = "q() :- R(x), S(x, y), T(y)"
@@ -178,6 +182,36 @@ class TestAutoServesTheIntractableClass:
         assert result.estimate.rounds >= rounds_for_contract(0.1, 0.05)
         # Sampling estimates Shapley only.
         assert result.banzhaf == {}
+
+    def test_brute_force_cap_counts_the_relevance_slice(self):
+        # 36 endogenous facts, but a grounding of the audit query sees only
+        # its own W fact and the 6-fact core: exact brute force over 2^7
+        # coalitions, with the other answers' W facts zero-filled.
+        db = hard_answers_database(30, 3, rng=random.Random(3))
+        q = audit_query()
+        assert len(db.endogenous) > MAX_BRUTE_FORCE_PLAYERS
+        answer = ("w0",)
+        grounded = ground_at_answer(q, answer)
+        endogenous, exogenous = relevant_facts(db, grounded)
+        sliced = Database(endogenous=endogenous, exogenous=exogenous)
+        assert len(endogenous) == 7
+        shapley = shapley_all_brute_force(sliced, grounded)
+        banzhaf = banzhaf_all_brute_force(sliced, grounded)
+        for policy in ("auto", "brute-force"):
+            engine = BatchAttributionEngine()
+            result = engine.batch_answers(db, q, [answer], policy=policy)
+            served = result.per_answer[answer]
+            assert served.method == "brute-force"
+            assert served.estimate is None
+            assert served.player_count == len(db.endogenous)
+            for item in db.endogenous:
+                if item in endogenous:
+                    assert served.shapley[item] == shapley[item]
+                    assert served.banzhaf[item] == banzhaf[item]
+                else:
+                    assert served.shapley[item] == served.banzhaf[item] == 0
+        with pytest.raises(IntractableQueryError):
+            BatchAttributionEngine().batch_answers(db, q, [answer], policy="exact")
 
     def test_sampled_results_are_deterministic_serial_vs_sharded(self):
         db = intractable_db(12)

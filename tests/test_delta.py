@@ -26,6 +26,7 @@ from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
+    FactIndex,
     DatabaseDelta,
     SQLiteResultStore,
     apply_delta,
@@ -147,6 +148,33 @@ class TestRelevance:
         endogenous, exogenous = relevant_facts(db, query)
         assert endogenous == {fact("Reg", "ann", "db")}
         assert exogenous == {fact("Stud", "ann")}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds)
+    def test_fact_index_slices_equal_a_full_scan(self, seed):
+        # Index lookups by constant must find exactly the facts a scan
+        # with Atom.matches finds — repeated variables, cross-type equal
+        # constants (1 == True) and wrong constants included.
+        rng, query, database = _instance(seed)
+        database.add_endogenous(fact("Unrelated", True))
+        index = FactIndex(database)
+        variables = sorted(query.variables, key=repr)
+        for _ in range(4):
+            assignment = {
+                variable: rng.choice((0, 1, 2, True, 7))
+                for variable in variables
+                if rng.random() < 0.5
+            }
+            grounded = query.substitute(assignment)
+            atoms = grounded.atoms
+            scan = tuple(
+                frozenset(
+                    item for item in facts if any(atom.matches(item) for atom in atoms)
+                )
+                for facts in (database.endogenous, database.exogenous)
+            )
+            assert index.relevant(grounded) == scan
+            assert relevant_facts(database, grounded) == scan
 
     def test_delta_touches_query(self):
         q1 = query_q1()
@@ -304,6 +332,46 @@ class TestDeltaScopedWork:
         # The B component kept its fingerprint across the delta and was
         # already warm at plan time.
         assert engine.planner_stats.bundles_reused == before + 1
+
+
+class TestZeroFillAccounting:
+    """``delta.facts_zero_filled``: one count per null player per result."""
+
+    def _database(self):
+        # Audit is an unrelated relation; Reg(bob, os) and TA(bob) fall
+        # outside the grounding at ann, Reg(ann, db) outside the one at bob.
+        return Database(
+            endogenous=[
+                fact("Reg", "ann", "db"),
+                fact("Reg", "bob", "os"),
+                fact("TA", "bob"),
+                fact("Audit", "x"),
+            ],
+            exogenous=[fact("Stud", "ann"), fact("Stud", "bob")],
+        )
+
+    def _filled(self, engine, request):
+        before = engine.delta_stats.facts_zero_filled
+        request()
+        return engine.delta_stats.facts_zero_filled - before
+
+    def test_boolean_batch_cold_and_warm(self):
+        db = self._database()
+        query = parse_query("q() :- Stud(x), not TA(x), Reg(x, y)")
+        engine = BatchAttributionEngine()
+        assert self._filled(engine, lambda: engine.batch(db, query)) == 1
+        assert self._filled(engine, lambda: engine.batch(db, query)) == 1
+        assert engine.executor_stats.tasks == 1
+
+    def test_answer_batch_cold_and_warm(self):
+        db = self._database()
+        query = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+        engine = BatchAttributionEngine()
+        # ann fills TA(bob), Reg(bob, os), Audit(x); bob fills Reg(ann, db)
+        # and Audit(x).
+        assert self._filled(engine, lambda: engine.batch_answers(db, query)) == 5
+        assert self._filled(engine, lambda: engine.batch_answers(db, query)) == 5
+        assert engine.executor_stats.tasks == 2
 
 
 class TestPersistentAcrossVersions:

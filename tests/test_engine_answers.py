@@ -17,19 +17,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_query
+from repro.core.hierarchy import is_hierarchical
 from repro.engine import (
     BatchAttributionEngine,
     BundlePool,
+    DatabaseDelta,
     LRUCache,
+    apply_delta,
     batch_count_vectors,
     fact_numerators,
     fingerprint_grounding,
     fingerprint_request,
+    result_from_vectors,
 )
+from repro.shapley.aggregates import candidate_answers
 from repro.shapley.answers import (
     answer_attribution,
     answers_attribution,
@@ -37,10 +43,11 @@ from repro.shapley.answers import (
     head_assignment,
     shapley_for_answer,
 )
-from repro.shapley.brute_force import shapley_brute_force
+from repro.shapley.banzhaf import banzhaf_all_brute_force
+from repro.shapley.brute_force import shapley_all_brute_force, shapley_brute_force
 from repro.shapley.cntsat import count_satisfying_subsets
 from repro.util.kernels import shapley_weights
-from repro.workloads.generators import star_join_database
+from repro.workloads.generators import random_delta, star_join_database
 from repro.workloads.running_example import figure_1_database
 
 
@@ -258,3 +265,141 @@ class TestWithWithoutSharing:
         assert pool.get_or_compute("b", make(99)) == 2  # backing hit
         assert calls == [1]
         assert pool.stats.hits == 2 and pool.stats.misses == 1
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: every grounding runs on its relevance slice, and
+# the zero-filled result must equal a computation over the whole of D.
+# ----------------------------------------------------------------------
+SLICE_FAMILIES = {
+    # Hierarchical groundings (CntSat): a plain head, a constant, and a
+    # repeated head variable with an explicit inconsistent tuple.
+    "cntsat": (
+        ("ans(x) :- Stud(x), not TA(x), Reg(x, y)", None),
+        ("ans(x) :- Stud(x), Reg(x, 'c1'), not TA(x)", None),
+        ("ans(x, x) :- Stud(x), Reg(x, y)", ("a", "b")),
+    ),
+    # Every grounding is q2 of Example 2.3 with its faculty as a
+    # constant in a negated exogenous atom: ExoShap on the slice.
+    "exoshap": (
+        ("ans(f) :- Fac(f), Stud(x), not TA(x), Reg(x, y), not Course(y, f)", None),
+    ),
+    # qRST behind a head constant: R facts of other answers are
+    # irrelevant facts of a query relation.
+    "brute-force": (("ans(w) :- R(w, x), S(x, y), T(y)", None),),
+}
+
+
+def _school(rng: random.Random, students: tuple[str, ...]) -> Database:
+    db = Database(
+        endogenous=[fact("Reg", "a", "c1"), fact("Audit", rng.choice(students))],
+        exogenous=[fact("Stud", "a"), fact("Course", "c1", "CS")],
+    )
+    for name in students:
+        if rng.random() < 0.7:
+            db.add_exogenous(fact("Stud", name))
+        if rng.random() < 0.4:
+            db.add_endogenous(fact("TA", name))
+        for course in ("c1", "c2"):
+            if rng.random() < 0.5:
+                db.add_endogenous(fact("Reg", name, course))
+    db.add_exogenous(fact("Course", "c2", rng.choice(("CS", "EE"))))
+    for faculty in ("CS", "EE", "ME"):
+        db.add_exogenous(fact("Fac", faculty))
+    return db
+
+
+def _core(rng: random.Random) -> Database:
+    db = Database(
+        endogenous=[fact("R", "p", 1), fact("T", 2), fact("Audit", "p")],
+        exogenous=[fact("S", 1, 2)],
+    )
+    for left in (1, 2):
+        if rng.random() < 0.5:
+            db.add_endogenous(fact("R", "q", left))
+        if rng.random() < 0.5:
+            db.add_endogenous(fact("T", left))
+        for right in (1, 2):
+            if rng.random() < 0.5:
+                db.add_exogenous(fact("S", left, right))
+    return db
+
+
+def _family_database(family: str, rng: random.Random) -> Database:
+    if family == "cntsat":
+        return _school(rng, ("a", "b", "c"))
+    if family == "exoshap":
+        return _school(rng, ("a", "b"))
+    return _core(rng)
+
+
+def _full_database_reference(database, query, answer):
+    """Both measures of ``q_t`` computed over all of ``D``, never a slice."""
+    if head_assignment(query, answer) is None:
+        zeros = {item: Fraction(0) for item in database.endogenous}
+        return zeros, dict(zeros)
+    grounded = ground_at_answer(query, answer).as_boolean()
+    if grounded.is_self_join_free and is_hierarchical(grounded):
+        result = result_from_vectors(batch_count_vectors(database, grounded), "cntsat")
+        return dict(result.shapley), dict(result.banzhaf)
+    assert len(database.endogenous) <= 12
+    return (
+        shapley_all_brute_force(database, grounded),
+        banzhaf_all_brute_force(database, grounded),
+    )
+
+
+def _assert_matches_full_database(engine, database, query, extra):
+    answers = set(candidate_answers(database, query))
+    if extra is not None:
+        answers.add(extra)
+    batch = engine.batch_answers(database, query, answers)
+    order = sorted(database.endogenous, key=repr)
+    assert set(batch.per_answer) == answers
+    for answer, result in batch.per_answer.items():
+        shapley, banzhaf = _full_database_reference(database, query, answer)
+        assert list(result.shapley) == order
+        assert list(result.banzhaf) == order
+        assert result.player_count == len(order)
+        for item in order:
+            assert type(result.shapley[item]) is Fraction
+            assert result.shapley[item] == shapley[item], (answer, item)
+            assert result.banzhaf[item] == banzhaf[item], (answer, item)
+    return batch
+
+
+class TestSliceEqualsFullDatabase:
+    """Sliced groundings are bit-identical to groundings over all of D."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @pytest.mark.parametrize("family", sorted(SLICE_FAMILIES))
+    def test_versions_and_store_hits(self, family, seed):
+        rng = random.Random(seed)
+        database = _family_database(family, rng)
+        engine = BatchAttributionEngine()
+        queries = [(parse_query(text), extra) for text, extra in SLICE_FAMILIES[family]]
+        for query, extra in queries:
+            batch = _assert_matches_full_database(engine, database, query, extra)
+            methods = {result.method for result in batch.per_answer.values()}
+            assert methods <= {family, "inconsistent"}, methods
+        database = apply_delta(database, random_delta(database, rng=rng, max_changes=2))
+        for query, extra in queries:
+            _assert_matches_full_database(engine, database, query, extra)
+        # An irrelevant edit: every consistent grounding is a store hit
+        # across the version change, zero-filled to the new fact set.
+        database = apply_delta(
+            database, DatabaseDelta(added_endogenous=frozenset({fact("Audit", "zz")}))
+        )
+        before = engine.planner_stats.pruned
+        consistent = 0
+        for query, extra in queries:
+            batch = _assert_matches_full_database(engine, database, query, extra)
+            consistent += sum(
+                result.method != "inconsistent" for result in batch.per_answer.values()
+            )
+        assert engine.planner_stats.pruned - before == consistent

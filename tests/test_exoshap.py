@@ -1,6 +1,7 @@
 """Unit tests for ExoShap (Algorithm 1, Theorem 4.3 positive side)."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,20 @@ class TestRewrite:
             assert shapley_brute_force(
                 rewrite.database, rewrite.query, f
             ) == shapley_brute_force(db, q, f)
+
+    def test_complement_admits_constants_only_the_query_mentions(self):
+        # 5 is in no fact of D, so the complement of U must still admit
+        # U(x, 5) for the negation to hold; over Dom(D) alone it would not
+        # and every value would collapse to zero.
+        q = parse_query("q() :- R(x), S(x, y), T(y), not U(x, 5)")
+        db = Database(
+            endogenous=[fact("S", 1, 2), fact("S", 1, 3), fact("T", 2), fact("T", 3)],
+            exogenous=[fact("R", 1), fact("U", 2, 7)],
+        )
+        for f in db.endogenous:
+            expected = shapley_brute_force(db, q, f)
+            assert expected == Fraction(1, 4)
+            assert exo_shapley(db, q, f) == expected
 
 
 class TestExoShapValues:

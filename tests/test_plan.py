@@ -6,16 +6,26 @@ cross-grounding bundle deduplication, store pruning, and up-front
 validation — without executing anything.
 """
 
+import random
+
 import pytest
 
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import fact
 from repro.core.parser import parse_query
-from repro.engine import BatchAttributionEngine, MethodPolicy, fingerprint_request
+from repro.engine import (
+    BatchAttributionEngine,
+    MethodPolicy,
+    fingerprint_request,
+    relevant_facts,
+)
 from repro.engine.plan import BUNDLE, RESULT, PlanRequest, build_plan
 from repro.engine.stores import MemoryResultStore
+from repro.shapley.aggregates import candidate_answers
 from repro.shapley.answers import ground_at_answer
+from repro.shapley.brute_force import shapley_all_brute_force
+from repro.workloads.generators import star_join_database
 from repro.workloads.queries import q_rst
 from repro.workloads.running_example import figure_1_database, query_q2
 
@@ -184,3 +194,55 @@ class TestUpFrontValidation:
         ]
         with pytest.raises(IntractableQueryError):
             build_plan(db, requests, policy=MethodPolicy("exact"))
+
+
+def _answer_requests(database, query, answers=None):
+    if answers is None:
+        answers = sorted(candidate_answers(database, query), key=repr)
+    return [PlanRequest(ground_at_answer(query, answer), answer) for answer in answers]
+
+
+class TestRelevanceSlices:
+    def test_exact_groundings_carry_only_their_slice(self):
+        # A deterministic work counter: a regression to grounding over all
+        # of D fails here, independent of timing.
+        database = star_join_database(40, 8, rng=random.Random(40))
+        query = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+        requests = _answer_requests(database, query)
+        plan = build_plan(database, requests)
+        assert len(plan.tasks) == len(requests) > 20
+        total = 0
+        for task, request in zip(plan.tasks, requests):
+            assert task.method == "cntsat"
+            slice_facts = relevant_facts(database, request.query)
+            assert task.database.endogenous == slice_facts[0]
+            assert task.database.exogenous == slice_facts[1]
+            total += len(slice_facts[0])
+        assert sum(len(task.database.endogenous) for task in plan.tasks) == total
+        assert 10 * total < len(requests) * len(database.endogenous)
+
+    def test_exogenous_relations_are_inferred_from_the_whole_database(self):
+        # The slice of q_a holds no endogenous A fact, but A is endogenous
+        # in D: inferring X from the slice would call A exogenous and
+        # rewrite the grounding with ExoShap.  X is a schema-level choice.
+        database = Database(
+            endogenous=[fact("A", "b", 1), fact("T", 2)],
+            exogenous=[fact("A", "a", 1), fact("S", 1, 2)],
+        )
+        query = parse_query("ans(w) :- A(w, x), S(x, y), T(y)")
+        requests = _answer_requests(database, query, [("a",)])
+        plan = build_plan(database, requests)
+        assert [task.method for task in plan.tasks] == ["brute-force"]
+        assert plan.tasks[0].database.endogenous == {fact("T", 2)}
+        with pytest.raises(IntractableQueryError):
+            build_plan(database, requests, policy=MethodPolicy("exact"))
+        # With X declared, a relation holding endogenous facts anywhere in
+        # D is refused, exactly as over the whole database.
+        with pytest.raises(ValueError, match="declared exogenous"):
+            build_plan(database, requests, exogenous_relations={"A", "S"})
+        served = BatchAttributionEngine().batch_answers(database, query, [("a",)])
+        result = served.per_answer[("a",)]
+        assert result.method == "brute-force"
+        assert dict(result.shapley) == shapley_all_brute_force(
+            database, ground_at_answer(query, ("a",))
+        )
