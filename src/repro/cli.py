@@ -328,19 +328,11 @@ def _provenance(result) -> str:
     return label
 
 
-def _print_stats(attributor, stats: dict) -> None:
-    """The --stats text: the engine's per-layer lines, or the daemon's
-    sections (two dialects until the stats share one registry)."""
-    from repro.engine import CacheStats
-
-    if not isinstance(attributor, _LocalAttributor):
-        for section in sorted(stats):
-            print(f"server[{section}]: {json.dumps(stats[section], sort_keys=True)}")
-        return
-    # Caches first (historical format), then layers.
-    for name, layer in attributor.engine.stats.items():
-        prefix = "cache" if isinstance(layer, CacheStats) else "layer"
-        print(f"{prefix}[{name}]: {layer!r}")
+def _print_stats(stats: dict) -> None:
+    """The --stats text: one line per section of ``attributor.stats()``,
+    in the JSON that --json emits, for an engine, a daemon or a fleet."""
+    for section in sorted(stats):
+        print(f"stats[{section}]: {json.dumps(stats[section], sort_keys=True)}")
 
 
 def _cmd_classify(options: argparse.Namespace) -> int:
@@ -500,7 +492,7 @@ def _cmd_batch(options: argparse.Namespace) -> int:
             print(f"  {'(shapley sum)':32} {total!s}")
     _finish_traces(options, traces)
     if options.stats:
-        _print_stats(attributor, stats)
+        _print_stats(stats)
     return 0
 
 
@@ -633,8 +625,8 @@ def _cmd_answers(options: argparse.Namespace) -> int:
 
     _finish_traces(options, traces)
     if options.stats:
-        _print_stats(attributor, stats)
-        print(f"pool: {batch.pool_stats!r}")
+        _print_stats(stats)
+        print(f"pool: {json.dumps(vars(batch.pool_stats), sort_keys=True)}")
     return 0
 
 

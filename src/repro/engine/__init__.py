@@ -126,7 +126,7 @@ from repro.engine.bundles import (
     bundle_for_component,
     top_level_components,
 )
-from repro.engine.cache import BundlePool, CacheStats, LRUCache
+from repro.engine.cache import BundlePool, LRUCache
 from repro.engine.core import (
     BatchAttributionEngine,
     default_engine,
@@ -135,7 +135,6 @@ from repro.engine.core import (
 )
 from repro.engine.delta import (
     DatabaseDelta,
-    DeltaStats,
     apply_delta,
     database_delta,
     delta_from_dict,
@@ -145,7 +144,6 @@ from repro.engine.delta import (
 )
 from repro.engine.executors import (
     Executor,
-    ExecutorStats,
     SerialExecutor,
     ShardedExecutor,
     execute_grounding_task,
@@ -168,9 +166,7 @@ from repro.engine.plan import (
     GroundingTask,
     Plan,
     PlanRequest,
-    PlanStats,
     SampleSpec,
-    SampleStats,
     build_plan,
 )
 from repro.engine.policy import (
@@ -205,14 +201,11 @@ __all__ = [
     "BatchVectors",
     "BundlePool",
     "BundleTask",
-    "CacheStats",
     "CountBundle",
     "DEFAULT_DELTA",
     "DEFAULT_EPSILON",
     "DatabaseDelta",
-    "DeltaStats",
     "Executor",
-    "ExecutorStats",
     "FactIndex",
     "GroundingTask",
     "LRUCache",
@@ -221,11 +214,9 @@ __all__ = [
     "MethodPolicy",
     "Plan",
     "PlanRequest",
-    "PlanStats",
     "ResultStore",
     "SQLiteResultStore",
     "SampleSpec",
-    "SampleStats",
     "SerialExecutor",
     "ShardedExecutor",
     "StoredValue",

@@ -14,37 +14,16 @@ computation would produce.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
+
+from repro.obs.counters import Counters
 
 Value = TypeVar("Value")
 
 
-@dataclass
-class CacheStats:
-    """Mutable hit/miss/eviction counters for one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions)
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses},"
-            f" evictions={self.evictions}, hit_rate={self.hit_rate:.2%})"
-        )
+#: Cache accounting: ``hits`` and ``misses`` count lookups, ``evictions``
+#: the entries dropped to stay within the bound.
+CACHE_COUNTERS = ("hits", "misses", "evictions")
 
 
 class LRUCache(Generic[Value]):
@@ -56,7 +35,7 @@ class LRUCache(Generic[Value]):
 
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
         self._entries: OrderedDict[Hashable, Value] = OrderedDict()
 
     def __len__(self) -> int:
@@ -135,7 +114,7 @@ class BundlePool:
 
     def __init__(self, backing: LRUCache) -> None:
         self.backing = backing
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
         self._local: dict[Hashable, Value] = {}
 
     def __len__(self) -> int:

@@ -44,16 +44,22 @@ from typing import AbstractSet, Iterable
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import BooleanQuery, ConjunctiveQuery
-from repro.engine.cache import BundlePool, CacheStats, LRUCache
-from repro.engine.delta import DeltaStats
+from repro.engine.cache import BundlePool, LRUCache
+from repro.engine.delta import DELTA_COUNTERS
 from repro.engine.executors import (
+    EXECUTOR_COUNTERS,
     Executor,
-    ExecutorStats,
     SerialExecutor,
     ShardedExecutor,
 )
 from repro.engine.fingerprint import digest_key, fingerprint_database
-from repro.engine.plan import Plan, PlanRequest, PlanStats, SampleStats, build_plan
+from repro.engine.plan import (
+    PLAN_COUNTERS,
+    SAMPLE_COUNTERS,
+    Plan,
+    PlanRequest,
+    build_plan,
+)
 from repro.engine.policy import MethodPolicy, resolve_policy
 from repro.engine.results import (
     AnswerBatchResult,
@@ -63,6 +69,7 @@ from repro.engine.results import (
 )
 from repro.engine.stores import MemoryResultStore, ResultStore, TieredResultStore
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 from repro.util import kernels
 
 
@@ -141,12 +148,11 @@ def _zero_template(database: Database) -> dict[Fact, Fraction]:
 class _RequestScope:
     """What one public engine call threads through its request window."""
 
-    __slots__ = ("tracer", "span", "plan")
+    __slots__ = ("tracer", "span")
 
     def __init__(self, tracer: "_tracing.Tracer | None", span) -> None:
         self.tracer = tracer
         self.span = span
-        self.plan: Plan | None = None
 
 
 class BatchAttributionEngine:
@@ -222,14 +228,14 @@ class BatchAttributionEngine:
         #: Engine-scoped kernel accounting: the sum of per-request
         #: deltas, vs the process-wide totals of
         #: :func:`repro.util.kernels.kernel_stats`.
-        self.kernel_stats = kernels.KernelStats()
-        #: The kernel delta of the most recent request (also attached to
-        #: its plan as ``plan.kernel_stats``).
-        self.last_kernel_stats: "kernels.KernelStats | None" = None
-        self.planner_stats = PlanStats()
-        self.executor_stats = ExecutorStats(processes=self.executor.jobs)
-        self.delta_stats = DeltaStats()
-        self.sample_stats = SampleStats()
+        self.kernel_stats = Counters(*kernels.KERNEL_COUNTERS)
+        #: The kernel delta of the most recent request.
+        self.last_kernel_stats: Counters | None = None
+        self.planner_stats = Counters(*PLAN_COUNTERS)
+        self.executor_stats = Counters(*EXECUTOR_COUNTERS)
+        self.executor_stats.processes = self.executor.jobs
+        self.delta_stats = Counters(*DELTA_COUNTERS)
+        self.sample_stats = Counters(*SAMPLE_COUNTERS)
         # Distinct database fingerprints served, for version accounting.
         # Bounded: past the cap new versions stop being *counted* as new,
         # which only ever under-reports versions_seen.
@@ -266,27 +272,22 @@ class BatchAttributionEngine:
 
         The window opens *before* planning (plan-time kernel selections
         belong to the request) and closes after execution, when the
-        process-wide kernel counter delta is attached to the plan
-        (``plan.kernel_stats``), folded into the engine-scoped
-        :attr:`kernel_stats` aggregate, and kept as
+        process-wide kernel counter delta is folded into the
+        engine-scoped :attr:`kernel_stats` aggregate and kept as
         :attr:`last_kernel_stats`.  Under a sharded executor the delta
         covers parent-side work only — workers count into their own
         process-local totals.
         """
         tracer, owned = self._resolve_tracer(trace)
         before = kernels.kernel_stats().snapshot()
-        scope: _RequestScope | None = None
         try:
             with _tracing.activate(tracer):
                 with _tracing.maybe_span(tracer, "request", kind=kind) as span:
-                    scope = _RequestScope(tracer, span)
-                    yield scope
+                    yield _RequestScope(tracer, span)
         finally:
             delta = kernels.kernel_stats().delta(before)
             self.kernel_stats.merge(delta)
             self.last_kernel_stats = delta
-            if scope is not None and scope.plan is not None:
-                scope.plan.kernel_stats = delta
             if owned:
                 self.last_trace = tracer.document()
 
@@ -344,7 +345,6 @@ class BatchAttributionEngine:
                 bundle_cache=pool if pool is not None else self.component_cache,
                 sample_strata=self.sample_strata,
             )
-            scope.plan = plan
             self._note_plan(plan)
             planned = plan.requests[0]
             if scope.tracer is not None:
@@ -414,7 +414,6 @@ class BatchAttributionEngine:
                 bundle_cache=self.component_cache,
                 sample_strata=self.sample_strata,
             )
-            scope.plan = plan
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
             results = self._execute(plan, pool, version)
@@ -464,8 +463,7 @@ class BatchAttributionEngine:
         cache = pool if pool is not None else self.component_cache
         if version is not None and hasattr(self.shared, "writer_version"):
             self.shared.writer_version = digest_key(version)
-        reused_before = cache.stats.hits
-        dirty_before = cache.stats.misses
+        before = cache.stats.snapshot()
         with _tracing.maybe_span(
             _tracing.ACTIVE,
             "execute",
@@ -476,10 +474,9 @@ class BatchAttributionEngine:
             span.set("shipped", stats.shipped)
             span.set("fallbacks", stats.fallbacks)
         self.executor_stats.merge(stats)
-        self.delta_stats.components_reused += cache.stats.hits - reused_before
-        self.delta_stats.components_dirty += (
-            cache.stats.misses - dirty_before + stats.bundle_tasks
-        )
+        lookups = cache.stats.delta(before)
+        self.delta_stats.components_reused += lookups.hits
+        self.delta_stats.components_dirty += lookups.misses + stats.bundle_tasks
         for task in plan.tasks:
             if task.sample_spec is not None:
                 state = results[task.node_id].sample_state
@@ -690,17 +687,16 @@ class BatchAttributionEngine:
         Keys are ``layer.field`` (``store.hits``, ``planner.pruned``,
         ``executor.shipped``, ...).  Serving layers subtract two
         snapshots to report per-request accounting — e.g. "this request
-        executed zero new tasks" — without reaching into the dataclasses.
+        executed zero new tasks" — without reaching into the layers.
         """
-        flat: dict[str, int] = {}
-        for layer, snapshot in self.stats.items():
-            for name, value in vars(snapshot).items():
-                if isinstance(value, int) and not isinstance(value, bool):
-                    flat[f"{layer}.{name}"] = value
-        return flat
+        return {
+            f"{layer}.{name}": value
+            for layer, counters in self.stats.items()
+            for name, value in vars(counters).items()
+        }
 
     @property
-    def stats(self) -> dict[str, object]:
+    def stats(self) -> dict[str, Counters]:
         """Per-layer accounting snapshot.
 
         ``components`` and ``results`` are the two LRU caches and
@@ -710,13 +706,13 @@ class BatchAttributionEngine:
         *any* store tier held a result, and where the executed tasks
         actually ran.
         """
-        counters: dict[str, object] = {
+        counters: dict[str, Counters] = {
             "components": self.component_cache.stats.snapshot(),
             "results": self.result_cache.stats.snapshot(),
         }
         if self.shared is not None:
             counters["shared"] = self.shared.stats.snapshot()
-        if isinstance(getattr(self.store, "stats", None), CacheStats):
+        if isinstance(getattr(self.store, "stats", None), Counters):
             counters["store"] = self.store.stats.snapshot()
         counters["planner"] = self.planner_stats.snapshot()
         counters["executor"] = self.executor_stats.snapshot()

@@ -16,7 +16,7 @@ components it touches.  This module makes that observation operational:
   the work it actually invalidates: whether a request's relevant slice
   moved at all, and which top-level Gaifman components of a query are
   *dirty* (own a touched fact) versus reusable as-is.
-* :class:`DeltaStats` is the engine's cross-version accounting —
+* :data:`DELTA_COUNTERS` names the engine's cross-version accounting —
   distinct versions served, null players zero-filled at the engine
   boundary, and component lookups that were reused versus recomputed.
 
@@ -209,52 +209,26 @@ def dirty_components(
     return dirty, clean
 
 
-@dataclass
-class DeltaStats:
-    """Cross-version accounting of the delta-aware engine.
-
-    ``versions_seen`` counts distinct database fingerprints served;
-    ``facts_zero_filled`` counts the endogenous null players the engine
-    zero-filled at its public boundary — once per fact per returned
-    result, for every result (fresh or store-served, exact or sampled,
-    same version or across versions) whose relevance slice misses some
-    of ``D``'s endogenous facts; ``components_reused`` /
-    ``components_dirty`` count memoizable component lookups (top-level
-    and nested) served from the bundle caches versus recomputed during
-    execution.
-    """
-
-    versions_seen: int = 0
-    facts_zero_filled: int = 0
-    components_reused: int = 0
-    components_dirty: int = 0
-
-    def merge(self, other: "DeltaStats") -> None:
-        self.versions_seen += other.versions_seen
-        self.facts_zero_filled += other.facts_zero_filled
-        self.components_reused += other.components_reused
-        self.components_dirty += other.components_dirty
-
-    def snapshot(self) -> "DeltaStats":
-        return DeltaStats(
-            self.versions_seen,
-            self.facts_zero_filled,
-            self.components_reused,
-            self.components_dirty,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"DeltaStats(versions_seen={self.versions_seen},"
-            f" facts_zero_filled={self.facts_zero_filled},"
-            f" components_reused={self.components_reused},"
-            f" components_dirty={self.components_dirty})"
-        )
+#: Cross-version accounting of the delta-aware engine: ``versions_seen``
+#: counts distinct database fingerprints served; ``facts_zero_filled``
+#: counts the endogenous null players the engine zero-filled at its
+#: public boundary — once per fact per returned result, for every result
+#: (fresh or store-served, exact or sampled, same version or across
+#: versions) whose relevance slice misses some of ``D``'s endogenous
+#: facts; ``components_reused`` / ``components_dirty`` count memoizable
+#: component lookups (top-level and nested) served from the bundle
+#: caches versus recomputed during execution.
+DELTA_COUNTERS = (
+    "versions_seen",
+    "facts_zero_filled",
+    "components_reused",
+    "components_dirty",
+)
 
 
 __all__ = [
+    "DELTA_COUNTERS",
     "DatabaseDelta",
-    "DeltaStats",
     "apply_delta",
     "database_delta",
     "delta_from_dict",

@@ -29,7 +29,7 @@ start_method)`` across executors and shut down at interpreter exit.
 If a pool cannot be created or dies mid-flight (sandboxed environments,
 killed workers), the sharded executor degrades to in-process execution —
 a correctness-preserving fallback counted in
-:attr:`ExecutorStats.fallbacks`.
+the ``fallbacks`` counter of the executor's per-``execute`` record.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import os
 import pickle
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.engine.bundles import batch_count_vectors, bundle_for_component
@@ -51,6 +50,7 @@ from repro.engine.results import (
     result_from_vectors,
 )
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 from repro.shapley.sampling import (
     achieved_epsilon,
     extend_state,
@@ -63,38 +63,13 @@ from repro.shapley.sampling import (
 BundleCache = LRUCache | BundlePool
 
 
-@dataclass
-class ExecutorStats:
-    """Executor accounting: where the plan's nodes actually ran."""
-
-    tasks: int = 0
-    bundle_tasks: int = 0
-    shipped: int = 0
-    fallbacks: int = 0
-    processes: int = 1
-
-    def merge(self, other: "ExecutorStats") -> None:
-        self.tasks += other.tasks
-        self.bundle_tasks += other.bundle_tasks
-        self.shipped += other.shipped
-        self.fallbacks += other.fallbacks
-        self.processes = max(self.processes, other.processes)
-
-    def snapshot(self) -> "ExecutorStats":
-        return ExecutorStats(
-            self.tasks,
-            self.bundle_tasks,
-            self.shipped,
-            self.fallbacks,
-            self.processes,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ExecutorStats(tasks={self.tasks},"
-            f" bundle_tasks={self.bundle_tasks}, shipped={self.shipped},"
-            f" fallbacks={self.fallbacks}, processes={self.processes})"
-        )
+#: Executor accounting, where the plan's nodes actually ran: ``tasks``
+#: grounding tasks run, in process or by a worker; ``bundle_tasks``
+#: bundle nodes the workers ran; ``shipped`` nodes and sampled round
+#: ranges that came back from a worker; ``fallbacks`` failed pools whose
+#: nodes then ran in process.  One record per ``execute`` call; the engine
+#: sums them.
+EXECUTOR_COUNTERS = ("tasks", "bundle_tasks", "shipped", "fallbacks")
 
 
 @runtime_checkable
@@ -105,7 +80,7 @@ class Executor(Protocol):
 
     def execute(
         self, plan: Plan, cache: BundleCache
-    ) -> tuple[dict[tuple, BatchResult], ExecutorStats]: ...
+    ) -> tuple[dict[tuple, BatchResult], Counters]: ...
 
 
 def execute_grounding_task(task: GroundingTask, cache: BundleCache) -> BatchResult:
@@ -201,8 +176,8 @@ class SerialExecutor:
 
     def execute(
         self, plan: Plan, cache: BundleCache
-    ) -> tuple[dict[tuple, BatchResult], ExecutorStats]:
-        stats = ExecutorStats(processes=1)
+    ) -> tuple[dict[tuple, BatchResult], Counters]:
+        stats = Counters(*EXECUTOR_COUNTERS)
         results: dict[tuple, BatchResult] = {}
         tracer = _tracing.ACTIVE
         for task in plan.tasks:
@@ -496,8 +471,8 @@ class ShardedExecutor:
 
     def execute(
         self, plan: Plan, cache: BundleCache
-    ) -> tuple[dict[tuple, BatchResult], ExecutorStats]:
-        stats = ExecutorStats(processes=self.jobs)
+    ) -> tuple[dict[tuple, BatchResult], Counters]:
+        stats = Counters(*EXECUTOR_COUNTERS)
         results: dict[tuple, BatchResult] = {}
         pending_bundles: list[BundleTask] = []
         remote_tasks: list[GroundingTask] = []
@@ -555,7 +530,7 @@ class ShardedExecutor:
         sample_tasks: list[GroundingTask],
         cache: BundleCache,
         results: dict[tuple, BatchResult],
-        stats: ExecutorStats,
+        stats: Counters,
     ) -> None:
         """Submit shardable nodes, merge what comes back.
 
@@ -643,9 +618,9 @@ class ShardedExecutor:
 
 
 __all__ = [
+    "EXECUTOR_COUNTERS",
     "BundleCache",
     "Executor",
-    "ExecutorStats",
     "SerialExecutor",
     "ShardedExecutor",
     "assemble_sample_result",

@@ -39,7 +39,7 @@ computed, and nothing that computes one:
    (:func:`repro.engine.results.inflate_result`).
 4. **Bundle-reuse accounting**: when a ``bundle_cache`` is supplied,
    bundle nodes whose component fingerprint is already warm are counted
-   as reused (``PlanStats.bundles_reused``) — the executor will satisfy
+   as reused (``plan.stats.bundles_reused``) — the executor will satisfy
    them from the cache instead of recomputing, which is how a delta's
    *clean* components are skipped.
 
@@ -70,6 +70,7 @@ from repro.engine.fingerprint import (
 from repro.engine.policy import MethodPolicy
 from repro.engine.results import BatchResult, result_from_state
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS
 from repro.shapley.sampling import SampleState, rounds_for_contract, sample_seed
 from repro.util import kernels
@@ -180,87 +181,28 @@ class PlannedRequest:
     node_id: tuple | None
 
 
-@dataclass
-class PlanStats:
-    """Planner accounting: how much work the plan avoided up front."""
+#: Planner accounting, how much work the plan avoided up front:
+#: ``planned`` grounding tasks against ``requested`` requests, ``pruned``
+#: requests the store already satisfied, ``bundles`` bundle nodes and
+#: ``bundles_reused`` those whose component was already warm.
+PLAN_COUNTERS = ("requested", "planned", "pruned", "bundles", "bundles_reused")
 
-    requested: int = 0
-    planned: int = 0
-    pruned: int = 0
-    bundles: int = 0
-    bundles_reused: int = 0
-
-    def merge(self, other: "PlanStats") -> None:
-        self.requested += other.requested
-        self.planned += other.planned
-        self.pruned += other.pruned
-        self.bundles += other.bundles
-        self.bundles_reused += other.bundles_reused
-
-    def snapshot(self) -> "PlanStats":
-        return PlanStats(
-            self.requested,
-            self.planned,
-            self.pruned,
-            self.bundles,
-            self.bundles_reused,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanStats(requested={self.requested}, planned={self.planned},"
-            f" pruned={self.pruned}, bundles={self.bundles},"
-            f" bundles_reused={self.bundles_reused})"
-        )
-
-
-@dataclass
-class SampleStats:
-    """Sampler accounting: how the approximation tier spent (and saved) work.
-
-    ``requests`` counts sampled requests planned; ``resumed_rounds``
-    the stored antithetic rounds they reused instead of recomputing;
-    ``served_from_state`` the requests whose contract was already
-    satisfied by stored rounds (zero fresh work); ``restarts`` the
-    requests that found an unusable stored state and started the stream
-    over.  ``fresh_rounds`` and ``evaluations`` are filled in by the
-    engine after execution: new rounds actually run and query
-    evaluations actually spent.
-    """
-
-    requests: int = 0
-    fresh_rounds: int = 0
-    resumed_rounds: int = 0
-    served_from_state: int = 0
-    restarts: int = 0
-    evaluations: int = 0
-
-    def merge(self, other: "SampleStats") -> None:
-        self.requests += other.requests
-        self.fresh_rounds += other.fresh_rounds
-        self.resumed_rounds += other.resumed_rounds
-        self.served_from_state += other.served_from_state
-        self.restarts += other.restarts
-        self.evaluations += other.evaluations
-
-    def snapshot(self) -> "SampleStats":
-        return SampleStats(
-            self.requests,
-            self.fresh_rounds,
-            self.resumed_rounds,
-            self.served_from_state,
-            self.restarts,
-            self.evaluations,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SampleStats(requests={self.requests},"
-            f" fresh_rounds={self.fresh_rounds},"
-            f" resumed_rounds={self.resumed_rounds},"
-            f" served_from_state={self.served_from_state},"
-            f" restarts={self.restarts}, evaluations={self.evaluations})"
-        )
+#: Sampler accounting, how the approximation tier spent (and saved) work:
+#: ``requests`` sampled requests planned; ``resumed_rounds`` stored
+#: antithetic rounds reused instead of recomputed; ``served_from_state``
+#: requests whose contract stored rounds already satisfied (zero fresh
+#: work); ``restarts`` requests that found an unusable stored state and
+#: started the stream over.  The engine fills in ``fresh_rounds`` and
+#: ``evaluations`` after execution: new rounds actually run and query
+#: evaluations actually spent.
+SAMPLE_COUNTERS = (
+    "requests",
+    "fresh_rounds",
+    "resumed_rounds",
+    "served_from_state",
+    "restarts",
+    "evaluations",
+)
 
 
 @dataclass
@@ -279,17 +221,12 @@ class Plan:
     tasks: list[GroundingTask] = field(default_factory=list)
     bundles: dict[tuple, BundleTask] = field(default_factory=dict)
     satisfied: dict[tuple, BatchResult] = field(default_factory=dict)
-    stats: PlanStats = field(default_factory=PlanStats)
-    sample: SampleStats = field(default_factory=SampleStats)
+    stats: Counters = field(default_factory=lambda: Counters(*PLAN_COUNTERS))
+    sample: Counters = field(default_factory=lambda: Counters(*SAMPLE_COUNTERS))
     #: The convolution kernel active when this plan was built — the
     #: ``REPRO_KERNEL`` selection (``auto`` / ``schoolbook`` /
     #: ``packed``), re-read from the environment at plan time.
     kernel: str = "auto"
-    #: Per-request kernel accounting: the engine attaches the
-    #: :class:`repro.util.kernels.KernelStats` delta observed between
-    #: plan construction start and execution end, so one request's
-    #: convolution work is separable from the process-wide totals.
-    kernel_stats: "kernels.KernelStats | None" = None
 
 
 def _as_boolean(query: BooleanQuery) -> BooleanQuery:
@@ -682,14 +619,14 @@ def _build_plan(
 
 __all__ = [
     "BUNDLE",
+    "PLAN_COUNTERS",
     "RESULT",
+    "SAMPLE_COUNTERS",
     "BundleTask",
     "GroundingTask",
     "Plan",
     "PlanRequest",
-    "PlanStats",
     "PlannedRequest",
     "SampleSpec",
-    "SampleStats",
     "build_plan",
 ]

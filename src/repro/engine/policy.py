@@ -26,11 +26,14 @@ stack unchanged:
   ========== =========================================================
 
 * ``epsilon``/``delta`` — the additive accuracy contract of a sampled
-  answer: with probability at least ``1 - delta`` every per-fact
-  estimate is within ``epsilon`` of the exact Shapley value.  The pair
-  is part of the request fingerprint (:meth:`MethodPolicy.contract`),
-  so result stores and the daemon's request coalescer never conflate
-  accuracy classes.
+  answer, which holds *per fact*: for each fact, with probability at
+  least ``1 - delta`` its estimate is within ``epsilon`` of the exact
+  Shapley value.  It is not simultaneous: a guarantee that every fact
+  is within ``epsilon`` at once needs a union bound over the facts
+  (``delta / m`` for ``m`` facts), which the sampler does not apply.
+  The pair is part of the request fingerprint
+  (:meth:`MethodPolicy.contract`), so result stores and the daemon's
+  request coalescer never conflate accuracy classes.
 
 Only the wire protocol still reads the legacy ``allow_brute_force``
 field (``True`` means ``auto``, ``False`` means ``exact``), so old

@@ -29,7 +29,8 @@ from typing import Callable, Mapping
 
 from repro.core.facts import Constant, Fact
 from repro.engine.bundles import BatchVectors, pull_back
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CACHE_COUNTERS
+from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState, achieved_epsilon
 from repro.util.kernels import factorial_cached, shapley_weights
 
@@ -97,7 +98,7 @@ class AnswerBatchResult:
     """
 
     per_answer: Mapping[tuple[Constant, ...], BatchResult]
-    pool_stats: CacheStats = field(default_factory=CacheStats)
+    pool_stats: Counters = field(default_factory=lambda: Counters(*CACHE_COUNTERS))
 
     def aggregate(
         self,
@@ -176,7 +177,7 @@ def inflate_result(
     missing from the core mapping is a null player for this request and
     keeps its exact zero; ``player_count`` becomes the version's total.
     Returns the widened result and how many facts were zero-filled
-    (surfaced in :class:`repro.engine.delta.DeltaStats`).  Shapley and
+    (counted in ``delta.facts_zero_filled``).  Shapley and
     Banzhaf dummy invariance make the widened values bit-identical to a
     computation over the whole version.
 

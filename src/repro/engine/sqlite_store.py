@@ -46,11 +46,10 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CACHE_COUNTERS
 from repro.engine.fingerprint import digest_key
 from repro.engine.results import BatchResult
 from repro.io import (
@@ -63,6 +62,7 @@ from repro.io import (
     fact_to_row,
 )
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type names
@@ -185,26 +185,15 @@ CREATE TABLE IF NOT EXISTS claims (
 """
 
 
-@dataclass
-class ClaimStats:
-    """Counters for the cross-daemon claim protocol."""
-
-    #: Claims this store instance won (it computed, others waited).
-    won: int = 0
-    #: Claims lost to a concurrent holder (this caller waited instead).
-    lost: int = 0
-    #: Stale claims taken over after their TTL expired (crashed winner).
-    expired: int = 0
-    #: Waits that ended with the winner's release — the cross-daemon
-    #: coalescing events: each one is a computation that did not happen.
-    coalesced: int = 0
-    #: Waits that hit their deadline and computed anyway (best effort).
-    timeouts: int = 0
-
-    def snapshot(self) -> "ClaimStats":
-        return ClaimStats(
-            self.won, self.lost, self.expired, self.coalesced, self.timeouts
-        )
+#: Counters for the cross-daemon claim protocol: ``won`` claims this
+#: store instance won (it computed, others waited); ``lost`` claims lost
+#: to a concurrent holder (this caller waited instead); ``expired`` stale
+#: claims taken over after their TTL expired (crashed winner);
+#: ``coalesced`` waits that ended with the winner's release — the
+#: cross-daemon coalescing events: each one is a computation that did not
+#: happen; ``timeouts`` waits that hit their deadline and computed anyway
+#: (best effort).
+CLAIM_COUNTERS = ("won", "lost", "expired", "coalesced", "timeouts")
 
 
 class SQLiteResultStore:
@@ -238,8 +227,8 @@ class SQLiteResultStore:
         self.max_bytes = max_bytes
         self.claim_ttl = float(claim_ttl)
         self.timeout = float(timeout)
-        self.stats = CacheStats()
-        self.claim_stats = ClaimStats()
+        self.stats = Counters(*CACHE_COUNTERS)
+        self.claim_stats = Counters(*CLAIM_COUNTERS)
         # The engine stamps the writing database version's digest here
         # before each execution so retire() can target superseded
         # versions later.
@@ -546,7 +535,7 @@ class SQLiteResultStore:
 
 
 __all__ = [
-    "ClaimStats",
+    "CLAIM_COUNTERS",
     "FORMAT_VERSION",
     "RETIRED_STAMP",
     "SQLiteResultStore",

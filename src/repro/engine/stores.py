@@ -22,16 +22,18 @@ Two concrete stores plus one combinator cover the engine's needs:
 
 All stores share the contract that a hit returns a value *equal* to what
 a fresh computation would produce — exact ``Fraction`` results make that
-safe — and expose :class:`repro.engine.cache.CacheStats` accounting.
+safe — and count hits, misses and evictions in a
+:class:`repro.obs.counters.Counters` named ``stats``.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, Union, runtime_checkable
 
-from repro.engine.cache import CacheStats, LRUCache
+from repro.engine.cache import CACHE_COUNTERS, LRUCache
 from repro.engine.results import BatchResult
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState
 
 #: What a store holds: finished results under request keys, and — since
@@ -55,7 +57,7 @@ class ResultStore(Protocol):
     non-JSON-safe constants on disk).
     """
 
-    stats: CacheStats
+    stats: Counters
 
     def get(self, key: tuple) -> StoredValue | None: ...
 
@@ -74,7 +76,7 @@ class MemoryResultStore:
         self.cache = cache if cache is not None else LRUCache(maxsize)
 
     @property
-    def stats(self) -> CacheStats:
+    def stats(self) -> Counters:
         return self.cache.stats
 
     def __len__(self) -> int:
@@ -110,7 +112,7 @@ class TieredResultStore:
 
     def __init__(self, *tiers: ResultStore | None) -> None:
         self.tiers: list[ResultStore] = [tier for tier in tiers if tier is not None]
-        self.stats = CacheStats()
+        self.stats = Counters(*CACHE_COUNTERS)
 
     def get(self, key: tuple) -> StoredValue | None:
         if _tracing.ACTIVE is None:

@@ -28,15 +28,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from repro.engine.cache import CacheStats, LRUCache
+from repro.engine.cache import LRUCache
 from repro.logic.cnf import CnfFormula
+from repro.obs.counters import Counters
 
 Clauses = tuple[tuple[int, ...], ...]
 
 _component_cache: LRUCache[int] = LRUCache(maxsize=4096)
 
 
-def counting_cache_stats() -> CacheStats:
+def counting_cache_stats() -> Counters:
     """Snapshot of the shared component-cache counters."""
     return _component_cache.stats.snapshot()
 

@@ -1,4 +1,8 @@
-"""Observability: zero-dependency request tracing for the whole stack.
+"""Observability: counters and zero-dependency request tracing.
+
+:class:`repro.obs.counters.Counters` is the one accounting type: every
+layer's hit/miss, plan, executor, sampler, kernel, claim and coalescer
+counts are named integer attributes of one.
 
 The :mod:`repro.obs.tracing` module produces hierarchical spans
 (``request -> plan -> prune -> node:* -> store.* / kernel.convolve /
@@ -13,6 +17,7 @@ path guards on ``tracer is None`` (or the module-level
 property the benchmark suite asserts.
 """
 
+from repro.obs.counters import Counters
 from repro.obs.export import (
     export_chrome,
     render_trace,
@@ -33,6 +38,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "ACTIVE",
+    "Counters",
     "NULL_TRACER",
     "NullTracer",
     "Span",

@@ -75,11 +75,7 @@ from repro.server.protocol import (
     UnknownHandleError,
     parse_address,
 )
-from repro.server.registry import (
-    CoalescerStats,
-    DatabaseRegistry,
-    InFlightCoalescer,
-)
+from repro.server.registry import DatabaseRegistry, InFlightCoalescer
 
 __all__ = [
     "AdmissionController",
@@ -88,7 +84,6 @@ __all__ = [
     "AuthenticationError",
     "BackoffPolicy",
     "CoalescedRequestAborted",
-    "CoalescerStats",
     "DaemonMetrics",
     "DatabaseRegistry",
     "DeadlineExceededError",

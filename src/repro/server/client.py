@@ -627,8 +627,8 @@ class AttributionClient:
 
     @staticmethod
     def _decode_answers(result: dict[str, Any]):
-        from repro.engine.cache import CacheStats
         from repro.engine.results import AnswerBatchResult
+        from repro.obs.counters import Counters
 
         per_answer = {
             tuple(entry["answer"]): batch_result_from_dict(entry["result"])
@@ -637,8 +637,10 @@ class AttributionClient:
         pool = result.get("pool", {})
         return AnswerBatchResult(
             per_answer,
-            CacheStats(
-                hits=int(pool.get("hits", 0)), misses=int(pool.get("misses", 0))
+            Counters(
+                hits=int(pool.get("hits", 0)),
+                misses=int(pool.get("misses", 0)),
+                evictions=0,
             ),
         )
 

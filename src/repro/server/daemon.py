@@ -752,13 +752,8 @@ class AttributionDaemon:
             # Fleet coalescing visibility: claim wins are computations
             # this daemon led, ``coalesced`` are computations it *did
             # not repeat* because a sibling daemon's claim won the race.
-            store_stats = shared.stats
             document["shared"] = {
-                "store": {
-                    "hits": store_stats.hits,
-                    "misses": store_stats.misses,
-                    "evictions": store_stats.evictions,
-                },
+                "store": vars(shared.stats.snapshot()),
                 "claims": vars(shared.claim_stats.snapshot()),
             }
         return document

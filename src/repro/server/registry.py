@@ -34,13 +34,13 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, TypeVar
 
 from repro.core.database import Database
-from repro.engine.cache import CacheStats
+from repro.engine.cache import CACHE_COUNTERS
 from repro.engine.delta import DatabaseDelta, apply_delta
 from repro.engine.fingerprint import digest_key, fingerprint_database
+from repro.obs.counters import Counters
 from repro.server.protocol import CoalescedRequestAborted, UnknownHandleError
 
 Value = TypeVar("Value")
@@ -67,9 +67,8 @@ class DatabaseRegistry:
             raise ValueError(f"max_versions must be positive, got {max_versions}")
         self.max_databases = max_databases
         self.max_versions = max_versions
-        self.stats = CacheStats()
-        self.loads = 0
-        self.updates = 0
+        # db_load and db_update calls, then handle lookups and evictions.
+        self.stats = Counters("loads", "updates", *CACHE_COUNTERS)
         self._lock = threading.Lock()
         self._databases: OrderedDict[str, Database] = OrderedDict()
         # successor handle -> base handle: the version chains db_update
@@ -103,7 +102,7 @@ class DatabaseRegistry:
         """Store ``database`` (or refresh it) and return its handle."""
         handle = HANDLE_PREFIX + digest_key(fingerprint_database(database))[:32]
         with self._lock:
-            self.loads += 1
+            self.stats.loads += 1
             self._store_locked(database, handle)
         return handle
 
@@ -127,7 +126,7 @@ class DatabaseRegistry:
             HANDLE_PREFIX + digest_key(fingerprint_database(successor))[:32]
         )
         with self._lock:
-            self.updates += 1
+            self.stats.updates += 1
             self._store_locked(successor, successor_handle)
             if successor_handle != handle:
                 self._parents[successor_handle] = handle
@@ -169,24 +168,14 @@ class DatabaseRegistry:
         return {
             "held": held,
             "versions": versions,
-            "loads": self.loads,
-            "updates": self.updates,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "evictions": self.stats.evictions,
+            **vars(self.stats.snapshot()),
         }
 
 
-@dataclass
-class CoalescerStats:
-    """How often in-flight sharing actually fired (and how often it broke)."""
-
-    leaders: int = 0
-    followers: int = 0
-    aborted: int = 0
-
-    def snapshot(self) -> "CoalescerStats":
-        return CoalescerStats(self.leaders, self.followers, self.aborted)
+#: How often in-flight sharing actually fired (and how often it broke):
+#: ``leaders`` computations run, ``followers`` requests that shared one,
+#: ``aborted`` followers that got no result (aborted leader or timeout).
+COALESCER_COUNTERS = ("leaders", "followers", "aborted")
 
 
 class _InFlight:
@@ -238,7 +227,7 @@ class InFlightCoalescer:
     """
 
     def __init__(self) -> None:
-        self.stats = CoalescerStats()
+        self.stats = Counters(*COALESCER_COUNTERS)
         self._lock = threading.Lock()
         self._inflight: dict[Any, _InFlight] = {}
 
@@ -383,7 +372,7 @@ class InFlightCoalescer:
 
 
 __all__ = [
-    "CoalescerStats",
+    "COALESCER_COUNTERS",
     "DatabaseRegistry",
     "HANDLE_PREFIX",
     "InFlightCoalescer",

@@ -124,7 +124,12 @@ def rounds_for_contract(epsilon: float, delta: float) -> int:
 
     Round means lie in ``[-1, 1]`` and rounds are independent, so the
     Hoeffding count of the seed estimator applies unchanged with
-    "samples" read as "rounds".
+    "samples" read as "rounds".  The contract is per fact: for each
+    fact, with probability at least ``1 - delta`` its estimate is within
+    ``epsilon``.  There is no union bound over the facts, so the
+    probability that *some* fact misses can reach ``m * delta`` for
+    ``m`` facts; a simultaneous guarantee would need the count for
+    ``delta / m``.
     """
     return hoeffding_sample_count(epsilon, delta)
 

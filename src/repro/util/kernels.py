@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -59,6 +58,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from repro.obs import tracing as _tracing
+from repro.obs.counters import Counters
 
 #: Kernel tier names, as accepted by ``REPRO_KERNEL``.
 AUTO = "auto"
@@ -73,73 +73,26 @@ KERNEL_NAMES = (AUTO, SCHOOLBOOK, PACKED)
 PACK_THRESHOLD = 400
 
 
-@dataclass
-class KernelStats:
-    """Process-wide kernel accounting: who convolved, and how often.
+#: Process-wide kernel accounting, who convolved and how often:
+#: ``*_calls`` count executed pairwise convolutions per tier;
+#: ``tree_products`` counts balanced multi-factor products;
+#: ``plan_selections_*`` count the tier the planner predicted for each
+#: exact grounding task from its component size (the plan-time selection
+#: record, before any convolution runs).
+KERNEL_COUNTERS = (
+    "schoolbook_calls",
+    "packed_calls",
+    "tree_products",
+    "plan_selections_schoolbook",
+    "plan_selections_packed",
+)
 
-    ``*_calls`` count executed pairwise convolutions per tier;
-    ``tree_products`` counts balanced multi-factor products;
-    ``plan_selections_*`` count the tier the planner predicted for each
-    exact grounding task from its component size (the plan-time
-    selection record, before any convolution runs).
-    """
-
-    schoolbook_calls: int = 0
-    packed_calls: int = 0
-    tree_products: int = 0
-    plan_selections_schoolbook: int = 0
-    plan_selections_packed: int = 0
-
-    def merge(self, other: "KernelStats") -> None:
-        self.schoolbook_calls += other.schoolbook_calls
-        self.packed_calls += other.packed_calls
-        self.tree_products += other.tree_products
-        self.plan_selections_schoolbook += other.plan_selections_schoolbook
-        self.plan_selections_packed += other.plan_selections_packed
-
-    def snapshot(self) -> "KernelStats":
-        return KernelStats(
-            self.schoolbook_calls,
-            self.packed_calls,
-            self.tree_products,
-            self.plan_selections_schoolbook,
-            self.plan_selections_packed,
-        )
-
-    def delta(self, before: "KernelStats") -> "KernelStats":
-        """The field-wise increase since ``before`` (clamped at zero).
-
-        The clamp absorbs a concurrent :func:`reset_kernel_stats` —
-        per-request scoping should never report negative work.
-        """
-        return KernelStats(
-            max(0, self.schoolbook_calls - before.schoolbook_calls),
-            max(0, self.packed_calls - before.packed_calls),
-            max(0, self.tree_products - before.tree_products),
-            max(
-                0,
-                self.plan_selections_schoolbook
-                - before.plan_selections_schoolbook,
-            ),
-            max(0, self.plan_selections_packed - before.plan_selections_packed),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"KernelStats(schoolbook_calls={self.schoolbook_calls},"
-            f" packed_calls={self.packed_calls},"
-            f" tree_products={self.tree_products},"
-            f" plan_selections_schoolbook={self.plan_selections_schoolbook},"
-            f" plan_selections_packed={self.plan_selections_packed})"
-        )
-
-
-_STATS = KernelStats()
+_STATS = Counters(*KERNEL_COUNTERS)
 #: The kernel forced by ``REPRO_KERNEL`` (``None`` = size-tiered auto).
 _FORCED: str | None = None
 
 
-def kernel_stats() -> KernelStats:
+def kernel_stats() -> Counters:
     """The live process-wide counters (mutating them is the hot path's job)."""
     return _STATS
 
@@ -147,7 +100,7 @@ def kernel_stats() -> KernelStats:
 def reset_kernel_stats() -> None:
     """Zero the process-wide counters (test isolation hook)."""
     global _STATS
-    _STATS = KernelStats()
+    _STATS = Counters(*KERNEL_COUNTERS)
 
 
 def refresh_from_environment() -> str:
@@ -447,11 +400,7 @@ def kernel_metrics_document() -> dict:
     """The JSON form of the kernel layer for the daemon's ``metrics`` op."""
     return {
         "active": active_kernel_name(),
-        "counters": {
-            name: value
-            for name, value in vars(_STATS.snapshot()).items()
-            if isinstance(value, int)
-        },
+        "counters": vars(_STATS.snapshot()),
     }
 
 
@@ -462,11 +411,11 @@ refresh_from_environment()
 
 __all__ = [
     "AUTO",
+    "KERNEL_COUNTERS",
     "KERNEL_NAMES",
     "PACKED",
     "PACK_THRESHOLD",
     "SCHOOLBOOK",
-    "KernelStats",
     "ShapleyAccumulator",
     "active_kernel_name",
     "binomial_row",

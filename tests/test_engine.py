@@ -309,11 +309,11 @@ class TestLRUCache:
 
     def test_hit_rate(self):
         cache = LRUCache(maxsize=4)
-        assert cache.stats.hit_rate == 0.0
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
         cache.put("a", 1)
         cache.get("a")
         cache.get("missing")
-        assert cache.stats.hit_rate == 0.5
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
 class TestFingerprints:

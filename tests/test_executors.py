@@ -231,12 +231,13 @@ def _fork_probe(queue) -> None:
     """Runs in a forked child: report the state of the default engine."""
     engine = default_engine()
     stats = engine.stats
+    results, components = stats["results"], stats["components"]
     queue.put(
         {
             "result_entries": len(engine.result_cache),
             "component_entries": len(engine.component_cache),
-            "result_lookups": stats["results"].lookups,
-            "component_lookups": stats["components"].lookups,
+            "result_lookups": results.hits + results.misses,
+            "component_lookups": components.hits + components.misses,
             "planner_requested": stats["planner"].requested,
             "executor_tasks": stats["executor"].tasks,
         }
@@ -254,7 +255,8 @@ class TestForkSafety:
         parent = default_engine()
         parent.batch(running_example_db, q1)
         assert len(parent.result_cache) > 0
-        assert parent.stats["results"].lookups > 0
+        results = parent.stats["results"]
+        assert results.hits + results.misses > 0
 
         context = multiprocessing.get_context("fork")
         queue = context.SimpleQueue()

@@ -1,5 +1,7 @@
 """Unit tests for JSON / DIMACS serialization."""
 
+import json
+
 from repro.io import (
     database_from_dict,
     database_to_dict,
@@ -13,6 +15,13 @@ from repro.io import (
 from repro.logic.cnf import CnfFormula
 from repro.logic.solver import is_satisfiable
 from repro.workloads.running_example import figure_1_database
+
+
+def _stats_section(out: str, section: str) -> dict:
+    """The JSON of the one ``stats[<section>]`` line of ``--stats`` text."""
+    prefix = f"stats[{section}]: "
+    (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
+    return json.loads(line[len(prefix) :])
 
 
 class TestDatabaseJson:
@@ -154,12 +163,13 @@ class TestCli:
         ]
         assert main(args) == 0
         cold = capsys.readouterr().out
-        assert "cache[shared]" in cold
+        cold_engine = _stats_section(cold, "engine")
+        assert {"shared.hits", "shared.misses", "shared.evictions"} <= set(cold_engine)
         assert (tmp_path / "cache" / "results.db").is_file()
         # Same invocation again: the durable store must serve it warm.
         assert main(args) == 0
         warm = capsys.readouterr().out
-        assert "cached" in warm and "hits=1" in warm
+        assert "cached" in warm and _stats_section(warm, "engine")["shared.hits"] == 1
 
     def test_answers_command(self, tmp_path, capsys):
         from repro.cli import main

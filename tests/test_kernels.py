@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
 from repro.core.parser import parse_query
 from repro.engine.plan import PlanRequest, build_plan
+from repro.obs.counters import Counters
 from repro.util import kernels
 from repro.util.combinatorics import (
     binomial_vector,
@@ -371,7 +372,7 @@ class TestEngineBitIdentity:
         engine = BatchAttributionEngine(executor=SerialExecutor())
         engine.batch(db, query_q1())
         snapshot = engine.stats["kernel"]
-        assert isinstance(snapshot, kernels.KernelStats)
+        assert isinstance(snapshot, Counters)
         assert snapshot.schoolbook_calls + snapshot.packed_calls > 0
         selections = (
             snapshot.plan_selections_schoolbook + snapshot.plan_selections_packed
