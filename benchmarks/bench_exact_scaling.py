@@ -7,13 +7,27 @@ Two claims are made executable:
 * its running time scales polynomially in the number of endogenous facts
   where brute force scales exponentially (timing series on the scaled
   running-example family).
+
+Two ``batch`` ladders time the engine's all-facts pass.  On
+``star_join_database(n, 8)`` the per-student slices fall into a few
+shape classes, which the backward pass pulls back once each; on the
+all-distinct ladder (student ``i`` registers in ``i + 1`` courses) every
+slice has a shape of its own, so it guards the cost of computing shapes
+where no class repeats.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
+import pytest
+
+from repro.core.database import Database
+from repro.core.facts import Fact
+from repro.engine import BatchAttributionEngine, SerialExecutor, batch_count_vectors
+from repro.engine.bundles import OR
 from repro.shapley.brute_force import satisfying_subset_counts, shapley_brute_force
 from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import shapley_hierarchical
@@ -101,4 +115,89 @@ def test_e2_count_vector_cost(benchmark, report):
         "E2: CntSat count-vector on a 20-student instance",
         ("|Dn|", "vector length", "subsets counted"),
         [(len(db.endogenous), len(counts), sum(counts))],
+    )
+
+
+def _distinct_shapes_database(num_students: int) -> Database:
+    """Student ``i`` is a TA and registers in ``i + 1`` courses."""
+    db = Database()
+    for j in range(num_students):
+        db.add_exogenous(Fact("Course", (f"c{j}", "CS")))
+    for i in range(num_students):
+        db.add_exogenous(Fact("Stud", (f"s{i}",)))
+        db.add_endogenous(Fact("TA", (f"s{i}",)))
+        for j in range(i + 1):
+            db.add_endogenous(Fact("Reg", (f"s{i}", f"c{j}")))
+    return db
+
+
+def _batch_seconds(db, repeats: int = 2) -> float:
+    """Best wall time of ``batch`` on a fresh serial engine (cold caches)."""
+    best = math.inf
+    for _ in range(repeats):
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        start = time.perf_counter()
+        engine.batch(db, query_q1())
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _slice_classes(db) -> tuple[int, int]:
+    """``(slices, shape classes)`` of the per-student OR step of q1."""
+    root = batch_count_vectors(db, query_q1()).root
+    students = next(child for child in root.parts if child.kind == OR)
+    return len(students.parts), len({child.shape for child in students.parts})
+
+
+def _exponent(sizes, seconds) -> float:
+    """Least-squares slope of log(time) against log(size)."""
+    xs = [math.log(size) for size in sizes]
+    ys = [math.log(value) for value in seconds]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    numerator = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return numerator / sum((x - mean_x) ** 2 for x in xs)
+
+
+def _batch_ladder(report, title: str, databases) -> None:
+    rows, sizes, seconds = [], [], []
+    for n, db in databases:
+        elapsed = _batch_seconds(db)
+        slices, classes = _slice_classes(db)
+        sizes.append(n)
+        seconds.append(elapsed)
+        milliseconds = f"{elapsed * 1000:.1f} ms"
+        rows.append((n, len(db.endogenous), slices, classes, milliseconds))
+    rows.append(("fit", "", "", "", f"time ~ n^{_exponent(sizes, seconds):.2f}"))
+    report(title, ("n", "|Dn|", "slices", "shape classes", "batch time"), rows)
+
+
+def test_e2_batch_bit_identical_to_per_fact_cntsat():
+    """The all-facts pass equals per-fact CntSat at the quick size."""
+    q1 = query_q1()
+    for db in (
+        star_join_database(12, 8, rng=random.Random(12)),
+        _distinct_shapes_database(6),
+    ):
+        result = BatchAttributionEngine(executor=SerialExecutor()).batch(db, q1)
+        for item in db.endogenous:
+            assert result.shapley[item] == shapley_hierarchical(db, q1, item)
+
+
+@pytest.mark.slow
+def test_e2_batch_shape_class_ladder(report):
+    _batch_ladder(
+        report,
+        "E2: batch on star_join_database(n, 8), few shape classes",
+        [(n, star_join_database(n, 8, rng=random.Random(n))) for n in (100, 200, 400)],
+    )
+
+
+def test_e2_batch_distinct_shape_ladder(report, quick):
+    sizes = (8, 12) if quick else (20, 30, 40)
+    databases = [(n, _distinct_shapes_database(n)) for n in sizes]
+    for _, db in databases:
+        slices, classes = _slice_classes(db)
+        assert slices == classes
+    _batch_ladder(
+        report, "E2: batch with every student slice of its own shape", databases
     )

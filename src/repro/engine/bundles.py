@@ -37,6 +37,20 @@ pass over it.
   UNSAT factor at a time, and slice ``b`` then takes its ``s`` entries
   from one short-output correlation with the suffix product after it.
 
+* **Shape classes.**  Facts in isomorphic positions have equal values
+  (the symmetry axiom), and many slices of an OR step are isomorphic.
+  Every tape entry carries a *shape*, a digest of everything the
+  backward pass reads below it, with an OR step's slice shapes sorted so
+  that constant names do not matter.  Slices of one shape share their
+  all-but-one product ``rest``, so the OR step pulls each repeated shape
+  back once — ``rest`` is the tape's UNSAT product divided exactly by
+  the class's UNSAT vector (:func:`repro.util.kernels.divide_exact`) —
+  and copies the numerators to the other members along a fact walk in
+  shape order.  Slices of a shape of their own keep the prefix/suffix
+  chain.  No constant is renamed, and a shape is a digest rather than
+  an object identity, so bundles shipped back from worker processes
+  group exactly like local ones.
+
 Facts that can never influence satisfaction — facts of relations the
 query does not mention, and facts that fail their atom's constant or
 repeated-variable pattern — are recognized up front and reported with a
@@ -53,9 +67,11 @@ request's player count, is never cached.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
+from hashlib import blake2b
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.database import Database
 from repro.core.errors import NotHierarchicalError, SelfJoinError
@@ -70,7 +86,7 @@ from repro.util.combinatorics import (
     convolve_many,
     subtract_vectors,
 )
-from repro.util.kernels import correlate
+from repro.util.kernels import correlate, divide_exact
 
 # Anything with get_or_compute(key, thunk): an engine LRU or a call-scoped
 # pool layered on top of one (cross-grounding sharing in batch_answers).
@@ -105,6 +121,11 @@ class CountBundle:
     Sat^{-f}`` (their Shapley and Banzhaf values vanish); every other
     owned fact is reached by exactly one path down the tape.  A bundle
     without such a fact is never descended into and has no ``parts``.
+
+    ``shape`` is a process-stable digest of everything the backward pass
+    reads below this entry (:func:`_shape`): two bundles with equal
+    shapes yield equal numerators, position for position along
+    :func:`_live_facts`, for equal cotangents.
     """
 
     owned: int
@@ -112,6 +133,7 @@ class CountBundle:
     zero: frozenset[Fact]
     kind: str
     parts: tuple
+    shape: bytes
 
     @property
     def live(self) -> bool:
@@ -135,7 +157,31 @@ def _step(
     facts = frozenset(zero) if zero else _NO_FACTS
     if owned == len(facts):
         parts = ()
-    return CountBundle(owned, tuple(sat), facts, kind, parts)
+    sat = tuple(sat)
+    return CountBundle(
+        owned, sat, facts, kind, parts, _shape(owned, sat, len(facts), kind, parts)
+    )
+
+
+def _shape(
+    owned: int, sat: tuple[int, ...], zero: int, kind: str, parts: tuple
+) -> bytes:
+    """The tape shape of one entry: a digest that survives pickling.
+
+    It covers the step, its counts and vector, the child shapes — in
+    order for an AND step, whose children follow the query's atom order,
+    and sorted for an OR step, whose slices are ordered by the ``repr``
+    of a constant, a naming accident — and a ground entry's deletion
+    vectors in order.  Flat integer tuples pickle to canonical bytes.
+    """
+    digest = blake2b(pickle.dumps((kind, owned, zero, sat)), digest_size=16)
+    if kind == GROUND:
+        for _, deletion in parts:
+            digest.update(pickle.dumps(deletion))
+    else:
+        shapes = [child.shape for child in parts]
+        digest.update(b"".join(sorted(shapes) if kind == OR else shapes))
+    return digest.digest()
 
 
 @dataclass(frozen=True)
@@ -251,32 +297,33 @@ def _bundle_component_fresh(component: list[_Scoped], cache: BundleCache) -> Cou
         )
     root = min(roots, key=lambda var: var.name)
 
-    positions = [scoped.atom.terms.index(root) for scoped in component]
-    candidates: set[Constant] = set()
-    for index, scoped in enumerate(component):
-        for item in scoped.exogenous | scoped.endogenous:
-            candidates.add(item.args[positions[index]])
+    # One pass buckets every fact of every atom by its root value.
+    buckets = []
+    for scoped in component:
+        at = scoped.atom.terms.index(root)
+        exogenous: dict[Constant, list[Fact]] = {}
+        endogenous: dict[Constant, list[Fact]] = {}
+        for item in scoped.exogenous:
+            exogenous.setdefault(item.args[at], []).append(item)
+        for item in scoped.endogenous:
+            endogenous.setdefault(item.args[at], []).append(item)
+        buckets.append((exogenous, endogenous))
+    candidates = {value for pair in buckets for bucket in pair for value in bucket}
 
     total = sum(len(scoped.endogenous) for scoped in component)
     slice_bundles: list[CountBundle] = []
     for value in sorted(candidates, key=repr):
-        slice_scope = []
-        for index, scoped in enumerate(component):
-            at = positions[index]
-            slice_scope.append(
-                _Scoped(
-                    scoped.atom.substitute({root: value}),
-                    frozenset(
-                        item for item in scoped.exogenous if item.args[at] == value
-                    ),
-                    frozenset(
-                        item for item in scoped.endogenous if item.args[at] == value
-                    ),
-                )
+        slice_scope = [
+            _Scoped(
+                scoped.atom.substitute({root: value}),
+                frozenset(exogenous.get(value, ())),
+                frozenset(endogenous.get(value, ())),
             )
+            for scoped, (exogenous, endogenous) in zip(component, buckets)
+        ]
         slice_bundles.append(_bundle_scope(slice_scope, cache))
 
-    unsat = convolve_many(_unsat_vectors(slice_bundles))
+    unsat = convolve_many([_unsat(bundle) for bundle in slice_bundles])
     sat = subtract_vectors(binomial_vector(total), unsat)
     zero: set[Fact] = set()
     for bundle in slice_bundles:
@@ -284,11 +331,9 @@ def _bundle_component_fresh(component: list[_Scoped], cache: BundleCache) -> Cou
     return _step(total, sat, zero, OR, tuple(slice_bundles))
 
 
-def _unsat_vectors(slices: Sequence[CountBundle]) -> list[list[int]]:
-    """The UNSAT count vector of every slice of an OR step."""
-    return [
-        subtract_vectors(binomial_vector(bundle.owned), bundle.sat) for bundle in slices
-    ]
+def _unsat(bundle: CountBundle) -> list[int]:
+    """The UNSAT count vector of a slice of an OR step."""
+    return subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
 
 
 def _ground_vector(component: list[_Scoped]) -> tuple[int, ...]:
@@ -521,28 +566,85 @@ def _pull_back_or(
     With ``g_b = corr(g, rest)`` for slice ``b`` (``rest`` the product of
     the other slices' UNSAT vectors), ``<g, d_f> = <g, remaining> -
     <g_b, players> + <g_b, d_child>``: the first two terms join the
-    offset and ``g_b`` continues down.  ``prefix`` holds each cotangent
-    correlated with the UNSAT vectors of the slices before ``b``, one
-    short factor at a time; ``suffix[b + 1]`` is the product of those
-    after it, and slice ``b`` needs only its ``owned`` outputs of their
-    correlation.
+    offset and ``g_b`` continues down.
+
+    Slices of one shape share ``rest`` and their numerators, so a shape
+    class with several members is pulled back once: its ``rest`` is the
+    step's UNSAT product (on the tape as ``binom(owned) - sat``) divided
+    exactly by the class's UNSAT vector, one member is descended into,
+    and the others copy its numerators fact by fact along
+    :func:`_live_facts`.  The slices of a shape of their own form a
+    chain: ``prefix`` holds each cotangent correlated with the UNSAT
+    vectors of the chain slices before ``b``, one short factor at a
+    time; ``suffix[b + 1]`` is the product of those after it and of
+    every repeated class, and slice ``b`` needs only its ``owned``
+    outputs of their correlation.
     """
-    slices = bundle.parts
-    live = [b for b, child in enumerate(slices) if child.live]
-    unsat = _unsat_vectors(slices)
-    suffix = [[1]] * (len(slices) + 1)
-    for b in range(len(slices) - 1, live[0], -1):
-        suffix[b] = convolve(unsat[b], suffix[b + 1])
+    classes: dict[bytes, list[CountBundle]] = {}
+    for child in bundle.parts:
+        classes.setdefault(child.shape, []).append(child)
     remaining = binomial_vector(bundle.owned - 1)
     base = [o + _dot(g, remaining) for g, o in zip(cotangents, offsets)]
+
+    def descend(child: CountBundle, local: list[list[int]]) -> None:
+        players = binomial_vector(child.owned - 1)
+        _pull_back(
+            child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
+        )
+
+    repeated = [members for members in classes.values() if len(members) > 1]
+    if repeated:
+        product = subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
+        # An all-zero UNSAT slice zeroes the product and every rest of a
+        # repeated class, which has it (or a second member) as a factor.
+        divisible = any(product)
+    for members in repeated:
+        first = members[0]
+        if not first.live:
+            continue
+        if divisible:
+            rest = divide_exact(product, _unsat(first))
+            local = [correlate(g, rest, first.owned) for g in cotangents]
+        else:
+            local = [[0] * first.owned for _ in cotangents]
+        descend(first, local)
+        numerators = [out[item] for item in _live_facts(first)]
+        for member in members[1:]:
+            out.update(zip(_live_facts(member), numerators))
+
+    chain = [members[0] for members in classes.values() if len(members) == 1]
+    live = [b for b, child in enumerate(chain) if child.live]
+    if not live:
+        return
+    unsat = [_unsat(child) for child in chain]
+    class_factors = [_unsat(members[0]) for members in repeated for _ in members]
+    suffix = [[1]] * len(chain) + [convolve_many(class_factors)]
+    for b in range(len(chain) - 1, live[0], -1):
+        suffix[b] = convolve(unsat[b], suffix[b + 1])
     prefix = cotangents
     for b in range(live[-1] + 1):
-        child = slices[b]
+        child = chain[b]
         if child.live:
-            local = [correlate(p, suffix[b + 1], child.owned) for p in prefix]
-            players = binomial_vector(child.owned - 1)
-            _pull_back(
-                child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
-            )
+            descend(child, [correlate(p, suffix[b + 1], child.owned) for p in prefix])
         if b < live[-1]:
             prefix = [correlate(p, unsat[b], len(p) - child.owned) for p in prefix]
+
+
+def _live_facts(bundle: CountBundle) -> Iterator[Fact]:
+    """The live facts below ``bundle`` in shape order.
+
+    Ground entries keep their order, AND children the query's atom order
+    and OR slices are taken sorted by shape — the orders :func:`_shape`
+    hashes — so two bundles of one shape list their facts with equal
+    numerators at equal positions.
+    """
+    if bundle.kind == GROUND:
+        for item, _ in bundle.parts:
+            yield item
+        return
+    children = bundle.parts
+    if bundle.kind == OR:
+        children = sorted(children, key=lambda child: child.shape)
+    for child in children:
+        if child.live:
+            yield from _live_facts(child)

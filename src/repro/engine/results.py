@@ -271,6 +271,9 @@ def result_from_vectors(vectors: BatchVectors, method: str) -> BatchResult:
     numerator (:func:`fact_numerators`) over ``n!`` or ``2^(n-1)``,
     normalized to a ``Fraction`` once: bit-identical to summing the
     per-size ``Fraction`` terms, because ``Fraction`` canonicalizes.
+    Facts in isomorphic positions share their numerators, so each
+    distinct numerator pair is normalized once and its (immutable)
+    ``Fraction`` values are shared.
     """
     players = vectors.total_players
     shapley: dict[Fact, Fraction] = {item: Fraction(0) for item in vectors.zero_facts}
@@ -279,9 +282,14 @@ def result_from_vectors(vectors: BatchVectors, method: str) -> BatchResult:
     if numerators:
         shapley_denominator = factorial_cached(players)
         banzhaf_denominator = 2 ** (players - 1)
-        for item, (shapley_numerator, banzhaf_numerator) in numerators.items():
-            shapley[item] = Fraction(shapley_numerator, shapley_denominator)
-            banzhaf[item] = Fraction(banzhaf_numerator, banzhaf_denominator)
+        values: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        for item, pair in numerators.items():
+            if pair not in values:
+                values[pair] = (
+                    Fraction(pair[0], shapley_denominator),
+                    Fraction(pair[1], banzhaf_denominator),
+                )
+            shapley[item], banzhaf[item] = values[pair]
     return BatchResult(shapley, banzhaf, method, players)
 
 

@@ -21,6 +21,9 @@ keeping the public rational API bit-identical:
   leading outputs a caller asks for, looping over whichever of output
   and kernel is shorter, so pulling a factorial-sized cotangent through
   a long count vector costs one C-level dot product per needed entry.
+* **Exact division.**  :func:`divide_exact` undoes one factor of a
+  product, so the backward pass recovers an all-but-one product from the
+  full product already on its tape instead of rebuilding it.
 * **Balanced product trees.**  :func:`convolve_many` reduces a factor
   list pairwise in rounds instead of folding left, keeping operand
   sizes balanced — the shape under which the packed kernel's
@@ -306,6 +309,50 @@ def correlate(
     return result
 
 
+class InexactDivisionError(ArithmeticError):
+    """A :func:`divide_exact` factor does not divide the product."""
+
+
+def divide_exact(product: Sequence[int], factor: Sequence[int]) -> list[int]:
+    """The quotient ``q`` with ``convolve(q, factor) == product``.
+
+    Exact polynomial division over the integers, from the lowest degree
+    up: leading zeros of ``factor`` (low-order entries) must be matched
+    by zeros of ``product`` and are shifted away, then every quotient
+    entry is one short dot product divided by the factor's lowest
+    non-zero entry, and the entries of ``product`` above the quotient's
+    length are checked against it.  Raises
+    :class:`InexactDivisionError` when no such ``q`` exists and
+    :class:`ZeroDivisionError` for an all-zero factor.  This is how the
+    engine's backward pass recovers the all-but-one product of an OR
+    step from the full product on its tape (:mod:`repro.engine.bundles`).
+    """
+    shift = next((i for i, value in enumerate(factor) if value), None)
+    if shift is None:
+        raise ZeroDivisionError("divide_exact by an all-zero factor")
+    out_len = len(product) - len(factor) + 1
+    if out_len < 1 or any(product[:shift]):
+        raise InexactDivisionError("factor does not divide product")
+    lead = factor[shift]
+    # tail[-k:] is factor[shift + 1 : shift + k + 1] reversed, so the
+    # quotient window q[i - k : i] lines up with it in one dot product.
+    tail = list(factor[shift + 1 :])[::-1]
+    width = len(tail)
+    quotient: list[int] = []
+    for i in range(out_len):
+        k = min(i, width)
+        carried = sum(map(mul, quotient[i - k : i], tail[width - k :]))
+        value, remainder = divmod(product[shift + i] - carried, lead)
+        if remainder:
+            raise InexactDivisionError("factor does not divide product")
+        quotient.append(value)
+    for i in range(out_len, len(product) - shift):
+        low = max(0, i - width)
+        if product[shift + i] != sum(map(mul, quotient[low:], tail[width - i + low :])):
+            raise InexactDivisionError("factor does not divide product")
+    return quotient
+
+
 # ----------------------------------------------------------------------
 # Shared weight tables and deferred rational assembly
 # ----------------------------------------------------------------------
@@ -411,6 +458,7 @@ refresh_from_environment()
 
 __all__ = [
     "AUTO",
+    "InexactDivisionError",
     "KERNEL_COUNTERS",
     "KERNEL_NAMES",
     "PACKED",
@@ -424,6 +472,7 @@ __all__ = [
     "convolve_packed",
     "convolve_schoolbook",
     "correlate",
+    "divide_exact",
     "factorial_cached",
     "kernel_description",
     "kernel_metrics_document",

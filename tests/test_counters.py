@@ -91,8 +91,8 @@ SERIAL_COLD = {
     "executor.processes": 1,
     "delta.versions_seen": 1,
     "delta.components_dirty": 11,
-    "kernel.schoolbook_calls": 88,
-    "kernel.tree_products": 29,
+    "kernel.schoolbook_calls": 75,
+    "kernel.tree_products": 23,
     "kernel.plan_selections_packed": 1,
 }
 #: ... and after the same request again, served by the result store.
@@ -119,8 +119,8 @@ SHIPPED_COLD = {
     "delta.versions_seen": 1,
     "delta.components_reused": 1,
     "delta.components_dirty": 1,
-    "kernel.schoolbook_calls": 30,
-    "kernel.tree_products": 14,
+    "kernel.schoolbook_calls": 17,
+    "kernel.tree_products": 8,
     "kernel.plan_selections_packed": 1,
 }
 SHIPPED_WARM = {
@@ -254,7 +254,7 @@ class TestCounterOperations:
         kernel = engine.stats["kernel"]
         merged = kernel.snapshot()
         merged.merge(kernel)
-        assert merged.schoolbook_calls == 2 * 88
+        assert merged.schoolbook_calls == 2 * 75
         assert merged.plan_selections_packed == 2
 
     def test_delta_clamps_after_a_reset(self):
