@@ -14,6 +14,12 @@ shape classes, which the backward pass pulls back once each; on the
 all-distinct ladder (student ``i`` registers in ``i + 1`` courses) every
 slice has a shape of its own, so it guards the cost of computing shapes
 where no class repeats.
+
+The ``batch_answers`` ladder times one plan over every grounding of the
+non-Boolean companion query on the same databases, next to the
+positive-part join that finds its candidate answers
+(``candidate_answers``), which reads each ``Reg`` step from the bound
+student's column and so grows linearly.
 """
 
 from __future__ import annotations
@@ -26,8 +32,11 @@ import pytest
 
 from repro.core.database import Database
 from repro.core.facts import Fact
+from repro.core.parser import parse_query
 from repro.engine import BatchAttributionEngine, SerialExecutor, batch_count_vectors
 from repro.engine.bundles import OR
+from repro.shapley.aggregates import candidate_answers
+from repro.shapley.answers import ground_at_answer
 from repro.shapley.brute_force import satisfying_subset_counts, shapley_brute_force
 from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import shapley_hierarchical
@@ -200,4 +209,80 @@ def test_e2_batch_distinct_shape_ladder(report, quick):
         assert slices == classes
     _batch_ladder(
         report, "E2: batch with every student slice of its own shape", databases
+    )
+
+
+ANSWERS_QUERY = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+
+
+def _best_seconds(call, repeats: int = 3) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _answers_ladder(report, title: str, sizes) -> None:
+    """``batch_answers`` (fresh serial engine) and ``candidate_answers``."""
+    rows, answers_seconds, join_seconds = [], [], []
+    for n in sizes:
+        db = star_join_database(n, 8, rng=random.Random(n))
+        answers_seconds.append(
+            _best_seconds(
+                lambda: BatchAttributionEngine(
+                    executor=SerialExecutor()
+                ).batch_answers(db, ANSWERS_QUERY)
+            )
+        )
+        join_seconds.append(
+            _best_seconds(lambda: candidate_answers(db, ANSWERS_QUERY))
+        )
+        rows.append(
+            (
+                n,
+                len(db.endogenous),
+                len(candidate_answers(db, ANSWERS_QUERY)),
+                f"{answers_seconds[-1] * 1000:.1f} ms",
+                f"{join_seconds[-1] * 1000:.2f} ms",
+            )
+        )
+    if len(sizes) > 1:
+        rows.append(
+            (
+                "fit",
+                "",
+                "",
+                f"time ~ n^{_exponent(sizes, answers_seconds):.2f}",
+                f"time ~ n^{_exponent(sizes, join_seconds):.2f}",
+            )
+        )
+    report(
+        title,
+        ("n", "|Dn|", "answers", "batch_answers", "candidate_answers"),
+        rows,
+    )
+
+
+def test_e2_answers_bit_identical_to_batch(report):
+    """At the quick size, every answer equals ``batch`` on its grounding."""
+    db = star_join_database(30, 8, rng=random.Random(30))
+    engine = BatchAttributionEngine(executor=SerialExecutor())
+    result = engine.batch_answers(db, ANSWERS_QUERY)
+    assert set(result.per_answer) == set(candidate_answers(db, ANSWERS_QUERY))
+    for answer, per_answer in result.per_answer.items():
+        grounded = ground_at_answer(ANSWERS_QUERY, answer)
+        single = BatchAttributionEngine(executor=SerialExecutor()).batch(db, grounded)
+        assert per_answer.shapley == single.shapley
+        assert per_answer.banzhaf == single.banzhaf
+    _answers_ladder(report, "E2: batch_answers on star_join_database(30, 8)", (30,))
+
+
+@pytest.mark.slow
+def test_e2_answers_ladder(report):
+    _answers_ladder(
+        report,
+        "E2: batch_answers and its candidate join on star_join_database(n, 8)",
+        (30, 60, 120, 240),
     )

@@ -130,7 +130,7 @@ def test_sharded_speedup_on_large_hard_instances(report):
 
     The groundings of ``audit_query`` are independent coalition
     enumerations over each grounding's relevance slice (its own ``W``
-    fact plus the ``2 * core`` core facts, 2^9 coalitions here) — no
+    fact plus the ``2 * core`` core facts, 2^11 coalitions here) — no
     shared work for the pool to collapse — so two workers should
     approach 2x; 1.3x is the asserted floor that absorbs pickling and
     pool overhead.
@@ -138,7 +138,7 @@ def test_sharded_speedup_on_large_hard_instances(report):
     q = audit_query()
     rows = []
     speedups = []
-    for answers, core in ((6, 4), (8, 4)):
+    for answers, core in ((6, 5), (8, 5)):
         db = hard_answers_database(answers, core, rng=random.Random(11))
 
         serial_engine = BatchAttributionEngine(executor=SerialExecutor())

@@ -5,11 +5,22 @@ CQ¬ ``q`` if some assignment of the variables maps every positive atom to a
 fact of ``D`` and no negated atom to a fact of ``D``.
 
 The engine is a backtracking join over the positive atoms with greedy
-atom ordering (most-bound-variables first, then smallest relation), plus
-*early* pruning on negated atoms: as soon as a negated atom becomes fully
-ground under the partial assignment it is checked.  Safe negation
-guarantees all negated atoms are ground once the positive atoms are
-processed.
+atom ordering (most-bound-variables first, then smallest relation, then
+query order), plus *early* pruning on negated atoms: as soon as a negated
+atom becomes fully ground under the partial assignment it is checked.
+Safe negation guarantees all negated atoms are ground once the positive
+atoms are processed.
+
+Each join step reads its candidates from the :class:`FactIndex`: when a
+position of the atom is fixed before the step runs — a constant, or a
+variable an earlier atom binds — the candidates are the facts holding
+that value there, read from the lazily built column of the first such
+position; otherwise they are the whole relation.  A column keeps the
+relation's iteration order, so a lookup yields exactly the candidates,
+in the same order, that the filtered scan of the relation would.  A
+join whose atoms chain through shared variables (``Stud(x), Reg(x, y)``)
+is therefore linear in the facts it touches, not a product of relation
+sizes.
 
 All entry points accept either a :class:`~repro.core.database.Database`
 (evaluated over *all* its facts) or a plain iterable of facts, because the
@@ -22,7 +33,7 @@ once instead of re-running the join.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Union
 
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
@@ -39,12 +50,23 @@ Assignment = dict[Variable, Constant]
 
 
 class FactIndex:
-    """Facts grouped by relation, for candidate lookup during joins.
+    """Facts grouped by relation, and lazily by one position at a time.
 
-    Building the index once and reusing it across evaluations is the main
-    performance lever for the brute-force Shapley oracle, which evaluates
-    the same query on exponentially many subsets.
+    :meth:`relation` is a relation's fact set.  :meth:`column` maps each
+    value at one position of a relation to the facts holding it there,
+    listed in :meth:`relation`'s iteration order; it is built on first
+    use and kept, so a join step reads its candidates by a bound
+    position instead of scanning the relation.  Building the index once
+    and reusing it across evaluations is the main performance lever for
+    the brute-force Shapley oracle, which evaluates the same query on
+    exponentially many subsets.
+
+    :class:`repro.engine.FactIndex` is this class with the database's
+    endogenous split on top; the engine slices every grounding's
+    relevant facts from the same columns.
     """
+
+    __slots__ = ("_by_relation", "_columns")
 
     def __init__(self, facts: FactSource) -> None:
         if isinstance(facts, Database):
@@ -52,9 +74,26 @@ class FactIndex:
         self._by_relation: dict[str, set[Fact]] = {}
         for item in facts:
             self._by_relation.setdefault(item.relation, set()).add(item)
+        self._columns: dict[tuple[str, int], dict[Constant, list[Fact]]] = {}
 
     def relation(self, name: str) -> set[Fact]:
         return self._by_relation.get(name, set())
+
+    def column(self, name: str, position: int) -> dict[Constant, list[Fact]]:
+        """The facts of relation ``name`` keyed by their value at ``position``.
+
+        Keys are looked up by equality, so ``1`` and ``True`` share one
+        list, exactly as the join's equality test treats them.  Facts too
+        short to have ``position`` are in no list.
+        """
+        key = (name, position)
+        column = self._columns.get(key)
+        if column is None:
+            column = self._columns[key] = {}
+            for item in self.relation(name):
+                if position < len(item.args):
+                    column.setdefault(item.args[position], []).append(item)
+        return column
 
     def __contains__(self, item: Fact) -> bool:
         return item in self._by_relation.get(item.relation, ())
@@ -81,6 +120,8 @@ def _extend(
     atom: Atom, target: Fact, assignment: Assignment
 ) -> Assignment | None:
     """Extend ``assignment`` so that ``atom`` maps onto ``target``, if possible."""
+    if len(target.args) != len(atom.terms):
+        return None
     extended = dict(assignment)
     for term, value in zip(atom.terms, target.args):
         if isinstance(term, Variable):
@@ -92,23 +133,44 @@ def _extend(
     return extended
 
 
-def _order_positive_atoms(
+def _join_steps(
     atoms: tuple[Atom, ...], index: FactIndex
-) -> list[Atom]:
-    """Greedy join order: repeatedly pick the most-constrained unprocessed atom."""
-    remaining = list(atoms)
-    ordered: list[Atom] = []
+) -> list[tuple[Atom, Variable | None, Any]]:
+    """The join's steps in greedy order, each with where it reads candidates.
+
+    The order repeatedly picks the most-constrained remaining atom: fewest
+    unbound variables, then the smallest relation, then the earlier atom
+    of the query.  A step is ``(atom, variable, source)``.  ``variable``
+    is None when the candidates are ``source`` itself: the column entry of
+    the atom's first constant, or the whole relation when no position is
+    fixed before the step.  Otherwise the first fixed position holds
+    ``variable``, bound by an earlier step, and the candidates are
+    ``source.get(assignment[variable], ())`` on that position's column.
+    """
+    remaining = [
+        (atom.variables, len(index.relation(atom.relation)), atom) for atom in atoms
+    ]
+    steps: list[tuple[Atom, Variable | None, Any]] = []
     bound: set[Variable] = set()
     while remaining:
-        def rank(atom: Atom) -> tuple[int, int]:
-            unbound = len(atom.variables - bound)
-            return (unbound, len(index.relation(atom.relation)))
-
-        best = min(remaining, key=rank)
-        remaining.remove(best)
-        ordered.append(best)
-        bound |= best.variables
-    return ordered
+        best = min(
+            range(len(remaining)),
+            key=lambda slot: (len(remaining[slot][0] - bound), remaining[slot][1]),
+        )
+        variables, _, atom = remaining.pop(best)
+        variable: Variable | None = None
+        source: Any = index.relation(atom.relation)
+        for position, term in enumerate(atom.terms):
+            if not isinstance(term, Variable):
+                source = index.column(atom.relation, position).get(term, ())
+                break
+            if term in bound:
+                variable = term
+                source = index.column(atom.relation, position)
+                break
+        steps.append((atom, variable, source))
+        bound |= variables
+    return steps
 
 
 def find_homomorphisms(
@@ -120,7 +182,7 @@ def find_homomorphisms(
     positive atoms into ``facts``, and maps no negated atom into ``facts``.
     """
     index = _as_index(facts)
-    positives = _order_positive_atoms(query.positive_atoms, index)
+    steps = _join_steps(query.positive_atoms, index)
     negatives = query.negative_atoms
 
     def negated_atom_violated(assignment: Assignment) -> bool:
@@ -131,13 +193,15 @@ def find_homomorphisms(
         return False
 
     def search(position: int, assignment: Assignment) -> Iterator[Assignment]:
-        if position == len(positives):
+        if position == len(steps):
             # Safe negation: all variables are now bound, so every negated
             # atom is ground and has been checked along the way.
             yield assignment
             return
-        atom = positives[position]
-        for candidate in index.relation(atom.relation):
+        atom, variable, source = steps[position]
+        if variable is not None:
+            source = source.get(assignment[variable], ())
+        for candidate in source:
             extended = _extend(atom, candidate, assignment)
             if extended is None:
                 continue
@@ -145,7 +209,7 @@ def find_homomorphisms(
                 continue
             yield from search(position + 1, extended)
 
-    if not positives:
+    if not steps:
         # Queries with no positive atoms cannot exist (safety forbids
         # variables) unless all atoms are ground negations.
         empty: Assignment = {}

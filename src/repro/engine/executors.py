@@ -182,7 +182,9 @@ class SerialExecutor:
         tracer = _tracing.ACTIVE
         for task in plan.tasks:
             with _tracing.maybe_span(
-                tracer, f"node:{task.method}", node=_tracing.label(task.node_id)
+                tracer,
+                f"node:{task.method}",
+                node=_tracing.label(task.node_id) if tracer is not None else None,
             ):
                 results[task.node_id] = execute_grounding_task(task, cache)
             stats.tasks += 1
@@ -224,7 +226,9 @@ def _run_bundle_chunk(
     with _tracing.activate(tracer):
         for task in tasks:
             with _tracing.maybe_span(
-                tracer, "node:bundle", node=_tracing.label(task.node_id)
+                tracer,
+                "node:bundle",
+                node=_tracing.label(task.node_id) if tracer is not None else None,
             ):
                 out.append((task.node_id, bundle_for_component(task.scope, cache)))
     return out, (tracer.shipment() if tracer is not None else None)
@@ -244,7 +248,9 @@ def _run_grounding_chunk(
     with _tracing.activate(tracer):
         for task in tasks:
             with _tracing.maybe_span(
-                tracer, f"node:{task.method}", node=_tracing.label(task.node_id)
+                tracer,
+                f"node:{task.method}",
+                node=_tracing.label(task.node_id) if tracer is not None else None,
             ):
                 out.append((task.node_id, execute_grounding_task(task, cache)))
     return out, (tracer.shipment() if tracer is not None else None)
@@ -517,7 +523,9 @@ class ShardedExecutor:
             if task.node_id in results:
                 continue
             with _tracing.maybe_span(
-                tracer, f"node:{task.method}", node=_tracing.label(task.node_id)
+                tracer,
+                f"node:{task.method}",
+                node=_tracing.label(task.node_id) if tracer is not None else None,
             ):
                 results[task.node_id] = execute_grounding_task(task, cache)
             stats.tasks += 1
@@ -603,7 +611,7 @@ class ShardedExecutor:
                 with _tracing.maybe_span(
                     tracer,
                     "node:sampled",
-                    node=_tracing.label(node_id),
+                    node=_tracing.label(node_id) if tracer is not None else None,
                     ranges=len(parts),
                 ):
                     totals = merge_totals({}, *(part[0] for part in parts))

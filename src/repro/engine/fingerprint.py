@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
+from repro.core import evaluation
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import Atom, BooleanQuery, UnionQuery, Variable
@@ -149,14 +150,14 @@ def query_atoms(query: BooleanQuery) -> tuple[Atom, ...]:
     return tuple(query.atoms)
 
 
-class FactIndex:
+class FactIndex(evaluation.FactIndex):
     """One pass over ``D`` that serves the relevant slice of many queries.
 
-    Facts are indexed by relation, and — lazily, one relation at a time,
-    on the first atom with a constant over it — by ``(position,
-    constant)``.  :meth:`relevant` takes, for every atom, the smallest
-    candidate list among its constant positions and filters it with the
-    unchanged :meth:`repro.core.query.Atom.matches`; a dict lookup by
+    The core join index (:class:`repro.core.evaluation.FactIndex`) with
+    the database's endogenous split on top.  :meth:`relevant` takes, for
+    every atom, the smallest candidate list among the relation and the
+    core columns of its constant positions, and filters it with the
+    unchanged :meth:`repro.core.query.Atom.matches`; a column lookup by
     constant finds a superset of the positional matches, so the slice is
     exactly the one a full scan would find.  Slicing every grounding of
     an answer batch then costs ``O(|D| + Σ slice)`` instead of
@@ -169,48 +170,26 @@ class FactIndex:
     has no facts at all).
     """
 
-    __slots__ = ("endogenous", "endogenous_relations", "_by_relation", "_by_position")
+    __slots__ = ("endogenous", "endogenous_relations")
 
     def __init__(self, database: Database) -> None:
+        super().__init__(database)
         self.endogenous = database.endogenous
         self.endogenous_relations = frozenset(
             item.relation for item in self.endogenous
         )
-        by_relation: dict[str, list[Fact]] = {}
-        for facts in (self.endogenous, database.exogenous):
-            for item in facts:
-                by_relation.setdefault(item.relation, []).append(item)
-        self._by_relation = by_relation
-        self._by_position: dict[str, dict[tuple[int, Constant], list[Fact]]] = {}
-
-    def _positions(self, relation: str) -> dict[tuple[int, Constant], list[Fact]]:
-        positions = self._by_position.get(relation)
-        if positions is None:
-            positions = {}
-            for item in self._by_relation.get(relation, ()):
-                for position, value in enumerate(item.args):
-                    positions.setdefault((position, value), []).append(item)
-            self._by_position[relation] = positions
-        return positions
-
-    def _candidates(self, atom: Atom) -> list[Fact]:
-        """The shortest indexed fact list that holds every match of ``atom``."""
-        best = self._by_relation.get(atom.relation, [])
-        for position, term in enumerate(atom.terms):
-            if not isinstance(term, Variable):
-                found = self._positions(atom.relation).get((position, term), [])
-                if len(found) < len(best):
-                    best = found
-        return best
 
     def relevant(self, query: BooleanQuery) -> tuple[frozenset[Fact], frozenset[Fact]]:
         """:func:`relevant_facts` of ``query`` against the indexed database."""
-        matched = {
-            item
-            for atom in query_atoms(query)
-            for item in self._candidates(atom)
-            if atom.matches(item)
-        }
+        matched = set()
+        for atom in query_atoms(query):
+            candidates: Collection[Fact] = self.relation(atom.relation)
+            for position, term in enumerate(atom.terms):
+                if not isinstance(term, Variable):
+                    found = self.column(atom.relation, position).get(term, ())
+                    if len(found) < len(candidates):
+                        candidates = found
+            matched.update(item for item in candidates if atom.matches(item))
         endogenous = frozenset(item for item in matched if item in self.endogenous)
         return endogenous, frozenset(matched - endogenous)
 

@@ -344,8 +344,12 @@ def _plan_sampled(
         plan.requests.append(PlannedRequest(request, skey, node_id))
         return
     if store is not None:
+        tracer = _tracing.ACTIVE
         with _tracing.maybe_span(
-            _tracing.ACTIVE, "prune", key=_tracing.label(skey), sampled=True
+            tracer,
+            "prune",
+            key=_tracing.label(skey) if tracer is not None else None,
+            sampled=True,
         ) as prune_span:
             cached = store.get(skey)
             prune_span.set("hit", cached is not None)
@@ -499,6 +503,7 @@ def _build_plan(
     # One index of D serves every grounding's relevance slice; the
     # executed tasks carry only their slice.
     index = FactIndex(database)
+    tracer = _tracing.ACTIVE
     seen: set[tuple] = set()
     for request in requests:
         if request.inconsistent:
@@ -541,7 +546,9 @@ def _build_plan(
             continue
         if store is not None:
             with _tracing.maybe_span(
-                _tracing.ACTIVE, "prune", key=_tracing.label(key)
+                tracer,
+                "prune",
+                key=_tracing.label(key) if tracer is not None else None,
             ) as prune_span:
                 cached = store.get(key)
                 prune_span.set("hit", cached is not None)

@@ -1,5 +1,7 @@
 """Unit tests for homomorphism search and query evaluation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,13 @@ class TestHolds:
         q = parse_query("q() :- R(x), Missing(x)")
         assert not holds(q, [fact("R", 1)])
 
+    def test_fact_of_another_arity_never_matches(self):
+        # Scan and column lookup agree: R(1) has no second position to
+        # bind y to, so it witnesses neither atom.
+        assert not holds(parse_query("q() :- R(x, y)"), [fact("R", 1)])
+        q = parse_query("q() :- S(x), R(x, y)")
+        assert not holds(q, [fact("S", 1), fact("R", 1)])
+
 
 class TestHomomorphisms:
     def test_all_assignments(self):
@@ -119,6 +128,34 @@ class TestFactIndex:
         assert holds(q, index)
         assert holds(q, index)
 
+    def test_missing_relation_has_an_empty_column(self):
+        index = FactIndex([fact("R", 1)])
+        assert index.column("Missing", 0) == {}
+        assert not holds(parse_query("q() :- R(x), Missing(x)"), index)
+
+    def test_column_keys_compare_across_types(self):
+        # 1 == True, so both facts sit under one key, in relation order.
+        facts = [fact("S", True, "a"), fact("S", 1, "b"), fact("S", 2, "c")]
+        index = FactIndex(facts)
+        column = index.column("S", 0)
+        expected = [item for item in index.relation("S") if item.args[0] == 1]
+        assert len(expected) == 2
+        assert column[1] == column[True] == expected
+        assert column[2] == [fact("S", 2, "c")]
+        rows = answers(parse_query("ans(y) :- R(x), S(x, y)"), [fact("R", 1), *facts])
+        assert rows == {("a",), ("b",)}
+
+    def test_column_is_built_lazily_once(self):
+        index = FactIndex([fact("S", 1, 2), fact("S", 1, 3), fact("S", 2, 3)])
+        assert index._columns == {}
+        found = list(find_homomorphisms(parse_query("q() :- S(1, y)"), index))
+        assert [assignment[Variable("y")] for assignment in found] == [
+            item.args[1] for item in index.relation("S") if item.args[0] == 1
+        ]
+        column = index.column("S", 0)
+        assert list(index._columns) == [("S", 0)]
+        assert index.column("S", 0) is column
+
 
 RELATIONS = {"R": 1, "S": 2, "T": 2}
 DOMAIN = (0, 1, 2)
@@ -133,20 +170,21 @@ UNIVERSE = [
 
 
 @st.composite
-def cq_negs(draw):
-    """A Boolean CQ¬ over R/1, S/2, T/2 with constants, repeated variables,
-    self-joins and ground negated atoms; sometimes only ground negations."""
+def cq_negs(draw, relations=RELATIONS, domain=DOMAIN):
+    """A Boolean CQ¬ over ``relations`` (by default R/1, S/2, T/2) with
+    constants from ``domain``, repeated variables, self-joins and ground
+    negated atoms; sometimes only ground negations."""
     variable_term = st.sampled_from(VARIABLES)
-    constant_term = st.sampled_from(DOMAIN)
+    constant_term = st.sampled_from(domain)
     positives = []
     if draw(st.integers(0, 5)):
         for _ in range(draw(st.integers(1, 3))):
-            relation = draw(st.sampled_from(sorted(RELATIONS)))
+            relation = draw(st.sampled_from(sorted(relations)))
             terms = draw(
                 st.lists(
                     st.one_of(variable_term, variable_term, constant_term),
-                    min_size=RELATIONS[relation],
-                    max_size=RELATIONS[relation],
+                    min_size=relations[relation],
+                    max_size=relations[relation],
                 )
             )
             positives.append(Atom(relation, tuple(terms)))
@@ -158,10 +196,10 @@ def cq_negs(draw):
     )
     negatives = []
     for _ in range(draw(st.integers(0 if positives else 1, 2))):
-        relation = draw(st.sampled_from(sorted(RELATIONS)))
+        relation = draw(st.sampled_from(sorted(relations)))
         terms = draw(
             st.lists(
-                safe_term, min_size=RELATIONS[relation], max_size=RELATIONS[relation]
+                safe_term, min_size=relations[relation], max_size=relations[relation]
             )
         )
         negatives.append(Atom(relation, tuple(terms), negated=True))
@@ -239,3 +277,92 @@ class TestPrefixEvaluator:
         )
         order = [fact("R", 1), fact("T", 1, 1), fact("S", 1, 2)]
         assert PrefixEvaluator(u, db).sweep(order) == [1, 0, 1]
+
+
+# ``Missing`` has no facts; ``True`` equals the constant ``1``.
+JOIN_RELATIONS = {**RELATIONS, "Missing": 2}
+JOIN_DOMAIN = (0, 1, 2, True)
+JOIN_UNIVERSE = [
+    fact(relation, *args)
+    for relation, args in [("R", (a,)) for a in JOIN_DOMAIN]
+    + [(name, (a, b)) for name in ("S", "T") for a in JOIN_DOMAIN for b in JOIN_DOMAIN]
+]
+
+
+def _scan_join(query, index):
+    """Reference join: the same greedy order, each step scans its relation.
+
+    Negated atoms are checked once every variable is bound; checking
+    them earlier, as the engine does, prunes the same branches.
+    """
+    remaining = list(query.positive_atoms)
+    ordered, bound = [], set()
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda atom: (
+                len(atom.variables - bound),
+                len(index.relation(atom.relation)),
+            ),
+        )
+        remaining.remove(best)
+        ordered.append(best)
+        bound |= best.variables
+
+    def search(position, assignment):
+        if position == len(ordered):
+            if not any(
+                atom.substitute(assignment).to_fact() in index
+                for atom in query.negative_atoms
+            ):
+                yield assignment
+            return
+        atom = ordered[position]
+        for candidate in index.relation(atom.relation):
+            extended = dict(assignment)
+            for term, value in zip(atom.terms, candidate.args):
+                if isinstance(term, Variable):
+                    if extended.setdefault(term, value) != value:
+                        break
+                elif term != value:
+                    break
+            else:
+                yield from search(position + 1, extended)
+
+    return list(search(0, {}))
+
+
+class TestIndexJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cq_negs(relations=JOIN_RELATIONS, domain=JOIN_DOMAIN),
+        st.lists(st.sampled_from(JOIN_UNIVERSE), max_size=16),
+    )
+    def test_column_join_equals_a_full_scan_in_order(self, query, facts):
+        found = list(find_homomorphisms(query, FactIndex(facts)))
+        assert found == _scan_join(query, FactIndex(facts))
+
+    def test_candidate_answers_join_is_linear(self, monkeypatch):
+        from repro.core import evaluation
+        from repro.shapley.aggregates import candidate_answers
+        from repro.workloads.generators import star_join_database
+
+        calls = 0
+        extend = evaluation._extend
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return extend(*args)
+
+        monkeypatch.setattr(evaluation, "_extend", counted)
+        query = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+        work = {}
+        for n in (30, 120):
+            calls = 0
+            database = star_join_database(n, 8, rng=random.Random(n))
+            assert candidate_answers(database, query)
+            work[n] = calls
+        # Four times the students: about four times the extensions when
+        # each Reg step reads the bound student's column, not all of Reg.
+        assert work[120] <= 5 * work[30], work

@@ -26,7 +26,10 @@ import random
 
 import pytest
 
-from repro.engine import BatchAttributionEngine, ShardedExecutor
+from repro.core.parser import parse_query
+from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
+from repro.engine.executors import _run_bundle_chunk, _run_grounding_chunk
+from repro.engine.plan import PlanRequest, build_plan
 from repro.obs import (
     NullTracer,
     Tracer,
@@ -114,6 +117,43 @@ class TestEngineTraces:
         assert (
             engine.stats["kernel"].schoolbook_calls == first.schoolbook_calls
         )
+
+
+class TestLabelsOnlyUnderATracer:
+    """Span labels hash a long key, so they are computed only when traced."""
+
+    ANSWERS_QUERY = "ans(x) :- Stud(x), not TA(x), Reg(x, y)"
+
+    def test_untraced_requests_never_label(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError(f"labelled {value!r} with tracing off")
+
+        monkeypatch.setattr(tracing_module, "label", refuse)
+        database = figure_1_database()
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        engine.batch(database, query_q1())
+        engine.batch(database, query_q1(), policy="sampled")
+        engine.batch_answers(database, parse_query(self.ANSWERS_QUERY))
+        # The worker chunk runners, run in-process with trace=False.
+        plan = build_plan(database, [PlanRequest(query_q1())])
+        assert plan.tasks and plan.bundles
+        _run_bundle_chunk(list(plan.bundles.values()))
+        _run_grounding_chunk(plan.tasks)
+
+    def test_traced_requests_keep_their_labels(self):
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        engine.batch_answers(
+            figure_1_database(), parse_query(self.ANSWERS_QUERY), trace=True
+        )
+        spans = engine.last_trace["spans"]
+        prunes = [span for span in spans if span["name"] == "prune"]
+        nodes = [span for span in spans if span["name"].startswith("node:")]
+        assert prunes and nodes
+        for span, attr in [(span, "key") for span in prunes] + [
+            (span, "node") for span in nodes
+        ]:
+            value = span["attrs"][attr]
+            assert isinstance(value, str) and len(value) == 12, span
 
 
 @pytest.mark.parametrize(
