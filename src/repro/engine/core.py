@@ -26,11 +26,15 @@ accounting (planner prunes, store hits, executor tasks) alongside the
 per-cache counters.
 
 Engines are cheap to construct; share one instance (see
-:func:`default_engine`) to share the caches.  The environment variables
-``REPRO_JOBS`` and ``REPRO_START_METHOD`` select the default executor
-backend when none is passed explicitly (``REPRO_JOBS=2`` makes every
-engine shard across two worker processes), which is how the CI matrix
-runs the whole engine suite under a sharded backend.
+:func:`default_engine`) to share the caches.  A constructor picks only
+the backend (``executor``/``jobs``), the result layer
+(``store``/``shared``) and ``sample_strata``: the LRU sizes are the
+module constants below, and tracing is chosen per call (``trace=``).
+The environment variables ``REPRO_JOBS`` and ``REPRO_START_METHOD``
+select the default executor backend when none is passed explicitly
+(``REPRO_JOBS=2`` makes every engine shard across two worker
+processes), which is how the CI matrix runs the whole engine suite
+under a sharded backend.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from repro.engine.cache import BundlePool, LRUCache
 from repro.engine.delta import DELTA_COUNTERS
 from repro.engine.executors import (
     EXECUTOR_COUNTERS,
+    BundleCache,
     Executor,
     SerialExecutor,
     ShardedExecutor,
@@ -114,25 +119,18 @@ def environment_problems() -> list[str]:
 def _executor_from_environment() -> Executor:
     """The executor selected by ``REPRO_JOBS`` / ``REPRO_START_METHOD``.
 
-    Unset, unparsable, or ``<= 1`` job counts mean the serial backend —
-    the environment can only ever *add* parallelism, never break an
-    engine construction.
+    Any :func:`environment_problems`, or an unset or ``<= 1`` job count,
+    means the serial backend — the environment can only ever *add*
+    parallelism, never break an engine construction.
     """
-    try:
-        jobs = int(os.environ.get("REPRO_JOBS", ""))
-    except ValueError:
-        jobs = 0
-    if jobs > 1:
-        try:
-            return ShardedExecutor(
-                jobs=jobs,
-                start_method=os.environ.get("REPRO_START_METHOD") or None,
-            )
-        except ValueError:
-            # A typo'd REPRO_START_METHOD must not break engine
-            # construction — it just loses the parallelism it asked for.
-            return SerialExecutor()
-    return SerialExecutor()
+    if environment_problems():
+        return SerialExecutor()
+    jobs = int(os.environ.get("REPRO_JOBS") or 1)
+    if jobs <= 1:
+        return SerialExecutor()
+    return ShardedExecutor(
+        jobs=jobs, start_method=os.environ.get("REPRO_START_METHOD") or None
+    )
 
 
 def _zero_template(database: Database) -> dict[Fact, Fraction]:
@@ -155,15 +153,21 @@ class _RequestScope:
         self.span = span
 
 
+#: Entries of the engine's component-bundle LRU and result LRU.
+COMPONENT_CACHE_SIZE = 512
+RESULT_CACHE_SIZE = 128
+
+
 class BatchAttributionEngine:
     """Computes Shapley/Banzhaf values for all endogenous facts at once.
 
-    Instances hold two bounded LRU caches: a *result* cache keyed on the
-    whole ``(database, query, X, grounding)`` request — wrapped, together
-    with the optional durable store, into the engine's result store —
-    and a *component* cache keyed on ``(component fingerprint, scoped
-    facts)`` that lets overlapping requests share per-component count
-    bundles.
+    Instances hold two bounded LRU caches: a *result* cache
+    (:data:`RESULT_CACHE_SIZE` entries) keyed on the whole ``(database,
+    query, X, grounding)`` request — wrapped, together with the optional
+    durable store, into the engine's result store — and a *component*
+    cache (:data:`COMPONENT_CACHE_SIZE` entries) keyed on ``(component
+    fingerprint, scoped facts)`` that lets overlapping requests share
+    per-component count bundles.
 
     ``executor`` picks the backend (default: serial, or whatever
     ``REPRO_JOBS`` says); ``jobs`` is a convenience shortcut for
@@ -178,18 +182,14 @@ class BatchAttributionEngine:
 
     def __init__(
         self,
-        component_cache_size: int = 512,
-        result_cache_size: int = 128,
         executor: Executor | None = None,
         store: ResultStore | None = None,
         jobs: int | None = None,
-        start_method: str | None = None,
         sample_strata: int = 1,
-        trace: bool = False,
         shared: ResultStore | None = None,
     ) -> None:
-        self.component_cache: LRUCache = LRUCache(component_cache_size)
-        self.result_cache: LRUCache = LRUCache(result_cache_size)
+        self.component_cache: LRUCache = LRUCache(COMPONENT_CACHE_SIZE)
+        self.result_cache: LRUCache = LRUCache(RESULT_CACHE_SIZE)
         self.shared = shared
         if store is None:
             store = TieredResultStore(MemoryResultStore(self.result_cache), shared)
@@ -202,11 +202,7 @@ class BatchAttributionEngine:
             if jobs is not None:
                 # An explicit job count always wins over the environment:
                 # jobs=1 must mean serial even under REPRO_JOBS=2.
-                executor = (
-                    ShardedExecutor(jobs=jobs, start_method=start_method)
-                    if jobs > 1
-                    else SerialExecutor()
-                )
+                executor = ShardedExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
             else:
                 executor = _executor_from_environment()
         if sample_strata < 1:
@@ -219,9 +215,6 @@ class BatchAttributionEngine:
         # the stratified allocator folded into the round structure.
         self.sample_strata = sample_strata
         self.executor = executor
-        # Trace every request by default when True; individual calls can
-        # still opt in/out (or supply their own tracer) per request.
-        self.trace = bool(trace)
         #: The finished trace document of the last engine-traced request
         #: (left alone when the caller supplied its own tracer).
         self.last_trace: dict | None = None
@@ -250,15 +243,13 @@ class BatchAttributionEngine:
     ) -> tuple["_tracing.Tracer | None", bool]:
         """The request's tracer, and whether the engine owns documenting it.
 
-        ``None`` defers to the engine-level ``trace`` default; ``True``
-        builds a fresh tracer whose finished document lands in
-        :attr:`last_trace`; a :class:`repro.obs.tracing.Tracer` instance
-        (the daemon's) is used as-is — its owner documents it, so engine
-        spans nest under whatever the owner already opened.
+        ``None`` or ``False`` means untraced; ``True`` builds a fresh
+        tracer whose finished document lands in :attr:`last_trace`; a
+        :class:`repro.obs.tracing.Tracer` instance (the daemon's) is used
+        as-is — its owner documents it, so engine spans nest under
+        whatever the owner already opened.
         """
-        if trace is None:
-            trace = self.trace
-        if trace is False:
+        if trace is None or trace is False:
             return None, False
         if trace is True:
             return _tracing.Tracer(), True
@@ -302,7 +293,6 @@ class BatchAttributionEngine:
         exogenous_relations: AbstractSet[str] | None = None,
         policy: MethodPolicy | str | None = None,
         grounding: tuple[Constant, ...] | None = None,
-        pool: BundlePool | None = None,
         trace: "bool | _tracing.Tracer | None" = None,
     ) -> BatchResult:
         """Shapley and Banzhaf values of every endogenous fact of ``D``.
@@ -323,14 +313,12 @@ class BatchAttributionEngine:
         ``grounding`` carries the head constants when ``query`` is the
         grounding ``q_t`` of a non-Boolean query at answer ``t``; it is
         part of the request fingerprint, so distinct answers can never
-        collide even when their grounded atom sets coincide.  ``pool``
-        lets an answer batch share component bundles across groundings
-        (see :meth:`batch_answers`).
+        collide even when their grounded atom sets coincide.
 
         ``trace`` opts this request into span tracing: ``True`` records
         a fresh trace into :attr:`last_trace`, a
         :class:`repro.obs.tracing.Tracer` instance nests the request's
-        spans under the caller's, ``None`` defers to the engine default.
+        spans under the caller's, ``None`` (the default) traces nothing.
         """
         method_policy = resolve_policy(policy)
         with self._request_scope(trace, "batch") as scope:
@@ -342,7 +330,7 @@ class BatchAttributionEngine:
                 policy=method_policy,
                 store=self.store,
                 include_bundles=self.executor.jobs > 1,
-                bundle_cache=pool if pool is not None else self.component_cache,
+                bundle_cache=self.component_cache,
                 sample_strata=self.sample_strata,
             )
             self._note_plan(plan)
@@ -355,7 +343,7 @@ class BatchAttributionEngine:
                 return self._finish(
                     plan.satisfied[planned.key], zeros, from_cache=True
                 )
-            results = self._execute(plan, pool, version)
+            results = self._execute(plan, self.component_cache, version)
             return self._finish(results[planned.node_id], zeros, from_cache=False)
 
     def batch_answers(
@@ -448,20 +436,20 @@ class BatchAttributionEngine:
         self.sample_stats.merge(plan.sample)
 
     def _execute(
-        self, plan: Plan, pool: BundlePool | None, version: tuple | None = None
+        self, plan: Plan, cache: BundleCache, version: tuple
     ) -> dict[tuple, BatchResult]:
         """Run a plan's tasks and write fresh results back to the store.
 
         Fresh results cover their task's relevance slice (the task's
         database) and are stored in that form, under the relevance-scoped
         key — the form every database version can inflate back from
-        (:func:`repro.engine.results.project_result`).  When a
-        durable store is attached, entries are tagged with the database
-        ``version`` fingerprint that wrote them so superseded versions
-        can be retired (evicted first) later.
+        (:func:`repro.engine.results.project_result`).  ``cache`` serves
+        the tasks' component bundles.  When a durable store is attached,
+        entries are tagged with the database ``version`` fingerprint that
+        wrote them so superseded versions can be retired (evicted first)
+        later.
         """
-        cache = pool if pool is not None else self.component_cache
-        if version is not None and hasattr(self.shared, "writer_version"):
+        if hasattr(self.shared, "writer_version"):
             self.shared.writer_version = digest_key(version)
         before = cache.stats.snapshot()
         with _tracing.maybe_span(

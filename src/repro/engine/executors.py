@@ -95,14 +95,11 @@ def execute_grounding_task(task: GroundingTask, cache: BundleCache) -> BatchResu
         # No player can matter: the engine zero-fills every fact of D.
         return BatchResult({}, {}, task.method, 0)
     if task.method == "brute-force":
-        from repro.shapley.banzhaf import banzhaf_all_brute_force
-        from repro.shapley.brute_force import shapley_all_brute_force
+        from repro.shapley.brute_force import brute_force_all
 
+        shapley, banzhaf = brute_force_all(task.database, task.query)
         return BatchResult(
-            shapley_all_brute_force(task.database, task.query),
-            banzhaf_all_brute_force(task.database, task.query),
-            "brute-force",
-            len(task.database.endogenous),
+            shapley, banzhaf, "brute-force", len(task.database.endogenous)
         )
     if task.method == "sampled":
         return execute_sample_task(task)

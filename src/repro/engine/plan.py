@@ -454,19 +454,7 @@ def build_plan(
     """
     if policy is None:
         policy = MethodPolicy()
-    tracer = _tracing.ACTIVE
-    if tracer is None:
-        return _build_plan(
-            database,
-            requests,
-            exogenous_relations,
-            policy,
-            store,
-            include_bundles,
-            bundle_cache,
-            sample_strata,
-        )
-    with tracer.span("plan", requests=len(requests)) as span:
+    with _tracing.maybe_span(_tracing.ACTIVE, "plan", requests=len(requests)) as span:
         plan = _build_plan(
             database,
             requests,
@@ -481,7 +469,7 @@ def build_plan(
         span.set("pruned", plan.stats.pruned)
         span.set("bundles", plan.stats.bundles)
         span.set("kernel", plan.kernel)
-        return plan
+    return plan
 
 
 def _build_plan(

@@ -110,6 +110,10 @@ _logger = logging.getLogger("repro.server")
 #: the daemon is overloaded, not until it is.
 INLINE_OPS = frozenset({"ping", "stats", "metrics"})
 
+#: Worker threads for engine calls, request preparation and the side
+#: operations; engine entry itself is serialized by one lock.
+ENGINE_WORKERS = 4
+
 #: Operations that run on a worker thread (they parse databases or touch
 #: the filesystem) but bypass admission: registry state management must
 #: not compete with compute for queue slots.
@@ -131,7 +135,9 @@ class AttributionDaemon:
     :func:`repro.server.protocol.parse_address`).  The daemon binds
     immediately (an ephemeral TCP port resolves at construction); call
     :meth:`serve` (blocking) or run :meth:`serve_forever` in a thread,
-    then :meth:`shutdown` + :meth:`close` from anywhere.
+    then :meth:`shutdown` + :meth:`close` from anywhere.  ``engine`` and
+    ``registry`` default to a fresh engine and a 64-database
+    :class:`DatabaseRegistry`.
 
     Admission knobs: ``max_inflight`` bounds concurrently executing or
     queued compute requests (the queue itself is bounded at
@@ -156,23 +162,18 @@ class AttributionDaemon:
         address: str,
         engine: BatchAttributionEngine | None = None,
         registry: DatabaseRegistry | None = None,
-        max_databases: int = 64,
         auth_token: str | None = None,
         *,
         max_inflight: int = 64,
         per_client_rps: float | None = None,
         max_queue: int | None = None,
         drain_timeout: float = 5.0,
-        engine_workers: int = 4,
         frame_timeout: float = 10.0,
         coalesce_timeout: float | None = None,
-        slow_trace_capacity: int = 8,
     ) -> None:
         self.kind, self.location = parse_address(address)
         self.engine = engine if engine is not None else BatchAttributionEngine()
-        self.registry = (
-            registry if registry is not None else DatabaseRegistry(max_databases)
-        )
+        self.registry = registry if registry is not None else DatabaseRegistry()
         # Only the TCP listener authenticates: a Unix socket is already
         # guarded by filesystem permissions, and requiring a token there
         # would break every local workflow for zero security gain.
@@ -181,7 +182,7 @@ class AttributionDaemon:
         self.metrics = DaemonMetrics()
         # The N slowest traced requests, for post-hoc slowness diagnosis
         # (surfaced as ``slow_traces`` in the ``metrics`` op).
-        self.slow_traces = SlowTraceBuffer(slow_trace_capacity)
+        self.slow_traces = SlowTraceBuffer()
         self.admission = AdmissionController(
             max_inflight,
             per_client_rps=per_client_rps,
@@ -219,7 +220,7 @@ class AttributionDaemon:
         self._engine_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._workers = ThreadPoolExecutor(
-            max_workers=max(2, engine_workers), thread_name_prefix="repro-engine"
+            max_workers=ENGINE_WORKERS, thread_name_prefix="repro-engine"
         )
         self._draining = False
         self._shutdown_requested = False

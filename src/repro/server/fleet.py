@@ -49,9 +49,9 @@ from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import ConjunctiveQuery
 from repro.engine.delta import DatabaseDelta
-from repro.io import LATENCY_BUCKET_BOUNDS_MS, histogram_quantile
 from repro.server.backoff import BackoffPolicy
 from repro.server.client import AttributionClient
+from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import OverloadedError
 
 #: Ring points per node: enough that the keyspace splits evenly across
@@ -487,28 +487,6 @@ class FleetClient:
 # ----------------------------------------------------------------------
 # Metrics merging (the fleet-aware ``repro metrics`` view)
 # ----------------------------------------------------------------------
-def _merge_latency(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
-    counts = [0] * (len(LATENCY_BUCKET_BOUNDS_MS) + 1)
-    sum_ms = 0.0
-    max_ms = 0.0
-    for snapshot in snapshots:
-        sum_ms += float(snapshot.get("sum_ms", 0.0))
-        max_ms = max(max_ms, float(snapshot.get("max_ms", 0.0)))
-        for index, row in enumerate(snapshot.get("buckets", [])):
-            if index < len(counts):
-                counts[index] += int(row[1])
-    bounds: list[Any] = [*LATENCY_BUCKET_BOUNDS_MS, None]
-    rows = [[bound, count] for bound, count in zip(bounds, counts)]
-    return {
-        "count": sum(counts),
-        "sum_ms": round(sum_ms, 3),
-        "max_ms": round(max_ms, 3),
-        "p50_ms": histogram_quantile(rows, 0.50),
-        "p99_ms": histogram_quantile(rows, 0.99),
-        "buckets": rows,
-    }
-
-
 def _sum_counters(documents: list[dict[str, Any]], section: str) -> dict[str, int]:
     merged: dict[str, int] = {}
     for document in documents:
@@ -538,12 +516,13 @@ def merge_metrics_documents(documents: list[dict[str, Any]]) -> dict[str, Any]:
             for document in documents
             if name in document.get("ops", {})
         ]
+        latency = LatencyHistogram()
+        for entry in entries:
+            latency.merge_snapshot(entry.get("latency", {}))
         ops[name] = {
             "requests": sum(int(entry.get("requests", 0)) for entry in entries),
             "errors": sum(int(entry.get("errors", 0)) for entry in entries),
-            "latency": _merge_latency(
-                [entry.get("latency", {}) for entry in entries]
-            ),
+            "latency": latency.snapshot(),
         }
     coalescing = _sum_counters(documents, "coalescing")
     coalescing.pop("ratio", None)

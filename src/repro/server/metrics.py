@@ -52,6 +52,17 @@ class LatencyHistogram:
     def count(self) -> int:
         return sum(self.counts)
 
+    def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
+        """Fold in another histogram's :meth:`snapshot` document.
+
+        Buckets and ``sum_ms`` add, ``max_ms`` takes the maximum — exact,
+        because every histogram shares the fixed bucket bounds.
+        """
+        self.sum_ms += float(snapshot.get("sum_ms", 0.0))
+        self.max_ms = max(self.max_ms, float(snapshot.get("max_ms", 0.0)))
+        for index, row in enumerate(snapshot.get("buckets", [])[: len(self.counts)]):
+            self.counts[index] += int(row[1])
+
     def snapshot(self) -> dict[str, Any]:
         rows = histogram_rows(self.counts)
         return {

@@ -18,15 +18,17 @@ Two pieces of shared state let many clients drive one warm engine:
 * :class:`InFlightCoalescer` — concurrent *identical* requests (same
   canonical plan fingerprint, see
   :meth:`repro.engine.core.BatchAttributionEngine.fingerprint`) share one
-  computation: the first arrival becomes the leader and computes, later
-  arrivals park on an event and receive the leader's result (or its
-  exception) without touching the engine.  The warm result store only
-  helps *after* a computation finishes; the coalescer closes the window
-  while it is still running — exactly the thundering-herd moment when a
-  popular query goes out to a fleet of clients.
+  computation: the first arrival becomes the leader and awaits the
+  computation, later arrivals park on an :class:`asyncio.Event` and
+  receive the leader's result (or its exception) without touching the
+  engine.  The warm result store only helps *after* a computation
+  finishes; the coalescer closes the window while it is still running —
+  exactly the thundering-herd moment when a popular query goes out to a
+  fleet of clients.
 
-Both structures are thread-safe; the daemon shares one of each across
-all connection handler threads.
+Both structures are thread-safe: the registry is read from the daemon's
+worker threads, and the coalescer's table is shared by every coroutine
+of the daemon's event loop.
 """
 
 from __future__ import annotations
@@ -179,40 +181,30 @@ COALESCER_COUNTERS = ("leaders", "followers", "aborted")
 
 
 class _InFlight:
-    """One running computation: the leader's slot plus a completion event.
+    """One running computation: the leader's slot plus its parked followers.
 
-    Completion is broadcast two ways at once: a :class:`threading.Event`
-    for synchronous followers (connection-handler threads, in-process
-    clients) and a list of ``(loop, asyncio.Event)`` pairs for async
-    followers parked on the daemon's event loop — each async event is
-    set via ``call_soon_threadsafe`` on *its own* loop, so a leader
-    finishing in a worker thread wakes followers on any loop without
-    blocking it.
+    Each follower parks on an :class:`asyncio.Event` of its own running
+    loop; completion sets every one of them via ``call_soon_threadsafe``
+    on that loop, so a leader finishing on any thread or loop wakes its
+    followers without blocking either side.
     """
 
-    __slots__ = ("event", "value", "error", "followers", "async_waiters")
+    __slots__ = ("value", "error", "waiters")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
         self.value: Any = None
         self.error: BaseException | None = None
-        self.followers = 0
-        self.async_waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Event]] = []
+        self.waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Event]] = []
 
 
 class InFlightCoalescer:
     """Deduplicate concurrent identical computations by fingerprint key.
 
-    ``run(key, compute)`` returns ``(value, coalesced)``: the first
-    thread in for a key runs ``compute`` (``coalesced=False``); threads
-    arriving while it runs wait and share the outcome
+    ``await run_async(key, compute)`` returns ``(value, coalesced)``: the
+    first request in for a key awaits ``compute()`` (``coalesced=False``);
+    requests arriving while it runs wait and share the outcome
     (``coalesced=True``), including a raised exception — a request that
     fails at plan time fails identically for every coalesced waiter.
-
-    ``run_async`` is the same contract for coroutines on an event loop
-    (the asyncio daemon's serving path); sync and async callers share
-    one in-flight table, so a thread-side leader deduplicates loop-side
-    followers and vice versa.
 
     Followers are never parked unconditionally: a follower whose
     ``timeout`` lapses, or whose leader is cancelled/killed before a
@@ -231,144 +223,74 @@ class InFlightCoalescer:
         self._lock = threading.Lock()
         self._inflight: dict[Any, _InFlight] = {}
 
-    def waiting(self, key: Any) -> int:
-        """How many followers are parked on ``key`` right now (for tests)."""
-        with self._lock:
-            entry = self._inflight.get(key)
-            return entry.followers if entry is not None else 0
-
-    # ------------------------------------------------------------------
-    # Shared leader/follower bookkeeping
-    # ------------------------------------------------------------------
-    def _join(self, key: Any) -> tuple[_InFlight, bool]:
-        """Become the leader for ``key`` or register as a follower."""
-        with self._lock:
-            entry = self._inflight.get(key)
-            if entry is None:
-                entry = _InFlight()
-                self._inflight[key] = entry
-                self.stats.leaders += 1
-                return entry, True
-            entry.followers += 1
-            self.stats.followers += 1
-            return entry, False
-
-    def _finish(self, key: Any, entry: _InFlight) -> None:
-        """Retire a finished leader and wake every follower, sync and async."""
-        with self._lock:
-            del self._inflight[key]
-            waiters = list(entry.async_waiters)
-            entry.async_waiters.clear()
-        entry.event.set()
-        for loop, event in waiters:
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # that follower's loop already closed; nothing waits
-
-    def _record_failure(self, entry: _InFlight, error: BaseException) -> None:
-        """What followers will see when the leader did not produce a value.
-
-        Ordinary exceptions are shared verbatim (a plan-time failure is
-        identical for every coalesced request).  Control-flow
-        ``BaseException``s — ``asyncio.CancelledError``, interpreter
-        shutdown — must *not* propagate into unrelated requests, so
-        followers get a typed abort instead.
-        """
-        if isinstance(error, Exception):
-            entry.error = error
-        else:
-            entry.error = CoalescedRequestAborted(
-                "the leader of this coalesced computation was cancelled"
-                f" ({type(error).__name__}) before a result existed; retry"
-            )
-
-    def _follower_outcome(self, entry: _InFlight) -> tuple[Value, bool]:
-        if entry.error is not None:
-            if isinstance(entry.error, CoalescedRequestAborted):
-                with self._lock:
-                    self.stats.aborted += 1
-            raise entry.error
-        return entry.value, True
-
-    def _abandon(self, key: Any, entry: _InFlight) -> None:
-        """A follower stopped waiting (timeout); keep ``waiting()`` honest."""
-        with self._lock:
-            if self._inflight.get(key) is entry:
-                entry.followers -= 1
-            self.stats.aborted += 1
-
-    # ------------------------------------------------------------------
-    # Synchronous path (connection-handler threads, in-process callers)
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        key: Any,
-        compute: Callable[[], Value],
-        timeout: float | None = None,
-    ) -> tuple[Value, bool]:
-        entry, leader = self._join(key)
-        if leader:
-            try:
-                entry.value = compute()
-            except BaseException as error:
-                self._record_failure(entry, error)
-                raise
-            finally:
-                self._finish(key, entry)
-            return entry.value, False
-        if not entry.event.wait(timeout):
-            self._abandon(key, entry)
-            raise CoalescedRequestAborted(
-                f"gave up waiting on an in-flight identical computation after"
-                f" {timeout:g}s; the leader is still running — retry later"
-            )
-        return self._follower_outcome(entry)
-
-    # ------------------------------------------------------------------
-    # Asynchronous path (the daemon's event loop)
-    # ------------------------------------------------------------------
     async def run_async(
         self,
         key: Any,
         compute: Callable[[], Awaitable[Value]],
         timeout: float | None = None,
     ) -> tuple[Value, bool]:
-        """The ``run`` contract for coroutines; safe alongside ``run``.
+        """Lead ``compute()`` for ``key``, or share the running leader's outcome.
 
         The follower parks on an :class:`asyncio.Event` bound to *its*
-        running loop, so waiting never blocks the loop — and because
-        registration happens in :meth:`_join` before any await, a
-        follower is visible in ``waiting()``/stats the moment its
-        request reaches the coalescer, which is what lets one engine
-        worker's slow leader absorb a whole burst.
+        running loop, so waiting never blocks the loop — and because it
+        registers before any await, a follower counts in the stats the
+        moment its request reaches the coalescer, which is what lets one
+        engine worker's slow leader absorb a whole burst.
         """
-        entry, leader = self._join(key)
+        done = asyncio.Event()
+        with self._lock:
+            entry = self._inflight.get(key)
+            leader = entry is None
+            if leader:
+                entry = self._inflight[key] = _InFlight()
+                self.stats.leaders += 1
+            else:
+                entry.waiters.append((asyncio.get_running_loop(), done))
+                self.stats.followers += 1
         if leader:
             try:
                 entry.value = await compute()
             except BaseException as error:
-                self._record_failure(entry, error)
+                # Ordinary exceptions are shared verbatim (a plan-time
+                # failure is identical for every coalesced request).
+                # Control-flow BaseExceptions — CancelledError,
+                # interpreter shutdown — must not propagate into
+                # unrelated requests, so followers get a typed abort.
+                entry.error = (
+                    error
+                    if isinstance(error, Exception)
+                    else CoalescedRequestAborted(
+                        "the leader of this coalesced computation was cancelled"
+                        f" ({type(error).__name__}) before a result existed; retry"
+                    )
+                )
                 raise
             finally:
-                self._finish(key, entry)
+                with self._lock:
+                    del self._inflight[key]
+                # Retired under the lock, so no follower can join any
+                # more: wake every parked one on its own loop.
+                for loop, event in entry.waiters:
+                    try:
+                        loop.call_soon_threadsafe(event.set)
+                    except RuntimeError:
+                        pass  # that follower's loop already closed
             return entry.value, False
-        loop = asyncio.get_running_loop()
-        done = asyncio.Event()
-        with self._lock:
-            if key in self._inflight and self._inflight[key] is entry:
-                entry.async_waiters.append((loop, done))
-            else:
-                done.set()  # leader already finished; outcome is recorded
         try:
             await asyncio.wait_for(done.wait(), timeout)
         except asyncio.TimeoutError:
-            self._abandon(key, entry)
+            with self._lock:
+                self.stats.aborted += 1
             raise CoalescedRequestAborted(
                 f"gave up waiting on an in-flight identical computation after"
                 f" {timeout:g}s; the leader is still running — retry later"
             ) from None
-        return self._follower_outcome(entry)
+        if entry.error is not None:
+            if isinstance(entry.error, CoalescedRequestAborted):
+                with self._lock:
+                    self.stats.aborted += 1
+            raise entry.error
+        return entry.value, True
 
 
 __all__ = [

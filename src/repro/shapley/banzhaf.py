@@ -27,7 +27,11 @@ from repro.core.gaifman import infer_exogenous_relations
 from repro.core.hierarchy import is_hierarchical
 from repro.core.paths import has_non_hierarchical_path
 from repro.core.query import BooleanQuery, ConjunctiveQuery
-from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS, query_game
+from repro.shapley.brute_force import (
+    MAX_BRUTE_FORCE_PLAYERS,
+    brute_force_all,
+    query_game,
+)
 from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import CountFunction
 
@@ -72,33 +76,8 @@ def banzhaf_brute_force(
 def banzhaf_all_brute_force(
     database: Database, query: BooleanQuery
 ) -> dict[Fact, Fraction]:
-    """Banzhaf values of every endogenous fact, sharing coalition evaluations.
-
-    Like :func:`repro.shapley.brute_force.shapley_all_brute_force`, the
-    size bound is validated once up front (raising
-    :class:`IntractableQueryError` with the player count) and every
-    coalition's satisfaction is evaluated exactly once for all facts.
-    """
-    import itertools
-
-    from repro.shapley.brute_force import validate_brute_force_bound
-
-    validate_brute_force_bound(database)
-    players, value = query_game(database, query)
-    n = len(players)
-    if n == 0:
-        return {}
-    totals: dict[Fact, int] = {player: 0 for player in players}
-    for size in range(n):
-        for subset in itertools.combinations(players, size):
-            coalition = frozenset(subset)
-            base = value(coalition)
-            for player in players:
-                if player in coalition:
-                    continue
-                totals[player] += value(coalition | {player}) - base
-    denominator = 2 ** (n - 1)
-    return {player: Fraction(totals[player], denominator) for player in players}
+    """Exact Banzhaf values of every endogenous fact (see :func:`brute_force_all`)."""
+    return brute_force_all(database, query)[1]
 
 
 def banzhaf_all_values(

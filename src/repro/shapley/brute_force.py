@@ -88,12 +88,16 @@ def shapley_brute_force(
     return accumulator.value()
 
 
-def shapley_all_brute_force(
+def brute_force_all(
     database: Database, query: BooleanQuery
-) -> dict[Fact, Fraction]:
-    """Exact Shapley values of every endogenous fact, sharing evaluations.
+) -> tuple[dict[Fact, Fraction], dict[Fact, Fraction]]:
+    """Exact ``(Shapley, Banzhaf)`` values of every endogenous fact.
 
-    The ``MAX_BRUTE_FORCE_PLAYERS`` bound is checked once up front and
+    One enumeration feeds both measures: every coalition's satisfaction
+    is evaluated exactly once (``2^|Dn| + 1`` calls of ``holds``, the
+    extra one for ``q(Dx)``), and each nonzero marginal contribution is
+    added to the fact's Shapley accumulator and its Banzhaf total.  The
+    ``MAX_BRUTE_FORCE_PLAYERS`` bound is checked once up front and
     violations raise :class:`IntractableQueryError` naming the player
     count, so oversized batch requests fail fast instead of per fact.
     """
@@ -101,8 +105,9 @@ def shapley_all_brute_force(
     players, value = query_game(database, query)
     n = len(players)
     if n == 0:
-        return {}
+        return {}, {}
     accumulators = {player: ShapleyAccumulator(n) for player in players}
+    totals = dict.fromkeys(players, 0)
     for size in range(n):
         for subset in itertools.combinations(players, size):
             coalition = frozenset(subset)
@@ -113,7 +118,19 @@ def shapley_all_brute_force(
                 marginal = value(coalition | {player}) - base
                 if marginal:
                     accumulators[player].add(size, marginal)
-    return {player: accumulators[player].value() for player in players}
+                    totals[player] += marginal
+    denominator = 2 ** (n - 1)
+    return (
+        {player: accumulators[player].value() for player in players},
+        {player: Fraction(totals[player], denominator) for player in players},
+    )
+
+
+def shapley_all_brute_force(
+    database: Database, query: BooleanQuery
+) -> dict[Fact, Fraction]:
+    """Exact Shapley values of every endogenous fact (see :func:`brute_force_all`)."""
+    return brute_force_all(database, query)[0]
 
 
 def satisfying_subset_counts(

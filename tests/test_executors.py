@@ -173,6 +173,31 @@ class TestShardedMechanics:
         assert engine.stats["executor"].shipped == 0
 
 
+class TestBruteForceGrounding:
+    def test_one_enumeration_serves_both_measures(
+        self, monkeypatch, running_example_db, q1
+    ):
+        """Shapley and Banzhaf share one coalition enumeration: 2^m
+        coalitions plus the ``q(Dx)`` baseline, each evaluated once."""
+        import repro.shapley.brute_force as brute_force
+
+        calls = 0
+        original = brute_force.holds
+
+        def counting_holds(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(brute_force, "holds", counting_holds)
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        result = engine.batch(running_example_db, q1, policy="brute-force")
+        m = result.player_count
+        assert m == 8
+        assert calls == 2**m + 1
+        assert result.shapley and result.banzhaf
+
+
 class TestEnvironmentPlumbing:
     def test_repro_jobs_selects_sharded_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")

@@ -16,6 +16,7 @@ slot, or degrade service for well-behaved clients:
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -177,26 +178,29 @@ class TestCoalescerAborts:
 
     def test_follower_timeout_raises_typed_abort(self):
         coalescer = InFlightCoalescer()
-        release = threading.Event()
-        leader_started = threading.Event()
 
-        def slow_compute():
-            leader_started.set()
-            release.wait(10.0)
-            return "value"
+        async def scenario() -> None:
+            release = asyncio.Event()
+            leader_started = asyncio.Event()
 
-        leader = threading.Thread(
-            target=lambda: coalescer.run("key", slow_compute), daemon=True
-        )
-        leader.start()
-        assert leader_started.wait(5.0)
-        with pytest.raises(CoalescedRequestAborted) as caught:
-            coalescer.run("key", lambda: "never runs", timeout=0.05)
-        assert caught.value.retryable is True
-        assert coalescer.stats.aborted == 1
-        release.set()
-        leader.join(timeout=5.0)
-        assert not leader.is_alive()
+            async def slow_compute():
+                leader_started.set()
+                await asyncio.wait_for(release.wait(), 10.0)
+                return "value"
+
+            async def never_runs():
+                return "never runs"
+
+            leader = asyncio.create_task(coalescer.run_async("key", slow_compute))
+            await asyncio.wait_for(leader_started.wait(), 5.0)
+            with pytest.raises(CoalescedRequestAborted) as caught:
+                await coalescer.run_async("key", never_runs, timeout=0.05)
+            assert caught.value.retryable is True
+            assert coalescer.stats.aborted == 1
+            release.set()
+            assert await asyncio.wait_for(leader, 5.0) == ("value", False)
+
+        asyncio.run(scenario())
         assert coalescer.stats.leaders == 1
         assert coalescer.stats.followers == 1
 
@@ -204,41 +208,37 @@ class TestCoalescerAborts:
         """A control-flow BaseException in the leader must never leak into
         an unrelated request — followers get the typed abort instead."""
         coalescer = InFlightCoalescer()
-        follower_joined = threading.Event()
         outcome: dict[str, object] = {}
 
-        def follower() -> None:
-            def never():
+        async def scenario() -> None:
+            follower_joined = asyncio.Event()
+
+            async def doomed_compute():
+                await asyncio.wait_for(follower_joined.wait(), 5.0)
+                await asyncio.sleep(0.05)  # let the follower park on its event
+                raise KeyboardInterrupt  # stands in for CancelledError
+
+            async def never():
                 raise AssertionError("follower must not become leader")
 
-            follower_joined.set()
-            try:
-                coalescer.run("key", never, timeout=5.0)
-            except BaseException as error:  # noqa: BLE001 - recording it
-                outcome["error"] = error
+            async def leader() -> None:
+                try:
+                    await coalescer.run_async("key", doomed_compute)
+                except KeyboardInterrupt:
+                    outcome["leader"] = "interrupted"
 
-        def doomed_compute():
-            assert follower_joined.wait(5.0)
-            time.sleep(0.05)  # let the follower park on the event
-            raise KeyboardInterrupt  # stands in for CancelledError
+            async def follower() -> None:
+                follower_joined.set()
+                try:
+                    await coalescer.run_async("key", never, timeout=5.0)
+                except BaseException as error:  # noqa: BLE001 - recording it
+                    outcome["error"] = error
 
-        thread = threading.Thread(
-            target=follower, daemon=True
-        )
+            leading = asyncio.create_task(leader())
+            await asyncio.sleep(0.01)
+            await asyncio.wait_for(asyncio.gather(leading, follower()), 10.0)
 
-        def leader() -> None:
-            try:
-                coalescer.run("key", doomed_compute)
-            except KeyboardInterrupt:
-                outcome["leader"] = "interrupted"
-
-        leading = threading.Thread(target=leader, daemon=True)
-        leading.start()
-        time.sleep(0.01)
-        thread.start()
-        leading.join(timeout=10.0)
-        thread.join(timeout=10.0)
-        assert not leading.is_alive() and not thread.is_alive()
+        asyncio.run(scenario())
         # The leader sees its own interruption...
         assert outcome["leader"] == "interrupted"
         # ...while the follower gets the typed, retryable abort.
@@ -248,37 +248,37 @@ class TestCoalescerAborts:
 
     def test_ordinary_leader_exception_is_shared_verbatim(self):
         coalescer = InFlightCoalescer()
-        gate = threading.Event()
         seen: list[BaseException] = []
 
-        def failing_compute():
-            assert gate.wait(5.0)
-            time.sleep(0.05)
-            raise ValueError("plan-time failure")
+        async def scenario() -> None:
+            gate = asyncio.Event()
 
-        def leader() -> None:
-            try:
-                coalescer.run("key", failing_compute)
-            except ValueError as error:
-                seen.append(error)
+            async def failing_compute():
+                await asyncio.wait_for(gate.wait(), 5.0)
+                await asyncio.sleep(0.05)
+                raise ValueError("plan-time failure")
 
-        def follower() -> None:
-            gate.set()
-            try:
-                coalescer.run("key", lambda: "never", timeout=5.0)
-            except ValueError as error:
-                seen.append(error)
+            async def never():
+                return "never"
 
-        threads = [
-            threading.Thread(target=leader, daemon=True),
-            threading.Thread(target=follower, daemon=True),
-        ]
-        threads[0].start()
-        time.sleep(0.01)
-        threads[1].start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
+            async def leader() -> None:
+                try:
+                    await coalescer.run_async("key", failing_compute)
+                except ValueError as error:
+                    seen.append(error)
+
+            async def follower() -> None:
+                gate.set()
+                try:
+                    await coalescer.run_async("key", never, timeout=5.0)
+                except ValueError as error:
+                    seen.append(error)
+
+            leading = asyncio.create_task(leader())
+            await asyncio.sleep(0.01)
+            await asyncio.wait_for(asyncio.gather(leading, follower()), 10.0)
+
+        asyncio.run(scenario())
         assert len(seen) == 2
         assert seen[0] is seen[1]  # the very same exception object
         assert coalescer.stats.aborted == 0
