@@ -10,16 +10,21 @@ complements (used by ExoShap and the qR¬ST reduction), and the
 Shapley-from-counts reduction.
 
 Databases are mutable builders but cheap to copy; algorithms never mutate
-their inputs — they work on copies.
+their inputs — they work on copies.  Data that depends only on the
+current fact sets (the engine's index, the version fingerprint, the
+canonical fact order) is derived once per version through
+:meth:`Database.derived` and dropped by the next edit.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.core.errors import SchemaError
 from repro.core.facts import Constant, Fact
+
+T = TypeVar("T")
 
 
 class Database:
@@ -33,6 +38,7 @@ class Database:
         self._endogenous: set[Fact] = set()
         self._exogenous: set[Fact] = set()
         self._arities: dict[str, int] = {}
+        self._memo: dict[Callable, Any] = {}
         for item in exogenous:
             self.add(item, endogenous=False)
         for item in endogenous:
@@ -51,6 +57,8 @@ class Database:
                 f"relation {new_fact.relation} used with arity {new_fact.arity}"
                 f" but previously with arity {known_arity}"
             )
+        if self._memo:
+            self._memo = {}
         self._endogenous.discard(new_fact)
         self._exogenous.discard(new_fact)
         if endogenous:
@@ -65,6 +73,8 @@ class Database:
         self.add(new_fact, endogenous=False)
 
     def remove(self, old_fact: Fact) -> None:
+        if self._memo:
+            self._memo = {}
         if old_fact in self._endogenous:
             self._endogenous.remove(old_fact)
         elif old_fact in self._exogenous:
@@ -104,6 +114,37 @@ class Database:
         clone._endogenous = chosen
         clone._arities = dict(self._arities)
         return clone
+
+    # ------------------------------------------------------------------
+    # Per-version derived data
+    # ------------------------------------------------------------------
+    def derived(self, build: Callable[["Database"], T]) -> T:
+        """``build(self)``, computed once per version of this database.
+
+        The memo is keyed by ``build`` itself, so each module-level
+        builder owns one entry.  :meth:`add` and :meth:`remove` (the only
+        mutators) clear it, copies start without it, and pickling drops
+        it, so a derived value always describes the current fact sets.
+        Values are shared by every caller and must be treated as
+        read-only.  Concurrent readers of an unchanging database may
+        both build a missing entry; either result is equal and the last
+        one is kept.
+        """
+        memo = self._memo
+        try:
+            return memo[build]
+        except KeyError:
+            value = memo[build] = build(self)
+            return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
 
     # ------------------------------------------------------------------
     # Accessors

@@ -84,15 +84,18 @@ class FactIndex:
 
         Keys are looked up by equality, so ``1`` and ``True`` share one
         list, exactly as the join's equality test treats them.  Facts too
-        short to have ``position`` are in no list.
+        short to have ``position`` are in no list.  A column is published
+        only once complete, so threads sharing one index never read a
+        partial one (two threads may both build it; the lists are equal).
         """
         key = (name, position)
         column = self._columns.get(key)
         if column is None:
-            column = self._columns[key] = {}
+            column = {}
             for item in self.relation(name):
                 if position < len(item.args):
                     column.setdefault(item.args[position], []).append(item)
+            self._columns[key] = column
         return column
 
     def __contains__(self, item: Fact) -> bool:

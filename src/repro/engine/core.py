@@ -57,7 +57,7 @@ from repro.engine.executors import (
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.engine.fingerprint import digest_key, fingerprint_database
+from repro.engine.fingerprint import database_digest, fingerprint_database
 from repro.engine.plan import (
     PLAN_COUNTERS,
     SAMPLE_COUNTERS,
@@ -136,11 +136,14 @@ def _executor_from_environment() -> Executor:
 def _zero_template(database: Database) -> dict[Fact, Fraction]:
     """Every endogenous fact of ``D`` mapped to zero, sorted by ``repr``.
 
-    Built once per request; each answer's result is widened from it
+    Read from the endogenous half of :func:`fingerprint_database` and
+    derived once per database version (``database.derived``), so it is
+    shared by every request against the version and never mutated; each
+    answer's result is widened from a copy of it
     (:func:`repro.engine.results.inflate_result`), which is how every
     public mapping covers all of ``D.endogenous`` in the canonical order.
     """
-    return dict.fromkeys(sorted(database.endogenous, key=repr), Fraction(0))
+    return dict.fromkeys(fingerprint_database(database)[0], Fraction(0))
 
 
 class _RequestScope:
@@ -231,9 +234,11 @@ class BatchAttributionEngine:
         self.sample_stats = Counters(*SAMPLE_COUNTERS)
         # Distinct database fingerprints served, for version accounting.
         # Bounded: past the cap new versions stop being *counted* as new,
-        # which only ever under-reports versions_seen.
+        # which only ever under-reports versions_seen.  The last one
+        # seen is kept to skip re-hashing it on repeated requests.
         self._versions: set[tuple] = set()
         self._versions_cap = 1024
+        self._last_version: tuple | None = None
 
     # ------------------------------------------------------------------
     # Per-request scoping (tracing + kernel counter deltas)
@@ -322,7 +327,7 @@ class BatchAttributionEngine:
         """
         method_policy = resolve_policy(policy)
         with self._request_scope(trace, "batch") as scope:
-            version = self._note_version(database)
+            self._note_version(database)
             plan = build_plan(
                 database,
                 [PlanRequest(query, grounding)],
@@ -337,13 +342,13 @@ class BatchAttributionEngine:
             planned = plan.requests[0]
             if scope.tracer is not None:
                 scope.span.set("fingerprint", _tracing.label(planned.key))
-            zeros = _zero_template(database)
+            zeros = database.derived(_zero_template)
             if planned.node_id is None:
                 scope.span.set("pruned", True)
                 return self._finish(
                     plan.satisfied[planned.key], zeros, from_cache=True
                 )
-            results = self._execute(plan, self.component_cache, version)
+            results = self._execute(plan, self.component_cache, database)
             return self._finish(results[planned.node_id], zeros, from_cache=False)
 
     def batch_answers(
@@ -391,7 +396,7 @@ class BatchAttributionEngine:
                         PlanRequest(ground_at_answer(query, answer), answer)
                     )
             scope.span.set("answers", len(requests))
-            version = self._note_version(database)
+            self._note_version(database)
             plan = build_plan(
                 database,
                 requests,
@@ -404,8 +409,8 @@ class BatchAttributionEngine:
             )
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
-            results = self._execute(plan, pool, version)
-            zeros = _zero_template(database)
+            results = self._execute(plan, pool, database)
+            zeros = database.derived(_zero_template)
             per_answer: dict[tuple[Constant, ...], BatchResult] = {}
             for planned in plan.requests:
                 if planned.node_id is None:
@@ -417,18 +422,16 @@ class BatchAttributionEngine:
                 )
             return AnswerBatchResult(per_answer, pool.stats.snapshot())
 
-    def _note_version(self, database: Database) -> tuple:
-        """Count distinct database fingerprints for the delta accounting.
-
-        Returns the version fingerprint so each public call computes it
-        exactly once (``_execute`` reuses it for the durable store's
-        writer tag instead of re-sorting the whole fact set).
-        """
+    def _note_version(self, database: Database) -> None:
+        """Count distinct database fingerprints for the delta accounting."""
         version = fingerprint_database(database)
+        if version is self._last_version:
+            # The same derived fingerprint object: already counted.
+            return
+        self._last_version = version
         if version not in self._versions and len(self._versions) < self._versions_cap:
             self._versions.add(version)
             self.delta_stats.versions_seen += 1
-        return version
 
     def _note_plan(self, plan: Plan) -> None:
         """Fold one plan's accounting into the engine-level counters."""
@@ -436,7 +439,7 @@ class BatchAttributionEngine:
         self.sample_stats.merge(plan.sample)
 
     def _execute(
-        self, plan: Plan, cache: BundleCache, version: tuple
+        self, plan: Plan, cache: BundleCache, database: Database
     ) -> dict[tuple, BatchResult]:
         """Run a plan's tasks and write fresh results back to the store.
 
@@ -445,12 +448,12 @@ class BatchAttributionEngine:
         key — the form every database version can inflate back from
         (:func:`repro.engine.results.project_result`).  ``cache`` serves
         the tasks' component bundles.  When a durable store is attached,
-        entries are tagged with the database ``version`` fingerprint that
-        wrote them so superseded versions can be retired (evicted first)
-        later.
+        entries are tagged with the digest of the ``database`` version
+        that wrote them so superseded versions can be retired (evicted
+        first) later.
         """
         if hasattr(self.shared, "writer_version"):
-            self.shared.writer_version = digest_key(version)
+            self.shared.writer_version = database_digest(database)
         before = cache.stats.snapshot()
         with _tracing.maybe_span(
             _tracing.ACTIVE,
@@ -728,7 +731,7 @@ class BatchAttributionEngine:
         retire = getattr(self.shared, "retire", None)
         if not callable(retire):
             return 0
-        return retire(digest_key(fingerprint_database(database)))
+        return retire(database_digest(database))
 
     def clear(self) -> None:
         """Drop all cached entries (statistics are kept).

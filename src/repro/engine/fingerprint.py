@@ -102,7 +102,17 @@ def fingerprint_query(query: BooleanQuery) -> tuple:
 
 
 def fingerprint_database(database: Database) -> tuple:
-    """Fingerprint of a database's endogenous/exogenous split."""
+    """Fingerprint of a database's endogenous/exogenous split.
+
+    Derived once per database version (:meth:`Database.derived`).  Its
+    endogenous half is also the canonical fact order: the engine's
+    zero template and the daemon's wire rows are read from it, so every
+    per-version table lists the facts in one order, ties included.
+    """
+    return database.derived(_fingerprint_database)
+
+
+def _fingerprint_database(database: Database) -> tuple:
     return (
         fingerprint_facts(database.endogenous),
         fingerprint_facts(database.exogenous),
@@ -161,7 +171,9 @@ class FactIndex(evaluation.FactIndex):
     constant finds a superset of the positional matches, so the slice is
     exactly the one a full scan would find.  Slicing every grounding of
     an answer batch then costs ``O(|D| + Σ slice)`` instead of
-    ``O(groundings × |D|)``.
+    ``O(groundings × |D|)``.  One index per database version is kept
+    in the database's memo (``database.derived(FactIndex)``), so every
+    request against that version reads the same columns.
 
     ``endogenous`` is the database's endogenous fact set, taken once;
     ``endogenous_relations`` names the relations with at least one
@@ -207,10 +219,11 @@ def relevant_facts(
     vector and attribution value) is a function of the relevant slice
     alone.  The test is deliberately conservative under cross-type
     equality (``1 == True``): a fact is only ever *included* spuriously,
-    which shrinks reuse but can never corrupt a result.  Callers slicing
-    many queries against one database share a :class:`FactIndex`.
+    which shrinks reuse but can never corrupt a result.  The
+    :class:`FactIndex` is derived once per database version and shared
+    by every caller — the planner and the daemon's coalescing key alike.
     """
-    return FactIndex(database).relevant(query)
+    return database.derived(FactIndex).relevant(query)
 
 
 def fingerprint_request(
@@ -296,6 +309,19 @@ def digest_key(key: tuple) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
+def database_digest(database: Database) -> str:
+    """``digest_key(fingerprint_database(database))``, once per version.
+
+    The content address of a database version: daemon handles, fleet
+    routing, and the durable store's writer tags all derive from it.
+    """
+    return database.derived(_database_digest)
+
+
+def _database_digest(database: Database) -> str:
+    return digest_key(fingerprint_database(database))
+
+
 def fingerprint_sample_state(base_key: tuple) -> tuple:
     """The store key of a request's resumable sampler state.
 
@@ -309,6 +335,7 @@ def fingerprint_sample_state(base_key: tuple) -> tuple:
 
 __all__ = [
     "FactIndex",
+    "database_digest",
     "digest_key",
     "fingerprint_atoms",
     "fingerprint_component",

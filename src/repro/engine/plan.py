@@ -8,8 +8,9 @@ computed, and nothing that computes one:
 1. **Method dispatch** (the dichotomy of Theorems 3.1/4.3, steered by a
    :class:`repro.engine.policy.MethodPolicy`) on each grounding's
    *relevance slice* — the facts some atom of ``q_t`` can match, cut
-   from one :class:`repro.engine.fingerprint.FactIndex` per plan; every
-   other fact is a null player, zero-filled at the engine boundary.
+   from the database version's one
+   :class:`repro.engine.fingerprint.FactIndex`; every other fact is a
+   null player, zero-filled at the engine boundary.
    Each grounding is classified as ``cntsat``, ``exoshap`` (the
    rewrite runs at plan time, once), ``brute-force`` (validated once,
    up front, against ``MAX_BRUTE_FORCE_PLAYERS``), ``sampled`` (the
@@ -488,9 +489,10 @@ def _build_plan(
     # chosen tier is recorded on the plan (and in the kernel counters).
     plan.kernel = kernels.refresh_from_environment()
     plan.stats.requested = len(requests)
-    # One index of D serves every grounding's relevance slice; the
-    # executed tasks carry only their slice.
-    index = FactIndex(database)
+    # One index of D, derived once per database version, serves every
+    # grounding's relevance slice; the executed tasks carry only their
+    # slice.
+    index = database.derived(FactIndex)
     tracer = _tracing.ACTIVE
     seen: set[tuple] = set()
     for request in requests:

@@ -172,8 +172,9 @@ def inflate_result(
     """A slice-scoped core result widened to a concrete database version.
 
     ``zeros`` maps every endogenous fact of the version to ``Fraction(0)``
-    in output order — the engine builds it once per request, from the
-    facts sorted by ``repr``, and widens every answer from it.  Each fact
+    in output order — the engine derives it once per database version,
+    from the facts sorted by ``repr``, and widens every answer of every
+    request against that version from it; it is only read.  Each fact
     missing from the core mapping is a null player for this request and
     keeps its exact zero; ``player_count`` becomes the version's total.
     Returns the widened result and how many facts were zero-filled

@@ -32,7 +32,7 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.core.database import Database
 from repro.core.facts import Fact
@@ -122,14 +122,49 @@ def fraction_from_pair(pair: list) -> Fraction:
     return Fraction(int(numerator), int(denominator))
 
 
-def attribution_to_rows(values: Mapping[Fact, Fraction]) -> list[list[Any]] | None:
+#: A database version's wire row prefixes: ``(fact, relation, args)`` per
+#: endogenous fact, in the canonical sorted-by-``repr`` order.
+RowTable = tuple[tuple[Fact, str, tuple], ...]
+
+
+def row_table(facts: Iterable[Fact]) -> RowTable | None:
+    """The :data:`RowTable` of ``facts``, already in canonical order.
+
+    Built once per database version and shared, so it holds only tuples
+    (they serialize exactly as lists do).  None when some constant is not
+    a JSON scalar: encoding from such a table could only fail, which
+    :func:`attribution_to_rows` reports on its own.
+    """
+    table = tuple((item, item.relation, item.args) for item in facts)
+    if not all(fact_is_json_safe(item) for item, _, _ in table):
+        return None
+    return table
+
+
+def attribution_to_rows(
+    values: Mapping[Fact, Fraction], table: RowTable | None = None
+) -> list[list[Any]] | None:
     """``[[relation, [args...], numerator, denominator], ...]`` or None.
 
     Rows iterate facts in the canonical sorted-by-``repr`` order.  Returns
     None when some constant is not a JSON scalar (such facts would not
     round-trip); callers decide whether that means "skip the cache entry"
     (the durable store) or "reject the request" (the wire protocol).
+
+    ``table`` is the :func:`row_table` of a database version.  When
+    ``values`` iterates exactly the table's facts, in its order, the rows
+    are read off the table with no sort and no JSON-safety check, and
+    their JSON is byte for byte that of the sorted path; any other key
+    sequence falls back to the sort.
     """
+    if table is not None and len(table) == len(values):
+        rows = []
+        for (item, relation, args), (key, value) in zip(table, values.items()):
+            if key is not item:
+                break
+            rows.append([relation, args, *fraction_to_pair(value)])
+        else:
+            return rows
     rows = []
     for item in sorted(values, key=repr):
         if not fact_is_json_safe(item):
@@ -179,7 +214,9 @@ def estimate_from_dict(payload: Mapping[str, Any]) -> "AttributionEstimate":
     )
 
 
-def batch_result_to_dict(result: "BatchResult") -> dict[str, Any]:
+def batch_result_to_dict(
+    result: "BatchResult", table: RowTable | None = None
+) -> dict[str, Any]:
     """A JSON-ready document of one batch result (both measures).
 
     Sampled results carry their ``(epsilon, delta)`` accuracy metadata in
@@ -188,9 +225,14 @@ def batch_result_to_dict(result: "BatchResult") -> dict[str, Any]:
     :class:`ValueError` when some fact's constants do not round-trip
     through JSON scalars — the wire protocol and ``--json`` must fail
     loudly rather than drop values silently.
+
+    ``table`` (the daemon passes its database version's :func:`row_table`)
+    lets each mapping that covers exactly the version's facts encode in
+    one ordered walk; those rows hold the table's ``args`` tuples where
+    the sorted path builds lists, and both serialize to the same JSON.
     """
-    shapley = attribution_to_rows(result.shapley)
-    banzhaf = attribution_to_rows(result.banzhaf)
+    shapley = attribution_to_rows(result.shapley, table)
+    banzhaf = attribution_to_rows(result.banzhaf, table)
     if shapley is None or banzhaf is None:
         raise ValueError(
             "attribution values contain constants that do not round-trip"
@@ -208,14 +250,21 @@ def batch_result_to_dict(result: "BatchResult") -> dict[str, Any]:
     return document
 
 
-def batch_result_from_dict(payload: Mapping[str, Any]) -> "BatchResult":
-    """Rebuild a :class:`BatchResult` from :func:`batch_result_to_dict`."""
+def batch_result_from_dict(
+    payload: Mapping[str, Any],
+    rows: Callable[[list[list[Any]]], dict[Fact, Fraction]] = attribution_from_rows,
+) -> "BatchResult":
+    """Rebuild a :class:`BatchResult` from :func:`batch_result_to_dict`.
+
+    ``rows`` decodes each measure's rows; a client passes its interning
+    decoder, which returns equal mappings.
+    """
     from repro.engine.results import BatchResult
 
     raw_estimate = payload.get("estimate")
     return BatchResult(
-        shapley=attribution_from_rows(payload["shapley"]),
-        banzhaf=attribution_from_rows(payload["banzhaf"]),
+        shapley=rows(payload["shapley"]),
+        banzhaf=rows(payload["banzhaf"]),
         method=payload["method"],
         player_count=payload["player_count"],
         from_cache=bool(payload.get("from_cache", False)),

@@ -58,9 +58,9 @@ from repro.engine.delta import DatabaseDelta, delta_to_dict
 from repro.server.backoff import BackoffPolicy
 from repro.engine.policy import MethodPolicy, resolve_policy
 from repro.io import (
-    attribution_from_rows,
     batch_result_from_dict,
     database_to_dict,
+    fraction_from_pair,
     query_to_text,
 )
 from repro.server.protocol import (
@@ -73,6 +73,58 @@ from repro.server.protocol import (
     request,
     write_frame,
 )
+
+
+#: Distinct facts, and distinct value pairs, one client keeps interned;
+#: a full table is emptied and refills from the next responses.
+INTERN_CAPACITY = 65_536
+
+
+class _RowInterner:
+    """Decodes attribution rows, reusing decoded facts and values.
+
+    One :class:`Fact` per distinct fact and one :class:`Fraction` per
+    distinct ``(numerator, denominator)`` pair, both immutable, so a warm
+    client builds neither per row.  Fact keys carry each argument's type,
+    since ``1``, ``True`` and ``1.0`` are equal but decode to distinct
+    facts; facts with a float argument are never interned (``0.0 ==
+    -0.0``).
+    """
+
+    __slots__ = ("_facts", "_values")
+
+    def __init__(self) -> None:
+        self._facts: dict[tuple, Fact] = {}
+        self._values: dict[tuple[str, str], Fraction] = {}
+
+    def rows(self, rows: list[list[Any]]) -> dict[Fact, Fraction]:
+        """:func:`repro.io.attribution_from_rows`, interned."""
+        facts, values = self._facts, self._values
+        decoded: dict[Fact, Fraction] = {}
+        for relation, args, numerator, denominator in rows:
+            args = tuple(args)
+            types = tuple(map(type, args))
+            key = (relation, args, types)
+            item = facts.get(key)
+            if item is None:
+                item = Fact(relation, args)
+                if float not in types:
+                    if len(facts) >= INTERN_CAPACITY:
+                        facts.clear()
+                    facts[key] = item
+            pair = (numerator, denominator)
+            value = values.get(pair)
+            if value is None:
+                value = fraction_from_pair(pair)
+                if len(values) >= INTERN_CAPACITY:
+                    values.clear()
+                values[pair] = value
+            decoded[item] = value
+        return decoded
+
+    def result(self, payload: Mapping[str, Any]):
+        """:func:`repro.io.batch_result_from_dict`, interned."""
+        return batch_result_from_dict(payload, self.rows)
 
 
 class PendingRequest:
@@ -174,6 +226,7 @@ class AttributionClient:
         # later; the bound keeps a long-lived client from pinning every
         # database it ever uploaded.
         self._handles: OrderedDict[int, tuple[Database, str]] = OrderedDict()
+        self._interner = _RowInterner()
 
     @property
     def address(self) -> str:
@@ -504,7 +557,7 @@ class AttributionClient:
                 **method_policy.to_params(),
             ),
         )
-        return batch_result_from_dict(result["result"])
+        return self._interner.result(result["result"])
 
     def submit_batch(
         self,
@@ -529,7 +582,7 @@ class AttributionClient:
         method_policy = resolve_policy(policy)
         return self.submit(
             "batch",
-            decode=lambda result: batch_result_from_dict(result["result"]),
+            decode=lambda result: self._interner.result(result["result"]),
             db=self._handle_for(database),
             query=self._query_text(query),
             exogenous=self._exogenous_param(exogenous),
@@ -568,7 +621,7 @@ class AttributionClient:
                 trace=True if trace else None,
             ),
         )
-        return batch_result_from_dict(result["result"])
+        return self._interner.result(result["result"])
 
     def submit_refine(
         self,
@@ -585,7 +638,7 @@ class AttributionClient:
         as :meth:`submit_batch`."""
         return self.submit(
             "refine",
-            decode=lambda result: batch_result_from_dict(result["result"]),
+            decode=lambda result: self._interner.result(result["result"]),
             db=self._handle_for(database),
             query=self._query_text(query),
             exogenous=self._exogenous_param(exogenous),
@@ -625,13 +678,12 @@ class AttributionClient:
         )
         return self._decode_answers(result)
 
-    @staticmethod
-    def _decode_answers(result: dict[str, Any]):
+    def _decode_answers(self, result: dict[str, Any]):
         from repro.engine.results import AnswerBatchResult
         from repro.obs.counters import Counters
 
         per_answer = {
-            tuple(entry["answer"]): batch_result_from_dict(entry["result"])
+            tuple(entry["answer"]): self._interner.result(entry["result"])
             for entry in result["answers"]
         }
         pool = result.get("pool", {})
@@ -693,7 +745,7 @@ class AttributionClient:
                 trace=True if trace else None,
             ),
         )
-        return attribution_from_rows(result["values"])
+        return self._interner.rows(result["values"])
 
 
 __all__ = ["AttributionClient", "PendingRequest"]

@@ -75,11 +75,13 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable
 
+from repro.core.database import Database
 from repro.core.parser import parse_query
 from repro.engine.core import BatchAttributionEngine
 from repro.engine.delta import delta_from_dict
+from repro.engine.fingerprint import fingerprint_database
 from repro.engine.policy import MethodPolicy
-from repro.io import batch_result_to_dict, database_from_dict
+from repro.io import RowTable, batch_result_to_dict, database_from_dict, row_table
 from repro.server import protocol as protocol_module
 from repro.obs import tracing as _tracing
 from repro.obs.export import top_spans
@@ -118,6 +120,17 @@ ENGINE_WORKERS = 4
 #: the filesystem) but bypass admission: registry state management must
 #: not compete with compute for queue slots.
 SIDE_OPS = frozenset({"db_load", "db_update"})
+
+
+def _version_rows(database: Database) -> RowTable | None:
+    """The wire row table of a database version, in the engine's order.
+
+    Read from the endogenous half of
+    :func:`~repro.engine.fingerprint.fingerprint_database` — the order
+    the engine's zero template, and so every result mapping, iterates —
+    and derived once per version (``database.derived(_version_rows)``).
+    """
+    return row_table(fingerprint_database(database)[0])
 
 
 def _counters_delta(
@@ -908,8 +921,10 @@ class AttributionDaemon:
         """The compute step of a prepared op: ``run`` under the engine
         lock, ``render`` its outcome, plus the request's counter delta.
 
-        A traced request's ``trace_id`` rides the shared result: how
-        coalesced followers learn which trace did the work.
+        ``render`` runs outside the lock; a traced request spans it as
+        ``server.encode``.  A traced request's ``trace_id`` rides the
+        shared result: how coalesced followers learn which trace did the
+        work.
         """
 
         def compute() -> dict[str, Any]:
@@ -917,7 +932,12 @@ class AttributionDaemon:
                 before = self.engine.counters()
                 outcome = run()
                 after = self.engine.counters()
-            out = {**render(outcome), "stats": _counters_delta(before, after)}
+            if tracer is None:
+                rendered = render(outcome)
+            else:
+                with tracer.span("server.encode"):
+                    rendered = render(outcome)
+            out = {**rendered, "stats": _counters_delta(before, after)}
             if tracer is not None:
                 out["trace_id"] = tracer.trace_id
             return out
@@ -952,7 +972,11 @@ class AttributionDaemon:
                 policy=policy,
                 trace=tracer,
             ),
-            lambda result: {"result": batch_result_to_dict(result)},
+            lambda result: {
+                "result": batch_result_to_dict(
+                    result, database.derived(_version_rows)
+                )
+            },
         )
 
     def _prepare_refine(
@@ -991,7 +1015,11 @@ class AttributionDaemon:
                 delta=None if delta is None else float(delta),
                 trace=tracer,
             ),
-            lambda result: {"result": batch_result_to_dict(result)},
+            lambda result: {
+                "result": batch_result_to_dict(
+                    result, database.derived(_version_rows)
+                )
+            },
         )
 
     def _prepare_answers(
@@ -1017,9 +1045,13 @@ class AttributionDaemon:
         )
 
         def render(batch) -> dict[str, Any]:
+            table = database.derived(_version_rows)
             return {
                 "answers": [
-                    {"answer": list(answer), "result": batch_result_to_dict(result)}
+                    {
+                        "answer": list(answer),
+                        "result": batch_result_to_dict(result, table),
+                    }
                     for answer, result in batch.per_answer.items()
                 ],
                 "pool": {

@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import time
 from bisect import bisect_right
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -90,10 +89,6 @@ class FleetClient:
     :class:`~repro.server.client.AttributionClient`.
     """
 
-    #: Databases whose routing digest is remembered (same bound and
-    #: pinning discipline as the per-node handle caches).
-    MAX_CACHED_DIGESTS = 32
-
     def __init__(
         self,
         addresses: Sequence[str] | str,
@@ -135,7 +130,6 @@ class FleetClient:
         ring.sort()
         self._ring_points = [point for point, _ in ring]
         self._ring_nodes = [index for _, index in ring]
-        self._digests: OrderedDict[int, tuple[Database, str]] = OrderedDict()
         #: Router accounting, surfaced by :meth:`router_stats`.
         self.routed = 0
         self.failovers = 0
@@ -193,29 +187,15 @@ class FleetClient:
 
         Content-addressed exactly like the daemon's registry handles, so
         routing by a ``Database`` object and routing by the handle the
-        fleet later returns agree on the node.  Cached per object (and
-        pinned, mirroring the handle-cache discipline of
-        :class:`AttributionClient`) because fingerprinting scans the
-        whole fact set.
+        fleet later returns agree on the node.  The digest is derived
+        once per database version, so repeated routing costs nothing.
         """
         if isinstance(database, str):
             return database
-        cached = self._digests.get(id(database))
-        if cached is not None and cached[0] is database:
-            self._digests.move_to_end(id(database))
-            return cached[1]
-        from repro.engine.fingerprint import digest_key, fingerprint_database
+        from repro.engine.fingerprint import database_digest
         from repro.server.registry import HANDLE_PREFIX
 
-        # The registry's exact handle derivation, so routing by object
-        # and routing by the handle the daemons return agree on a node.
-        digest = (
-            HANDLE_PREFIX + digest_key(fingerprint_database(database))[:32]
-        )
-        self._digests[id(database)] = (database, digest)
-        while len(self._digests) > self.MAX_CACHED_DIGESTS:
-            self._digests.popitem(last=False)
-        return digest
+        return HANDLE_PREFIX + database_digest(database)[:32]
 
     def _preference(self, material: tuple) -> list[_Node]:
         """Every node, ordered by ring position from the key's point.

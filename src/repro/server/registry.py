@@ -41,7 +41,7 @@ from typing import Any, Awaitable, Callable, TypeVar
 from repro.core.database import Database
 from repro.engine.cache import CACHE_COUNTERS
 from repro.engine.delta import DatabaseDelta, apply_delta
-from repro.engine.fingerprint import digest_key, fingerprint_database
+from repro.engine.fingerprint import database_digest
 from repro.obs.counters import Counters
 from repro.server.protocol import CoalescedRequestAborted, UnknownHandleError
 
@@ -102,7 +102,7 @@ class DatabaseRegistry:
 
     def load(self, database: Database) -> str:
         """Store ``database`` (or refresh it) and return its handle."""
-        handle = HANDLE_PREFIX + digest_key(fingerprint_database(database))[:32]
+        handle = HANDLE_PREFIX + database_digest(database)[:32]
         with self._lock:
             self.stats.loads += 1
             self._store_locked(database, handle)
@@ -124,9 +124,7 @@ class DatabaseRegistry:
         """
         base = self.get(handle)
         successor = apply_delta(base, delta)
-        successor_handle = (
-            HANDLE_PREFIX + digest_key(fingerprint_database(successor))[:32]
-        )
+        successor_handle = HANDLE_PREFIX + database_digest(successor)[:32]
         with self._lock:
             self.stats.updates += 1
             self._store_locked(successor, successor_handle)

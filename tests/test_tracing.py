@@ -370,6 +370,12 @@ class TestDaemonTraces:
         assert "server.request" in names
         assert "server.coalesce" in names
         assert "request" in names  # the engine's spans nest inside
+        # The render of the result into wire rows has its own span,
+        # after the engine's request span closed.
+        spans = {span["name"]: span for span in document["spans"]}
+        assert names.count("server.encode") == 1
+        engine_end = spans["request"]["start_us"] + spans["request"]["dur_us"]
+        assert spans["server.encode"]["start_us"] >= engine_end
         # The admitted slowest-trace offer logged one structured line
         # correlating request id and trace id.
         slow_lines = [
