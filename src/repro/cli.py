@@ -94,7 +94,7 @@ achieved bound in the provenance line and carry an ``estimate`` block in
 answer instead of recomputing it: the engine resumes the request's
 stored permutation stream (in-process with ``--cache-dir``, or daemon
 state with ``--connect``), and with no explicit ``--epsilon`` each call
-roughly halves the achieved bound::
+roughly halves its bound at ``--delta`` (0.05 unless given again)::
 
     python -m repro batch db.json QUERY --method sampled --epsilon 0.05
     python -m repro batch db.json QUERY --refine --connect /tmp/repro.sock
@@ -951,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine",
         action="store_true",
         help="tighten a previous sampled answer by resuming its stored"
-        " permutation stream (no explicit --epsilon: roughly halve the"
-        " achieved bound)",
+        " permutation stream (no --epsilon: roughly halve its bound at"
+        " --delta, default 0.05 even if the first request's differed)",
     )
     p_batch.add_argument(
         "--repeat",

@@ -33,7 +33,8 @@ once instead of re-running the join.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Union
+from itertools import accumulate, islice, repeat
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
@@ -231,24 +232,24 @@ def holds(query: BooleanQuery, facts: FactSource) -> bool:
 
 
 class PrefixEvaluator:
-    """``q(Dx ∪ S)`` along growing coalitions ``S ⊆ Dn``, one fact at a time.
+    """``q(Dx ∪ S)`` along the prefixes ``S`` of an order of ``Dn``.
 
     The permutation samplers of Section 5 evaluate the query on every
-    prefix of a random order of ``Dn``; consecutive prefixes differ by
-    one fact.  Instead of re-running the join per prefix, the evaluator
-    builds the query's *witness table* once: every homomorphism of the
-    positive atoms into ``D`` (the union over disjuncts for a UCQ¬),
-    kept as its endogenous positive image and its negative image.  Any
-    coalition ``S ⊆ Dn`` makes ``Dx ∪ S ⊆ D``, so every homomorphism
-    into ``Dx ∪ S`` is in the table, and it witnesses ``q`` exactly when
-    its positive image lies in ``S`` and its negative image misses it.
+    prefix of a random order of ``Dn``.  Instead of re-running the join
+    per prefix, the evaluator builds the query's *witness table* once:
+    every homomorphism of the positive atoms into ``D`` (the union over
+    disjuncts for a UCQ¬), kept as its endogenous positive image and its
+    negative image.  Any coalition ``S ⊆ Dn`` makes ``Dx ∪ S ⊆ D``, so
+    every homomorphism into ``Dx ∪ S`` is in the table, and it witnesses
+    ``q`` exactly when its positive image lies in ``S`` and its negative
+    image misses it.
 
     Witnesses that can never hold — a negative image with an exogenous
     fact, or one meeting its own positive image — are dropped at build
-    time.  A sweep keeps, per witness, the number of positive facts
-    still missing plus negative facts already present, and a count of
-    witnesses at zero: adding a player touches only the witnesses that
-    mention it.
+    time; the rest are kept on player ids (indexes into :attr:`players`).
+    Along an order each one holds on an interval of prefixes, so ``q``
+    flips only where their union starts or ends, and reversing the
+    order reflects every interval: one pass serves a sweep and its mirror.
     """
 
     def __init__(self, query: BooleanQuery, database: Database) -> None:
@@ -277,41 +278,88 @@ class PrefixEvaluator:
                 )
                 if negative.isdisjoint(positive):
                     witnesses.add((positive, frozenset(negative & endogenous)))
-        self._initial: list[int] = []
-        self._positive: dict[Fact, list[int]] = {}
-        self._negative: dict[Fact, list[int]] = {}
-        for slot, (positive, negative) in enumerate(witnesses):
-            self._initial.append(len(positive))
-            for player in positive:
-                self._positive.setdefault(player, []).append(slot)
-            for player in negative:
-                self._negative.setdefault(player, []).append(slot)
-        self._initial_live = self._initial.count(0)
+        #: ``Dn`` in ``repr`` order; a player's id is its index here.
+        self.players: list[Fact] = sorted(endogenous, key=repr)
+        self._ids = ids = {player: slot for slot, player in enumerate(self.players)}
+        #: Each witness as its (positive, negative) player ids.
+        self.witnesses: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
+            (tuple(ids[f] for f in positive), tuple(ids[f] for f in negative))
+            for positive, negative in witnesses
+        ]
         #: ``q(Dx)``, the outcome of the empty coalition, as 0 or 1.
-        self.empty = 1 if self._initial_live else 0
+        self.empty = 1 if any(not positive for positive, _ in self.witnesses) else 0
+        # Witnesses of one shape (image sizes) are stored column-wise.
+        groups: dict[tuple[int, int], list] = {}
+        for positive, negative in self.witnesses:
+            shape = len(positive), len(negative)
+            groups.setdefault(shape, []).append(positive + negative)
+        self._shapes = [(*shape, len(rows)) for shape, rows in groups.items()]
+        self._slots = [p for rows in groups.values() for col in zip(*rows) for p in col]
+
+    def credit(
+        self, order: Sequence[int], totals: list[int], antithetic: bool = True
+    ) -> None:
+        """Add each player's marginal contributions along ``order``.
+
+        ``totals[id]`` gains the flip of ``q`` as ``id`` joins the prefix
+        before it and, with ``antithetic``, the suffix after it.  A
+        witness holds on the prefixes ``order[:j]`` with ``last positive
+        place < j <= first negative place``, and on the suffixes
+        ``order[t:]`` with ``last negative place < t <= first positive
+        place``.  Players missing from ``order`` never join the prefix.
+        """
+        size = len(order)
+        place = [size] * len(self.players)
+        for position, player in enumerate(order):
+            place[player] = position
+        places = map(place.__getitem__, self._slots)
+        forward, backward = [], []
+        for ins, outs, count in self._shapes:
+            columns = [list(islice(places, count)) for _ in range(ins + outs)]
+            first_in, last_in = _bounds(columns[:ins], count, size)
+            first_out, last_out = _bounds(columns[ins:], count, size)
+            forward += [(a + 1, b) for a, b in zip(last_in, first_out) if a < b]
+            backward += [(a + 1, b) for a, b in zip(last_out, first_in) if a < b]
+        halves = [(forward, 1), (backward, -1)] if antithetic else [(forward, 1)]
+        for intervals, sign in halves:
+            for lo, hi in _merged(intervals):
+                if lo:
+                    totals[order[lo - 1]] += sign
+                if hi < size:
+                    totals[order[hi]] -= sign
 
     def sweep(self, order: Iterable[Fact]) -> list[int]:
         """``q(Dx ∪ order[:i + 1])`` as 0 or 1, for each position ``i``.
 
-        ``order`` lists distinct endogenous facts; each call starts over
-        from the empty coalition.
+        ``order`` lists distinct endogenous facts; the outcomes add up
+        the flips of :meth:`credit`'s forward half from ``q(Dx)``.
         """
-        pending = self._initial[:]
-        live = self._initial_live
-        positive = self._positive
-        negative = self._negative
-        outcomes = []
-        for player in order:
-            for slot in positive.get(player, ()):
-                pending[slot] -= 1
-                if not pending[slot]:
-                    live += 1
-            for slot in negative.get(player, ()):
-                if not pending[slot]:
-                    live -= 1
-                pending[slot] += 1
-            outcomes.append(1 if live else 0)
-        return outcomes
+        ids = [self._ids[player] for player in order]
+        flips = [0] * len(self.players)
+        self.credit(ids, flips, antithetic=False)
+        return list(accumulate(map(flips.__getitem__, ids), initial=self.empty))[1:]
+
+
+def _bounds(columns: list[list[int]], count: int, size: int) -> tuple:
+    """Each row's first and last place (``size`` and -1 if empty)."""
+    if not columns:
+        return repeat(size, count), repeat(-1, count)
+    if len(columns) == 1:
+        return columns[0], columns[0]
+    return map(min, *columns), map(max, *columns)
+
+
+def _merged(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Closed integer intervals as disjoint, non-adjacent runs, in order."""
+    intervals.sort()
+    runs: list[tuple[int, int]] = []
+    for lo, hi in intervals:
+        if runs and lo <= runs[-1][1] + 1:
+            if hi > runs[-1][1]:
+                runs[-1] = (runs[-1][0], hi)
+        else:
+            runs.append((lo, hi))
+    return runs
 
 
 def evaluate_boolean(query: BooleanQuery, facts: FactSource) -> int:

@@ -560,12 +560,12 @@ class BatchAttributionEngine:
         Resumes the request's permutation stream where the stored
         :class:`repro.shapley.sampling.SampleState` left off and runs
         only the rounds the new contract still needs — never restarting.
-        ``epsilon`` defaults to *half* the currently achieved bound
-        (which costs 4x the stored rounds — the Hoeffding count is
-        quadratic in ``1/epsilon``); ``delta`` defaults to the stored
-        request's confidence or the policy default.  Without any stored
-        state this is simply a fresh sampled batch under the (given or
-        default) contract.
+        ``delta`` defaults to ``DEFAULT_DELTA``, not to the stored
+        request's δ (a ``SampleState`` records none); ``epsilon`` to
+        half the bound the stored rounds reach at that ``delta`` (4x the
+        rounds: the Hoeffding count is quadratic in ``1/epsilon``).
+        Without any stored state this is simply a fresh sampled batch
+        under the (given or default) contract.
         """
         from repro.engine.fingerprint import (
             fingerprint_request,

@@ -130,8 +130,8 @@ def assemble_sample_result(
         fresh_evaluations,
         spec.strata,
     )
-    players = sorted(task.database.endogenous, key=repr)
-    shapley = {player: state.value_of(player) for player in players}
+    # Fresh totals list every player in ``repr`` order (run_rounds).
+    shapley = {player: state.value_of(player) for player in fresh_totals}
     estimate = AttributionEstimate(
         epsilon=achieved_epsilon(state.rounds, spec.delta),
         delta=spec.delta,
@@ -144,7 +144,7 @@ def assemble_sample_result(
         shapley,
         {},
         "sampled",
-        len(players),
+        len(shapley),
         estimate=estimate,
         sample_state=state,
     )

@@ -366,12 +366,11 @@ def _plan_sampled(
         state_key = (*state_key, ("strata", strata))
     state_digest = digest_key(state_key)[:16]
     seed = sample_seed(base_key)
-    players = sorted(relevant[0], key=repr)
     prior = store.get(state_key) if store is not None else None
     restarted = False
     if prior is not None and not (
         isinstance(prior, SampleState)
-        and prior.compatible_with(seed, players, strata)
+        and prior.compatible_with(seed, relevant[0], strata)
     ):
         prior, restarted = None, True
     needed = rounds_for_contract(policy.epsilon, policy.delta)

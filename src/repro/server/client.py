@@ -603,11 +603,11 @@ class AttributionClient:
     ):
         """Tighten a sampled request's accuracy bound, resuming its stream.
 
-        With no explicit ``epsilon``, each call roughly halves the
-        achieved bound of the daemon's stored sample state; completed
-        rounds are never recomputed (``last_response["stats"]`` shows
-        ``sampler.restarts == 0``).  Returns the refined
-        :class:`~repro.engine.results.BatchResult`.
+        With no explicit ``epsilon``, each call roughly halves the bound
+        the stored state reaches at ``delta`` (default 0.05, not the
+        stored request's δ); completed rounds are never recomputed
+        (``last_response["stats"]`` shows ``sampler.restarts == 0``).
+        Returns the refined :class:`~repro.engine.results.BatchResult`.
         """
         result = self._with_handle(
             database,

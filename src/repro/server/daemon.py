@@ -990,8 +990,8 @@ class AttributionDaemon:
         no completed round is ever recomputed, which the per-request
         ``stats`` delta makes observable (``sampler.restarts`` stays 0,
         ``sampler.resumed_rounds`` counts the reused prefix).  With no
-        explicit ``epsilon``, each call roughly halves the achieved
-        bound (4x the stored rounds).
+        explicit ``epsilon``, each call roughly halves the bound the
+        rounds reach at ``delta`` (default 0.05, not the stored δ).
         """
         handle, database, query, exogenous = self._request_inputs(
             payload, boolean=True

@@ -120,9 +120,10 @@ def approximate_shapley_all(
     ``i`` is a valid marginal-contribution sample for the fact at that
     position — one permutation yields one sample for *every* fact.  A
     :class:`~repro.core.evaluation.PrefixEvaluator`, built once per
-    call, evaluates the prefixes incrementally: a round costs the
-    witness-table updates of its ``m`` added facts, shared by all facts,
-    instead of ``2m`` query evaluations per fact.
+    call, credits the flips from the forward half of its interval pass
+    (:meth:`~repro.core.evaluation.PrefixEvaluator.credit`): a round
+    costs one pass over the witness table, shared by all facts, instead
+    of ``2m`` query evaluations per fact.
 
     Each fact's estimate carries the usual per-fact additive
     ``(epsilon, delta)`` guarantee; the samples of different facts are
@@ -131,19 +132,16 @@ def approximate_shapley_all(
     """
     count = samples if samples is not None else hoeffding_sample_count(epsilon, delta)
     rng = rng or random.Random()
-    players = sorted(database.endogenous, key=repr)
     evaluator = PrefixEvaluator(query, database)
-    totals: dict[Fact, int] = {player: 0 for player in players}
+    totals = [0] * len(evaluator.players)
     for _ in range(count):
-        permutation = players[:]
+        # Shuffling ids draws the permutation the facts would get.
+        permutation = list(range(len(totals)))
         rng.shuffle(permutation)
-        previous = evaluator.empty
-        for player, current in zip(permutation, evaluator.sweep(permutation)):
-            totals[player] += current - previous
-            previous = current
+        evaluator.credit(permutation, totals, antithetic=False)
     return {
-        player: ShapleyEstimate(Fraction(totals[player], count), count, epsilon, delta)
-        for player in players
+        player: ShapleyEstimate(Fraction(total, count), count, epsilon, delta)
+        for player, total in zip(evaluator.players, totals)
     }
 
 

@@ -10,15 +10,16 @@ can schedule, shard, and *resume*:
   position ``i`` is a marginal-contribution sample for the fact at that
   position: one permutation buys one sample for *every* fact.
 
-* **Incremental sweeps** — a sweep does not run the query on its ``m``
+* **Interval sweeps** — a sweep does not run the query on its ``m``
   prefixes.  :func:`run_rounds` builds the query's witness table
   (:class:`repro.core.evaluation.PrefixEvaluator`) once per round
-  range, and each added player updates only the witnesses that mention
-  it, so a sweep costs its witness updates — at most the table's total
-  size — rather than ``m`` joins.  The reported ``evaluations`` still
+  range, on integer player ids.  Each witness holds on one interval of
+  a permutation's prefixes, and ``q`` flips only where their union
+  starts or ends; one min/max pass over the table yields the intervals
+  of a rotation's sweep *and* of its reversal.  ``evaluations`` still
   count one per prefix coalition (two per round range, plus ``m - 1``
-  per sweep), which keeps persisted states and the
-  ``sampler.evaluations`` counter comparable across versions.
+  per sweep), so persisted states and the ``sampler.evaluations``
+  counter stay comparable across versions.
 
 * **Antithetic rounds** — each round pairs a forward sweep with the
   sweep of the *reversed* permutation.  Reversal mirrors the coalition
@@ -69,7 +70,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.database import Database
 from repro.core.evaluation import PrefixEvaluator
@@ -102,7 +103,7 @@ class SampleState:
         return Fraction(self.totals.get(player, 0), 2 * self.strata * self.rounds)
 
     def compatible_with(
-        self, seed: int, players: Sequence[Fact], strata: int = 1
+        self, seed: int, players: Iterable[Fact], strata: int = 1
     ) -> bool:
         """Can this state extend the stream ``seed`` over ``players``?
 
@@ -172,7 +173,7 @@ def round_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def round_sweeps(players: Sequence[Fact], rng: random.Random, strata: int) -> list:
+def round_sweeps(players: Sequence, rng: random.Random, strata: int) -> list:
     """The sweep orders of one round: rotations of one shuffle, reversed.
 
     One shuffled permutation, rotated to ``strata`` evenly-spaced
@@ -209,11 +210,11 @@ def run_rounds(
     """Run antithetic rounds ``start .. start + count - 1`` of a stream.
 
     Returns the integer marginal totals contributed by exactly these
-    rounds (``2 * strata`` sweeps each — see :func:`round_sweeps`) and
-    the number of prefix coalitions evaluated.  Totals are
-    order-independent integer sums, so disjoint round ranges — run
-    serially, in worker processes, or in a later session — merge by
-    plain addition.
+    rounds (``2 * strata`` sweeps each — see :func:`round_sweeps`), keyed
+    by player in ``repr`` order, and the number of prefix coalitions
+    evaluated.  Totals are order-independent integer sums, so disjoint
+    round ranges — run serially, in worker processes, or in a later
+    session — merge by plain addition.
     """
     if strata < 1:
         raise ValueError(f"strata must be positive, got {strata}")
@@ -221,37 +222,31 @@ def run_rounds(
         with _tracing.ACTIVE.span(
             "sampler.round", start=start, count=count, strata=strata
         ) as span:
-            totals, evaluations = _run_rounds(
-                database, query, seed, start, count, strata
-            )
+            evaluator = PrefixEvaluator(query, database)
+            span.set("players", len(evaluator.players))
+            span.set("witnesses", len(evaluator.witnesses))
+            totals, evaluations = _run_rounds(evaluator, seed, start, count, strata)
             span.set("evaluations", evaluations)
             return totals, evaluations
-    return _run_rounds(database, query, seed, start, count, strata)
+    return _run_rounds(PrefixEvaluator(query, database), seed, start, count, strata)
 
 
 def _run_rounds(
-    database: Database,
-    query: BooleanQuery,
-    seed: int,
-    start: int,
-    count: int,
-    strata: int,
+    evaluator: PrefixEvaluator, seed: int, start: int, count: int, strata: int
 ) -> tuple[dict[Fact, int], int]:
-    players = sorted(database.endogenous, key=repr)
-    totals: dict[Fact, int] = {player: 0 for player in players}
+    players = evaluator.players
+    size, counts = len(players), [0] * len(players)
     if count <= 0 or not players:
-        return totals, 0
-    evaluator = PrefixEvaluator(query, database)
+        return dict(zip(players, counts)), 0
     for index in range(start, start + count):
-        rng = round_rng(seed, index)
-        for sweep in round_sweeps(players, rng, strata):
-            previous = evaluator.empty
-            for player, current in zip(sweep, evaluator.sweep(sweep)):
-                totals[player] += current - previous
-                previous = current
+        # Shuffling ids draws the facts' permutation (a shuffle depends
+        # only on the length); a rotation's pass credits its reversal too.
+        sweeps = round_sweeps(range(size), round_rng(seed, index), strata)
+        for order in sweeps[::2]:
+            evaluator.credit(order, counts)
     # One evaluation per prefix coalition: the empty and the full one
     # once per range, the m - 1 others once per sweep.
-    return totals, 2 + count * 2 * strata * (len(players) - 1)
+    return dict(zip(players, counts)), 2 + count * 2 * strata * (size - 1)
 
 
 def merge_totals(

@@ -30,8 +30,10 @@ from harness import running_daemon
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import fact
-from repro.core.parser import parse_query
+from repro.core.evaluation import PrefixEvaluator
+from repro.core.parser import parse_query, parse_ucq
 from repro.engine import (
+    DEFAULT_DELTA,
     BatchAttributionEngine,
     MethodPolicy,
     ShardedExecutor,
@@ -70,6 +72,26 @@ GOLDEN_TOTALS = {
     ("endo", 1): "30357bc8a487f77df70b714ef5b73e7104e8efa8acd4a7ef86af408395be7afd",
     ("endo", 3): "26e63874b765d7b3e1d7260b9d9770e9b67174e4629bf2b025b282fcea472550",
 }
+
+# The same digests for a UCQ¬ on the "mixed" instance, by strata,
+# recorded from the fact-keyed incremental sweeps that the interval
+# sweeps replaced.  The second disjunct has a ground negated atom and an
+# exogenous positive image, so its witness's positive image is empty
+# and q(Dx) = 1; the third meets its own negative image when c = c0.
+GOLDEN_UCQ = (
+    "Farmer(m), Export(m, p, c), not Grows(c, p)"
+    " | Grows('c1', 'p1'), not Farmer('m3')"
+    " | Export(m, p, c), not Export(m, p, 'c0'), not Farmer(m)"
+)
+GOLDEN_UCQ_TOTALS = {
+    1: "0f228d73675de893334ecb46604e9829691a3699497d524519f11227aa0e768e",
+    3: "f67d58f55797937f0b901a9f83699ec6c0ac0ddb022103a6d4cebe248d91bbd1",
+}
+
+
+def totals_digest(totals) -> str:
+    rows = sorted((repr(player), total) for player, total in totals.items())
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
 def intractable_db(players: int = 30) -> Database:
@@ -136,13 +158,21 @@ class TestSampler:
         totals, evaluations = run_rounds(
             db, intro_export_query(), 20261017, 3, count, strata
         )
-        rows = sorted((repr(player), total) for player, total in totals.items())
-        digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_TOTALS[labels, strata]
+        assert totals_digest(totals) == GOLDEN_TOTALS[labels, strata]
         # One evaluation per prefix coalition: the empty and full ones
         # once, then m - 1 per sweep, 2 * strata sweeps per round.
         m = len(db.endogenous)
         assert evaluations == 2 + count * 2 * strata * (m - 1)
+
+    @pytest.mark.parametrize("strata", sorted(GOLDEN_UCQ_TOTALS))
+    def test_ucq_round_range_totals_match_the_golden_digests(self, strata):
+        db = export_database(11, 2, 2, rng=random.Random(1))
+        query = parse_ucq(GOLDEN_UCQ)
+        evaluator = PrefixEvaluator(query, db)
+        assert evaluator.empty == 1
+        assert any(not positive for positive, _ in evaluator.witnesses)
+        totals, _ = run_rounds(db, query, 20261017, 3, 7, strata)
+        assert totals_digest(totals) == GOLDEN_UCQ_TOTALS[strata]
 
     def test_sampled_estimate_tracks_exact_values(self):
         # Small enough to brute force: the estimate of a tight contract
@@ -262,6 +292,23 @@ class TestRefinement:
         first = engine.batch(db, q, policy=MethodPolicy("sampled", epsilon=0.2))
         refined = engine.refine(db, q)
         assert refined.estimate.epsilon <= first.estimate.epsilon / 2 + 1e-12
+
+    def test_default_refine_delta_is_the_policy_default(self):
+        # A SampleState records no delta: a bare refine measures the
+        # stored rounds at DEFAULT_DELTA, not at the batch's 0.01, and
+        # halves the bound they reach there.
+        db = intractable_db(30)
+        q = parse_query(INTRACTABLE_Q)
+        engine = BatchAttributionEngine()
+        first = engine.batch(
+            db, q, policy=MethodPolicy("sampled", epsilon=0.3, delta=0.01)
+        )
+        assert first.estimate.delta == 0.01
+        refined = engine.refine(db, q)
+        assert refined.estimate.delta == DEFAULT_DELTA
+        assert refined.estimate.resumed_rounds == first.estimate.rounds
+        target = achieved_epsilon(4 * first.estimate.rounds, DEFAULT_DELTA)
+        assert refined.estimate.rounds == rounds_for_contract(target, DEFAULT_DELTA)
 
     def test_refinement_resumes_across_processes_via_persistent_tier(self, tmp_path):
         db = intractable_db(30)

@@ -26,8 +26,15 @@ import random
 
 import pytest
 
+from repro.core.database import Database
+from repro.core.evaluation import PrefixEvaluator
 from repro.core.parser import parse_query
-from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
+from repro.engine import (
+    BatchAttributionEngine,
+    SerialExecutor,
+    ShardedExecutor,
+    relevant_facts,
+)
 from repro.engine.executors import _run_bundle_chunk, _run_grounding_chunk
 from repro.engine.plan import PlanRequest, build_plan
 from repro.obs import (
@@ -87,6 +94,20 @@ class TestEngineTraces:
         request = roots[0]
         assert request["attrs"]["kind"] == "batch"
         assert request["attrs"]["fingerprint"]
+        # A sampled request names each round range's size: the players
+        # and witnesses of the relevance slice it sweeps.
+        engine.batch(figure_1_database(), query_q1(), policy="sampled", trace=True)
+        endogenous, exogenous = relevant_facts(figure_1_database(), query_q1())
+        evaluator = PrefixEvaluator(
+            query_q1(), Database(endogenous=endogenous, exogenous=exogenous)
+        )
+        sizes = {
+            (span["attrs"]["players"], span["attrs"]["witnesses"])
+            for span in engine.last_trace["spans"]
+            if span["name"] == "sampler.round"
+        }
+        assert sizes == {(len(evaluator.players), len(evaluator.witnesses))}
+        assert evaluator.players and evaluator.witnesses
 
     def test_tracing_off_records_nothing(self):
         engine = BatchAttributionEngine()
