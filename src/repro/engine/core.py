@@ -27,9 +27,9 @@ per-cache counters.
 
 Engines are cheap to construct; share one instance (see
 :func:`default_engine`) to share the caches.  A constructor picks only
-the backend (``executor``/``jobs``), the result layer
-(``store``/``shared``) and ``sample_strata``: the LRU sizes are the
-module constants below, and tracing is chosen per call (``trace=``).
+the backend (``executor``/``jobs``) and the result layer
+(``store``/``shared``): the LRU sizes are the module constants below,
+and tracing is chosen per call (``trace=``).
 The environment variables ``REPRO_JOBS`` and ``REPRO_START_METHOD``
 select the default executor backend when none is passed explicitly
 (``REPRO_JOBS=2`` makes every engine shard across two worker
@@ -188,7 +188,6 @@ class BatchAttributionEngine:
         executor: Executor | None = None,
         store: ResultStore | None = None,
         jobs: int | None = None,
-        sample_strata: int = 1,
         shared: ResultStore | None = None,
     ) -> None:
         self.component_cache: LRUCache = LRUCache(COMPONENT_CACHE_SIZE)
@@ -208,15 +207,6 @@ class BatchAttributionEngine:
                 executor = ShardedExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
             else:
                 executor = _executor_from_environment()
-        if sample_strata < 1:
-            raise ValueError(
-                f"sample_strata must be positive, got {sample_strata}"
-            )
-        # Per-round stratification of the sampled method: strata=1 is
-        # the plain antithetic sampler (bit-identical); higher counts
-        # sweep evenly-spaced rotations of each round's permutation —
-        # the stratified allocator folded into the round structure.
-        self.sample_strata = sample_strata
         self.executor = executor
         #: The finished trace document of the last engine-traced request
         #: (left alone when the caller supplied its own tracer).
@@ -336,7 +326,6 @@ class BatchAttributionEngine:
                 store=self.store,
                 include_bundles=self.executor.jobs > 1,
                 bundle_cache=self.component_cache,
-                sample_strata=self.sample_strata,
             )
             self._note_plan(plan)
             planned = plan.requests[0]
@@ -405,7 +394,6 @@ class BatchAttributionEngine:
                 store=self.store,
                 include_bundles=self.executor.jobs > 1,
                 bundle_cache=self.component_cache,
-                sample_strata=self.sample_strata,
             )
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
@@ -580,12 +568,7 @@ class BatchAttributionEngine:
             base_key = fingerprint_request(
                 database, query, exogenous_relations, grounding
             )
-            state_key = fingerprint_sample_state(base_key)
-            if self.sample_strata != 1:
-                # Mirror the planner: stratified streams live under a
-                # strata-suffixed state key.
-                state_key = (*state_key, ("strata", self.sample_strata))
-            state = self.store.get(state_key)
+            state = self.store.get(fingerprint_sample_state(base_key))
             if isinstance(state, SampleState) and state.rounds >= 1:
                 target = achieved_epsilon(4 * state.rounds, confidence)
             else:

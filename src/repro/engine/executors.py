@@ -115,7 +115,7 @@ def assemble_sample_result(
     """Fold fresh round totals into the task's prior state and report.
 
     The per-fact estimate after ``n`` total rounds is ``totals /
-    (2 s n)`` (``2 s`` stratified antithetic sweeps per round); the
+    (2 n)`` (a forward sweep and its reversal per round); the
     reported ``epsilon`` is the bound those ``n`` rounds actually
     achieve, which is at least as tight as the contract.  Banzhaf stays
     empty: the permutation estimator matches Shapley's coalition-size
@@ -128,7 +128,6 @@ def assemble_sample_result(
         fresh_totals,
         spec.fresh_rounds,
         fresh_evaluations,
-        spec.strata,
     )
     # Fresh totals list every player in ``repr`` order (run_rounds).
     shapley = {player: state.value_of(player) for player in fresh_totals}
@@ -136,7 +135,7 @@ def assemble_sample_result(
         epsilon=achieved_epsilon(state.rounds, spec.delta),
         delta=spec.delta,
         rounds=state.rounds,
-        permutations=2 * state.strata * state.rounds,
+        permutations=2 * state.rounds,
         resumed_rounds=spec.prior.rounds if spec.prior else 0,
         state_digest=spec.state_digest,
     )
@@ -155,7 +154,7 @@ def execute_sample_task(task: GroundingTask) -> BatchResult:
     spec = task.sample_spec
     start = spec.prior.rounds if spec.prior else 0
     totals, evaluations = run_rounds(
-        task.database, task.query, spec.seed, start, spec.fresh_rounds, spec.strata
+        task.database, task.query, spec.seed, start, spec.fresh_rounds
     )
     return assemble_sample_result(task, totals, evaluations)
 
@@ -268,12 +267,7 @@ def _run_sample_chunk(
     tracer = _tracing.Tracer() if trace else None
     with _tracing.activate(tracer):
         totals, evaluations = run_rounds(
-            task.database,
-            task.query,
-            task.sample_spec.seed,
-            start,
-            count,
-            task.sample_spec.strata,
+            task.database, task.query, task.sample_spec.seed, start, count
         )
     return (
         task.node_id,

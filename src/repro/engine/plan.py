@@ -122,11 +122,8 @@ class SampleSpec:
     loaded, or ``None`` on a cold start).  ``state_key`` is where the
     engine persists the extended state; ``state_digest`` is the public
     handle surfaced on the result's estimate.  ``restarted`` records
-    that a stored state existed but was unusable (wrong stream,
-    stratum count, or player set) and the stream was restarted from
-    round zero.  ``strata`` is the per-round stratification of
-    :func:`repro.shapley.sampling.round_sweeps` — ``1`` is the plain
-    antithetic pair.
+    that a stored state existed but was unusable (wrong stream or
+    player set) and the stream was restarted from round zero.
     """
 
     seed: int
@@ -137,7 +134,6 @@ class SampleSpec:
     state_digest: str
     prior: SampleState | None = None
     restarted: bool = False
-    strata: int = 1
 
     @property
     def fresh_rounds(self) -> int:
@@ -310,7 +306,6 @@ def _plan_sampled(
     policy: MethodPolicy,
     store: "ResultStore | None",
     seen: set[tuple],
-    strata: int = 1,
 ) -> None:
     """Plan one sampled grounding: accuracy-tagged key, resumable state.
 
@@ -330,13 +325,7 @@ def _plan_sampled(
        — like every relevance-scoped entry — valid across database
        versions whose deltas leave the slice untouched.
     """
-    contract = policy.contract()
-    if strata != 1:
-        # A stratified estimate is a different number from the plain one
-        # (same guarantee, different sweep set), so neither results nor
-        # states may be shared across stratum counts.
-        contract = (*contract, ("strata", strata))
-    skey = fingerprint_sampled(base_key, contract)
+    skey = fingerprint_sampled(base_key, policy.contract())
     if skey in plan.satisfied:
         plan.requests.append(PlannedRequest(request, skey, None))
         return
@@ -362,15 +351,13 @@ def _plan_sampled(
         plan.requests.append(PlannedRequest(request, skey, None))
         return
     state_key = fingerprint_sample_state(base_key)
-    if strata != 1:
-        state_key = (*state_key, ("strata", strata))
     state_digest = digest_key(state_key)[:16]
     seed = sample_seed(base_key)
     prior = store.get(state_key) if store is not None else None
     restarted = False
     if prior is not None and not (
         isinstance(prior, SampleState)
-        and prior.compatible_with(seed, relevant[0], strata)
+        and prior.compatible_with(seed, relevant[0])
     ):
         prior, restarted = None, True
     needed = rounds_for_contract(policy.epsilon, policy.delta)
@@ -396,7 +383,6 @@ def _plan_sampled(
         state_digest=state_digest,
         prior=prior,
         restarted=restarted,
-        strata=strata,
     )
     seen.add(node_id)
     plan.tasks.append(
@@ -422,7 +408,6 @@ def build_plan(
     store: "ResultStore | None" = None,
     include_bundles: bool = True,
     bundle_cache: "BundleCache | None" = None,
-    sample_strata: int = 1,
 ) -> Plan:
     """Plan a batch request: dispatch, node construction, store pruning.
 
@@ -447,10 +432,6 @@ def build_plan(
     consulted — never mutated — to count how many bundle nodes are
     already warm (``stats.bundles_reused``): the delta-scoped pruning
     signal for clean components.
-
-    ``sample_strata`` selects the per-round stratification of sampled
-    tasks (:func:`repro.shapley.sampling.round_sweeps`); ``1`` — the
-    default — is the plain antithetic sampler, bit for bit.
     """
     if policy is None:
         policy = MethodPolicy()
@@ -463,7 +444,6 @@ def build_plan(
             store,
             include_bundles,
             bundle_cache,
-            sample_strata,
         )
         span.set("planned", plan.stats.planned)
         span.set("pruned", plan.stats.pruned)
@@ -480,7 +460,6 @@ def _build_plan(
     store: "ResultStore | None",
     include_bundles: bool,
     bundle_cache: "BundleCache | None",
-    sample_strata: int,
 ) -> Plan:
     plan = Plan()
     # Kernel selection is a *plan-time* decision: the environment is read
@@ -523,7 +502,6 @@ def _build_plan(
                 policy,
                 store,
                 seen,
-                strata=sample_strata,
             )
             continue
         if key in plan.satisfied:
@@ -579,7 +557,6 @@ def _build_plan(
                 policy,
                 store,
                 seen,
-                strata=sample_strata,
             )
             continue
         dependencies = []

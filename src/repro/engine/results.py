@@ -214,7 +214,7 @@ def result_from_state(
 
     Used when a request's accuracy contract is satisfied by rounds that
     are already folded into the stored state: the per-fact estimates are
-    ``totals / (2 strata rounds)``, the achieved bound comes from the
+    ``totals / (2 rounds)``, the achieved bound comes from the
     full stored round count (tighter than the contract), and every
     round counts as resumed — nothing was recomputed.
     """
@@ -224,7 +224,7 @@ def result_from_state(
         epsilon=achieved_epsilon(state.rounds, delta),
         delta=delta,
         rounds=state.rounds,
-        permutations=2 * state.strata * state.rounds,
+        permutations=2 * state.rounds,
         resumed_rounds=state.rounds,
         state_digest=state_digest,
     )

@@ -103,18 +103,13 @@ def _encode_state(state: SampleState) -> dict | None:
         if not fact_is_json_safe(player):
             return None
         totals.append(fact_to_row(player) + [state.totals[player]])
-    payload: dict[str, Any] = {
+    return {
         "kind": "sample-state",
         "seed": state.seed,
         "rounds": state.rounds,
         "evaluations": state.evaluations,
         "totals": totals,
     }
-    if state.strata != 1:
-        # Written only when stratified, so plain states keep the
-        # historical byte-for-byte payload.
-        payload["strata"] = state.strata
-    return payload
 
 
 def encode_stored_value(value: "StoredValue") -> dict | None:
@@ -152,9 +147,6 @@ def decode_stored_value(payload: dict) -> "StoredValue":
                 for relation, args, total in payload["totals"]
             },
             evaluations=int(payload["evaluations"]),
-            # States written before stratified rounds carry no "strata"
-            # key; they are plain (strata=1) states.
-            strata=int(payload.get("strata", 1)),
         )
     if kind != "result":
         raise ValueError(f"unknown payload kind {kind!r}")

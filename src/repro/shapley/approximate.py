@@ -83,6 +83,15 @@ def sample_marginal_contributions(
         yield with_target - without
 
 
+def _sample_count(samples: int | None, epsilon: float, delta: float) -> int:
+    """``samples`` when given (it must be positive), else the Hoeffding count."""
+    if samples is None:
+        return hoeffding_sample_count(epsilon, delta)
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    return samples
+
+
 def approximate_shapley(
     database: Database,
     query: BooleanQuery,
@@ -95,9 +104,9 @@ def approximate_shapley(
     """Additive FPRAS estimate of ``Shapley(D, q, f)``.
 
     ``samples`` overrides the Hoeffding-derived count when given (useful
-    for convergence studies).
+    for convergence studies); it must be positive.
     """
-    count = samples if samples is not None else hoeffding_sample_count(epsilon, delta)
+    count = _sample_count(samples, epsilon, delta)
     total = 0
     for marginal in sample_marginal_contributions(database, query, target, count, rng):
         total += marginal
@@ -130,7 +139,7 @@ def approximate_shapley_all(
     correlated (they come from the same permutations), which does not
     affect the per-fact Hoeffding bound.
     """
-    count = samples if samples is not None else hoeffding_sample_count(epsilon, delta)
+    count = _sample_count(samples, epsilon, delta)
     rng = rng or random.Random()
     evaluator = PrefixEvaluator(query, database)
     totals = [0] * len(evaluator.players)

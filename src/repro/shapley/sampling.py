@@ -1,8 +1,7 @@
 """The engine-grade sampler behind the ``sampled`` method (Section 5).
 
-This module turns the seed estimators (:mod:`repro.shapley.approximate`,
-:mod:`repro.shapley.stratified`) into something a plan/execute engine
-can schedule, shard, and *resume*:
+This module turns the seed estimator (:mod:`repro.shapley.approximate`)
+into something a plan/execute engine can schedule, shard, and *resume*:
 
 * **Shared permutation sweeps** — as in
   :func:`repro.shapley.approximate.approximate_shapley_all`, one
@@ -16,7 +15,7 @@ can schedule, shard, and *resume*:
   range, on integer player ids.  Each witness holds on one interval of
   a permutation's prefixes, and ``q`` flips only where their union
   starts or ends; one min/max pass over the table yields the intervals
-  of a rotation's sweep *and* of its reversal.  ``evaluations`` still
+  of a round's sweep *and* of its reversal.  ``evaluations`` still
   count one per prefix coalition (two per round range, plus ``m - 1``
   per sweep), so persisted states and the ``sampler.evaluations``
   counter stay comparable across versions.
@@ -38,28 +37,15 @@ can schedule, shard, and *resume*:
   rounds ``n .. n'`` and merge them with a stored prefix — the anytime
   refinement the daemon's ``refine`` operation exposes.
 
-* **Stratified rounds** — the standalone allocator of
-  :mod:`repro.shapley.stratified` spends equal budget per coalition
-  size; folded into the round structure, ``strata=s`` sweeps ``s``
-  evenly-spaced *rotations* of each round's permutation (each rotation
-  shifts every player's position by ``m/s``, visiting ``s`` spread-out
-  coalition sizes per player per round) plus their reversals — ``2 s``
-  sweeps per round.  The round mean still lies in ``[-1, 1]`` and
-  rounds stay independent, so the Hoeffding arithmetic below is
-  *unchanged*: stratification only ever lowers the per-round variance
-  (it cannot widen the guaranteed bound), exactly the allocator's
-  argument.  ``strata=1`` is bit-identical to the un-stratified
-  sampler.
-
 * **Resumable state** — :class:`SampleState` is the whole estimator
-  state: the stream seed, how many rounds are folded in, the stratum
-  count, the integer marginal totals per fact, and the cumulative
-  evaluation count.  It is persisted by the engine's result store under
-  a policy-independent key, so *any* accuracy contract over the same
-  request continues one stream.
+  state: the stream seed, how many rounds are folded in, the integer
+  marginal totals per fact, and the cumulative evaluation count.  It is
+  persisted by the engine's result store under a policy-independent
+  key, so *any* accuracy contract over the same request continues one
+  stream.
 
-The per-fact estimate after ``n`` rounds is ``totals[f] / (2 s n)``
-(``2 s`` sweeps per round), with the additive guarantee
+The per-fact estimate after ``n`` rounds is ``totals[f] / (2 n)``
+(two sweeps per round), with the additive guarantee
 ``epsilon = sqrt(2 ln(2 / delta) / n)`` per fact.
 """
 
@@ -70,7 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.core.database import Database
 from repro.core.evaluation import PrefixEvaluator
@@ -85,7 +71,7 @@ class SampleState:
     """Everything needed to resume a sampled request where it stopped.
 
     ``totals`` maps each player to the integer sum of its marginal
-    contributions over all ``2 * strata * rounds`` sweeps of rounds
+    contributions over all ``2 * rounds`` sweeps of rounds
     ``0 .. rounds - 1`` of the stream named by ``seed``; ``evaluations``
     counts the prefix coalitions evaluated producing them (cumulative
     across resumptions).  States are value objects: executors return
@@ -96,28 +82,20 @@ class SampleState:
     rounds: int
     totals: Mapping[Fact, int]
     evaluations: int
-    strata: int = 1
 
     def value_of(self, player: Fact) -> Fraction:
-        """The running estimate for one player: ``total / (2 s rounds)``."""
-        return Fraction(self.totals.get(player, 0), 2 * self.strata * self.rounds)
+        """The running estimate for one player: ``total / (2 rounds)``."""
+        return Fraction(self.totals.get(player, 0), 2 * self.rounds)
 
-    def compatible_with(
-        self, seed: int, players: Iterable[Fact], strata: int = 1
-    ) -> bool:
+    def compatible_with(self, seed: int, players: Iterable[Fact]) -> bool:
         """Can this state extend the stream ``seed`` over ``players``?
 
         A stored state is only resumable when it was drawn from the
-        same stream with the same stratum count *and* covers exactly the
-        same player set — anything else (a corrupted entry, a key
-        collision across refactors) must restart rather than silently
-        merge incompatible totals.
+        same stream *and* covers exactly the same player set — anything
+        else (a corrupted entry, a key collision across refactors) must
+        restart rather than silently merge incompatible totals.
         """
-        return (
-            self.seed == seed
-            and self.strata == strata
-            and set(self.totals) == set(players)
-        )
+        return self.seed == seed and set(self.totals) == set(players)
 
 
 def rounds_for_contract(epsilon: float, delta: float) -> int:
@@ -173,66 +151,35 @@ def round_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def round_sweeps(players: Sequence, rng: random.Random, strata: int) -> list:
-    """The sweep orders of one round: rotations of one shuffle, reversed.
-
-    One shuffled permutation, rotated to ``strata`` evenly-spaced
-    offsets (each rotation shifts every player's coalition size by
-    ``m/strata`` — the stratified allocator's per-size budget, realized
-    as permutation sweeps), each paired with its reversal for the
-    antithetic mirror.  ``strata=1`` is exactly the historical
-    forward/reverse pair.
-    """
-    permutation = list(players)
-    rng.shuffle(permutation)
-    size = len(permutation)
-    sweeps = []
-    # Exactly ``strata`` rotations, always: the estimate's divisor is
-    # ``2 * strata`` sweeps per round, so the sweep count may never
-    # shrink (with more strata than players some offsets repeat, which
-    # is still an unbiased — merely redundant — sweep).
-    for stratum in range(strata):
-        offset = stratum * size // strata
-        rotated = permutation[offset:] + permutation[:offset]
-        sweeps.append(rotated)
-        sweeps.append(rotated[::-1])
-    return sweeps
-
-
 def run_rounds(
     database: Database,
     query: BooleanQuery,
     seed: int,
     start: int,
     count: int,
-    strata: int = 1,
 ) -> tuple[dict[Fact, int], int]:
     """Run antithetic rounds ``start .. start + count - 1`` of a stream.
 
     Returns the integer marginal totals contributed by exactly these
-    rounds (``2 * strata`` sweeps each — see :func:`round_sweeps`), keyed
-    by player in ``repr`` order, and the number of prefix coalitions
+    rounds (one shuffled permutation and its reversal each), keyed by
+    player in ``repr`` order, and the number of prefix coalitions
     evaluated.  Totals are order-independent integer sums, so disjoint
     round ranges — run serially, in worker processes, or in a later
     session — merge by plain addition.
     """
-    if strata < 1:
-        raise ValueError(f"strata must be positive, got {strata}")
     if _tracing.ACTIVE is not None:
-        with _tracing.ACTIVE.span(
-            "sampler.round", start=start, count=count, strata=strata
-        ) as span:
+        with _tracing.ACTIVE.span("sampler.round", start=start, count=count) as span:
             evaluator = PrefixEvaluator(query, database)
             span.set("players", len(evaluator.players))
             span.set("witnesses", len(evaluator.witnesses))
-            totals, evaluations = _run_rounds(evaluator, seed, start, count, strata)
+            totals, evaluations = _run_rounds(evaluator, seed, start, count)
             span.set("evaluations", evaluations)
             return totals, evaluations
-    return _run_rounds(PrefixEvaluator(query, database), seed, start, count, strata)
+    return _run_rounds(PrefixEvaluator(query, database), seed, start, count)
 
 
 def _run_rounds(
-    evaluator: PrefixEvaluator, seed: int, start: int, count: int, strata: int
+    evaluator: PrefixEvaluator, seed: int, start: int, count: int
 ) -> tuple[dict[Fact, int], int]:
     players = evaluator.players
     size, counts = len(players), [0] * len(players)
@@ -240,13 +187,13 @@ def _run_rounds(
         return dict(zip(players, counts)), 0
     for index in range(start, start + count):
         # Shuffling ids draws the facts' permutation (a shuffle depends
-        # only on the length); a rotation's pass credits its reversal too.
-        sweeps = round_sweeps(range(size), round_rng(seed, index), strata)
-        for order in sweeps[::2]:
-            evaluator.credit(order, counts)
+        # only on the length); one pass credits its reversal too.
+        order = list(range(size))
+        round_rng(seed, index).shuffle(order)
+        evaluator.credit(order, counts)
     # One evaluation per prefix coalition: the empty and the full one
     # once per range, the m - 1 others once per sweep.
-    return dict(zip(players, counts)), 2 + count * 2 * strata * (size - 1)
+    return dict(zip(players, counts)), 2 + count * 2 * (size - 1)
 
 
 def merge_totals(
@@ -266,19 +213,15 @@ def extend_state(
     new_totals: Mapping[Fact, int],
     new_rounds: int,
     new_evaluations: int,
-    strata: int = 1,
 ) -> SampleState:
     """The state after appending ``new_rounds`` fresh rounds to a prefix."""
     if state is None:
-        return SampleState(
-            seed, new_rounds, dict(new_totals), new_evaluations, strata
-        )
+        return SampleState(seed, new_rounds, dict(new_totals), new_evaluations)
     return SampleState(
         seed,
         state.rounds + new_rounds,
         merge_totals(state.totals, new_totals),
         state.evaluations + new_evaluations,
-        state.strata,
     )
 
 
@@ -288,7 +231,6 @@ __all__ = [
     "extend_state",
     "merge_totals",
     "round_rng",
-    "round_sweeps",
     "rounds_for_contract",
     "run_rounds",
     "sample_seed",

@@ -19,14 +19,9 @@ The stratum estimate is exact (variance zero) when a stratum is
 deterministic, and the Hoeffding bound applies stratum-wise, giving the
 same additive guarantee from the same total budget.
 
-The engine-grade sampler folds this allocation into its round
-structure: :func:`repro.shapley.sampling.round_sweeps` realizes the
-per-size budget as evenly-spaced *rotations* of each round's
-permutation (``strata`` sweeps visiting spread-out coalition sizes),
-which keeps rounds independent, totals mergeable, and the achieved
-``epsilon`` formula unchanged — pass ``sample_strata`` to
-:class:`repro.engine.core.BatchAttributionEngine` to use it.  This
-module remains the standalone single-fact estimator and the E7
+The engine's sampler (:mod:`repro.shapley.sampling`) does not use
+this allocation: its rounds are plain antithetic permutation pairs.
+This module is the standalone single-fact estimator and the E7
 variance-comparison harness.
 """
 

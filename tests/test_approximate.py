@@ -11,6 +11,7 @@ from repro.core.parser import parse_query
 from repro.reductions.gap import gap_instance
 from repro.shapley.approximate import (
     approximate_shapley,
+    approximate_shapley_all,
     gap_property_floor,
     hoeffding_sample_count,
     multiplicative_sample_lower_bound,
@@ -68,6 +69,16 @@ class TestSampling:
         assert estimate.samples == 50
         # TA(David) is a null player: every marginal is 0.
         assert estimate.value == 0
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_non_positive_sample_counts(self, samples):
+        db = figure_1_database()
+        # Zero used to divide by zero; a negative count returned an
+        # "estimate" of 0 over -3 samples.
+        with pytest.raises(ValueError, match="samples must be positive"):
+            approximate_shapley(db, query_q1(), fact("TA", "Adam"), samples=samples)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            approximate_shapley_all(db, query_q1(), samples=samples)
 
     def test_negative_values_estimated_with_sign(self):
         db = figure_1_database()

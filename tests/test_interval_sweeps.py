@@ -3,11 +3,12 @@
 :func:`repro.shapley.sampling.run_rounds` credits each round's sweeps
 from the intervals on which the query's witnesses hold
 (:meth:`repro.core.evaluation.PrefixEvaluator.credit`): one pass per
-rotation serves the forward sweep and its antithetic reversal.  The
-reference below keeps the definition instead: it walks the same
-:func:`round_sweeps` orders over the facts themselves and evaluates
-every prefix with :func:`holds`.  The inputs are the CQ¬/UCQ¬ queries
-and databases of ``tests/test_evaluation.py``, which cover ground
+round serves the forward sweep and its antithetic reversal.  The
+reference below keeps the definition instead: it shuffles the facts
+themselves with each round's :func:`round_rng`, walks that permutation
+and its reversal, and evaluates every prefix with :func:`holds`.  The
+inputs are the CQ¬/UCQ¬ queries and databases of
+``tests/test_evaluation.py``, which cover ground
 negations, exogenous facts blocking a negated atom, and positive and
 negative images that overlap.  Worker processes build their own
 evaluators, so a sharded engine must fold the same totals as a serial
@@ -31,19 +32,21 @@ from repro.engine import (
     SerialExecutor,
     ShardedExecutor,
 )
-from repro.shapley.sampling import round_rng, round_sweeps, run_rounds
+from repro.shapley.sampling import round_rng, run_rounds
 from repro.workloads.generators import export_database
 from test_evaluation import boolean_queries, databases_with_orders
 
 
-def reference_totals(database, query, seed, start, count, strata):
+def reference_totals(database, query, seed, start, count):
     """Marginal totals of rounds ``start .. start + count - 1``, one
     ``holds`` per prefix of every sweep."""
     players = sorted(database.endogenous, key=repr)
     exogenous = list(database.exogenous)
     totals = dict.fromkeys(players, 0)
     for index in range(start, start + count):
-        for sweep in round_sweeps(players, round_rng(seed, index), strata):
+        permutation = list(players)
+        round_rng(seed, index).shuffle(permutation)
+        for sweep in (permutation, permutation[::-1]):
             previous = int(holds(query, exogenous))
             for size, player in enumerate(sweep, start=1):
                 current = int(holds(query, exogenous + sweep[:size]))
@@ -58,19 +61,18 @@ def test_run_rounds_match_per_prefix_evaluation(query, database_and_order, data)
     database, _ = database_and_order
     m = len(database.endogenous)
     assume(m <= 12)
-    strata = data.draw(st.sampled_from([1, 2, 3, m + 1]), label="strata")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     start = data.draw(st.integers(0, 50), label="start")
     count = data.draw(st.integers(1, 3), label="count")
 
-    totals, evaluations = run_rounds(database, query, seed, start, count, strata)
+    totals, evaluations = run_rounds(database, query, seed, start, count)
 
     assert list(totals) == sorted(database.endogenous, key=repr)
-    assert totals == reference_totals(database, query, seed, start, count, strata)
+    assert totals == reference_totals(database, query, seed, start, count)
     # Every sweep's flips telescope to q(D) - q(Dx).
     gap = int(holds(query, database)) - int(holds(query, database.exogenous))
-    assert sum(totals.values()) == 2 * strata * count * gap
-    assert evaluations == (2 + count * 2 * strata * (m - 1) if m else 0)
+    assert sum(totals.values()) == 2 * count * gap
+    assert evaluations == (2 + count * 2 * (m - 1) if m else 0)
 
 
 @settings(max_examples=25, deadline=None)

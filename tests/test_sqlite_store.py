@@ -29,11 +29,17 @@ from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
+    MethodPolicy,
     SQLiteResultStore,
     digest_key,
     fingerprint_database,
 )
-from repro.engine.sqlite_store import FORMAT_VERSION, RETIRED_STAMP
+from repro.engine.fingerprint import fingerprint_request, fingerprint_sample_state
+from repro.engine.sqlite_store import (
+    FORMAT_VERSION,
+    RETIRED_STAMP,
+    encode_stored_value,
+)
 from repro.io import database_to_dict
 from repro.shapley.sampling import SampleState
 from repro.workloads.running_example import figure_1_database
@@ -196,6 +202,48 @@ class TestRoundTrip:
                 (PREVIOUS_DIGEST, PREVIOUS_PAYLOAD, PREVIOUS_WRITER)
             ]
 
+    def test_sample_state_payload_from_the_previous_release_resumes(
+        self, tmp_path, q1
+    ):
+        """A sampler state's payload is a file format too.
+
+        ``PREVIOUS_STATE_PAYLOAD`` is what the previous release stored
+        after a sampled ``q1`` batch on Figure 1 at ε = 0.5, δ = 0.1.
+        Today's serial engine must store the same document (a sharded
+        one counts two more evaluations per round range), and a store
+        that holds only that document must resume its stream — no
+        restart — to the same totals a cold run reaches.
+        """
+        db = figure_1_database()
+        loose = MethodPolicy("sampled", epsilon=0.5, delta=0.1)
+        tight = MethodPolicy("sampled", epsilon=0.25, delta=0.1)
+        key = fingerprint_sample_state(fingerprint_request(db, q1, None))
+        engine = BatchAttributionEngine(jobs=1)
+        engine.batch(db, q1, policy=loose)
+        assert encode_stored_value(engine.store.get(key)) == PREVIOUS_STATE_PAYLOAD
+
+        store = SQLiteResultStore(tmp_path / "results.db")
+        text = json.dumps(
+            PREVIOUS_STATE_PAYLOAD, separators=(",", ":"), sort_keys=True
+        )
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute(
+                "INSERT INTO results (digest, payload, bytes, writer, accessed)"
+                " VALUES (?, ?, ?, NULL, ?)",
+                (digest_key(key), text, len(text), time.time()),
+            )
+        resuming = BatchAttributionEngine(shared=store)
+        resumed = resuming.batch(db, q1, policy=tight)
+        assert resuming.counters()["sampler.restarts"] == 0
+        assert resumed.estimate.resumed_rounds == PREVIOUS_STATE_PAYLOAD["rounds"]
+        cold_engine = BatchAttributionEngine()
+        cold = cold_engine.batch(db, q1, policy=tight)
+        assert resumed.shapley == cold.shapley
+        assert resumed.estimate.rounds == cold.estimate.rounds
+        resumed_state, cold_state = resuming.store.get(key), cold_engine.store.get(key)
+        assert resumed_state.rounds == cold_state.rounds > 24
+        assert resumed_state.totals == cold_state.totals
+
 
 #: One row as the previous release's store wrote it (``q1`` on Figure 1).
 PREVIOUS_DIGEST = "dbede1338471402db03b059301655dbc0caf28ad0bfb7a49633db2ac0f65b0d0"
@@ -212,6 +260,26 @@ PREVIOUS_PAYLOAD = (
     '"1"]],"version":3,"writer":'
     '"6741b798ae0ad26ffb3115f36e4fbd23d69cc595debf7526efde0e0e8a01acda"}'
 )
+
+#: The previous release's stored sampler state for a sampled ``q1``
+#: batch on Figure 1 at ε = 0.5, δ = 0.1: 24 rounds of one stream.
+PREVIOUS_STATE_PAYLOAD = {
+    "kind": "sample-state",
+    "seed": 3239118050174235826,
+    "rounds": 24,
+    "evaluations": 338,
+    "totals": [
+        ["Reg", ["Adam", "AI"], 11],
+        ["Reg", ["Adam", "OS"], 6],
+        ["Reg", ["Ben", "OS"], 7],
+        ["Reg", ["Caroline", "DB"], 14],
+        ["Reg", ["Caroline", "IC"], 16],
+        ["TA", ["Adam"], -4],
+        ["TA", ["Ben"], -2],
+        ["TA", ["David"], 0],
+    ],
+    "version": 3,
+}
 
 
 class TestEngineIntegration:
