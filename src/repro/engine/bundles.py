@@ -31,6 +31,17 @@ pass over it.
   a dot product against its tiny ground-level deletion vector.  No
   length-``n`` vector is ever built per fact.
 
+* **Bucketed slices.**  An OR step buckets its facts by root value once
+  and builds every slice's AND entry straight from the value's buckets.
+  The facts reaching a component already match its atoms — the
+  top-level restriction checks constants and repeated variables, and a
+  bucket keeps them matching the substituted atoms — so a slice frees
+  no fact, and how it splits into components depends only on the
+  atoms: one memoized *slice layout* per component lists the groups.
+  A ground group is a single atom, and in a self-join-free query its
+  facts are at most one, so its entry is closed-form; every other group
+  is substituted and looked up in the bundle cache.
+
 * **Short outputs.**  A child owning ``s`` facts only needs the first
   ``s`` entries of its cotangent.  At an OR step with many slices the
   cotangent correlated with the slices before ``b`` advances one short
@@ -69,9 +80,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.core.database import Database
 from repro.core.errors import NotHierarchicalError, SelfJoinError
@@ -200,9 +212,13 @@ class BatchVectors:
     zero_facts: frozenset[Fact]
 
 
-def _components(scope: Sequence[_Scoped]) -> list[list[_Scoped]]:
-    """Group scoped atoms into variable-connected components (union-find)."""
-    n = len(scope)
+def _components(variables: Sequence[frozenset[Variable]]) -> list[list[int]]:
+    """Variable-connected components of atoms given by their variable sets.
+
+    Union-find over atom indices; each component lists its indices in
+    order, and components come in the order of their first atom.
+    """
+    n = len(variables)
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -212,17 +228,17 @@ def _components(scope: Sequence[_Scoped]) -> list[list[_Scoped]]:
         return i
 
     owner: dict[Variable, int] = {}
-    for index, scoped in enumerate(scope):
-        for var in scoped.atom.variables:
+    for index, atom_vars in enumerate(variables):
+        for var in atom_vars:
             if var in owner:
                 root_a, root_b = find(owner[var]), find(index)
                 if root_a != root_b:
                     parent[root_b] = root_a
             else:
                 owner[var] = index
-    groups: dict[int, list[_Scoped]] = {}
-    for index, scoped in enumerate(scope):
-        groups.setdefault(find(index), []).append(scoped)
+    groups: dict[int, list[int]] = {}
+    for index in range(n):
+        groups.setdefault(find(index), []).append(index)
     return list(groups.values())
 
 
@@ -234,8 +250,8 @@ def _restricted_components(
     Returns the components of the restricted scope together with the
     *free* facts — endogenous facts that fail their atom's constant or
     repeated-variable pattern and can therefore never influence
-    satisfaction.  Both the recursion (:func:`_bundle_scope`) and the
-    planner (:func:`top_level_components`) go through this helper, so
+    satisfaction.  Both the recursion (:func:`batch_count_vectors`) and
+    the planner (:func:`top_level_components`) go through this helper, so
     the component boundaries — and hence the fingerprint cache keys —
     are identical in both layers by construction.
     """
@@ -250,85 +266,140 @@ def _restricted_components(
         )
         free_facts |= scoped.endogenous - matching_endo
         restricted.append(_Scoped(scoped.atom, matching_exo, matching_endo))
-    return _components(restricted), free_facts
+    groups = _components([scoped.atom.variables for scoped in restricted])
+    return [[restricted[i] for i in group] for group in groups], free_facts
 
 
-def _bundle_scope(scope: Sequence[_Scoped], cache: BundleCache) -> CountBundle:
-    """AND step: restriction, component split, and one product of the parts."""
-    components, free_facts = _restricted_components(scope)
-    children = tuple(_bundle_component(component, cache) for component in components)
-    owned = sum(child.owned for child in children) + len(free_facts)
-    sat = convolve(
-        convolve_many([child.sat for child in children]),
-        binomial_vector(len(free_facts)),
+def _component_key(
+    atoms: Sequence[Atom],
+    exogenous: Sequence[frozenset[Fact]],
+    endogenous: Sequence[frozenset[Fact]],
+) -> tuple:
+    """The bundle-cache key of one component, its facts given per atom."""
+    return fingerprint_component(
+        atoms,
+        (item for facts in exogenous for item in facts),
+        (item for facts in endogenous for item in facts),
     )
-    zero = set(free_facts)
-    for child in children:
-        zero |= child.zero
-    return _step(owned, sat, zero, AND, children)
 
 
-def _bundle_component(component: list[_Scoped], cache: BundleCache) -> CountBundle:
-    """OR level, memoized: slice on the root variable and share UNSAT factors."""
-    if not any(scoped.atom.variables for scoped in component):
-        # Ground components are cheaper to recompute than to fingerprint.
-        return _bundle_ground(component)
-    key = fingerprint_component(
-        (scoped.atom for scoped in component),
-        (item for scoped in component for item in scoped.exogenous),
-        (item for scoped in component for item in scoped.endogenous),
+def _bundle_component(
+    atoms: tuple[Atom, ...],
+    exogenous: Sequence[frozenset[Fact]],
+    endogenous: Sequence[frozenset[Fact]],
+    cache: BundleCache,
+) -> CountBundle:
+    """A non-ground component's OR step, memoized under its fingerprint."""
+    return cache.get_or_compute(
+        _component_key(atoms, exogenous, endogenous),
+        lambda: _bundle_component_fresh(atoms, exogenous, endogenous, cache),
     )
-    return cache.get_or_compute(key, lambda: _bundle_component_fresh(component, cache))
 
 
-def _bundle_component_fresh(component: list[_Scoped], cache: BundleCache) -> CountBundle:
-    variables = frozenset(var for scoped in component for var in scoped.atom.variables)
-    if not variables:
-        return _bundle_ground(component)
+@lru_cache(maxsize=1024)
+def _slice_layout(
+    atoms: tuple[Atom, ...],
+) -> tuple[Variable, tuple[int, ...], tuple[tuple[bool, tuple[int, ...]], ...]]:
+    """How every slice of a component splits: ``(root, at, groups)``.
 
-    roots = None
-    for scoped in component:
-        atom_vars = scoped.atom.variables
-        roots = atom_vars if roots is None else roots & atom_vars
+    ``root`` is the component's root variable and ``at[i]`` its first
+    position in atom ``i``.  Substituting a value for the root removes
+    the same variable from every atom whatever the value, so the
+    slices' variable-connected components are the same atom-index
+    ``groups`` for every value, in :func:`_components` order; each is
+    flagged ground when none of its atoms has another variable (a
+    ground group is then a single atom).
+    """
+    roots = frozenset.intersection(*(atom.variables for atom in atoms))
     if not roots:
         raise NotHierarchicalError(
             "connected subquery without a root variable: "
-            + ", ".join(repr(scoped.atom) for scoped in component)
+            + ", ".join(repr(atom) for atom in atoms)
         )
     root = min(roots, key=lambda var: var.name)
+    rest = [atom.variables - {root} for atom in atoms]
+    groups = tuple(
+        (not any(rest[i] for i in group), tuple(group)) for group in _components(rest)
+    )
+    return root, tuple(atom.terms.index(root) for atom in atoms), groups
 
+
+def _bundle_component_fresh(
+    atoms: tuple[Atom, ...],
+    exogenous: Sequence[frozenset[Fact]],
+    endogenous: Sequence[frozenset[Fact]],
+    cache: BundleCache,
+) -> CountBundle:
+    """OR step: one AND entry per root value, built from the value's buckets.
+
+    The facts reaching a component already match its atoms (the
+    top-level restriction checks constants and repeated variables, and
+    bucketing by the root value keeps them matching the substituted
+    atoms under the same ``==``), so a slice frees no fact and needs no
+    restriction: its groups come from :func:`_slice_layout`.
+    """
+    root, at, groups = _slice_layout(atoms)
     # One pass buckets every fact of every atom by its root value.
-    buckets = []
-    for scoped in component:
-        at = scoped.atom.terms.index(root)
-        exogenous: dict[Constant, list[Fact]] = {}
-        endogenous: dict[Constant, list[Fact]] = {}
-        for item in scoped.exogenous:
-            exogenous.setdefault(item.args[at], []).append(item)
-        for item in scoped.endogenous:
-            endogenous.setdefault(item.args[at], []).append(item)
-        buckets.append((exogenous, endogenous))
-    candidates = {value for pair in buckets for bucket in pair for value in bucket}
+    exo_buckets = [_bucket(facts, position) for facts, position in zip(exogenous, at)]
+    endo_buckets = [_bucket(facts, position) for facts, position in zip(endogenous, at)]
+    candidates = {
+        value
+        for pair in zip(exo_buckets, endo_buckets)
+        for buckets in pair
+        for value in buckets
+    }
 
-    total = sum(len(scoped.endogenous) for scoped in component)
     slice_bundles: list[CountBundle] = []
     for value in sorted(candidates, key=repr):
-        slice_scope = [
-            _Scoped(
-                scoped.atom.substitute({root: value}),
-                frozenset(exogenous.get(value, ())),
-                frozenset(endogenous.get(value, ())),
+        children: list[CountBundle] = []
+        for ground, group in groups:
+            if ground:
+                (i,) = group
+                children.append(
+                    _ground_step(
+                        atoms[i].negated,
+                        exo_buckets[i].get(value, ()),
+                        endo_buckets[i].get(value, ()),
+                    )
+                )
+            else:
+                binding = {root: value}
+                children.append(
+                    _bundle_component(
+                        tuple(atoms[i].substitute(binding) for i in group),
+                        [frozenset(exo_buckets[i].get(value, ())) for i in group],
+                        [frozenset(endo_buckets[i].get(value, ())) for i in group],
+                        cache,
+                    )
+                )
+        zero: set[Fact] = set()
+        for child in children:
+            zero |= child.zero
+        slice_bundles.append(
+            _step(
+                sum(child.owned for child in children),
+                convolve_many([child.sat for child in children]),
+                zero,
+                AND,
+                tuple(children),
             )
-            for scoped, (exogenous, endogenous) in zip(component, buckets)
-        ]
-        slice_bundles.append(_bundle_scope(slice_scope, cache))
+        )
 
+    total = sum(len(endo) for endo in endogenous)
     unsat = convolve_many([_unsat(bundle) for bundle in slice_bundles])
     sat = subtract_vectors(binomial_vector(total), unsat)
-    zero: set[Fact] = set()
+    zero = set()
     for bundle in slice_bundles:
         zero |= bundle.zero
     return _step(total, sat, zero, OR, tuple(slice_bundles))
+
+
+def _bucket(facts: Iterable[Fact], position: int) -> dict[Constant, list[Fact]]:
+    """``facts`` grouped by their constant at ``position``."""
+    buckets: dict[Constant, list[Fact]] = {}
+    for item in facts:
+        buckets.setdefault(item.args[position], []).append(item)
+    return buckets
 
 
 def _unsat(bundle: CountBundle) -> list[int]:
@@ -336,46 +407,42 @@ def _unsat(bundle: CountBundle) -> list[int]:
     return subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
 
 
-def _ground_vector(component: list[_Scoped]) -> tuple[int, ...]:
-    """Base case of Lemma 3.2: every atom in the component is ground."""
-    owned = sum(len(scoped.endogenous) for scoped in component)
-    needed = 0
-    satisfiable = True
-    for scoped in component:
-        ground = scoped.atom.to_fact()
-        in_exogenous = ground in scoped.exogenous
-        in_endogenous = ground in scoped.endogenous
-        if not scoped.atom.negated:
-            if in_exogenous:
-                continue
-            if in_endogenous:
-                needed += 1
-            else:
-                satisfiable = False
-        elif in_exogenous:
-            satisfiable = False
-        # An endogenous fact of a ground negated atom must stay out of E:
-        # it is owned but never selected.
-    vector = [0] * (owned + 1)
-    if satisfiable:
-        vector[needed] = 1
-    return tuple(vector)
+#: The entry of a ground atom that owns no fact, by ``(negated, exogenous)``.
+_GROUND_EMPTY = {
+    (negated, exogenous): _step(0, (int(exogenous != negated),), set(), GROUND, ())
+    for negated in (False, True)
+    for exogenous in (False, True)
+}
+#: The entry of a ground atom whose fact is endogenous, by ``negated``, with
+#: ``None`` in place of the fact: deleted, it fails a positive atom and
+#: leaves a negated one holding.
+_GROUND_OWNED = {
+    negated: _step(
+        1, (1, 0) if negated else (0, 1), set(), GROUND, ((None, (int(negated),)),)
+    )
+    for negated in (False, True)
+}
 
 
-def _bundle_ground(component: list[_Scoped]) -> CountBundle:
-    """Ground step: the deletion vector of every owned fact, recomputed directly."""
-    deletions = []
-    for index, scoped in enumerate(component):
-        for item in scoped.endogenous:
-            del_variant = list(component)
-            del_variant[index] = _Scoped(
-                scoped.atom,
-                scoped.exogenous,
-                scoped.endogenous - {item},
-            )
-            deletions.append((item, _ground_vector(del_variant)))
-    owned = sum(len(scoped.endogenous) for scoped in component)
-    return _step(owned, _ground_vector(component), set(), GROUND, tuple(deletions))
+def _ground_step(
+    negated: bool, exogenous: Collection[Fact], endogenous: Collection[Fact]
+) -> CountBundle:
+    """Ground step, in closed form.
+
+    In a self-join-free query every fact a ground atom keeps equals the
+    atom's own fact, so it keeps at most one, either exogenous or
+    endogenous.  An atom without an endogenous fact holds in every
+    subset or in none; an endogenous fact is the only player and decides
+    it, and its deletion vector is the atom without it.
+    """
+    if not endogenous:
+        return _GROUND_EMPTY[negated, bool(exogenous)]
+    (item,) = endogenous
+    template = _GROUND_OWNED[negated]
+    ((_, deletion),) = template.parts
+    return CountBundle(
+        1, template.sat, _NO_FACTS, GROUND, ((item, deletion),), template.shape
+    )
 
 
 def _initial_scope(database: Database, query: ConjunctiveQuery) -> list[_Scoped]:
@@ -407,39 +474,48 @@ def top_level_components(
     variable-connected component of the restricted top-level scope — the
     exact subproblems :func:`batch_count_vectors` will look up in its
     bundle cache, under the exact keys it will use (both sides go through
-    :func:`_restricted_components` and
-    :func:`repro.engine.fingerprint.fingerprint_component`).  The planner
-    turns each pair into one bundle node of the work DAG; ground
-    components are omitted because the recursion recomputes them inline
+    :func:`_restricted_components` and :func:`_component_key`).  The
+    planner turns each pair into one bundle node of the work DAG; ground
+    components are omitted because the recursion computes them inline
     instead of fingerprinting them.
     """
     query = query.as_boolean()
     components, _ = _restricted_components(_initial_scope(database, query))
-    tasks: list[tuple[tuple, tuple[_Scoped, ...]]] = []
-    for component in components:
-        if not any(scoped.atom.variables for scoped in component):
-            continue
-        key = fingerprint_component(
-            (scoped.atom for scoped in component),
-            (item for scoped in component for item in scoped.exogenous),
-            (item for scoped in component for item in scoped.endogenous),
+    return [
+        (
+            _component_key(
+                [scoped.atom for scoped in component],
+                [scoped.exogenous for scoped in component],
+                [scoped.endogenous for scoped in component],
+            ),
+            tuple(component),
         )
-        tasks.append((key, tuple(component)))
-    return tasks
+        for component in components
+        if any(scoped.atom.variables for scoped in component)
+    ]
 
 
 def bundle_for_component(
     component: Sequence[_Scoped], cache: BundleCache | None = None
 ) -> CountBundle:
-    """Compute one component's :class:`CountBundle` (a bundle plan node).
+    """Compute one restricted top-level component's :class:`CountBundle`.
 
-    This is the executable payload of a bundle task: worker processes
-    call it with a fresh local cache (sub-slices still share within the
-    component), the serial path hits it implicitly through the recursion.
+    This is the executable payload of a bundle plan node: worker
+    processes call it with a fresh local cache (sub-slices still share
+    within the component), the serial path through the recursion.
     """
     if cache is None:
         cache = LRUCache(128)
-    return _bundle_component(list(component), cache)
+    if not any(scoped.atom.variables for scoped in component):
+        # Ground components are cheaper to compute than to fingerprint.
+        (scoped,) = component
+        return _ground_step(scoped.atom.negated, scoped.exogenous, scoped.endogenous)
+    return _bundle_component(
+        tuple(scoped.atom for scoped in component),
+        [scoped.exogenous for scoped in component],
+        [scoped.endogenous for scoped in component],
+        cache,
+    )
 
 
 def batch_count_vectors(
@@ -449,6 +525,9 @@ def batch_count_vectors(
 ) -> BatchVectors:
     """The forward pass over ``(D, q)``: the baseline vector and its tape.
 
+    The root entry is the top-level AND step: the atom-level restriction
+    frees the facts that fail their atom's pattern, and the components
+    of the rest multiply with the free facts' binomial row.
     :func:`pull_back` then runs the backward pass over the tape.
 
     Raises :class:`SelfJoinError` / :class:`NotHierarchicalError` outside
@@ -467,7 +546,18 @@ def batch_count_vectors(
     if cache is None:
         cache = LRUCache(0)
 
-    root = _bundle_scope(_initial_scope(database, query), cache)
+    components, free_facts = _restricted_components(_initial_scope(database, query))
+    children = tuple(bundle_for_component(component, cache) for component in components)
+    sat = convolve(
+        convolve_many([child.sat for child in children]),
+        binomial_vector(len(free_facts)),
+    )
+    zero = set(free_facts)
+    for child in children:
+        zero |= child.zero
+    owned = sum(child.owned for child in children) + len(free_facts)
+    root = _step(owned, sat, zero, AND, children)
+
     query_relations = query.relation_names
     unused = frozenset(
         item for item in database.endogenous if item.relation not in query_relations

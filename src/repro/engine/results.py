@@ -25,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.core.facts import Constant, Fact
 from repro.engine.bundles import BatchVectors, pull_back
 from repro.engine.cache import CACHE_COUNTERS
 from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState, achieved_epsilon
-from repro.util.kernels import factorial_cached, shapley_weights
+from repro.util.kernels import reduced_shapley_weights, shapley_weights
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,17 @@ def fact_numerators(vectors: BatchVectors) -> dict[Fact, tuple[int, int]]:
     """
     if not vectors.root.live:
         return {}
-    weights = shapley_weights(vectors.total_players)
+    return _numerators(vectors, shapley_weights(vectors.total_players))
+
+
+def _numerators(
+    vectors: BatchVectors, weights: Sequence[int]
+) -> dict[Fact, tuple[int, int]]:
+    """:func:`fact_numerators` with the Shapley numerator over ``weights``.
+
+    The Shapley numerator is linear in the weights, so any multiple of
+    :func:`repro.util.kernels.shapley_weights` scales it alike.
+    """
     cotangents = (
         [w + before for w, before in zip(weights, (0, *weights))],
         [1] + [2] * (len(weights) - 1),
@@ -269,22 +279,25 @@ def result_from_vectors(vectors: BatchVectors, method: str) -> BatchResult:
     Shapley and Banzhaf values are linear in the same deletion vectors
     — only the weights differ — so the convolution task of every plan
     always materializes both measures.  Each value is one integer
-    numerator (:func:`fact_numerators`) over ``n!`` or ``2^(n-1)``,
-    normalized to a ``Fraction`` once: bit-identical to summing the
-    per-size ``Fraction`` terms, because ``Fraction`` canonicalizes.
-    Facts in isomorphic positions share their numerators, so each
-    distinct numerator pair is normalized once and its (immutable)
-    ``Fraction`` values are shared.
+    numerator over its denominator, normalized to a ``Fraction`` once:
+    bit-identical to summing the per-size ``Fraction`` terms, because
+    ``Fraction`` canonicalizes.  The Shapley weights and ``n!`` are
+    first divided by their gcd
+    (:func:`repro.util.kernels.reduced_shapley_weights`), which shrinks
+    every integer of the backward pass from about ``log2 n!`` bits to
+    about ``1.44 n``; the ``Fraction`` is the same.  Facts in
+    isomorphic positions share their numerators, so each distinct
+    numerator pair is normalized once and its (immutable) ``Fraction``
+    values are shared.
     """
     players = vectors.total_players
     shapley: dict[Fact, Fraction] = {item: Fraction(0) for item in vectors.zero_facts}
     banzhaf = dict(shapley)
-    numerators = fact_numerators(vectors)
-    if numerators:
-        shapley_denominator = factorial_cached(players)
+    if vectors.root.live:
+        weights, shapley_denominator = reduced_shapley_weights(players)
         banzhaf_denominator = 2 ** (players - 1)
         values: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for item, pair in numerators.items():
+        for item, pair in _numerators(vectors, weights).items():
             if pair not in values:
                 values[pair] = (
                     Fraction(pair[0], shapley_denominator),

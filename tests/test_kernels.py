@@ -28,13 +28,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
+from repro.engine import (
+    BatchAttributionEngine,
+    SerialExecutor,
+    ShardedExecutor,
+    batch_count_vectors,
+)
 from repro.core.parser import parse_query
+from repro.engine.results import fact_numerators, result_from_vectors
 from repro.engine.plan import PlanRequest, build_plan
 from repro.obs.counters import Counters
 from repro.util import kernels
@@ -273,6 +279,42 @@ class TestWeightTables:
             assert shapley_coefficient(n, k) == Fraction(
                 factorial(k) * factorial(n - 1 - k), factorial(n)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=200))
+    def test_reduced_weights_divide_out_the_gcd(self, n):
+        weights = kernels.shapley_weights(n)
+        reduced, denominator = kernels.reduced_shapley_weights(n)
+        common = reduce(gcd, weights)
+        assert list(reduced) == [weight // common for weight in weights]
+        assert reduce(gcd, reduced) == 1
+        assert denominator * common == factorial(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_reduced_and_unreduced_assembly_agree(self, students, courses, p, seed):
+        # Up to 36 players; no student means no player at all.
+        database = star_join_database(
+            students, courses, p, p, rng=random.Random(seed)
+        )
+        vectors = batch_count_vectors(database, query_q1())
+        players = vectors.total_players
+        result = result_from_vectors(vectors, "cntsat")
+        expected = {item: (Fraction(0), Fraction(0)) for item in vectors.zero_facts}
+        for item, (shapley, banzhaf) in fact_numerators(vectors).items():
+            expected[item] = (
+                Fraction(shapley, factorial(players)),
+                Fraction(banzhaf, 2 ** (players - 1)),
+            )
+        assert set(result.shapley) == set(expected) == set(database.endogenous)
+        for item, (shapley, banzhaf) in expected.items():
+            assert result.shapley[item] == shapley
+            assert result.banzhaf[item] == banzhaf
 
     def test_binomial_row_matches_binomial_vector(self):
         for n in range(0, 30):
