@@ -242,6 +242,24 @@ def _components(variables: Sequence[frozenset[Variable]]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _matching(atom: Atom, facts: frozenset[Fact]) -> frozenset[Fact]:
+    """The facts of ``atom``'s relation that :meth:`Atom.matches` keeps.
+
+    An atom of pairwise-distinct variables binds each value once, so it
+    keeps every fact of its arity whose values equal themselves (all but
+    NaN): when one pass finds that true of every fact, ``facts`` comes
+    back as it is, without a per-fact match.
+    """
+    arity = atom.arity
+    if (
+        len(atom.variables) == arity
+        and all(len(item.args) == arity for item in facts)
+        and all(value == value for item in facts for value in item.args)
+    ):
+        return facts
+    return frozenset(item for item in facts if atom.matches(item))
+
+
 def _restricted_components(
     scope: Sequence[_Scoped],
 ) -> tuple[list[list[_Scoped]], set[Fact]]:
@@ -258,12 +276,8 @@ def _restricted_components(
     free_facts: set[Fact] = set()
     restricted: list[_Scoped] = []
     for scoped in scope:
-        matching_exo = frozenset(
-            item for item in scoped.exogenous if scoped.atom.matches(item)
-        )
-        matching_endo = frozenset(
-            item for item in scoped.endogenous if scoped.atom.matches(item)
-        )
+        matching_exo = _matching(scoped.atom, scoped.exogenous)
+        matching_endo = _matching(scoped.atom, scoped.endogenous)
         free_facts |= scoped.endogenous - matching_endo
         restricted.append(_Scoped(scoped.atom, matching_exo, matching_endo))
     groups = _components([scoped.atom.variables for scoped in restricted])

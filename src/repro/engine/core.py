@@ -71,6 +71,7 @@ from repro.engine.results import (
     BatchResult,
     inflate_result,
     project_result,
+    rename_result,
 )
 from repro.engine.stores import MemoryResultStore, ResultStore, TieredResultStore
 from repro.obs import tracing as _tracing
@@ -356,12 +357,17 @@ class BatchAttributionEngine:
         (tuples reachable under *some* endogenous subset); the remaining
         options are keyword-only, with ``policy`` carrying the
         method/accuracy request shape exactly as in :meth:`batch`.  The
-        planner emits one grounding task per answer and deduplicates
-        their top-level component nodes — the DAG form of "untouched
-        components are computed once and reused by every answer" — and
-        all groundings share one cross-grounding :class:`BundlePool` at
-        execution time, on top of the with/without sharing inside each
-        batch.
+        planner emits one exact grounding task per isomorphism class of
+        answers: groundings whose relevance slices and grounded queries
+        are equal up to renaming constants have equal values by the
+        symmetry axiom, so each other member's result is the
+        representative's, renamed, and is stored under its own key as
+        if it had run.  Sampled groundings each run their own stream.
+        The planner also deduplicates the tasks' top-level component
+        nodes — the DAG form of "untouched components are computed once
+        and reused by every answer" — and all groundings share one
+        cross-grounding :class:`BundlePool` at execution time, on top
+        of the with/without sharing inside each batch.
         """
         from repro.shapley.aggregates import candidate_answers
         from repro.shapley.answers import ground_at_answer, head_assignment
@@ -403,6 +409,8 @@ class BatchAttributionEngine:
             for planned in plan.requests:
                 if planned.node_id is None:
                     result, cached = plan.satisfied[planned.key], True
+                elif planned.renaming is not None:
+                    result, cached = results[planned.key], False
                 else:
                     result, cached = results[planned.node_id], False
                 per_answer[planned.request.grounding] = self._finish(
@@ -434,7 +442,11 @@ class BatchAttributionEngine:
         Fresh results cover their task's relevance slice (the task's
         database) and are stored in that form, under the relevance-scoped
         key — the form every database version can inflate back from
-        (:func:`repro.engine.results.project_result`).  ``cache`` serves
+        (:func:`repro.engine.results.project_result`).  Results come back
+        keyed by node id, and each alias's under its own request key: its
+        representative's stored result renamed onto the alias's facts
+        (:func:`repro.engine.results.rename_result`), and stored under
+        that key like any executed result.  ``cache`` serves
         the tasks' component bundles.  When a durable store is attached,
         entries are tagged with the digest of the ``database`` version
         that wrote them so superseded versions can be retired (evicted
@@ -456,6 +468,7 @@ class BatchAttributionEngine:
         lookups = cache.stats.delta(before)
         self.delta_stats.components_reused += lookups.hits
         self.delta_stats.components_dirty += lookups.misses + stats.bundle_tasks
+        stored: dict[tuple, BatchResult] = {}
         for task in plan.tasks:
             if task.sample_spec is not None:
                 state = results[task.node_id].sample_state
@@ -472,10 +485,16 @@ class BatchAttributionEngine:
                     # this request refines from here.
                     self.store.put(task.sample_spec.state_key, state)
             if task.key is not None:
-                self.store.put(
-                    task.key,
-                    project_result(results[task.node_id], task.database.endogenous),
+                stored[task.node_id] = project_result(
+                    results[task.node_id], task.database.endogenous
                 )
+                self.store.put(task.key, stored[task.node_id])
+        for planned in plan.requests:
+            if planned.renaming is not None and planned.key not in results:
+                results[planned.key] = rename_result(
+                    stored[planned.node_id], planned.renaming
+                )
+                self.store.put(planned.key, results[planned.key])
         return results
 
     def _finish(

@@ -37,7 +37,13 @@ from typing import Any, Collection, Iterable
 from repro.core import evaluation
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
-from repro.core.query import Atom, BooleanQuery, UnionQuery, Variable
+from repro.core.query import (
+    Atom,
+    BooleanQuery,
+    ConjunctiveQuery,
+    UnionQuery,
+    Variable,
+)
 
 
 def _atom_skeleton(atom: Atom) -> tuple:
@@ -266,6 +272,74 @@ def fingerprint_request(
     )
 
 
+def canonical_grounding(
+    query: BooleanQuery,
+    relevant: tuple[frozenset[Fact], frozenset[Fact]],
+    grounding: tuple[Constant, ...] | None = None,
+) -> tuple[tuple, tuple[Fact, ...]] | None:
+    """A request's grounded query and slice, up to renaming constants.
+
+    Returns ``(key, endogenous)``: two requests with equal keys are
+    isomorphic, and ``endogenous`` lists each one's endogenous facts in
+    key order, so zipping two such lists pairs every fact with its image
+    — equal Shapley and Banzhaf values by the symmetry axiom.
+
+    Constants are renamed by ``==`` classes, as
+    :meth:`repro.core.query.Atom.matches` compares them (``1`` and
+    ``True`` are one constant): the answer's constants become head
+    placeholders, the query's other constants stay fixed (their values
+    are key material) and every other constant gets a fresh index, in an
+    order read off the facts with those indices masked.  A request with
+    isomorphic peers that orders its ties differently only misses an
+    alias.  ``None`` means no key: a union query, or a constant unequal
+    to itself (NaN), which no ``==`` class can hold.
+    """
+    if not isinstance(query, ConjunctiveQuery):
+        return None
+    labels: dict[Constant, int] = {}
+    for value in grounding or ():
+        if value != value:
+            return None
+        labels.setdefault(value, len(labels))
+    fixed = []
+    variables: dict[Variable, int] = {}
+    atoms = []
+    for atom in query.atoms:
+        terms = []
+        for term in atom.terms:
+            if isinstance(term, Variable):
+                terms.append(("var", variables.setdefault(term, len(variables))))
+                continue
+            if term not in labels:
+                if term != term:
+                    return None
+                labels[term] = len(labels)
+                fixed.append((labels[term], term))
+            terms.append(labels[term])
+        atoms.append((atom.relation, atom.negated, tuple(terms)))
+    endogenous, exogenous = relevant
+    facts = sorted(
+        [(False, item) for item in endogenous] + [(True, item) for item in exogenous],
+        key=lambda pair: (
+            pair[0],
+            pair[1].relation,
+            tuple(labels.get(value, -1) for value in pair[1].args),
+        ),
+    )
+    rendered = []
+    for exogenous_fact, item in facts:
+        args = []
+        for value in item.args:
+            if value not in labels:
+                if value != value:
+                    return None
+                labels[value] = len(labels)
+            args.append(labels[value])
+        rendered.append((exogenous_fact, item.relation, tuple(args)))
+    key = (tuple(atoms), tuple(fixed), tuple(rendered))
+    return key, tuple(item for exogenous_fact, item in facts if not exogenous_fact)
+
+
 def fingerprint_sampled(base_key: tuple, contract: tuple) -> tuple:
     """The store key of a *sampled* result under one accuracy contract.
 
@@ -335,6 +409,7 @@ def fingerprint_sample_state(base_key: tuple) -> tuple:
 
 __all__ = [
     "FactIndex",
+    "canonical_grounding",
     "database_digest",
     "digest_key",
     "fingerprint_atoms",

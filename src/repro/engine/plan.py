@@ -19,12 +19,21 @@ computed, and nothing that computes one:
    Under an ``exact`` policy, intractable requests fail at plan time,
    before a single worker is spawned; under ``auto`` nothing is
    intractable anymore.
-2. **Node construction**: one :class:`GroundingTask` per distinct
-   request (the per-grounding convolution/assembly task) plus one
-   :class:`BundleTask` per distinct top-level Gaifman component
-   (the per-component count-vector task).  Node ids are canonical
-   fingerprints (:mod:`repro.engine.fingerprint`), so groundings that
-   share a component share the *same* bundle node — the DAG encodes the
+2. **Node construction**: one :class:`GroundingTask` per isomorphism
+   class of exact requests (the per-grounding convolution/assembly
+   task) plus one :class:`BundleTask` per distinct top-level Gaifman
+   component (the per-component count-vector task).  Equal requests
+   collapse onto one node; so do *isomorphic* ones — equal relevance
+   slices and grounded queries up to renaming constants
+   (:func:`repro.engine.fingerprint.canonical_grounding`), which have
+   equal values fact for fact by the symmetry axiom.  Every later
+   member of a class is an *alias*: it keeps its own key and records
+   the representative's node id and a fact bijection, and the engine
+   renames the representative's result onto it.  Only ``cntsat``,
+   ``exoshap`` and ``brute-force`` requests alias; a sampled one keeps
+   its own key, seed and stream.  Node ids are canonical fingerprints
+   (:mod:`repro.engine.fingerprint`), so groundings that share a
+   component share the *same* bundle node — the DAG encodes the
    cross-grounding sharing that :class:`repro.engine.cache.BundlePool`
    realizes at execution time.
 3. **Store pruning, across versions**: plan nodes whose request key is
@@ -51,18 +60,19 @@ because the planner has already made every dependency explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
-from repro.core.facts import Constant
+from repro.core.facts import Constant, Fact
 from repro.core.hierarchy import is_hierarchical
 from repro.core.paths import has_non_hierarchical_path
 from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.engine.bundles import top_level_components
 from repro.engine.fingerprint import (
     FactIndex,
+    canonical_grounding,
     digest_key,
     fingerprint_request,
     fingerprint_sample_state,
@@ -84,6 +94,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 BUNDLE = "bundle"
 #: Node-id tag for per-grounding convolution/assembly tasks.
 RESULT = "result"
+#: The methods whose results isomorphic requests share by renaming: the
+#: exact ones.  A sampled result is an estimate from its own key's seeded
+#: stream, so a sampled request never aliases.
+ALIASED_METHODS = ("cntsat", "exoshap", "brute-force")
 
 
 @dataclass(frozen=True)
@@ -170,12 +184,16 @@ class PlannedRequest:
 
     ``node_id`` names the grounding task that produces the result, or is
     ``None`` when the store already held it (then ``Plan.satisfied[key]``
-    has the value).
+    has the value).  An *alias* — a request isomorphic to an earlier
+    one's, see :func:`repro.engine.fingerprint.canonical_grounding` —
+    names that request's task and carries ``renaming``, which maps each
+    fact of the task's result to this request's own fact.
     """
 
     request: PlanRequest
     key: tuple | None
     node_id: tuple | None
+    renaming: dict[Fact, Fact] | None = None
 
 
 #: Planner accounting, how much work the plan avoided up front:
@@ -207,11 +225,11 @@ class Plan:
     """An executable DAG: grounding tasks over shared bundle nodes.
 
     ``tasks`` lists the grounding tasks in request order (node ids are
-    unique — duplicate requests collapse onto one node); ``bundles`` maps
-    bundle node ids to their tasks, deduplicated across groundings;
-    ``satisfied`` holds the store-pruned results keyed by request
-    fingerprint; ``requests`` records, per input request, where its
-    result will come from.
+    unique — duplicate and isomorphic requests collapse onto one node);
+    ``bundles`` maps bundle node ids to their tasks, deduplicated across
+    groundings; ``satisfied`` holds the store-pruned results keyed by
+    request fingerprint; ``requests`` records, per input request, where
+    its result will come from.
     """
 
     requests: list[PlannedRequest] = field(default_factory=list)
@@ -473,6 +491,12 @@ def _build_plan(
     index = database.derived(FactIndex)
     tracer = _tracing.ACTIVE
     seen: set[tuple] = set()
+    # One exact task per isomorphism class of groundings: the class key
+    # maps to the representative's node id and endogenous facts in key
+    # order, and every later member plans as an alias of that task.
+    classes: dict[tuple, tuple[tuple, tuple[Fact, ...]]] = {}
+    aliases: dict[tuple, PlannedRequest] = {}
+    classify = len(requests) > 1 and bool(index.endogenous)
     for request in requests:
         if request.inconsistent:
             node_id = (RESULT, "inconsistent")
@@ -511,6 +535,9 @@ def _build_plan(
         if node_id in seen:
             plan.requests.append(PlannedRequest(request, key, node_id))
             continue
+        if key in aliases:
+            plan.requests.append(replace(aliases[key], request=request))
+            continue
         if store is not None:
             with _tracing.maybe_span(
                 tracer,
@@ -533,6 +560,18 @@ def _build_plan(
             plan.satisfied[key] = cached
             plan.stats.pruned += 1
             plan.requests.append(PlannedRequest(request, key, None))
+            continue
+        canonical = (
+            canonical_grounding(request.query, relevant, request.grounding)
+            if classify
+            else None
+        )
+        if canonical is not None and canonical[0] in classes:
+            representative, facts = classes[canonical[0]]
+            aliases[key] = PlannedRequest(
+                request, key, representative, dict(zip(facts, canonical[1]))
+            )
+            plan.requests.append(aliases[key])
             continue
         sliced = Database(endogenous=relevant[0], exogenous=relevant[1])
         if index.endogenous:
@@ -586,6 +625,8 @@ def _build_plan(
         )
         plan.stats.planned += 1
         plan.requests.append(PlannedRequest(request, key, node_id))
+        if canonical is not None and method in ALIASED_METHODS:
+            classes[canonical[0]] = (node_id, canonical[1])
     plan.stats.bundles = len(plan.bundles)
     return plan
 

@@ -166,6 +166,21 @@ def project_result(result: BatchResult, relevant: frozenset[Fact]) -> BatchResul
     )
 
 
+def rename_result(result: BatchResult, renaming: Mapping[Fact, Fact]) -> BatchResult:
+    """An isomorphic request's result: every fact replaced by its image.
+
+    By the symmetry axiom, a bijection that carries one request's slice
+    and query onto another's carries each fact's Shapley and Banzhaf
+    values along with it, so only the keys change.
+    """
+    return BatchResult(
+        {renaming[item]: value for item, value in result.shapley.items()},
+        {renaming[item]: value for item, value in result.banzhaf.items()},
+        result.method,
+        result.player_count,
+    )
+
+
 def inflate_result(
     core: BatchResult, zeros: Mapping[Fact, Fraction]
 ) -> tuple[BatchResult, int]:
@@ -315,6 +330,7 @@ __all__ = [
     "fact_numerators",
     "inflate_result",
     "project_result",
+    "rename_result",
     "result_from_state",
     "result_from_vectors",
 ]

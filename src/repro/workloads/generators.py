@@ -186,14 +186,18 @@ def hard_answers_database(
     endogenous ``R`` and ``T`` remains), so the engine's dichotomy sends
     every grounding to coalition enumeration over its relevance slice:
     its own ``W`` fact and the core, ``1 + 2 * core_size`` endogenous
-    facts (the other answers' ``W`` facts are null players).  The
-    groundings are independent and CPU-bound — the scaling workload of
+    facts (the other answers' ``W`` facts are null players).  Answer
+    ``i`` also has ``i + 1`` exogenous ``L`` rows, which hold in every
+    coalition but make no two groundings isomorphic.  The groundings
+    are independent and CPU-bound — the scaling workload of
     ``benchmarks/bench_parallel.py``.
     """
     rng = rng or random.Random()
     db = Database()
     for index in range(num_answers):
         db.add_endogenous(Fact("W", (f"w{index}",)))
+        for row in range(index + 1):
+            db.add_exogenous(Fact("L", (f"w{index}", row)))
     for index in range(core_size):
         db.add_endogenous(Fact("R", (index,)))
         db.add_endogenous(Fact("T", (index,)))

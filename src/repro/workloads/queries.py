@@ -104,12 +104,14 @@ def intro_export_query() -> ConjunctiveQuery:
 
 
 def audit_query() -> ConjunctiveQuery:
-    """audit(w) :- W(w), R(x), S(x, y), T(y) — qRST behind a head variable.
+    """audit(w) :- W(w), L(w, v), R(x), S(x, y), T(y) — qRST behind a head.
 
     Every grounding ``q_t`` embeds the classic hard core, so the
     dichotomy sends each answer to coalition enumeration: independent,
-    CPU-bound grounding tasks.  This is the workload family of
+    CPU-bound grounding tasks.  The exogenous ``L`` rows of an answer
+    only tell its grounding apart from the others' — isomorphic
+    groundings would share one task.  This is the workload family of
     ``benchmarks/bench_parallel.py`` (pair with
     :func:`repro.workloads.generators.hard_answers_database`).
     """
-    return parse_query("audit(w) :- W(w), R(x), S(x, y), T(y)")
+    return parse_query("audit(w) :- W(w), L(w, v), R(x), S(x, y), T(y)")

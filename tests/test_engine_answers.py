@@ -93,10 +93,13 @@ class TestBatchAnswers:
     def test_cross_grounding_pool_shares_context_components(self):
         # S(y) never mentions the head variable: its component bundle is
         # identical across groundings and must be computed exactly once.
+        # Answer t has t R facts, so no two groundings are isomorphic and
+        # each runs its own task.
         db = Database(
-            endogenous=[fact("R", 1), fact("R", 2), fact("R", 3), fact("S", 7)]
+            endogenous=[fact("R", t, c) for t in (1, 2, 3) for c in range(t)]
+            + [fact("S", 7)]
         )
-        q = parse_query("ans(x) :- R(x), S(y)")
+        q = parse_query("ans(x) :- R(x, z), S(y)")
         engine = BatchAttributionEngine()
         batch = engine.batch_answers(db, q)
         assert len(batch.per_answer) == 3

@@ -105,12 +105,15 @@ class TestBackendEquivalence:
             _assert_identical(result, sharded.per_answer[answer])
 
     def test_sharded_brute_force_groundings_identical(self):
+        # Answer w has w + 1 exogenous L rows: no two groundings are
+        # isomorphic, so all three brute-force tasks run (and ship).
         db = Database(
             endogenous=[fact("W", i) for i in range(3)]
             + [fact("R", 1), fact("R", 2), fact("T", 1), fact("T", 2)],
-            exogenous=[fact("S", 1, 1), fact("S", 2, 2)],
+            exogenous=[fact("S", 1, 1), fact("S", 2, 2)]
+            + [fact("L", i, row) for i in range(3) for row in range(i + 1)],
         )
-        q = parse_query("ans(w) :- W(w), R(x), S(x, y), T(y)")
+        q = parse_query("ans(w) :- W(w), L(w, v), R(x), S(x, y), T(y)")
         serial = BatchAttributionEngine(executor=SerialExecutor()).batch_answers(db, q)
         engine = BatchAttributionEngine(executor=SHARDED)
         sharded = engine.batch_answers(db, q)
