@@ -44,23 +44,27 @@ pass over it.
 
 * **Short outputs.**  A child owning ``s`` facts only needs the first
   ``s`` entries of its cotangent.  At an OR step with many slices the
-  cotangent correlated with the slices before ``b`` advances one short
-  UNSAT factor at a time, and slice ``b`` then takes its ``s`` entries
-  from one short-output correlation with the suffix product after it.
+  cotangent correlated with the class representatives before ``b``
+  (below) advances one short UNSAT factor at a time, and representative
+  ``b`` then takes its ``s`` entries from one short-output correlation
+  with the suffix product after it.
 
 * **Shape classes.**  Facts in isomorphic positions have equal values
   (the symmetry axiom), and many slices of an OR step are isomorphic.
   Every tape entry carries a *shape*, a digest of everything the
   backward pass reads below it, with an OR step's slice shapes sorted so
-  that constant names do not matter.  Slices of one shape share their
-  all-but-one product ``rest``, so the OR step pulls each repeated shape
-  back once — ``rest`` is the tape's UNSAT product divided exactly by
-  the class's UNSAT vector (:func:`repro.util.kernels.divide_exact`) —
-  and copies the numerators to the other members along a fact walk in
-  shape order.  Slices of a shape of their own keep the prefix/suffix
-  chain.  No constant is renamed, and a shape is a digest rather than
-  an object identity, so bundles shipped back from worker processes
-  group exactly like local ones.
+  that constant names do not matter.  Both passes work once per shape
+  class.  Forward, an AND or OR entry whose kind and child shapes were
+  already seen in the pass reuses that entry's vector and shape instead
+  of convolving and hashing again.  Backward, an OR step descends into
+  one representative per class: the other members' UNSAT vectors are a
+  factor of every representative's all-but-one product, so each
+  cotangent is correlated with their product once, up front, and the
+  prefix/suffix chain runs over the representatives alone.  The other
+  members copy the numerators along a fact walk in shape order.  No
+  constant is renamed, nothing is divided, and a shape is a digest
+  rather than an object identity, so bundles shipped back from worker
+  processes group exactly like local ones.
 
 Facts that can never influence satisfaction — facts of relations the
 query does not mention, and facts that fail their atom's constant or
@@ -83,7 +87,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
 from operator import mul
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.core.database import Database
 from repro.core.errors import NotHierarchicalError, SelfJoinError
@@ -98,7 +102,7 @@ from repro.util.combinatorics import (
     convolve_many,
     subtract_vectors,
 )
-from repro.util.kernels import correlate, divide_exact
+from repro.util.kernels import correlate
 
 # Anything with get_or_compute(key, thunk): an engine LRU or a call-scoped
 # pool layered on top of one (cross-grounding sharing in batch_answers).
@@ -152,6 +156,11 @@ class CountBundle:
         """Whether any owned fact has a possibly non-zero value."""
         return self.owned > len(self.zero)
 
+
+# The first AND/OR entry of each (kind, child shapes) key in one forward
+# pass (:func:`_shared_step`).  Each pass makes its own: engine work runs
+# on daemon threads, and a cold engine must stay cold.
+StepMemo = dict[tuple[str, tuple[bytes, ...]], CountBundle]
 
 #: The empty fact set every bundle without zero facts shares.
 _NO_FACTS: frozenset[Fact] = frozenset()
@@ -302,11 +311,12 @@ def _bundle_component(
     exogenous: Sequence[frozenset[Fact]],
     endogenous: Sequence[frozenset[Fact]],
     cache: BundleCache,
+    memo: StepMemo,
 ) -> CountBundle:
     """A non-ground component's OR step, memoized under its fingerprint."""
     return cache.get_or_compute(
         _component_key(atoms, exogenous, endogenous),
-        lambda: _bundle_component_fresh(atoms, exogenous, endogenous, cache),
+        lambda: _bundle_component_fresh(atoms, exogenous, endogenous, cache, memo),
     )
 
 
@@ -343,6 +353,7 @@ def _bundle_component_fresh(
     exogenous: Sequence[frozenset[Fact]],
     endogenous: Sequence[frozenset[Fact]],
     cache: BundleCache,
+    memo: StepMemo,
 ) -> CountBundle:
     """OR step: one AND entry per root value, built from the value's buckets.
 
@@ -384,28 +395,56 @@ def _bundle_component_fresh(
                         [frozenset(exo_buckets[i].get(value, ())) for i in group],
                         [frozenset(endo_buckets[i].get(value, ())) for i in group],
                         cache,
+                        memo,
                     )
                 )
-        zero: set[Fact] = set()
-        for child in children:
-            zero |= child.zero
         slice_bundles.append(
-            _step(
-                sum(child.owned for child in children),
-                convolve_many([child.sat for child in children]),
-                zero,
+            _shared_step(
+                memo,
                 AND,
                 tuple(children),
+                lambda: convolve_many([child.sat for child in children]),
             )
         )
 
-    total = sum(len(endo) for endo in endogenous)
-    unsat = convolve_many([_unsat(bundle) for bundle in slice_bundles])
-    sat = subtract_vectors(binomial_vector(total), unsat)
-    zero = set()
-    for bundle in slice_bundles:
-        zero |= bundle.zero
-    return _step(total, sat, zero, OR, tuple(slice_bundles))
+    return _shared_step(
+        memo,
+        OR,
+        tuple(slice_bundles),
+        lambda: subtract_vectors(
+            binomial_vector(sum(bundle.owned for bundle in slice_bundles)),
+            convolve_many([_unsat(bundle) for bundle in slice_bundles]),
+        ),
+    )
+
+
+def _shared_step(
+    memo: StepMemo, kind: str, children: tuple, product: Callable[[], list[int]]
+) -> CountBundle:
+    """An AND or OR entry over ``children``, its vector computed once per pass.
+
+    An entry's counts, vector and shape follow from its kind and its
+    children's shapes — in order for AND, sorted for OR, the orders
+    :func:`_shape` hashes — since a shape digests its entry's counts and
+    vector.  So the first entry of a ``(kind, child shapes)`` key calls
+    ``product`` and hashes; the later ones reuse its ``owned``, ``sat``
+    and ``shape`` and keep only their own children and zero facts.  A
+    slice owns no free fact, so ``owned`` is its children's.
+    """
+    shapes = tuple(child.shape for child in children)
+    key = (kind, tuple(sorted(shapes)) if kind == OR else shapes)
+    zero: set[Fact] = set()
+    for child in children:
+        zero |= child.zero
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = _step(
+            sum(child.owned for child in children), product(), zero, kind, children
+        )
+        return known
+    facts = frozenset(zero) if zero else _NO_FACTS
+    parts = () if known.owned == len(facts) else children
+    return CountBundle(known.owned, known.sat, facts, kind, parts, known.shape)
 
 
 def _bucket(facts: Iterable[Fact], position: int) -> dict[Constant, list[Fact]]:
@@ -520,6 +559,13 @@ def bundle_for_component(
     """
     if cache is None:
         cache = LRUCache(128)
+    return _bundle_top(component, cache, {})
+
+
+def _bundle_top(
+    component: Sequence[_Scoped], cache: BundleCache, memo: StepMemo
+) -> CountBundle:
+    """:func:`bundle_for_component` inside a forward pass's step memo."""
     if not any(scoped.atom.variables for scoped in component):
         # Ground components are cheaper to compute than to fingerprint.
         (scoped,) = component
@@ -529,6 +575,7 @@ def bundle_for_component(
         [scoped.exogenous for scoped in component],
         [scoped.endogenous for scoped in component],
         cache,
+        memo,
     )
 
 
@@ -561,7 +608,8 @@ def batch_count_vectors(
         cache = LRUCache(0)
 
     components, free_facts = _restricted_components(_initial_scope(database, query))
-    children = tuple(bundle_for_component(component, cache) for component in components)
+    memo: StepMemo = {}
+    children = tuple(_bundle_top(component, cache, memo) for component in components)
     sat = convolve(
         convolve_many([child.sat for child in children]),
         binomial_vector(len(free_facts)),
@@ -672,66 +720,77 @@ def _pull_back_or(
     <g_b, players> + <g_b, d_child>``: the first two terms join the
     offset and ``g_b`` continues down.
 
-    Slices of one shape share ``rest`` and their numerators, so a shape
-    class with several members is pulled back once: its ``rest`` is the
-    step's UNSAT product (on the tape as ``binom(owned) - sat``) divided
-    exactly by the class's UNSAT vector, one member is descended into,
-    and the others copy its numerators fact by fact along
-    :func:`_live_facts`.  The slices of a shape of their own form a
-    chain: ``prefix`` holds each cotangent correlated with the UNSAT
-    vectors of the chain slices before ``b``, one short factor at a
-    time; ``suffix[b + 1]`` is the product of those after it and of
-    every repeated class, and slice ``b`` needs only its ``owned``
-    outputs of their correlation.
+    Slices of one shape share ``rest`` and their numerators, so only one
+    representative per shape class is descended into, and the other
+    members copy its numerators fact by fact along :func:`_live_facts`.
+    Every representative's ``rest`` has the other members' UNSAT vectors
+    as a factor, ``Q = prod_c u_c^(m_c - 1)`` over classes ``c`` of
+    ``m_c`` members (each power by :func:`_power`), and ``corr(g, A * B)
+    == corr(corr(g, A), B)``: each cotangent is correlated with ``Q``
+    once, down to the representatives' total ``owned``, with no
+    division.  The representatives then form a chain: ``prefix`` holds
+    each cotangent correlated with the UNSAT vectors of the
+    representatives before ``b``, one short factor at a time;
+    ``suffix[b + 1]`` is the product of those after it, and
+    representative ``b`` needs only its ``owned`` outputs of their
+    correlation.  An all-zero UNSAT vector needs no special case: it
+    zeroes every product it is a factor of.
     """
     classes: dict[bytes, list[CountBundle]] = {}
     for child in bundle.parts:
         classes.setdefault(child.shape, []).append(child)
-    remaining = binomial_vector(bundle.owned - 1)
-    base = [o + _dot(g, remaining) for g, o in zip(cotangents, offsets)]
-
-    def descend(child: CountBundle, local: list[list[int]]) -> None:
-        players = binomial_vector(child.owned - 1)
-        _pull_back(
-            child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
-        )
-
-    repeated = [members for members in classes.values() if len(members) > 1]
-    if repeated:
-        product = subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
-        # An all-zero UNSAT slice zeroes the product and every rest of a
-        # repeated class, which has it (or a second member) as a factor.
-        divisible = any(product)
-    for members in repeated:
-        first = members[0]
-        if not first.live:
-            continue
-        if divisible:
-            rest = divide_exact(product, _unsat(first))
-            local = [correlate(g, rest, first.owned) for g in cotangents]
-        else:
-            local = [[0] * first.owned for _ in cotangents]
-        descend(first, local)
-        numerators = [out[item] for item in _live_facts(first)]
-        for member in members[1:]:
-            out.update(zip(_live_facts(member), numerators))
-
-    chain = [members[0] for members in classes.values() if len(members) == 1]
+    chain = [members[0] for members in classes.values()]
     live = [b for b, child in enumerate(chain) if child.live]
     if not live:
         return
+    remaining = binomial_vector(bundle.owned - 1)
+    base = [o + _dot(g, remaining) for g, o in zip(cotangents, offsets)]
     unsat = [_unsat(child) for child in chain]
-    class_factors = [_unsat(members[0]) for members in repeated for _ in members]
-    suffix = [[1]] * len(chain) + [convolve_many(class_factors)]
-    for b in range(len(chain) - 1, live[0], -1):
-        suffix[b] = convolve(unsat[b], suffix[b + 1])
     prefix = cotangents
+    powers = [
+        _power(factor, len(members) - 1)
+        for members, factor in zip(classes.values(), unsat)
+        if len(members) > 1
+    ]
+    if powers:
+        shared = convolve_many(powers)
+        width = sum(child.owned for child in chain)
+        prefix = [correlate(g, shared, width) for g in cotangents]
+    last = len(chain) - 1
+    suffix = [[1]] * (last + 2)
+    for b in range(last, live[0], -1):
+        suffix[b] = unsat[b] if b == last else convolve(unsat[b], suffix[b + 1])
     for b in range(live[-1] + 1):
         child = chain[b]
         if child.live:
-            descend(child, [correlate(p, suffix[b + 1], child.owned) for p in prefix])
+            local = [correlate(p, suffix[b + 1], child.owned) for p in prefix]
+            players = binomial_vector(child.owned - 1)
+            _pull_back(
+                child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
+            )
+            members = classes[child.shape]
+            if len(members) > 1:
+                numerators = [out[item] for item in _live_facts(child)]
+                for member in members[1:]:
+                    out.update(zip(_live_facts(member), numerators))
         if b < live[-1]:
             prefix = [correlate(p, unsat[b], len(p) - child.owned) for p in prefix]
+
+
+def _power(vector: list[int], exponent: int) -> list[int]:
+    """``vector`` convolved with itself to the power ``exponent >= 1``.
+
+    Square-and-multiply: about ``2 log2(exponent)`` convolutions of
+    doubling sizes instead of ``exponent - 1``.
+    """
+    result = None
+    while True:
+        if exponent & 1:
+            result = vector if result is None else convolve(result, vector)
+        exponent >>= 1
+        if not exponent:
+            return result
+        vector = convolve(vector, vector)
 
 
 def _live_facts(bundle: CountBundle) -> Iterator[Fact]:

@@ -21,9 +21,6 @@ keeping the public rational API bit-identical:
   leading outputs a caller asks for, looping over whichever of output
   and kernel is shorter, so pulling a factorial-sized cotangent through
   a long count vector costs one C-level dot product per needed entry.
-* **Exact division.**  :func:`divide_exact` undoes one factor of a
-  product, so the backward pass recovers an all-but-one product from the
-  full product already on its tape instead of rebuilding it.
 * **Balanced product trees.**  :func:`convolve_many` reduces a factor
   list pairwise in rounds instead of folding left, keeping operand
   sizes balanced — the shape under which the packed kernel's
@@ -59,7 +56,7 @@ import os
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -312,50 +309,6 @@ def correlate(
     return result
 
 
-class InexactDivisionError(ArithmeticError):
-    """A :func:`divide_exact` factor does not divide the product."""
-
-
-def divide_exact(product: Sequence[int], factor: Sequence[int]) -> list[int]:
-    """The quotient ``q`` with ``convolve(q, factor) == product``.
-
-    Exact polynomial division over the integers, from the lowest degree
-    up: leading zeros of ``factor`` (low-order entries) must be matched
-    by zeros of ``product`` and are shifted away, then every quotient
-    entry is one short dot product divided by the factor's lowest
-    non-zero entry, and the entries of ``product`` above the quotient's
-    length are checked against it.  Raises
-    :class:`InexactDivisionError` when no such ``q`` exists and
-    :class:`ZeroDivisionError` for an all-zero factor.  This is how the
-    engine's backward pass recovers the all-but-one product of an OR
-    step from the full product on its tape (:mod:`repro.engine.bundles`).
-    """
-    shift = next((i for i, value in enumerate(factor) if value), None)
-    if shift is None:
-        raise ZeroDivisionError("divide_exact by an all-zero factor")
-    out_len = len(product) - len(factor) + 1
-    if out_len < 1 or any(product[:shift]):
-        raise InexactDivisionError("factor does not divide product")
-    lead = factor[shift]
-    # tail[-k:] is factor[shift + 1 : shift + k + 1] reversed, so the
-    # quotient window q[i - k : i] lines up with it in one dot product.
-    tail = list(factor[shift + 1 :])[::-1]
-    width = len(tail)
-    quotient: list[int] = []
-    for i in range(out_len):
-        k = min(i, width)
-        carried = sum(map(mul, quotient[i - k : i], tail[width - k :]))
-        value, remainder = divmod(product[shift + i] - carried, lead)
-        if remainder:
-            raise InexactDivisionError("factor does not divide product")
-        quotient.append(value)
-    for i in range(out_len, len(product) - shift):
-        low = max(0, i - width)
-        if product[shift + i] != sum(map(mul, quotient[low:], tail[width - i + low :])):
-            raise InexactDivisionError("factor does not divide product")
-    return quotient
-
-
 # ----------------------------------------------------------------------
 # Shared weight tables and deferred rational assembly
 # ----------------------------------------------------------------------
@@ -367,10 +320,17 @@ def factorial_cached(n: int) -> int:
 
 @lru_cache(maxsize=4096)
 def binomial_row(n: int) -> tuple[int, ...]:
-    """Memoized ``(C(n, 0), ..., C(n, n))`` — the free-fact count vector."""
+    """Memoized ``(C(n, 0), ..., C(n, n))`` — the free-fact count vector.
+
+    Built by the exact step ``C(n, k + 1) = C(n, k) * (n - k) / (k + 1)``:
+    one small multiply and divide per entry instead of a ``comb`` each.
+    """
     if n < 0:
         raise ValueError("binomial_row requires n >= 0")
-    return tuple(comb(n, k) for k in range(n + 1))
+    row = [1] * (n + 1)
+    for k in range(n):
+        row[k + 1] = row[k] * (n - k) // (k + 1)
+    return tuple(row)
 
 
 @lru_cache(maxsize=2048)
@@ -398,18 +358,17 @@ def reduced_shapley_weights(num_players: int) -> tuple[tuple[int, ...], int]:
     The weights ``k!(n - 1 - k)!`` share the factor ``g = n! / lcm(1..n)``,
     so ``w_k / g == lcm(1..n) / (n * C(n - 1, k))`` and ``n! / g ==
     lcm(1..n)``: about ``1.44 n`` bits each instead of ``log2 n!``.
-    Every Shapley value is the same ``Fraction`` over either table.
+    Every Shapley value is the same ``Fraction`` over either table.  The
+    table is built by the exact step ``w_{k+1} = w_k * (k + 1) / (n - 1 - k)``
+    (the ratio ``C(n - 1, k) / C(n - 1, k + 1)``), not a ``comb`` per entry.
     """
     if num_players <= 0:
         raise ValueError("reduced_shapley_weights requires at least one player")
     common = lcm(*range(1, num_players + 1))
-    return (
-        tuple(
-            common // (num_players * comb(num_players - 1, k))
-            for k in range(num_players)
-        ),
-        common,
-    )
+    weights = [common // num_players] * num_players
+    for k in range(num_players - 1):
+        weights[k + 1] = weights[k] * (k + 1) // (num_players - 1 - k)
+    return tuple(weights), common
 
 
 @lru_cache(maxsize=65536)
@@ -482,7 +441,6 @@ refresh_from_environment()
 
 __all__ = [
     "AUTO",
-    "InexactDivisionError",
     "KERNEL_COUNTERS",
     "KERNEL_NAMES",
     "PACKED",
@@ -496,7 +454,6 @@ __all__ = [
     "convolve_packed",
     "convolve_schoolbook",
     "correlate",
-    "divide_exact",
     "factorial_cached",
     "kernel_description",
     "kernel_metrics_document",

@@ -91,8 +91,8 @@ SERIAL_COLD = {
     "executor.processes": 1,
     "delta.versions_seen": 1,
     "delta.components_dirty": 11,
-    "kernel.schoolbook_calls": 51,
-    "kernel.tree_products": 23,
+    "kernel.schoolbook_calls": 39,
+    "kernel.tree_products": 16,
     "kernel.plan_selections_packed": 1,
 }
 #: ... and after the same request again, served by the result store.
@@ -254,7 +254,7 @@ class TestCounterOperations:
         kernel = engine.stats["kernel"]
         merged = kernel.snapshot()
         merged.merge(kernel)
-        assert merged.schoolbook_calls == 2 * 51
+        assert merged.schoolbook_calls == 2 * 39
         assert merged.plan_selections_packed == 2
 
     def test_delta_clamps_after_a_reset(self):

@@ -10,8 +10,8 @@ The headline contracts (ISSUE 8):
 * ``correlate`` — the adjoint of convolution the engine's backward pass
   runs on — equals the naive ``sum_j c[i + j] * r[j]`` on signed,
   empty, singleton and boundary-length inputs;
-* ``divide_exact`` undoes ``convolve`` on signed factors with leading and
-  trailing zeros, and raises a typed error when a factor does not divide;
+* ``binomial_row`` and ``reduced_shapley_weights``, built by exact
+  integer recurrences, equal their ``comb`` closed forms;
 * ``convolve_many``'s balanced product tree is bit-identical to the
   sequential left fold, with the historical semantics at the edges
   (empty product ``[1]``, any empty factor nulls to ``[]``);
@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,44 +225,6 @@ class TestCorrelate:
             kernels.correlate([1], [1], -1)
 
 
-class TestDivideExact:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(entries, min_size=1, max_size=16),
-        st.lists(entries, min_size=1, max_size=12).filter(any),
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=3),
-    )
-    def test_divides_out_a_signed_factor(self, quotient, factor, low, high):
-        # Leading (low-order) and trailing zeros on either side.
-        quotient = [0] * low + quotient
-        factor = [0] * high + factor + [0] * low
-        product = kernels.convolve_schoolbook(quotient, factor)
-        assert kernels.divide_exact(product, factor) == quotient
-
-    def test_count_vector_quotient(self):
-        unsat = [[1, 2, 0], [0, 3, 1], [2, 1]]
-        product = convolve_many(unsat)
-        assert kernels.divide_exact(product, unsat[1]) == convolve(*unsat[::2])
-
-    @pytest.mark.parametrize(
-        "product, factor",
-        [
-            ([1, 3, 3], [1, 2]),  # remainder at the top
-            ([1, 1], [2]),  # the lowest entry does not divide
-            ([1, 2, 1], [0, 1, 1]),  # a low-order zero the product lacks
-            ([1], [1, 1]),  # the factor is longer than the product
-        ],
-    )
-    def test_typed_error_when_the_factor_does_not_divide(self, product, factor):
-        with pytest.raises(kernels.InexactDivisionError):
-            kernels.divide_exact(product, factor)
-
-    def test_zero_factor_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            kernels.divide_exact([0, 0], [0])
-
-
 class TestWeightTables:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
@@ -315,6 +277,24 @@ class TestWeightTables:
         for item, (shapley, banzhaf) in expected.items():
             assert result.shapley[item] == shapley
             assert result.banzhaf[item] == banzhaf
+
+    @staticmethod
+    def _assert_tables_equal_the_comb_forms(n):
+        assert kernels.binomial_row(n) == tuple(comb(n, k) for k in range(n + 1))
+        if n:
+            common = lcm(*range(1, n + 1))
+            assert kernels.reduced_shapley_weights(n) == (
+                tuple(common // (n * comb(n - 1, k)) for k in range(n)),
+                common,
+            )
+
+    def test_recurrences_equal_the_comb_forms_up_to_300(self):
+        for n in range(301):
+            self._assert_tables_equal_the_comb_forms(n)
+
+    @pytest.mark.parametrize("n", [1000, 3500])
+    def test_recurrences_equal_the_comb_forms_at_large_n(self, n):
+        self._assert_tables_equal_the_comb_forms(n)
 
     def test_binomial_row_matches_binomial_vector(self):
         for n in range(0, 30):

@@ -1,8 +1,11 @@
 """Shape classes in the reverse-mode pass.
 
-Every tape entry carries a process-stable shape digest, and an OR step
-pulls each repeated slice shape back once (exact division of the tape's
-UNSAT product), copying numerators to the other members.  The contracts:
+Every tape entry carries a process-stable shape digest.  The forward
+pass convolves and hashes each AND/OR entry once per ``(kind, child
+shapes)`` key and pass, and an OR step pulls one representative per
+slice shape back — the other members' UNSAT vectors correlated away
+once, with no division — copying numerators to the other members.  The
+contracts:
 
 * the engine equals brute force, Shapley and Banzhaf, on random
   hierarchical CQ¬ instances — including instances with one slice cloned
@@ -10,7 +13,8 @@ UNSAT product), copying numerators to the other members.  The contracts:
 * it equals the per-fact CntSat route on ``star_join_database``;
 * a shape ignores the names of constants the query does not mention;
 * bundles shipped back from spawned workers have the serial shapes;
-* a slice satisfied by every subset (all-zero UNSAT vector) is handled.
+* a slice satisfied by every subset (all-zero UNSAT vector) is handled;
+* the step memo changes no tape entry, and no memo outlives its pass.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from repro.engine import (
     batch_count_vectors,
     bundle_for_component,
 )
-from repro.engine.bundles import GROUND, OR
+from repro.engine import bundles
+from repro.engine.bundles import GROUND, OR, _live_facts
 from repro.engine.cache import LRUCache
 from repro.engine.plan import PlanRequest, build_plan
 from repro.shapley.answers import ground_at_answer
@@ -216,3 +221,93 @@ def test_all_zero_unsat_slices(twins):
     result = _engine_batch(database, query)
     assert result.shapley[Fact("T", ("a", "y1"))] == 0
     assert result.shapley[Fact("R", ("a",))] != 0
+
+
+def _tape(bundle):
+    """Every field of every entry below ``bundle``, as one nested tuple."""
+    parts = bundle.parts
+    if bundle.kind != GROUND:
+        parts = tuple(_tape(child) for child in parts)
+    zero = tuple(sorted(bundle.zero, key=repr))
+    return (bundle.kind, bundle.owned, bundle.sat, zero, bundle.shape, parts)
+
+
+def _unmemoized(memo, kind, children, product):
+    zero = set()
+    for child in children:
+        zero |= child.zero
+    owned = sum(child.owned for child in children)
+    return bundles._step(owned, product(), zero, kind, children)
+
+
+def _assert_memo_changes_no_entry(monkeypatch, database, query):
+    memoized = batch_count_vectors(database, query)
+    with monkeypatch.context() as patched:
+        patched.setattr(bundles, "_shared_step", _unmemoized)
+        fresh = batch_count_vectors(database, query)
+    assert memoized.baseline == fresh.baseline
+    assert memoized.zero_facts == fresh.zero_facts
+    assert _tape(memoized.root) == _tape(fresh.root)
+    assert list(_live_facts(memoized.root)) == list(_live_facts(fresh.root))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_step_memo_changes_no_entry_on_star_joins(monkeypatch, seed):
+    database = star_join_database(20, 6, rng=random.Random(seed))
+    _assert_memo_changes_no_entry(monkeypatch, database, parse_query(Q1))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[
+        HealthCheck.filter_too_much,
+        HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=2),
+    st.data(),
+)
+def test_step_memo_changes_no_entry_with_cloned_slices(
+    monkeypatch, seed, copies, data
+):
+    rng = random.Random(seed)
+    query = random_hierarchical_query(rng=rng)
+    database = random_database_for_query(
+        query, domain_size=3, fill_probability=0.5, rng=rng
+    )
+    domain = sorted(
+        {arg for item in database.exogenous | database.endogenous for arg in item.args},
+        key=repr,
+    )
+    if copies and domain:
+        database = _clone(database, data.draw(st.sampled_from(domain)), copies)
+    _assert_memo_changes_no_entry(monkeypatch, database, query)
+
+
+def test_step_memo_keeps_and_children_in_order(monkeypatch):
+    # Slices a and b have the same multiset of child shapes in swapped
+    # order, so their AND shapes differ and must not share a memo entry.
+    query = parse_query("q() :- R(x), S(x)")
+    database = Database()
+    for s, endogenous in (("a", "R"), ("b", "S")):
+        for relation in ("R", "S"):
+            database.add(Fact(relation, (s,)), endogenous=relation == endogenous)
+    _assert_memo_changes_no_entry(monkeypatch, database, query)
+
+
+def test_back_to_back_cold_engines_do_equal_kernel_work():
+    database = star_join_database(12, 4, rng=random.Random(6))
+    query = parse_query(Q1)
+
+    def kernel_work():
+        engine = BatchAttributionEngine()
+        engine.batch(database, query)
+        counters = engine.counters()
+        return {key: counters[key] for key in counters if key.startswith("kernel.")}
+
+    first = kernel_work()
+    assert first["kernel.schoolbook_calls"] > 0
+    assert kernel_work() == first
