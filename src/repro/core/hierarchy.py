@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.core.query import Atom, ConjunctiveQuery, Variable
+from repro.util.graphs import key_groups
 
 
 def variable_atom_map(query: ConjunctiveQuery) -> dict[Variable, frozenset[int]]:
@@ -126,31 +127,8 @@ def connected_atom_components(query: ConjunctiveQuery) -> list[tuple[int, ...]]:
     Two atoms are connected when they share a variable.  Ground atoms
     (no variables) each form their own singleton component.
     """
-    n = len(query.atoms)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    owner: dict[Variable, int] = {}
-    for index, atom in enumerate(query.atoms):
-        for var in atom.variables:
-            if var in owner:
-                union(owner[var], index)
-            else:
-                owner[var] = index
-    groups: dict[int, list[int]] = {}
-    for index in range(n):
-        groups.setdefault(find(index), []).append(index)
-    return [tuple(sorted(members)) for members in groups.values()]
+    groups = key_groups([atom.variables for atom in query.atoms])
+    return [tuple(group) for group in groups]
 
 
 def subquery(query: ConjunctiveQuery, atom_indices: tuple[int, ...]) -> ConjunctiveQuery:

@@ -12,10 +12,10 @@ Architecture (plan/execute engine, PR 3)
 
     request ──► planner ──► Plan (DAG) ──► executor ──► results ──► store
                  │                           │                        │
-                 │ method dispatch           │ SerialExecutor         │ MemoryResultStore (LRU)
-                 │ fingerprint node ids      │ ShardedExecutor        │ SQLiteResultStore
-                 │ store pruning             │   (ProcessPool,        │ TieredResultStore
-                 │ up-front validation       │    BundlePool merge)   │   (memory → durable)
+                 │ method dispatch           │ SerialExecutor         │ TieredResultStore:
+                 │ fingerprint node ids      │ ShardedExecutor        │   result LRU
+                 │ store pruning             │   (ProcessPool,        │   → SQLiteResultStore
+                 │ up-front validation       │    BundlePool merge)   │     (optional, durable)
 
 * The **planner** (:mod:`repro.engine.plan`) turns a ``(database, query,
   groundings)`` request into an explicit DAG: one grounding task per
@@ -31,13 +31,12 @@ Architecture (plan/execute engine, PR 3)
   ``REPRO_JOBS``/``REPRO_START_METHOD`` in the environment) and merges
   the count vectors back through the :class:`BundlePool` — exact integer
   arithmetic makes sharded results bit-identical to serial ones.
-* **Result stores** (:mod:`repro.engine.stores`) decide whether a node
-  needed computing at all: the in-memory LRU and the durable
+* The **result store** (:mod:`repro.engine.stores`) decides whether a
+  node needed computing at all: one :class:`TieredResultStore` puts the
+  in-memory result LRU in front of the optional durable
   :class:`SQLiteResultStore` (one file, shared by any number of
   processes, optionally bounded via ``max_entries``/``max_bytes`` LRU
-  eviction) are interchangeable behind :class:`ResultStore`, and
-  compose into a :class:`TieredResultStore` with read-through
-  promotion.
+  eviction), with read-through promotion.
 * The engine is **delta-aware** (:mod:`repro.engine.delta`,
   PR 5): store keys cover only a request's query-relevant facts, so a
   fact insertion/deletion/flip (:class:`DatabaseDelta`,
@@ -186,12 +185,7 @@ from repro.engine.results import (
     result_from_state,
     result_from_vectors,
 )
-from repro.engine.stores import (
-    MemoryResultStore,
-    ResultStore,
-    StoredValue,
-    TieredResultStore,
-)
+from repro.engine.stores import StoredValue, TieredResultStore
 
 __all__ = [
     "AnswerBatchResult",
@@ -210,11 +204,9 @@ __all__ = [
     "GroundingTask",
     "LRUCache",
     "METHODS",
-    "MemoryResultStore",
     "MethodPolicy",
     "Plan",
     "PlanRequest",
-    "ResultStore",
     "SQLiteResultStore",
     "SampleSpec",
     "SerialExecutor",

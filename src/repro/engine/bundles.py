@@ -102,6 +102,7 @@ from repro.util.combinatorics import (
     convolve_many,
     subtract_vectors,
 )
+from repro.util.graphs import key_groups
 from repro.util.kernels import correlate
 
 # Anything with get_or_compute(key, thunk): an engine LRU or a call-scoped
@@ -221,36 +222,6 @@ class BatchVectors:
     zero_facts: frozenset[Fact]
 
 
-def _components(variables: Sequence[frozenset[Variable]]) -> list[list[int]]:
-    """Variable-connected components of atoms given by their variable sets.
-
-    Union-find over atom indices; each component lists its indices in
-    order, and components come in the order of their first atom.
-    """
-    n = len(variables)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[Variable, int] = {}
-    for index, atom_vars in enumerate(variables):
-        for var in atom_vars:
-            if var in owner:
-                root_a, root_b = find(owner[var]), find(index)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-            else:
-                owner[var] = index
-    groups: dict[int, list[int]] = {}
-    for index in range(n):
-        groups.setdefault(find(index), []).append(index)
-    return list(groups.values())
-
-
 def _matching(atom: Atom, facts: frozenset[Fact]) -> frozenset[Fact]:
     """The facts of ``atom``'s relation that :meth:`Atom.matches` keeps.
 
@@ -289,7 +260,7 @@ def _restricted_components(
         matching_endo = _matching(scoped.atom, scoped.endogenous)
         free_facts |= scoped.endogenous - matching_endo
         restricted.append(_Scoped(scoped.atom, matching_exo, matching_endo))
-    groups = _components([scoped.atom.variables for scoped in restricted])
+    groups = key_groups([scoped.atom.variables for scoped in restricted])
     return [[restricted[i] for i in group] for group in groups], free_facts
 
 
@@ -330,9 +301,9 @@ def _slice_layout(
     position in atom ``i``.  Substituting a value for the root removes
     the same variable from every atom whatever the value, so the
     slices' variable-connected components are the same atom-index
-    ``groups`` for every value, in :func:`_components` order; each is
-    flagged ground when none of its atoms has another variable (a
-    ground group is then a single atom).
+    ``groups`` for every value, in :func:`~repro.util.graphs.key_groups`
+    order; each is flagged ground when none of its atoms has another
+    variable (a ground group is then a single atom).
     """
     roots = frozenset.intersection(*(atom.variables for atom in atoms))
     if not roots:
@@ -343,7 +314,7 @@ def _slice_layout(
     root = min(roots, key=lambda var: var.name)
     rest = [atom.variables - {root} for atom in atoms]
     groups = tuple(
-        (not any(rest[i] for i in group), tuple(group)) for group in _components(rest)
+        (not any(rest[i] for i in group), tuple(group)) for group in key_groups(rest)
     )
     return root, tuple(atom.terms.index(root) for atom in atoms), groups
 

@@ -15,10 +15,9 @@ three interchangeable layers:
    :class:`repro.engine.executors.ShardedExecutor` across worker
    processes, merging count vectors back through the bundle pool;
 3. a **result store** (:mod:`repro.engine.stores`) keeps finished
-   results — the in-memory LRU and the optional durable SQLite store
-   (:mod:`repro.engine.sqlite_store`) compose into one
-   :class:`repro.engine.stores.TieredResultStore` with read-through
-   promotion.
+   results — one :class:`repro.engine.stores.TieredResultStore`: the
+   in-memory LRU in front of the optional durable SQLite store
+   (:mod:`repro.engine.sqlite_store`), with read-through promotion.
 
 Shapley and Banzhaf values fall out of the same per-fact count vectors,
 so the engine always materializes both.  ``stats`` exposes per-layer
@@ -27,9 +26,9 @@ per-cache counters.
 
 Engines are cheap to construct; share one instance (see
 :func:`default_engine`) to share the caches.  A constructor picks only
-the backend (``executor``/``jobs``) and the result layer
-(``store``/``shared``): the LRU sizes are the module constants below,
-and tracing is chosen per call (``trace=``).
+the backend (``executor``/``jobs``) and the durable tier (``shared``):
+the LRU sizes are the module constants below, and tracing is chosen
+per call (``trace=``).
 The environment variables ``REPRO_JOBS`` and ``REPRO_START_METHOD``
 select the default executor backend when none is passed explicitly
 (``REPRO_JOBS=2`` makes every engine shard across two worker
@@ -48,11 +47,11 @@ from typing import AbstractSet, Iterable
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import BooleanQuery, ConjunctiveQuery
+from repro.engine.bundles import BundleCache
 from repro.engine.cache import BundlePool, LRUCache
 from repro.engine.delta import DELTA_COUNTERS
 from repro.engine.executors import (
     EXECUTOR_COUNTERS,
-    BundleCache,
     Executor,
     SerialExecutor,
     ShardedExecutor,
@@ -73,7 +72,8 @@ from repro.engine.results import (
     project_result,
     rename_result,
 )
-from repro.engine.stores import MemoryResultStore, ResultStore, TieredResultStore
+from repro.engine.sqlite_store import SQLiteResultStore
+from repro.engine.stores import TieredResultStore
 from repro.obs import tracing as _tracing
 from repro.obs.counters import Counters
 from repro.util import kernels
@@ -167,36 +167,31 @@ class BatchAttributionEngine:
 
     Instances hold two bounded LRU caches: a *result* cache
     (:data:`RESULT_CACHE_SIZE` entries) keyed on the whole ``(database,
-    query, X, grounding)`` request — wrapped, together with the optional
-    durable store, into the engine's result store — and a *component*
+    query, X, grounding)`` request — the memory tier of the engine's
+    :class:`repro.engine.stores.TieredResultStore` — and a *component*
     cache (:data:`COMPONENT_CACHE_SIZE` entries) keyed on ``(component
     fingerprint, scoped facts)`` that lets overlapping requests share
     per-component count bundles.
 
     ``executor`` picks the backend (default: serial, or whatever
     ``REPRO_JOBS`` says); ``jobs`` is a convenience shortcut for
-    ``executor=ShardedExecutor(jobs=...)``.  ``store`` replaces the whole
-    result layer; when omitted it is built from the LRU and ``shared``.
-    ``shared`` is the durable tier — typically a
-    :class:`repro.engine.sqlite_store.SQLiteResultStore`, behind the
-    in-memory LRU.  One process with a store is a fleet of one: N daemons
-    pointed at the same file serve each other's warm results, and
-    retirement propagates fleet-wide.
+    ``executor=ShardedExecutor(jobs=...)``.  ``shared`` is the durable
+    tier, a :class:`repro.engine.sqlite_store.SQLiteResultStore` behind
+    the in-memory LRU.  One process with a store is a fleet of one: N
+    daemons pointed at the same file serve each other's warm results,
+    and retirement propagates fleet-wide.
     """
 
     def __init__(
         self,
         executor: Executor | None = None,
-        store: ResultStore | None = None,
         jobs: int | None = None,
-        shared: ResultStore | None = None,
+        shared: SQLiteResultStore | None = None,
     ) -> None:
         self.component_cache: LRUCache = LRUCache(COMPONENT_CACHE_SIZE)
         self.result_cache: LRUCache = LRUCache(RESULT_CACHE_SIZE)
         self.shared = shared
-        if store is None:
-            store = TieredResultStore(MemoryResultStore(self.result_cache), shared)
-        self.store = store
+        self.store = TieredResultStore(self.result_cache, shared)
         if jobs is not None and jobs < 1:
             # Same contract as ShardedExecutor: reject broken job counts
             # loudly instead of silently degrading to serial.
@@ -452,7 +447,7 @@ class BatchAttributionEngine:
         that wrote them so superseded versions can be retired (evicted
         first) later.
         """
-        if hasattr(self.shared, "writer_version"):
+        if self.shared is not None:
             self.shared.writer_version = database_digest(database)
         before = cache.stats.snapshot()
         with _tracing.maybe_span(
@@ -705,8 +700,7 @@ class BatchAttributionEngine:
         }
         if self.shared is not None:
             counters["shared"] = self.shared.stats.snapshot()
-        if isinstance(getattr(self.store, "stats", None), Counters):
-            counters["store"] = self.store.stats.snapshot()
+        counters["store"] = self.store.stats.snapshot()
         counters["planner"] = self.planner_stats.snapshot()
         counters["executor"] = self.executor_stats.snapshot()
         counters["delta"] = self.delta_stats.snapshot()
@@ -730,25 +724,19 @@ class BatchAttributionEngine:
         daemon's retirement reaches every sibling.  Returns the number
         of entries retired (0 without a durable store).
         """
-        retire = getattr(self.shared, "retire", None)
-        if not callable(retire):
+        if self.shared is None:
             return 0
-        return retire(database_digest(database))
+        return self.shared.retire(database_digest(database))
 
     def clear(self) -> None:
         """Drop all cached entries (statistics are kept).
 
-        Clears the component cache, the result LRU, and — when a custom
-        ``store`` exposing ``clear()`` was supplied — that store too.
-        The default tiered store intentionally has no ``clear``: its
-        memory tier *is* the result LRU cleared above, and the durable
-        tier survives so other processes keep their warm entries.
+        Clears the component cache and the result LRU — the store's
+        memory tier.  The durable tier survives so other processes keep
+        their warm entries.
         """
         self.component_cache.clear()
         self.result_cache.clear()
-        store_clear = getattr(self.store, "clear", None)
-        if callable(store_clear):
-            store_clear()
 
 
 _default: BatchAttributionEngine | None = None

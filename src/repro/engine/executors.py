@@ -41,26 +41,21 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Protocol, runtime_checkable
 
-from repro.engine.bundles import batch_count_vectors, bundle_for_component
-from repro.engine.cache import BundlePool, LRUCache
+from repro.engine.bundles import (
+    BundleCache,
+    batch_count_vectors,
+    bundle_for_component,
+)
+from repro.engine.cache import LRUCache
 from repro.engine.plan import BundleTask, GroundingTask, Plan
 from repro.engine.results import (
-    AttributionEstimate,
     BatchResult,
+    result_from_state,
     result_from_vectors,
 )
 from repro.obs import tracing as _tracing
 from repro.obs.counters import Counters
-from repro.shapley.sampling import (
-    achieved_epsilon,
-    extend_state,
-    merge_totals,
-    run_rounds,
-)
-
-#: Bundle caches executors work against: the engine's component LRU or a
-#: call-scoped pool layered on top of it.
-BundleCache = LRUCache | BundlePool
+from repro.shapley.sampling import extend_state, merge_totals, run_rounds
 
 
 #: Executor accounting, where the plan's nodes actually ran: ``tasks``
@@ -112,15 +107,7 @@ def assemble_sample_result(
     fresh_totals: dict,
     fresh_evaluations: int,
 ) -> BatchResult:
-    """Fold fresh round totals into the task's prior state and report.
-
-    The per-fact estimate after ``n`` total rounds is ``totals /
-    (2 n)`` (a forward sweep and its reversal per round); the
-    reported ``epsilon`` is the bound those ``n`` rounds actually
-    achieve, which is at least as tight as the contract.  Banzhaf stays
-    empty: the permutation estimator matches Shapley's coalition-size
-    distribution only.
-    """
+    """Fold fresh round totals into the task's prior state and report."""
     spec = task.sample_spec
     state = extend_state(
         spec.prior,
@@ -129,23 +116,11 @@ def assemble_sample_result(
         spec.fresh_rounds,
         fresh_evaluations,
     )
-    # Fresh totals list every player in ``repr`` order (run_rounds).
-    shapley = {player: state.value_of(player) for player in fresh_totals}
-    estimate = AttributionEstimate(
-        epsilon=achieved_epsilon(state.rounds, spec.delta),
-        delta=spec.delta,
-        rounds=state.rounds,
-        permutations=2 * state.rounds,
-        resumed_rounds=spec.prior.rounds if spec.prior else 0,
+    return result_from_state(
+        state,
+        spec.delta,
         state_digest=spec.state_digest,
-    )
-    return BatchResult(
-        shapley,
-        {},
-        "sampled",
-        len(shapley),
-        estimate=estimate,
-        sample_state=state,
+        resumed_rounds=spec.prior.rounds if spec.prior else 0,
     )
 
 
@@ -618,7 +593,6 @@ class ShardedExecutor:
 
 __all__ = [
     "EXECUTOR_COUNTERS",
-    "BundleCache",
     "Executor",
     "SerialExecutor",
     "ShardedExecutor",

@@ -38,7 +38,7 @@ computed, and nothing that computes one:
    realizes at execution time.
 3. **Store pruning, across versions**: plan nodes whose request key is
    already satisfied by the engine's
-   :class:`repro.engine.stores.ResultStore` are pruned from the
+   :class:`repro.engine.stores.TieredResultStore` are pruned from the
    executable plan and recorded in :attr:`Plan.satisfied`; executors
    never see them.  Keys are *relevance-scoped*
    (:func:`repro.engine.fingerprint.fingerprint_request`), so a request
@@ -87,8 +87,8 @@ from repro.shapley.sampling import SampleState, rounds_for_contract, sample_seed
 from repro.util import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.engine.executors import BundleCache
-    from repro.engine.stores import ResultStore
+    from repro.engine.bundles import BundleCache
+    from repro.engine.stores import TieredResultStore
 
 #: Node-id tag for per-component bundle tasks.
 BUNDLE = "bundle"
@@ -322,7 +322,7 @@ def _plan_sampled(
     base_key: tuple,
     relevant: tuple[frozenset, frozenset],
     policy: MethodPolicy,
-    store: "ResultStore | None",
+    store: "TieredResultStore | None",
     seen: set[tuple],
 ) -> None:
     """Plan one sampled grounding: accuracy-tagged key, resumable state.
@@ -423,7 +423,7 @@ def build_plan(
     *,
     exogenous_relations: AbstractSet[str] | None = None,
     policy: MethodPolicy | None = None,
-    store: "ResultStore | None" = None,
+    store: "TieredResultStore | None" = None,
     include_bundles: bool = True,
     bundle_cache: "BundleCache | None" = None,
 ) -> Plan:
@@ -475,7 +475,7 @@ def _build_plan(
     requests: Sequence[PlanRequest],
     exogenous_relations: AbstractSet[str] | None,
     policy: MethodPolicy,
-    store: "ResultStore | None",
+    store: "TieredResultStore | None",
     include_bundles: bool,
     bundle_cache: "BundleCache | None",
 ) -> Plan:

@@ -223,15 +223,21 @@ def inflate_result(
 
 
 def result_from_state(
-    state: SampleState, delta: float, state_digest: str | None = None
+    state: SampleState,
+    delta: float,
+    state_digest: str | None = None,
+    resumed_rounds: int | None = None,
 ) -> BatchResult:
-    """The sampled result a stored :class:`SampleState` already implies.
+    """The sampled result a :class:`SampleState` implies.
 
-    Used when a request's accuracy contract is satisfied by rounds that
-    are already folded into the stored state: the per-fact estimates are
-    ``totals / (2 rounds)``, the achieved bound comes from the
-    full stored round count (tighter than the contract), and every
-    round counts as resumed — nothing was recomputed.
+    The per-fact estimates are ``totals / (2 rounds)`` (a forward sweep
+    and its reversal per round), and the reported ``epsilon`` is the
+    bound the state's rounds actually achieve, which is at least as
+    tight as the contract.  Banzhaf stays empty: the permutation
+    estimator matches Shapley's coalition-size distribution only.
+    ``resumed_rounds`` counts the rounds that came from a stored state;
+    by default every round does — a stored state that already satisfies
+    the request's contract is served without recomputing anything.
     """
     players = sorted(state.totals, key=repr)
     shapley = {player: state.value_of(player) for player in players}
@@ -240,7 +246,7 @@ def result_from_state(
         delta=delta,
         rounds=state.rounds,
         permutations=2 * state.rounds,
-        resumed_rounds=state.rounds,
+        resumed_rounds=state.rounds if resumed_rounds is None else resumed_rounds,
         state_digest=state_digest,
     )
     return BatchResult(

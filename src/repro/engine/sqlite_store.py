@@ -1,18 +1,19 @@
 """SQLite-backed result store: the engine's one durable tier.
 
-A :class:`SQLiteResultStore` is a conforming
-:class:`repro.engine.stores.ResultStore` whose entries live in a single
-SQLite file opened in WAL mode.  Results survive the process that
-computed them, and N processes pointed at the same path read each
-other's freshly computed results the moment they are committed.  One
-process with ``--cache-dir DIR`` (the file ``DIR/results.db``) and a
-fleet of daemons with ``--shared-store PATH`` run the same code: a
-single process is a fleet of one.
+A :class:`SQLiteResultStore` is the durable tier behind the engine's
+result LRU (:class:`repro.engine.stores.TieredResultStore`); its
+entries live in a single SQLite file opened in WAL mode.  Results
+survive the process that computed them, and N processes pointed at the
+same path read each other's freshly computed results the moment they
+are committed.  One process with ``--cache-dir DIR`` (the file
+``DIR/results.db``) and a fleet of daemons with ``--shared-store PATH``
+run the same code: a single process is a fleet of one.
 
 Design points:
 
 * **One payload dialect.** Rows store the versioned JSON documents of
-  :func:`encode_stored_value`, keyed by
+  :func:`encode_stored_value` (a result's is the wire document of
+  :func:`repro.io.batch_result_to_dict`), keyed by
   :func:`repro.engine.fingerprint.digest_key` — exact ``Fraction``
   results and resumable :class:`~repro.shapley.sampling.SampleState`
   values round-trip bit-identically, whichever process wrote them.
@@ -47,16 +48,14 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.engine.cache import CACHE_COUNTERS
 from repro.engine.fingerprint import digest_key
 from repro.engine.results import BatchResult
 from repro.io import (
-    attribution_from_rows,
-    attribution_to_rows,
-    estimate_from_dict,
-    estimate_to_dict,
+    batch_result_from_dict,
+    batch_result_to_dict,
     fact_from_row,
     fact_is_json_safe,
     fact_to_row,
@@ -81,19 +80,12 @@ RETIRED_STAMP = 1.0
 
 
 def _encode_result(result: BatchResult) -> dict | None:
-    shapley = attribution_to_rows(result.shapley)
-    banzhaf = attribution_to_rows(result.banzhaf)
-    if shapley is None or banzhaf is None:
+    try:
+        payload = batch_result_to_dict(result)
+    except ValueError:
         return None
-    payload: dict[str, Any] = {
-        "kind": "result",
-        "method": result.method,
-        "player_count": result.player_count,
-        "shapley": shapley,
-        "banzhaf": banzhaf,
-    }
-    if result.estimate is not None:
-        payload["estimate"] = estimate_to_dict(result.estimate)
+    del payload["from_cache"]
+    payload["kind"] = "result"
     return payload
 
 
@@ -150,14 +142,7 @@ def decode_stored_value(payload: dict) -> "StoredValue":
         )
     if kind != "result":
         raise ValueError(f"unknown payload kind {kind!r}")
-    raw_estimate = payload.get("estimate")
-    return BatchResult(
-        shapley=attribution_from_rows(payload["shapley"]),
-        banzhaf=attribution_from_rows(payload["banzhaf"]),
-        method=payload["method"],
-        player_count=payload["player_count"],
-        estimate=None if raw_estimate is None else estimate_from_dict(raw_estimate),
-    )
+    return batch_result_from_dict(payload)
 
 
 _SCHEMA = """\
@@ -275,7 +260,7 @@ class SQLiteResultStore:
         return int(row[0])
 
     # ------------------------------------------------------------------
-    # ResultStore protocol
+    # get / put (the tiered store's durable half)
     # ------------------------------------------------------------------
     def get(self, key: tuple) -> "StoredValue | None":
         if _tracing.ACTIVE is None:

@@ -31,6 +31,7 @@ from collections import Counter
 from repro.engine.cache import LRUCache
 from repro.logic.cnf import CnfFormula
 from repro.obs.counters import Counters
+from repro.util.graphs import key_groups
 
 Clauses = tuple[tuple[int, ...], ...]
 
@@ -108,29 +109,9 @@ def _propagate(clauses: Clauses) -> tuple[Clauses, int] | None:
 
 
 def _components(clauses: Clauses) -> list[Clauses]:
-    """Partition clauses into variable-connected components (union-find)."""
-    parent = list(range(len(clauses)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[int, int] = {}
-    for index, clause in enumerate(clauses):
-        for literal in clause:
-            variable = abs(literal)
-            if variable in owner:
-                root_a, root_b = find(owner[variable]), find(index)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-            else:
-                owner[variable] = index
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for index, clause in enumerate(clauses):
-        groups.setdefault(find(index), []).append(clause)
-    return [tuple(group) for group in groups.values()]
+    """Partition clauses into variable-connected components."""
+    groups = key_groups([[abs(literal) for literal in clause] for clause in clauses])
+    return [tuple(clauses[i] for i in group) for group in groups]
 
 
 def _count(clauses: Clauses, free: frozenset[int], cache: LRUCache[int]) -> int:

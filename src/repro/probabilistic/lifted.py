@@ -20,8 +20,9 @@ from fractions import Fraction
 from repro.core.errors import NotHierarchicalError, SelfJoinError
 from repro.core.facts import Constant, Fact
 from repro.core.hierarchy import is_hierarchical
-from repro.core.query import Atom, ConjunctiveQuery, Variable
+from repro.core.query import Atom, ConjunctiveQuery
 from repro.probabilistic.tid import TupleIndependentDatabase
+from repro.util.graphs import key_groups
 
 
 @dataclass(frozen=True)
@@ -77,28 +78,8 @@ def _probability(scope: list[_ScopedAtom]) -> Fraction:
 
 
 def _components(scope: list[_ScopedAtom]) -> list[list[_ScopedAtom]]:
-    n = len(scope)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[Variable, int] = {}
-    for index, scoped in enumerate(scope):
-        for var in scoped.atom.variables:
-            if var in owner:
-                root_a, root_b = find(owner[var]), find(index)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-            else:
-                owner[var] = index
-    groups: dict[int, list[_ScopedAtom]] = {}
-    for index, scoped in enumerate(scope):
-        groups.setdefault(find(index), []).append(scoped)
-    return list(groups.values())
+    groups = key_groups([scoped.atom.variables for scoped in scope])
+    return [[scope[i] for i in group] for group in groups]
 
 
 def _component_probability(component: list[_ScopedAtom]) -> Fraction:

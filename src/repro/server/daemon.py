@@ -205,20 +205,6 @@ class AttributionDaemon:
         self.drain_timeout = drain_timeout
         self.frame_timeout = frame_timeout
         self.coalesce_timeout = coalesce_timeout
-        # The fleet-shared store (engine ``shared=`` tier), when it
-        # speaks the claim protocol: identical requests landing on
-        # *different* daemons then coalesce through claim markers — the
-        # in-process coalescer handles same-daemon duplicates, the
-        # shared store's claims handle cross-daemon ones.
-        shared = getattr(self.engine, "shared", None)
-        self._shared_store = (
-            shared
-            if all(
-                callable(getattr(shared, name, None))
-                for name in ("claim", "release", "await_claim")
-            )
-            else None
-        )
         # Request keys this daemon has already completed.  Once a key's
         # result row is committed to the warm tiers, a later repeat
         # cannot duplicate work anywhere in the fleet — so it skips the
@@ -761,7 +747,7 @@ class AttributionDaemon:
         )
         document["kernel"] = kernel_metrics_document()
         document["slow_traces"] = self.slow_traces.snapshot()
-        shared = self._shared_store
+        shared = self.engine.shared
         if shared is not None:
             # Fleet coalescing visibility: claim wins are computations
             # this daemon led, ``coalesced`` are computations it *did
@@ -841,7 +827,7 @@ class AttributionDaemon:
         the claim's write transactions would buy nothing, and warm
         repeats are the fleet's hot path.
         """
-        shared = self._shared_store
+        shared = self.engine.shared
         if shared is None:
             return compute
 

@@ -36,13 +36,14 @@ from repro.core.database import Database
 from repro.core.errors import NotHierarchicalError, SelfJoinError
 from repro.core.facts import Constant, Fact
 from repro.core.hierarchy import is_hierarchical
-from repro.core.query import Atom, ConjunctiveQuery, Variable
+from repro.core.query import Atom, ConjunctiveQuery
 from repro.util.combinatorics import (
     binomial_vector,
     convolve,
     convolve_many,
     subtract_vectors,
 )
+from repro.util.graphs import key_groups
 
 
 @dataclass(frozen=True)
@@ -122,28 +123,8 @@ def _count(scope: Sequence[_ScopedAtom]) -> list[int]:
 
 def _components(scope: Sequence[_ScopedAtom]) -> list[list[_ScopedAtom]]:
     """Group scoped atoms into variable-connected components."""
-    n = len(scope)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[Variable, int] = {}
-    for index, scoped in enumerate(scope):
-        for var in scoped.atom.variables:
-            if var in owner:
-                root_a, root_b = find(owner[var]), find(index)
-                if root_a != root_b:
-                    parent[root_b] = root_a
-            else:
-                owner[var] = index
-    groups: dict[int, list[_ScopedAtom]] = {}
-    for index, scoped in enumerate(scope):
-        groups.setdefault(find(index), []).append(scoped)
-    return list(groups.values())
+    groups = key_groups([scoped.atom.variables for scoped in scope])
+    return [[scope[i] for i in group] for group in groups]
 
 
 def _count_component(component: list[_ScopedAtom]) -> list[int]:

@@ -5,14 +5,48 @@ connected components, and reachability under vertex deletion — for Gaifman
 graphs (:mod:`repro.core.gaifman`) and non-hierarchical-path detection
 (:mod:`repro.core.paths`).  A tiny adjacency-set implementation keeps the
 reproduction self-contained and makes those algorithms easy to audit.
+:func:`key_groups` is the components operation for items that are
+connected through shared keys — atoms through their variables, clauses
+through theirs — without building the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 Vertex = Hashable
+
+
+def key_groups(keys: Sequence[Iterable[Hashable]]) -> list[list[int]]:
+    """Indices of ``keys`` grouped by shared keys, transitively.
+
+    Items ``i`` and ``j`` land in one group when ``keys[i]`` and
+    ``keys[j]`` share a key, or are linked through a chain of items that
+    do; an item without keys is a group of its own.  Union-find over the
+    indices: groups come in the order of their first member, each listing
+    its members in ascending order.
+    """
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[Hashable, int] = {}
+    for index, item_keys in enumerate(keys):
+        for key in item_keys:
+            first = owner.setdefault(key, index)
+            if first != index:
+                root_a, root_b = find(first), find(index)
+                if root_a != root_b:
+                    parent[root_b] = root_a
+    groups: dict[int, list[int]] = {}
+    for index in range(len(parent)):
+        groups.setdefault(find(index), []).append(index)
+    return list(groups.values())
 
 
 class UndirectedGraph:

@@ -142,6 +142,14 @@ DURABLE_WARM = {
     "executor.processes": 1,
     "delta.versions_seen": 1,
 }
+#: ... and after the same request again, served from the result LRU.
+DURABLE_PROMOTED = {
+    **DURABLE_WARM,
+    "results.hits": 1,
+    "store.hits": 2,
+    "planner.requested": 2,
+    "planner.pruned": 2,
+}
 
 
 def _database():
@@ -208,9 +216,19 @@ class TestEngineCounters:
         try:
             engine.batch(_database(), parse_query(QUERY))
             durable = list(engine.counters().items())
+            # The durable hit was promoted: a repeat is a memory hit and
+            # reads nothing from the file.
+            engine.batch(_database(), parse_query(QUERY))
+            promoted = list(engine.counters().items())
+            # clear() empties the LRU only: the file serves the next one.
+            engine.clear()
+            engine.batch(_database(), parse_query(QUERY))
+            cleared = engine.counters()
         finally:
             engine.shared.close()
         assert durable == _expected(DURABLE_WARM, engine, True)
+        assert promoted == _expected(DURABLE_PROMOTED, engine, True)
+        assert cleared["shared.hits"] == 2 and cleared["executor.tasks"] == 0
 
     def test_attribute_reads(self):
         engine = BatchAttributionEngine()

@@ -352,14 +352,3 @@ class TestStatsAliases:
         engine.batch(running_example_db, q1)
         assert engine.stats["planner"].pruned == 1
         assert engine.stats["store"].hits == 1
-
-    def test_clear_reaches_a_custom_store(self, running_example_db, q1):
-        from repro.engine import MemoryResultStore
-
-        store = MemoryResultStore()
-        engine = BatchAttributionEngine(store=store)
-        engine.batch(running_example_db, q1)
-        assert len(store) == 1
-        engine.clear()
-        assert len(store) == 0
-        assert not engine.batch(running_example_db, q1).from_cache

@@ -1,6 +1,6 @@
 """Unit tests for the undirected-graph toolkit."""
 
-from repro.util.graphs import UndirectedGraph
+from repro.util.graphs import UndirectedGraph, key_groups
 
 
 def path_graph(n: int) -> UndirectedGraph:
@@ -51,6 +51,13 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert UndirectedGraph().connected_components() == []
+
+    def test_key_groups_order(self):
+        # 0-3 share "x" and 3-4 share "z"; 4's link is found after 1 and
+        # 2 started groups of their own, and 2 has no keys at all.
+        keys = [{"x"}, {"y"}, set(), {"x", "z"}, {"z"}, {"y", "y"}]
+        assert key_groups(keys) == [[0, 3, 4], [1, 5], [2]]
+        assert key_groups([]) == []
 
 
 class TestPaths:

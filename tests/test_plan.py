@@ -19,7 +19,6 @@ from repro.engine import (
     relevant_facts,
 )
 from repro.engine.plan import BUNDLE, RESULT, PlanRequest, build_plan
-from repro.engine.stores import MemoryResultStore
 from repro.shapley.aggregates import candidate_answers
 from repro.shapley.answers import ground_at_answer
 from repro.shapley.brute_force import shapley_all_brute_force
@@ -135,7 +134,7 @@ class TestStorePruning:
         assert plan.satisfied[key].method == "cntsat"
 
     def test_unrelated_store_entries_do_not_prune(self, running_example_db, q1):
-        store = MemoryResultStore()
+        store = BatchAttributionEngine().store
         plan = build_plan(running_example_db, [PlanRequest(q1)], store=store)
         assert len(plan.tasks) == 1 and plan.stats.pruned == 0
 
