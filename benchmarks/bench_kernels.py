@@ -17,12 +17,14 @@ Three claims made executable (ISSUE 8):
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from unittest import mock
 
 from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
 from repro.engine.bundles import batch_count_vectors
@@ -37,6 +39,14 @@ from repro.workloads.running_example import query_q1
 #: per-fact reference path by at least this factor.
 SPEEDUP_FLOOR = 3.0
 
+#: ``PACK_THRESHOLD`` values that force one tier for a block.
+FORCE_THRESHOLD = {kernels.SCHOOLBOOK: math.inf, kernels.PACKED: 0}
+
+
+def _forced(tier):
+    """Patch the size rule's cutover so every convolution runs ``tier``."""
+    return mock.patch.object(kernels, "PACK_THRESHOLD", FORCE_THRESHOLD[tier])
+
 
 def _seed_reference_batch(db, query):
     """The seed pipeline, reconstructed: per fact, two full CntSat runs on
@@ -47,7 +57,7 @@ def _seed_reference_batch(db, query):
     players = len(db.endogenous)
     denominator = 2 ** (players - 1)
     shapley, banzhaf = {}, {}
-    with kernels.use_kernel(kernels.SCHOOLBOOK):
+    with _forced(kernels.SCHOOLBOOK):
         for item in db.endogenous:
             sat_exo = count_satisfying_subsets(db.with_fact_exogenous(item), query)
             sat_del = count_satisfying_subsets(db.without_fact(item), query)
@@ -84,7 +94,7 @@ def test_convolution_tiers_agree_and_scale(benchmark, report, quick):
         timings = {}
         reference = None
         for name in (kernels.SCHOOLBOOK, kernels.PACKED):
-            with kernels.use_kernel(name):
+            with _forced(name):
                 start = time.perf_counter()
                 out = kernels.convolve(left, right)
                 timings[name] = time.perf_counter() - start
@@ -136,14 +146,13 @@ def test_kernel_speedup_over_seed_reference(benchmark, report, quick):
                 f"{reference_seconds * 1000:.0f} ms",
                 f"{kernel_seconds * 1000:.0f} ms",
                 f"{speedup:.2f}x",
-                kernels.kernel_description(),
             )
         )
     db = star_join_database(*sizes[0], rng=random.Random(11))
     benchmark(lambda: _kernel_batch(db, query))
     report(
         "E-KERNELS: seed per-fact reference vs the engine's shared pass",
-        ("instance", "seed reference", "kernel layer", "speedup", "kernel"),
+        ("instance", "seed reference", "kernel layer", "speedup"),
         rows,
     )
     assert max(speedups) >= SPEEDUP_FLOOR, (
@@ -160,7 +169,7 @@ def test_bit_identity_across_kernels_executors_and_daemon(
     db = star_join_database(8 if quick else 14, 4, rng=random.Random(3))
     rows = []
 
-    with kernels.use_kernel(kernels.SCHOOLBOOK):
+    with _forced(kernels.SCHOOLBOOK):
         start = time.perf_counter()
         reference = BatchAttributionEngine(executor=SerialExecutor()).batch(db, query)
         rows.append(("serial, schoolbook", f"{(time.perf_counter() - start) * 1000:.1f} ms"))
@@ -172,7 +181,7 @@ def test_bit_identity_across_kernels_executors_and_daemon(
             assert result.banzhaf[item] == reference.banzhaf[item]
         rows.append(label)
 
-    with kernels.use_kernel(kernels.PACKED):
+    with _forced(kernels.PACKED):
         start = time.perf_counter()
         packed = BatchAttributionEngine(executor=SerialExecutor()).batch(db, query)
         check(("serial, packed", f"{(time.perf_counter() - start) * 1000:.1f} ms"), packed)
@@ -196,7 +205,6 @@ def test_bit_identity_across_kernels_executors_and_daemon(
         daemon.close()
 
     kernel_metrics = metrics["kernel"]
-    assert kernel_metrics["active"] in kernels.KERNEL_NAMES
     executed = sum(
         kernel_metrics["counters"][name]
         for name in ("schoolbook_calls", "packed_calls")

@@ -699,12 +699,9 @@ def _render_metrics(document: dict) -> None:
     coalescing = document.get("coalescing")
     if coalescing:
         print(f"coalescing: {json.dumps(coalescing, sort_keys=True)}")
-    kernel = document.get("kernel", {})
-    if kernel:
-        print(f"kernel[active]: {kernel.get('active', 'auto')}")
-        counters = kernel.get("counters", {})
-        for name in sorted(counters):
-            print(f"kernel[{name}]: {counters[name]}")
+    counters = document.get("kernel", {}).get("counters", {})
+    for name in sorted(counters):
+        print(f"kernel[{name}]: {counters[name]}")
     shared = document.get("shared")
     if shared:
         for section in sorted(shared):

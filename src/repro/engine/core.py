@@ -211,8 +211,6 @@ class BatchAttributionEngine:
         #: deltas, vs the process-wide totals of
         #: :func:`repro.util.kernels.kernel_stats`.
         self.kernel_stats = Counters(*kernels.KERNEL_COUNTERS)
-        #: The kernel delta of the most recent request.
-        self.last_kernel_stats: Counters | None = None
         self.planner_stats = Counters(*PLAN_COUNTERS)
         self.executor_stats = Counters(*EXECUTOR_COUNTERS)
         self.executor_stats.processes = self.executor.jobs
@@ -252,13 +250,11 @@ class BatchAttributionEngine:
     ):
         """One request's accounting window: ``request`` span + kernel delta.
 
-        The window opens *before* planning (plan-time kernel selections
-        belong to the request) and closes after execution, when the
+        The window spans planning and execution; when it closes, the
         process-wide kernel counter delta is folded into the
-        engine-scoped :attr:`kernel_stats` aggregate and kept as
-        :attr:`last_kernel_stats`.  Under a sharded executor the delta
-        covers parent-side work only — workers count into their own
-        process-local totals.
+        engine-scoped :attr:`kernel_stats` aggregate.  Under a sharded
+        executor the delta covers parent-side work only — workers count
+        into their own process-local totals.
         """
         tracer, owned = self._resolve_tracer(trace)
         before = kernels.kernel_stats().snapshot()
@@ -267,9 +263,7 @@ class BatchAttributionEngine:
                 with _tracing.maybe_span(tracer, "request", kind=kind) as span:
                     yield _RequestScope(tracer, span)
         finally:
-            delta = kernels.kernel_stats().delta(before)
-            self.kernel_stats.merge(delta)
-            self.last_kernel_stats = delta
+            self.kernel_stats.merge(kernels.kernel_stats().delta(before))
             if owned:
                 self.last_trace = tracer.document()
 
@@ -705,10 +699,8 @@ class BatchAttributionEngine:
         counters["executor"] = self.executor_stats.snapshot()
         counters["delta"] = self.delta_stats.snapshot()
         counters["sampler"] = self.sample_stats.snapshot()
-        # Engine-scoped since the per-plan counter scoping: the sum of
-        # this engine's per-request deltas, not the process-wide totals
-        # (those stay on ``kernels.kernel_stats()`` and the daemon's
-        # ``kernel_metrics_document``).
+        # Engine-scoped: the sum of this engine's per-request deltas, not
+        # the process-wide totals of ``kernels.kernel_stats()``.
         counters["kernel"] = self.kernel_stats.snapshot()
         return counters
 

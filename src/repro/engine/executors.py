@@ -411,15 +411,16 @@ class ShardedExecutor:
     ``jobs`` defaults to the machine's CPU count; ``start_method``
     selects the ``multiprocessing`` context (``None`` = platform
     default, ``"fork"``/``"spawn"``/``"forkserver"`` explicit).  Plans
-    with fewer than ``min_shard_tasks`` shardable nodes run serially —
+    with fewer than :attr:`MIN_SHARD_TASKS` shardable nodes run serially —
     shipping one task buys no wall-clock and costs a pickle round trip.
     """
+
+    MIN_SHARD_TASKS = 2
 
     def __init__(
         self,
         jobs: int | None = None,
         start_method: str | None = None,
-        min_shard_tasks: int = 2,
     ) -> None:
         import multiprocessing
 
@@ -435,7 +436,6 @@ class ShardedExecutor:
                     f" (available: {', '.join(available)})"
                 )
         self.start_method = start_method
-        self.min_shard_tasks = min_shard_tasks
 
     def __repr__(self) -> str:
         method = self.start_method or "default"
@@ -467,7 +467,7 @@ class ShardedExecutor:
             shardable = (
                 len(pending_bundles) + len(remote_tasks) + len(sample_tasks) * self.jobs
             )
-            if shardable < self.min_shard_tasks:
+            if shardable < self.MIN_SHARD_TASKS:
                 pending_bundles, remote_tasks, sample_tasks = [], [], []
         if pending_bundles or remote_tasks or sample_tasks:
             try:

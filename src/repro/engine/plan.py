@@ -84,7 +84,6 @@ from repro.obs import tracing as _tracing
 from repro.obs.counters import Counters
 from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS
 from repro.shapley.sampling import SampleState, rounds_for_contract, sample_seed
-from repro.util import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.bundles import BundleCache
@@ -238,10 +237,6 @@ class Plan:
     satisfied: dict[tuple, BatchResult] = field(default_factory=dict)
     stats: Counters = field(default_factory=lambda: Counters(*PLAN_COUNTERS))
     sample: Counters = field(default_factory=lambda: Counters(*SAMPLE_COUNTERS))
-    #: The convolution kernel active when this plan was built — the
-    #: ``REPRO_KERNEL`` selection (``auto`` / ``schoolbook`` /
-    #: ``packed``), re-read from the environment at plan time.
-    kernel: str = "auto"
 
 
 def _as_boolean(query: BooleanQuery) -> BooleanQuery:
@@ -466,7 +461,6 @@ def build_plan(
         span.set("planned", plan.stats.planned)
         span.set("pruned", plan.stats.pruned)
         span.set("bundles", plan.stats.bundles)
-        span.set("kernel", plan.kernel)
     return plan
 
 
@@ -480,10 +474,6 @@ def _build_plan(
     bundle_cache: "BundleCache | None",
 ) -> Plan:
     plan = Plan()
-    # Kernel selection is a *plan-time* decision: the environment is read
-    # once per plan, so one batch never mixes tiers mid-flight, and the
-    # chosen tier is recorded on the plan (and in the kernel counters).
-    plan.kernel = kernels.refresh_from_environment()
     plan.stats.requested = len(requests)
     # One index of D, derived once per database version, serves every
     # grounding's relevance slice; the executed tasks carry only their
@@ -599,8 +589,6 @@ def _build_plan(
             )
             continue
         dependencies = []
-        if method in ("cntsat", "exoshap"):
-            kernels.note_plan_selection(len(count_database.endogenous))
         if include_bundles and method in ("cntsat", "exoshap"):
             for fingerprint, scope in top_level_components(count_database, count_query):
                 bundle_id = (BUNDLE, fingerprint)

@@ -12,9 +12,7 @@ turns a finished trace document into a Chrome ``trace_event`` JSON file
 
 Tracing is opt-in per request and costs nothing when off: every hot
 path guards on ``tracer is None`` (or the module-level
-:data:`repro.obs.tracing.ACTIVE` global being ``None``), and the
-:data:`NULL_TRACER` singleton swallows spans without recording — a
-property the benchmark suite asserts.
+:data:`repro.obs.tracing.ACTIVE` global being ``None``).
 """
 
 from repro.obs.counters import Counters
@@ -27,8 +25,6 @@ from repro.obs.export import (
 )
 from repro.obs.tracing import (
     ACTIVE,
-    NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     activate,
@@ -39,8 +35,6 @@ from repro.obs.tracing import (
 __all__ = [
     "ACTIVE",
     "Counters",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "activate",

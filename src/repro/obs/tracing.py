@@ -38,8 +38,6 @@ from typing import Any, Iterator, Mapping
 
 __all__ = [
     "ACTIVE",
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
     "activate",
@@ -346,35 +344,6 @@ def _portable_attrs(attrs: Mapping[str, Any]) -> dict[str, Any]:
         else:
             portable[key] = repr(value)
     return portable
-
-
-class NullTracer:
-    """Free stand-in used when tracing is off: records nothing."""
-
-    enabled = False
-    trace_id = None
-    dropped = 0
-
-    __slots__ = ()
-
-    def now(self) -> float:
-        return 0.0
-
-    @property
-    def current_id(self) -> None:
-        return None
-
-    def span(self, name: str, **attrs: Any) -> _NullHandle:
-        return _NULL_HANDLE
-
-    def add_span(self, name: str, start: float, end: float, **kwargs: Any) -> None:
-        return None
-
-    def document(self) -> dict[str, Any]:
-        return {"trace_id": None, "pid": os.getpid(), "dropped": 0, "spans": []}
-
-
-NULL_TRACER = NullTracer()
 
 
 def maybe_span(tracer: Tracer | None, name: str, **attrs: Any):

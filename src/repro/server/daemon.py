@@ -102,7 +102,6 @@ from repro.server.protocol import (
     validate_request,
 )
 from repro.server.registry import DatabaseRegistry, InFlightCoalescer
-from repro.util.kernels import kernel_metrics_document
 
 _HEADER = struct.Struct(">I")
 _logger = logging.getLogger("repro.server")
@@ -745,7 +744,7 @@ class AttributionDaemon:
             coalescer=vars(self.coalescer.stats.snapshot()),
             draining=self._draining,
         )
-        document["kernel"] = kernel_metrics_document()
+        document["kernel"] = {"counters": vars(self.engine.kernel_stats.snapshot())}
         document["slow_traces"] = self.slow_traces.snapshot()
         shared = self.engine.shared
         if shared is not None:

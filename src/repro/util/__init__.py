@@ -17,17 +17,11 @@ from repro.util.combinatorics import (
     subtract_vectors,
 )
 from repro.util.graphs import UndirectedGraph
-from repro.util.kernels import (
-    ShapleyAccumulator,
-    active_kernel_name,
-    kernel_stats,
-    use_kernel,
-)
+from repro.util.kernels import ShapleyAccumulator, kernel_stats
 
 __all__ = [
     "ShapleyAccumulator",
     "UndirectedGraph",
-    "active_kernel_name",
     "binomial",
     "binomial_vector",
     "convolve",
@@ -36,5 +30,4 @@ __all__ = [
     "kernel_stats",
     "shapley_coefficient",
     "subtract_vectors",
-    "use_kernel",
 ]

@@ -15,8 +15,8 @@ to polynomial multiplication of their vectors, provided here as
 
 This module is the stable public façade; the heavy lifting lives in the
 tiered kernel layer (:mod:`repro.util.kernels`): size-tiered convolution
-(schoolbook / single-big-int limb packing, overridable
-via ``REPRO_KERNEL``), balanced product trees, and memoized
+(schoolbook / single-big-int limb packing, picked from the operand
+sizes), balanced product trees, and memoized
 factorial/binomial/Shapley-weight tables.  Every kernel is exact and
 bit-identical to the schoolbook reference.
 """
@@ -69,8 +69,8 @@ def convolve(left: Sequence[int], right: Sequence[int]) -> list[int]:
     restriction to ``A`` has *P* and restriction to ``B`` has *Q*.
 
     Dispatches to the size-tiered exact kernels of
-    :mod:`repro.util.kernels` (``REPRO_KERNEL`` forces one tier); every
-    tier returns bit-identical integers.
+    :mod:`repro.util.kernels`, looked up on that module at each call;
+    every tier returns bit-identical integers.
     """
     return kernels.convolve(left, right)
 

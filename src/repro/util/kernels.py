@@ -14,9 +14,8 @@ keeping the public rational API bit-identical:
   fixed-width limb of one padded integer, so CPython's subquadratic
   big-int multiplication performs the whole convolution in one
   multiply).  :func:`convolve` picks a tier per call from the operand
-  sizes; the ``REPRO_KERNEL`` environment variable (re-read at plan
-  time by :func:`repro.engine.plan.build_plan`) forces one tier
-  everywhere.
+  sizes (:func:`tier_for_sizes`), and that size rule is the only
+  selector: tests force a tier by patching :data:`PACK_THRESHOLD`.
 * **Short-output correlation.**  :func:`correlate` computes only the
   leading outputs a caller asks for, looping over whichever of output
   and kernel is shorter, so pulling a factorial-sized cotangent through
@@ -45,54 +44,45 @@ Every kernel is exact integer arithmetic; the Hypothesis suite
 arbitrary vectors — including the negative entries
 :func:`repro.util.combinatorics.subtract_vectors` can produce — and that
 engine results are bit-identical across kernels, executors, and the
-daemon.  Per-kernel call and plan-selection counters are process-wide
-(:func:`kernel_stats`) and surface through ``engine.stats["kernel"]``
-and the daemon's ``metrics`` operation.
+daemon.  Per-tier counters of the convolutions that ran are
+process-wide (:func:`kernel_stats`); each engine folds its requests'
+deltas into ``engine.stats["kernel"]``, which the daemon's ``metrics``
+operation reports.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.obs import tracing as _tracing
 from repro.obs.counters import Counters
 
-#: Kernel tier names, as accepted by ``REPRO_KERNEL``.
-AUTO = "auto"
+#: Kernel tier names.
 SCHOOLBOOK = "schoolbook"
 PACKED = "packed"
-KERNEL_NAMES = (AUTO, SCHOOLBOOK, PACKED)
 
-#: Auto-tier cutover: schoolbook wins below this ``len(a) * len(b)``
-#: work bound, the single-multiply packed kernel above it (measured
-#: crossover is near 16x16 on CPython 3.11; 400 keeps a safety margin
-#: so short-vector workloads never regress).
+#: Tier cutover: schoolbook wins below this ``len(a) * len(b)`` work
+#: bound, the single-multiply packed kernel above it (measured crossover
+#: is near 16x16 on CPython 3.11; 400 keeps a safety margin so
+#: short-vector workloads never regress).  ``0`` runs every convolution
+#: packed, ``math.inf`` every one schoolbook.
 PACK_THRESHOLD = 400
 
 
 #: Process-wide kernel accounting, who convolved and how often:
 #: ``*_calls`` count executed pairwise convolutions per tier;
-#: ``tree_products`` counts balanced multi-factor products;
-#: ``plan_selections_*`` count the tier the planner predicted for each
-#: exact grounding task from its component size (the plan-time selection
-#: record, before any convolution runs).
+#: ``tree_products`` counts balanced multi-factor products.
 KERNEL_COUNTERS = (
     "schoolbook_calls",
     "packed_calls",
     "tree_products",
-    "plan_selections_schoolbook",
-    "plan_selections_packed",
 )
 
 _STATS = Counters(*KERNEL_COUNTERS)
-#: The kernel forced by ``REPRO_KERNEL`` (``None`` = size-tiered auto).
-_FORCED: str | None = None
 
 
 def kernel_stats() -> Counters:
@@ -106,44 +96,10 @@ def reset_kernel_stats() -> None:
     _STATS = Counters(*KERNEL_COUNTERS)
 
 
-def refresh_from_environment() -> str:
-    """Re-read ``REPRO_KERNEL`` and return the active kernel name.
-
-    Called once per plan (:func:`repro.engine.plan.build_plan`), so an
-    environment change takes effect on the next request without
-    re-importing.  Unknown values degrade to ``auto`` — the environment
-    can tune kernels but never break a computation.
-    """
-    global _FORCED
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    _FORCED = None if raw in ("", AUTO) or raw not in KERNEL_NAMES else raw
-    return active_kernel_name()
-
-
 def active_kernel_name() -> str:
-    """``auto`` or the tier ``REPRO_KERNEL`` currently forces."""
-    return AUTO if _FORCED is None else _FORCED
-
-
-def kernel_description() -> str:
-    """A one-line human description of the serial kernel configuration."""
-    if _FORCED is not None:
-        return f"{_FORCED} (forced via REPRO_KERNEL)"
-    return f"auto (schoolbook<{PACK_THRESHOLD}, then {PACKED})"
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[str]:
-    """Force one kernel tier for the duration of a block (tests, benches)."""
-    if name not in KERNEL_NAMES:
-        raise ValueError(f"unknown kernel {name!r} (expected one of {KERNEL_NAMES})")
-    global _FORCED
-    previous = _FORCED
-    _FORCED = None if name == AUTO else name
-    try:
-        yield active_kernel_name()
-    finally:
-        _FORCED = previous
+    """Always ``auto``: the size rule of :func:`tier_for_sizes` picks
+    each convolution's tier (kept for benchmark host records)."""
+    return "auto"
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +177,7 @@ def convolve_packed(left: Sequence[int], right: Sequence[int]) -> list[int]:
 
 
 def tier_for_sizes(left_size: int, right_size: int) -> str:
-    """The auto tier for one pairwise convolution of these operand sizes."""
-    if _FORCED is not None:
-        return _FORCED
+    """The tier for one pairwise convolution of these operand sizes."""
     if left_size * right_size < PACK_THRESHOLD:
         return SCHOOLBOOK
     return PACKED
@@ -409,40 +363,8 @@ class ShapleyAccumulator:
         return Fraction(self._total, self._denominator)
 
 
-def note_plan_selection(component_size: int) -> str:
-    """Record the tier the planner expects for one exact grounding task.
-
-    The planner calls this per planned ``cntsat``/``exoshap`` task with
-    the component's endogenous fact count — the length scale of the
-    task's top-level convolutions — so ``stats["kernel"]`` shows which
-    tier each planned task was steered to before execution starts.
-    Returns the predicted tier name.
-    """
-    tier = tier_for_sizes(component_size + 1, component_size + 1)
-    if tier == SCHOOLBOOK:
-        _STATS.plan_selections_schoolbook += 1
-    else:
-        _STATS.plan_selections_packed += 1
-    return tier
-
-
-def kernel_metrics_document() -> dict:
-    """The JSON form of the kernel layer for the daemon's ``metrics`` op."""
-    return {
-        "active": active_kernel_name(),
-        "counters": vars(_STATS.snapshot()),
-    }
-
-
-# Honor REPRO_KERNEL from process start (spawned workers re-import and
-# pick the variable up here; forked workers inherit the parent's state).
-refresh_from_environment()
-
-
 __all__ = [
-    "AUTO",
     "KERNEL_COUNTERS",
-    "KERNEL_NAMES",
     "PACKED",
     "PACK_THRESHOLD",
     "SCHOOLBOOK",
@@ -455,15 +377,10 @@ __all__ = [
     "convolve_schoolbook",
     "correlate",
     "factorial_cached",
-    "kernel_description",
-    "kernel_metrics_document",
     "kernel_stats",
-    "note_plan_selection",
-    "refresh_from_environment",
     "reduced_shapley_weights",
     "reset_kernel_stats",
     "shapley_coefficient_cached",
     "shapley_weights",
     "tier_for_sizes",
-    "use_kernel",
 ]

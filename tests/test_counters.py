@@ -69,15 +69,11 @@ ENGINE_KEYS = [
     "kernel.schoolbook_calls",
     "kernel.packed_calls",
     "kernel.tree_products",
-    "kernel.plan_selections_schoolbook",
-    "kernel.plan_selections_packed",
 ]
 KERNEL_KEYS = [
     "schoolbook_calls",
     "packed_calls",
     "tree_products",
-    "plan_selections_schoolbook",
-    "plan_selections_packed",
 ]
 
 #: Non-zero counters after one cold ``batch`` on a serial engine.
@@ -93,7 +89,6 @@ SERIAL_COLD = {
     "delta.components_dirty": 11,
     "kernel.schoolbook_calls": 39,
     "kernel.tree_products": 16,
-    "kernel.plan_selections_packed": 1,
 }
 #: ... and after the same request again, served by the result store.
 SERIAL_WARM = {
@@ -121,7 +116,6 @@ SHIPPED_COLD = {
     "delta.components_dirty": 1,
     "kernel.schoolbook_calls": 17,
     "kernel.tree_products": 8,
-    "kernel.plan_selections_packed": 1,
 }
 SHIPPED_WARM = {
     **SHIPPED_COLD,
@@ -171,10 +165,11 @@ def _expected(nonzero: dict[str, int], engine, shared: bool = False):
 class _Shipping(ShardedExecutor):
     """A two-worker executor that ships even a single bundle node."""
 
+    MIN_SHARD_TASKS = 1
+
     def __init__(self) -> None:
         super().__init__(
             jobs=2,
-            min_shard_tasks=1,
             start_method=os.environ.get("REPRO_START_METHOD") or None,
         )
 
@@ -191,7 +186,7 @@ class TestEngineCounters:
     def test_serial_engine(self):
         engine = BatchAttributionEngine()
         cold, warm = _cold_then_warm(engine)
-        assert len(cold) == 34
+        assert len(cold) == 32
         assert cold == _expected(SERIAL_COLD, engine)
         assert warm == _expected(SERIAL_WARM, engine)
 
@@ -208,7 +203,7 @@ class TestEngineCounters:
             cold, warm = _cold_then_warm(engine)
         finally:
             engine.shared.close()
-        assert len(cold) == 37
+        assert len(cold) == 35
         assert cold == _expected({**SERIAL_COLD, "shared.misses": 1}, engine, True)
         assert warm == _expected({**SERIAL_WARM, "shared.misses": 1}, engine, True)
         # A second engine on the same file: a durable hit, no execution.
@@ -247,7 +242,6 @@ class TestEngineCounters:
         assert stats["executor"].tasks == 1
         assert stats["planner"].requested == 1
         assert stats["results"].misses == 1
-        assert stats["kernel"].plan_selections_packed == 1
 
 
 class TestCounterOperations:
@@ -273,7 +267,6 @@ class TestCounterOperations:
         merged = kernel.snapshot()
         merged.merge(kernel)
         assert merged.schoolbook_calls == 2 * 39
-        assert merged.plan_selections_packed == 2
 
     def test_delta_clamps_after_a_reset(self):
         kernels.convolve([1, 2], [3, 4])

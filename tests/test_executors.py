@@ -148,7 +148,7 @@ class TestShardedMechanics:
     def test_single_task_plans_run_inline(self, running_example_db, q1):
         engine = BatchAttributionEngine(executor=ShardedExecutor(jobs=2))
         engine.batch(running_example_db, q1)
-        # One bundle < min_shard_tasks: nothing crosses a process.
+        # One bundle < MIN_SHARD_TASKS: nothing crosses a process.
         assert engine.stats["executor"].shipped == 0
 
     def test_jobs_must_be_positive(self):

@@ -6,7 +6,8 @@ The headline contracts (ISSUE 8):
   ``convolve_schoolbook`` on arbitrary vectors — including the negative
   entries ``subtract_vectors`` can produce, empty vectors, and length-1
   edge cases — and the tiered :func:`repro.util.kernels.convolve` front
-  door equals it under every ``REPRO_KERNEL`` forcing;
+  door equals it with ``PACK_THRESHOLD`` patched to ``0`` (every call
+  packed), to ``math.inf`` (every call schoolbook) and left alone;
 * ``correlate`` — the adjoint of convolution the engine's backward pass
   runs on — equals the naive ``sum_j c[i + j] * r[j]`` on signed,
   empty, singleton and boundary-length inputs;
@@ -18,21 +19,28 @@ The headline contracts (ISSUE 8):
 * :class:`ShapleyAccumulator` reproduces the per-size
   ``shapley_coefficient`` multiply-add bit for bit, for integer and
   ``Fraction`` marginals alike;
-* engine results are bit-identical across kernels and executors: serial
-  vs ``jobs=2`` vs the schoolbook-forced reference under ``REPRO_KERNEL``
-  sweeps, with the kernel counters visible in ``engine.stats``.
+* engine results are bit-identical across kernels and executors: the
+  schoolbook-forced serial reference vs packed-forced serial, the size
+  rule, and ``jobs=2`` under fork and spawn;
+* the size rule is the only tier selector: a ``REPRO_KERNEL`` variable
+  in the environment changes no counter, and the kernel counters of
+  ``engine.stats`` are what the daemon's ``metrics`` operation reports.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import random
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harness import running_daemon
 from repro.engine import (
     BatchAttributionEngine,
     SerialExecutor,
@@ -41,8 +49,8 @@ from repro.engine import (
 )
 from repro.core.parser import parse_query
 from repro.engine.results import fact_numerators, result_from_vectors
-from repro.engine.plan import PlanRequest, build_plan
 from repro.obs.counters import Counters
+from repro.server import AttributionClient
 from repro.util import kernels
 from repro.util.combinatorics import (
     binomial_vector,
@@ -63,13 +71,15 @@ vectors = st.lists(entries, min_size=0, max_size=24)
 counts = st.lists(st.integers(min_value=0, max_value=10**9), min_size=0, max_size=24)
 
 
-@pytest.fixture(autouse=True)
-def _auto_kernel(monkeypatch):
-    """Each test starts from the default auto tier, whatever the env says."""
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    kernels.refresh_from_environment()
-    yield
-    kernels.refresh_from_environment()
+#: ``PACK_THRESHOLD`` values that force a tier: every product is at
+#: least ``0``, and none reaches ``math.inf``.
+PACKED_ONLY = 0
+SCHOOLBOOK_ONLY = math.inf
+
+
+def _threshold(value):
+    """Patch the size rule's cutover for one block (forces a tier)."""
+    return mock.patch.object(kernels, "PACK_THRESHOLD", value)
 
 
 class TestPackedKernel:
@@ -110,39 +120,29 @@ class TestPackedKernel:
 
 class TestTieredDispatch:
     @settings(max_examples=100, deadline=None)
-    @given(vectors, vectors, st.sampled_from(kernels.KERNEL_NAMES))
-    def test_every_forced_tier_equals_schoolbook(self, left, right, name):
+    @given(
+        vectors,
+        vectors,
+        st.sampled_from((PACKED_ONLY, SCHOOLBOOK_ONLY, kernels.PACK_THRESHOLD)),
+    )
+    def test_every_forced_tier_equals_schoolbook(self, left, right, threshold):
         reference = kernels.convolve_schoolbook(left, right)
-        with kernels.use_kernel(name):
+        with _threshold(threshold):
             assert kernels.convolve(left, right) == reference
 
     def test_auto_tier_switches_on_operand_size(self):
         assert kernels.tier_for_sizes(4, 4) == kernels.SCHOOLBOOK
         assert kernels.tier_for_sizes(64, 64) == kernels.PACKED
-
-    def test_environment_refresh_parses_and_degrades(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "schoolbook")
-        assert kernels.refresh_from_environment() == kernels.SCHOOLBOOK
-        monkeypatch.setenv("REPRO_KERNEL", "  PACKED ")
-        assert kernels.refresh_from_environment() == kernels.PACKED
-        monkeypatch.setenv("REPRO_KERNEL", "no-such-kernel")
-        assert kernels.refresh_from_environment() == kernels.AUTO
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert kernels.refresh_from_environment() == kernels.AUTO
-        # The retired gmpy tier is just another unknown value.
-        monkeypatch.setenv("REPRO_KERNEL", "gmpy")
-        assert kernels.refresh_from_environment() == kernels.AUTO
-
-    def test_use_kernel_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with kernels.use_kernel("fft"):
-                pass  # pragma: no cover - never reached
+        with _threshold(PACKED_ONLY):
+            assert kernels.tier_for_sizes(1, 1) == kernels.PACKED
+        with _threshold(SCHOOLBOOK_ONLY):
+            assert kernels.tier_for_sizes(10**6, 10**6) == kernels.SCHOOLBOOK
 
     def test_counters_attribute_calls_to_the_executing_tier(self):
         kernels.reset_kernel_stats()
-        with kernels.use_kernel(kernels.SCHOOLBOOK):
+        with _threshold(SCHOOLBOOK_ONLY):
             kernels.convolve([1] * 40, [1] * 40)
-        with kernels.use_kernel(kernels.PACKED):
+        with _threshold(PACKED_ONLY):
             kernels.convolve([1, 2], [3, 4])
         stats = kernels.kernel_stats()
         assert stats.schoolbook_calls == 1
@@ -365,12 +365,12 @@ class TestEngineBitIdentity:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_kernel_sweep_matches_schoolbook_reference(self, seed):
         query, db = _instance(seed)
-        with kernels.use_kernel(kernels.SCHOOLBOOK):
+        with _threshold(SCHOOLBOOK_ONLY):
             reference = BatchAttributionEngine(executor=SerialExecutor()).batch(
                 db, query
             )
-        for name in (kernels.PACKED, kernels.AUTO):
-            with kernels.use_kernel(name):
+        for threshold in (PACKED_ONLY, kernels.PACK_THRESHOLD):
+            with _threshold(threshold):
                 result = BatchAttributionEngine(executor=SerialExecutor()).batch(
                     db, query
                 )
@@ -380,7 +380,7 @@ class TestEngineBitIdentity:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_sharded_matches_schoolbook_serial_reference(self, seed):
         query, db = _instance(seed)
-        with kernels.use_kernel(kernels.SCHOOLBOOK):
+        with _threshold(SCHOOLBOOK_ONLY):
             reference = BatchAttributionEngine(executor=SerialExecutor()).batch(
                 db, query
             )
@@ -389,11 +389,11 @@ class TestEngineBitIdentity:
 
     def test_star_join_identical_across_kernels(self):
         db = star_join_database(20, 4, rng=random.Random(8))
-        with kernels.use_kernel(kernels.SCHOOLBOOK):
+        with _threshold(SCHOOLBOOK_ONLY):
             reference = BatchAttributionEngine(executor=SerialExecutor()).batch(
                 db, query_q1()
             )
-        with kernels.use_kernel(kernels.PACKED):
+        with _threshold(PACKED_ONLY):
             packed = BatchAttributionEngine(executor=SerialExecutor()).batch(
                 db, query_q1()
             )
@@ -416,17 +416,39 @@ class TestEngineBitIdentity:
         stats = engine.stats["executor"]
         assert stats.shipped > 0 or stats.fallbacks > 0
 
-    def test_environment_forcing_applies_at_plan_time(self, monkeypatch):
-        db = star_join_database(12, 3, rng=random.Random(9))
-        monkeypatch.setenv("REPRO_KERNEL", "schoolbook")
-        plan = build_plan(db, [PlanRequest(query_q1())])
-        assert plan.kernel == kernels.SCHOOLBOOK
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sharded_start_methods_match_schoolbook_serial(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        db = star_join_database(20, 4, rng=random.Random(12))
+        query = parse_query("ans(x) :- Stud(x), not TA(x), Reg(x, y)")
+        with _threshold(SCHOOLBOOK_ONLY):
+            reference = BatchAttributionEngine(
+                executor=SerialExecutor()
+            ).batch_answers(db, query)
+        engine = BatchAttributionEngine(
+            executor=ShardedExecutor(jobs=2, start_method=start_method)
+        )
+        sharded = engine.batch_answers(db, query)
+        assert list(reference.per_answer) == list(sharded.per_answer)
+        for answer, result in reference.per_answer.items():
+            _assert_identical(result, sharded.per_answer[answer])
+        assert engine.stats["executor"].shipped > 0
+
+    def test_repro_kernel_environment_is_ignored(self, monkeypatch):
+        db = star_join_database(20, 4, rng=random.Random(9))
+
+        def run():
+            engine = BatchAttributionEngine(executor=SerialExecutor())
+            return engine.batch(db, query_q1()), vars(engine.stats["kernel"])
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        reference, unset = run()
         monkeypatch.setenv("REPRO_KERNEL", "packed")
-        plan = build_plan(db, [PlanRequest(query_q1())])
-        assert plan.kernel == kernels.PACKED
-        monkeypatch.delenv("REPRO_KERNEL")
-        plan = build_plan(db, [PlanRequest(query_q1())])
-        assert plan.kernel == kernels.AUTO
+        result, forced = run()
+        assert unset["schoolbook_calls"] > 0
+        assert forced == unset
+        _assert_identical(reference, result)
 
     def test_engine_stats_expose_kernel_counters(self):
         kernels.reset_kernel_stats()
@@ -436,22 +458,18 @@ class TestEngineBitIdentity:
         snapshot = engine.stats["kernel"]
         assert isinstance(snapshot, Counters)
         assert snapshot.schoolbook_calls + snapshot.packed_calls > 0
-        selections = (
-            snapshot.plan_selections_schoolbook + snapshot.plan_selections_packed
-        )
-        assert selections == 1
         flat = engine.counters()
         assert flat["kernel.tree_products"] == snapshot.tree_products
         assert flat["kernel.schoolbook_calls"] == snapshot.schoolbook_calls
 
-    def test_metrics_document_shape(self):
-        document = kernels.kernel_metrics_document()
-        assert document["active"] in kernels.KERNEL_NAMES
-        assert set(document) == {"active", "counters"}
-        assert set(document["counters"]) == {
-            "schoolbook_calls",
-            "packed_calls",
-            "tree_products",
-            "plan_selections_schoolbook",
-            "plan_selections_packed",
-        }
+    def test_metrics_document_shape(self, tmp_path):
+        # The daemon's kernel section is its engine's ``stats["kernel"]``.
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        db = star_join_database(8, 3, rng=random.Random(4))
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            with AttributionClient(daemon.address) as client:
+                client.batch(db, query_q1())
+                document = client.metrics()["kernel"]
+        assert document == {"counters": vars(engine.stats["kernel"])}
+        assert list(document["counters"]) == list(kernels.KERNEL_COUNTERS)
+        assert document["counters"]["schoolbook_calls"] > 0
