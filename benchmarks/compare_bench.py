@@ -12,7 +12,8 @@ used — the dated records CI commits alongside the suite.
 
 Tables pair by ``(test, title)``, rows by their first (label) cell, and
 cells by header; every numeric cell present on both sides is compared
-and its relative delta printed.  Cells in *time-like* columns (header
+and its relative delta printed.  Cells with a time-unit suffix
+(``ns``/``us``/``µs``/``ms``/``s``) are scaled to milliseconds first.  Cells in *time-like* columns (header
 mentions ms/sec/time/latency/p50/p99) that got more than
 ``WARN_THRESHOLD`` slower are flagged.
 
@@ -35,9 +36,25 @@ WARN_THRESHOLD = 0.20
 TIME_HINTS = ("ms", "sec", "time", "latency", "p50", "p99", "wall")
 
 
+#: Time-unit suffixes of table cells and their factor to milliseconds.
+UNITS_TO_MS = {"ns": 1e-6, "us": 1e-3, "µs": 1e-3, "ms": 1.0, "s": 1000.0}
+
+
 def _numeric(cell: str) -> float | None:
+    """A cell's number; times with a unit suffix are scaled to ms.
+
+    ``"1.12 ms"``, ``"900 us"`` and ``"0.5 s"`` all read as
+    milliseconds, so cells that changed unit between two records
+    still compare.  A trailing ``x`` or ``%`` is dropped.
+    """
+    text = str(cell).strip()
+    scale = 1.0
+    for unit in ("ns", "us", "µs", "ms", "s"):
+        if text.endswith(unit):
+            text, scale = text[: -len(unit)].rstrip(), UNITS_TO_MS[unit]
+            break
     try:
-        return float(str(cell).strip().rstrip("x%"))
+        return float(text.rstrip("x%")) * scale
     except ValueError:
         return None
 

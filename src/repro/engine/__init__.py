@@ -178,10 +178,11 @@ from repro.engine.policy import (
 from repro.engine.results import (
     AnswerBatchResult,
     AttributionEstimate,
+    AttributionView,
     BatchResult,
     fact_numerators,
-    inflate_result,
     project_result,
+    publish_result,
     result_from_state,
     result_from_vectors,
 )
@@ -190,6 +191,7 @@ from repro.engine.stores import StoredValue, TieredResultStore
 __all__ = [
     "AnswerBatchResult",
     "AttributionEstimate",
+    "AttributionView",
     "BatchAttributionEngine",
     "BatchResult",
     "BatchVectors",
@@ -234,8 +236,8 @@ __all__ = [
     "fingerprint_request",
     "fingerprint_sample_state",
     "fingerprint_sampled",
-    "inflate_result",
     "project_result",
+    "publish_result",
     "relevant_facts",
     "reset_default_engine",
     "resolve_policy",

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from typing import AbstractSet, Iterable
 
@@ -68,8 +67,9 @@ from repro.engine.policy import MethodPolicy, resolve_policy
 from repro.engine.results import (
     AnswerBatchResult,
     BatchResult,
-    inflate_result,
+    fact_positions,
     project_result,
+    publish_result,
     rename_result,
 )
 from repro.engine.sqlite_store import SQLiteResultStore
@@ -134,17 +134,18 @@ def _executor_from_environment() -> Executor:
     )
 
 
-def _zero_template(database: Database) -> dict[Fact, Fraction]:
-    """Every endogenous fact of ``D`` mapped to zero, sorted by ``repr``.
+def _fact_positions(database: Database) -> dict[Fact, int]:
+    """Every endogenous fact of ``D`` mapped to its position, sorted by ``repr``.
 
     Read from the endogenous half of :func:`fingerprint_database` and
     derived once per database version (``database.derived``), so it is
-    shared by every request against the version and never mutated; each
-    answer's result is widened from a copy of it
-    (:func:`repro.engine.results.inflate_result`), which is how every
-    public mapping covers all of ``D.endogenous`` in the canonical order.
+    shared by every request against the version and never mutated.
+    Every published result is a view over it
+    (:func:`repro.engine.results.publish_result`): a fact missing from a
+    result's slice reads as zero, which is how every public mapping
+    covers all of ``D.endogenous`` in the canonical order.
     """
-    return dict.fromkeys(fingerprint_database(database)[0], Fraction(0))
+    return fact_positions(fingerprint_database(database)[0])
 
 
 class _RequestScope:
@@ -321,14 +322,14 @@ class BatchAttributionEngine:
             planned = plan.requests[0]
             if scope.tracer is not None:
                 scope.span.set("fingerprint", _tracing.label(planned.key))
-            zeros = database.derived(_zero_template)
+            positions = database.derived(_fact_positions)
             if planned.node_id is None:
                 scope.span.set("pruned", True)
                 return self._finish(
-                    plan.satisfied[planned.key], zeros, from_cache=True
+                    plan.satisfied[planned.key], positions, from_cache=True
                 )
             results = self._execute(plan, self.component_cache, database)
-            return self._finish(results[planned.node_id], zeros, from_cache=False)
+            return self._finish(results[planned.node_id], positions, from_cache=False)
 
     def batch_answers(
         self,
@@ -393,7 +394,7 @@ class BatchAttributionEngine:
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
             results = self._execute(plan, pool, database)
-            zeros = database.derived(_zero_template)
+            positions = database.derived(_fact_positions)
             per_answer: dict[tuple[Constant, ...], BatchResult] = {}
             for planned in plan.requests:
                 if planned.node_id is None:
@@ -403,7 +404,7 @@ class BatchAttributionEngine:
                 else:
                     result, cached = results[planned.node_id], False
                 per_answer[planned.request.grounding] = self._finish(
-                    result, zeros, from_cache=cached
+                    result, positions, from_cache=cached
                 )
             return AnswerBatchResult(per_answer, pool.stats.snapshot())
 
@@ -487,24 +488,23 @@ class BatchAttributionEngine:
         return results
 
     def _finish(
-        self, result: BatchResult, zeros: dict[Fact, Fraction], from_cache: bool
+        self, result: BatchResult, positions: dict[Fact, int], from_cache: bool
     ) -> BatchResult:
-        """Widen a slice-scoped result to the whole database, then publish.
+        """Publish a slice-scoped result over the whole database.
 
         Every result inside the engine — executed or store-served, exact
         or sampled — covers only its request's relevance slice.  Here,
-        once, the rest of ``D``'s endogenous facts (``zeros``, see
-        :func:`_zero_template`) are zero-filled (null players have
-        exactly zero Shapley and Banzhaf values) and counted in
-        ``delta.facts_zero_filled``.  The caller-facing copy iterates in
-        the canonical ``repr`` order on every path, so mutating it can
-        never corrupt the store; the transport-only sampler state is
-        stripped — callers resume through the store, not through result
-        objects.
+        once, it is published as read-only views over ``D``'s endogenous
+        facts (``positions``, see :func:`_fact_positions`): the rest of them
+        read as zero (null players have exactly zero Shapley and Banzhaf
+        values) and are counted in ``delta.facts_zero_filled``.  Views
+        iterate in the canonical ``repr`` order on every path and cannot
+        be mutated, so no caller can corrupt the store; the
+        transport-only sampler state is stripped — callers resume
+        through the store, not through result objects.
         """
-        result, filled = inflate_result(result, zeros)
-        self.delta_stats.facts_zero_filled += filled
-        return replace(result, from_cache=from_cache, sample_state=None)
+        self.delta_stats.facts_zero_filled += len(positions) - len(result.shapley)
+        return publish_result(result, positions, from_cache)
 
     def shapley_all(
         self,

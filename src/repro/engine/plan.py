@@ -44,9 +44,9 @@ computed, and nothing that computes one:
    (:func:`repro.engine.fingerprint.fingerprint_request`), so a request
    whose relevant slice a database delta did not touch is pruned even
    against a different database version.  Satisfied results stay in
-   their stored, slice-projected form; the engine zero-fills them — like
-   every executed result — at its public boundary
-   (:func:`repro.engine.results.inflate_result`).
+   their stored, slice-projected form; the engine publishes them — like
+   every executed result — as views that read irrelevant facts as zero
+   (:func:`repro.engine.results.publish_result`).
 4. **Bundle-reuse accounting**: when a ``bundle_cache`` is supplied,
    bundle nodes whose component fingerprint is already warm are counted
    as reused (``plan.stats.bundles_reused``) — the executor will satisfy

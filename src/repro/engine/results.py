@@ -2,6 +2,9 @@
 
 This module owns the *outputs* of the plan/execute pipeline:
 
+* :class:`AttributionView` — the read-only all-facts mapping every
+  published result holds: a request's slice-scoped values over its
+  database version's shared fact positions (:func:`publish_result`);
 * :class:`BatchResult` — all-facts Shapley/Banzhaf values of one Boolean
   request, plus provenance (method, player count, cache origin);
 * :class:`AnswerBatchResult` — the per-answer results of a non-Boolean
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.facts import Constant, Fact
 from repro.engine.bundles import BatchVectors, pull_back
@@ -33,6 +36,72 @@ from repro.engine.cache import CACHE_COUNTERS
 from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState, achieved_epsilon
 from repro.util.kernels import reduced_shapley_weights, shapley_weights
+
+
+#: The value every null player reads as.  ``Fraction`` is immutable, so
+#: one instance serves every view.
+ZERO = Fraction(0)
+
+#: The positions of a view that covers no fact: a sampled result's
+#: Banzhaf mapping, which the permutation estimator never fills.  Views
+#: never mutate their positions, so a plain (picklable) dict serves.
+NO_FACTS: Mapping[Fact, int] = {}
+
+
+class AttributionView(Mapping[Fact, Fraction]):
+    """The read-only values of every endogenous fact of one database version.
+
+    ``values`` holds a request's slice-scoped values (its relevant
+    facts); ``positions`` maps every endogenous fact of the version to
+    its canonical position — the facts sorted by ``repr`` — and is
+    shared by every view of that version.  A fact of the version missing
+    from ``values`` is a null player and reads as ``Fraction(0)``.
+    Iteration follows ``positions`` and ``len`` is the version's number
+    of endogenous facts, so a view reads exactly like a full dict of the
+    version while it costs only its slice to build.  Neither mapping is
+    ever copied or mutated: take ``dict(view)`` for a private copy.
+    """
+
+    __slots__ = ("_values", "_positions")
+
+    def __init__(
+        self, values: Mapping[Fact, Fraction], positions: Mapping[Fact, int]
+    ) -> None:
+        self._values = values
+        self._positions = positions
+
+    def __getitem__(self, item: Fact) -> Fraction:
+        value = self._values.get(item)
+        if value is not None:
+            return value
+        if item in self._positions:
+            return ZERO
+        raise KeyError(item)
+
+    def __contains__(self, item: object) -> bool:
+        return item in self._positions
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def nonzero(self) -> list[tuple[int, Fact, Fraction]]:
+        """``(position, fact, value)`` of each nonzero value, in order.
+
+        Walks the slice only, never the whole version: this is what a
+        sparse encoding of the view is built from.
+        """
+        positions = self._positions
+        return sorted(
+            (positions[item], item, value)
+            for item, value in self._values.items()
+            if value
+        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +135,8 @@ class BatchResult:
     The ``shapley`` and ``banzhaf`` mappings iterate their facts in the
     library's canonical order — sorted by ``repr`` — so callers observe
     one deterministic, documented ordering regardless of which algorithm
-    or cache produced the result.
+    or cache produced the result.  Published results (the engine's and
+    the client's) hold read-only :class:`AttributionView` s.
 
     ``estimate`` is ``None`` for exact methods and carries the
     ``(epsilon, delta)`` accuracy metadata for sampled ones — a sampled
@@ -150,8 +220,8 @@ def project_result(result: BatchResult, relevant: frozenset[Fact]) -> BatchResul
     This is the *stored* form under the relevance-scoped request keys of
     :func:`repro.engine.fingerprint.fingerprint_request`: facts outside
     the relevant slice are null players with provably zero values, so
-    dropping them is lossless — :func:`inflate_result` zero-fills any
-    version's irrelevant facts back in at the engine boundary.
+    dropping them is lossless — :func:`publish_result` reads any
+    version's irrelevant facts back as zeros at the engine boundary.
     ``player_count`` becomes the relevant-player count, the
     version-stable quantity.
     """
@@ -181,44 +251,41 @@ def rename_result(result: BatchResult, renaming: Mapping[Fact, Fact]) -> BatchRe
     )
 
 
-def inflate_result(
-    core: BatchResult, zeros: Mapping[Fact, Fraction]
-) -> tuple[BatchResult, int]:
-    """A slice-scoped core result widened to a concrete database version.
+def fact_positions(facts: Iterable[Fact]) -> dict[Fact, int]:
+    """``facts`` mapped to their positions: the fact list of an
+    :class:`AttributionView`, for facts already in canonical order."""
+    return {item: position for position, item in enumerate(facts)}
 
-    ``zeros`` maps every endogenous fact of the version to ``Fraction(0)``
-    in output order — the engine derives it once per database version,
-    from the facts sorted by ``repr``, and widens every answer of every
-    request against that version from it; it is only read.  Each fact
-    missing from the core mapping is a null player for this request and
-    keeps its exact zero; ``player_count`` becomes the version's total.
-    Returns the widened result and how many facts were zero-filled
-    (counted in ``delta.facts_zero_filled``).  Shapley and
-    Banzhaf dummy invariance make the widened values bit-identical to a
+
+def publish_result(
+    core: BatchResult, positions: Mapping[Fact, int], from_cache: bool = False
+) -> BatchResult:
+    """A slice-scoped core result published over a concrete database version.
+
+    ``positions`` maps every endogenous fact of the version to its
+    canonical position (the facts sorted by ``repr``); the engine derives
+    it once per database version and every published result shares it.
+    Both measures become :class:`AttributionView` s over the core's
+    mappings, so publishing costs the same for one relevant fact as for
+    ten thousand irrelevant ones: each fact missing from the core is a
+    null player for this request and reads as its exact zero, and
+    ``player_count`` becomes the version's total.  Shapley and Banzhaf
+    dummy invariance make the published values bit-identical to a
     computation over the whole version.
 
-    Sampled cores widen the same way — a null player's *estimate* is
+    Sampled cores publish the same way — a null player's *estimate* is
     the exact zero, since its marginal contribution is zero in every
-    permutation — but their (empty) Banzhaf mapping stays empty: a
-    zero-fill there would fabricate values the sampler never estimated.
+    permutation — but their (empty) Banzhaf mapping stays empty: zeros
+    there would fabricate values the sampler never estimated.  The
+    transport-only sampler state is not carried over.
     """
-    # Merging into a copy of the template keeps its key order and reuses
-    # the stored hashes: no per-fact hashing or sorting per answer.
-    shapley = {**zeros, **core.shapley}
-    if core.estimate is None:
-        banzhaf = {**zeros, **core.banzhaf}
-    else:
-        banzhaf = dict(core.banzhaf)
-    return (
-        BatchResult(
-            shapley,
-            banzhaf,
-            core.method,
-            len(zeros),
-            estimate=core.estimate,
-            sample_state=core.sample_state,
-        ),
-        len(zeros) - len(core.shapley),
+    return BatchResult(
+        AttributionView(core.shapley, positions),
+        AttributionView(core.banzhaf, positions if core.estimate is None else NO_FACTS),
+        core.method,
+        len(positions),
+        from_cache=from_cache,
+        estimate=core.estimate,
     )
 
 
@@ -333,9 +400,12 @@ __all__ = [
     "AttributionEstimate",
     "BatchResult",
     "aggregate_spec",
+    "AttributionView",
+    "NO_FACTS",
     "fact_numerators",
-    "inflate_result",
+    "fact_positions",
     "project_result",
+    "publish_result",
     "rename_result",
     "result_from_state",
     "result_from_vectors",

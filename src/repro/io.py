@@ -19,10 +19,12 @@ helpers are the one dialect shared by the engine's durable result
 store (:mod:`repro.engine.sqlite_store`), the attribution service's wire
 protocol (:mod:`repro.server.protocol`), and the CLI's ``--json`` output,
 so a document produced by any of them is readable by all of them.
-Sampled results additionally carry an ``estimate`` block (their
-``(epsilon, delta)`` accuracy contract, round counts, and resumable
-state handle) so an estimate can never masquerade as an exact answer
-after a round-trip.
+The daemon can also send a *sparse* result document, which holds only
+the nonzero rows (:func:`nonzero_rows`); the client reads it against
+the version's fact list.  Sampled results additionally carry an
+``estimate`` block (their ``(epsilon, delta)`` accuracy contract, round
+counts, and resumable state handle) so an estimate can never
+masquerade as an exact answer after a round-trip.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.query import ConjunctiveQuery, Variable
 from repro.logic.cnf import Clause, CnfFormula
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.engine.results import AttributionEstimate, BatchResult
+    from repro.engine.results import AttributionEstimate, AttributionView, BatchResult
 
 
 def write_json_atomic(
@@ -173,6 +175,22 @@ def attribution_to_rows(
     return rows
 
 
+def nonzero_rows(values: "AttributionView") -> list[list[Any]] | None:
+    """The rows of a view's nonzero values only, in canonical order.
+
+    The rows of a sparse result document: the reader reads every other
+    fact of the version as zero, from the fact list it learned from a
+    dense document.  The view walks its slice, never the whole version.
+    Returns None when some row's constants are not JSON scalars.
+    """
+    rows = []
+    for _, item, value in values.nonzero():
+        if not fact_is_json_safe(item):
+            return None
+        rows.append([item.relation, item.args, *fraction_to_pair(value)])
+    return rows
+
+
 def attribution_from_rows(rows: list[list[Any]]) -> dict[Fact, Fraction]:
     """Rebuild a fact-to-value mapping from :func:`attribution_to_rows`."""
     values: dict[Fact, Fraction] = {}
@@ -215,7 +233,7 @@ def estimate_from_dict(payload: Mapping[str, Any]) -> "AttributionEstimate":
 
 
 def batch_result_to_dict(
-    result: "BatchResult", table: RowTable | None = None
+    result: "BatchResult", table: RowTable | None = None, *, sparse: bool = False
 ) -> dict[str, Any]:
     """A JSON-ready document of one batch result (both measures).
 
@@ -230,9 +248,18 @@ def batch_result_to_dict(
     lets each mapping that covers exactly the version's facts encode in
     one ordered walk; those rows hold the table's ``args`` tuples where
     the sorted path builds lists, and both serialize to the same JSON.
+
+    ``sparse`` (for a published result, whose mappings are
+    :class:`~repro.engine.results.AttributionView` s) keeps only the
+    :func:`nonzero_rows` and marks the document ``"sparse": true``;
+    ``player_count`` still counts every endogenous fact of the version.
     """
-    shapley = attribution_to_rows(result.shapley, table)
-    banzhaf = attribution_to_rows(result.banzhaf, table)
+    if sparse:
+        shapley = nonzero_rows(result.shapley)
+        banzhaf = nonzero_rows(result.banzhaf)
+    else:
+        shapley = attribution_to_rows(result.shapley, table)
+        banzhaf = attribution_to_rows(result.banzhaf, table)
     if shapley is None or banzhaf is None:
         raise ValueError(
             "attribution values contain constants that do not round-trip"
@@ -242,9 +269,11 @@ def batch_result_to_dict(
         "method": result.method,
         "player_count": result.player_count,
         "from_cache": result.from_cache,
-        "shapley": shapley,
-        "banzhaf": banzhaf,
     }
+    if sparse:
+        document["sparse"] = True
+    document["shapley"] = shapley
+    document["banzhaf"] = banzhaf
     if result.estimate is not None:
         document["estimate"] = estimate_to_dict(result.estimate)
     return document
@@ -254,10 +283,12 @@ def batch_result_from_dict(
     payload: Mapping[str, Any],
     rows: Callable[[list[list[Any]]], dict[Fact, Fraction]] = attribution_from_rows,
 ) -> "BatchResult":
-    """Rebuild a :class:`BatchResult` from :func:`batch_result_to_dict`.
+    """Rebuild a :class:`BatchResult` from a dense :func:`batch_result_to_dict`.
 
     ``rows`` decodes each measure's rows; a client passes its interning
-    decoder, which returns equal mappings.
+    decoder, which returns equal mappings.  A sparse document decodes
+    to its nonzero rows only: reading the rest as zero takes the
+    version's fact list, which the client keeps per handle.
     """
     from repro.engine.results import BatchResult
 

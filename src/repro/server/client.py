@@ -29,7 +29,18 @@ protocol of :mod:`repro.server.protocol` to a running
 * **handle caching** — :meth:`batch`/:meth:`answers` accept a
   :class:`~repro.core.database.Database` directly and upload it at most
   once per client (handles are content-addressed server-side, so even
-  that upload deduplicates across clients).
+  that upload deduplicates across clients);
+* **sparse results** — the first dense result on a handle teaches the
+  client that version's canonical list of endogenous facts (kept in a
+  bounded per-handle LRU).  From then on ``batch``, ``refine`` and
+  ``answers`` requests on the handle carry ``sparse: true``, the daemon
+  sends only the nonzero rows, and the client reads every other fact as
+  zero.  Results decode into the engine's read-only
+  :class:`~repro.engine.results.AttributionView` either way, equal
+  ``Fraction`` for ``Fraction`` and in the same key order.  A sparse
+  result whose ``player_count`` or facts disagree with the learned list
+  raises :class:`~repro.server.protocol.ProtocolError`; it is never
+  read against the wrong list.
 
 Usage::
 
@@ -49,12 +60,13 @@ import socket
 import time
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import ConjunctiveQuery
 from repro.engine.delta import DatabaseDelta, delta_to_dict
+from repro.engine.results import BatchResult, fact_positions, publish_result
 from repro.server.backoff import BackoffPolicy
 from repro.engine.policy import MethodPolicy, resolve_policy
 from repro.io import (
@@ -227,6 +239,11 @@ class AttributionClient:
         # database it ever uploaded.
         self._handles: OrderedDict[int, tuple[Database, str]] = OrderedDict()
         self._interner = _RowInterner()
+        # handle -> the version's endogenous facts and their canonical
+        # positions, learned from a dense result; LRU-bounded like the
+        # handle cache.  Handles are content-addressed, so a list stays
+        # valid across reconnects.
+        self._fact_lists: OrderedDict[str, dict[Fact, int]] = OrderedDict()
 
     @property
     def address(self) -> str:
@@ -524,6 +541,91 @@ class AttributionClient:
     def _exogenous_param(exogenous: Iterable[str] | None) -> list[str] | None:
         return None if exogenous is None else sorted(exogenous)
 
+    def _call_results(
+        self, op: str, handle: str, decode: Callable[..., Any], **params: Any
+    ) -> Any:
+        """Send ``op`` on ``handle`` and decode its results (see
+        :meth:`_submit_results`)."""
+        learned = self._fact_lists.get(handle)
+        result = self.call(
+            op, db=handle, sparse=True if learned is not None else None, **params
+        )
+        return decode(handle, result, learned)
+
+    def _submit_results(
+        self, op: str, handle: str, decode: Callable[..., Any], **params: Any
+    ) -> PendingRequest:
+        """Pipeline ``op`` on ``handle``, sparse once its fact list is known.
+
+        The list is taken when the request is sent and the ticket decodes
+        against that list: tickets claimed in between may evict the
+        handle from the table, but never change what this request asked
+        the daemon for.
+        """
+        learned = self._fact_lists.get(handle)
+        return self.submit(
+            op,
+            decode=lambda result: decode(handle, result, learned),
+            db=handle,
+            sparse=True if learned is not None else None,
+            **params,
+        )
+
+    def _learn(self, handle: str, positions: dict[Fact, int]) -> None:
+        self._fact_lists[handle] = positions
+        self._fact_lists.move_to_end(handle)
+        while len(self._fact_lists) > self.MAX_CACHED_HANDLES:
+            self._fact_lists.popitem(last=False)
+
+    def _decode_result(
+        self,
+        handle: str,
+        payload: Mapping[str, Any],
+        learned: dict[Fact, int] | None,
+    ) -> BatchResult:
+        """One result document of ``handle``'s version, as views.
+
+        A dense document teaches the handle's fact list (its Shapley
+        rows cover every endogenous fact, in canonical order); a sparse
+        one is read against ``learned``, the list the request was sent
+        with, after checking that the list fits it.
+        """
+        core = self._interner.result(payload)
+        if payload.get("sparse"):
+            if learned is None:
+                raise ProtocolError(
+                    f"sparse result for handle {handle!r}, whose fact list"
+                    " this client has not learned"
+                )
+            if core.player_count != len(learned) or not all(
+                item in learned for mapping in (core.shapley, core.banzhaf)
+                for item in mapping
+            ):
+                raise ProtocolError(
+                    f"sparse result of {core.player_count} players does not"
+                    f" fit the {len(learned)}-fact list learned for handle"
+                    f" {handle!r}; refusing to read it as zeros"
+                )
+            self._learn(handle, learned)
+            return publish_result(core, learned, core.from_cache)
+        # Reuse a learned list that fits, so the answers of one dense
+        # response share one position map instead of one per answer.
+        positions = self._fact_lists.get(handle)
+        if (
+            positions is None
+            or len(positions) != len(core.shapley)
+            or not all(item in positions for item in core.shapley)
+        ):
+            positions = fact_positions(core.shapley)
+        if len(positions) == core.player_count:
+            self._learn(handle, positions)
+        return publish_result(core, positions, core.from_cache)
+
+    def _decode_batch(
+        self, handle: str, result: dict[str, Any], learned: dict[Fact, int] | None
+    ) -> BatchResult:
+        return self._decode_result(handle, result["result"], learned)
+
     def batch(
         self,
         database: Database | str,
@@ -546,18 +648,18 @@ class AttributionClient:
         the request end to end; the document lands on :attr:`last_trace`.
         """
         method_policy = resolve_policy(policy)
-        result = self._with_handle(
+        return self._with_handle(
             database,
-            lambda handle: self.call(
+            lambda handle: self._call_results(
                 "batch",
-                db=handle,
+                handle,
+                self._decode_batch,
                 query=self._query_text(query),
                 exogenous=self._exogenous_param(exogenous),
                 trace=True if trace else None,
                 **method_policy.to_params(),
             ),
         )
-        return self._interner.result(result["result"])
 
     def submit_batch(
         self,
@@ -580,10 +682,10 @@ class AttributionClient:
         retry happens on this path.
         """
         method_policy = resolve_policy(policy)
-        return self.submit(
+        return self._submit_results(
             "batch",
-            decode=lambda result: self._interner.result(result["result"]),
-            db=self._handle_for(database),
+            self._handle_for(database),
+            self._decode_batch,
             query=self._query_text(query),
             exogenous=self._exogenous_param(exogenous),
             priority=priority,
@@ -609,11 +711,12 @@ class AttributionClient:
         (``last_response["stats"]`` shows ``sampler.restarts == 0``).
         Returns the refined :class:`~repro.engine.results.BatchResult`.
         """
-        result = self._with_handle(
+        return self._with_handle(
             database,
-            lambda handle: self.call(
+            lambda handle: self._call_results(
                 "refine",
-                db=handle,
+                handle,
+                self._decode_batch,
                 query=self._query_text(query),
                 exogenous=self._exogenous_param(exogenous),
                 epsilon=epsilon,
@@ -621,7 +724,6 @@ class AttributionClient:
                 trace=True if trace else None,
             ),
         )
-        return self._interner.result(result["result"])
 
     def submit_refine(
         self,
@@ -636,10 +738,10 @@ class AttributionClient:
     ) -> PendingRequest:
         """Pipelined :meth:`refine`; same decoding and admission fields
         as :meth:`submit_batch`."""
-        return self.submit(
+        return self._submit_results(
             "refine",
-            decode=lambda result: self._interner.result(result["result"]),
-            db=self._handle_for(database),
+            self._handle_for(database),
+            self._decode_batch,
             query=self._query_text(query),
             exogenous=self._exogenous_param(exogenous),
             epsilon=epsilon,
@@ -664,11 +766,12 @@ class AttributionClient:
         (aggregate via its :meth:`aggregate`, exactly as in-process).
         """
         method_policy = resolve_policy(policy)
-        result = self._with_handle(
+        return self._with_handle(
             database,
-            lambda handle: self.call(
+            lambda handle: self._call_results(
                 "answers",
-                db=handle,
+                handle,
+                self._decode_answers,
                 query=self._query_text(query),
                 answers=None if answers is None else [list(a) for a in answers],
                 exogenous=self._exogenous_param(exogenous),
@@ -676,14 +779,17 @@ class AttributionClient:
                 **method_policy.to_params(),
             ),
         )
-        return self._decode_answers(result)
 
-    def _decode_answers(self, result: dict[str, Any]):
+    def _decode_answers(
+        self, handle: str, result: dict[str, Any], learned: dict[Fact, int] | None
+    ):
         from repro.engine.results import AnswerBatchResult
         from repro.obs.counters import Counters
 
         per_answer = {
-            tuple(entry["answer"]): self._interner.result(entry["result"])
+            tuple(entry["answer"]): self._decode_result(
+                handle, entry["result"], learned
+            )
             for entry in result["answers"]
         }
         pool = result.get("pool", {})
@@ -710,10 +816,10 @@ class AttributionClient:
         """Pipelined :meth:`answers`; decodes to an
         :class:`~repro.engine.results.AnswerBatchResult`."""
         method_policy = resolve_policy(policy)
-        return self.submit(
+        return self._submit_results(
             "answers",
-            decode=self._decode_answers,
-            db=self._handle_for(database),
+            self._handle_for(database),
+            self._decode_answers,
             query=self._query_text(query),
             answers=None if answers is None else [list(a) for a in answers],
             exogenous=self._exogenous_param(exogenous),

@@ -139,6 +139,43 @@ def _counters_delta(
     return {key: after[key] - before.get(key, 0) for key in after}
 
 
+class _Served:
+    """One engine computation's outcome, rendered once per encoding.
+
+    Coalesced duplicates of one request key share a ``_Served``: each
+    request takes the document of its own encoding (dense, or sparse
+    for ``sparse: true``; ``aggregate`` renders densely either way), and
+    each encoding is rendered at most once however many requests ask
+    for it.  ``stats`` is the computation's
+    counter delta and ``trace_id`` the id of the trace it ran under.
+    """
+
+    __slots__ = ("outcome", "stats", "trace_id", "documents", "_render", "_lock")
+
+    def __init__(
+        self,
+        outcome: Any,
+        stats: dict[str, int],
+        trace_id: str | None,
+        render: Callable[[Any, bool], dict[str, Any]],
+    ) -> None:
+        self.outcome = outcome
+        self.stats = stats
+        self.trace_id = trace_id
+        self.documents: dict[bool, dict[str, Any]] = {}
+        self._render = render
+        self._lock = threading.Lock()
+
+    def document(self, sparse: bool) -> dict[str, Any]:
+        """The result document of one encoding, rendered on first use."""
+        with self._lock:
+            document = self.documents.get(sparse)
+            if document is None:
+                document = {**self._render(self.outcome, sparse), "stats": self.stats}
+                self.documents[sparse] = document
+        return document
+
+
 class AttributionDaemon:
     """A warm :class:`BatchAttributionEngine` served over a socket.
 
@@ -680,16 +717,25 @@ class AttributionDaemon:
                     )
                 compute = self._with_shared_claim(key, compute)
                 with _tracing.maybe_span(tracer, "server.coalesce") as span:
-                    shared, coalesced = await self.coalescer.run_async(
+                    served, coalesced = await self.coalescer.run_async(
                         key,
                         lambda: loop.run_in_executor(self._workers, compute),
                         timeout=self.coalesce_timeout,
                     )
                     span.set("coalesced", coalesced)
-                result = dict(shared)
+                # The leader rendered its own encoding; a duplicate that
+                # asked for the other one renders it here, once.
+                sparse = bool(payload.get("sparse"))
+                document = served.documents.get(sparse)
+                if document is None:
+                    with _tracing.maybe_span(tracer, "server.encode"):
+                        document = await loop.run_in_executor(
+                            self._workers, served.document, sparse
+                        )
+                result = dict(document)
                 result["coalesced"] = coalesced
                 if tracer is not None and coalesced:
-                    leader_id = result.get("trace_id")
+                    leader_id = served.trace_id
                     if leader_id and leader_id != tracer.trace_id:
                         with tracer.span(
                             "server.coalesced", leader_trace_id=leader_id
@@ -698,9 +744,6 @@ class AttributionDaemon:
             finally:
                 self.admission.release()
         if tracer is None:
-            # A traced leader embeds its trace id for its followers;
-            # an untraced copy drops it.
-            result.pop("trace_id", None)
             return result
         # The finished document rides the envelope; when the slowest-N
         # buffer keeps it, one structured log line correlates request id,
@@ -806,8 +849,8 @@ class AttributionDaemon:
     # Compute operations (``_preparers``, run by :meth:`_compute`)
     # ------------------------------------------------------------------
     def _with_shared_claim(
-        self, key: tuple, compute: Callable[[], dict[str, Any]]
-    ) -> Callable[[], dict[str, Any]]:
+        self, key: tuple, compute: Callable[[], _Served]
+    ) -> Callable[[], _Served]:
         """Coalesce ``compute`` across daemons via the shared store's claims.
 
         Runs inside the in-process coalescer's leader (worker thread), so
@@ -830,7 +873,7 @@ class AttributionDaemon:
         if shared is None:
             return compute
 
-        def claimed() -> dict[str, Any]:
+        def claimed() -> _Served:
             if self._already_served(key):
                 return compute()
             if shared.claim(key):
@@ -899,33 +942,35 @@ class AttributionDaemon:
 
     def _engine_compute(
         self,
+        payload: dict[str, Any],
         tracer: "_tracing.Tracer | None",
         run: Callable[[], Any],
-        render: Callable[[Any], dict[str, Any]],
-    ) -> Callable[[], dict[str, Any]]:
+        render: Callable[[Any, bool], dict[str, Any]],
+    ) -> Callable[[], _Served]:
         """The compute step of a prepared op: ``run`` under the engine
-        lock, ``render`` its outcome, plus the request's counter delta.
+        lock, plus the request's counter delta, as a :class:`_Served`.
 
-        ``render`` runs outside the lock; a traced request spans it as
-        ``server.encode``.  A traced request's ``trace_id`` rides the
-        shared result: how coalesced followers learn which trace did the
-        work.
+        ``render(outcome, sparse)`` encodes the outcome; the leading
+        request renders its own encoding outside the lock, and a traced
+        request spans that as ``server.encode``.  A traced request's
+        ``trace_id`` rides the shared outcome: how coalesced followers
+        learn which trace did the work.
         """
 
-        def compute() -> dict[str, Any]:
+        def compute() -> _Served:
             with self._engine_lock:
                 before = self.engine.counters()
                 outcome = run()
                 after = self.engine.counters()
-            if tracer is None:
-                rendered = render(outcome)
-            else:
-                with tracer.span("server.encode"):
-                    rendered = render(outcome)
-            out = {**rendered, "stats": _counters_delta(before, after)}
-            if tracer is not None:
-                out["trace_id"] = tracer.trace_id
-            return out
+            served = _Served(
+                outcome,
+                _counters_delta(before, after),
+                None if tracer is None else tracer.trace_id,
+                render,
+            )
+            with _tracing.maybe_span(tracer, "server.encode"):
+                served.document(bool(payload.get("sparse")))
+            return served
 
         return compute
 
@@ -933,7 +978,7 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
+    ) -> tuple[tuple, Callable[[], _Served]]:
         handle, database, query, exogenous = self._request_inputs(
             payload, boolean=True
         )
@@ -949,6 +994,7 @@ class AttributionDaemon:
             self._policy_key(policy),
         )
         return key, self._engine_compute(
+            payload,
             tracer,
             lambda: self.engine.batch(
                 database,
@@ -957,9 +1003,9 @@ class AttributionDaemon:
                 policy=policy,
                 trace=tracer,
             ),
-            lambda result: {
+            lambda result, sparse: {
                 "result": batch_result_to_dict(
-                    result, database.derived(_version_rows)
+                    result, database.derived(_version_rows), sparse=sparse
                 )
             },
         )
@@ -968,7 +1014,7 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
+    ) -> tuple[tuple, Callable[[], _Served]]:
         """Tighten a sampled request's accuracy bound from its stored state.
 
         The engine resumes the request's persisted permutation stream —
@@ -991,6 +1037,7 @@ class AttributionDaemon:
             None if delta is None else repr(float(delta)),
         )
         return key, self._engine_compute(
+            payload,
             tracer,
             lambda: self.engine.refine(
                 database,
@@ -1000,9 +1047,9 @@ class AttributionDaemon:
                 delta=None if delta is None else float(delta),
                 trace=tracer,
             ),
-            lambda result: {
+            lambda result, sparse: {
                 "result": batch_result_to_dict(
-                    result, database.derived(_version_rows)
+                    result, database.derived(_version_rows), sparse=sparse
                 )
             },
         )
@@ -1011,7 +1058,7 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
+    ) -> tuple[tuple, Callable[[], _Served]]:
         handle, database, query, exogenous = self._request_inputs(
             payload, boolean=False
         )
@@ -1029,13 +1076,13 @@ class AttributionDaemon:
             self._policy_key(policy),
         )
 
-        def render(batch) -> dict[str, Any]:
+        def render(batch, sparse: bool) -> dict[str, Any]:
             table = database.derived(_version_rows)
             return {
                 "answers": [
                     {
                         "answer": list(answer),
-                        "result": batch_result_to_dict(result, table),
+                        "result": batch_result_to_dict(result, table, sparse=sparse),
                     }
                     for answer, result in batch.per_answer.items()
                 ],
@@ -1046,6 +1093,7 @@ class AttributionDaemon:
             }
 
         return key, self._engine_compute(
+            payload,
             tracer,
             lambda: self.engine.batch_answers(
                 database,
@@ -1062,7 +1110,7 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], dict[str, Any]]]:
+    ) -> tuple[tuple, Callable[[], _Served]]:
         from repro.engine.results import aggregate_spec
         from repro.io import attribution_to_rows
 
@@ -1079,7 +1127,7 @@ class AttributionDaemon:
             label,
         )
 
-        def render(batch) -> dict[str, Any]:
+        def render(batch, sparse: bool) -> dict[str, Any]:
             try:
                 totals = batch.aggregate(weight)
             except TypeError as error:
@@ -1095,6 +1143,7 @@ class AttributionDaemon:
             return {"label": label, "values": rows}
 
         return key, self._engine_compute(
+            payload,
             tracer,
             lambda: self.engine.batch_answers(
                 database, query, None, exogenous_relations=exogenous, trace=tracer
@@ -1114,7 +1163,7 @@ class AttributionDaemon:
         str,
         Callable[
             ["AttributionDaemon", dict[str, Any], "_tracing.Tracer | None"],
-            tuple[tuple, Callable[[], dict[str, Any]]],
+            tuple[tuple, Callable[[], _Served]],
         ],
     ] = {
         "batch": _prepare_batch,

@@ -30,6 +30,24 @@ Attribution payloads use the shared row dialect of :mod:`repro.io`
 (``Fraction`` values as exact numerator/denominator string pairs), so the
 protocol, the durable result store, and the CLI's ``--json`` output all speak
 the same format.
+
+**Sparse results.**  A ``batch``, ``refine`` or ``answers`` request may
+carry ``sparse: true``.  Each result document of its response then holds
+only the rows of nonzero values, in the canonical ``repr`` order, and is
+marked ``"sparse": true``; ``player_count`` still counts every
+endogenous fact of the database version::
+
+    {"method": "cntsat", "player_count": 8, "from_cache": true,
+     "sparse": true,
+     "shapley": [["Reg", ["Adam", "AI"], "37", "210"], ...],
+     "banzhaf": [["Reg", ["Adam", "AI"], "3", "64"], ...]}
+
+Every fact the rows leave out has the exact value zero.  A reader fills
+those in from the version's fact list, which it learns from a dense
+document of the same handle (handles are content-addressed, so the list
+holds on every daemon of a fleet).  A sampled result's ``banzhaf`` rows
+stay empty in both encodings.  ``aggregate`` ignores the flag, and a
+request without it gets today's dense documents byte for byte.
 """
 
 from __future__ import annotations
@@ -61,6 +79,11 @@ from repro.core.errors import (
 #: and a ``trace`` span document (see :mod:`repro.obs`).  Daemons that
 #: predate tracing ignore the unknown request field and omit both
 #: response fields, so neither side needs a version bump.
+#:
+#: Still version 3 (sparse results are additive too): ``batch``,
+#: ``refine`` and ``answers`` requests may carry ``sparse: true`` (see
+#: the module docstring).  A daemon that predates it answers densely,
+#: and a dense document is always readable.
 PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's body; a larger header is a protocol error.

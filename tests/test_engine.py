@@ -237,7 +237,11 @@ class TestUpFrontValidation:
         db = figure_1_database()
         engine = BatchAttributionEngine()
         first = engine.batch(db, q1)
-        first.shapley[fact("TA", "Adam")] = Fraction(999)
+        # Published mappings are read-only views; callers mutate a copy.
+        with pytest.raises(TypeError):
+            first.shapley[fact("TA", "Adam")] = Fraction(999)
+        values = dict(first.shapley)
+        values[fact("TA", "Adam")] = Fraction(999)
         second = engine.batch(db, q1)
         assert second.shapley[fact("TA", "Adam")] == Fraction(-3, 28)
 

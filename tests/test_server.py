@@ -550,8 +550,10 @@ class TestCliIntegration:
             ["batch", Q1, "--measure", "both"],
             ["answers", ANS, "--aggregate", "count", "--measure", "both"],
             ["batch", Q1, "--update", "delta.json"],
+            # The repeat reaches the client as a sparse result.
+            ["batch", Q1, "--measure", "both", "--repeat", "2"],
         ],
-        ids=["batch", "answers-aggregate", "batch-update"],
+        ids=["batch", "answers-aggregate", "batch-update", "batch-repeat"],
     )
     @pytest.mark.parametrize("nodes", [1, 2], ids=["daemon", "fleet"])
     def test_connect_output_matches_local_output(
