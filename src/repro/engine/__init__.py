@@ -131,6 +131,7 @@ from repro.engine.core import (
     default_engine,
     environment_problems,
     reset_default_engine,
+    version_positions,
 )
 from repro.engine.delta import (
     DatabaseDelta,
@@ -244,4 +245,5 @@ __all__ = [
     "result_from_state",
     "result_from_vectors",
     "top_level_components",
+    "version_positions",
 ]

@@ -134,16 +134,18 @@ def _executor_from_environment() -> Executor:
     )
 
 
-def _fact_positions(database: Database) -> dict[Fact, int]:
+def version_positions(database: Database) -> dict[Fact, int]:
     """Every endogenous fact of ``D`` mapped to its position, sorted by ``repr``.
 
-    Read from the endogenous half of :func:`fingerprint_database` and
-    derived once per database version (``database.derived``), so it is
-    shared by every request against the version and never mutated.
-    Every published result is a view over it
+    Read from the endogenous half of :func:`fingerprint_database`.  Used
+    as ``database.derived(version_positions)``, it is built once per
+    database version, shared by every request against the version and
+    never mutated.  Every published result is a view over it
     (:func:`repro.engine.results.publish_result`): a fact missing from a
     result's slice reads as zero, which is how every public mapping
-    covers all of ``D.endogenous`` in the canonical order.
+    covers all of ``D.endogenous`` in the canonical order.  The client
+    reads sparse results against the same positions of the versions it
+    holds.
     """
     return fact_positions(fingerprint_database(database)[0])
 
@@ -322,7 +324,7 @@ class BatchAttributionEngine:
             planned = plan.requests[0]
             if scope.tracer is not None:
                 scope.span.set("fingerprint", _tracing.label(planned.key))
-            positions = database.derived(_fact_positions)
+            positions = database.derived(version_positions)
             if planned.node_id is None:
                 scope.span.set("pruned", True)
                 return self._finish(
@@ -394,7 +396,7 @@ class BatchAttributionEngine:
             self._note_plan(plan)
             pool = BundlePool(self.component_cache)
             results = self._execute(plan, pool, database)
-            positions = database.derived(_fact_positions)
+            positions = database.derived(version_positions)
             per_answer: dict[tuple[Constant, ...], BatchResult] = {}
             for planned in plan.requests:
                 if planned.node_id is None:
@@ -495,7 +497,7 @@ class BatchAttributionEngine:
         Every result inside the engine — executed or store-served, exact
         or sampled — covers only its request's relevance slice.  Here,
         once, it is published as read-only views over ``D``'s endogenous
-        facts (``positions``, see :func:`_fact_positions`): the rest of them
+        facts (``positions``, see :func:`version_positions`): the rest of them
         read as zero (null players have exactly zero Shapley and Banzhaf
         values) and are counted in ``delta.facts_zero_filled``.  Views
         iterate in the canonical ``repr`` order on every path and cannot

@@ -161,8 +161,9 @@ class BatchResult:
 class AnswerBatchResult:
     """Per-answer batch results for the groundings of one non-Boolean query.
 
-    ``per_answer`` maps each answer tuple to the :class:`BatchResult` of
-    its grounded Boolean query ``q_t``; answers iterate sorted by
+    ``per_answer`` maps each answer tuple to the published
+    :class:`BatchResult` (its mappings are :class:`AttributionView` s)
+    of its grounded Boolean query ``q_t``; answers iterate sorted by
     ``repr``.  ``pool_stats`` reports how often the cross-grounding
     bundle pool shared component work between answers.
     """
@@ -175,17 +176,28 @@ class AnswerBatchResult:
         value_of: Callable[[tuple[Constant, ...]], Fraction | int],
         measure: str = "shapley",
     ) -> dict[Fact, Fraction]:
-        """Linearity: ``Σ_t value_of(t) · measure(D, q_t, f)`` per fact."""
+        """Linearity: ``Σ_t value_of(t) · measure(D, q_t, f)`` per fact.
+
+        The mapping covers every fact of the weighted answers' views,
+        sorted by ``repr``.  Only each view's nonzero values are summed
+        (:meth:`AttributionView.nonzero`); every other fact reads as zero
+        from the views' positions, which the views of one version share,
+        so the cost follows the slices, not answers × |Dn|.
+        """
         if measure not in ("shapley", "banzhaf"):
             raise ValueError(f"unknown measure {measure!r}")
         totals: dict[Fact, Fraction] = {}
+        positions: dict[int, Mapping[Fact, int]] = {}
         for answer, result in self.per_answer.items():
             weight = Fraction(value_of(answer))
             if not weight:
                 continue
-            for item, value in getattr(result, measure).items():
-                totals[item] = totals.get(item, Fraction(0)) + weight * value
-        return {item: totals[item] for item in sorted(totals, key=repr)}
+            view = getattr(result, measure)
+            positions.setdefault(id(view._positions), view._positions)
+            for _, item, value in view.nonzero():
+                totals[item] = totals.get(item, ZERO) + weight * value
+        covered = dict.fromkeys(item for facts in positions.values() for item in facts)
+        return {item: totals.get(item, ZERO) for item in sorted(covered, key=repr)}
 
 
 def aggregate_spec(

@@ -34,7 +34,7 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.database import Database
 from repro.core.facts import Fact
@@ -124,49 +124,14 @@ def fraction_from_pair(pair: list) -> Fraction:
     return Fraction(int(numerator), int(denominator))
 
 
-#: A database version's wire row prefixes: ``(fact, relation, args)`` per
-#: endogenous fact, in the canonical sorted-by-``repr`` order.
-RowTable = tuple[tuple[Fact, str, tuple], ...]
-
-
-def row_table(facts: Iterable[Fact]) -> RowTable | None:
-    """The :data:`RowTable` of ``facts``, already in canonical order.
-
-    Built once per database version and shared, so it holds only tuples
-    (they serialize exactly as lists do).  None when some constant is not
-    a JSON scalar: encoding from such a table could only fail, which
-    :func:`attribution_to_rows` reports on its own.
-    """
-    table = tuple((item, item.relation, item.args) for item in facts)
-    if not all(fact_is_json_safe(item) for item, _, _ in table):
-        return None
-    return table
-
-
-def attribution_to_rows(
-    values: Mapping[Fact, Fraction], table: RowTable | None = None
-) -> list[list[Any]] | None:
+def attribution_to_rows(values: Mapping[Fact, Fraction]) -> list[list[Any]] | None:
     """``[[relation, [args...], numerator, denominator], ...]`` or None.
 
     Rows iterate facts in the canonical sorted-by-``repr`` order.  Returns
     None when some constant is not a JSON scalar (such facts would not
     round-trip); callers decide whether that means "skip the cache entry"
     (the durable store) or "reject the request" (the wire protocol).
-
-    ``table`` is the :func:`row_table` of a database version.  When
-    ``values`` iterates exactly the table's facts, in its order, the rows
-    are read off the table with no sort and no JSON-safety check, and
-    their JSON is byte for byte that of the sorted path; any other key
-    sequence falls back to the sort.
     """
-    if table is not None and len(table) == len(values):
-        rows = []
-        for (item, relation, args), (key, value) in zip(table, values.items()):
-            if key is not item:
-                break
-            rows.append([relation, args, *fraction_to_pair(value)])
-        else:
-            return rows
     rows = []
     for item in sorted(values, key=repr):
         if not fact_is_json_safe(item):
@@ -179,8 +144,8 @@ def nonzero_rows(values: "AttributionView") -> list[list[Any]] | None:
     """The rows of a view's nonzero values only, in canonical order.
 
     The rows of a sparse result document: the reader reads every other
-    fact of the version as zero, from the fact list it learned from a
-    dense document.  The view walks its slice, never the whole version.
+    fact of the version as zero, from its own copy of the version.  The
+    view walks its slice, never the whole version.
     Returns None when some row's constants are not JSON scalars.
     """
     rows = []
@@ -233,7 +198,7 @@ def estimate_from_dict(payload: Mapping[str, Any]) -> "AttributionEstimate":
 
 
 def batch_result_to_dict(
-    result: "BatchResult", table: RowTable | None = None, *, sparse: bool = False
+    result: "BatchResult", *, sparse: bool = False
 ) -> dict[str, Any]:
     """A JSON-ready document of one batch result (both measures).
 
@@ -244,11 +209,6 @@ def batch_result_to_dict(
     through JSON scalars — the wire protocol and ``--json`` must fail
     loudly rather than drop values silently.
 
-    ``table`` (the daemon passes its database version's :func:`row_table`)
-    lets each mapping that covers exactly the version's facts encode in
-    one ordered walk; those rows hold the table's ``args`` tuples where
-    the sorted path builds lists, and both serialize to the same JSON.
-
     ``sparse`` (for a published result, whose mappings are
     :class:`~repro.engine.results.AttributionView` s) keeps only the
     :func:`nonzero_rows` and marks the document ``"sparse": true``;
@@ -258,8 +218,8 @@ def batch_result_to_dict(
         shapley = nonzero_rows(result.shapley)
         banzhaf = nonzero_rows(result.banzhaf)
     else:
-        shapley = attribution_to_rows(result.shapley, table)
-        banzhaf = attribution_to_rows(result.banzhaf, table)
+        shapley = attribution_to_rows(result.shapley)
+        banzhaf = attribution_to_rows(result.banzhaf)
     if shapley is None or banzhaf is None:
         raise ValueError(
             "attribution values contain constants that do not round-trip"
@@ -288,7 +248,8 @@ def batch_result_from_dict(
     ``rows`` decodes each measure's rows; a client passes its interning
     decoder, which returns equal mappings.  A sparse document decodes
     to its nonzero rows only: reading the rest as zero takes the
-    version's fact list, which the client keeps per handle.
+    version's fact list, which the client reads off the version it
+    holds under the handle.
     """
     from repro.engine.results import BatchResult
 

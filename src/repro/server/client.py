@@ -26,21 +26,24 @@ protocol of :mod:`repro.server.protocol` to a running
   string pairs on the wire, never floats), and daemon-side exceptions
   re-raise as their local types
   (:class:`~repro.core.errors.IntractableQueryError`, parse errors, ...);
-* **handle caching** — :meth:`batch`/:meth:`answers` accept a
-  :class:`~repro.core.database.Database` directly and upload it at most
-  once per client (handles are content-addressed server-side, so even
-  that upload deduplicates across clients);
-* **sparse results** — the first dense result on a handle teaches the
-  client that version's canonical list of endogenous facts (kept in a
-  bounded per-handle LRU).  From then on ``batch``, ``refine`` and
-  ``answers`` requests on the handle carry ``sparse: true``, the daemon
-  sends only the nonzero rows, and the client reads every other fact as
-  zero.  Results decode into the engine's read-only
-  :class:`~repro.engine.results.AttributionView` either way, equal
+* **content-addressed versions** — a handle names a database version
+  by content (:func:`~repro.server.registry.database_handle`).  The
+  client keeps a bounded LRU, keyed by handle, of the versions it
+  uploaded (a copy taken at upload) or derived (``update_database``
+  applies the delta to the base it holds).  :meth:`batch`/:meth:`answers`
+  accept a :class:`~repro.core.database.Database` directly and upload
+  each version once; a database edited after upload is a new version;
+* **sparse results** — ``batch``, ``refine`` and ``answers`` requests on
+  a held handle carry ``sparse: true`` from the first: the daemon sends
+  only the nonzero rows, and the client reads every other fact as zero
+  against the held version's positions
+  (:func:`~repro.engine.core.version_positions`).  A handle string the
+  client did not create is sent without the flag and decoded densely
+  over its own rows.  Either way results decode into the engine's
+  read-only :class:`~repro.engine.results.AttributionView`, equal
   ``Fraction`` for ``Fraction`` and in the same key order.  A sparse
-  result whose ``player_count`` or facts disagree with the learned list
-  raises :class:`~repro.server.protocol.ProtocolError`; it is never
-  read against the wrong list.
+  result that does not fit the held version raises
+  :class:`~repro.server.protocol.ProtocolError`.
 
 Usage::
 
@@ -65,7 +68,8 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.core.database import Database
 from repro.core.facts import Constant, Fact
 from repro.core.query import ConjunctiveQuery
-from repro.engine.delta import DatabaseDelta, delta_to_dict
+from repro.engine.core import version_positions
+from repro.engine.delta import DatabaseDelta, apply_delta, delta_to_dict
 from repro.engine.results import BatchResult, fact_positions, publish_result
 from repro.server.backoff import BackoffPolicy
 from repro.engine.policy import MethodPolicy, resolve_policy
@@ -85,6 +89,7 @@ from repro.server.protocol import (
     request,
     write_frame,
 )
+from repro.server.registry import database_handle
 
 
 #: Distinct facts, and distinct value pairs, one client keeps interned;
@@ -194,10 +199,10 @@ class AttributionClient:
     run for minutes, e.g. cold brute-force batches).
     """
 
-    #: Databases remembered per client before the oldest handle is
-    #: forgotten (forgetting only costs a cheap, content-addressed
-    #: re-upload) — bounds client memory the way the daemon's registry
-    #: bounds its own.
+    #: Database versions held per client before the least recently used
+    #: is forgotten (forgetting costs a re-upload of a database object,
+    #: or dense reads of a handle string) — bounds client memory the way
+    #: the daemon's registry bounds its own.
     MAX_CACHED_HANDLES = 32
 
     def __init__(
@@ -232,18 +237,11 @@ class AttributionClient:
         # responses read while waiting for a different id.
         self._outstanding: set[int] = set()
         self._responses: dict[int, dict[str, Any]] = {}
-        # id(db) -> (db, handle), LRU-bounded.  The database object is
-        # pinned so a garbage-collected database can never hand its id —
-        # and thereby a stale handle — to a different database allocated
-        # later; the bound keeps a long-lived client from pinning every
-        # database it ever uploaded.
-        self._handles: OrderedDict[int, tuple[Database, str]] = OrderedDict()
+        # handle -> a private copy of the version this client uploaded
+        # or derived under it, LRU-bounded.  Copies are never edited, so
+        # each derives its canonical fact positions once.
+        self._versions: OrderedDict[str, Database] = OrderedDict()
         self._interner = _RowInterner()
-        # handle -> the version's endogenous facts and their canonical
-        # positions, learned from a dense result; LRU-bounded like the
-        # handle cache.  Handles are content-addressed, so a list stays
-        # valid across reconnects.
-        self._fact_lists: OrderedDict[str, dict[Fact, int]] = OrderedDict()
 
     @property
     def address(self) -> str:
@@ -316,7 +314,7 @@ class AttributionClient:
         )
 
     def close(self) -> None:
-        self._handles.clear()
+        self._versions.clear()
         self._outstanding.clear()
         self._responses.clear()
         if self._stream is not None:
@@ -333,7 +331,7 @@ class AttributionClient:
             self._socket = None
 
     def _reset(self) -> None:
-        # Drops the handle cache too: after a transport failure the
+        # Drops the held versions too: after a transport failure the
         # daemon may have restarted, so cheap re-uploads beat stale
         # handles (the server deduplicates by content anyway).
         self.close()
@@ -466,17 +464,28 @@ class AttributionClient:
         return result
 
     def load_database(self, database: Database) -> str:
-        """Upload ``database`` (at most once per client) and return its handle."""
-        cached = self._handles.get(id(database))
-        if cached is not None and cached[0] is database:
-            self._handles.move_to_end(id(database))
-            return cached[1]
+        """Upload ``database``'s current version, once, and return its handle.
+
+        The handle is the version's content address, so a version this
+        client holds is not uploaded again, and an edit after an upload
+        makes a new handle.  The client keeps a copy of what it uploaded
+        and reads sparse results against it.
+        """
+        handle = database_handle(database)
+        if handle in self._versions:
+            self._versions.move_to_end(handle)
+            return handle
         result = self.call("db_load", database=database_to_dict(database))
-        handle = str(result["handle"])
-        self._handles[id(database)] = (database, handle)
-        while len(self._handles) > self.MAX_CACHED_HANDLES:
-            self._handles.popitem(last=False)
-        return handle
+        served = str(result["handle"])
+        if served == handle:
+            self._hold(handle, database.copy())
+        return served
+
+    def _hold(self, handle: str, version: Database) -> None:
+        self._versions[handle] = version
+        self._versions.move_to_end(handle)
+        while len(self._versions) > self.MAX_CACHED_HANDLES:
+            self._versions.popitem(last=False)
 
     def update_database(
         self,
@@ -496,7 +505,9 @@ class AttributionClient:
         exogenous ones, ``removes`` are deleted outright (re-adding an
         existing fact on the other side flips it).  The daemon keeps the
         base version queryable in a bounded version chain; the returned
-        handle addresses the successor.
+        handle addresses the successor.  When this client holds the base,
+        it applies the delta to its copy too, so requests on the
+        successor are sparse from the first.
         """
         if delta is None:
             delta = DatabaseDelta(
@@ -510,7 +521,11 @@ class AttributionClient:
                 "db_update", db=handle, delta=delta_to_dict(delta)
             ),
         )
-        return str(result["handle"])
+        successor = str(result["handle"])
+        base = self._versions.get(str(result["base"]))
+        if base is not None and successor not in self._versions:
+            self._hold(successor, apply_delta(base, delta))
+        return successor
 
     def _handle_for(self, database: Database | str) -> str:
         if isinstance(database, str):
@@ -530,7 +545,7 @@ class AttributionClient:
         except UnknownHandleError:
             if isinstance(database, str):
                 raise
-            self._handles.pop(id(database), None)
+            self._versions.pop(database_handle(database), None)
             return call(self._handle_for(database))
 
     @staticmethod
@@ -541,90 +556,80 @@ class AttributionClient:
     def _exogenous_param(exogenous: Iterable[str] | None) -> list[str] | None:
         return None if exogenous is None else sorted(exogenous)
 
+    def _positions(self, handle: str) -> dict[Fact, int] | None:
+        """The fact positions of the version held under ``handle``, if any."""
+        version = self._versions.get(handle)
+        if version is None:
+            return None
+        self._versions.move_to_end(handle)
+        return version.derived(version_positions)
+
     def _call_results(
         self, op: str, handle: str, decode: Callable[..., Any], **params: Any
     ) -> Any:
         """Send ``op`` on ``handle`` and decode its results (see
         :meth:`_submit_results`)."""
-        learned = self._fact_lists.get(handle)
+        positions = self._positions(handle)
         result = self.call(
-            op, db=handle, sparse=True if learned is not None else None, **params
+            op, db=handle, sparse=True if positions is not None else None, **params
         )
-        return decode(handle, result, learned)
+        return decode(handle, result, positions)
 
     def _submit_results(
         self, op: str, handle: str, decode: Callable[..., Any], **params: Any
     ) -> PendingRequest:
-        """Pipeline ``op`` on ``handle``, sparse once its fact list is known.
+        """Pipeline ``op`` on ``handle``, sparse when the client holds it.
 
-        The list is taken when the request is sent and the ticket decodes
-        against that list: tickets claimed in between may evict the
+        The positions are taken when the request is sent and the ticket
+        decodes against them: tickets claimed in between may evict the
         handle from the table, but never change what this request asked
         the daemon for.
         """
-        learned = self._fact_lists.get(handle)
+        positions = self._positions(handle)
         return self.submit(
             op,
-            decode=lambda result: decode(handle, result, learned),
+            decode=lambda result: decode(handle, result, positions),
             db=handle,
-            sparse=True if learned is not None else None,
+            sparse=True if positions is not None else None,
             **params,
         )
-
-    def _learn(self, handle: str, positions: dict[Fact, int]) -> None:
-        self._fact_lists[handle] = positions
-        self._fact_lists.move_to_end(handle)
-        while len(self._fact_lists) > self.MAX_CACHED_HANDLES:
-            self._fact_lists.popitem(last=False)
 
     def _decode_result(
         self,
         handle: str,
         payload: Mapping[str, Any],
-        learned: dict[Fact, int] | None,
+        positions: dict[Fact, int] | None,
     ) -> BatchResult:
         """One result document of ``handle``'s version, as views.
 
-        A dense document teaches the handle's fact list (its Shapley
-        rows cover every endogenous fact, in canonical order); a sparse
-        one is read against ``learned``, the list the request was sent
-        with, after checking that the list fits it.
+        A sparse document is read against ``positions``, those of the
+        version the request was sent for, after checking that they fit
+        it; a dense one covers every endogenous fact in canonical order
+        and is read over its own rows.
         """
         core = self._interner.result(payload)
-        if payload.get("sparse"):
-            if learned is None:
-                raise ProtocolError(
-                    f"sparse result for handle {handle!r}, whose fact list"
-                    " this client has not learned"
-                )
-            if core.player_count != len(learned) or not all(
-                item in learned for mapping in (core.shapley, core.banzhaf)
-                for item in mapping
-            ):
-                raise ProtocolError(
-                    f"sparse result of {core.player_count} players does not"
-                    f" fit the {len(learned)}-fact list learned for handle"
-                    f" {handle!r}; refusing to read it as zeros"
-                )
-            self._learn(handle, learned)
-            return publish_result(core, learned, core.from_cache)
-        # Reuse a learned list that fits, so the answers of one dense
-        # response share one position map instead of one per answer.
-        positions = self._fact_lists.get(handle)
-        if (
-            positions is None
-            or len(positions) != len(core.shapley)
-            or not all(item in positions for item in core.shapley)
+        if not payload.get("sparse"):
+            return publish_result(core, fact_positions(core.shapley), core.from_cache)
+        if positions is None:
+            raise ProtocolError(
+                f"sparse result for handle {handle!r}, a version this client"
+                " does not hold"
+            )
+        if core.player_count != len(positions) or not all(
+            item in positions for mapping in (core.shapley, core.banzhaf)
+            for item in mapping
         ):
-            positions = fact_positions(core.shapley)
-        if len(positions) == core.player_count:
-            self._learn(handle, positions)
+            raise ProtocolError(
+                f"sparse result of {core.player_count} players does not"
+                f" fit the {len(positions)} facts held for handle"
+                f" {handle!r}; refusing to read it as zeros"
+            )
         return publish_result(core, positions, core.from_cache)
 
     def _decode_batch(
-        self, handle: str, result: dict[str, Any], learned: dict[Fact, int] | None
+        self, handle: str, result: dict[str, Any], positions: dict[Fact, int] | None
     ) -> BatchResult:
-        return self._decode_result(handle, result["result"], learned)
+        return self._decode_result(handle, result["result"], positions)
 
     def batch(
         self,
@@ -781,14 +786,14 @@ class AttributionClient:
         )
 
     def _decode_answers(
-        self, handle: str, result: dict[str, Any], learned: dict[Fact, int] | None
+        self, handle: str, result: dict[str, Any], positions: dict[Fact, int] | None
     ):
         from repro.engine.results import AnswerBatchResult
         from repro.obs.counters import Counters
 
         per_answer = {
             tuple(entry["answer"]): self._decode_result(
-                handle, entry["result"], learned
+                handle, entry["result"], positions
             )
             for entry in result["answers"]
         }

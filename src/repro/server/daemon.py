@@ -75,13 +75,11 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable
 
-from repro.core.database import Database
 from repro.core.parser import parse_query
 from repro.engine.core import BatchAttributionEngine
 from repro.engine.delta import delta_from_dict
-from repro.engine.fingerprint import fingerprint_database
 from repro.engine.policy import MethodPolicy
-from repro.io import RowTable, batch_result_to_dict, database_from_dict, row_table
+from repro.io import batch_result_to_dict, database_from_dict
 from repro.server import protocol as protocol_module
 from repro.obs import tracing as _tracing
 from repro.obs.export import top_spans
@@ -119,17 +117,6 @@ ENGINE_WORKERS = 4
 #: the filesystem) but bypass admission: registry state management must
 #: not compete with compute for queue slots.
 SIDE_OPS = frozenset({"db_load", "db_update"})
-
-
-def _version_rows(database: Database) -> RowTable | None:
-    """The wire row table of a database version, in the engine's order.
-
-    Read from the endogenous half of
-    :func:`~repro.engine.fingerprint.fingerprint_database` — the order
-    the engine's zero template, and so every result mapping, iterates —
-    and derived once per version (``database.derived(_version_rows)``).
-    """
-    return row_table(fingerprint_database(database)[0])
 
 
 def _counters_delta(
@@ -1004,9 +991,7 @@ class AttributionDaemon:
                 trace=tracer,
             ),
             lambda result, sparse: {
-                "result": batch_result_to_dict(
-                    result, database.derived(_version_rows), sparse=sparse
-                )
+                "result": batch_result_to_dict(result, sparse=sparse)
             },
         )
 
@@ -1048,9 +1033,7 @@ class AttributionDaemon:
                 trace=tracer,
             ),
             lambda result, sparse: {
-                "result": batch_result_to_dict(
-                    result, database.derived(_version_rows), sparse=sparse
-                )
+                "result": batch_result_to_dict(result, sparse=sparse)
             },
         )
 
@@ -1077,12 +1060,11 @@ class AttributionDaemon:
         )
 
         def render(batch, sparse: bool) -> dict[str, Any]:
-            table = database.derived(_version_rows)
             return {
                 "answers": [
                     {
                         "answer": list(answer),
-                        "result": batch_result_to_dict(result, table, sparse=sparse),
+                        "result": batch_result_to_dict(result, sparse=sparse),
                     }
                     for answer, result in batch.per_answer.items()
                 ],

@@ -22,10 +22,16 @@ one warm engine:
   only when every node has failed does the last error surface.
 * **Fan-out.** ``load_database`` / ``update_database`` go to *every*
   node, keeping each daemon's registry version chain in sync and
-  propagating retirement fleet-wide through the shared store;
-  ``stats`` / ``metrics`` collect per-node documents and (for metrics)
-  a bucket-wise merged fleet view — the fixed histogram dialect of
+  propagating retirement fleet-wide through the shared store.  Each
+  node client then holds the version too, so a routed or failed-over
+  request on the handle is sparse from the first.  ``stats`` /
+  ``metrics`` collect per-node documents and (for metrics) a
+  bucket-wise merged fleet view — the fixed histogram dialect of
   :mod:`repro.server.metrics` makes the merge exact.
+* **Content routing.** A request routes by its database's content
+  handle (:func:`~repro.server.registry.database_handle`), so a
+  ``Database`` edited after upload routes, uploads and is served as
+  its new version.
 
 Usage::
 
@@ -52,6 +58,7 @@ from repro.server.backoff import BackoffPolicy
 from repro.server.client import AttributionClient
 from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import OverloadedError
+from repro.server.registry import database_handle
 
 #: Ring points per node: enough that the keyspace splits evenly across
 #: small fleets (the expected imbalance of N nodes x V vnodes shrinks
@@ -183,19 +190,15 @@ class FleetClient:
     # Routing
     # ------------------------------------------------------------------
     def _database_digest(self, database: Database | str) -> str:
-        """Routing material for a database: handle string or content digest.
+        """Routing material for a database: its handle.
 
-        Content-addressed exactly like the daemon's registry handles, so
-        routing by a ``Database`` object and routing by the handle the
-        fleet later returns agree on the node.  The digest is derived
-        once per database version, so repeated routing costs nothing.
+        A ``Database`` routes by :func:`~repro.server.registry.database_handle`,
+        the name the daemons' registries give its current version, so
+        routing by the object and by the handle the fleet returns agree
+        on the node, and an object edited after upload routes as its new
+        version.  The digest is derived once per version.
         """
-        if isinstance(database, str):
-            return database
-        from repro.engine.fingerprint import database_digest
-        from repro.server.registry import HANDLE_PREFIX
-
-        return HANDLE_PREFIX + database_digest(database)[:32]
+        return database if isinstance(database, str) else database_handle(database)
 
     def _preference(self, material: tuple) -> list[_Node]:
         """Every node, ordered by ring position from the key's point.

@@ -43,9 +43,9 @@ endogenous fact of the database version::
      "banzhaf": [["Reg", ["Adam", "AI"], "3", "64"], ...]}
 
 Every fact the rows leave out has the exact value zero.  A reader fills
-those in from the version's fact list, which it learns from a dense
-document of the same handle (handles are content-addressed, so the list
-holds on every daemon of a fleet).  A sampled result's ``banzhaf`` rows
+those in from the version's fact list, which it reads off its own copy
+of the version (handles are content-addressed, so one copy serves every
+daemon of a fleet).  A sampled result's ``banzhaf`` rows
 stay empty in both encodings.  ``aggregate`` ignores the flag, and a
 request without it gets today's dense documents byte for byte.
 """

@@ -51,6 +51,17 @@ Value = TypeVar("Value")
 HANDLE_PREFIX = "db:"
 
 
+def database_handle(database: Database) -> str:
+    """The content handle of a database version: ``db:`` plus its digest.
+
+    The registry names every version it stores with it, the client
+    keys the versions it holds by it, and the fleet routes by it, so all
+    three agree on one name per version.  The digest is derived once per
+    version (:func:`~repro.engine.fingerprint.database_digest`).
+    """
+    return HANDLE_PREFIX + database_digest(database)[:32]
+
+
 class DatabaseRegistry:
     """Content-addressed, LRU-bounded store of uploaded databases.
 
@@ -102,7 +113,7 @@ class DatabaseRegistry:
 
     def load(self, database: Database) -> str:
         """Store ``database`` (or refresh it) and return its handle."""
-        handle = HANDLE_PREFIX + database_digest(database)[:32]
+        handle = database_handle(database)
         with self._lock:
             self.stats.loads += 1
             self._store_locked(database, handle)
@@ -124,7 +135,7 @@ class DatabaseRegistry:
         """
         base = self.get(handle)
         successor = apply_delta(base, delta)
-        successor_handle = HANDLE_PREFIX + database_digest(successor)[:32]
+        successor_handle = database_handle(successor)
         with self._lock:
             self.stats.updates += 1
             self._store_locked(successor, successor_handle)
@@ -297,4 +308,5 @@ __all__ = [
     "HANDLE_PREFIX",
     "InFlightCoalescer",
     "UnknownHandleError",
+    "database_handle",
 ]

@@ -73,24 +73,19 @@ def _attribution_from_weighted(
     weighted: list[tuple[tuple[Constant, ...], Fraction]],
     exogenous_relations: AbstractSet[str] | None,
 ) -> dict[Fact, Fraction]:
-    """Linearity over precomputed ``(answer, weight)`` pairs."""
-    from repro.engine import default_engine
+    """Linearity over precomputed ``(answer, weight)`` pairs, through
+    :meth:`~repro.engine.results.AnswerBatchResult.aggregate`."""
+    from repro.engine import default_engine, version_positions
 
-    totals = {item: Fraction(0) for item in sorted(database.endogenous, key=repr)}
     if not weighted:
-        return totals
+        return dict.fromkeys(database.derived(version_positions), Fraction(0))
     batch = default_engine().batch_answers(
         database,
         query,
         [row for row, _ in weighted],
         exogenous_relations=exogenous_relations,
     )
-    weights = dict(weighted)
-    for answer, result in batch.per_answer.items():
-        weight = weights[answer]
-        for item, value in result.shapley.items():
-            totals[item] += weight * value
-    return totals
+    return batch.aggregate(dict(weighted).__getitem__)
 
 
 def aggregate_attribution(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import Database
 from repro.core.facts import fact
@@ -118,3 +120,77 @@ class TestGeneralAggregate:
         weight = {(1,): 5, (2,): 3}
         value = shapley_aggregate(db, q, fact("R", 1), lambda row: weight[row])
         assert value == 5
+
+
+# ----------------------------------------------------------------------
+# AnswerBatchResult.aggregate sums nonzero values only
+# ----------------------------------------------------------------------
+STUDENTS = ("s1", "s2", "s10")
+COURSES = (1, 2, 3)
+
+
+def dense_sum(batch, value_of, measure):
+    """The reference: every fact of every weighted answer's mapping."""
+    totals = {}
+    for answer, result in batch.per_answer.items():
+        weight = Fraction(value_of(answer))
+        if not weight:
+            continue
+        for item, value in getattr(result, measure).items():
+            totals[item] = totals.get(item, Fraction(0)) + weight * value
+    return {item: totals[item] for item in sorted(totals, key=repr)}
+
+
+@st.composite
+def numeric_databases(draw) -> Database:
+    """Students with numeric courses, each fact endogenous, exogenous or absent."""
+    database = Database()
+    for student in STUDENTS:
+        facts = [fact("Stud", student), fact("TA", student)]
+        facts += [fact("Reg", student, course) for course in COURSES]
+        for item in facts:
+            side = draw(st.sampled_from(("endogenous", "exogenous", "absent")))
+            if side != "absent":
+                database.add(item, endogenous=side == "endogenous")
+    return database
+
+
+class TestNonzeroSum:
+    QUERY = parse_query("ans(x, y) :- Stud(x), not TA(x), Reg(x, y)")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        database=numeric_databases(),
+        weighting=st.sampled_from(("count", "sum", "drawn", "none")),
+        drawn=st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+        policy=st.sampled_from(("exact", "sampled")),
+    )
+    @example(  # no answers at all
+        database=Database(endogenous=[fact("TA", "s1")]),
+        weighting="count",
+        drawn=[0] * 9,
+        policy="exact",
+    )
+    def test_equals_the_dense_sum(self, database, weighting, drawn, policy):
+        from repro.engine import BatchAttributionEngine, MethodPolicy
+        from repro.engine.results import aggregate_spec
+
+        engine = BatchAttributionEngine(jobs=1)
+        chosen = MethodPolicy("sampled", epsilon=0.5) if policy == "sampled" else policy
+        answers = [] if weighting == "none" else None
+        batch = engine.batch_answers(database, self.QUERY, answers, policy=chosen)
+        if weighting == "drawn":  # zero weights among them
+            ranks = {answer: index for index, answer in enumerate(batch.per_answer)}
+
+            def value_of(answer):
+                return drawn[ranks[answer]]
+
+        else:
+            value_of, _ = aggregate_spec("sum" if weighting == "sum" else "count", 1, 2)
+        for measure in ("shapley", "banzhaf"):
+            got = batch.aggregate(value_of, measure)
+            want = dense_sum(batch, value_of, measure)
+            assert list(got.items()) == list(want.items())
+            assert all(type(value) is Fraction for value in got.values())
+            if policy == "sampled" and measure == "banzhaf":
+                assert got == {}

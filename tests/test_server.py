@@ -363,9 +363,9 @@ class TestClientResilience:
                 assert client.ping()["pong"] is True
 
     def test_handle_cache_is_identity_safe(self, tmp_path):
-        # A content-identical but distinct database object re-uploads
-        # (cheap: content-addressed server-side); a stale id can never
-        # alias a different database.
+        # The client keys versions by content, not by object: a
+        # content-identical but distinct database object shares the one
+        # upload, and an object edited after upload is a new version.
         with running_daemon(tmp_path) as daemon:
             with AttributionClient(daemon.address) as client:
                 first = client.load_database(figure_1_database())
@@ -373,6 +373,9 @@ class TestClientResilience:
                 assert client.load_database(other) == first
                 same = other
                 assert client.load_database(same) == first
+                assert client.stats()["registry"]["loads"] == 1
+                other.add_endogenous(fact("Reg", "Adam", "DB"))
+                assert client.load_database(other) != first
                 assert client.stats()["registry"]["loads"] == 2
 
 

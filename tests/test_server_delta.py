@@ -43,6 +43,7 @@ from repro.server import (
     DatabaseRegistry,
     UnknownHandleError,
 )
+from repro.server.registry import database_handle
 from repro.workloads.generators import (
     random_database_for_query,
     random_delta,
@@ -226,7 +227,7 @@ class TestVersionChainEviction:
         registry = DatabaseRegistry(max_versions=1)
         with running_daemon(tmp_path, registry=registry) as daemon:
             with AttributionClient(daemon.address) as client:
-                client.batch(db, Q1)  # caches db's handle client-side
+                client.batch(db, Q1)  # the client holds db's version
                 working = client.load_database(db)
                 for index in range(2):
                     working = client.update_database(
@@ -237,7 +238,7 @@ class TestVersionChainEviction:
                     )
                 # The base version fell off the chain: its handle is gone.
                 with pytest.raises(UnknownHandleError):
-                    client.batch(client._handles[id(db)][1], Q1)
+                    client.batch(database_handle(db), Q1)
                 # ...but a database-object call recovers by re-uploading.
                 assert client.batch(db, Q1) is not None
 

@@ -6,8 +6,12 @@
   the canonical ``repr`` order and ``len`` counts every endogenous fact.
 * A ``batch``, ``refine`` or ``answers`` request with ``sparse: true``
   gets only the nonzero rows; ``aggregate`` stays dense.
-* The client learns each handle's fact list from its first dense result
-  and refuses a sparse result that does not fit the list it learned.
+* The client holds a copy of every version it uploaded or derived,
+  keyed by content handle: its requests on those handles are sparse
+  from the first, including the first on an ``update_database``
+  successor, and a database edited after upload is served at its new
+  version.  A handle string it did not create is read densely.  A
+  sparse result that does not fit the held version is refused.
 * A dense and a sparse duplicate of one request coalesce onto one
   computation, and each gets its own encoding.
 * A differential test drives the library client against an in-process
@@ -21,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import pickle
+import random
 import sys
 import tempfile
 import threading
@@ -47,10 +52,11 @@ from repro.engine import (
 )
 from repro.server import AttributionClient, FleetClient
 from repro.server.protocol import ProtocolError, encode_frame, read_frame, request
+from repro.workloads.generators import random_delta, star_join_database
 from repro.workloads.running_example import figure_1_database
+from repro.workloads.traffic import grounded_star_templates, zipf_stream
 
 Q1 = "q1() :- Stud(x), not TA(x), Reg(x, y)"
-Q2 = "q2() :- Stud(x), TA(x), Reg(x, y)"
 ANSWERS = "ans(x) :- Stud(x), not TA(x), Reg(x, y)"
 
 
@@ -72,6 +78,21 @@ def assert_same_answers(served, expected) -> None:
     assert list(served.per_answer) == list(expected.per_answer)
     for answer, result in expected.per_answer.items():
         assert_same_result(served.per_answer[answer], result)
+
+
+def is_sparse(document) -> bool:
+    """Is every result of a ``batch`` or ``answers`` response sparse?"""
+    if "answers" in document:
+        return all(
+            entry["result"].get("sparse") is True for entry in document["answers"]
+        )
+    return document["result"].get("sparse") is True
+
+
+def is_dense(document) -> bool:
+    if "answers" in document:
+        return not any("sparse" in entry["result"] for entry in document["answers"])
+    return "sparse" not in document["result"]
 
 
 class TestPublishedViews:
@@ -128,10 +149,13 @@ class TestSparseFrames:
         database = figure_1_database()
         with running_daemon(tmp_path) as daemon:
             with AttributionClient(daemon.address) as client:
-                dense = client.batch(database, Q1)
-                first = client.last_response["result"]
                 sparse = client.batch(database, Q1)
                 second = client.last_response["result"]
+                handle = client.load_database(database)
+            # Another client holds no version under the handle string.
+            with AttributionClient(daemon.address) as other:
+                dense = other.batch(handle, Q1)
+                first = other.last_response["result"]
         assert "sparse" not in first
         assert len(first["shapley"]) == first["player_count"]
         assert second["sparse"] is True
@@ -158,27 +182,33 @@ class TestSparseFrames:
 
 
 class TestLearnedFactList:
+    """The fact list a client reads sparse results against: the
+    positions of the version it holds under the handle."""
+
     def test_a_stale_list_raises_instead_of_reading_zeros(self, tmp_path):
         database = figure_1_database()
         with running_daemon(tmp_path) as daemon:
             with AttributionClient(daemon.address) as client:
                 handle = client.load_database(database)
-                client.batch(handle, Q1)
-                learned = client._fact_lists[handle]
+                held = client._versions[handle]
                 # One fact short: the player count disagrees.
-                client._fact_lists[handle] = dict(list(learned.items())[:-1])
+                client._versions[handle] = held.without_fact(
+                    sorted(held.endogenous, key=repr)[-1]
+                )
                 with pytest.raises(ProtocolError, match="player"):
                     client.batch(handle, Q1)
                 # The right count, but another version's facts.
-                client._fact_lists[handle] = {
-                    fact("Other", index): index for index in range(len(learned))
-                }
+                client._versions[handle] = Database(
+                    endogenous=[
+                        fact("Other", index) for index in range(len(held.endogenous))
+                    ]
+                )
                 with pytest.raises(ProtocolError):
                     client.batch(handle, Q1)
                 with pytest.raises(ProtocolError):
                     client.answers(handle, ANSWERS)
-                client._fact_lists[handle] = learned
-                assert client.batch(handle, Q1).player_count == len(learned)
+                client._versions[handle] = held
+                assert client.batch(handle, Q1).player_count == len(held.endogenous)
 
     def test_a_sparse_result_for_an_unknown_handle_is_refused(self):
         client = AttributionClient("unused.sock", connect_retries=0)
@@ -190,7 +220,7 @@ class TestLearnedFactList:
             "shapley": [["R", [1], "1", "1"]],
             "banzhaf": [["R", [1], "1", "1"]],
         }
-        with pytest.raises(ProtocolError, match="not learned"):
+        with pytest.raises(ProtocolError, match="does not hold"):
             client._decode_result("db:unknown", payload, None)
 
     def test_the_list_table_is_bounded(self, tmp_path, monkeypatch):
@@ -200,24 +230,123 @@ class TestLearnedFactList:
             with AttributionClient(daemon.address) as client:
                 for database in databases:
                     client.batch(database, "q() :- R(x)")
-                assert len(client._fact_lists) == 2
+                assert len(client._versions) == 2
 
     def test_a_pipelined_request_decodes_against_the_list_it_was_sent_with(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(AttributionClient, "MAX_CACHED_HANDLES", 1)
+        database = figure_1_database()
+        expected = BatchAttributionEngine(jobs=1).batch(database, parse_query(Q1))
         with running_daemon(tmp_path) as daemon:
             with AttributionClient(daemon.address) as client:
-                first = client.load_database(figure_1_database())
-                second = client.load_database(Database(endogenous=[fact("R", 1)]))
-                dense = client.batch(first, Q1)
+                first = client.load_database(database)
                 sparse = client.submit_batch(first, Q1)
+                # Loading another version evicts the first one.
+                second = client.load_database(Database(endogenous=[fact("R", 1)]))
                 other = client.submit_batch(second, "q() :- R(x)")
-                other.result()  # learns the second list, evicting the first
-                assert list(client._fact_lists) == [second]
-                assert_same_result(sparse.result(), dense)
+                other.result()
+                assert list(client._versions) == [second]
+                assert_same_result(sparse.result(), expected)
                 assert client.last_response["result"]["sparse"] is True
-                assert list(client._fact_lists) == [first]
+
+
+class TestHeldVersions:
+    """Versions the client uploaded or derived, keyed by content handle."""
+
+    @pytest.mark.parametrize("kind", ["daemon", "fleet"])
+    def test_a_database_changed_after_upload_is_served_at_its_new_version(
+        self, kind
+    ):
+        database = figure_1_database()
+        engine = BatchAttributionEngine(jobs=1)
+        query, answers = parse_query(Q1), parse_query(ANSWERS)
+        with backend(kind) as client:
+            before = client.load_database(database)
+            expected = engine.batch(database, query)
+            assert_same_result(client.batch(database, Q1), expected)
+            database.add(fact("Reg", "Adam", "DB"), endogenous=True)
+            served = client.batch(database, Q1)
+            assert fact("Reg", "Adam", "DB") in served.shapley
+            assert_same_result(served, engine.batch(database, query))
+            assert is_sparse(client.last_response)
+            assert client.load_database(database) != before
+            database.remove(fact("Reg", "Adam", "DB"))
+            database.add(fact("TA", "Ben"), endogenous=False)
+            expected = engine.batch_answers(database, answers)
+            assert_same_answers(client.answers(database, ANSWERS), expected)
+            expected = engine.batch(database, query)
+            assert_same_result(client.batch(database, Q1), expected)
+
+    def test_the_first_reads_on_a_successor_handle_are_sparse(self, tmp_path):
+        database = figure_1_database()
+        delta = DatabaseDelta(added_endogenous=frozenset({fact("Reg", "Adam", "DB")}))
+        successor = apply_delta(database, delta)
+        engine = BatchAttributionEngine(jobs=1)
+        with running_daemon(tmp_path) as daemon:
+            with AttributionClient(daemon.address) as client:
+                base = client.load_database(database)
+                handle = client.update_database(base, delta=delta)
+                assert handle in client._versions
+                served = client.batch(handle, Q1)
+                assert is_sparse(client.last_response)
+                assert_same_result(served, engine.batch(successor, parse_query(Q1)))
+                served = client.answers(handle, ANSWERS)
+                assert is_sparse(client.last_response)
+                assert_same_answers(
+                    served, engine.batch_answers(successor, parse_query(ANSWERS))
+                )
+
+    def test_a_handle_from_another_client_decodes_densely(self, tmp_path):
+        database = figure_1_database()
+        delta = DatabaseDelta(removed=frozenset({fact("Reg", "Adam", "OS")}))
+        engine = BatchAttributionEngine(jobs=1)
+        with running_daemon(tmp_path) as daemon:
+            with AttributionClient(daemon.address) as owner:
+                base = owner.load_database(database)
+                successor = owner.update_database(base, delta=delta)
+            with AttributionClient(daemon.address) as client:
+                for handle, version in (
+                    (base, database),
+                    (successor, apply_delta(database, delta)),
+                ):
+                    served = client.batch(handle, Q1)
+                    assert is_dense(client.last_response)
+                    assert_same_result(served, engine.batch(version, parse_query(Q1)))
+                    served = client.answers(handle, ANSWERS)
+                    assert is_dense(client.last_response)
+                    assert_same_answers(
+                        served, engine.batch_answers(version, parse_query(ANSWERS))
+                    )
+                assert not client._versions
+
+
+def test_a_served_zipf_stream_is_sparse_from_the_first_read(tmp_path):
+    """The served-zipf request mix through handle strings: ``db_load``,
+    then ``batch``/``answers`` with a ``db_update`` every 25th request."""
+    students, courses, every = 30, 6, 25
+    rng = random.Random("served-zipf:1")
+    database = star_join_database(students, courses, rng=random.Random("served-zipf"))
+    stream = zipf_stream(grounded_star_templates(students, courses), 100, rng=rng)
+    assert {request_.op for request_ in stream} == {"batch", "answers"}
+    engine = BatchAttributionEngine(jobs=1)
+    with running_daemon(tmp_path) as daemon:
+        with AttributionClient(daemon.address) as client:
+            handle = client.load_database(database)
+            for position, request_ in enumerate(stream):
+                if position % every == every - 1:
+                    delta = random_delta(database, rng)
+                    handle = client.update_database(handle, delta=delta)
+                    database = apply_delta(database, delta)
+                    continue
+                query = parse_query(request_.query)
+                if request_.op == "batch":
+                    served = client.batch(handle, request_.query)
+                    assert_same_result(served, engine.batch(database, query))
+                else:
+                    served = client.answers(handle, request_.query)
+                    assert_same_answers(served, engine.batch_answers(database, query))
+                assert is_sparse(client.last_response), (position, request_)
 
 
 class TestCoalescedEncodings:
@@ -236,9 +365,9 @@ class TestCoalescedEncodings:
         renders = {False: 0, True: 0}
         real_render = daemon_module.batch_result_to_dict
 
-        def counted_render(result, table=None, *, sparse=False):
+        def counted_render(result, *, sparse=False):
             renders[sparse] += 1
-            return real_render(result, table, sparse=sparse)
+            return real_render(result, sparse=sparse)
 
         monkeypatch.setattr(daemon_module, "batch_result_to_dict", counted_render)
         database = figure_1_database()
@@ -253,13 +382,13 @@ class TestCoalescedEncodings:
                 for encoding in ("dense", "sparse")
                 for index in range(1 + self.FOLLOWERS)
             }
-            handle = clients["dense", 0].load_database(database)
-            # The sparse clients learn the handle's list on another
-            # query, so Q1 stays cold for everyone.
+            # The sparse clients hold the version; the dense ones get
+            # the handle as a string they did not load.
             for (encoding, _), client in clients.items():
                 if encoding == "sparse":
-                    client.batch(handle, Q2)
-                    assert handle in client._fact_lists
+                    handle = client.load_database(database)
+            for (encoding, _), client in clients.items():
+                assert (handle in client._versions) is (encoding == "sparse")
             before = engine.counters()
             renders.update({False: 0, True: 0})
 
@@ -311,7 +440,7 @@ class TestCoalescedEncodings:
             after = engine.counters()
 
         assert after["executor.tasks"] - before["executor.tasks"] == 1
-        assert engine.shared.claim_stats.won == 2  # Q2, then Q1 once
+        assert engine.shared.claim_stats.won == 1  # Q1, once
         assert renders == {False: 1, True: 1}
         reference, _ = outcomes[leader, 0]
         for (encoding, index), (result, response) in outcomes.items():
@@ -444,11 +573,11 @@ class _Calls:
             return self._each_node(lambda node: node.submit_answers(handle, query))
         return [self.client.answers(handle, query)]
 
-    def fact_lists(self):
+    def versions(self):
         last = self.last
         if isinstance(last, FleetClient):
             last = last._last_client
-        return last._fact_lists
+        return last._versions
 
     def last_document(self):
         return self.last.last_response["result"]
@@ -459,11 +588,11 @@ def _check_version(calls: _Calls, engine, handle: str, database: Database) -> No
     for text in BOOLEAN_QUERIES:
         query = parse_query(text)
         expected = engine.batch(database, query)
-        for _ in range(2):  # the first may be dense; the repeat is sparse
+        for _ in range(2):  # cold, then warm: both sparse
             for served in calls.batch(handle, text):
                 assert_same_result(served, expected)
-        assert handle in calls.fact_lists()
-        assert calls.last_document()["sparse"] is True
+            assert calls.last_document()["sparse"] is True
+        assert handle in calls.versions()
     query = parse_query(Q1)
     expected = engine.batch(database, query, policy=SAMPLED)
     for served in calls.batch(handle, Q1, policy=SAMPLED):

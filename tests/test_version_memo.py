@@ -1,7 +1,7 @@
 """Per-version derived data: the database memo and what reads from it.
 
 A :class:`~repro.core.database.Database` derives its engine index,
-fingerprint, zero template and wire row table once per version
+fingerprint and fact positions once per version
 (:meth:`~repro.core.database.Database.derived`).  These tests pin the
 contract that makes sharing them safe:
 
@@ -10,9 +10,8 @@ contract that makes sharing them safe:
 * the memo never travels: warm and cold databases pickle to the same
   bytes (sharded task payloads do not grow);
 * a shared index is safe under concurrent readers;
-* the daemon's table encoder writes frames byte for byte equal to the
-  sorted encoder's, and falls back to it whenever the table does not
-  describe the mapping;
+* the encoder writes published results' frames byte for byte equal to
+  the sorted reference encoder's, ties in ``repr`` included;
 * the client's interning decoder returns what the plain decoder does.
 """
 
@@ -30,7 +29,7 @@ import pytest
 from repro.core.database import Database
 from repro.core.facts import Fact, fact
 from repro.core.parser import parse_query
-from repro.engine import BatchAttributionEngine
+from repro.engine import BatchAttributionEngine, version_positions
 from repro.engine.fingerprint import (
     FactIndex,
     database_digest,
@@ -47,7 +46,6 @@ from repro.io import (
 )
 from repro.server import client as client_module
 from repro.server.client import AttributionClient
-from repro.server.daemon import _version_rows
 from repro.server.protocol import encode_frame, ok_response, request
 from repro.workloads.generators import star_join_database
 from repro.workloads.running_example import figure_1_database, query_q1
@@ -95,15 +93,10 @@ def frame(document) -> bytes:
     return encode_frame(ok_response(1, {"result": document}))
 
 
-def assert_same_frame(result, database, *, fast: bool = True):
-    """The table encoder's frame equals the sorted encoder's, byte for byte."""
-    document = batch_result_to_dict(result, database.derived(_version_rows))
+def assert_same_frame(result):
+    """The encoder's frame equals the sorted reference's, byte for byte."""
+    document = batch_result_to_dict(result)
     assert frame(document) == frame(sorted_document(result))
-    # Table rows hold the shared args tuple, sorted rows a fresh list: the
-    # row type tells which path encoded the (non-empty) mapping.
-    rows = document["shapley"]
-    if rows:
-        assert isinstance(rows[0][1], tuple) is fast
 
 
 class TestMemoFollowsEdits:
@@ -150,7 +143,7 @@ class TestMemoFollowsEdits:
         for op, query in served_zipf_queries()[:6]:
             if op == "batch":
                 engine.batch(database, query)
-        database.derived(_version_rows)
+        database.derived(version_positions)
         database_digest(database)
         assert pickle.dumps(database) == cold
         clone = pickle.loads(cold)
@@ -209,18 +202,18 @@ class TestSharedIndexUnderThreads:
 
 
 class TestTableEncoder:
-    """The daemon's table encoder against the sorted reference encoder."""
+    """The result encoder against the sorted reference encoder."""
 
     def test_served_zipf_frames_are_byte_identical(self):
         database = served_zipf_database()
         engine = BatchAttributionEngine(jobs=1)
         for op, query in served_zipf_queries():
             if op == "batch":
-                assert_same_frame(engine.batch(database, query), database)
+                assert_same_frame(engine.batch(database, query))
             else:
                 batch = engine.batch_answers(database, query)
                 for result in batch.per_answer.values():
-                    assert_same_frame(result, database)
+                    assert_same_frame(result)
 
     def test_repr_collisions_keep_the_tie_order(self):
         database = Database(
@@ -231,18 +224,17 @@ class TestTableEncoder:
             database, parse_query("q() :- R(x), S(x)")
         )
         assert repr(fact("R", 1)) == repr(fact("R", "1"))
-        assert_same_frame(result, database)
+        assert_same_frame(result)
 
     def test_non_json_constant_raises_the_same_error(self):
         database = Database(endogenous=[fact("R", (1, 2)), fact("R", "a")])
         result = BatchAttributionEngine(jobs=1).batch(
             database, parse_query("q() :- R(x)")
         )
-        assert database.derived(_version_rows) is None
         with pytest.raises(ValueError) as expected:
             sorted_document(result)
         with pytest.raises(ValueError) as raised:
-            batch_result_to_dict(result, database.derived(_version_rows))
+            batch_result_to_dict(result)
         assert str(raised.value) == str(expected.value)
 
     def test_sampled_result_with_empty_banzhaf(self):
@@ -251,30 +243,20 @@ class TestTableEncoder:
             database, query_q1(), policy="sampled"
         )
         assert result.estimate is not None and not result.banzhaf
-        assert_same_frame(result, database)
+        assert_same_frame(result)
 
     def test_other_key_sets_take_the_sorted_path(self):
         database = figure_1_database()
         result = BatchAttributionEngine(jobs=1).batch(database, query_q1())
-        grown = database.copy()
-        grown.add_endogenous(fact("Reg", "Adam", "DB"))
-        # A mapping of another version, the same keys in another order,
-        # and a key equal to the table's fact but of another type.
-        assert_same_frame(result, grown, fast=False)
+        # The same keys in another order, and a key equal to a fact of
+        # the version but of another type.
         shuffled = dict(reversed(list(result.shapley.items())))
         reordered = type(result)(shuffled, shuffled, result.method, result.player_count)
-        assert_same_frame(reordered, database, fast=False)
+        assert_same_frame(reordered)
 
-        boolean = Database(endogenous=[fact("R", True)])
         values = {fact("R", 1): Fraction(1)}
         lookalike = type(result)(values, values, "cntsat", 1)
-        assert_same_frame(lookalike, boolean, fast=False)
-
-    def test_shared_table_parts_are_immutable(self):
-        table = served_zipf_database().derived(_version_rows)
-        assert isinstance(table, tuple)
-        for entry in table:
-            assert isinstance(entry, tuple) and isinstance(entry[2], tuple)
+        assert_same_frame(lookalike)
 
 
 def _read_body(sock: socket.socket) -> bytes:
