@@ -15,10 +15,11 @@ Three claims are made executable:
 from __future__ import annotations
 
 import random
+import sys
 import time
+from pathlib import Path
 
 from repro.engine import BatchAttributionEngine
-from repro.shapley.exact import shapley_all_values_per_fact
 from repro.workloads.generators import export_database, star_join_database
 from repro.workloads.queries import intro_export_query
 from repro.workloads.running_example import (
@@ -27,6 +28,9 @@ from repro.workloads.running_example import (
     query_q1,
 )
 
+TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if TESTS not in sys.path:  # the seed reference implementation lives there
+    sys.path.insert(0, TESTS)
 SPEEDUP_FLOOR = 5.0
 
 
@@ -47,6 +51,8 @@ def test_engine_exactness_on_running_example(benchmark, report):
 
 def test_engine_speedup_on_medium_instances(benchmark, report, quick):
     """All-facts Shapley: batch engine ≥ 5x over the seed per-fact loop."""
+    from harness.seed_cntsat import shapley_all_values_per_fact
+
     q1 = query_q1()
     sizes = ((10, 5), (16, 6)) if quick else ((20, 6), (30, 8))
     rows = []
@@ -90,6 +96,8 @@ def test_engine_speedup_on_medium_instances(benchmark, report, quick):
 
 def test_engine_speedup_on_exoshap_instances(benchmark, report, quick):
     """The exoshap route amortizes the rewrite once instead of per fact."""
+    from harness.seed_cntsat import shapley_all_values_per_fact
+
     q = intro_export_query()
     scale = (3, 2, 2) if quick else (4, 3, 2)
     db = export_database(*scale, rng=random.Random(9))

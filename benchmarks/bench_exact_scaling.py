@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +40,7 @@ from repro.engine.bundles import OR
 from repro.shapley.aggregates import candidate_answers
 from repro.shapley.answers import ground_at_answer
 from repro.shapley.brute_force import satisfying_subset_counts, shapley_brute_force
-from repro.shapley.cntsat import count_satisfying_subsets
-from repro.shapley.exact import shapley_hierarchical
+from repro.shapley.exact import count_satisfying_subsets, shapley_hierarchical
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -47,8 +48,14 @@ from repro.workloads.generators import (
 )
 from repro.workloads.running_example import query_q1
 
+TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if TESTS not in sys.path:  # the seed reference implementation lives there
+    sys.path.insert(0, TESTS)
+
 
 def test_e2_correctness_sweep(benchmark, report):
+    from harness.seed_cntsat import counts_from_both
+
     rng = random.Random(2024)
 
     def sweep() -> tuple[int, int]:
@@ -60,7 +67,7 @@ def test_e2_correctness_sweep(benchmark, report):
             if len(db.endogenous) > 11:
                 continue
             instances += 1
-            if count_satisfying_subsets(db, q) == satisfying_subset_counts(db, q):
+            if counts_from_both(db, q) == satisfying_subset_counts(db, q):
                 agreements += 1
         return agreements, instances
 
@@ -181,7 +188,9 @@ def _batch_ladder(report, title: str, databases) -> None:
 
 
 def test_e2_batch_bit_identical_to_per_fact_cntsat():
-    """The all-facts pass equals per-fact CntSat at the quick size."""
+    """The all-facts pass equals the seed per-fact CntSat at the quick size."""
+    from harness.seed_cntsat import shapley_hierarchical as seed_shapley
+
     q1 = query_q1()
     for db in (
         star_join_database(12, 8, rng=random.Random(12)),
@@ -189,7 +198,7 @@ def test_e2_batch_bit_identical_to_per_fact_cntsat():
     ):
         result = BatchAttributionEngine(executor=SerialExecutor()).batch(db, q1)
         for item in db.endogenous:
-            assert result.shapley[item] == shapley_hierarchical(db, q1, item)
+            assert result.shapley[item] == seed_shapley(db, q1, item)
 
 
 @pytest.mark.slow

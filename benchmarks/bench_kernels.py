@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -30,10 +31,13 @@ from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
 from repro.engine.bundles import batch_count_vectors
 from repro.engine.results import result_from_vectors
 from repro.server import AttributionClient, AttributionDaemon
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.util import kernels
 from repro.workloads.generators import star_join_database
 from repro.workloads.running_example import query_q1
+
+TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if TESTS not in sys.path:  # the seed reference implementation lives there
+    sys.path.insert(0, TESTS)
 
 #: The acceptance floor: the engine must beat the seed's serial
 #: per-fact reference path by at least this factor.
@@ -54,6 +58,8 @@ def _seed_reference_batch(db, query):
     convolution, then the historical per-size ``Fraction`` multiply-add
     (one coefficient built from scratch per nonzero coalition size, one
     gcd per addition)."""
+    from harness.seed_cntsat import count_satisfying_subsets
+
     players = len(db.endogenous)
     denominator = 2 ** (players - 1)
     shapley, banzhaf = {}, {}

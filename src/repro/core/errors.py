@@ -33,10 +33,11 @@ class SelfJoinError(ReproError):
 class NotHierarchicalError(ReproError):
     """A polynomial-time algorithm was invoked on a query outside its tractable class.
 
-    Raised by :func:`repro.shapley.cntsat.count_satisfying_subsets` for
-    non-hierarchical queries and by :func:`repro.shapley.exoshap.exo_shapley`
-    for queries with a non-hierarchical path (the FP^#P-hard side of
-    Theorems 3.1 and 4.3).
+    Raised by :func:`repro.shapley.exact.count_satisfying_subsets` (and
+    the engine's forward pass behind it) for non-hierarchical queries and
+    by :func:`repro.shapley.exoshap.rewrite_to_hierarchical` for queries
+    with a non-hierarchical path (the FP^#P-hard side of Theorems 3.1 and
+    4.3).
     """
 
 

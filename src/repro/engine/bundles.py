@@ -550,21 +550,10 @@ def _bundle_top(
     )
 
 
-def batch_count_vectors(
-    database: Database,
-    query: ConjunctiveQuery,
-    cache: BundleCache | None = None,
-) -> BatchVectors:
-    """The forward pass over ``(D, q)``: the baseline vector and its tape.
+def cntsat_query(query: ConjunctiveQuery) -> ConjunctiveQuery:
+    """``query`` as a Boolean CQ¬ inside the tractable class of Theorem 3.1.
 
-    The root entry is the top-level AND step: the atom-level restriction
-    frees the facts that fail their atom's pattern, and the components
-    of the rest multiply with the free facts' binomial row.
-    :func:`pull_back` then runs the backward pass over the tape.
-
-    Raises :class:`SelfJoinError` / :class:`NotHierarchicalError` outside
-    the tractable class of Theorem 3.1, exactly like
-    :func:`repro.shapley.cntsat.count_satisfying_subsets`.
+    Raises :class:`SelfJoinError` / :class:`NotHierarchicalError` outside it.
     """
     query = query.as_boolean()
     if not query.is_self_join_free:
@@ -575,6 +564,24 @@ def batch_count_vectors(
         raise NotHierarchicalError(
             f"the batch engine requires a hierarchical query, got {query!r}"
         )
+    return query
+
+
+def batch_count_vectors(
+    database: Database,
+    query: ConjunctiveQuery,
+    cache: BundleCache | None = None,
+) -> BatchVectors:
+    """The forward pass over ``(D, q)``: the baseline vector and its tape.
+
+    The root entry is the top-level AND step: the atom-level restriction
+    frees the facts that fail their atom's pattern, and the components
+    of the rest multiply with the free facts' binomial row.
+    :func:`pull_back` then runs the backward pass over the tape.  The
+    baseline is :func:`repro.shapley.exact.count_satisfying_subsets`.
+    Raises like :func:`cntsat_query`.
+    """
+    query = cntsat_query(query)
     if cache is None:
         cache = LRUCache(0)
 

@@ -82,7 +82,10 @@ from repro.engine.policy import MethodPolicy
 from repro.engine.results import BatchResult, result_from_state
 from repro.obs import tracing as _tracing
 from repro.obs.counters import Counters
-from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS
+from repro.shapley.brute_force import (
+    MAX_BRUTE_FORCE_PLAYERS,
+    validate_brute_force_bound,
+)
 from repro.shapley.sampling import SampleState, rounds_for_contract, sample_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -270,11 +273,7 @@ def _dispatch(
     """
     players = len(database.endogenous)
     if policy.method == "brute-force":
-        if players > MAX_BRUTE_FORCE_PLAYERS:
-            raise IntractableQueryError(
-                f"brute force over {players} endogenous facts would enumerate"
-                f" 2^{players} coalitions (limit: {MAX_BRUTE_FORCE_PLAYERS})"
-            )
+        validate_brute_force_bound(database)
         return "brute-force", database, query
     if policy.method == "sampled":
         return "sampled", database, _as_boolean(query)

@@ -38,10 +38,9 @@ from repro.shapley.brute_force import (
     shapley_all_brute_force,
     shapley_brute_force,
 )
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import (
+    count_satisfying_subsets,
     shapley_all_values,
-    shapley_all_values_per_fact,
     shapley_from_counts,
     shapley_hierarchical,
     shapley_value,
@@ -116,7 +115,6 @@ __all__ = [
     "shapley_all",
     "shapley_all_brute_force",
     "shapley_all_values",
-    "shapley_all_values_per_fact",
     "shapley_brute_force",
     "shapley_by_permutations",
     "shapley_by_subsets",

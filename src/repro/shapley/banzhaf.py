@@ -21,19 +21,19 @@ from fractions import Fraction
 from typing import AbstractSet
 
 from repro.core.database import Database
-from repro.core.errors import IntractableQueryError
 from repro.core.facts import Fact
-from repro.core.gaifman import infer_exogenous_relations
-from repro.core.hierarchy import is_hierarchical
-from repro.core.paths import has_non_hierarchical_path
 from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.shapley.brute_force import (
-    MAX_BRUTE_FORCE_PLAYERS,
     brute_force_all,
     query_game,
+    validate_brute_force_bound,
 )
-from repro.shapley.cntsat import count_satisfying_subsets
-from repro.shapley.exact import CountFunction
+from repro.shapley.exact import (
+    CountFunction,
+    count_satisfying_subsets,
+    exact_result,
+)
+from repro.shapley.games import banzhaf_value as game_banzhaf_value
 
 
 def banzhaf_from_counts(
@@ -56,21 +56,10 @@ def banzhaf_brute_force(
     database: Database, query: BooleanQuery, target: Fact
 ) -> Fraction:
     """Banzhaf value by coalition enumeration (oracle for tests)."""
-    import itertools
-
-    from repro.shapley.brute_force import validate_brute_force_bound
-
     if not database.is_endogenous(target):
         raise ValueError(f"{target!r} is not an endogenous fact of the database")
     validate_brute_force_bound(database)
-    players, value = query_game(database, query)
-    others = [player for player in players if player != target]
-    total = 0
-    for size in range(len(others) + 1):
-        for subset in itertools.combinations(others, size):
-            coalition = frozenset(subset)
-            total += value(coalition | {target}) - value(coalition)
-    return Fraction(total, 2 ** len(others))
+    return game_banzhaf_value(*query_game(database, query), target)
 
 
 def banzhaf_all_brute_force(
@@ -114,26 +103,7 @@ def banzhaf_value(
     exogenous_relations: AbstractSet[str] | None = None,
     allow_brute_force: bool = True,
 ) -> Fraction:
-    """Exact Banzhaf value, dispatching like :func:`repro.shapley.shapley_value`."""
-    if isinstance(query, ConjunctiveQuery):
-        boolean = query.as_boolean()
-        if exogenous_relations is None:
-            exogenous_relations = infer_exogenous_relations(boolean, database)
-        if boolean.is_self_join_free:
-            if is_hierarchical(boolean):
-                return banzhaf_from_counts(database, boolean, target)
-            if not has_non_hierarchical_path(boolean, exogenous_relations):
-                from repro.shapley.exoshap import rewrite_to_hierarchical
-
-                rewrite = rewrite_to_hierarchical(
-                    database, boolean, exogenous_relations
-                )
-                return banzhaf_from_counts(rewrite.database, rewrite.query, target)
-    size = len(database.endogenous)
-    if allow_brute_force and size <= MAX_BRUTE_FORCE_PLAYERS:
-        return banzhaf_brute_force(database, query, target)
-    raise IntractableQueryError(
-        f"no polynomial Banzhaf algorithm applies and brute force over"
-        f" {size} endogenous facts is "
-        + ("disabled" if not allow_brute_force else "too large")
-    )
+    """Exact Banzhaf value, read from the engine like :func:`shapley_value`."""
+    return exact_result(
+        database, query, target, exogenous_relations, allow_brute_force
+    ).banzhaf[target]

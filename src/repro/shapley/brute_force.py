@@ -22,7 +22,7 @@ from repro.core.errors import IntractableQueryError
 from repro.core.evaluation import holds
 from repro.core.facts import Fact
 from repro.core.query import BooleanQuery
-from repro.util.kernels import ShapleyAccumulator
+from repro.shapley.games import shapley_and_banzhaf, shapley_by_subsets
 
 # Enumerating 2^|Dn| subsets beyond this size is a bug, not a computation.
 MAX_BRUTE_FORCE_PLAYERS = 24
@@ -75,17 +75,7 @@ def shapley_brute_force(
     if not database.is_endogenous(target):
         raise ValueError(f"{target!r} is not an endogenous fact of the database")
     validate_brute_force_bound(database)
-    players, value = query_game(database, query)
-    others = [player for player in players if player != target]
-    n = len(players)
-    accumulator = ShapleyAccumulator(n)
-    for size in range(n):
-        for subset in itertools.combinations(others, size):
-            coalition = frozenset(subset)
-            marginal = value(coalition | {target}) - value(coalition)
-            if marginal:
-                accumulator.add(size, marginal)
-    return accumulator.value()
+    return shapley_by_subsets(*query_game(database, query), target)
 
 
 def brute_force_all(
@@ -102,28 +92,7 @@ def brute_force_all(
     count, so oversized batch requests fail fast instead of per fact.
     """
     validate_brute_force_bound(database)
-    players, value = query_game(database, query)
-    n = len(players)
-    if n == 0:
-        return {}, {}
-    accumulators = {player: ShapleyAccumulator(n) for player in players}
-    totals = dict.fromkeys(players, 0)
-    for size in range(n):
-        for subset in itertools.combinations(players, size):
-            coalition = frozenset(subset)
-            base = value(coalition)
-            for player in players:
-                if player in coalition:
-                    continue
-                marginal = value(coalition | {player}) - base
-                if marginal:
-                    accumulators[player].add(size, marginal)
-                    totals[player] += marginal
-    denominator = 2 ** (n - 1)
-    return (
-        {player: accumulators[player].value() for player in players},
-        {player: Fraction(totals[player], denominator) for player in players},
-    )
+    return shapley_and_banzhaf(*query_game(database, query))
 
 
 def shapley_all_brute_force(

@@ -1,4 +1,4 @@
-"""Exact Shapley values: the counts reduction and the dispatching front door.
+"""Exact Shapley values: the counts reduction and the per-fact front door.
 
 The reduction of Livshits et al. (restated before Lemma 3.2) turns any
 polynomial-time counter of satisfying ``k``-subsets into a polynomial-time
@@ -13,33 +13,40 @@ where ``Sat^{+f}(k)`` counts ``k``-subsets of ``Dn \\ {f}`` satisfying the
 query *with* ``f`` present (``f`` moved to the exogenous side) and
 ``Sat^{-f}(k)`` the same *without* ``f`` (``f`` deleted).
 
-:func:`shapley_value` dispatches on the dichotomies: CntSat for
-hierarchical queries, ExoShap when exogenous relations rescue tractability
-(Theorem 4.3), and bounded brute force otherwise.
+The per-fact functions read their value from one request to the shared
+batch engine, whose planner alone chooses CntSat (Theorem 3.1), ExoShap
+(Theorem 4.3) or brute force, on the request's relevance slice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import AbstractSet, Callable
+from typing import TYPE_CHECKING, AbstractSet, Callable
 
-from repro.core.classify import classify
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import Fact
-from repro.core.gaifman import infer_exogenous_relations
-from repro.core.hierarchy import is_hierarchical
-from repro.core.paths import has_non_hierarchical_path
-from repro.core.query import BooleanQuery, ConjunctiveQuery, UnionQuery
-from repro.shapley.brute_force import (
-    MAX_BRUTE_FORCE_PLAYERS,
-    shapley_all_brute_force,
-    shapley_brute_force,
-)
-from repro.shapley.cntsat import count_satisfying_subsets
+from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.util.kernels import ShapleyAccumulator
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.engine.results import BatchResult
+
 CountFunction = Callable[[Database, ConjunctiveQuery], list[int]]
+
+
+def count_satisfying_subsets(
+    database: Database, query: ConjunctiveQuery
+) -> list[int]:
+    """The vector ``[|Sat(D, q, 0)|, ..., |Sat(D, q, |Dn|)|]``.
+
+    The baseline of the engine's forward pass.  Raises
+    :class:`SelfJoinError` / :class:`NotHierarchicalError` outside the
+    tractable class of Theorem 3.1.
+    """
+    from repro.engine.bundles import batch_count_vectors
+
+    return list(batch_count_vectors(database, query).baseline)
 
 
 def shapley_from_counts(
@@ -64,11 +71,50 @@ def shapley_from_counts(
     return accumulator.value()
 
 
+def exact_result(
+    database: Database,
+    query: BooleanQuery,
+    target: Fact,
+    exogenous_relations: AbstractSet[str] | None = None,
+    allow_brute_force: bool = True,
+) -> "BatchResult":
+    """The default engine's result for the request of endogenous ``target``.
+
+    The ``exact`` policy first; with ``allow_brute_force``, a plan-time
+    :class:`IntractableQueryError` retries as ``brute-force``, whose cap
+    the planner checks on the relevance slice.  Never a sampled estimate.
+    """
+    from repro.engine import default_engine
+
+    if not database.is_endogenous(target):
+        raise ValueError(f"{target!r} is not an endogenous fact of the database")
+    engine = default_engine()
+    try:
+        return engine.batch(
+            database, query, exogenous_relations=exogenous_relations, policy="exact"
+        )
+    except IntractableQueryError:
+        if not allow_brute_force:
+            raise
+    return engine.batch(
+        database, query, exogenous_relations=exogenous_relations, policy="brute-force"
+    )
+
+
 def shapley_hierarchical(
     database: Database, query: ConjunctiveQuery, target: Fact
 ) -> Fraction:
-    """Polynomial-time Shapley for hierarchical self-join-free CQ¬ (Thm 3.1)."""
-    return shapley_from_counts(database, query, target, count_satisfying_subsets)
+    """Polynomial-time Shapley for hierarchical self-join-free CQ¬ (Thm 3.1).
+
+    Raises :class:`SelfJoinError` / :class:`NotHierarchicalError` outside
+    that class, so it never runs ExoShap or brute force.
+    """
+    from repro.engine.bundles import cntsat_query
+
+    result = exact_result(
+        database, cntsat_query(query), target, allow_brute_force=False
+    )
+    return result.shapley[target]
 
 
 def shapley_value(
@@ -78,53 +124,19 @@ def shapley_value(
     exogenous_relations: AbstractSet[str] | None = None,
     allow_brute_force: bool = True,
 ) -> Fraction:
-    """Exact ``Shapley(D, q, f)``, choosing the best applicable algorithm.
+    """Exact ``Shapley(D, q, f)``, by the engine's choice of algorithm.
 
-    Order of preference:
-
-    1. CntSat for hierarchical self-join-free CQ¬s (Theorem 3.1);
-    2. ExoShap when the exogenous relations remove every non-hierarchical
-       path (Theorem 4.3);
-    3. brute-force coalition enumeration (any Boolean query, including
-       UCQ¬s and self-joins) when ``|Dn|`` is small enough and
-       ``allow_brute_force`` is set; otherwise
-       :class:`IntractableQueryError`.
+    The planner prefers CntSat for hierarchical self-join-free CQ¬s
+    (Theorem 3.1), then ExoShap when the exogenous relations remove
+    every non-hierarchical path (Theorem 4.3).  Otherwise, when
+    ``allow_brute_force`` is set, it enumerates the coalitions of the
+    relevance slice (any Boolean query, including UCQ¬s and self-joins)
+    up to ``MAX_BRUTE_FORCE_PLAYERS`` players; past that, or without
+    ``allow_brute_force``, it raises :class:`IntractableQueryError`.
     """
-    if isinstance(query, UnionQuery):
-        return _fallback(database, query, target, allow_brute_force,
-                         reason="UCQ¬ has no exact polynomial algorithm here")
-    query = query.as_boolean()
-    if exogenous_relations is None:
-        exogenous_relations = infer_exogenous_relations(query, database)
-    if query.is_self_join_free:
-        if is_hierarchical(query):
-            return shapley_hierarchical(database, query, target)
-        if not has_non_hierarchical_path(query, exogenous_relations):
-            from repro.shapley.exoshap import exo_shapley
-
-            return exo_shapley(database, query, target, exogenous_relations)
-    verdict = classify(query, exogenous_relations)
-    return _fallback(
-        database, query, target, allow_brute_force,
-        reason=f"query classified as {verdict.complexity.value} ({verdict.reason})",
-    )
-
-
-def _fallback(
-    database: Database,
-    query: BooleanQuery,
-    target: Fact,
-    allow_brute_force: bool,
-    reason: str,
-) -> Fraction:
-    size = len(database.endogenous)
-    if allow_brute_force and size <= MAX_BRUTE_FORCE_PLAYERS:
-        return shapley_brute_force(database, query, target)
-    raise IntractableQueryError(
-        f"no polynomial exact algorithm applies ({reason}) and brute force"
-        f" over {size} endogenous facts is "
-        + ("disabled" if not allow_brute_force else "too large")
-    )
+    return exact_result(
+        database, query, target, exogenous_relations, allow_brute_force
+    ).shapley[target]
 
 
 def shapley_all_values(
@@ -156,39 +168,4 @@ def shapley_all_values(
         query,
         exogenous_relations,
         policy=policy,
-    )
-
-
-def shapley_all_values_per_fact(
-    database: Database,
-    query: BooleanQuery,
-    exogenous_relations: AbstractSet[str] | None = None,
-    allow_brute_force: bool = True,
-) -> dict[Fact, Fraction]:
-    """The seed fact-at-a-time loop: one full dispatch per endogenous fact.
-
-    Kept as the reference implementation the batch engine is validated
-    and benchmarked against (``benchmarks/bench_engine.py``); prefer
-    :func:`shapley_all_values` everywhere else.
-    """
-    if isinstance(query, ConjunctiveQuery):
-        boolean = query.as_boolean()
-        if exogenous_relations is None:
-            exogenous_relations = infer_exogenous_relations(boolean, database)
-        tractable = boolean.is_self_join_free and (
-            is_hierarchical(boolean)
-            or not has_non_hierarchical_path(boolean, exogenous_relations)
-        )
-        if tractable:
-            return {
-                fact: shapley_value(database, boolean, fact, exogenous_relations)
-                for fact in sorted(database.endogenous, key=repr)
-            }
-    size = len(database.endogenous)
-    if allow_brute_force and size <= MAX_BRUTE_FORCE_PLAYERS:
-        return shapley_all_brute_force(database, query)
-    raise IntractableQueryError(
-        f"no polynomial exact algorithm applies and brute force over {size}"
-        " endogenous facts is "
-        + ("disabled" if not allow_brute_force else "too large")
     )

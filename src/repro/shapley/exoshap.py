@@ -17,7 +17,8 @@ preserving every Shapley value, until the query is hierarchical:
    over the active domain.
 
 The resulting query is hierarchical and self-join-free, so the CntSat
-pipeline finishes the job.
+pipeline finishes the job.  The engine's planner runs the rewrite once
+per request (:mod:`repro.engine.plan`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.facts import Fact
 from repro.core.gaifman import (
     exogenous_components,
     exogenous_variables,
-    infer_exogenous_relations,
     non_exogenous_atoms,
 )
 from repro.core.hierarchy import is_hierarchical
@@ -256,13 +256,13 @@ def exo_shapley(
     """``Shapley(D, q, f)`` for a query without a non-hierarchical path.
 
     ``exogenous_relations`` defaults to the relations of ``q`` that contain
-    only exogenous facts in ``D``.
+    only exogenous facts in ``D``.  The value comes from the engine under
+    the ``exact`` policy, whose planner runs this module's rewrite; a
+    query with a non-hierarchical path w.r.t. ``X`` raises
+    :class:`IntractableQueryError`.
     """
-    from repro.shapley.exact import shapley_hierarchical
+    from repro.shapley.exact import shapley_value
 
-    if exogenous_relations is None:
-        exogenous_relations = infer_exogenous_relations(query, database)
-    if not database.is_endogenous(target):
-        raise ValueError(f"{target!r} is not an endogenous fact of the database")
-    rewrite = rewrite_to_hierarchical(database, query, exogenous_relations)
-    return shapley_hierarchical(rewrite.database, rewrite.query, target)
+    return shapley_value(
+        database, query, target, exogenous_relations, allow_brute_force=False
+    )

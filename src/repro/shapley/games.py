@@ -11,13 +11,16 @@ uniformly random permutation of the players:
 
 This module implements the definition twice — by permutation enumeration
 and by the equivalent subset (coalition) formula — which the test suite
-cross-checks.  Everything is exact rational arithmetic.
+cross-checks.  Everything is exact rational arithmetic.  The coalition
+form has one enumerator, :func:`shapley_and_banzhaf`, which the query
+game of :mod:`repro.shapley.brute_force` also runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.util.kernels import ShapleyAccumulator
@@ -37,71 +40,66 @@ def shapley_by_permutations(
     players = list(players)
     if target not in players:
         raise ValueError(f"target {target!r} is not a player")
-    total = Fraction(0)
-    count = 0
-    for permutation in itertools.permutations(players):
-        before = frozenset(
-            itertools.takewhile(lambda player: player != target, permutation)
-        )
-        total += Fraction(value(before | {target})) - Fraction(value(before))
-        count += 1
-    return total / count
+    total = sum(permutation_marginals(players, value, target), Fraction(0))
+    return total / factorial(len(players))
+
+
+def shapley_and_banzhaf(
+    players: Sequence[Player],
+    value: ValueFunction,
+    targets: Iterable[Player] | None = None,
+) -> tuple[dict[Player, Fraction], dict[Player, Fraction]]:
+    """Shapley and (raw) Banzhaf values of ``targets`` (default: every player).
+
+    ``v`` is evaluated once per coalition, into a table indexed by the
+    coalition's bitmask; each marginal ``v(S ∪ {a}) - v(S)`` then feeds
+    ``a``'s Shapley coalition form ``Σ_S |S|!(n-|S|-1)!/n! · marginal``
+    and its Banzhaf average ``2^-(n-1) Σ_S marginal``.  Integer values
+    stay integers until the one division per target.
+    """
+    players = list(players)
+    n = len(players)
+    bits = [
+        (target, 1 << players.index(target))  # ValueError for a non-player
+        for target in (players if targets is None else targets)
+    ]
+    coalitions = [frozenset()]
+    for player in players:
+        coalitions += [coalition | {player} for coalition in coalitions]
+    values = [value(coalition) for coalition in coalitions]
+    accumulators = {target: ShapleyAccumulator(n) for target, _ in bits}
+    totals = dict.fromkeys(accumulators, 0)
+    for mask, base in enumerate(values):
+        size = mask.bit_count()
+        for target, bit in bits:
+            if mask & bit:
+                continue
+            marginal = values[mask | bit] - base
+            if marginal:
+                accumulators[target].add(size, marginal)
+                totals[target] += marginal
+    denominator = 2 ** max(n - 1, 0)
+    return (
+        {target: accumulators[target].value() for target in accumulators},
+        {target: Fraction(totals[target], denominator) for target in totals},
+    )
 
 
 def shapley_by_subsets(
     players: Sequence[Player], value: ValueFunction, target: Player
 ) -> Fraction:
-    """Shapley value via the coalition form.
+    """Shapley value via the coalition form (see :func:`shapley_and_banzhaf`).
 
-    ``Σ_S |S|!(n-|S|-1)!/n! · (v(S ∪ {a}) - v(S))`` over subsets ``S`` of
-    the other players.  Still exponential, but with ``2^(n-1)`` instead of
-    ``n!`` evaluations.
+    Still exponential, but with ``2^n`` instead of ``n!`` evaluations.
     """
-    others = [player for player in players if player != target]
-    if len(others) == len(players):
-        raise ValueError(f"target {target!r} is not a player")
-    n = len(players)
-    accumulator = ShapleyAccumulator(n)
-    for size in range(len(others) + 1):
-        for subset in itertools.combinations(others, size):
-            coalition = frozenset(subset)
-            marginal = Fraction(value(coalition | {target})) - Fraction(value(coalition))
-            if marginal:
-                accumulator.add(size, marginal)
-    return accumulator.value()
+    return shapley_and_banzhaf(players, value, [target])[0][target]
 
 
 def shapley_all(
     players: Sequence[Player], value: ValueFunction
 ) -> dict[Player, Fraction]:
-    """Shapley values of all players, sharing coalition evaluations.
-
-    Evaluates ``v`` once per subset (``2^n`` evaluations) instead of once
-    per (player, subset) pair.
-    """
-    players = list(players)
-    n = len(players)
-    if n == 0:
-        return {}
-    cache: dict[frozenset, Fraction] = {}
-
-    def cached_value(coalition: frozenset) -> Fraction:
-        if coalition not in cache:
-            cache[coalition] = Fraction(value(coalition))
-        return cache[coalition]
-
-    accumulators = {player: ShapleyAccumulator(n) for player in players}
-    for size in range(n):
-        for subset in itertools.combinations(players, size):
-            coalition = frozenset(subset)
-            base = cached_value(coalition)
-            for player in players:
-                if player in coalition:
-                    continue
-                marginal = cached_value(coalition | {player}) - base
-                if marginal:
-                    accumulators[player].add(size, marginal)
-    return {player: accumulators[player].value() for player in players}
+    """Shapley values of all players from one enumeration of the coalitions."""
+    return shapley_and_banzhaf(players, value)[0]
 
 
 def banzhaf_value(
@@ -113,15 +111,7 @@ def banzhaf_value(
     included because the count-vector machinery computes it for free and it
     is a useful sanity cross-check (same zero set for monotone games).
     """
-    others = [player for player in players if player != target]
-    if len(others) == len(players):
-        raise ValueError(f"target {target!r} is not a player")
-    total = Fraction(0)
-    for size in range(len(others) + 1):
-        for subset in itertools.combinations(others, size):
-            coalition = frozenset(subset)
-            total += Fraction(value(coalition | {target})) - Fraction(value(coalition))
-    return total / 2 ** len(others)
+    return shapley_and_banzhaf(players, value, [target])[1][target]
 
 
 def efficiency_gap(

@@ -20,7 +20,7 @@ from repro.core.database import Database
 from repro.core.errors import IntractableQueryError, NotHierarchicalError, SelfJoinError
 from repro.core.query import BooleanQuery, ConjunctiveQuery
 from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS, satisfying_subset_counts
-from repro.shapley.cntsat import count_satisfying_subsets
+from repro.shapley.exact import count_satisfying_subsets
 
 
 def model_count(

@@ -7,11 +7,12 @@ reproduces them exactly.
 
 Count vectors
 -------------
-Several algorithms (notably :mod:`repro.shapley.cntsat`) manipulate *count
-vectors*: a list ``c`` where ``c[k]`` is the number of ``k``-subsets of some
-fact set satisfying a property.  Combining independent fact sets corresponds
-to polynomial multiplication of their vectors, provided here as
-:func:`convolve` / :func:`convolve_many`.
+Several algorithms (notably the CntSat forward pass of
+:mod:`repro.engine.bundles`) manipulate *count vectors*: a list ``c``
+where ``c[k]`` is the number of ``k``-subsets of some fact set satisfying
+a property.  Combining independent fact sets corresponds to polynomial
+multiplication of their vectors, provided here as :func:`convolve` /
+:func:`convolve_many`.
 
 This module is the stable public façade; the heavy lifting lives in the
 tiered kernel layer (:mod:`repro.util.kernels`): size-tiered convolution

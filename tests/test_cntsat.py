@@ -1,15 +1,21 @@
-"""Unit tests for the CntSat count-vector algorithm (Lemma 3.2)."""
+"""Unit tests for the CntSat count-vector algorithm (Lemma 3.2).
+
+Every case runs both counters — the public
+:func:`repro.shapley.count_satisfying_subsets` and the seed recursion of
+:mod:`harness.seed_cntsat` — and holds them against each other and
+against the expected vector or enumeration.
+"""
 
 import random
 
 import pytest
 
+from harness.seed_cntsat import COUNTERS, counts_from_both
 from repro.core.database import Database
 from repro.core.errors import NotHierarchicalError, SelfJoinError
 from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.shapley.brute_force import satisfying_subset_counts
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -22,25 +28,25 @@ class TestBasicCounts:
     def test_single_positive_atom(self):
         q = parse_query("q() :- R(x)")
         db = Database(endogenous=[fact("R", 1), fact("R", 2)])
-        assert count_satisfying_subsets(db, q) == [0, 2, 1]
+        assert counts_from_both(db, q) == [0, 2, 1]
 
     def test_exogenous_satisfies_everywhere(self):
         q = parse_query("q() :- R(x)")
         db = Database(endogenous=[fact("S", 1)], exogenous=[fact("R", 1)])
         # R exogenous satisfies q; the unrelated S fact is free.
-        assert count_satisfying_subsets(db, q) == [1, 1]
+        assert counts_from_both(db, q) == [1, 1]
 
     def test_negated_endogenous_blocker(self):
         q = parse_query("q() :- R(x), not T(x)")
         db = Database(endogenous=[fact("T", 1)], exogenous=[fact("R", 1)])
-        assert count_satisfying_subsets(db, q) == [1, 0]
+        assert counts_from_both(db, q) == [1, 0]
 
     def test_negated_exogenous_zeroes(self):
         q = parse_query("q() :- R(x), not T(x)")
         db = Database(
             endogenous=[fact("R", 1)], exogenous=[fact("T", 1)]
         )
-        assert count_satisfying_subsets(db, q) == [0, 0]
+        assert counts_from_both(db, q) == [0, 0]
 
     def test_conjunction_convolution(self):
         q = parse_query("q() :- R(x), S(y)")
@@ -48,12 +54,12 @@ class TestBasicCounts:
             endogenous=[fact("R", 1), fact("S", 1)],
         )
         # Need both facts: only the full subset works.
-        assert count_satisfying_subsets(db, q) == [0, 0, 1]
+        assert counts_from_both(db, q) == [0, 0, 1]
 
     def test_or_over_root_values(self):
         q = parse_query("q() :- R(x)")
         db = Database(endogenous=[fact("R", i) for i in range(3)])
-        assert count_satisfying_subsets(db, q) == [0, 3, 3, 1]
+        assert counts_from_both(db, q) == [0, 3, 3, 1]
 
     def test_constants_restrict(self):
         q = parse_query("q() :- Reg(x, OS)")
@@ -61,16 +67,16 @@ class TestBasicCounts:
             endogenous=[fact("Reg", "a", "OS"), fact("Reg", "a", "AI")]
         )
         # Reg(a, AI) is free: it can never match the constant OS.
-        assert count_satisfying_subsets(db, q) == [0, 1, 1]
+        assert counts_from_both(db, q) == [0, 1, 1]
 
     def test_repeated_variable_mismatch_is_free(self):
         q = parse_query("q() :- R(x, x)")
         db = Database(endogenous=[fact("R", 1, 1), fact("R", 1, 2)])
-        assert count_satisfying_subsets(db, q) == [0, 1, 1]
+        assert counts_from_both(db, q) == [0, 1, 1]
 
     def test_running_example_counts(self):
         db = figure_1_database()
-        assert count_satisfying_subsets(db, query_q1()) == (
+        assert counts_from_both(db, query_q1()) == (
             satisfying_subset_counts(db, query_q1())
         )
 
@@ -78,20 +84,22 @@ class TestBasicCounts:
 class TestGuards:
     def test_rejects_self_joins(self):
         q = parse_query("q() :- R(x), R(y)")
-        with pytest.raises(SelfJoinError):
-            count_satisfying_subsets(Database(endogenous=[fact("R", 1)]), q)
+        for counter in COUNTERS:
+            with pytest.raises(SelfJoinError):
+                counter(Database(endogenous=[fact("R", 1)]), q)
 
     def test_rejects_non_hierarchical(self):
         db = Database(endogenous=[fact("R", 1)], exogenous=[fact("S", 1, 1), fact("T", 1)])
-        with pytest.raises(NotHierarchicalError):
-            count_satisfying_subsets(db, q_rst())
+        for counter in COUNTERS:
+            with pytest.raises(NotHierarchicalError):
+                counter(db, q_rst())
 
     def test_vector_length(self):
         q = parse_query("q() :- R(x)")
         db = Database(
             endogenous=[fact("R", 1), fact("Z", 9)], exogenous=[fact("R", 2)]
         )
-        counts = count_satisfying_subsets(db, q)
+        counts = counts_from_both(db, q)
         assert len(counts) == len(db.endogenous) + 1
 
 
@@ -106,7 +114,7 @@ class TestAgainstBruteForce:
             )
             if len(db.endogenous) > 12:
                 continue
-            assert count_satisfying_subsets(db, q) == (
+            assert counts_from_both(db, q) == (
                 satisfying_subset_counts(db, q)
             ), (q, sorted(db.facts, key=repr))
 
@@ -120,6 +128,6 @@ class TestAgainstBruteForce:
             )
             if len(db.endogenous) > 12:
                 continue
-            assert count_satisfying_subsets(db, q) == (
+            assert counts_from_both(db, q) == (
                 satisfying_subset_counts(db, q)
             )

@@ -2,21 +2,22 @@
 
 Each test targets one recursion feature: nested hierarchies, multiple
 root candidates, ground atoms, constants inside negated atoms, and the
-interplay of free facts with negation — all cross-checked against
-enumeration.
+interplay of free facts with negation — each run through both counters
+(the public one and the seed of :mod:`harness.seed_cntsat`) and
+cross-checked against enumeration.
 """
 
+from harness.seed_cntsat import counts_from_both
 from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.shapley.brute_force import satisfying_subset_counts
-from repro.shapley.cntsat import count_satisfying_subsets
 
 
 def check(query_text: str, endogenous, exogenous=()):
     q = parse_query(query_text)
     db = Database(endogenous=endogenous, exogenous=exogenous)
-    got = count_satisfying_subsets(db, q)
+    got = counts_from_both(db, q)
     want = satisfying_subset_counts(db, q)
     assert got == want, (query_text, got, want)
     return got
@@ -157,7 +158,7 @@ class TestVectorInvariants:
                 fact("R", 1), fact("R", 2), fact("S", 1, 1), fact("S", 2, 2),
             ]
         )
-        counts = count_satisfying_subsets(db, q)
+        counts = counts_from_both(db, q)
         for k in range(len(counts) - 1):
             if counts[k] > 0:
                 assert counts[k + 1] > 0
@@ -169,5 +170,5 @@ class TestVectorInvariants:
         db = Database(
             endogenous=[fact("R", 1), fact("T", 1), fact("R", 2)]
         )
-        counts = count_satisfying_subsets(db, q)
+        counts = counts_from_both(db, q)
         assert counts[-1] == (1 if holds(q, db) else 0)

@@ -16,11 +16,11 @@ import random
 
 import pytest
 
+from harness.seed_cntsat import count_satisfying_subsets
 from repro.core.classify import Complexity, classify
 from repro.core.errors import NotHierarchicalError
 from repro.core.hierarchy import is_hierarchical
 from repro.shapley.brute_force import shapley_brute_force
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import shapley_value
 from repro.workloads.generators import (
     random_database_for_query,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from harness.seed_cntsat import count_satisfying_subsets, shapley_all_values_per_fact
 from repro.core.database import Database
 from repro.core.errors import IntractableQueryError
 from repro.core.facts import fact
@@ -22,8 +23,7 @@ from repro.logic.counting import count_models, count_models_naive
 from repro.shapley.approximate import approximate_shapley_all
 from repro.shapley.banzhaf import banzhaf_all_brute_force, banzhaf_all_values
 from repro.shapley.brute_force import shapley_all_brute_force
-from repro.shapley.cntsat import count_satisfying_subsets
-from repro.shapley.exact import shapley_all_values, shapley_all_values_per_fact
+from repro.shapley.exact import shapley_all_values
 from repro.shapley.exoshap import rewrite_to_hierarchical
 from repro.util.kernels import shapley_weights
 from repro.workloads.generators import (

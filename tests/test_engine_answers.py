@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from harness.seed_cntsat import count_satisfying_subsets
 from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_query
@@ -45,7 +46,6 @@ from repro.shapley.answers import (
 )
 from repro.shapley.banzhaf import banzhaf_all_brute_force
 from repro.shapley.brute_force import shapley_all_brute_force, shapley_brute_force
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.util.kernels import shapley_weights
 from repro.workloads.generators import random_delta, star_join_database
 from repro.workloads.running_example import figure_1_database

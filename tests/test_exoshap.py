@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 from repro.core.database import Database
-from repro.core.errors import NotHierarchicalError, SelfJoinError
+from repro.core.errors import (
+    IntractableQueryError,
+    NotHierarchicalError,
+    SelfJoinError,
+)
 from repro.core.facts import fact
 from repro.core.hierarchy import is_hierarchical
 from repro.core.parser import parse_query
@@ -166,6 +170,18 @@ class TestExoShapValues:
         db = figure_1_database()
         with pytest.raises(ValueError):
             exo_shapley(db, query_q2(), fact("Stud", "Adam"))
+
+    def test_refuses_a_non_hierarchical_path_without_brute_force(self):
+        # Section 4's q' keeps a non-hierarchical path under its X: the
+        # planner refuses ExoShap, and exo_shapley never enumerates.
+        db = random_database_for_query(
+            section_4_q_prime(), domain_size=2,
+            exogenous_relations=tuple(SECTION_4_EXOGENOUS),
+            rng=random.Random(1),
+        )
+        target = sorted(db.endogenous, key=repr)[0]
+        with pytest.raises(IntractableQueryError):
+            exo_shapley(db, section_4_q_prime(), target, SECTION_4_EXOGENOUS)
 
 
 class TestGuardAtoms:

@@ -13,7 +13,7 @@ the constants ``1`` and ``True``, which compare equal and so share a
 root-value bucket.
 
 Each baseline is also checked against the standalone CntSat of
-:mod:`repro.shapley.cntsat`, and each small instance's values against
+the seed CntSat of :mod:`harness.seed_cntsat`, and each small instance's values against
 brute force, both through the forward pass directly and through the
 engine (which follows ``REPRO_JOBS`` and may ship its bundle nodes to
 worker processes).
@@ -26,13 +26,13 @@ from hashlib import blake2b
 
 import pytest
 
+from harness.seed_cntsat import count_satisfying_subsets
 from repro.core.database import Database
 from repro.core.facts import Fact
 from repro.core.parser import parse_query
 from repro.engine import BatchAttributionEngine, batch_count_vectors
 from repro.engine.results import result_from_vectors
 from repro.shapley.brute_force import brute_force_all
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.workloads.generators import star_join_database
 
 Q1 = "q() :- Stud(x), not TA(x), Reg(x, y)"

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from harness.seed_cntsat import count_satisfying_subsets
 from repro.core.database import Database
 from repro.core.evaluation import holds
 from repro.core.facts import Fact
@@ -22,7 +23,6 @@ from repro.shapley.brute_force import (
     satisfying_subset_counts,
     shapley_all_brute_force,
 )
-from repro.shapley.cntsat import count_satisfying_subsets
 from repro.shapley.exact import shapley_hierarchical
 from repro.shapley.games import shapley_by_permutations, shapley_by_subsets
 from repro.util.combinatorics import binomial

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from harness.seed_cntsat import shapley_all_values_per_fact, shapley_value
 from repro.core.database import Database
 from repro.core.evaluation import holds
 from repro.core.facts import Fact, fact
@@ -32,7 +33,6 @@ from repro.shapley.aggregates import (
 from repro.shapley.answers import answer_attribution, ground_at_answer
 from repro.shapley.banzhaf import banzhaf_brute_force
 from repro.shapley.brute_force import shapley_all_brute_force
-from repro.shapley.exact import shapley_all_values_per_fact, shapley_value
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
