@@ -22,7 +22,7 @@ from repro.core.evaluation import FactIndex, find_homomorphisms, holds
 from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
 from repro.shapley.brute_force import shapley_brute_force
-from repro.shapley.exact import shapley_hierarchical
+from repro.shapley.exact import shapley_from_counts
 from repro.shapley.games import shapley_by_permutations, shapley_by_subsets
 from repro.shapley.brute_force import query_game
 from repro.workloads.generators import star_join_database
@@ -39,7 +39,7 @@ def test_ext2_shapley_route_ablation(benchmark, report):
     timings = {}
 
     start = time.perf_counter()
-    via_counts = shapley_hierarchical(db, q1, target)
+    via_counts = shapley_from_counts(db, q1, target)
     timings["count vectors (CntSat)"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -53,7 +53,7 @@ def test_ext2_shapley_route_ablation(benchmark, report):
         assert via_permutations == via_counts
     assert via_subsets == via_counts
 
-    benchmark(lambda: shapley_hierarchical(db, q1, target))
+    benchmark(lambda: shapley_from_counts(db, q1, target))
     report(
         f"EXT-2: Shapley routes on |Dn| = {len(endo)} (all values equal: {via_counts})",
         ("route", "time"),

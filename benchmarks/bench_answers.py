@@ -1,7 +1,8 @@
 """E-ANSWERS — engine-backed answer & aggregate attribution vs the seed loop.
 
 The seed implementation of ``answer_attribution`` called the single-fact
-``shapley_value`` dispatch once per endogenous fact per grounded query:
+``shapley_value`` dispatch (kept in ``tests/harness/seed_cntsat.py``)
+once per endogenous fact per grounded query:
 ``2 · |answers| · |Dn|`` full CntSat recursions for an all-answers
 attribution.  The engine path issues **one** shared recursion per
 grounding and shares component bundles across groundings through the
@@ -18,8 +19,10 @@ cross-grounding pool.  Three claims made executable:
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +30,11 @@ from repro.core.parser import parse_query
 from repro.engine import BatchAttributionEngine, SQLiteResultStore
 from repro.shapley.aggregates import aggregate_attribution, candidate_answers
 from repro.shapley.answers import ground_at_answer
-from repro.shapley.exact import shapley_value
 from repro.workloads.generators import star_join_database
+
+TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if TESTS not in sys.path:  # the seed reference implementation lives there
+    sys.path.insert(0, TESTS)
 
 SPEEDUP_FLOOR = 5.0
 
@@ -37,6 +43,8 @@ ANSWERS_Q1 = "ans(x) :- Stud(x), not TA(x), Reg(x, y)"
 
 def seed_answer_attribution(database, query, answer):
     """The seed per-fact loop: one full dispatch per endogenous fact."""
+    from harness.seed_cntsat import shapley_value
+
     grounded = ground_at_answer(query, answer)
     return {
         f: shapley_value(database, grounded, f)

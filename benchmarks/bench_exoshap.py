@@ -17,6 +17,7 @@ import random
 
 from repro.core.paths import has_non_hierarchical_path
 from repro.shapley.brute_force import shapley_brute_force
+from repro.shapley.exact import shapley_from_counts
 from repro.shapley.exoshap import exo_shapley, rewrite_to_hierarchical
 from repro.workloads.generators import random_database_for_query
 from repro.workloads.queries import (
@@ -136,11 +137,15 @@ def test_e4_exoshap_beyond_brute_force(benchmark, report):
     endo = sorted(db.endogenous, key=repr)
     assert len(endo) >= 20
     target = endo[0]
-    value = benchmark.pedantic(
-        lambda: exo_shapley(db, q, target, {"Stud", "Course"}),
-        rounds=3,
-        iterations=1,
-    )
+
+    def per_fact_exoshap():
+        # Algorithm 1's rewrite, then two forward passes: nothing cached,
+        # unlike exo_shapley, which the default engine serves warm.
+        rewrite = rewrite_to_hierarchical(db, q, {"Stud", "Course"})
+        return shapley_from_counts(rewrite.database, rewrite.query, target)
+
+    value = benchmark.pedantic(per_fact_exoshap, rounds=3, iterations=1)
+    assert value == exo_shapley(db, q, target, {"Stud", "Course"})
     report(
         "E4: ExoShap on an instance beyond brute force (q2)",
         ("|Dn|", "target", "Shapley value"),

@@ -72,6 +72,17 @@ def _ordered_variables(atoms: tuple[Atom, ...]) -> list[Variable]:
     return seen
 
 
+def check_declared_exogenous(
+    database: Database, exogenous_relations: AbstractSet[str]
+) -> None:
+    """Raise ``ValueError`` when a declared exogenous relation has endogenous facts."""
+    for name in exogenous_relations:
+        if name in database.relation_names and not database.relation_is_exogenous(name):
+            raise ValueError(
+                f"relation {name} is declared exogenous but contains endogenous facts"
+            )
+
+
 def rewrite_to_hierarchical(
     database: Database,
     query: ConjunctiveQuery,
@@ -92,11 +103,7 @@ def rewrite_to_hierarchical(
             f"query has a non-hierarchical path w.r.t. X={sorted(exogenous_relations)}:"
             f" {path!r} (FP^#P-complete by Theorem 4.3)"
         )
-    for name in exogenous_relations:
-        if name in database.relation_names and not database.relation_is_exogenous(name):
-            raise ValueError(
-                f"relation {name} is declared exogenous but contains endogenous facts"
-            )
+    check_declared_exogenous(database, exogenous_relations)
 
     db = database.copy()
     taken = set(db.relation_names) | query.relation_names
@@ -256,13 +263,16 @@ def exo_shapley(
     """``Shapley(D, q, f)`` for a query without a non-hierarchical path.
 
     ``exogenous_relations`` defaults to the relations of ``q`` that contain
-    only exogenous facts in ``D``.  The value comes from the engine under
-    the ``exact`` policy, whose planner runs this module's rewrite; a
-    query with a non-hierarchical path w.r.t. ``X`` raises
-    :class:`IntractableQueryError`.
+    only exogenous facts in ``D``; an explicit ``X`` naming a relation
+    with endogenous facts raises ``ValueError``.  The value comes from the
+    engine under the ``exact`` policy, whose planner runs this module's
+    rewrite; a query with a self-join or a non-hierarchical path w.r.t.
+    ``X`` raises :class:`IntractableQueryError`.
     """
     from repro.shapley.exact import shapley_value
 
+    if exogenous_relations is not None:
+        check_declared_exogenous(database, exogenous_relations)
     return shapley_value(
         database, query, target, exogenous_relations, allow_brute_force=False
     )

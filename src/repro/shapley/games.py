@@ -67,6 +67,7 @@ def shapley_and_banzhaf(
     for player in players:
         coalitions += [coalition | {player} for coalition in coalitions]
     values = [value(coalition) for coalition in coalitions]
+    del coalitions  # the marginal loop reads only the bitmask-indexed table
     accumulators = {target: ShapleyAccumulator(n) for target, _ in bits}
     totals = dict.fromkeys(accumulators, 0)
     for mask, base in enumerate(values):

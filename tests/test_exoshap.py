@@ -26,7 +26,7 @@ from repro.workloads.queries import (
     section_4_q,
     section_4_q_prime,
 )
-from repro.workloads.running_example import figure_1_database, query_q2
+from repro.workloads.running_example import figure_1_database, query_q1, query_q2
 
 
 class TestRewrite:
@@ -182,6 +182,18 @@ class TestExoShapValues:
         target = sorted(db.endogenous, key=repr)[0]
         with pytest.raises(IntractableQueryError):
             exo_shapley(db, section_4_q_prime(), target, SECTION_4_EXOGENOUS)
+
+    def test_refuses_a_self_join(self):
+        db = figure_1_database()
+        with pytest.raises(IntractableQueryError):
+            exo_shapley(db, parse_query("q() :- TA(x), TA(y)"), fact("TA", "Adam"))
+
+    def test_rejects_a_declared_exogenous_relation_with_endogenous_facts(self):
+        # q1 is hierarchical, so the planner runs CntSat and never reads
+        # X; the declaration is still checked against D.
+        db = figure_1_database()
+        with pytest.raises(ValueError, match="TA is declared exogenous"):
+            exo_shapley(db, query_q1(), fact("Reg", "Adam", "OS"), {"TA"})
 
 
 class TestGuardAtoms:

@@ -10,7 +10,8 @@ contracts:
 * the engine equals brute force, Shapley and Banzhaf, on random
   hierarchical CQ¬ instances — including instances with one slice cloned
   under fresh constants, which force repeated classes;
-* it equals the per-fact CntSat route on ``star_join_database``;
+* it equals the seed per-fact CntSat (``tests/harness``) on
+  ``star_join_database``;
 * a shape ignores the names of constants the query does not mention;
 * bundles shipped back from spawned workers have the serial shapes;
 * a slice satisfied by every subset (all-zero UNSAT vector) is handled;
@@ -25,6 +26,8 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from harness.seed_cntsat import count_satisfying_subsets as seed_counter
+from harness.seed_cntsat import shapley_hierarchical as seed_shapley
 from repro.core.database import Database
 from repro.core.facts import Fact
 from repro.core.parser import parse_query
@@ -41,7 +44,6 @@ from repro.engine.plan import PlanRequest, build_plan
 from repro.shapley.answers import ground_at_answer
 from repro.shapley.banzhaf import banzhaf_all_brute_force, banzhaf_from_counts
 from repro.shapley.brute_force import shapley_all_brute_force
-from repro.shapley.exact import shapley_hierarchical
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -162,8 +164,10 @@ def test_engine_equals_per_fact_cntsat_on_star_join(students, courses, seed):
     assert _largest_class(batch_count_vectors(database, query).root) > 1
     result = _engine_batch(database, query)
     for item in database.endogenous:
-        assert result.shapley[item] == shapley_hierarchical(database, query, item)
-        assert result.banzhaf[item] == banzhaf_from_counts(database, query, item)
+        assert result.shapley[item] == seed_shapley(database, query, item)
+        assert result.banzhaf[item] == banzhaf_from_counts(
+            database, query, item, seed_counter
+        )
 
 
 def test_shape_ignores_names_of_non_query_constants():
