@@ -121,7 +121,7 @@ def test_e9_ucq_relevance(benchmark, report):
     from repro.relevance.brute_force import (
         is_relevant_brute_force as oracle,
     )
-    from repro.relevance.ucq import is_relevant_ucq
+    from repro.relevance.algorithms import is_relevant
     from repro.workloads.generators import random_database_for_query
 
     union = parse_ucq("R(x), not T(x) | S(x, y), not U(y)")
@@ -147,7 +147,7 @@ def test_e9_ucq_relevance(benchmark, report):
                 continue
             f = rng.choice(endo)
             total += 1
-            if is_relevant_ucq(db, union, f) == oracle(db, union, f):
+            if is_relevant(db, union, f) == oracle(db, union, f):
                 agreements += 1
         return agreements, total
 

@@ -17,10 +17,10 @@ from repro import fact
 from repro.reductions.gap import expected_gap_value, gap_instance
 from repro.shapley.approximate import (
     approximate_shapley,
-    hoeffding_sample_count,
     multiplicative_sample_lower_bound,
 )
 from repro.shapley.exact import shapley_hierarchical
+from repro.shapley.sampling import hoeffding_sample_count
 from repro.workloads.running_example import figure_1_database, query_q1
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     target = fact("TA", "Adam")
     exact = shapley_hierarchical(db, q1, target)
     print(f"part 1 — running example, f = {target!r}, exact = {exact}")
-    print(f"  {'samples':>8} {'estimate':>10} {'|error|':>9}")
+    print(f"  {'rounds':>8} {'estimate':>10} {'|error|':>9}")
     for samples in (50, 200, 800, 3200):
         estimate = approximate_shapley(
             db, q1, target, samples=samples, rng=random.Random(samples)
@@ -39,7 +39,7 @@ def main() -> None:
         error = abs(float(estimate.value - exact))
         print(f"  {samples:>8} {float(estimate.value):>+10.4f} {error:>9.4f}")
     budget = hoeffding_sample_count(0.05, 0.05)
-    print(f"  (Hoeffding budget for ε=0.05, δ=0.05: {budget} samples)")
+    print(f"  (Hoeffding budget for ε=0.05, δ=0.05: {budget} rounds)")
     print()
 
     # --- Part 2: the gap family defeats additive sampling --------------

@@ -63,7 +63,7 @@ def main() -> None:
     )
     print(
         f"sampled Shapley of {target!r}: {float(estimate.value):+.4f}"
-        f" ({estimate.samples} samples, ±{estimate.epsilon} additive)"
+        f" ({estimate.samples} antithetic rounds, ±{estimate.epsilon} additive)"
     )
 
 

@@ -247,7 +247,7 @@ def _as_boolean(query: BooleanQuery) -> BooleanQuery:
     return query.as_boolean() if isinstance(query, ConjunctiveQuery) else query
 
 
-def _dispatch(
+def dispatch(
     database: Database,
     query: BooleanQuery,
     exogenous_relations: AbstractSet[str] | None,
@@ -270,6 +270,7 @@ def _dispatch(
     ``exact`` and no polynomial algorithm applies, or when a forced
     ``brute-force`` request is oversized.  Under ``auto`` the dispatch
     never raises: the intractable class falls through to ``sampled``.
+    :func:`repro.shapley.model_counting.model_count` asks it too.
     """
     players = len(database.endogenous)
     if policy.method == "brute-force":
@@ -564,7 +565,7 @@ def _build_plan(
             continue
         sliced = Database(endogenous=relevant[0], exogenous=relevant[1])
         if index.endogenous:
-            method, count_database, count_query = _dispatch(
+            method, count_database, count_query = dispatch(
                 sliced,
                 request.query,
                 exogenous_relations,
@@ -630,4 +631,5 @@ __all__ = [
     "PlannedRequest",
     "SampleSpec",
     "build_plan",
+    "dispatch",
 ]

@@ -1,4 +1,10 @@
-"""Relevance of facts to queries (Definition 5.2) and its deciders."""
+"""Relevance of facts to queries (Definition 5.2) and its deciders.
+
+Algorithms 2/3 (:mod:`repro.relevance.algorithms`) decide relevance in
+polynomial time for polarity-consistent CQ¬s and for UCQ¬s that are
+polarity consistent as a whole; the brute-force oracle enumerates
+subsets and accepts any Boolean query.
+"""
 
 from repro.relevance.algorithms import (
     PolarityError,
@@ -22,11 +28,6 @@ from repro.relevance.polarity import (
     polarity,
     zero_shapley_iff_irrelevant,
 )
-from repro.relevance.ucq import (
-    is_negatively_relevant_ucq,
-    is_positively_relevant_ucq,
-    is_relevant_ucq,
-)
 
 __all__ = [
     "PolarityError",
@@ -35,14 +36,11 @@ __all__ = [
     "find_relevance_witness",
     "is_negatively_relevant",
     "is_negatively_relevant_brute_force",
-    "is_negatively_relevant_ucq",
     "is_polarity_consistent",
     "is_positively_relevant",
     "is_positively_relevant_brute_force",
-    "is_positively_relevant_ucq",
     "is_relevant",
     "is_relevant_brute_force",
-    "is_relevant_ucq",
     "is_shapley_zero",
     "negative_endogenous_facts",
     "negative_relation_names",

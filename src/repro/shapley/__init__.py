@@ -20,9 +20,7 @@ from repro.shapley.approximate import (
     approximate_shapley,
     approximate_shapley_all,
     gap_property_floor,
-    hoeffding_sample_count,
     multiplicative_sample_lower_bound,
-    sample_marginal_contributions,
 )
 from repro.shapley.banzhaf import (
     banzhaf_all_brute_force,
@@ -50,6 +48,7 @@ from repro.shapley.sampling import (
     SampleState,
     achieved_epsilon,
     extend_state,
+    hoeffding_sample_count,
     merge_totals,
     round_rng,
     rounds_for_contract,
@@ -58,7 +57,6 @@ from repro.shapley.sampling import (
 )
 from repro.shapley.stratified import (
     StratifiedEstimate,
-    estimator_variance_comparison,
     stratified_shapley_estimate,
 )
 from repro.shapley.games import (
@@ -91,7 +89,6 @@ __all__ = [
     "candidate_answers",
     "count_satisfying_subsets",
     "efficiency_gap",
-    "estimator_variance_comparison",
     "exo_shapley",
     "extend_state",
     "gap_property_floor",
@@ -107,7 +104,6 @@ __all__ = [
     "round_rng",
     "rounds_for_contract",
     "run_rounds",
-    "sample_marginal_contributions",
     "sample_seed",
     "satisfaction_probability",
     "satisfying_subset_counts",

@@ -1,13 +1,15 @@
 """Monte-Carlo approximation of the Shapley value (Section 5.1).
 
 The additive FPRAS samples random permutations of the endogenous facts and
-averages the marginal contribution of the target fact.  Each sample is a
-random variable in ``{-1, 0, 1}`` (with negation a fact can flip the query
-both ways), so the Hoeffding bound gives
+averages each fact's marginal contribution.  The estimators here run one
+stream of the engine's sampler (:func:`repro.shapley.sampling.run_rounds`):
+a round sweeps a shuffled permutation and its reversal, and gives every
+fact a round mean in ``[-1, 1]`` (with negation a fact can flip the query
+both ways).  Rounds are independent, so the Hoeffding bound gives
 
     ``n >= 2 * ln(2 / delta) / epsilon^2``
 
-samples for an ``epsilon``-additive estimate with confidence ``1 - delta``.
+rounds for an ``epsilon``-additive estimate with confidence ``1 - delta``.
 
 The module also exposes the *gap diagnostics* of Section 5: for CQs the
 nonzero Shapley value is at least the reciprocal of a polynomial (which
@@ -22,17 +24,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from repro.core.database import Database
-from repro.core.evaluation import PrefixEvaluator, holds
 from repro.core.facts import Fact
 from repro.core.query import BooleanQuery
+from repro.shapley.sampling import hoeffding_sample_count, run_rounds
 
 
 @dataclass(frozen=True)
 class ShapleyEstimate:
-    """A sampled estimate with its additive guarantee."""
+    """A sampled estimate with its additive guarantee.
+
+    ``samples`` counts antithetic rounds, two permutation sweeps each.
+    """
 
     value: Fraction
     samples: int
@@ -42,54 +46,6 @@ class ShapleyEstimate:
     def within(self, exact: Fraction) -> bool:
         """Is the exact value inside the additive ``epsilon`` window?"""
         return abs(self.value - exact) <= self.epsilon
-
-
-def hoeffding_sample_count(epsilon: float, delta: float) -> int:
-    """Samples sufficient for an additive (epsilon, delta) guarantee.
-
-    Marginal contributions lie in ``[-1, 1]`` (range 2), so Hoeffding gives
-    ``P(|mean - mu| >= eps) <= 2 exp(-n eps^2 / 2)``.
-    """
-    if not 0 < epsilon < 1 or not 0 < delta < 1:
-        raise ValueError("epsilon and delta must lie in (0, 1)")
-    return math.ceil(2.0 * math.log(2.0 / delta) / (epsilon * epsilon))
-
-
-def sample_marginal_contributions(
-    database: Database,
-    query: BooleanQuery,
-    target: Fact,
-    samples: int,
-    rng: random.Random | None = None,
-) -> Iterable[int]:
-    """Marginal contributions of ``target`` in ``samples`` random permutations.
-
-    Each draw shuffles ``Dn`` uniformly, takes the prefix before ``target``
-    as the coalition ``sigma_f``, and yields
-    ``q(Dx ∪ sigma_f ∪ {f}) - q(Dx ∪ sigma_f)`` in ``{-1, 0, 1}``.
-    """
-    if not database.is_endogenous(target):
-        raise ValueError(f"{target!r} is not an endogenous fact of the database")
-    rng = rng or random.Random()
-    others = sorted(database.endogenous - {target}, key=repr)
-    exogenous = list(database.exogenous)
-    for _ in range(samples):
-        permutation = others[:]
-        rng.shuffle(permutation)
-        prefix_size = rng.randint(0, len(others))
-        prefix = permutation[:prefix_size]
-        without = 1 if holds(query, exogenous + prefix) else 0
-        with_target = 1 if holds(query, exogenous + prefix + [target]) else 0
-        yield with_target - without
-
-
-def _sample_count(samples: int | None, epsilon: float, delta: float) -> int:
-    """``samples`` when given (it must be positive), else the Hoeffding count."""
-    if samples is None:
-        return hoeffding_sample_count(epsilon, delta)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    return samples
 
 
 def approximate_shapley(
@@ -103,14 +59,14 @@ def approximate_shapley(
 ) -> ShapleyEstimate:
     """Additive FPRAS estimate of ``Shapley(D, q, f)``.
 
-    ``samples`` overrides the Hoeffding-derived count when given (useful
-    for convergence studies); it must be positive.
+    The target's entry of :func:`approximate_shapley_all`.  ``samples``
+    overrides the Hoeffding-derived round count when given (useful for
+    convergence studies); it must be positive.
     """
-    count = _sample_count(samples, epsilon, delta)
-    total = 0
-    for marginal in sample_marginal_contributions(database, query, target, count, rng):
-        total += marginal
-    return ShapleyEstimate(Fraction(total, count), count, epsilon, delta)
+    if not database.is_endogenous(target):
+        raise ValueError(f"{target!r} is not an endogenous fact of the database")
+    estimates = approximate_shapley_all(database, query, epsilon, delta, rng, samples)
+    return estimates[target]
 
 
 def approximate_shapley_all(
@@ -123,34 +79,23 @@ def approximate_shapley_all(
 ) -> dict[Fact, ShapleyEstimate]:
     """Additive estimates for *all* endogenous facts from shared permutations.
 
-    The fact-at-a-time estimator costs two query evaluations per sample
-    per fact.  Here each sampled permutation of ``Dn`` is swept once,
-    through the query's ``m + 1`` prefixes; the difference at position
-    ``i`` is a valid marginal-contribution sample for the fact at that
-    position — one permutation yields one sample for *every* fact.  A
-    :class:`~repro.core.evaluation.PrefixEvaluator`, built once per
-    call, credits the flips from the forward half of its interval pass
-    (:meth:`~repro.core.evaluation.PrefixEvaluator.credit`): a round
-    costs one pass over the witness table, shared by all facts, instead
-    of ``2m`` query evaluations per fact.
-
-    Each fact's estimate carries the usual per-fact additive
-    ``(epsilon, delta)`` guarantee; the samples of different facts are
-    correlated (they come from the same permutations), which does not
-    affect the per-fact Hoeffding bound.
+    Runs rounds ``0 .. n - 1`` of the engine sampler's stream named by
+    a seed drawn from ``rng``, where ``n`` is ``samples`` (it must be
+    positive) or the Hoeffding count.  Each fact's estimate is its
+    integer total over the ``2n`` sweeps divided by ``2n``, and carries
+    the usual per-fact additive ``(epsilon, delta)`` guarantee; the
+    samples of different facts are correlated (they come from the same
+    permutations), which does not affect the per-fact Hoeffding bound.
     """
-    count = _sample_count(samples, epsilon, delta)
-    rng = rng or random.Random()
-    evaluator = PrefixEvaluator(query, database)
-    totals = [0] * len(evaluator.players)
-    for _ in range(count):
-        # Shuffling ids draws the permutation the facts would get.
-        permutation = list(range(len(totals)))
-        rng.shuffle(permutation)
-        evaluator.credit(permutation, totals, antithetic=False)
+    if samples is None:
+        samples = hoeffding_sample_count(epsilon, delta)
+    elif samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    seed = (rng or random.Random()).getrandbits(64)
+    totals, _ = run_rounds(database, query, seed, 0, samples)
     return {
-        player: ShapleyEstimate(Fraction(total, count), count, epsilon, delta)
-        for player, total in zip(evaluator.players, totals)
+        player: ShapleyEstimate(Fraction(total, 2 * samples), samples, epsilon, delta)
+        for player, total in totals.items()
     }
 
 

@@ -212,8 +212,13 @@ def _pad_exogenous_atoms(
             for term in _ordered_variables((atom,))
             if term not in exo_vars
         ]
-        cover = _find_cover(kept, non_exo_atoms, atom)
-        cover_vars = _ordered_variables((cover,))
+        # With every atom exogenous, the guards stay zero-ary: there is
+        # no atom to widen them to, and they share no variable.
+        cover_vars = (
+            _ordered_variables((_find_cover(kept, non_exo_atoms, atom),))
+            if non_exo_atoms
+            else []
+        )
         missing = [var for var in cover_vars if var not in kept]
         fresh = _fresh_relation(f"{atom.relation}_pad", taken)
         positive_atom = Atom(atom.relation, atom.terms, negated=False)

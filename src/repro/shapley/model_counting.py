@@ -8,8 +8,14 @@ the count vector summed over all sizes — so the library exposes it:
 
     ``model_count(D, q) = #{E ⊆ Dn : Dx ∪ E ⊨ q}``
 
-polynomial for hierarchical self-join-free CQ¬s, with a brute-force
-fallback and a uniform-subset satisfaction probability convenience.
+The engine's planner (:func:`repro.engine.plan.dispatch`) chooses the
+method on the query's relevance slice, as it does for the exact
+Shapley values: the CntSat forward pass for hierarchical self-join-free
+CQ¬s (Theorem 3.1), the same pass after the ExoShap rewrite when the
+exogenous relations remove every non-hierarchical path (Theorem 4.3),
+and otherwise, with ``allow_brute_force``, enumeration of the slice's
+subsets.  Every endogenous fact outside the slice doubles the count.
+A uniform-subset satisfaction probability is the convenience on top.
 """
 
 from __future__ import annotations
@@ -17,10 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.database import Database
-from repro.core.errors import IntractableQueryError, NotHierarchicalError, SelfJoinError
-from repro.core.query import BooleanQuery, ConjunctiveQuery
-from repro.shapley.brute_force import MAX_BRUTE_FORCE_PLAYERS, satisfying_subset_counts
-from repro.shapley.exact import count_satisfying_subsets
+from repro.core.errors import IntractableQueryError
+from repro.core.query import BooleanQuery
+from repro.shapley.brute_force import satisfying_subset_counts
 
 
 def model_count(
@@ -28,20 +33,35 @@ def model_count(
     query: BooleanQuery,
     allow_brute_force: bool = True,
 ) -> int:
-    """Number of endogenous subsets satisfying the query (with ``Dx``)."""
-    if isinstance(query, ConjunctiveQuery):
-        try:
-            return sum(count_satisfying_subsets(database, query))
-        except (NotHierarchicalError, SelfJoinError):
-            pass
-    size = len(database.endogenous)
-    if allow_brute_force and size <= MAX_BRUTE_FORCE_PLAYERS:
-        return sum(satisfying_subset_counts(database, query))
-    raise IntractableQueryError(
-        f"model counting outside the hierarchical class with {size}"
-        " endogenous facts is "
-        + ("disabled" if not allow_brute_force else "too large for enumeration")
-    )
+    """Number of endogenous subsets satisfying the query (with ``Dx``).
+
+    Raises :class:`IntractableQueryError` when no polynomial algorithm
+    applies and ``allow_brute_force`` is off, or the relevance slice is
+    over the brute-force cap.
+    """
+    from repro.engine.bundles import batch_count_vectors
+    from repro.engine.fingerprint import FactIndex, relevant_facts
+    from repro.engine.plan import dispatch
+    from repro.engine.policy import MethodPolicy
+
+    endogenous, exogenous = relevant_facts(database, query)
+    sliced = Database(endogenous=endogenous, exogenous=exogenous)
+    endogenous_relations = database.derived(FactIndex).endogenous_relations
+    try:
+        method, count_database, count_query = dispatch(
+            sliced, query, None, MethodPolicy("exact"), endogenous_relations
+        )
+    except IntractableQueryError:
+        if not allow_brute_force:
+            raise
+        method, count_database, count_query = dispatch(
+            sliced, query, None, MethodPolicy("brute-force"), endogenous_relations
+        )
+    if method == "brute-force":
+        counts = satisfying_subset_counts(count_database, count_query)
+    else:
+        counts = batch_count_vectors(count_database, count_query).baseline
+    return sum(counts) << (len(database.endogenous) - len(endogenous))
 
 
 def satisfaction_probability(

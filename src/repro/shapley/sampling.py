@@ -1,13 +1,13 @@
 """The engine-grade sampler behind the ``sampled`` method (Section 5).
 
-This module turns the seed estimator (:mod:`repro.shapley.approximate`)
-into something a plan/execute engine can schedule, shard, and *resume*:
+This module is the one implementation of the Section 5 additive FPRAS:
+the engine schedules, shards and *resumes* it, and the standalone
+estimators of :mod:`repro.shapley.approximate` run one stream of it.
 
-* **Shared permutation sweeps** — as in
-  :func:`repro.shapley.approximate.approximate_shapley_all`, one
-  permutation of all players is swept once, and the satisfaction flip at
-  position ``i`` is a marginal-contribution sample for the fact at that
-  position: one permutation buys one sample for *every* fact.
+* **Shared permutation sweeps** — one permutation of all players is
+  swept once, and the satisfaction flip at position ``i`` is a
+  marginal-contribution sample for the fact at that position: one
+  permutation buys one sample for *every* fact.
 
 * **Interval sweeps** — a sweep does not run the query on its ``m``
   prefixes.  :func:`run_rounds` builds the query's witness table
@@ -27,8 +27,8 @@ into something a plan/execute engine can schedule, shard, and *resume*:
   per size, and the two sweeps' errors are negatively correlated on
   monotone-ish queries — variance reduction at no guarantee cost: the
   round mean still lies in ``[-1, 1]``, so the Hoeffding bound applies
-  *round-wise* and :func:`rounds_for_contract` is exactly the seed
-  sample count.
+  *round-wise* and :func:`rounds_for_contract` is the Hoeffding count
+  :func:`hoeffding_sample_count`.
 
 * **Deterministic, order-independent rounds** — round ``i`` draws its
   permutation from ``sha256(seed, i)``, so any executor (serial, or a
@@ -63,7 +63,6 @@ from repro.core.evaluation import PrefixEvaluator
 from repro.core.facts import Fact
 from repro.core.query import BooleanQuery
 from repro.obs import tracing as _tracing
-from repro.shapley.approximate import hoeffding_sample_count
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,28 @@ class SampleState:
         return self.seed == seed and set(self.totals) == set(players)
 
 
+def hoeffding_sample_count(epsilon: float, delta: float) -> int:
+    """Samples sufficient for an additive (epsilon, delta) guarantee.
+
+    Samples lie in ``[-1, 1]`` (range 2), so Hoeffding gives
+    ``P(|mean - mu| >= eps) <= 2 exp(-n eps^2 / 2)``, i.e.
+    ``n >= 2 ln(2 / delta) / eps^2``.
+    """
+    if not 0 < epsilon < 1 or not 0 < delta < 1:
+        raise ValueError("epsilon and delta must lie in (0, 1)")
+    return math.ceil(2.0 * math.log(2.0 / delta) / (epsilon * epsilon))
+
+
 def rounds_for_contract(epsilon: float, delta: float) -> int:
     """Antithetic rounds sufficient for an additive ``(epsilon, delta)``.
 
     Round means lie in ``[-1, 1]`` and rounds are independent, so the
-    Hoeffding count of the seed estimator applies unchanged with
-    "samples" read as "rounds".  The contract is per fact: for each
-    fact, with probability at least ``1 - delta`` its estimate is within
-    ``epsilon``.  There is no union bound over the facts, so the
-    probability that *some* fact misses can reach ``m * delta`` for
-    ``m`` facts; a simultaneous guarantee would need the count for
-    ``delta / m``.
+    Hoeffding count applies with "samples" read as "rounds".  The
+    contract is per fact: for each fact, with probability at least
+    ``1 - delta`` its estimate is within ``epsilon``.  There is no union
+    bound over the facts, so the probability that *some* fact misses can
+    reach ``m * delta`` for ``m`` facts; a simultaneous guarantee would
+    need the count for ``delta / m``.
     """
     return hoeffding_sample_count(epsilon, delta)
 
@@ -229,6 +239,7 @@ __all__ = [
     "SampleState",
     "achieved_epsilon",
     "extend_state",
+    "hoeffding_sample_count",
     "merge_totals",
     "round_rng",
     "rounds_for_contract",

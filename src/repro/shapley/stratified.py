@@ -1,16 +1,17 @@
-"""Stratified sampling: a lower-variance additive estimator.
+"""Stratified sampling: an additive estimator with a per-size budget.
 
-The plain estimator of :mod:`repro.shapley.approximate` samples the
-coalition size ``k`` uniformly and then a ``k``-subset — one stratum per
-draw.  Since the Shapley value is the *average over sizes* of per-size
+A uniform permutation puts the target after a uniform number ``k`` of
+other facts, which form a uniform ``k``-subset — one stratum per draw.
+Since the Shapley value is the *average over sizes* of per-size
 expected marginals,
 
     ``Shapley = (1/m) Σ_k E[marginal | |E| = k]``,
 
 we can instead allocate a fixed budget to every stratum and average the
-per-stratum means.  Stratification never increases variance and helps
-precisely when pivotality concentrates on few coalition sizes — e.g. the
-Theorem 5.1 gap family, where the single pivotal configuration lives at
+per-stratum means.  Against plain permutation draws, stratification
+never increases variance and helps precisely when pivotality
+concentrates on few coalition sizes — e.g. the Theorem 5.1 gap family,
+where the single pivotal configuration lives at
 ``k = n``.  (It cannot repair the exponential *magnitude* of the gap —
 nothing can, that is Theorem 5.1's point — but it squeezes real variance
 out of moderate instances, which the E7 benchmark quantifies.)
@@ -20,9 +21,10 @@ deterministic, and the Hoeffding bound applies stratum-wise, giving the
 same additive guarantee from the same total budget.
 
 The engine's sampler (:mod:`repro.shapley.sampling`) does not use
-this allocation: its rounds are plain antithetic permutation pairs.
-This module is the standalone single-fact estimator and the E7
-variance-comparison harness.
+this allocation: its rounds are antithetic permutation pairs, which
+already mirror the sizes.  This estimator stays beside it because the
+allocation wins on some inputs; the E7 ablation compares the two at
+equal samples per target.
 """
 
 from __future__ import annotations
@@ -86,47 +88,3 @@ def stratified_shapley_estimate(
     value = sum(means, Fraction(0)) / m
     return StratifiedEstimate(value, samples_per_stratum, tuple(means))
 
-
-def estimator_variance_comparison(
-    database: Database,
-    query: BooleanQuery,
-    target: Fact,
-    budget: int,
-    trials: int,
-    rng: random.Random | None = None,
-) -> tuple[float, float]:
-    """Empirical variance of the plain vs stratified estimator.
-
-    Both estimators spend (approximately) ``budget`` query evaluations per
-    trial; returns ``(plain_variance, stratified_variance)`` over
-    ``trials`` repetitions — the E7 ablation's data.
-    """
-    from repro.shapley.approximate import approximate_shapley
-
-    rng = rng or random.Random()
-    m = len(database.endogenous)
-    per_stratum = max(1, budget // m)
-
-    def variance(samples: list[float]) -> float:
-        mean = sum(samples) / len(samples)
-        return sum((value - mean) ** 2 for value in samples) / len(samples)
-
-    plain = [
-        float(
-            approximate_shapley(
-                database, query, target, samples=budget,
-                rng=random.Random(rng.random()),
-            ).value
-        )
-        for _ in range(trials)
-    ]
-    stratified = [
-        float(
-            stratified_shapley_estimate(
-                database, query, target, per_stratum,
-                rng=random.Random(rng.random()),
-            ).value
-        )
-        for _ in range(trials)
-    ]
-    return variance(plain), variance(stratified)

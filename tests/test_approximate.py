@@ -15,7 +15,6 @@ from repro.shapley.approximate import (
     gap_property_floor,
     hoeffding_sample_count,
     multiplicative_sample_lower_bound,
-    sample_marginal_contributions,
 )
 from repro.workloads.running_example import figure_1_database, query_q1
 
@@ -36,19 +35,11 @@ class TestHoeffding:
 
 
 class TestSampling:
-    def test_deterministic_game_samples_exactly(self):
-        q = parse_query("q() :- R(x)")
-        db = Database(endogenous=[fact("R", 1)])
-        marginals = list(
-            sample_marginal_contributions(db, q, fact("R", 1), 20, random.Random(0))
-        )
-        assert all(m == 1 for m in marginals)
-
     def test_rejects_non_endogenous(self):
         q = parse_query("q() :- R(x)")
         db = Database(exogenous=[fact("R", 1)])
-        with pytest.raises(ValueError):
-            list(sample_marginal_contributions(db, q, fact("R", 1), 1))
+        with pytest.raises(ValueError, match="not an endogenous fact"):
+            approximate_shapley(db, q, fact("R", 1), samples=1)
 
     def test_estimate_within_additive_epsilon(self):
         db = figure_1_database()

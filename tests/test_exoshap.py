@@ -50,6 +50,21 @@ class TestRewrite:
         with pytest.raises(NotHierarchicalError):
             rewrite_to_hierarchical(db, section_4_q_prime(), SECTION_4_EXOGENOUS)
 
+    def test_all_exogenous_query_rewrites_to_guards(self):
+        # No non-exogenous atom is left to widen a guard to; the engine
+        # serves the unrelated endogenous fact as a null player.
+        from repro.engine import BatchAttributionEngine
+
+        db = Database(
+            endogenous=[fact("U", 1)],
+            exogenous=[fact("S", 0, 0), fact("T", 0, 0)],
+        )
+        rewrite = rewrite_to_hierarchical(db, section_4_q(), {"R", "S", "P", "T"})
+        assert all(atom.arity == 0 for atom in rewrite.query.atoms)
+        result = BatchAttributionEngine().batch(db, section_4_q(), policy="exact")
+        assert result.method == "exoshap"
+        assert dict(result.shapley) == {fact("U", 1): 0}
+
     def test_rejects_self_joins(self):
         q = parse_query("q() :- R(x), S(x, y), R(y)")
         db = Database(endogenous=[fact("R", 1)], exogenous=[fact("S", 1, 1)])

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.io import (
     database_from_dict,
     database_to_dict,
@@ -149,6 +151,34 @@ class TestCli:
         )
         assert code == 0
         assert "zero" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, negative, verdict",
+        [("Adam", True, "nonzero"), ("David", False, "zero")],
+    )
+    def test_relevance_command_verdicts(
+        self, tmp_path, capsys, name, negative, verdict
+    ):
+        # TA(Adam) can only turn q1 false (Example 2.3 gives it -3/28);
+        # TA(David) is a null player.
+        from repro.cli import main
+
+        path = tmp_path / "db.json"
+        save_database(figure_1_database(), path)
+        code = main(
+            [
+                "relevance", str(path),
+                "q() :- Stud(x), not TA(x), Reg(x, y)",
+                "--fact", "TA", name,
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "  positively relevant: False",
+            f"  negatively relevant: {negative}",
+            f"  Shapley value is {verdict}",
+        ]
 
     def test_batch_with_cache_dir(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,5 +1,6 @@
 """Unit tests for query model counting (Section 6 connection)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,16 @@ from repro.core.facts import fact
 from repro.core.parser import parse_query, parse_ucq
 from repro.probabilistic.lifted import query_probability_lifted
 from repro.probabilistic.tid import TupleIndependentDatabase
+from repro.shapley.brute_force import satisfying_subset_counts
 from repro.shapley.model_counting import model_count, satisfaction_probability
-from repro.workloads.queries import q_rst
+from repro.workloads.generators import random_database_for_query
+from repro.workloads.queries import (
+    ACADEMIC_EXOGENOUS,
+    SECTION_4_EXOGENOUS,
+    academic_query,
+    q_rst,
+    section_4_q,
+)
 from repro.workloads.running_example import figure_1_database, query_q1
 
 
@@ -64,6 +73,61 @@ class TestModelCount:
         )
         with pytest.raises(IntractableQueryError):
             model_count(db, q_rst(), allow_brute_force=False)
+
+
+class TestPlannerDispatch:
+    """The planner picks the method on the relevance slice."""
+
+    def test_unmatched_facts_double_the_count(self):
+        # Thirty U facts no atom matches: the 2-fact slice is enumerated
+        # and each unmatched fact doubles its one satisfying subset.
+        db = Database(
+            endogenous=[fact("R", 1), fact("T", 2)]
+            + [fact("U", i) for i in range(30)],
+            exogenous=[fact("S", 1, 2)],
+        )
+        assert model_count(db, q_rst()) == 2**30
+        assert satisfaction_probability(db, q_rst()) == Fraction(1, 4)
+        with pytest.raises(IntractableQueryError):
+            model_count(db, q_rst(), allow_brute_force=False)
+
+    def test_oversized_slice_still_refused(self):
+        db = Database(
+            endogenous=[fact("R", i) for i in range(13)]
+            + [fact("T", i) for i in range(13)],
+            exogenous=[
+                fact("S", i, j)
+                for i in range(13)
+                for j in range(13)
+                if (i + j) % 3 == 0
+            ],
+        )
+        with pytest.raises(IntractableQueryError, match="26"):
+            model_count(db, q_rst(), allow_brute_force=True)
+
+    @pytest.mark.parametrize(
+        "query, exogenous",
+        [
+            (section_4_q(), SECTION_4_EXOGENOUS),
+            (academic_query(), ACADEMIC_EXOGENOUS),
+        ],
+        ids=["section-4", "academic"],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exoshap_counts_without_enumeration(self, query, exogenous, seed):
+        # Non-hierarchical, but X removes every non-hierarchical path:
+        # the ExoShap rewrite counts them with brute force disabled.
+        rng = random.Random(seed)
+        for _ in range(6):
+            db = random_database_for_query(
+                query,
+                domain_size=2,
+                exogenous_relations=tuple(sorted(exogenous)),
+                rng=rng,
+            )
+            assert model_count(db, query, allow_brute_force=False) == sum(
+                satisfying_subset_counts(db, query)
+            )
 
 
 class TestSatisfactionProbability:

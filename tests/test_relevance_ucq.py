@@ -1,4 +1,8 @@
-"""Unit tests for UCQ¬ relevance (Section 5.2, union-wide polarity)."""
+"""Unit tests for UCQ¬ relevance (Section 5.2, union-wide polarity).
+
+Algorithms 2 and 3 take a UCQ¬ wherever they take a CQ¬; these cases
+run the same deciders on unions.
+"""
 
 import random
 
@@ -7,15 +11,15 @@ import pytest
 from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_ucq
-from repro.relevance.algorithms import PolarityError
+from repro.relevance.algorithms import (
+    PolarityError,
+    is_negatively_relevant,
+    is_positively_relevant,
+    is_relevant,
+)
 from repro.relevance.brute_force import (
     is_negatively_relevant_brute_force,
     is_positively_relevant_brute_force,
-)
-from repro.relevance.ucq import (
-    is_negatively_relevant_ucq,
-    is_positively_relevant_ucq,
-    is_relevant_ucq,
 )
 from repro.workloads.generators import random_database_for_query
 from repro.workloads.queries import q_sat
@@ -26,28 +30,28 @@ class TestBasics:
         # f completes disjunct R(x), but S(1) keeps the union true anyway.
         u = parse_ucq("R(x) | S(x)")
         db = Database(endogenous=[fact("R", 1)], exogenous=[fact("S", 1)])
-        assert not is_relevant_ucq(db, u, fact("R", 1))
+        assert not is_relevant(db, u, fact("R", 1))
 
     def test_relevant_when_other_disjunct_suppressible(self):
         u = parse_ucq("R(x) | S(x)")
         db = Database(endogenous=[fact("R", 1), fact("S", 1)])
-        assert is_positively_relevant_ucq(db, u, fact("R", 1))
+        assert is_positively_relevant(db, u, fact("R", 1))
 
     def test_negative_relevance_through_union(self):
         u = parse_ucq("R(x), not T(x) | S(x)")
         db = Database(endogenous=[fact("T", 1)], exogenous=[fact("R", 1)])
-        assert is_negatively_relevant_ucq(db, u, fact("T", 1))
+        assert is_negatively_relevant(db, u, fact("T", 1))
 
     def test_rejects_union_inconsistent_query(self):
         db = Database(endogenous=[fact("R", 0)])
         with pytest.raises(PolarityError):
-            is_relevant_ucq(db, q_sat(), fact("R", 0))
+            is_relevant(db, q_sat(), fact("R", 0))
 
     def test_rejects_non_endogenous(self):
         u = parse_ucq("R(x) | S(x)")
         db = Database(exogenous=[fact("R", 1)])
         with pytest.raises(ValueError):
-            is_positively_relevant_ucq(db, u, fact("R", 1))
+            is_positively_relevant(db, u, fact("R", 1))
 
 
 class TestAgainstBruteForce:
@@ -82,10 +86,10 @@ class TestAgainstBruteForce:
             if not endo or len(endo) > 10:
                 continue
             f = rng.choice(endo)
-            assert is_positively_relevant_ucq(db, u, f) == (
+            assert is_positively_relevant(db, u, f) == (
                 is_positively_relevant_brute_force(db, u, f)
             ), (text, f)
-            assert is_negatively_relevant_ucq(db, u, f) == (
+            assert is_negatively_relevant(db, u, f) == (
                 is_negatively_relevant_brute_force(db, u, f)
             ), (text, f)
             checked += 1

@@ -9,10 +9,7 @@ from repro.core.database import Database
 from repro.core.facts import fact
 from repro.core.parser import parse_query
 from repro.shapley.exact import shapley_hierarchical
-from repro.shapley.stratified import (
-    estimator_variance_comparison,
-    stratified_shapley_estimate,
-)
+from repro.shapley.stratified import stratified_shapley_estimate
 from repro.workloads.running_example import figure_1_database, query_q1
 
 
@@ -65,25 +62,4 @@ class TestStratifiedEstimate:
             stratified_shapley_estimate(
                 db, query_q1(), fact("TA", "Adam"), samples_per_stratum=0
             )
-
-
-class TestVarianceComparison:
-    def test_stratification_reduces_variance_on_running_example(self):
-        db = figure_1_database()
-        target = fact("Reg", "Caroline", "DB")
-        plain, stratified = estimator_variance_comparison(
-            db, query_q1(), target, budget=160, trials=12,
-            rng=random.Random(4),
-        )
-        # Stratification should not noticeably increase variance; on this
-        # instance it decreases it.
-        assert stratified <= plain * 1.25
-
-    def test_returns_nonnegative_variances(self):
-        db = figure_1_database()
-        plain, stratified = estimator_variance_comparison(
-            db, query_q1(), fact("TA", "Ben"), budget=40, trials=5,
-            rng=random.Random(5),
-        )
-        assert plain >= 0 and stratified >= 0
 
