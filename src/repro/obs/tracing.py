@@ -356,8 +356,8 @@ def maybe_span(tracer: Tracer | None, name: str, **attrs: Any):
 #: The tracer of the request currently executing in this process, if any.
 #: Leaf layers (kernels, sampler, store tiers) read this instead of
 #: growing a ``tracer`` parameter; requests are serialized per process
-#: (the daemon holds ``_engine_lock`` around engine work), so one slot
-#: suffices.
+#: (the daemon runs every engine call on its one engine thread), so one
+#: slot suffices.
 ACTIVE: Tracer | None = None
 
 

@@ -11,16 +11,22 @@ already holds is answered without executing a single plan node; a request
 identical to one *currently running* joins it through the in-flight
 coalescer instead of recomputing.
 
-Concurrency model: one **event loop** multiplexes every connection
-(requests on one connection pipeline freely — responses pair by ``id``,
-not arrival order), while actual engine work runs on a small pool of
-worker threads.  The engine's caches are plain ``OrderedDict`` LRUs —
-not thread-safe — so engine *entry* stays serialized by a single lock;
-parallelism comes from the engine's own sharded executor (``--jobs``),
-from the warm stores (hits barely hold the lock), and from the coalescer
-(duplicate requests never queue for the lock at all).
+Concurrency model: each thread has one job, so no serving state needs a
+lock.  The **event loop** multiplexes every connection (requests on one
+connection pipeline freely — responses pair by ``id``, not arrival
+order) and owns all serving state: admission, the coalescer, the served
+keys, counters, metrics and slow traces.  **One engine thread** runs
+each engine call in one hop — the shared-store claim, the call between
+two counter reads, the leader's render and the claim's release — and is
+the only user of the engine's caches, which are not thread-safe.
+**One helper thread** runs request preparation (registry lookup, parse,
+fingerprint), ``db_load``/``db_update`` and a coalesced follower's
+render of the other encoding.  A fleet claim loser waits on a
+default-executor thread, holding neither.  Parallelism comes from the
+engine's sharded executor (``--jobs``), the warm stores and the
+coalescer (duplicate requests never reach the engine).
 
-In front of the workers sits **admission control**
+In front of the engine sits **admission control**
 (:class:`~repro.server.admission.AdmissionController`): at most
 ``max_inflight`` compute requests execute or queue fairly (priority
 classes, round-robin between clients inside a class), per-client token
@@ -72,7 +78,6 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Callable
 
 from repro.core.parser import parse_query
@@ -109,11 +114,7 @@ _logger = logging.getLogger("repro.server")
 #: the daemon is overloaded, not until it is.
 INLINE_OPS = frozenset({"ping", "stats", "metrics"})
 
-#: Worker threads for engine calls, request preparation and the side
-#: operations; engine entry itself is serialized by one lock.
-ENGINE_WORKERS = 4
-
-#: Operations that run on a worker thread (they parse databases or touch
+#: Operations that run on the helper thread (they parse databases or touch
 #: the filesystem) but bypass admission: registry state management must
 #: not compete with compute for queue slots.
 SIDE_OPS = frozenset({"db_load", "db_update"})
@@ -135,9 +136,13 @@ class _Served:
     each encoding is rendered at most once however many requests ask
     for it.  ``stats`` is the computation's
     counter delta and ``trace_id`` the id of the trace it ran under.
+
+    Renders never overlap: the engine thread renders the leader's
+    encoding before the coalescer publishes the ``_Served``, and after
+    that only the helper thread renders.
     """
 
-    __slots__ = ("outcome", "stats", "trace_id", "documents", "_render", "_lock")
+    __slots__ = ("outcome", "stats", "trace_id", "documents", "_render")
 
     def __init__(
         self,
@@ -151,15 +156,13 @@ class _Served:
         self.trace_id = trace_id
         self.documents: dict[bool, dict[str, Any]] = {}
         self._render = render
-        self._lock = threading.Lock()
 
     def document(self, sparse: bool) -> dict[str, Any]:
         """The result document of one encoding, rendered on first use."""
-        with self._lock:
-            document = self.documents.get(sparse)
-            if document is None:
-                document = {**self._render(self.outcome, sparse), "stats": self.stats}
-                self.documents[sparse] = document
+        document = self.documents.get(sparse)
+        if document is None:
+            document = {**self._render(self.outcome, sparse), "stats": self.stats}
+            self.documents[sparse] = document
         return document
 
 
@@ -235,14 +238,14 @@ class AttributionDaemon:
         # hot path.  Bounded LRU; drained on db_update, whose
         # retirement can evict the rows the skip relies on.
         self._served_keys: OrderedDict[tuple, None] = OrderedDict()
-        self._served_lock = threading.Lock()
         self.requests = 0
         self.errors = 0
         self.connections = 0
-        self._engine_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._workers = ThreadPoolExecutor(
-            max_workers=ENGINE_WORKERS, thread_name_prefix="repro-engine"
+        self._engine_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-engine"
+        )
+        self._helper_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-helper"
         )
         self._draining = False
         self._shutdown_requested = False
@@ -251,7 +254,6 @@ class AttributionDaemon:
         self._stopped = threading.Event()
         self._stopped.set()  # nothing is serving yet
         self._writers: set[asyncio.StreamWriter] = set()
-        self._connection_seq = 0
         # Bind now so the address (including an ephemeral TCP port) is
         # known before serving starts — callers read ``location`` first.
         if self.kind == "unix":
@@ -352,7 +354,8 @@ class AttributionDaemon:
             self._drain_event.set()
 
     def close(self) -> None:
-        self._workers.shutdown(wait=False)
+        self._engine_thread.shutdown(wait=False)
+        self._helper_thread.shutdown(wait=False)
         try:
             self._listen_socket.close()
         except OSError:
@@ -362,11 +365,6 @@ class AttributionDaemon:
                 os.unlink(self.location)
             except OSError:
                 pass
-
-    def count(self, name: str) -> None:
-        """Increment a server counter; loop and helper threads race on these."""
-        with self._counter_lock:
-            setattr(self, name, getattr(self, name) + 1)
 
     def authorized(self, payload: dict[str, Any]) -> bool:
         """Does this request frame clear the listener's auth policy?
@@ -450,13 +448,12 @@ class AttributionDaemon:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.count("connections")
-        self._connection_seq += 1
+        self.connections += 1
         peer = writer.get_extra_info("peername")
         if isinstance(peer, tuple) and len(peer) >= 2:
             client = f"{peer[0]}:{peer[1]}"
         else:
-            client = f"unix#{self._connection_seq}"
+            client = f"unix#{self.connections}"
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
@@ -505,7 +502,7 @@ class AttributionDaemon:
         are fine); once the first byte arrives the rest of the frame
         must land within ``frame_timeout``, or the connection is closed
         — a slow-loris peer trickling bytes can hold a socket, but
-        never a queue slot or a worker.
+        never a queue slot or a thread.
         """
         first = await reader.read(1)
         if not first:
@@ -578,7 +575,7 @@ class AttributionDaemon:
         admitted: set[asyncio.Task],
     ) -> None:
         request_id = payload.get("id")
-        self.count("requests")
+        self.requests += 1
         started = time.perf_counter()
         op_name = payload.get("op")
         op_label = op_name if op_name in OPERATIONS else "invalid"
@@ -588,7 +585,7 @@ class AttributionDaemon:
                 # Unauthenticated TCP frames get a typed error frame and
                 # never reach dispatch — not even for ping or shutdown.
                 failed = True
-                self.count("errors")
+                self.errors += 1
                 await self._send(
                     writer,
                     write_lock,
@@ -615,8 +612,12 @@ class AttributionDaemon:
             elif op in SIDE_OPS:
                 self._refuse_if_draining()
                 result = await asyncio.get_running_loop().run_in_executor(
-                    self._workers, partial(self._operations[op], self, payload)
+                    self._helper_thread, self._operations[op], self, payload
                 )
+                if op == "db_update" and result["handle"] != result["base"]:
+                    # Retirement can drain the rows the claim skip relies
+                    # on: forget served keys so later requests re-claim.
+                    self._served_keys.clear()
             else:
                 result = await self._compute(op, payload, client, admitted)
             await self._send(writer, write_lock, ok_response(request_id, result))
@@ -624,7 +625,7 @@ class AttributionDaemon:
             raise
         except Exception as error:  # noqa: BLE001 - the frame is the boundary
             failed = True
-            self.count("errors")
+            self.errors += 1
             if getattr(error, "retryable", False):
                 self._log(
                     "request-shed",
@@ -654,7 +655,7 @@ class AttributionDaemon:
         client: str,
         admitted: set[asyncio.Task],
     ) -> dict[str, Any]:
-        """One admission-gated, coalesced, worker-executed compute op.
+        """One admission-gated, coalesced compute op on the engine thread.
 
         With ``trace: true`` on the request, the whole journey is
         spanned: ``server.request`` wraps admission, preparation, and
@@ -697,16 +698,18 @@ class AttributionDaemon:
                 admitted.add(task)
             try:
                 loop = asyncio.get_running_loop()
-                prepare = self._preparers[op]
                 with _tracing.maybe_span(tracer, "server.prepare"):
                     key, compute = await loop.run_in_executor(
-                        self._workers, partial(prepare, self, payload, tracer)
+                        self._helper_thread,
+                        self._preparers[op],
+                        self,
+                        payload,
+                        tracer,
                     )
-                compute = self._with_shared_claim(key, compute)
                 with _tracing.maybe_span(tracer, "server.coalesce") as span:
                     served, coalesced = await self.coalescer.run_async(
                         key,
-                        lambda: loop.run_in_executor(self._workers, compute),
+                        lambda: self._lead(key, compute),
                         timeout=self.coalesce_timeout,
                     )
                     span.set("coalesced", coalesced)
@@ -717,7 +720,7 @@ class AttributionDaemon:
                 if document is None:
                     with _tracing.maybe_span(tracer, "server.encode"):
                         document = await loop.run_in_executor(
-                            self._workers, served.document, sparse
+                            self._helper_thread, served.document, sparse
                         )
                 result = dict(document)
                 result["coalesced"] = coalesced
@@ -816,14 +819,10 @@ class AttributionDaemon:
         if successor_handle != handle:
             # A no-op delta supersedes nothing — retiring would back-date
             # the *live* version's own entries.  Retiring is one
-            # best-effort UPDATE on the durable store, so it runs
-            # outside the engine lock: concurrent requests keep serving,
-            # and a racing write at worst re-earns its stamp on next hit.
+            # best-effort UPDATE on the durable store, so it runs on the
+            # helper thread: the engine thread keeps serving, and a
+            # racing write at worst re-earns its stamp on next hit.
             self.engine.retire_version(base)
-            # Retirement can drain the rows the claim skip relies on:
-            # forget served keys so post-update requests re-claim.
-            with self._served_lock:
-                self._served_keys.clear()
         return {
             "handle": successor_handle,
             "base": handle,
@@ -835,20 +834,20 @@ class AttributionDaemon:
     # ------------------------------------------------------------------
     # Compute operations (``_preparers``, run by :meth:`_compute`)
     # ------------------------------------------------------------------
-    def _with_shared_claim(
-        self, key: tuple, compute: Callable[[], _Served]
-    ) -> Callable[[], _Served]:
-        """Coalesce ``compute`` across daemons via the shared store's claims.
+    async def _lead(self, key: tuple, compute: Callable[[], _Served]) -> _Served:
+        """A coalescer leader: ``compute`` on the engine thread, claimed
+        across daemons through the shared store when there is one.
 
-        Runs inside the in-process coalescer's leader (worker thread), so
-        each daemon stakes at most one claim per request key.  The claim
-        winner computes and releases; a loser blocks until the winner's
-        release — by which point the winner's result row is committed to
-        the shared store — and then runs ``compute``, whose engine store
-        lookup finds the row warm and executes nothing.  A timed-out
-        wait (or a crashed winner's expired claim) degrades to computing
-        locally: coalescing is an optimization, never a correctness
-        dependency.
+        Each daemon's coalescer lets one leader per request key through,
+        so a daemon stakes at most one claim per key.  The claim winner
+        computes and releases in the same engine-thread hop.  A loser
+        hands control back to the loop, waits for the winner's release
+        on a default-executor thread (by then the winner's result row is
+        committed to the shared store), and then runs ``compute``, whose
+        engine store lookup finds the row warm and executes nothing.  A
+        timed-out wait (or a crashed winner's expired claim) degrades to
+        computing locally: coalescing is an optimization, never a
+        correctness dependency.
 
         Keys this daemon has already completed skip the claim entirely:
         their result row is committed to the warm tiers, so a sibling's
@@ -856,43 +855,41 @@ class AttributionDaemon:
         the claim's write transactions would buy nothing, and warm
         repeats are the fleet's hot path.
         """
+        loop = asyncio.get_running_loop()
         shared = self.engine.shared
-        if shared is None:
-            return compute
+        if shared is None or self._already_served(key):
+            return await loop.run_in_executor(self._engine_thread, compute)
 
-        def claimed() -> _Served:
-            if self._already_served(key):
+        def claimed() -> _Served | None:
+            if not shared.claim(key):
+                return None
+            try:
                 return compute()
-            if shared.claim(key):
-                try:
-                    outcome = compute()
-                finally:
-                    shared.release(key)
-            else:
-                shared.await_claim(key)
-                outcome = compute()
-            self._note_served(key)
-            return outcome
+            finally:
+                shared.release(key)
 
-        return claimed
+        served = await loop.run_in_executor(self._engine_thread, claimed)
+        if served is None:
+            await asyncio.to_thread(shared.await_claim, key)
+            served = await loop.run_in_executor(self._engine_thread, compute)
+        self._note_served(key)
+        return served
 
     #: Completed-request keys remembered for the claim skip; past this
     #: the oldest are forgotten (and at worst re-claim once).
     SERVED_KEY_CAPACITY = 4096
 
     def _already_served(self, key: tuple) -> bool:
-        with self._served_lock:
-            if key in self._served_keys:
-                self._served_keys.move_to_end(key)
-                return True
+        if key in self._served_keys:
+            self._served_keys.move_to_end(key)
+            return True
         return False
 
     def _note_served(self, key: tuple) -> None:
-        with self._served_lock:
-            self._served_keys[key] = None
-            self._served_keys.move_to_end(key)
-            while len(self._served_keys) > self.SERVED_KEY_CAPACITY:
-                self._served_keys.popitem(last=False)
+        self._served_keys[key] = None
+        self._served_keys.move_to_end(key)
+        while len(self._served_keys) > self.SERVED_KEY_CAPACITY:
+            self._served_keys.popitem(last=False)
 
     @staticmethod
     def _policy_key(policy: MethodPolicy) -> tuple:
@@ -934,21 +931,20 @@ class AttributionDaemon:
         run: Callable[[], Any],
         render: Callable[[Any, bool], dict[str, Any]],
     ) -> Callable[[], _Served]:
-        """The compute step of a prepared op: ``run`` under the engine
-        lock, plus the request's counter delta, as a :class:`_Served`.
+        """The compute step of a prepared op, for the engine thread:
+        ``run`` plus the request's counter delta, as a :class:`_Served`.
 
         ``render(outcome, sparse)`` encodes the outcome; the leading
-        request renders its own encoding outside the lock, and a traced
-        request spans that as ``server.encode``.  A traced request's
+        request renders its own encoding right after ``run``, and a
+        traced request spans that as ``server.encode``.  A traced request's
         ``trace_id`` rides the shared outcome: how coalesced followers
         learn which trace did the work.
         """
 
         def compute() -> _Served:
-            with self._engine_lock:
-                before = self.engine.counters()
-                outcome = run()
-                after = self.engine.counters()
+            before = self.engine.counters()
+            outcome = run()
+            after = self.engine.counters()
             served = _Served(
                 outcome,
                 _counters_delta(before, after),

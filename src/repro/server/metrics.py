@@ -14,19 +14,19 @@ path*, not inferred from benchmarks.  This module is that measurement:
   (admitted / shed / expired / reaped / drain-refused), queue depth and
   its high-water mark, in-flight gauge, connection counts.
 
-Everything is plain integers under one lock, so the ``metrics`` wire
-operation is a cheap consistent snapshot — safe to poll from a
-monitoring loop at any frequency.  The JSON layout (``snapshot``)
-computes p50/p99 through :func:`repro.io.histogram_quantile`: the same
-math the CLI's ``repro metrics`` renderer uses, so daemon-side and
-client-side percentile readings can never disagree.
+Everything is plain integers that only the daemon's event loop touches,
+so the ``metrics`` wire operation is a cheap consistent snapshot — safe
+to poll from a monitoring loop at any frequency.  The JSON layout
+(``snapshot``) computes p50/p99 through
+:func:`repro.io.histogram_quantile`: the same math the CLI's ``repro
+metrics`` renderer uses, so daemon-side and client-side percentile
+readings can never disagree.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import threading
 from typing import Any
 
 from repro.io import LATENCY_BUCKET_BOUNDS_MS, histogram_quantile, histogram_rows
@@ -89,11 +89,9 @@ class OpMetrics:
 class DaemonMetrics:
     """The daemon-wide metrics ledger behind the ``metrics`` operation.
 
-    One lock guards every mutation: the event loop records while other
-    threads may take a snapshot at any time, and a snapshot must never
-    tear — the acceptance
-    bar is that these counters reconcile exactly with a client-side
-    request log.
+    Only the daemon's event loop records and takes snapshots, so a
+    snapshot never tears — the acceptance bar is that these counters
+    reconcile exactly with a client-side request log.
     """
 
     #: Admission/lifecycle counters, all starting at zero.
@@ -110,7 +108,6 @@ class DaemonMetrics:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._ops: dict[str, OpMetrics] = {}
         self._counters = {name: 0 for name in self.COUNTERS}
         self.queue_depth = 0
@@ -120,32 +117,27 @@ class DaemonMetrics:
 
     def observe(self, op: str, milliseconds: float, error: bool = False) -> None:
         """Record one finished request of ``op`` (latency in ms)."""
-        with self._lock:
-            metrics = self._ops.get(op)
-            if metrics is None:
-                metrics = self._ops[op] = OpMetrics()
-            metrics.requests += 1
-            if error:
-                metrics.errors += 1
-            metrics.latency.observe(milliseconds)
+        metrics = self._ops.get(op)
+        if metrics is None:
+            metrics = self._ops[op] = OpMetrics()
+        metrics.requests += 1
+        if error:
+            metrics.errors += 1
+        metrics.latency.observe(milliseconds)
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counters[counter] += amount
+        self._counters[counter] += amount
 
     def queue_changed(self, delta: int) -> None:
-        with self._lock:
-            self.queue_depth += delta
-            self.queue_peak = max(self.queue_peak, self.queue_depth)
+        self.queue_depth += delta
+        self.queue_peak = max(self.queue_peak, self.queue_depth)
 
     def inflight_changed(self, delta: int) -> None:
-        with self._lock:
-            self.inflight += delta
-            self.inflight_peak = max(self.inflight_peak, self.inflight)
+        self.inflight += delta
+        self.inflight_peak = max(self.inflight_peak, self.inflight)
 
     def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters[name]
+        return self._counters[name]
 
     def snapshot(
         self, coalescer: dict[str, int] | None = None, draining: bool = False
@@ -156,26 +148,22 @@ class DaemonMetrics:
         coalescing *ratio* (followers per computed leader) lives next to
         the latency data it explains.
         """
-        with self._lock:
-            ops = {
+        document: dict[str, Any] = {
+            "ops": {
                 name: {
                     "requests": metrics.requests,
                     "errors": metrics.errors,
                     "latency": metrics.latency.snapshot(),
                 }
                 for name, metrics in sorted(self._ops.items())
-            }
-            admission = dict(self._counters)
-            queue = {
+            },
+            "admission": dict(self._counters),
+            "queue": {
                 "depth": self.queue_depth,
                 "peak": self.queue_peak,
                 "inflight": self.inflight,
                 "inflight_peak": self.inflight_peak,
-            }
-        document: dict[str, Any] = {
-            "ops": ops,
-            "admission": admission,
-            "queue": queue,
+            },
             "draining": draining,
         }
         if coalescer is not None:
@@ -196,14 +184,14 @@ class SlowTraceBuffer:
     than the current fastest resident (which it then evicts).  The
     result — surfaced through the ``metrics`` op as ``slow_traces`` —
     is the post-hoc diagnosis set: "what did the worst requests spend
-    their time on", bounded in memory no matter the traffic.
+    their time on", bounded in memory no matter the traffic.  Only the
+    daemon's event loop offers and reads, so it needs no lock.
     """
 
     def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._entries: list[tuple[float, int, dict[str, Any]]] = []
         self._seq = 0
         self.offered = 0
@@ -211,32 +199,29 @@ class SlowTraceBuffer:
 
     def offer(self, document: dict[str, Any], duration_ms: float) -> bool:
         """Admit ``document`` if it ranks among the slowest; True if kept."""
-        with self._lock:
-            self.offered += 1
-            self._seq += 1
-            entry = (float(duration_ms), self._seq, document)
-            if len(self._entries) < self.capacity:
-                heapq.heappush(self._entries, entry)
-                return True
-            if self._entries and duration_ms > self._entries[0][0]:
-                heapq.heappushpop(self._entries, entry)
-                self.evicted += 1
-                return True
+        self.offered += 1
+        self._seq += 1
+        entry = (float(duration_ms), self._seq, document)
+        if len(self._entries) < self.capacity:
+            heapq.heappush(self._entries, entry)
+            return True
+        if self._entries and duration_ms > self._entries[0][0]:
+            heapq.heappushpop(self._entries, entry)
             self.evicted += 1
-            return False
+            return True
+        self.evicted += 1
+        return False
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def snapshot(self) -> list[dict[str, Any]]:
         """Resident traces, slowest first, each tagged with ``duration_ms``."""
-        with self._lock:
-            ordered = sorted(self._entries, key=lambda entry: -entry[0])
-            return [
-                {"duration_ms": round(duration, 3), **document}
-                for duration, _seq, document in ordered
-            ]
+        ordered = sorted(self._entries, key=lambda entry: -entry[0])
+        return [
+            {"duration_ms": round(duration, 3), **document}
+            for duration, _seq, document in ordered
+        ]
 
 
 __all__ = ["DaemonMetrics", "LatencyHistogram", "OpMetrics", "SlowTraceBuffer"]

@@ -19,16 +19,15 @@ Two pieces of shared state let many clients drive one warm engine:
   canonical plan fingerprint, see
   :meth:`repro.engine.core.BatchAttributionEngine.fingerprint`) share one
   computation: the first arrival becomes the leader and awaits the
-  computation, later arrivals park on an :class:`asyncio.Event` and
-  receive the leader's result (or its exception) without touching the
-  engine.  The warm result store only helps *after* a computation
+  computation, later arrivals await the leader's future and receive its
+  result (or its exception) without touching the engine.  The warm result store only helps *after* a computation
   finishes; the coalescer closes the window while it is still running —
   exactly the thundering-herd moment when a popular query goes out to a
   fleet of clients.
 
-Both structures are thread-safe: the registry is read from the daemon's
-worker threads, and the coalescer's table is shared by every coroutine
-of the daemon's event loop.
+The registry is thread-safe: the daemon's helper thread writes it while
+other callers may read it.  The coalescer belongs to one event loop: only
+the daemon's loop touches its table and counters, so it needs no lock.
 """
 
 from __future__ import annotations
@@ -189,23 +188,6 @@ class DatabaseRegistry:
 COALESCER_COUNTERS = ("leaders", "followers", "aborted")
 
 
-class _InFlight:
-    """One running computation: the leader's slot plus its parked followers.
-
-    Each follower parks on an :class:`asyncio.Event` of its own running
-    loop; completion sets every one of them via ``call_soon_threadsafe``
-    on that loop, so a leader finishing on any thread or loop wakes its
-    followers without blocking either side.
-    """
-
-    __slots__ = ("value", "error", "waiters")
-
-    def __init__(self) -> None:
-        self.value: Any = None
-        self.error: BaseException | None = None
-        self.waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Event]] = []
-
-
 class InFlightCoalescer:
     """Deduplicate concurrent identical computations by fingerprint key.
 
@@ -225,12 +207,16 @@ class InFlightCoalescer:
     The in-flight table holds *only running* computations: the moment a
     leader finishes, its key is removed, and the next identical request
     is the warm store's business, not the coalescer's.
+
+    One event loop owns the coalescer: every call of :meth:`run_async`
+    runs on it, so the table and the counters need no lock.  Each
+    running key holds one :class:`asyncio.Future` of that loop, which
+    the leader resolves to ``(value, error)``.
     """
 
     def __init__(self) -> None:
         self.stats = Counters(*COALESCER_COUNTERS)
-        self._lock = threading.Lock()
-        self._inflight: dict[Any, _InFlight] = {}
+        self._inflight: dict[Any, asyncio.Future] = {}
 
     async def run_async(
         self,
@@ -240,66 +226,56 @@ class InFlightCoalescer:
     ) -> tuple[Value, bool]:
         """Lead ``compute()`` for ``key``, or share the running leader's outcome.
 
-        The follower parks on an :class:`asyncio.Event` bound to *its*
-        running loop, so waiting never blocks the loop — and because it
-        registers before any await, a follower counts in the stats the
-        moment its request reaches the coalescer, which is what lets one
-        engine worker's slow leader absorb a whole burst.
+        A request joins before its first await, so a follower counts in
+        the stats the moment its request reaches the coalescer, which
+        is what lets one slow leader absorb a whole burst.  A follower
+        waits on the leader's future through :func:`asyncio.shield`, so
+        its own timeout or cancellation never touches the leader.
         """
-        done = asyncio.Event()
-        with self._lock:
-            entry = self._inflight.get(key)
-            leader = entry is None
-            if leader:
-                entry = self._inflight[key] = _InFlight()
-                self.stats.leaders += 1
-            else:
-                entry.waiters.append((asyncio.get_running_loop(), done))
-                self.stats.followers += 1
-        if leader:
-            try:
-                entry.value = await compute()
-            except BaseException as error:
-                # Ordinary exceptions are shared verbatim (a plan-time
-                # failure is identical for every coalesced request).
-                # Control-flow BaseExceptions — CancelledError,
-                # interpreter shutdown — must not propagate into
-                # unrelated requests, so followers get a typed abort.
-                entry.error = (
-                    error
-                    if isinstance(error, Exception)
-                    else CoalescedRequestAborted(
-                        "the leader of this coalesced computation was cancelled"
-                        f" ({type(error).__name__}) before a result existed; retry"
-                    )
-                )
-                raise
-            finally:
-                with self._lock:
-                    del self._inflight[key]
-                # Retired under the lock, so no follower can join any
-                # more: wake every parked one on its own loop.
-                for loop, event in entry.waiters:
-                    try:
-                        loop.call_soon_threadsafe(event.set)
-                    except RuntimeError:
-                        pass  # that follower's loop already closed
-            return entry.value, False
+        outcome = self._inflight.get(key)
+        if outcome is None:
+            return await self._lead(key, compute), False
+        self.stats.followers += 1
         try:
-            await asyncio.wait_for(done.wait(), timeout)
+            value, error = await asyncio.wait_for(asyncio.shield(outcome), timeout)
         except asyncio.TimeoutError:
-            with self._lock:
-                self.stats.aborted += 1
+            self.stats.aborted += 1
             raise CoalescedRequestAborted(
                 f"gave up waiting on an in-flight identical computation after"
                 f" {timeout:g}s; the leader is still running — retry later"
             ) from None
-        if entry.error is not None:
-            if isinstance(entry.error, CoalescedRequestAborted):
-                with self._lock:
-                    self.stats.aborted += 1
-            raise entry.error
-        return entry.value, True
+        if error is not None:
+            if isinstance(error, CoalescedRequestAborted):
+                self.stats.aborted += 1
+            raise error
+        return value, True
+
+    async def _lead(self, key: Any, compute: Callable[[], Awaitable[Value]]) -> Value:
+        outcome = self._inflight[key] = asyncio.get_running_loop().create_future()
+        self.stats.leaders += 1
+        try:
+            value = await compute()
+        except BaseException as error:
+            # Ordinary exceptions are shared verbatim (a plan-time
+            # failure is identical for every coalesced request).
+            # Control-flow BaseExceptions — CancelledError, interpreter
+            # shutdown — must not propagate into unrelated requests, so
+            # followers get a typed abort.
+            shared = (
+                error
+                if isinstance(error, Exception)
+                else CoalescedRequestAborted(
+                    "the leader of this coalesced computation was cancelled"
+                    f" ({type(error).__name__}) before a result existed; retry"
+                )
+            )
+            outcome.set_result((None, shared))
+            raise
+        else:
+            outcome.set_result((value, None))
+            return value
+        finally:
+            del self._inflight[key]
 
 
 __all__ = [

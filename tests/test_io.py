@@ -150,7 +150,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert "zero" in capsys.readouterr().out
+        assert "  Shapley value is zero" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize(
         "name, negative, verdict",

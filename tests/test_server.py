@@ -418,8 +418,8 @@ class TestCoalescingKeys:
             assert first_started.wait(20)
             threads[1].start()
             # The policies differ, so the second request must become its own
-            # leader (it registers with the coalescer *before* queueing on
-            # the engine lock) — never a follower of the first.
+            # leader (it registers with the coalescer *before* queueing for
+            # the engine thread) — never a follower of the first.
             deadline = time.monotonic() + 20
             while (
                 daemon.coalescer.stats.leaders < 2

@@ -11,12 +11,17 @@
   nothing aborts under a clean storm;
 * **metrics reconciliation** — the daemon's ``metrics`` ledger matches
   the client-side request log, and the admission gauges return to zero
-  (no leaked slots) after every storm.
+  (no leaked slots) after every storm;
+* **thread roles** — every engine call of a storm runs on the one engine
+  thread, and a fleet claim loser waits off that thread, so other keys
+  keep computing while it waits.
 """
 
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -29,7 +34,12 @@ from harness import (
     run_storm,
     running_daemon,
 )
-from repro.engine import BatchAttributionEngine, SerialExecutor, ShardedExecutor
+from repro.engine import (
+    BatchAttributionEngine,
+    SerialExecutor,
+    ShardedExecutor,
+    SQLiteResultStore,
+)
 from repro.server import AttributionClient
 from repro.workloads.running_example import figure_1_database
 from repro.workloads.traffic import TrafficRequest, star_traffic
@@ -158,6 +168,85 @@ class TestStormProperty:
     @given(seed=seeds)
     def test_interleaved_streams_sharded_backend(self, sharded_daemon, seed):
         _run_and_audit(sharded_daemon, seed)
+
+
+class TestThreadRoles:
+    def test_storm_runs_every_engine_call_on_one_thread(self, tmp_path):
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        threads: set[int] = set()
+
+        def recorded(call):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("batch", "batch_answers", "refine"):
+            setattr(engine, name, recorded(getattr(engine, name)))
+        database, stream = storm_stream(7, length=36, refines=6)
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            report = run_storm(
+                daemon.address, database, stream, clients=4, pipeline_depth=6
+            )
+        assert not report.failures, report.error_types()
+        assert_bit_identical(report, reference_results(database, stream))
+        assert len(threads) == 1, f"engine calls ran on {len(threads)} threads"
+
+    def test_claim_loser_waits_while_another_key_computes(self, tmp_path):
+        """Daemon B's loser of a fleet claim does not hold B's engine."""
+        database = figure_1_database()
+        engines = [
+            BatchAttributionEngine(
+                shared=SQLiteResultStore(tmp_path / "shared.db")
+            )
+            for _ in range(2)
+        ]
+        gate = threading.Event()
+        winner_computing = threading.Event()
+        real_batch = engines[0].batch
+
+        def gated_batch(*args, **kwargs):
+            winner_computing.set()
+            assert gate.wait(20), "test gate never opened"
+            return real_batch(*args, **kwargs)
+
+        engines[0].batch = gated_batch  # type: ignore[method-assign]
+        other_query = "q() :- Stud(x), Reg(x, y)"
+        with running_daemon(tmp_path, engines[0], "a.sock") as a, running_daemon(
+            tmp_path, engines[1], "b.sock"
+        ) as b:
+            try:
+                with AttributionClient(a.address) as client_a, AttributionClient(
+                    b.address
+                ) as client_b:
+                    handle = client_a.load_database(database)
+                    assert client_b.load_database(database) == handle
+                    winner = client_a.submit_batch(handle, Q1)
+                    assert winner_computing.wait(20)
+                    loser = client_b.submit_batch(handle, Q1)
+                    claims = engines[1].shared.claim_stats
+                    deadline = time.monotonic() + 20
+                    while claims.lost < 1 and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                    assert claims.lost == 1
+                    finished: list[object] = []
+
+                    def other_key() -> None:
+                        with AttributionClient(b.address) as client:
+                            finished.append(client.batch(handle, other_query))
+
+                    other = threading.Thread(target=other_key, daemon=True)
+                    other.start()
+                    other.join(10)
+                    assert finished, "another key on B waited for A's claim"
+                    assert claims.coalesced == 0  # the loser is still waiting
+                    gate.set()
+                    expected = winner.result()
+                    assert dict(loser.result().shapley) == dict(expected.shapley)
+                    assert claims.coalesced == 1
+            finally:
+                gate.set()
 
 
 class TestAdmissionControl:
