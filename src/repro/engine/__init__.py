@@ -12,10 +12,10 @@ Architecture (plan/execute engine, PR 3)
 
     request ──► planner ──► Plan (DAG) ──► executor ──► results ──► store
                  │                           │                        │
-                 │ method dispatch           │ SerialExecutor         │ TieredResultStore:
-                 │ fingerprint node ids      │ ShardedExecutor        │   result LRU
-                 │ store pruning             │   (ProcessPool,        │   → SQLiteResultStore
-                 │ up-front validation       │    BundlePool merge)   │     (optional, durable)
+                 │ method dispatch           │ ShardedExecutor        │ TieredResultStore:
+                 │ fingerprint node ids      │   (ProcessPool,        │   result LRU
+                 │ store pruning             │    BundlePool merge)   │   → SQLiteResultStore
+                 │ up-front validation       │ SerialExecutor: jobs=1 │     (optional, durable)
 
 * The **planner** (:mod:`repro.engine.plan`) turns a ``(database, query,
   groundings)`` request into an explicit DAG: one grounding task per
@@ -25,12 +25,13 @@ Architecture (plan/execute engine, PR 3)
   request key the result store already holds are pruned before any
   execution; intractable requests fail at plan time.
 * **Executors** (:mod:`repro.engine.executors`) run the plan.
-  :class:`SerialExecutor` (default) keeps today's in-process semantics;
   :class:`ShardedExecutor` ships independent bundle and brute-force
   nodes to a ``ProcessPoolExecutor`` (``--jobs N`` on the CLI,
   ``REPRO_JOBS``/``REPRO_START_METHOD`` in the environment) and merges
   the count vectors back through the :class:`BundlePool` — exact integer
   arithmetic makes sharded results bit-identical to serial ones.
+  :class:`SerialExecutor` (the default) is the same executor at
+  ``jobs=1``: every node runs in-process.
 * The **result store** (:mod:`repro.engine.stores`) decides whether a
   node needed computing at all: one :class:`TieredResultStore` puts the
   in-memory result LRU in front of the optional durable
@@ -143,7 +144,6 @@ from repro.engine.delta import (
     dirty_components,
 )
 from repro.engine.executors import (
-    Executor,
     SerialExecutor,
     ShardedExecutor,
     execute_grounding_task,
@@ -202,7 +202,6 @@ __all__ = [
     "DEFAULT_DELTA",
     "DEFAULT_EPSILON",
     "DatabaseDelta",
-    "Executor",
     "FactIndex",
     "GroundingTask",
     "LRUCache",

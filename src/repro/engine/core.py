@@ -51,7 +51,6 @@ from repro.engine.cache import BundlePool, LRUCache
 from repro.engine.delta import DELTA_COUNTERS
 from repro.engine.executors import (
     EXECUTOR_COUNTERS,
-    Executor,
     SerialExecutor,
     ShardedExecutor,
 )
@@ -117,7 +116,7 @@ def environment_problems() -> list[str]:
     return problems
 
 
-def _executor_from_environment() -> Executor:
+def _executor_from_environment() -> ShardedExecutor:
     """The executor selected by ``REPRO_JOBS`` / ``REPRO_START_METHOD``.
 
     Any :func:`environment_problems`, or an unset or ``<= 1`` job count,
@@ -187,7 +186,7 @@ class BatchAttributionEngine:
 
     def __init__(
         self,
-        executor: Executor | None = None,
+        executor: ShardedExecutor | None = None,
         jobs: int | None = None,
         shared: SQLiteResultStore | None = None,
     ) -> None:

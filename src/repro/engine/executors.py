@@ -2,21 +2,21 @@
 
 An executor consumes a :class:`repro.engine.plan.Plan` and a bundle cache
 and produces one :class:`repro.engine.results.BatchResult` per grounding
-task.  Two backends implement the protocol:
+task.  :class:`ShardedExecutor` is the one implementation:
 
-* :class:`SerialExecutor` — today's semantics, and the default: every
-  node runs in-process; bundle nodes are satisfied *lazily* through the
-  cache as each grounding task's recursion reaches them, so cache
-  accounting is byte-for-byte what the pre-split engine produced.
-* :class:`ShardedExecutor` — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` backend: independent bundle nodes (per-component
-  count vectors) and self-contained brute-force grounding nodes are
-  shipped to worker processes; finished ``CountBundle``s are merged back
-  into the caller's :class:`repro.engine.cache.BundlePool` (``seed``),
-  after which the remaining convolution/assembly tasks run in-process and
-  hit the pool instead of recursing.  Exact integer count vectors make
-  the merge lossless: sharded and serial execution return bit-identical
+* at ``jobs > 1`` it is a ``concurrent.futures`` ``ProcessPoolExecutor``
+  backend: independent bundle nodes (per-component count vectors) and
+  self-contained brute-force grounding nodes are shipped to worker
+  processes; finished ``CountBundle``s are merged back into the caller's
+  :class:`repro.engine.cache.BundlePool` (``seed``), after which the
+  remaining convolution/assembly tasks run in-process and hit the pool
+  instead of recursing.  Exact integer count vectors make the merge
+  lossless: sharded and serial execution return bit-identical
   ``Fraction`` values.
+* :class:`SerialExecutor` — the default — is the same class at
+  ``jobs=1``: nothing ships, every node runs in-process in plan order,
+  and bundle nodes are satisfied *lazily* through the cache as each
+  grounding task's recursion reaches them.
 
 Worker processes never share state with the parent: each task runs with
 a fresh local cache, the pool initializer resets the process-wide default
@@ -39,7 +39,6 @@ import os
 import pickle
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Protocol, runtime_checkable
 
 from repro.engine.bundles import (
     BundleCache,
@@ -67,17 +66,6 @@ from repro.shapley.sampling import extend_state, merge_totals, run_rounds
 EXECUTOR_COUNTERS = ("tasks", "bundle_tasks", "shipped", "fallbacks")
 
 
-@runtime_checkable
-class Executor(Protocol):
-    """Anything that can run a plan against a bundle cache."""
-
-    jobs: int
-
-    def execute(
-        self, plan: Plan, cache: BundleCache
-    ) -> tuple[dict[tuple, BatchResult], Counters]: ...
-
-
 def execute_grounding_task(task: GroundingTask, cache: BundleCache) -> BatchResult:
     """Run one grounding node: count vectors plus Lemma 3.2 assembly.
 
@@ -97,7 +85,12 @@ def execute_grounding_task(task: GroundingTask, cache: BundleCache) -> BatchResu
             shapley, banzhaf, "brute-force", len(task.database.endogenous)
         )
     if task.method == "sampled":
-        return execute_sample_task(task)
+        spec = task.sample_spec
+        start = spec.prior.rounds if spec.prior else 0
+        totals, evaluations = run_rounds(
+            task.database, task.query, spec.seed, start, spec.fresh_rounds
+        )
+        return assemble_sample_result(task, totals, evaluations)
     vectors = batch_count_vectors(task.database, task.query, cache)
     return result_from_vectors(vectors, task.method)
 
@@ -124,47 +117,6 @@ def assemble_sample_result(
     )
 
 
-def execute_sample_task(task: GroundingTask) -> BatchResult:
-    """Run one sampled node in-process: the fresh round suffix, then fold."""
-    spec = task.sample_spec
-    start = spec.prior.rounds if spec.prior else 0
-    totals, evaluations = run_rounds(
-        task.database, task.query, spec.seed, start, spec.fresh_rounds
-    )
-    return assemble_sample_result(task, totals, evaluations)
-
-
-class SerialExecutor:
-    """Run every plan node in-process — the default backend.
-
-    Grounding tasks execute in plan order; bundle nodes are not
-    pre-materialized but satisfied lazily by each task's recursion
-    through the shared cache, which reproduces the pre-split engine's
-    behavior (and its cache hit/miss accounting) exactly.
-    """
-
-    jobs = 1
-
-    def execute(
-        self, plan: Plan, cache: BundleCache
-    ) -> tuple[dict[tuple, BatchResult], Counters]:
-        stats = Counters(*EXECUTOR_COUNTERS)
-        results: dict[tuple, BatchResult] = {}
-        tracer = _tracing.ACTIVE
-        for task in plan.tasks:
-            with _tracing.maybe_span(
-                tracer,
-                f"node:{task.method}",
-                node=_tracing.label(task.node_id) if tracer is not None else None,
-            ):
-                results[task.node_id] = execute_grounding_task(task, cache)
-            stats.tasks += 1
-        return results, stats
-
-    def __repr__(self) -> str:
-        return "SerialExecutor()"
-
-
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
@@ -182,14 +134,17 @@ def _worker_init() -> None:
     reset_default_engine()
 
 
-def _run_bundle_chunk(
-    tasks: list[BundleTask], trace: bool = False
+def _run_chunk(
+    kind: str, tasks: list, trace: bool = False
 ) -> tuple[list[tuple[tuple, object]], dict | None]:
-    """Worker payload: a chunk of component bundles, one shared local cache.
+    """Worker payload: a chunk of bundle or grounding nodes, one local cache.
 
-    With ``trace`` set, the worker records its own spans (one
-    ``node:bundle`` per component, plus whatever the kernels emit) and
-    ships them home alongside the results — spans arrive iff results do.
+    ``kind`` is ``"bundle"`` (component count vectors) or ``"task"``
+    (self-contained grounding nodes, each carrying only its relevance
+    slice, so a chunk pickles small).  With ``trace`` set, the worker
+    records its own spans (one ``node:*`` span per node, plus whatever
+    the kernels emit) and ships them home alongside the results — spans
+    arrive iff results do.
     """
     cache: LRUCache = LRUCache(128)
     tracer = _tracing.Tracer() if trace else None
@@ -198,32 +153,14 @@ def _run_bundle_chunk(
         for task in tasks:
             with _tracing.maybe_span(
                 tracer,
-                "node:bundle",
+                "node:bundle" if kind == "bundle" else f"node:{task.method}",
                 node=_tracing.label(task.node_id) if tracer is not None else None,
             ):
-                out.append((task.node_id, bundle_for_component(task.scope, cache)))
-    return out, (tracer.shipment() if tracer is not None else None)
-
-
-def _run_grounding_chunk(
-    tasks: list[GroundingTask], trace: bool = False
-) -> tuple[list[tuple[tuple, BatchResult]], dict | None]:
-    """Worker payload: a chunk of self-contained grounding nodes.
-
-    Chunking amortizes the dispatch overhead: each task carries only its
-    grounding's relevance slice, so a chunk pickles small.
-    """
-    cache: LRUCache = LRUCache(64)
-    tracer = _tracing.Tracer() if trace else None
-    out: list[tuple[tuple, BatchResult]] = []
-    with _tracing.activate(tracer):
-        for task in tasks:
-            with _tracing.maybe_span(
-                tracer,
-                f"node:{task.method}",
-                node=_tracing.label(task.node_id) if tracer is not None else None,
-            ):
-                out.append((task.node_id, execute_grounding_task(task, cache)))
+                if kind == "bundle":
+                    value = bundle_for_component(task.scope, cache)
+                else:
+                    value = execute_grounding_task(task, cache)
+                out.append((task.node_id, value))
     return out, (tracer.shipment() if tracer is not None else None)
 
 
@@ -412,7 +349,8 @@ class ShardedExecutor:
     selects the ``multiprocessing`` context (``None`` = platform
     default, ``"fork"``/``"spawn"``/``"forkserver"`` explicit).  Plans
     with fewer than :attr:`MIN_SHARD_TASKS` shardable nodes run serially —
-    shipping one task buys no wall-clock and costs a pickle round trip.
+    shipping one task buys no wall-clock and costs a pickle round trip —
+    and so does every plan at ``jobs=1`` (:class:`SerialExecutor`).
     """
 
     MIN_SHARD_TASKS = 2
@@ -525,16 +463,19 @@ class ShardedExecutor:
         futures = {}
         submits: dict[object, float] = {}
 
-        def _submit(payload, kind, *args):
-            future = pool.submit(payload, *args, trace)
+        def _submit(kind, *args):
+            if kind == "sample":
+                future = pool.submit(_run_sample_chunk, *args, trace)
+            else:
+                future = pool.submit(_run_chunk, kind, *args, trace)
             futures[future] = kind
             if trace:
                 submits[future] = tracer.now()
 
         for chunk in _chunked(bundles, self.jobs):
-            _submit(_run_bundle_chunk, "bundle", chunk)
+            _submit("bundle", chunk)
         for chunk in _chunked(tasks, self.jobs):
-            _submit(_run_grounding_chunk, "task", chunk)
+            _submit("task", chunk)
         sample_by_node: dict[tuple, GroundingTask] = {}
         expected: dict[tuple, int] = {}
         partials: dict[tuple, list[tuple[dict, int]]] = {}
@@ -549,7 +490,7 @@ class ShardedExecutor:
             # range, the parent folds the prior back in on assembly.
             shippable = replace(task, sample_spec=replace(spec, prior=None))
             for range_start, count in ranges:
-                _submit(_run_sample_chunk, "sample", shippable, range_start, count)
+                _submit("sample", shippable, range_start, count)
         done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
         try:
             for future in done:
@@ -591,13 +532,24 @@ class ShardedExecutor:
                 future.cancel()
 
 
+class SerialExecutor(ShardedExecutor):
+    """The default backend: :class:`ShardedExecutor` at ``jobs=1``.
+
+    Nothing ships; every node runs in-process, in plan order.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(jobs=1)
+
+    def __repr__(self) -> str:
+        return "SerialExecutor()"
+
+
 __all__ = [
     "EXECUTOR_COUNTERS",
-    "Executor",
     "SerialExecutor",
     "ShardedExecutor",
     "assemble_sample_result",
     "execute_grounding_task",
-    "execute_sample_task",
     "shutdown_worker_pools",
 ]

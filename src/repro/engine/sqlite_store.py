@@ -177,11 +177,11 @@ class SQLiteResultStore:
     """A shared, bounded result store in one WAL-mode SQLite file.
 
     ``max_entries`` / ``max_bytes`` bound the table with access-stamp
-    LRU eviction (``None`` = unbounded); ``claim_ttl`` is the default
-    lifetime of a claim marker (a crashed claimant blocks duplicates
-    for at most this long); ``timeout`` is SQLite's busy timeout —
-    how long a writer waits on a locked database before degrading to
-    a skipped write.
+    LRU eviction (``None`` = unbounded); :attr:`CLAIM_TTL` is the
+    default lifetime of a claim marker (a crashed claimant blocks
+    duplicates for at most this long); ``timeout`` is SQLite's busy
+    timeout — how long a writer waits on a locked database before
+    degrading to a skipped write.
 
     The store is safe for concurrent use from multiple threads (one
     internal lock serializes this instance's statements) and multiple
@@ -189,20 +189,20 @@ class SQLiteResultStore:
     its own connection transparently.
     """
 
+    CLAIM_TTL = 30.0
+
     def __init__(
         self,
         path: str | Path,
         max_entries: int | None = None,
         max_bytes: int | None = None,
         *,
-        claim_ttl: float = 30.0,
         timeout: float = 30.0,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.claim_ttl = float(claim_ttl)
         self.timeout = float(timeout)
         self.stats = Counters(*CACHE_COUNTERS)
         self.claim_stats = Counters(*CLAIM_COUNTERS)
@@ -384,7 +384,7 @@ class SQLiteResultStore:
     # ------------------------------------------------------------------
     # Claim markers (cross-daemon request coalescing)
     # ------------------------------------------------------------------
-    def claim(self, key: tuple, ttl: float | None = None, owner: str = "") -> bool:
+    def claim(self, key: tuple, ttl: float | None = None) -> bool:
         """Try to claim ``key``; True means this caller computes.
 
         Insert-if-absent with a TTL, atomic under concurrent daemons: of
@@ -394,7 +394,7 @@ class SQLiteResultStore:
         """
         digest = digest_key(key)
         now = time.time()
-        expires = now + (self.claim_ttl if ttl is None else float(ttl))
+        expires = now + (self.CLAIM_TTL if ttl is None else float(ttl))
         with self._lock:
             conn = self._connection()
             try:
@@ -405,12 +405,14 @@ class SQLiteResultStore:
                 if row is None or float(row[0]) <= now:
                     if row is not None:
                         self.claim_stats.expired += 1
+                    # ``owner`` is always empty; the column stays so the
+                    # file format is unchanged.
                     conn.execute(
                         "INSERT INTO claims (digest, owner, expires)"
-                        " VALUES (?, ?, ?)"
+                        " VALUES (?, '', ?)"
                         " ON CONFLICT(digest) DO UPDATE SET"
-                        " owner = excluded.owner, expires = excluded.expires",
-                        (digest, owner, expires),
+                        " expires = excluded.expires",
+                        (digest, expires),
                     )
                     won = True
                 else:
@@ -447,25 +449,20 @@ class SQLiteResultStore:
                 return False
         return row is not None and float(row[0]) > time.time()
 
-    def await_claim(
-        self,
-        key: tuple,
-        timeout: float | None = None,
-        interval: float = 0.005,
-    ) -> bool:
+    def await_claim(self, key: tuple, timeout: float | None = None) -> bool:
         """Block until ``key``'s claim clears; True when it did.
 
         The claim loser's path: poll (cheap indexed point reads) until
         the winner releases — at which point the winner's result row is
         already committed, so the caller's next store lookup is warm —
         or the marker expires.  ``timeout`` defaults to the store's
-        ``claim_ttl``; False means the wait hit the deadline and the
+        :attr:`CLAIM_TTL`; False means the wait hit the deadline and the
         caller should just compute.
         """
         deadline = time.monotonic() + (
-            self.claim_ttl if timeout is None else float(timeout)
+            self.CLAIM_TTL if timeout is None else float(timeout)
         )
-        wait = interval
+        wait = 0.005
         while self._claim_active(key):
             if time.monotonic() >= deadline:
                 self.claim_stats.timeouts += 1

@@ -155,9 +155,11 @@ def top_spans(
     ]
 
 
-def render_trace(
-    trace: Tracer | Mapping[str, Any], *, max_attrs: int = 6
-) -> str:
+#: Attributes shown per span line; the rest collapse into one ``...=N``.
+_MAX_ATTRS = 6
+
+
+def render_trace(trace: Tracer | Mapping[str, Any]) -> str:
     """Render the trace as an indented text tree, one span per line."""
     document = trace_to_dict(trace)
     spans = document["spans"]
@@ -177,8 +179,8 @@ def render_trace(
 
     def _attr_text(span: Mapping[str, Any]) -> str:
         items = sorted(span["attrs"].items())
-        if len(items) > max_attrs:
-            items = items[:max_attrs] + [("...", len(span["attrs"]) - max_attrs)]
+        if len(items) > _MAX_ATTRS:
+            items = items[:_MAX_ATTRS] + [("...", len(items) - _MAX_ATTRS)]
         parts = []
         for key, value in items:
             text = str(value)

@@ -24,8 +24,8 @@ controller enforces three policies *before* any engine work happens:
   so abandoned requests can never hold queue slots.
 
 The controller is **event-loop confined**: every method must run on the
-daemon's loop (no locks needed), and the injected ``clock`` keeps the
-token buckets and deadlines testable without real sleeps.
+daemon's loop (no locks needed).  Token buckets and deadlines read
+``time.monotonic()``.
 """
 
 from __future__ import annotations
@@ -33,41 +33,36 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict, deque
-from typing import Callable
 
 from repro.server.metrics import DaemonMetrics
 from repro.server.protocol import DeadlineExceededError, OverloadedError
 
 
 class TokenBucket:
-    """A standard token bucket: ``rate`` tokens/second, bounded burst."""
+    """A standard token bucket: ``rate`` tokens/second, one request each.
 
-    __slots__ = ("rate", "capacity", "tokens", "_updated", "_clock")
+    The burst is one second's worth of tokens, at least one — a client
+    at exactly its rate never sees a shed.
+    """
 
-    def __init__(
-        self,
-        rate: float,
-        burst: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    __slots__ = ("rate", "capacity", "tokens", "_updated")
+
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
-        # Default burst: one second's worth of tokens, at least one —
-        # a client at exactly its rate never sees a shed.
-        self.capacity = float(burst) if burst is not None else max(1.0, self.rate)
+        self.capacity = max(1.0, self.rate)
         self.tokens = self.capacity
-        self._clock = clock
-        self._updated = clock()
+        self._updated = time.monotonic()
 
-    def try_acquire(self, amount: float = 1.0) -> bool:
-        now = self._clock()
+    def try_acquire(self) -> bool:
+        now = time.monotonic()
         self.tokens = min(
             self.capacity, self.tokens + (now - self._updated) * self.rate
         )
         self._updated = now
-        if self.tokens >= amount:
-            self.tokens -= amount
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 
@@ -86,7 +81,7 @@ class _Waiter:
 class AdmissionController:
     """Slots, queues, buckets — see the module docstring.
 
-    ``max_queue`` defaults to ``4 * max_inflight``: deep enough to ride
+    The queue holds ``4 * max_inflight`` waiters: deep enough to ride
     out a coalescing burst, shallow enough that queueing delay stays a
     small multiple of service time.
     """
@@ -100,9 +95,7 @@ class AdmissionController:
         self,
         max_inflight: int,
         per_client_rps: float | None = None,
-        max_queue: int | None = None,
         metrics: DaemonMetrics | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be positive, got {max_inflight}")
@@ -112,9 +105,8 @@ class AdmissionController:
             )
         self.max_inflight = max_inflight
         self.per_client_rps = per_client_rps
-        self.max_queue = max_queue if max_queue is not None else 4 * max_inflight
+        self.max_queue = 4 * max_inflight
         self.metrics = metrics if metrics is not None else DaemonMetrics()
-        self.clock = clock
         self.inflight = 0
         self.queued = 0
         # priority -> (client -> FIFO of waiters); clients round-robin
@@ -133,7 +125,7 @@ class AdmissionController:
     ) -> None:
         """Wait for an execution slot; raises instead of queueing forever.
 
-        ``deadline`` is an absolute ``clock()`` timestamp.  Raises
+        ``deadline`` is an absolute ``time.monotonic()`` timestamp.  Raises
         :class:`OverloadedError` (shed: queue full or client throttled)
         or :class:`DeadlineExceededError` (expired while queued).  On
         success the caller owns one slot and must :meth:`release` it
@@ -145,7 +137,7 @@ class AdmissionController:
                 f"client {client} is above its rate limit"
                 f" ({self.per_client_rps:g} requests/second); retry later"
             )
-        if deadline is not None and deadline <= self.clock():
+        if deadline is not None and deadline <= time.monotonic():
             self.metrics.bump("deadline_expired")
             raise DeadlineExceededError(
                 "request deadline expired before admission; no work was done"
@@ -177,7 +169,7 @@ class AdmissionController:
         expiry = None
         if deadline is not None:
             expiry = loop.call_later(
-                max(0.0, deadline - self.clock()), self._expire, waiter
+                max(0.0, deadline - time.monotonic()), self._expire, waiter
             )
         try:
             await waiter.future
@@ -227,7 +219,7 @@ class AdmissionController:
         if bucket is not None:
             self._buckets.move_to_end(client)
             return bucket
-        bucket = TokenBucket(self.per_client_rps, clock=self.clock)  # type: ignore[arg-type]
+        bucket = TokenBucket(self.per_client_rps)  # type: ignore[arg-type]
         self._buckets[client] = bucket
         while len(self._buckets) > self.MAX_BUCKETS:
             self._buckets.popitem(last=False)

@@ -22,16 +22,20 @@ the only user of the engine's caches, which are not thread-safe.
 **One helper thread** runs request preparation (registry lookup, parse,
 fingerprint), ``db_load``/``db_update`` and a coalesced follower's
 render of the other encoding.  A fleet claim loser waits on a
-default-executor thread, holding neither.  Parallelism comes from the
-engine's sharded executor (``--jobs``), the warm stores and the
-coalescer (duplicate requests never reach the engine).
+default-executor thread, holding neither.  Admitted requests reach the
+engine thread in arrival order: ``priority`` and the per-client
+round-robin order only the admission queue beyond ``max_inflight``, not
+execution.  Parallelism comes from the engine's sharded executor
+(``--jobs``), the warm stores and the coalescer (duplicate requests
+never reach the engine).
 
 In front of the engine sits **admission control**
 (:class:`~repro.server.admission.AdmissionController`): at most
-``max_inflight`` compute requests execute or queue fairly (priority
-classes, round-robin between clients inside a class), per-client token
-buckets (``per_client_rps``) throttle greedy clients, and overload is
-answered with typed, **retryable** error frames —
+``max_inflight`` compute requests are admitted at once and up to
+``4 * max_inflight`` more queue fairly (priority classes, round-robin
+between clients inside a class), per-client token buckets
+(``per_client_rps``) throttle greedy clients, and overload is answered
+with typed, **retryable** error frames —
 :class:`~repro.server.protocol.OverloadedError` when shed,
 :class:`~repro.server.protocol.DeadlineExceededError` when a request's
 ``deadline_ms`` expired while queued — never with an unbounded queue or
@@ -41,7 +45,7 @@ the daemon is loaded, not until it is.
 
 Failure containment: a malformed frame ends only its own connection
 (best-effort error frame first); a frame that starts arriving but does
-not finish within ``frame_timeout`` (a slow-loris peer) closes only that
+not finish within ``FRAME_TIMEOUT`` (a slow-loris peer) closes only that
 connection; an exception inside a request — plan-time
 :class:`~repro.core.errors.IntractableQueryError`, parse errors, unknown
 handles — becomes a structured error frame and the connection lives on;
@@ -178,23 +182,25 @@ class AttributionDaemon:
     ``registry`` default to a fresh engine and a 64-database
     :class:`DatabaseRegistry`.
 
-    Admission knobs: ``max_inflight`` bounds concurrently executing or
-    queued compute requests (the queue itself is bounded at
-    ``max_queue``, default ``4 * max_inflight``; past it, requests shed
-    with a retryable :class:`OverloadedError`); ``per_client_rps``
-    token-buckets each client connection; ``drain_timeout`` is how long
-    a graceful shutdown waits for in-flight work; ``frame_timeout``
-    bounds how long a *started* frame may trickle in before the
-    connection is closed (slow-loris defense — an idle connection may
-    stay silent forever); ``coalesce_timeout`` bounds how long a
-    coalesced follower waits on its leader before giving up with a
-    typed :class:`CoalescedRequestAborted` (``None``: as long as it
-    takes).
+    Admission knobs: ``max_inflight`` bounds concurrently executing
+    compute requests (the queue behind them is bounded at
+    ``4 * max_inflight``; past it, requests shed with a retryable
+    :class:`OverloadedError`); ``per_client_rps`` token-buckets each
+    client connection; ``drain_timeout`` is how long a graceful
+    shutdown waits for in-flight work.
     """
 
     #: Per-connection pipelining depth: past this many unanswered
     #: requests the read loop stops pulling frames until one completes.
     MAX_PIPELINE = 128
+    #: Seconds a *started* frame may trickle in before the connection is
+    #: closed (slow-loris defense — an idle connection may stay silent
+    #: forever).
+    FRAME_TIMEOUT = 10.0
+    #: Seconds a coalesced follower waits on its leader before giving up
+    #: with a typed :class:`CoalescedRequestAborted`; ``None`` waits as
+    #: long as the leader takes.
+    COALESCE_TIMEOUT: float | None = None
 
     def __init__(
         self,
@@ -205,10 +211,7 @@ class AttributionDaemon:
         *,
         max_inflight: int = 64,
         per_client_rps: float | None = None,
-        max_queue: int | None = None,
         drain_timeout: float = 5.0,
-        frame_timeout: float = 10.0,
-        coalesce_timeout: float | None = None,
     ) -> None:
         self.kind, self.location = parse_address(address)
         self.engine = engine if engine is not None else BatchAttributionEngine()
@@ -225,12 +228,9 @@ class AttributionDaemon:
         self.admission = AdmissionController(
             max_inflight,
             per_client_rps=per_client_rps,
-            max_queue=max_queue,
             metrics=self.metrics,
         )
         self.drain_timeout = drain_timeout
-        self.frame_timeout = frame_timeout
-        self.coalesce_timeout = coalesce_timeout
         # Request keys this daemon has already completed.  Once a key's
         # result row is committed to the warm tiers, a later repeat
         # cannot duplicate work anywhere in the fleet — so it skips the
@@ -500,7 +500,7 @@ class AttributionDaemon:
 
         Waiting for a frame to *start* is unbounded (idle connections
         are fine); once the first byte arrives the rest of the frame
-        must land within ``frame_timeout``, or the connection is closed
+        must land within :attr:`FRAME_TIMEOUT`, or the connection is closed
         — a slow-loris peer trickling bytes can hold a socket, but
         never a queue slot or a thread.
         """
@@ -508,7 +508,7 @@ class AttributionDaemon:
         if not first:
             return None
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.frame_timeout
+        deadline = loop.time() + self.FRAME_TIMEOUT
 
         async def exactly(count: int, what: str) -> bytes:
             try:
@@ -518,9 +518,9 @@ class AttributionDaemon:
                 return await asyncio.wait_for(reader.readexactly(count), remaining)
             except asyncio.TimeoutError:
                 self.metrics.bump("slow_frames_closed")
-                self._log("slow-frame-closed", budget=self.frame_timeout)
+                self._log("slow-frame-closed", budget=self.FRAME_TIMEOUT)
                 raise ProtocolError(
-                    f"{what} did not complete within {self.frame_timeout:g}s;"
+                    f"{what} did not complete within {self.FRAME_TIMEOUT:g}s;"
                     " closing the connection"
                 ) from None
             except asyncio.IncompleteReadError as error:
@@ -677,7 +677,7 @@ class AttributionDaemon:
         deadline = (
             None
             if deadline_ms is None
-            else self.admission.clock() + float(deadline_ms) / 1000.0
+            else time.monotonic() + float(deadline_ms) / 1000.0
         )
         with _tracing.maybe_span(
             tracer,
@@ -710,7 +710,7 @@ class AttributionDaemon:
                     served, coalesced = await self.coalescer.run_async(
                         key,
                         lambda: self._lead(key, compute),
-                        timeout=self.coalesce_timeout,
+                        timeout=self.COALESCE_TIMEOUT,
                     )
                     span.set("coalesced", coalesced)
                 # The leader rendered its own encoding; a duplicate that

@@ -136,9 +136,6 @@ class DaemonMetrics:
         self.inflight += delta
         self.inflight_peak = max(self.inflight_peak, self.inflight)
 
-    def counter(self, name: str) -> int:
-        return self._counters[name]
-
     def snapshot(
         self, coalescer: dict[str, int] | None = None, draining: bool = False
     ) -> dict[str, Any]:

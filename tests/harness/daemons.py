@@ -21,9 +21,11 @@ def running_daemon(directory, engine=None, name="daemon.sock", **options):
     """Serve an :class:`AttributionDaemon` on a thread for one ``with`` block.
 
     ``directory`` hosts the Unix socket; any extra keyword arguments
-    (``max_inflight``, ``frame_timeout``, ``coalesce_timeout``, ...) go
-    straight to the daemon constructor, which is how fault tests shrink
-    limits to provoke shedding and slow-frame closes.
+    (``max_inflight``, ``per_client_rps``, ``drain_timeout``) go straight
+    to the daemon constructor, which is how fault tests shrink limits to
+    provoke shedding.  The slow-frame and coalesce timeouts are the class
+    constants ``AttributionDaemon.FRAME_TIMEOUT``/``COALESCE_TIMEOUT``;
+    fault tests patch those with ``monkeypatch``.
     """
     daemon = AttributionDaemon(
         str(Path(directory) / name), engine=engine, **options

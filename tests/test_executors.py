@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,13 +32,15 @@ from repro.engine import (
     default_engine,
     reset_default_engine,
 )
+from repro.engine.cache import LRUCache
 from repro.engine.core import _executor_from_environment
+from repro.engine.plan import PlanRequest, build_plan
+from repro.engine.policy import MethodPolicy
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
     star_join_database,
 )
-from repro.workloads.queries import q_rst
 from repro.workloads.running_example import figure_1_database
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -174,6 +177,56 @@ class TestShardedMechanics:
             _assert_identical(result, batch.per_answer[answer])
         assert engine.stats["executor"].fallbacks == 1
         assert engine.stats["executor"].shipped == 0
+
+
+def _small_plans():
+    """One plan per grounding-task method, each below MIN_SHARD_TASKS."""
+    db = Database(
+        endogenous=[
+            fact("Stud", "a"),
+            fact("TA", "b"),
+            fact("Reg", "a", "c"),
+            fact("S", 1, 2),
+            fact("T", 2),
+        ],
+        exogenous=[fact("R", 1)],
+    )
+    stud = parse_query("q() :- Stud(x), not TA(x), Reg(x, y)")
+    plans = {
+        "cntsat": build_plan(db, [PlanRequest(stud)]),
+        "exoshap": build_plan(
+            db, [PlanRequest(parse_query("q() :- R(x), S(x, y), T(y)"))]
+        ),
+        "brute-force": build_plan(
+            db, [PlanRequest(parse_query("q() :- Reg(x, y), Reg(y, x)"))]
+        ),
+        "inconsistent": build_plan(db, [PlanRequest(None, ("a",), inconsistent=True)]),
+    }
+    sampled = build_plan(db, [PlanRequest(stud)], policy=MethodPolicy("sampled"))
+    # A contract needs at least two rounds, and two rounds would split
+    # across two workers; one fresh round keeps the plan in-process.
+    task = sampled.tasks[0]
+    sampled.tasks[0] = replace(task, sample_spec=replace(task.sample_spec, rounds=1))
+    plans["sampled"] = sampled
+    return plans
+
+
+class TestOneExecutorLoop:
+    def test_serial_and_unshipped_sharded_plans_agree(self):
+        executors = [SerialExecutor(), ShardedExecutor(jobs=1), SHARDED]
+        for method, plan in _small_plans().items():
+            assert [task.method for task in plan.tasks] == [method]
+            assert len(plan.bundles) < ShardedExecutor.MIN_SHARD_TASKS
+            runs = [executor.execute(plan, LRUCache(64)) for executor in executors]
+            (expected, expected_stats), *others = runs
+            for value in expected[plan.tasks[0].node_id].shapley.values():
+                assert isinstance(value, Fraction)
+            assert expected_stats.tasks == 1
+            for results, stats in others:
+                assert results == expected, method
+                for name in ("tasks", "shipped", "fallbacks"):
+                    assert getattr(stats, name) == getattr(expected_stats, name)
+                assert stats.shipped == 0
 
 
 class TestBruteForceGrounding:

@@ -251,7 +251,7 @@ class TestThreadRoles:
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_retryable_frames(self, tmp_path):
-        """Past max_inflight + max_queue the daemon sheds, never hangs."""
+        """Past max_inflight plus its 4x queue the daemon sheds, never hangs."""
         import time as time_module
 
         from repro.server.protocol import OverloadedError
@@ -265,9 +265,7 @@ class TestAdmissionControl:
             return slow_batch(*args, **kwargs)
 
         engine.batch = braked  # type: ignore[method-assign]
-        with running_daemon(
-            tmp_path, engine=engine, max_inflight=1, max_queue=1
-        ) as daemon:
+        with running_daemon(tmp_path, engine=engine, max_inflight=1) as daemon:
             with AttributionClient(daemon.address) as client:
                 handle = client.load_database(db)
                 # Distinct queries so coalescing cannot absorb the burst.

@@ -31,7 +31,7 @@ from harness import (
     slow_loris,
 )
 from repro.engine import BatchAttributionEngine
-from repro.server import AttributionClient
+from repro.server import AttributionClient, AttributionDaemon
 from repro.server.protocol import CoalescedRequestAborted
 from repro.server.registry import InFlightCoalescer
 from repro.workloads.running_example import figure_1_database
@@ -63,8 +63,9 @@ def braked_engine(pause: float = 0.25) -> BatchAttributionEngine:
 
 
 class TestSlowLoris:
-    def test_trickled_frame_is_cut_off_fast(self, tmp_path):
-        with running_daemon(tmp_path, frame_timeout=0.3) as daemon:
+    def test_trickled_frame_is_cut_off_fast(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(AttributionDaemon, "FRAME_TIMEOUT", 0.3)
+        with running_daemon(tmp_path) as daemon:
             result: dict[str, object] = {}
 
             def trickle() -> None:
@@ -84,18 +85,19 @@ class TestSlowLoris:
                 assert not attacker.is_alive(), "slow-loris injector hung"
                 closed, elapsed = result["outcome"]
                 assert closed, "daemon never closed the trickling connection"
-                # frame_timeout is 0.3s; well under the 20s trickle budget.
+                # FRAME_TIMEOUT is 0.3s; well under the 20s trickle budget.
                 assert elapsed < 10.0
                 metrics = client.metrics()
                 assert metrics["admission"]["slow_frames_closed"] >= 1
                 assert_no_leaked_slots(metrics)
 
-    def test_idle_connection_is_not_a_slow_loris(self, tmp_path):
+    def test_idle_connection_is_not_a_slow_loris(self, tmp_path, monkeypatch):
         """The timeout arms per *started* frame; silence between frames is fine."""
-        with running_daemon(tmp_path, frame_timeout=0.3) as daemon:
+        monkeypatch.setattr(AttributionDaemon, "FRAME_TIMEOUT", 0.3)
+        with running_daemon(tmp_path) as daemon:
             with AttributionClient(daemon.address) as client:
                 assert client.ping()["pong"] is True
-                time.sleep(0.6)  # idle well past frame_timeout
+                time.sleep(0.6)  # idle well past FRAME_TIMEOUT
                 assert client.ping()["pong"] is True
 
 
@@ -285,15 +287,16 @@ class TestCoalescerAborts:
 
 
 class TestCoalesceTimeoutEndToEnd:
-    def test_follower_timeout_round_trips_as_typed_frame(self, tmp_path):
+    def test_follower_timeout_round_trips_as_typed_frame(
+        self, tmp_path, monkeypatch
+    ):
         """A daemon-side coalesce timeout reaches the client as the typed,
         retryable :class:`CoalescedRequestAborted` — satellite 4's wire
         half."""
         db = figure_1_database()
         engine = braked_engine(pause=0.6)
-        with running_daemon(
-            tmp_path, engine=engine, coalesce_timeout=0.1
-        ) as daemon:
+        monkeypatch.setattr(AttributionDaemon, "COALESCE_TIMEOUT", 0.1)
+        with running_daemon(tmp_path, engine=engine) as daemon:
             with AttributionClient(daemon.address) as leader_client:
                 handle = leader_client.load_database(db)
                 pending = leader_client.submit_batch(handle, Q1)

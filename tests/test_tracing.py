@@ -35,7 +35,7 @@ from repro.engine import (
     ShardedExecutor,
     relevant_facts,
 )
-from repro.engine.executors import _run_bundle_chunk, _run_grounding_chunk
+from repro.engine.executors import _run_chunk
 from repro.engine.plan import PlanRequest, build_plan
 from repro.obs import (
     Tracer,
@@ -159,8 +159,8 @@ class TestLabelsOnlyUnderATracer:
         # The worker chunk runners, run in-process with trace=False.
         plan = build_plan(database, [PlanRequest(query_q1())])
         assert plan.tasks and plan.bundles
-        _run_bundle_chunk(list(plan.bundles.values()))
-        _run_grounding_chunk(plan.tasks)
+        _run_chunk("bundle", list(plan.bundles.values()))
+        _run_chunk("task", plan.tasks)
 
     def test_traced_requests_keep_their_labels(self):
         engine = BatchAttributionEngine(executor=SerialExecutor())
