@@ -28,6 +28,7 @@ q() :- Stud(x), ¬TA(x), Reg(x, y)
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.core.errors import QuerySyntaxError
 from repro.core.query import Atom, ConjunctiveQuery, Term, UnionQuery, Variable
@@ -170,8 +171,17 @@ class _Parser:
         raise QuerySyntaxError(f"expected a term, found {value!r} in {self._source!r}")
 
 
+#: Query texts whose parse :func:`parse_query` remembers.
+PARSED_QUERIES = 256
+
+
+@lru_cache(maxsize=PARSED_QUERIES)
 def parse_query(text: str) -> ConjunctiveQuery:
-    """Parse a single CQ¬ from its textual form."""
+    """Parse a single CQ¬ from its textual form.
+
+    Queries are immutable, so repeated texts share one parsed query (the
+    last :data:`PARSED_QUERIES` texts are remembered).
+    """
     parser = _Parser(_tokenize(text), text)
     query = parser.parse_query()
     if not parser.at_end():

@@ -592,78 +592,6 @@ class BatchAttributionEngine:
             trace=trace,
         )
 
-    # ------------------------------------------------------------------
-    # Fingerprint hooks (the serving layer keys coalescing on these)
-    # ------------------------------------------------------------------
-    def fingerprint(
-        self,
-        database: Database,
-        query: BooleanQuery,
-        exogenous_relations: AbstractSet[str] | None = None,
-        grounding: tuple[Constant, ...] | None = None,
-    ) -> tuple:
-        """The canonical plan fingerprint of one :meth:`batch` request.
-
-        Exactly the key the planner uses for its result nodes.  Since the
-        delta-aware refactor this key is *relevance-scoped*: two database
-        versions whose relevant slices coincide share it.  A coalescing
-        layer must therefore pin the version alongside it — the daemon
-        adds the content-addressed handle to every coalescing key — so
-        that a leader's response (which carries one version's full fact
-        set) is never shared across versions.
-        """
-        from repro.engine.fingerprint import fingerprint_request
-
-        return fingerprint_request(database, query, exogenous_relations, grounding)
-
-    def fingerprint_answers(
-        self,
-        database: Database,
-        query: ConjunctiveQuery,
-        answers: Iterable[tuple[Constant, ...]] | None = None,
-        exogenous_relations: AbstractSet[str] | None = None,
-    ) -> tuple:
-        """The canonical fingerprint of one :meth:`batch_answers` request.
-
-        The per-grounding request fingerprints ignore the head (they key
-        grounded *Boolean* queries), so this whole-request key adds a
-        pseudo head atom to the body fingerprint — head variables are
-        then canonicalized consistently with the body, and queries that
-        differ only in their heads never collide.
-        """
-        from repro.core.query import Atom
-        from repro.engine.fingerprint import (
-            fingerprint_atoms,
-            fingerprint_database,
-            fingerprint_grounding,
-        )
-
-        shape = fingerprint_atoms(
-            tuple(query.atoms) + (Atom("__head__", tuple(query.head)),)
-        )
-        relations = (
-            None
-            if exogenous_relations is None
-            else tuple(sorted(exogenous_relations))
-        )
-        groundings = (
-            None
-            if answers is None
-            else tuple(
-                sorted(
-                    (fingerprint_grounding(tuple(answer)) for answer in answers),
-                    key=repr,
-                )
-            )
-        )
-        return (
-            "answers",
-            fingerprint_database(database),
-            shape,
-            relations,
-            groundings,
-        )
-
     def counters(self) -> dict[str, int]:
         """A flat, JSON-ready snapshot of every stats counter.
 
@@ -674,7 +602,7 @@ class BatchAttributionEngine:
         """
         return {
             f"{layer}.{name}": value
-            for layer, counters in self.stats.items()
+            for layer, counters in self._layers().items()
             for name, value in vars(counters).items()
         }
 
@@ -689,20 +617,26 @@ class BatchAttributionEngine:
         *any* store tier held a result, and where the executed tasks
         actually ran.
         """
+        return {
+            layer: counters.snapshot() for layer, counters in self._layers().items()
+        }
+
+    def _layers(self) -> dict[str, Counters]:
+        """The live counters of every layer, in :attr:`stats` order."""
         counters: dict[str, Counters] = {
-            "components": self.component_cache.stats.snapshot(),
-            "results": self.result_cache.stats.snapshot(),
+            "components": self.component_cache.stats,
+            "results": self.result_cache.stats,
         }
         if self.shared is not None:
-            counters["shared"] = self.shared.stats.snapshot()
-        counters["store"] = self.store.stats.snapshot()
-        counters["planner"] = self.planner_stats.snapshot()
-        counters["executor"] = self.executor_stats.snapshot()
-        counters["delta"] = self.delta_stats.snapshot()
-        counters["sampler"] = self.sample_stats.snapshot()
+            counters["shared"] = self.shared.stats
+        counters["store"] = self.store.stats
+        counters["planner"] = self.planner_stats
+        counters["executor"] = self.executor_stats
+        counters["delta"] = self.delta_stats
+        counters["sampler"] = self.sample_stats
         # Engine-scoped: the sum of this engine's per-request deltas, not
         # the process-wide totals of ``kernels.kernel_stats()``.
-        counters["kernel"] = self.kernel_stats.snapshot()
+        counters["kernel"] = self.kernel_stats
         return counters
 
     def retire_version(self, database: Database) -> int:

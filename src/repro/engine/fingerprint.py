@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Collection, Iterable
+from typing import AbstractSet, Any, Collection, Iterable
 
 from repro.core import evaluation
 from repro.core.database import Database
@@ -166,6 +166,14 @@ def query_atoms(query: BooleanQuery) -> tuple[Atom, ...]:
     return tuple(query.atoms)
 
 
+def _constants(query: BooleanQuery) -> Iterable[Constant]:
+    """The query's constants, atom by atom, in term order."""
+    for atom in query_atoms(query):
+        for term in atom.terms:
+            if not isinstance(term, Variable):
+                yield term
+
+
 class FactIndex(evaluation.FactIndex):
     """One pass over ``D`` that serves the relevant slice of many queries.
 
@@ -185,10 +193,14 @@ class FactIndex(evaluation.FactIndex):
     ``endogenous_relations`` names the relations with at least one
     endogenous fact — the schema-level view from which the planner
     infers ``X`` (every other relation is exogenous, vacuously when it
-    has no facts at all).
+    has no facts at all).  :meth:`request_key` memoizes each request's
+    :func:`fingerprint_request` for the version.
     """
 
-    __slots__ = ("endogenous", "endogenous_relations")
+    __slots__ = ("endogenous", "endogenous_relations", "_keys")
+
+    #: Request keys one version remembers; past this the memo starts over.
+    REQUEST_KEYS = 256
 
     def __init__(self, database: Database) -> None:
         super().__init__(database)
@@ -196,6 +208,37 @@ class FactIndex(evaluation.FactIndex):
         self.endogenous_relations = frozenset(
             item.relation for item in self.endogenous
         )
+        self._keys: dict[tuple, tuple] = {}
+
+    def request_key(
+        self,
+        query: BooleanQuery,
+        exogenous_relations: AbstractSet[str] | None,
+        grounding: tuple[Constant, ...] | None,
+    ) -> tuple:
+        """:func:`fingerprint_request` of one request against this version.
+
+        Computed once per ``(query, X, grounding)``; a repeat skips the
+        relevance slice and the sort of its facts.  The memo key tags
+        every constant with its type, as the fingerprint does, so
+        constants equal across types (``1 == True``) never share a key.
+        The memo holds queries and facts, never the database.
+        """
+        memo = (
+            query,
+            tuple(type(term) for term in _constants(query)),
+            None if exogenous_relations is None else frozenset(exogenous_relations),
+            None if grounding is None else fingerprint_grounding(grounding),
+        )
+        key = self._keys.get(memo)
+        if key is None:
+            key = _request_key(
+                self.relevant(query), query, exogenous_relations, grounding
+            )
+            if len(self._keys) >= self.REQUEST_KEYS:
+                self._keys = {}
+            self._keys[memo] = key
+        return key
 
     def relevant(self, query: BooleanQuery) -> tuple[frozenset[Fact], frozenset[Fact]]:
         """:func:`relevant_facts` of ``query`` against the indexed database."""
@@ -227,7 +270,7 @@ def relevant_facts(
     equality (``1 == True``): a fact is only ever *included* spuriously,
     which shrinks reuse but can never corrupt a result.  The
     :class:`FactIndex` is derived once per database version and shared
-    by every caller — the planner and the daemon's coalescing key alike.
+    by every caller.
     """
     return database.derived(FactIndex).relevant(query)
 
@@ -237,7 +280,6 @@ def fingerprint_request(
     query: BooleanQuery,
     exogenous_relations: Iterable[str] | None,
     grounding: tuple[Constant, ...] | None = None,
-    relevant: tuple[frozenset[Fact], frozenset[Fact]] | None = None,
 ) -> tuple:
     """Cache key for a whole batch request, scoped to the relevant slice.
 
@@ -252,23 +294,56 @@ def fingerprint_request(
     ``grounding`` carries the head constants when ``query`` was obtained
     by grounding a non-Boolean query at an answer tuple (see
     :func:`fingerprint_grounding`); ``None`` marks a plain Boolean
-    request.  ``relevant`` lets callers that already computed the
-    relevant slice (the planner) skip recomputing it.
+    request.  The key is memoized on the version's :class:`FactIndex`
+    (:meth:`FactIndex.request_key`).
     """
-    if relevant is None:
-        relevant = relevant_facts(database, query)
+    return database.derived(FactIndex).request_key(
+        query, exogenous_relations, grounding
+    )
+
+
+class RequestKey(tuple):
+    """A request key that hashes its facts once.
+
+    A request key holds its relevance slice's facts, so hashing it hashes
+    every fact, and the planner and the stores look one key up several
+    times per request.  The hash is kept after first use.  A
+    ``RequestKey`` equals, and hashes like, the plain tuple, and it
+    pickles as a fresh one: the kept hash depends on the process's
+    string-hash seed, so it never travels to a worker.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = value = tuple.__hash__(self)
+            return value
+
+    def __reduce__(self):
+        return (RequestKey, (tuple(self),))
+
+
+def _request_key(
+    relevant: tuple[frozenset[Fact], frozenset[Fact]],
+    query: BooleanQuery,
+    exogenous_relations: Iterable[str] | None,
+    grounding: tuple[Constant, ...] | None,
+) -> RequestKey:
     endogenous, exogenous = relevant
     relations = (
         None
         if exogenous_relations is None
         else tuple(sorted(exogenous_relations))
     )
-    return (
-        "relevant",
-        (fingerprint_facts(endogenous), fingerprint_facts(exogenous)),
-        fingerprint_query(query),
-        relations,
-        None if grounding is None else fingerprint_grounding(grounding),
+    return RequestKey(
+        (
+            "relevant",
+            (fingerprint_facts(endogenous), fingerprint_facts(exogenous)),
+            fingerprint_query(query),
+            relations,
+            None if grounding is None else fingerprint_grounding(grounding),
+        )
     )
 
 
@@ -353,34 +428,60 @@ def fingerprint_sampled(base_key: tuple, contract: tuple) -> tuple:
     return ("sampled", base_key, contract)
 
 
-def _encode(obj: Any) -> Any:
-    """Canonical JSON-able encoding of a fingerprint tuple tree.
+_string = json.encoder.encode_basestring_ascii
+
+
+def _render(obj: Any) -> str:
+    """The canonical JSON text of a fingerprint tuple tree.
 
     Every value carries a type tag so that Python values that compare
-    equal across types (``1 == True == 1.0``) produce distinct digests.
+    equal across types (``1 == True == 1.0``) produce distinct digests:
+    ``["tuple",[...]]``, ``["fact",relation,[args]]``, ``["bool",b]``,
+    ``["int","n"]``, ``["float","repr"]``, ``["str",s]``, ``["none"]``,
+    and ``["repr",type name,repr]`` for any other constant.  The text is
+    what ``json.dumps(..., separators=(",", ":"))`` prints for those
+    lists, byte for byte — durable rows and handles are keyed by its
+    digest — rendered directly instead of through an intermediate tree.
     """
+    kind = type(obj)
+    if kind is str:
+        return '["str",' + _string(obj) + "]"
+    if kind is int:
+        # A plain int prints digits and a sign: nothing to escape.
+        return '["int","' + str(obj) + '"]'
     if isinstance(obj, tuple):
-        return ["tuple", [_encode(item) for item in obj]]
+        return '["tuple",[' + ",".join([_render(item) for item in obj]) + "]]"
     if isinstance(obj, Fact):
-        return ["fact", obj.relation, [_encode(arg) for arg in obj.args]]
+        relation = obj.relation
+        return (
+            '["fact",'
+            + (
+                _string(relation)
+                if isinstance(relation, str)
+                else json.dumps(relation, separators=(",", ":"))
+            )
+            + ",["
+            + ",".join([_render(arg) for arg in obj.args])
+            + "]]"
+        )
     if isinstance(obj, bool):
-        return ["bool", obj]
+        return '["bool",true]' if obj else '["bool",false]'
     if isinstance(obj, int):
-        return ["int", str(obj)]
+        return '["int",' + _string(str(obj)) + "]"
     if isinstance(obj, float):
-        return ["float", repr(obj)]
+        return '["float",' + _string(repr(obj)) + "]"
     if isinstance(obj, str):
-        return ["str", obj]
+        return '["str",' + _string(obj) + "]"
     if obj is None:
-        return ["none"]
-    # Exotic hashable constants: fall back to their type and repr.
-    return ["repr", type(obj).__name__, repr(obj)]
+        return '["none"]'
+    return (
+        '["repr",' + _string(type(obj).__name__) + "," + _string(repr(obj)) + "]"
+    )
 
 
 def digest_key(key: tuple) -> str:
     """Stable SHA-256 hex digest of a fingerprint tuple."""
-    rendered = json.dumps(_encode(key), separators=(",", ":"), sort_keys=False)
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_render(key).encode("utf-8")).hexdigest()
 
 
 def database_digest(database: Database) -> str:

@@ -74,7 +74,6 @@ from repro.engine.fingerprint import (
     FactIndex,
     canonical_grounding,
     digest_key,
-    fingerprint_request,
     fingerprint_sample_state,
     fingerprint_sampled,
 )
@@ -315,7 +314,7 @@ def _plan_sampled(
     request: PlanRequest,
     query: BooleanQuery,
     base_key: tuple,
-    relevant: tuple[frozenset, frozenset],
+    index: FactIndex,
     policy: MethodPolicy,
     store: "TieredResultStore | None",
     seen: set[tuple],
@@ -333,10 +332,10 @@ def _plan_sampled(
        result from it at plan time, zero fresh work;
     3. otherwise emit a task whose spec resumes the stored state (or
        starts the stream) and runs only the missing rounds, over the
-       request's *relevant slice* as its database: dummy invariance
-       makes the restricted estimates exact-equivalent, and keeps them
-       — like every relevance-scoped entry — valid across database
-       versions whose deltas leave the slice untouched.
+       request's *relevant slice* (read from ``index``) as its database:
+       dummy invariance makes the restricted estimates exact-equivalent,
+       and keeps them — like every relevance-scoped entry — valid across
+       database versions whose deltas leave the slice untouched.
     """
     skey = fingerprint_sampled(base_key, policy.contract())
     if skey in plan.satisfied:
@@ -366,6 +365,7 @@ def _plan_sampled(
     state_key = fingerprint_sample_state(base_key)
     state_digest = digest_key(state_key)[:16]
     seed = sample_seed(base_key)
+    relevant = index.relevant(request.query)
     prior = store.get(state_key) if store is not None else None
     restarted = False
     if prior is not None and not (
@@ -498,13 +498,8 @@ def _build_plan(
                 plan.stats.planned += 1
             plan.requests.append(PlannedRequest(request, None, node_id))
             continue
-        relevant = index.relevant(request.query)
-        key = fingerprint_request(
-            database,
-            request.query,
-            exogenous_relations,
-            request.grounding,
-            relevant=relevant,
+        key = index.request_key(
+            request.query, exogenous_relations, request.grounding
         )
         if policy.method == "sampled" and index.endogenous:
             _plan_sampled(
@@ -512,7 +507,7 @@ def _build_plan(
                 request,
                 _as_boolean(request.query),
                 key,
-                relevant,
+                index,
                 policy,
                 store,
                 seen,
@@ -551,6 +546,7 @@ def _build_plan(
             plan.stats.pruned += 1
             plan.requests.append(PlannedRequest(request, key, None))
             continue
+        relevant = index.relevant(request.query)
         canonical = (
             canonical_grounding(request.query, relevant, request.grounding)
             if classify
@@ -582,7 +578,7 @@ def _build_plan(
                 request,
                 count_query,
                 key,
-                relevant,
+                index,
                 policy,
                 store,
                 seen,

@@ -154,6 +154,7 @@ CREATE TABLE IF NOT EXISTS results (
     accessed REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS results_accessed ON results (accessed);
+CREATE INDEX IF NOT EXISTS results_writer ON results (writer);
 CREATE TABLE IF NOT EXISTS claims (
     digest TEXT PRIMARY KEY,
     owner TEXT NOT NULL,

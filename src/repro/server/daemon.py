@@ -15,14 +15,21 @@ Concurrency model: each thread has one job, so no serving state needs a
 lock.  The **event loop** multiplexes every connection (requests on one
 connection pipeline freely — responses pair by ``id``, not arrival
 order) and owns all serving state: admission, the coalescer, the served
-keys, counters, metrics and slow traces.  **One engine thread** runs
-each engine call in one hop — the shared-store claim, the call between
+keys, counters, metrics and slow traces.  It also builds each compute
+request's key from the request's wire fields alone (op, handle, query
+text, sorted ``exogenous`` and the op's own fields): one short tuple is
+the coalescing key, the shared-store claim key and the served-key entry.
+**One engine thread** runs each compute request in one hop — the
+shared-store claim, registry lookup and parse, the engine call between
 two counter reads, the leader's render and the claim's release — and is
-the only user of the engine's caches, which are not thread-safe.
-**One helper thread** runs request preparation (registry lookup, parse,
-fingerprint), ``db_load``/``db_update`` and a coalesced follower's
-render of the other encoding.  A fleet claim loser waits on a
-default-executor thread, holding neither.  Admitted requests reach the
+the only user of the engine's caches, which are not thread-safe.  The
+engine fingerprints a request once per database version; a warm repeat
+reads its key from the version's index.  **One helper thread** runs
+``db_load``/``db_update`` and a coalesced follower's render of the
+other encoding.  A fleet claim loser waits on a default-executor
+thread, holding neither.  In-flight coalescing matches on text:
+equivalent queries written differently each compute, and the later one
+is served warm from the result store.  Admitted requests reach the
 engine thread in arrival order: ``priority`` and the per-client
 round-robin order only the admission queue beyond ``max_inflight``, not
 execution.  Parallelism comes from the engine's sharded executor
@@ -87,6 +94,7 @@ from typing import Any, Callable
 from repro.core.parser import parse_query
 from repro.engine.core import BatchAttributionEngine
 from repro.engine.delta import delta_from_dict
+from repro.engine.fingerprint import fingerprint_grounding
 from repro.engine.policy import MethodPolicy
 from repro.io import batch_result_to_dict, database_from_dict
 from repro.server import protocol as protocol_module
@@ -122,6 +130,11 @@ INLINE_OPS = frozenset({"ping", "stats", "metrics"})
 #: the filesystem) but bypass admission: registry state management must
 #: not compete with compute for queue slots.
 SIDE_OPS = frozenset({"db_load", "db_update"})
+
+
+#: A prepared compute op: the engine call, and the renderer of its outcome
+#: (``render(outcome, sparse)``).
+_Prepared = tuple[Callable[[], Any], Callable[[Any, bool], dict[str, Any]]]
 
 
 def _counters_delta(
@@ -231,12 +244,13 @@ class AttributionDaemon:
             metrics=self.metrics,
         )
         self.drain_timeout = drain_timeout
-        # Request keys this daemon has already completed.  Once a key's
-        # result row is committed to the warm tiers, a later repeat
-        # cannot duplicate work anywhere in the fleet — so it skips the
-        # claim round-trip (two shared-store write transactions) on the
-        # hot path.  Bounded LRU; drained on db_update, whose
-        # retirement can evict the rows the skip relies on.
+        # Claim keys (the requests' wire keys, see _wire_key) this daemon
+        # has already completed.  Once a key's result row is committed
+        # to the warm tiers, a later repeat cannot duplicate work
+        # anywhere in the fleet — so it skips the claim round-trip (two
+        # shared-store write transactions) on the hot path.  Bounded
+        # LRU; drained on db_update, whose retirement can evict the
+        # rows the skip relies on.
         self._served_keys: OrderedDict[tuple, None] = OrderedDict()
         self.requests = 0
         self.errors = 0
@@ -657,9 +671,13 @@ class AttributionDaemon:
     ) -> dict[str, Any]:
         """One admission-gated, coalesced compute op on the engine thread.
 
+        The coalescing key is built here, on the loop, from the wire
+        fields alone (:meth:`_wire_key`); registry lookup, parse and the
+        engine call then run in one engine-thread hop.
+
         With ``trace: true`` on the request, the whole journey is
-        spanned: ``server.request`` wraps admission, preparation, and
-        the coalesced compute (whose engine spans nest inside), and the
+        spanned: ``server.request`` wraps admission and the coalesced
+        compute (``server.prepare`` and the engine spans nest inside), and the
         finished trace document rides the response as ``trace``.  A
         coalesced follower's trace holds the server-side spans plus a
         ``server.coalesced`` span naming the leader's trace id — the
@@ -698,14 +716,8 @@ class AttributionDaemon:
                 admitted.add(task)
             try:
                 loop = asyncio.get_running_loop()
-                with _tracing.maybe_span(tracer, "server.prepare"):
-                    key, compute = await loop.run_in_executor(
-                        self._helper_thread,
-                        self._preparers[op],
-                        self,
-                        payload,
-                        tracer,
-                    )
+                key = self._wire_key(op, payload)
+                compute = self._engine_compute(op, payload, tracer)
                 with _tracing.maybe_span(tracer, "server.coalesce") as span:
                     served, coalesced = await self.coalescer.run_async(
                         key,
@@ -838,16 +850,19 @@ class AttributionDaemon:
         """A coalescer leader: ``compute`` on the engine thread, claimed
         across daemons through the shared store when there is one.
 
-        Each daemon's coalescer lets one leader per request key through,
-        so a daemon stakes at most one claim per key.  The claim winner
-        computes and releases in the same engine-thread hop.  A loser
-        hands control back to the loop, waits for the winner's release
-        on a default-executor thread (by then the winner's result row is
-        committed to the shared store), and then runs ``compute``, whose
-        engine store lookup finds the row warm and executes nothing.  A
-        timed-out wait (or a crashed winner's expired claim) degrades to
-        computing locally: coalescing is an optimization, never a
-        correctness dependency.
+        ``key`` is the request's wire key (:meth:`_wire_key`): the
+        coalescing key, the shared-store claim key and the
+        :attr:`_served_keys` entry are one short tuple, so a claim digests
+        a few strings, never a relevance slice.  Each daemon's coalescer
+        lets one leader per key through, so a daemon stakes at most one
+        claim per key.  The claim winner computes and releases in the
+        same engine-thread hop.  A loser hands control back to the loop,
+        waits for the winner's release on a default-executor thread (by
+        then the winner's result row is committed to the shared store),
+        and then runs ``compute``, whose engine store lookup finds the
+        row warm and executes nothing.  A timed-out wait (or a crashed
+        winner's expired claim) degrades to computing locally:
+        coalescing is an optimization, never a correctness dependency.
 
         Keys this daemon has already completed skip the claim entirely:
         their result row is committed to the warm tiers, so a sibling's
@@ -902,16 +917,58 @@ class AttributionDaemon:
         """
         return ("policy", policy.method, policy.contract())
 
+    def _wire_key(self, op: str, payload: dict[str, Any]) -> tuple:
+        """The coalescing key of a compute request, from its wire fields.
+
+        Op, handle, query text and the sorted ``exogenous`` relations,
+        then what the op adds: the method policy (``batch`` and
+        ``answers``), the requested answers, type-tagged so ``1`` and
+        ``true`` stay apart (``answers``), the aggregate kind and value
+        index (``aggregate``), and ε and δ (``refine``).  The handle is
+        content-addressed, so the key pins one database version: a
+        coalesced response carries that version's exact fact set and
+        never crosses versions.  Matching is on text: equivalent queries
+        written differently do not coalesce in flight, and the second
+        is served warm from the result store instead.
+        """
+        relations = payload.get("exogenous")
+        key: tuple = (
+            op,
+            str(payload.get("db")),
+            str(payload.get("query")),
+            None
+            if relations is None
+            else tuple(sorted(frozenset(relations), key=repr)),
+        )
+        if op in ("batch", "answers"):
+            key += (self._policy_key(MethodPolicy.from_params(payload)),)
+        if op == "answers":
+            requested = payload.get("answers")
+            key += (
+                None
+                if requested is None
+                else tuple(
+                    fingerprint_grounding(tuple(answer)) for answer in requested
+                ),
+            )
+        elif op == "aggregate":
+            key += (str(payload.get("aggregate")), payload.get("value_index"))
+        elif op == "refine":
+            key += tuple(
+                None if payload.get(name) is None else repr(float(payload[name]))
+                for name in ("epsilon", "delta")
+            )
+        return key
+
     def _request_inputs(self, payload: dict[str, Any], *, boolean: bool) -> tuple:
-        """A compute request's ``(handle, database, query, exogenous)``.
+        """A compute request's ``(database, query, exogenous)``.
 
         ``boolean`` is the query shape the op needs: batch and refine
         attribute a Boolean query, answers and aggregate a query with
         head variables.
         """
         op = payload.get("op")
-        handle = str(payload.get("db"))
-        database = self.registry.get(handle)
+        database = self.registry.get(str(payload.get("db")))
         query = parse_query(str(payload.get("query")))
         if boolean and not query.is_boolean:
             raise ValueError(
@@ -922,26 +979,27 @@ class AttributionDaemon:
             raise ValueError(f"{op} needs a query with head variables")
         relations = payload.get("exogenous")
         exogenous = None if relations is None else frozenset(relations)
-        return handle, database, query, exogenous
+        return database, query, exogenous
 
     def _engine_compute(
         self,
+        op: str,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None",
-        run: Callable[[], Any],
-        render: Callable[[Any, bool], dict[str, Any]],
     ) -> Callable[[], _Served]:
-        """The compute step of a prepared op, for the engine thread:
-        ``run`` plus the request's counter delta, as a :class:`_Served`.
+        """One compute request's engine-thread hop, as a :class:`_Served`.
 
-        ``render(outcome, sparse)`` encodes the outcome; the leading
-        request renders its own encoding right after ``run``, and a
-        traced request spans that as ``server.encode``.  A traced request's
-        ``trace_id`` rides the shared outcome: how coalesced followers
-        learn which trace did the work.
+        Prepare (the op's preparer: registry lookup and parse, spanned
+        ``server.prepare``), then ``run`` between two counter reads for
+        the request's counter delta, then the leading request's own
+        encoding (``render(outcome, sparse)``, spanned ``server.encode``).
+        A traced request's ``trace_id`` rides the shared outcome: how
+        coalesced followers learn which trace did the work.
         """
 
         def compute() -> _Served:
+            with _tracing.maybe_span(tracer, "server.prepare"):
+                run, render = self._preparers[op](self, payload, tracer)
             before = self.engine.counters()
             outcome = run()
             after = self.engine.counters()
@@ -961,24 +1019,10 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], _Served]]:
-        handle, database, query, exogenous = self._request_inputs(
-            payload, boolean=True
-        )
+    ) -> _Prepared:
+        database, query, exogenous = self._request_inputs(payload, boolean=True)
         policy = MethodPolicy.from_params(payload)
-        # The policy is part of the key (see _policy_key).  The handle
-        # pins the database *version*: the engine's store may share
-        # entries across versions, but a coalesced response carries one
-        # version's exact fact set and must never cross versions.
-        key = (
-            "batch",
-            handle,
-            self.engine.fingerprint(database, query, exogenous),
-            self._policy_key(policy),
-        )
-        return key, self._engine_compute(
-            payload,
-            tracer,
+        return (
             lambda: self.engine.batch(
                 database,
                 query,
@@ -995,7 +1039,7 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], _Served]]:
+    ) -> _Prepared:
         """Tighten a sampled request's accuracy bound from its stored state.
 
         The engine resumes the request's persisted permutation stream —
@@ -1005,21 +1049,10 @@ class AttributionDaemon:
         explicit ``epsilon``, each call roughly halves the bound the
         rounds reach at ``delta`` (default 0.05, not the stored δ).
         """
-        handle, database, query, exogenous = self._request_inputs(
-            payload, boolean=True
-        )
+        database, query, exogenous = self._request_inputs(payload, boolean=True)
         epsilon = payload.get("epsilon")
         delta = payload.get("delta")
-        key = (
-            "refine",
-            handle,
-            self.engine.fingerprint(database, query, exogenous),
-            None if epsilon is None else repr(float(epsilon)),
-            None if delta is None else repr(float(delta)),
-        )
-        return key, self._engine_compute(
-            payload,
-            tracer,
+        return (
             lambda: self.engine.refine(
                 database,
                 query,
@@ -1037,22 +1070,14 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], _Served]]:
-        handle, database, query, exogenous = self._request_inputs(
-            payload, boolean=False
-        )
+    ) -> _Prepared:
+        database, query, exogenous = self._request_inputs(payload, boolean=False)
         policy = MethodPolicy.from_params(payload)
         requested = payload.get("answers")
         answers = (
             None
             if requested is None
             else [tuple(answer) for answer in requested]
-        )
-        key = (
-            "answers",
-            handle,
-            self.engine.fingerprint_answers(database, query, answers, exogenous),
-            self._policy_key(policy),
         )
 
         def render(batch, sparse: bool) -> dict[str, Any]:
@@ -1070,9 +1095,7 @@ class AttributionDaemon:
                 },
             }
 
-        return key, self._engine_compute(
-            payload,
-            tracer,
+        return (
             lambda: self.engine.batch_answers(
                 database,
                 query,
@@ -1088,22 +1111,14 @@ class AttributionDaemon:
         self,
         payload: dict[str, Any],
         tracer: "_tracing.Tracer | None" = None,
-    ) -> tuple[tuple, Callable[[], _Served]]:
+    ) -> _Prepared:
         from repro.engine.results import aggregate_spec
         from repro.io import attribution_to_rows
 
-        handle, database, query, exogenous = self._request_inputs(
-            payload, boolean=False
-        )
+        database, query, exogenous = self._request_inputs(payload, boolean=False)
         kind = str(payload.get("aggregate"))
         index = payload.get("value_index")
         weight, label = aggregate_spec(kind, index, len(query.head))
-        key = (
-            "aggregate",
-            handle,
-            self.engine.fingerprint_answers(database, query, None, exogenous),
-            label,
-        )
 
         def render(batch, sparse: bool) -> dict[str, Any]:
             try:
@@ -1120,9 +1135,7 @@ class AttributionDaemon:
                 )
             return {"label": label, "values": rows}
 
-        return key, self._engine_compute(
-            payload,
-            tracer,
+        return (
             lambda: self.engine.batch_answers(
                 database, query, None, exogenous_relations=exogenous, trace=tracer
             ),
@@ -1137,11 +1150,12 @@ class AttributionDaemon:
         "db_update": _op_db_update,
     }
 
+    #: Per compute op: registry lookup and parse, on the engine thread.
     _preparers: dict[
         str,
         Callable[
             ["AttributionDaemon", dict[str, Any], "_tracing.Tracer | None"],
-            tuple[tuple, Callable[[], _Served]],
+            _Prepared,
         ],
     ] = {
         "batch": _prepare_batch,

@@ -16,8 +16,8 @@ Two pieces of shared state let many clients drive one warm engine:
   bound evicts the oldest versions (their handles go stale; the client
   transparently re-uploads if it still needs them).
 * :class:`InFlightCoalescer` — concurrent *identical* requests (same
-  canonical plan fingerprint, see
-  :meth:`repro.engine.core.BatchAttributionEngine.fingerprint`) share one
+  wire key: op, handle, query text and the op's fields, see
+  :meth:`repro.server.daemon.AttributionDaemon._wire_key`) share one
   computation: the first arrival becomes the leader and awaits the
   computation, later arrivals await the leader's future and receive its
   result (or its exception) without touching the engine.  The warm result store only helps *after* a computation
@@ -26,7 +26,7 @@ Two pieces of shared state let many clients drive one warm engine:
   fleet of clients.
 
 The registry is thread-safe: the daemon's helper thread writes it while
-other callers may read it.  The coalescer belongs to one event loop: only
+the engine thread reads it.  The coalescer belongs to one event loop: only
 the daemon's loop touches its table and counters, so it needs no lock.
 """
 
@@ -189,7 +189,7 @@ COALESCER_COUNTERS = ("leaders", "followers", "aborted")
 
 
 class InFlightCoalescer:
-    """Deduplicate concurrent identical computations by fingerprint key.
+    """Deduplicate concurrent identical computations by key.
 
     ``await run_async(key, compute)`` returns ``(value, coalesced)``: the
     first request in for a key awaits ``compute()`` (``coalesced=False``);

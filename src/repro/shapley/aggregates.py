@@ -45,14 +45,17 @@ def candidate_answers(
     Negated atoms only shrink answer sets for a fixed assignment, but a
     smaller ``E`` can enable an assignment that the full database blocks;
     the positive atoms alone determine which head tuples are ever
-    reachable, so we evaluate the positive part on all facts.
+    reachable, so we evaluate the positive part on all facts, through
+    the version's one index.
     """
+    from repro.engine.fingerprint import FactIndex
+
     if query.is_boolean:
         raise ValueError("aggregates need a query with head variables")
     positive_part = ConjunctiveQuery(
         query.positive_atoms, head=query.head, name=query.name
     )
-    return answers(positive_part, database.facts)
+    return answers(positive_part, database.derived(FactIndex))
 
 
 def _weighted_answers(

@@ -13,8 +13,9 @@
   the client-side request log, and the admission gauges return to zero
   (no leaked slots) after every storm;
 * **thread roles** — every engine call of a storm runs on the one engine
-  thread, and a fleet claim loser waits off that thread, so other keys
-  keep computing while it waits.
+  thread; each compute request is prepared and run there in one job,
+  never on the helper thread; and a fleet claim loser waits off that
+  thread, so other keys keep computing while it waits.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.engine import (
     ShardedExecutor,
     SQLiteResultStore,
 )
-from repro.server import AttributionClient
+from repro.server import AttributionClient, AttributionDaemon
 from repro.workloads.running_example import figure_1_database
 from repro.workloads.traffic import TrafficRequest, star_traffic
 
@@ -192,6 +193,54 @@ class TestThreadRoles:
         assert not report.failures, report.error_types()
         assert_bit_identical(report, reference_results(database, stream))
         assert len(threads) == 1, f"engine calls ran on {len(threads)} threads"
+
+    def test_each_compute_request_is_one_engine_thread_hop(self, tmp_path):
+        """Prepare and compute run on the engine thread, in one job each."""
+        engine = BatchAttributionEngine(executor=SerialExecutor())
+        ran: list[tuple[str, str]] = []
+
+        def recorded(label, call):
+            def wrapper(*args, **kwargs):
+                ran.append((label, threading.current_thread().name))
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("batch", "batch_answers", "refine"):
+            setattr(engine, name, recorded(name, getattr(engine, name)))
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            daemon._preparers = {
+                op: recorded(f"prepare {op}", prepare)
+                for op, prepare in AttributionDaemon._preparers.items()
+            }
+            jobs = {"engine": 0, "helper": 0}
+            for pool in ("engine", "helper"):
+                executor = getattr(daemon, f"_{pool}_thread")
+
+                def submit(*args, _pool=pool, _submit=executor.submit, **kwargs):
+                    jobs[_pool] += 1
+                    return _submit(*args, **kwargs)
+
+                executor.submit = submit
+            with AttributionClient(daemon.address) as client:
+                handle = client.load_database(figure_1_database())
+                assert jobs == {"engine": 0, "helper": 1}  # the db_load
+                requests = [
+                    lambda: client.batch(handle, Q1),
+                    lambda: client.answers(handle, ANS),
+                    lambda: client.refine(handle, REFINE_QUERY),
+                    lambda: client.aggregate(handle, ANS, "count"),
+                ]
+                for number, send in enumerate(requests, start=1):
+                    send()
+                    assert jobs == {"engine": number, "helper": 1}
+        labels = [label for label, _ in ran]
+        for op in ("batch", "answers", "refine", "aggregate"):
+            assert f"prepare {op}" in labels
+        assert {"batch", "batch_answers", "refine"} <= set(labels)
+        threads = {thread for _, thread in ran}
+        assert len(threads) == 1, threads
+        assert threads.pop().startswith("repro-engine")
 
     def test_claim_loser_waits_while_another_key_computes(self, tmp_path):
         """Daemon B's loser of a fleet claim does not hold B's engine."""

@@ -468,6 +468,29 @@ class TestEviction:
             after = conn.execute("SELECT accessed FROM results").fetchone()[0]
         assert after == before
 
+    def test_retire_searches_the_writer_index(self, tmp_path):
+        """``retire`` runs on every ``db_update``: an index lookup, not a scan."""
+        path = tmp_path / "shared.db"
+        # A file from before the index existed gains it on open.
+        with sqlite3.connect(str(path)) as conn:
+            conn.execute(
+                "CREATE TABLE results (digest TEXT PRIMARY KEY, payload TEXT"
+                " NOT NULL, bytes INTEGER NOT NULL, writer TEXT,"
+                " accessed REAL NOT NULL)"
+            )
+        store = SQLiteResultStore(path)
+        store.writer_version = "v1"
+        store.put(("old",), _result(0))
+        with sqlite3.connect(str(path)) as conn:
+            plan = conn.execute(
+                "EXPLAIN QUERY PLAN UPDATE results SET accessed = ?"
+                " WHERE writer = ?",
+                (RETIRED_STAMP, "v1"),
+            ).fetchall()
+        details = " ".join(str(row[-1]) for row in plan)
+        assert "USING INDEX results_writer" in details, details
+        assert store.retire("v1") == 1
+
 
 class TestClaims:
     def test_first_claim_wins_second_loses(self, tmp_path):

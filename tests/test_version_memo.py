@@ -9,6 +9,10 @@ contract that makes sharing them safe:
   memo-warm database answers exactly like a fresh copy;
 * the memo never travels: warm and cold databases pickle to the same
   bytes (sharded task payloads do not grow);
+* a warm repeat reads its request key from the version's index and
+  slices nothing; an edit reaches the next request, in process and
+  served; neither the key memo nor the parse memo keeps its database
+  alive;
 * a shared index is safe under concurrent readers;
 * the encoder writes published results' frames byte for byte equal to
   the sorted reference encoder's, ties in ``repr`` included;
@@ -149,6 +153,99 @@ class TestMemoFollowsEdits:
         clone = pickle.loads(cold)
         assert fingerprint_database(clone) == fingerprint_database(database)
         assert fingerprint_database(clone) is not fingerprint_database(database)
+
+
+class TestRequestKeyMemo:
+    """The per-version request-key memo and the parsed-query memo.
+
+    A warm repeat reads its key from the version's :class:`FactIndex`
+    without slicing the database again; an edit starts a new version
+    with an empty memo, in process and over the wire; and neither memo
+    keeps its database alive.
+    """
+
+    def _serve(self, engine, database, queries):
+        return [
+            engine.batch(database, query)
+            if op == "batch"
+            else engine.batch_answers(database, query)
+            for op, query in queries
+        ]
+
+    @staticmethod
+    def _values(result):
+        answers = getattr(result, "per_answer", {None: result})
+        return [
+            (answer, list(one.shapley.items()), list(one.banzhaf.items()))
+            for answer, one in answers.items()
+        ]
+
+    def test_warm_repeat_slices_nothing(self, monkeypatch):
+        database = served_zipf_database()
+        queries = served_zipf_queries()[:8]
+        assert {op for op, _ in queries} == {"batch", "answers"}
+        engine = BatchAttributionEngine(jobs=1)
+        cold = self._serve(engine, database, queries)
+        slices = []
+        real = FactIndex.relevant
+
+        def relevant(index, query):
+            slices.append(query)
+            return real(index, query)
+
+        monkeypatch.setattr(FactIndex, "relevant", relevant)
+        warm = self._serve(engine, database, queries)
+        assert slices == []
+        assert [self._values(result) for result in warm] == [
+            self._values(result) for result in cold
+        ]
+        text = "q() :- Stud(x), not TA(x), Reg(x, y)"
+        assert parse_query(text) is parse_query(text)
+
+    EDITS = {
+        "add": lambda db: db.add_endogenous(fact("Reg", "Adam", "DB")),
+        "remove": lambda db: db.remove(fact("Reg", "Ben", "OS")),
+        "relabel": lambda db: db.add_exogenous(fact("Reg", "Caroline", "DB")),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_an_edit_reaches_the_next_request(self, edit, tmp_path):
+        from harness import running_daemon
+
+        text = "q1() :- Stud(x), not TA(x), Reg(x, y)"
+        query = parse_query(text)
+        engine = BatchAttributionEngine()
+        local, uploaded = figure_1_database(), figure_1_database()
+        with running_daemon(tmp_path, name="edits.sock") as daemon:
+            with AttributionClient(daemon.address) as client:
+                engine.batch(local, query)
+                client.batch(uploaded, text)
+                self.EDITS[edit](local)
+                self.EDITS[edit](uploaded)
+                served = client.batch(uploaded, text)
+        again = engine.batch(local, query)
+        reference = BatchAttributionEngine().batch(local.copy(), query)
+        for result in (again, served):
+            assert list(result.shapley.items()) == list(reference.shapley.items())
+            assert list(result.banzhaf.items()) == list(reference.banzhaf.items())
+
+    def test_memos_hold_no_reference_to_the_database(self):
+        """A database is freed by reference counting alone: no cycle."""
+        import gc
+        import weakref
+
+        engine = BatchAttributionEngine(jobs=1)
+        queries = served_zipf_queries()[:8]
+        gc.disable()
+        try:
+            database = served_zipf_database()
+            self._serve(engine, database, queries)
+            assert database.derived(FactIndex)._keys
+            alive = weakref.ref(database)
+            del database
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestSharedIndexUnderThreads:
