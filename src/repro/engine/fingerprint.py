@@ -8,7 +8,9 @@ canonicalize both:
 * variables are renamed to positional markers in first-occurrence order
   over the canonically sorted atom list (alpha-equivalent subqueries
   collide, as they should);
-* fact sets are sorted, so insertion order never splits cache entries.
+* fact sets are sorted (by ``repr``, ties by type-tagged text), so
+  insertion order never splits cache entries and never depends on the
+  process's hash seed.
 
 Since the delta-aware refactor (PR 5) the *request* fingerprint is also
 **relevance-scoped**: only facts that can match some atom of the query —
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from typing import AbstractSet, Any, Collection, Iterable
 
 from repro.core import evaluation
@@ -83,13 +86,32 @@ def fingerprint_atoms(atoms: Iterable[Atom]) -> tuple:
     return tuple(rendered)
 
 
+_cached_repr = operator.attrgetter("_text")
+
+
 def fingerprint_facts(facts: Iterable[Fact]) -> tuple:
     """Order-invariant fingerprint of a set of facts.
 
     The facts themselves are the key material (they are hashable), sorted
-    by repr only to erase iteration order.
+    by repr only to erase iteration order.  Facts whose reprs tie
+    (``R(1)`` and ``R('1')``) are ordered by their type-tagged
+    :func:`_render` text, so the order, and every digest of it, is the
+    same in every process whatever the hash seed; without a tie the
+    order is the repr order alone.  Reprs are read from each fact's
+    cached text (:class:`repro.core.facts.Fact`).
     """
-    return tuple(sorted(facts, key=repr))
+    ordered = list(facts)
+    try:
+        ordered.sort(key=_cached_repr)
+    except AttributeError:
+        ordered.sort(key=repr)
+    if len(set(map(_cached_repr, ordered))) < len(ordered):
+        ordered.sort(key=_tie_key)
+    return tuple(ordered)
+
+
+def _tie_key(item: Fact) -> tuple[str, str]:
+    return repr(item), _render(item)
 
 
 def fingerprint_query(query: BooleanQuery) -> tuple:
@@ -442,7 +464,19 @@ def _render(obj: Any) -> str:
     what ``json.dumps(..., separators=(",", ":"))`` prints for those
     lists, byte for byte — durable rows and handles are keyed by its
     digest — rendered directly instead of through an intermediate tree.
+
+    A fact's text (:func:`_render_fact`) is computed once and kept on
+    the fact (:class:`repro.core.facts.Fact`), so a digest over facts
+    seen before joins strings that already exist: a successor
+    version's handle renders only the facts its delta added.
     """
+    if isinstance(obj, Fact):
+        try:
+            return obj._rendered
+        except AttributeError:
+            text = _render_fact(obj)
+            object.__setattr__(obj, "_rendered", text)
+            return text
     kind = type(obj)
     if kind is str:
         return '["str",' + _string(obj) + "]"
@@ -451,19 +485,6 @@ def _render(obj: Any) -> str:
         return '["int","' + str(obj) + '"]'
     if isinstance(obj, tuple):
         return '["tuple",[' + ",".join([_render(item) for item in obj]) + "]]"
-    if isinstance(obj, Fact):
-        relation = obj.relation
-        return (
-            '["fact",'
-            + (
-                _string(relation)
-                if isinstance(relation, str)
-                else json.dumps(relation, separators=(",", ":"))
-            )
-            + ",["
-            + ",".join([_render(arg) for arg in obj.args])
-            + "]]"
-        )
     if isinstance(obj, bool):
         return '["bool",true]' if obj else '["bool",false]'
     if isinstance(obj, int):
@@ -476,6 +497,22 @@ def _render(obj: Any) -> str:
         return '["none"]'
     return (
         '["repr",' + _string(type(obj).__name__) + "," + _string(repr(obj)) + "]"
+    )
+
+
+def _render_fact(item: Fact) -> str:
+    """The ``["fact",relation,[args]]`` text of one fact, not cached."""
+    relation = item.relation
+    return (
+        '["fact",'
+        + (
+            _string(relation)
+            if isinstance(relation, str)
+            else json.dumps(relation, separators=(",", ":"))
+        )
+        + ",["
+        + ",".join([_render(arg) for arg in item.args])
+        + "]]"
     )
 
 
