@@ -5,10 +5,15 @@ effect of ``f`` is
 
     ``CE(D, q, f) = E[q | f present] - E[q | f absent]``.
 
-This is exactly a pair of tuple-independent-database probabilities, so
-the library computes it through its own probabilistic engine: the lifted
-algorithm when the query is hierarchical (polynomial time — a nice
-corollary of the Section 4.3 machinery), possible-world enumeration
+Each of the ``2^(m-1)`` worlds of the other ``m - 1`` endogenous facts
+has probability ``2^-(m-1)``, so the difference is
+
+    ``Σ_{E ⊆ Dn∖{f}} (v(E ∪ {f}) - v(E)) / 2^(m-1)``,
+
+which is exactly the Banzhaf value of ``f``.  The library therefore reads
+the causal effect from one default-engine batch: the polynomial route
+wherever the Shapley value has one (CntSat for Theorem 3.1's class,
+ExoShap for Theorem 4.3's), brute force on the relevance slice
 otherwise.
 """
 
@@ -17,55 +22,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.database import Database
-from repro.core.errors import NotHierarchicalError, SelfJoinError
 from repro.core.facts import Fact
-from repro.core.query import BooleanQuery, ConjunctiveQuery
-from repro.probabilistic.lifted import query_probability_lifted
-from repro.probabilistic.tid import TupleIndependentDatabase
-from repro.probabilistic.worlds import query_probability_by_worlds
-
-
-def _tid_with_target_fixed(
-    database: Database, target: Fact, present: bool
-) -> TupleIndependentDatabase:
-    tid = TupleIndependentDatabase()
-    for item in database.exogenous:
-        tid.add_deterministic(item)
-    for item in database.endogenous:
-        if item == target:
-            if present:
-                tid.add_deterministic(item)
-            # absent: simply leave the fact out
-        else:
-            tid.add(item, Fraction(1, 2))
-    return tid
-
-
-def _probability(tid: TupleIndependentDatabase, query: BooleanQuery) -> Fraction:
-    if isinstance(query, ConjunctiveQuery):
-        try:
-            return query_probability_lifted(tid, query)
-        except (NotHierarchicalError, SelfJoinError):
-            pass
-    return query_probability_by_worlds(tid, query)
+from repro.core.query import BooleanQuery
+from repro.shapley.exact import exact_result
 
 
 def causal_effect(
     database: Database, query: BooleanQuery, target: Fact
 ) -> Fraction:
     """``E[q | f in] - E[q | f out]`` under independent 1/2 retention."""
-    if not database.is_endogenous(target):
-        raise ValueError(f"{target!r} is not an endogenous fact of the database")
-    present = _probability(_tid_with_target_fixed(database, target, True), query)
-    absent = _probability(_tid_with_target_fixed(database, target, False), query)
-    return present - absent
+    return exact_result(database, query, target).banzhaf[target]
 
 
 def all_causal_effects(
     database: Database, query: BooleanQuery
 ) -> dict[Fact, Fraction]:
-    """Causal effect of every endogenous fact."""
-    return {
-        f: causal_effect(database, query, f)
-        for f in sorted(database.endogenous, key=repr)
-    }
+    """Causal effect of every endogenous fact, from one engine batch."""
+    facts = sorted(database.endogenous, key=repr)
+    if not facts:
+        return {}
+    effects = exact_result(database, query, facts[0]).banzhaf
+    return {f: effects[f] for f in facts}

@@ -66,7 +66,7 @@ engine behind a Unix-domain socket (``--socket PATH``) or TCP endpoint
 (``--tcp HOST:PORT``), optionally with a durable store (``--cache-dir``
 for one daemon, ``--shared-store`` for a fleet on one file) and sharded
 executor (``--jobs``).  Admission control
-is tunable: ``--max-inflight`` bounds concurrent compute requests,
+is tunable: ``--max-inflight`` sizes the compute queue,
 ``--per-client-rps`` rate-limits each client connection, and
 ``--drain-timeout`` caps the graceful drain on SIGTERM/``shutdown``.
 ``metrics --connect ADDR`` prints the live serving metrics (per-op
@@ -1032,9 +1032,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="execution slots for compute requests; excess queues (bounded"
-        " at 4x) and arrivals past the queue are shed with a retryable"
-        " overloaded frame (default: 64)",
+        help="sizes the compute queue: past 5x N distinct requests running"
+        " or queued for the engine thread, new ones are shed with a"
+        " retryable overloaded frame (default: 64)",
     )
     p_serve.add_argument(
         "--per-client-rps",

@@ -179,8 +179,9 @@ class SQLiteResultStore:
 
     ``max_entries`` / ``max_bytes`` bound the table with access-stamp
     LRU eviction (``None`` = unbounded); :attr:`CLAIM_TTL` is the
-    default lifetime of a claim marker (a crashed claimant blocks
-    duplicates for at most this long); ``timeout`` is SQLite's busy
+    lifetime of a claim marker (a crashed claimant blocks duplicates
+    for at most this long) and the longest a loser waits on one;
+    ``timeout`` is SQLite's busy
     timeout — how long a writer waits on a locked database before
     degrading to a skipped write.
 
@@ -385,7 +386,7 @@ class SQLiteResultStore:
     # ------------------------------------------------------------------
     # Claim markers (cross-daemon request coalescing)
     # ------------------------------------------------------------------
-    def claim(self, key: tuple, ttl: float | None = None) -> bool:
+    def claim(self, key: tuple) -> bool:
         """Try to claim ``key``; True means this caller computes.
 
         Insert-if-absent with a TTL, atomic under concurrent daemons: of
@@ -395,7 +396,7 @@ class SQLiteResultStore:
         """
         digest = digest_key(key)
         now = time.time()
-        expires = now + (self.CLAIM_TTL if ttl is None else float(ttl))
+        expires = now + self.CLAIM_TTL
         with self._lock:
             conn = self._connection()
             try:
@@ -450,19 +451,17 @@ class SQLiteResultStore:
                 return False
         return row is not None and float(row[0]) > time.time()
 
-    def await_claim(self, key: tuple, timeout: float | None = None) -> bool:
+    def await_claim(self, key: tuple) -> bool:
         """Block until ``key``'s claim clears; True when it did.
 
         The claim loser's path: poll (cheap indexed point reads) until
         the winner releases — at which point the winner's result row is
         already committed, so the caller's next store lookup is warm —
-        or the marker expires.  ``timeout`` defaults to the store's
-        :attr:`CLAIM_TTL`; False means the wait hit the deadline and the
-        caller should just compute.
+        or the marker expires.  The wait lasts at most :attr:`CLAIM_TTL`;
+        False means it hit that deadline and the caller should just
+        compute.
         """
-        deadline = time.monotonic() + (
-            self.CLAIM_TTL if timeout is None else float(timeout)
-        )
+        deadline = time.monotonic() + self.CLAIM_TTL
         wait = 0.005
         while self._claim_active(key):
             if time.monotonic() >= deadline:

@@ -130,7 +130,7 @@ _NULL_HANDLE = _NullHandle()
 class Tracer:
     """Collects the spans of one request into a self-contained document.
 
-    ``max_spans`` bounds memory on pathological plans: once the creation
+    :attr:`MAX_SPANS` bounds memory on pathological plans: once the creation
     budget is exhausted, :meth:`span` hands back a no-op handle (and
     bumps ``dropped``), so descendants of a dropped span simply parent
     to the nearest *recorded* ancestor — the tree never contains
@@ -138,11 +138,12 @@ class Tracer:
     """
 
     enabled = True
+    #: Spans one trace may create before further spans are dropped.
+    MAX_SPANS = 20_000
 
-    def __init__(self, max_spans: int = 20_000) -> None:
+    def __init__(self) -> None:
         self.trace_id = uuid.uuid4().hex[:16]
         self.pid = os.getpid()
-        self.max_spans = max_spans
         self.dropped = 0
         self.spans: list[Span] = []
         self._stack: list[Span] = []
@@ -166,7 +167,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any) -> _SpanHandle | _NullHandle:
         """Open a child span of the innermost open span."""
-        if self._created >= self.max_spans:
+        if self._created >= self.MAX_SPANS:
             self.dropped += 1
             return _NULL_HANDLE
         self._created += 1
@@ -199,7 +200,7 @@ class Tracer:
         **attrs: Any,
     ) -> Span | None:
         """Record an already-timed span (e.g. a dispatch window)."""
-        if self._created >= self.max_spans:
+        if self._created >= self.MAX_SPANS:
             self.dropped += 1
             return None
         self._created += 1
@@ -264,7 +265,7 @@ class Tracer:
         id_map: dict[int, int] = {}
         kept: list[Mapping[str, Any]] = []
         for span in spans:
-            if self._created >= self.max_spans:
+            if self._created >= self.MAX_SPANS:
                 self.dropped += 1
                 continue
             self._created += 1

@@ -1,13 +1,14 @@
-"""Admission control for the asyncio daemon: shed early, queue fairly.
+"""Admission control for the asyncio daemon: one queue, shed early, fairly.
 
 A serving loop that accepts every request eventually queues itself to
 death: one slow client, one hot query, or one burst past engine capacity
 and every other client's latency climbs without bound.  The admission
-controller enforces three policies *before* any engine work happens:
+controller is the one queue in front of the daemon's engine thread:
 
-* **bounded concurrency** — at most ``max_inflight`` requests hold an
-  execution slot; everything else waits in a bounded queue, and arrivals
-  past the queue bound are shed immediately with a retryable
+* **one execution slot** — a coalescer leader holds it for each
+  engine-thread hop; other leaders wait, and a new leader that finds
+  ``5 * max_inflight`` leaders holding or waiting for the slot is shed
+  at once with a retryable
   :class:`~repro.server.protocol.OverloadedError` (shedding at the door
   keeps the queue short enough that queued requests still meet their
   deadlines — the classic admission-control argument);
@@ -15,13 +16,12 @@ controller enforces three policies *before* any engine work happens:
   (connection peer), refilled at ``per_client_rps``, so one greedy
   client cannot starve the fleet; throttled requests are shed, not
   queued, because a client above its rate would only re-fill the queue;
-* **priorities, fairness, and deadlines** — the queue grants slots to
-  the highest priority class first and round-robins between clients
-  *within* a class (one client's burst cannot monopolize its class);
-  a request whose ``deadline_ms`` expires while queued is failed with
+* **priorities, fairness, and deadlines** — the slot goes to the
+  highest priority class first, round-robin between clients *within* a
+  class, so these order execution itself; a request whose
+  ``deadline_ms`` expires while queued is failed with
   :class:`~repro.server.protocol.DeadlineExceededError` without ever
-  touching the engine, and a waiter whose client disconnects is reaped
-  so abandoned requests can never hold queue slots.
+  touching the engine, and a waiter whose client disconnects is reaped.
 
 The controller is **event-loop confined**: every method must run on the
 daemon's loop (no locks needed).  Token buckets and deadlines read
@@ -79,11 +79,12 @@ class _Waiter:
 
 
 class AdmissionController:
-    """Slots, queues, buckets — see the module docstring.
+    """The engine slot, its queue, the buckets — see the module docstring.
 
-    The queue holds ``4 * max_inflight`` waiters: deep enough to ride
-    out a coalescing burst, shallow enough that queueing delay stays a
-    small multiple of service time.
+    :attr:`capacity` (``5 * max_inflight``) bounds the leaders holding or
+    waiting for the slot: deep enough to ride out a coalescing burst,
+    shallow enough that queueing delay stays a small multiple of service
+    time.
     """
 
     #: Token-bucket table bound: beyond this many distinct client
@@ -103,33 +104,25 @@ class AdmissionController:
             raise ValueError(
                 f"per_client_rps must be positive, got {per_client_rps}"
             )
-        self.max_inflight = max_inflight
         self.per_client_rps = per_client_rps
-        self.max_queue = 4 * max_inflight
+        self.capacity = 5 * max_inflight
+        # The ledger's ``inflight`` and ``queue_depth`` gauges are the
+        # slot's state.
         self.metrics = metrics if metrics is not None else DaemonMetrics()
-        self.inflight = 0
-        self.queued = 0
         # priority -> (client -> FIFO of waiters); clients round-robin
         # within a priority class, classes are served highest first.
         self._levels: dict[int, OrderedDict[str, deque[_Waiter]]] = {}
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
 
     # ------------------------------------------------------------------
-    # Acquisition
+    # Admission and acquisition
     # ------------------------------------------------------------------
-    async def acquire(
-        self,
-        client: str,
-        priority: int = 0,
-        deadline: float | None = None,
-    ) -> None:
-        """Wait for an execution slot; raises instead of queueing forever.
+    def admit(self, client: str, deadline: float | None = None) -> None:
+        """The door for every compute request, followers included.
 
-        ``deadline`` is an absolute ``time.monotonic()`` timestamp.  Raises
-        :class:`OverloadedError` (shed: queue full or client throttled)
-        or :class:`DeadlineExceededError` (expired while queued).  On
-        success the caller owns one slot and must :meth:`release` it
-        exactly once.
+        ``deadline`` is an absolute ``time.monotonic()`` timestamp.
+        Raises :class:`OverloadedError` (client above its rate) or
+        :class:`DeadlineExceededError` (expired on arrival).
         """
         if self.per_client_rps is not None and not self._bucket(client).try_acquire():
             self.metrics.bump("shed_throttled")
@@ -142,30 +135,35 @@ class AdmissionController:
             raise DeadlineExceededError(
                 "request deadline expired before admission; no work was done"
             )
-        if self.inflight < self.max_inflight and self.queued == 0:
+
+    async def acquire(
+        self,
+        client: str,
+        priority: int = 0,
+        deadline: float | None = None,
+        *,
+        shed: bool = True,
+    ) -> None:
+        """Wait for the engine slot; raises instead of queueing forever.
+
+        Raises :class:`OverloadedError` (``shed`` set, and :attr:`capacity`
+        leaders already hold or wait for the slot) or
+        :class:`DeadlineExceededError` (expired while queued).  On
+        success the caller owns the slot and must :meth:`release` it
+        exactly once.
+        """
+        queued = self.metrics.queue_depth
+        if not self.metrics.inflight:
             self._grant()
             return
-        if self.queued >= self.max_queue:
+        if shed and 1 + queued >= self.capacity:
             self.metrics.bump("shed_overload")
             raise OverloadedError(
-                f"daemon at capacity ({self.inflight} in flight,"
-                f" {self.queued} queued); retry later"
+                f"daemon at capacity (1 running, {queued} queued); retry later"
             )
-        await self._wait(client, priority, deadline)
-
-    def _grant(self) -> None:
-        self.inflight += 1
-        self.metrics.bump("admitted")
-        self.metrics.inflight_changed(+1)
-
-    async def _wait(
-        self, client: str, priority: int, deadline: float | None
-    ) -> None:
         loop = asyncio.get_running_loop()
         waiter = _Waiter(loop.create_future(), client, priority)
         self._enqueue(waiter)
-        self.queued += 1
-        self.metrics.queue_changed(+1)
         expiry = None
         if deadline is not None:
             expiry = loop.call_later(
@@ -177,17 +175,19 @@ class AdmissionController:
             # The request task died while queued (client disconnected,
             # drain cancelled it).  If the slot was granted in the same
             # tick, hand it straight back so it cannot leak.
-            if self._discard(waiter):
+            if waiter.future.cancelled():
+                self._discard(waiter)
                 self.metrics.bump("reaped_waiters")
-            elif waiter.future.done() and not waiter.future.cancelled():
-                if waiter.future.exception() is None:
-                    self.release()
+            elif waiter.future.exception() is None:
+                self.release()
             raise
         finally:
             if expiry is not None:
                 expiry.cancel()
-            self.queued -= 1
-            self.metrics.queue_changed(-1)
+
+    def _grant(self) -> None:
+        self.metrics.bump("admitted")
+        self.metrics.inflight_changed(+1)
 
     def _expire(self, waiter: _Waiter) -> None:
         if waiter.future.done():
@@ -204,13 +204,10 @@ class AdmissionController:
     # Release and scheduling
     # ------------------------------------------------------------------
     def release(self) -> None:
-        """Return one slot and grant it onward (priority, then fairness)."""
-        self.inflight -= 1
+        """Return the slot and grant it onward (priority, then fairness)."""
         self.metrics.inflight_changed(-1)
-        while self.inflight < self.max_inflight:
-            waiter = self._dequeue()
-            if waiter is None:
-                return
+        waiter = self._dequeue()
+        if waiter is not None:
             self._grant()
             waiter.future.set_result(True)
 
@@ -228,9 +225,10 @@ class AdmissionController:
     def _enqueue(self, waiter: _Waiter) -> None:
         level = self._levels.setdefault(waiter.priority, OrderedDict())
         level.setdefault(waiter.client, deque()).append(waiter)
+        self.metrics.queue_changed(+1)
 
     def _dequeue(self) -> _Waiter | None:
-        """The next waiter: highest priority class, round-robin clients."""
+        """The next live waiter: highest priority class, round-robin clients."""
         while self._levels:
             priority = max(self._levels)
             level = self._levels[priority]
@@ -242,27 +240,23 @@ class AdmissionController:
                 del level[client]
             if not level:
                 del self._levels[priority]
+            self.metrics.queue_changed(-1)
             if not waiter.future.done():
                 return waiter
         return None
 
-    def _discard(self, waiter: _Waiter) -> bool:
-        """Drop a waiter from its queue; True when it was still queued."""
-        level = self._levels.get(waiter.priority)
-        if level is None:
-            return False
-        queue = level.get(waiter.client)
-        if queue is None:
-            return False
-        try:
-            queue.remove(waiter)
-        except ValueError:
-            return False
+    def _discard(self, waiter: _Waiter) -> None:
+        """Drop a waiter from its queue, if it is still there."""
+        level = self._levels.get(waiter.priority, {})
+        queue = level.get(waiter.client, ())
+        if waiter not in queue:
+            return
+        queue.remove(waiter)
         if not queue:
             del level[waiter.client]
         if not level:
             del self._levels[waiter.priority]
-        return True
+        self.metrics.queue_changed(-1)
 
 
 __all__ = ["AdmissionController", "TokenBucket"]

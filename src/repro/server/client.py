@@ -680,11 +680,12 @@ class AttributionClient:
         whose ``result()`` yields the decoded
         :class:`~repro.engine.results.BatchResult`.
 
-        ``priority`` (higher first) and ``deadline_ms`` (shed if still
-        queued after this many milliseconds) feed the daemon's admission
-        control.  A :class:`Database` argument is uploaded synchronously
-        first (the upload is not pipelined); no transparent stale-handle
-        retry happens on this path.
+        ``priority`` (higher first) and ``deadline_ms`` (failed unrun if
+        still queued after this many milliseconds) order and expire the
+        request in the daemon's one queue in front of its engine.  A
+        :class:`Database` argument is uploaded synchronously first (the
+        upload is not pipelined); no transparent stale-handle retry
+        happens on this path.
         """
         method_policy = resolve_policy(policy)
         return self._submit_results(
@@ -819,7 +820,8 @@ class AttributionClient:
         deadline_ms: float | None = None,
     ) -> PendingRequest:
         """Pipelined :meth:`answers`; decodes to an
-        :class:`~repro.engine.results.AnswerBatchResult`."""
+        :class:`~repro.engine.results.AnswerBatchResult`.  The admission
+        fields act as in :meth:`submit_batch`."""
         method_policy = resolve_policy(policy)
         return self._submit_results(
             "answers",

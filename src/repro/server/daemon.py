@@ -26,27 +26,27 @@ the only user of the engine's caches, which are not thread-safe.  The
 engine fingerprints a request once per database version; a warm repeat
 reads its key from the version's index.  **One helper thread** runs
 ``db_load``/``db_update`` and a coalesced follower's render of the
-other encoding.  A fleet claim loser waits on a default-executor
-thread, holding neither.  In-flight coalescing matches on text:
-equivalent queries written differently each compute, and the later one
-is served warm from the result store.  Admitted requests reach the
-engine thread in arrival order: ``priority`` and the per-client
-round-robin order only the admission queue beyond ``max_inflight``, not
-execution.  Parallelism comes from the engine's sharded executor
+other encoding, so loads and updates never wait behind a long compute.
+A fleet claim loser waits on a default-executor thread, holding
+neither.  In-flight coalescing matches on text: equivalent queries
+written differently each compute, and the later one is served warm from
+the result store.  Parallelism comes from the engine's sharded executor
 (``--jobs``), the warm stores and the coalescer (duplicate requests
 never reach the engine).
 
-In front of the engine sits **admission control**
-(:class:`~repro.server.admission.AdmissionController`): at most
-``max_inflight`` compute requests are admitted at once and up to
-``4 * max_inflight`` more queue fairly (priority classes, round-robin
-between clients inside a class), per-client token buckets
-(``per_client_rps``) throttle greedy clients, and overload is answered
-with typed, **retryable** error frames —
+**Admission control**
+(:class:`~repro.server.admission.AdmissionController`) is the one queue
+in front of the engine thread.  At the door a draining daemon, a
+per-client token bucket (``per_client_rps``) and an expired
+``deadline_ms`` refuse a compute request; a coalesced follower then
+joins its queued or running leader and takes no slot.  A leader holds
+the one execution slot for each engine-thread hop, so priority classes,
+per-client round-robin and deadlines order execution itself.  Overload
+is answered with typed, **retryable** error frames —
 :class:`~repro.server.protocol.OverloadedError` when shed,
 :class:`~repro.server.protocol.DeadlineExceededError` when a request's
-``deadline_ms`` expired while queued — never with an unbounded queue or
-a silent hang.  Cheap introspection ops (``ping``, ``stats``,
+``deadline_ms`` expired before it ran — never with an unbounded queue
+or a silent hang.  Cheap introspection ops (``ping``, ``stats``,
 ``metrics``) bypass admission entirely, so health checks work *because*
 the daemon is loaded, not until it is.
 
@@ -57,8 +57,9 @@ connection; an exception inside a request — plan-time
 :class:`~repro.core.errors.IntractableQueryError`, parse errors, unknown
 handles — becomes a structured error frame and the connection lives on;
 a client that disconnects mid-request costs nothing but the computed
-result (admitted work finishes and lands warm in the store; work still
-queued is cancelled and its queue slot reclaimed).
+result (work that reached the engine finishes and lands warm in the
+store; a leader still queued is reaped, and its followers get a
+retryable :class:`~repro.server.protocol.CoalescedRequestAborted`).
 
 Observability: the ``metrics`` op returns per-op latency histograms (the
 fixed bucket dialect of :mod:`repro.io`), queue/in-flight gauges with
@@ -195,12 +196,12 @@ class AttributionDaemon:
     ``registry`` default to a fresh engine and a 64-database
     :class:`DatabaseRegistry`.
 
-    Admission knobs: ``max_inflight`` bounds concurrently executing
-    compute requests (the queue behind them is bounded at
-    ``4 * max_inflight``; past it, requests shed with a retryable
+    Admission knobs: ``max_inflight`` sizes the one queue in front of
+    the engine thread (past ``5 * max_inflight`` leaders holding or
+    waiting for the engine, a new leader sheds with a retryable
     :class:`OverloadedError`); ``per_client_rps`` token-buckets each
     client connection; ``drain_timeout`` is how long a graceful
-    shutdown waits for in-flight work.
+    shutdown waits for the compute requests already past the door.
     """
 
     #: Per-connection pipelining depth: past this many unanswered
@@ -255,6 +256,10 @@ class AttributionDaemon:
         self.requests = 0
         self.errors = 0
         self.connections = 0
+        # Requests being handled (what a drain waits for) and the
+        # request task on the engine thread.
+        self._handling = 0
+        self._engine_task: asyncio.Task | None = None
         self._engine_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
@@ -440,18 +445,16 @@ class AttributionDaemon:
         self._draining = True
         self._log(
             "draining",
-            inflight=self.admission.inflight,
-            queued=self.admission.queued,
+            inflight=self.metrics.inflight,
+            queued=self.metrics.queue_depth,
             timeout=self.drain_timeout,
         )
         server.close()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
-        while (
-            self.admission.inflight or self.admission.queued
-        ) and loop.time() < deadline:
+        while self._handling and loop.time() < deadline:
             await asyncio.sleep(0.02)
-        abandoned = self.admission.inflight + self.admission.queued
+        abandoned = self._handling
         if abandoned:
             self.metrics.bump("drained_inflight", abandoned)
         for writer in list(self._writers):
@@ -471,7 +474,6 @@ class AttributionDaemon:
         self._writers.add(writer)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
-        admitted: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
         try:
             while True:
@@ -489,18 +491,17 @@ class AttributionDaemon:
                 while len(tasks) >= self.MAX_PIPELINE:
                     await asyncio.wait(set(tasks), return_when=asyncio.FIRST_COMPLETED)
                 task = loop.create_task(
-                    self._handle_request(payload, writer, write_lock, client, admitted)
+                    self._handle_request(payload, writer, write_lock, client)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-                task.add_done_callback(admitted.discard)
         finally:
             self._writers.discard(writer)
-            # Requests still *queued* die with their connection (their
-            # admission waiters are reaped); admitted work finishes and
-            # warms the store for whoever asks next.
+            # The connection's requests die with it (a queued leader's
+            # waiter is reaped), except one on the engine thread: it
+            # finishes and warms the store for whoever asks next.
             for task in list(tasks):
-                if task not in admitted:
+                if task is not self._engine_task:
                     task.cancel()
             with contextlib.suppress(Exception):
                 writer.close()
@@ -586,10 +587,10 @@ class AttributionDaemon:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         client: str,
-        admitted: set[asyncio.Task],
     ) -> None:
         request_id = payload.get("id")
         self.requests += 1
+        self._handling += 1
         started = time.perf_counter()
         op_name = payload.get("op")
         op_label = op_name if op_name in OPERATIONS else "invalid"
@@ -633,7 +634,7 @@ class AttributionDaemon:
                     # on: forget served keys so later requests re-claim.
                     self._served_keys.clear()
             else:
-                result = await self._compute(op, payload, client, admitted)
+                result = await self._compute(op, payload, client)
             await self._send(writer, write_lock, ok_response(request_id, result))
         except asyncio.CancelledError:
             raise
@@ -651,6 +652,7 @@ class AttributionDaemon:
                 )
             await self._send(writer, write_lock, error_response(request_id, error))
         finally:
+            self._handling -= 1
             self.metrics.observe(
                 op_label, (time.perf_counter() - started) * 1000.0, error=failed
             )
@@ -667,21 +669,23 @@ class AttributionDaemon:
         op: str,
         payload: dict[str, Any],
         client: str,
-        admitted: set[asyncio.Task],
     ) -> dict[str, Any]:
         """One admission-gated, coalesced compute op on the engine thread.
 
-        The coalescing key is built here, on the loop, from the wire
-        fields alone (:meth:`_wire_key`); registry lookup, parse and the
-        engine call then run in one engine-thread hop.
+        Past the door (:meth:`AdmissionController.admit`), the coalescing
+        key is built on the loop from the wire fields alone
+        (:meth:`_wire_key`); a leader (:meth:`_lead`) then queues for the
+        engine slot and runs registry lookup, parse and the engine call
+        in one engine-thread hop.
 
         With ``trace: true`` on the request, the whole journey is
-        spanned: ``server.request`` wraps admission and the coalesced
-        compute (``server.prepare`` and the engine spans nest inside), and the
-        finished trace document rides the response as ``trace``.  A
-        coalesced follower's trace holds the server-side spans plus a
-        ``server.coalesced`` span naming the leader's trace id — the
-        engine work happened (and was traced) under the leader.
+        spanned: ``server.request`` wraps the coalesced compute (a
+        leader's ``server.admission`` wait, ``server.prepare`` and the
+        engine spans nest inside), and the finished trace document rides
+        the response as ``trace``.  A coalesced follower's trace holds
+        the server-side spans plus a ``server.coalesced`` span naming
+        the leader's trace id — the engine work happened (and was
+        traced) under the leader.
         """
         self._refuse_if_draining()
         tracer = _tracing.Tracer() if payload.get("trace") else None
@@ -697,6 +701,23 @@ class AttributionDaemon:
             if deadline_ms is None
             else time.monotonic() + float(deadline_ms) / 1000.0
         )
+        self.admission.admit(client, deadline)
+        loop = asyncio.get_running_loop()
+
+        async def on_engine(job: Callable[[], Any], shed: bool = True) -> Any:
+            with _tracing.maybe_span(
+                tracer, "server.admission", queued=self.metrics.queue_depth
+            ):
+                await self.admission.acquire(
+                    client, priority=priority, deadline=deadline, shed=shed
+                )
+            self._engine_task = asyncio.current_task()
+            try:
+                return await loop.run_in_executor(self._engine_thread, job)
+            finally:
+                self._engine_task = None
+                self.admission.release()
+
         with _tracing.maybe_span(
             tracer,
             "server.request",
@@ -705,46 +726,33 @@ class AttributionDaemon:
             client=client,
             priority=priority,
         ):
-            with _tracing.maybe_span(
-                tracer, "server.admission", queued=self.admission.queued
-            ):
-                await self.admission.acquire(
-                    client, priority=priority, deadline=deadline
+            key = self._wire_key(op, payload)
+            compute = self._engine_compute(op, payload, tracer)
+            with _tracing.maybe_span(tracer, "server.coalesce") as span:
+                served, coalesced = await self.coalescer.run_async(
+                    key,
+                    lambda: self._lead(key, compute, on_engine),
+                    timeout=self.COALESCE_TIMEOUT,
                 )
-            task = asyncio.current_task()
-            if task is not None:
-                admitted.add(task)
-            try:
-                loop = asyncio.get_running_loop()
-                key = self._wire_key(op, payload)
-                compute = self._engine_compute(op, payload, tracer)
-                with _tracing.maybe_span(tracer, "server.coalesce") as span:
-                    served, coalesced = await self.coalescer.run_async(
-                        key,
-                        lambda: self._lead(key, compute),
-                        timeout=self.COALESCE_TIMEOUT,
+                span.set("coalesced", coalesced)
+            # The leader rendered its own encoding; a duplicate that
+            # asked for the other one renders it here, once.
+            sparse = bool(payload.get("sparse"))
+            document = served.documents.get(sparse)
+            if document is None:
+                with _tracing.maybe_span(tracer, "server.encode"):
+                    document = await loop.run_in_executor(
+                        self._helper_thread, served.document, sparse
                     )
-                    span.set("coalesced", coalesced)
-                # The leader rendered its own encoding; a duplicate that
-                # asked for the other one renders it here, once.
-                sparse = bool(payload.get("sparse"))
-                document = served.documents.get(sparse)
-                if document is None:
-                    with _tracing.maybe_span(tracer, "server.encode"):
-                        document = await loop.run_in_executor(
-                            self._helper_thread, served.document, sparse
-                        )
-                result = dict(document)
-                result["coalesced"] = coalesced
-                if tracer is not None and coalesced:
-                    leader_id = served.trace_id
-                    if leader_id and leader_id != tracer.trace_id:
-                        with tracer.span(
-                            "server.coalesced", leader_trace_id=leader_id
-                        ):
-                            pass
-            finally:
-                self.admission.release()
+            result = dict(document)
+            result["coalesced"] = coalesced
+            if tracer is not None and coalesced:
+                leader_id = served.trace_id
+                if leader_id and leader_id != tracer.trace_id:
+                    with tracer.span(
+                        "server.coalesced", leader_trace_id=leader_id
+                    ):
+                        pass
         if tracer is None:
             return result
         # The finished document rides the envelope; when the slowest-N
@@ -846,23 +854,26 @@ class AttributionDaemon:
     # ------------------------------------------------------------------
     # Compute operations (``_preparers``, run by :meth:`_compute`)
     # ------------------------------------------------------------------
-    async def _lead(self, key: tuple, compute: Callable[[], _Served]) -> _Served:
+    async def _lead(
+        self, key: tuple, compute: Callable[[], _Served], on_engine: Callable
+    ) -> _Served:
         """A coalescer leader: ``compute`` on the engine thread, claimed
         across daemons through the shared store when there is one.
 
-        ``key`` is the request's wire key (:meth:`_wire_key`): the
-        coalescing key, the shared-store claim key and the
-        :attr:`_served_keys` entry are one short tuple, so a claim digests
-        a few strings, never a relevance slice.  Each daemon's coalescer
-        lets one leader per key through, so a daemon stakes at most one
-        claim per key.  The claim winner computes and releases in the
-        same engine-thread hop.  A loser hands control back to the loop,
-        waits for the winner's release on a default-executor thread (by
-        then the winner's result row is committed to the shared store),
-        and then runs ``compute``, whose engine store lookup finds the
-        row warm and executes nothing.  A timed-out wait (or a crashed
-        winner's expired claim) degrades to computing locally:
-        coalescing is an optimization, never a correctness dependency.
+        ``on_engine(job)`` queues for the admission slot and runs ``job``
+        in one engine-thread hop.  ``key`` is the request's wire key
+        (:meth:`_wire_key`): the coalescing key, the shared-store claim
+        key and the :attr:`_served_keys` entry are one short tuple, so a
+        claim digests a few strings, never a relevance slice.  Each
+        daemon's coalescer lets one leader per key through, so a daemon
+        stakes at most one claim per key.  The claim winner computes and
+        releases in the same hop.  A loser returns the slot, waits for
+        the winner's release on a default-executor thread (the winner's
+        row is committed by then), and queues again at its own priority
+        to run ``compute``, which finds the row warm and executes
+        nothing.  A timed-out wait (or a crashed winner's expired claim)
+        degrades to computing locally: coalescing is an optimization,
+        never a correctness dependency.
 
         Keys this daemon has already completed skip the claim entirely:
         their result row is committed to the warm tiers, so a sibling's
@@ -870,10 +881,9 @@ class AttributionDaemon:
         the claim's write transactions would buy nothing, and warm
         repeats are the fleet's hot path.
         """
-        loop = asyncio.get_running_loop()
         shared = self.engine.shared
         if shared is None or self._already_served(key):
-            return await loop.run_in_executor(self._engine_thread, compute)
+            return await on_engine(compute)
 
         def claimed() -> _Served | None:
             if not shared.claim(key):
@@ -883,10 +893,10 @@ class AttributionDaemon:
             finally:
                 shared.release(key)
 
-        served = await loop.run_in_executor(self._engine_thread, claimed)
+        served = await on_engine(claimed)
         if served is None:
             await asyncio.to_thread(shared.await_claim, key)
-            served = await loop.run_in_executor(self._engine_thread, compute)
+            served = await on_engine(compute, shed=False)
         self._note_served(key)
         return served
 

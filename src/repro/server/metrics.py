@@ -185,10 +185,10 @@ class SlowTraceBuffer:
     daemon's event loop offers and reads, so it needs no lock.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    #: Traces kept.
+    CAPACITY = 8
+
+    def __init__(self) -> None:
         self._entries: list[tuple[float, int, dict[str, Any]]] = []
         self._seq = 0
         self.offered = 0
@@ -199,7 +199,7 @@ class SlowTraceBuffer:
         self.offered += 1
         self._seq += 1
         entry = (float(duration_ms), self._seq, document)
-        if len(self._entries) < self.capacity:
+        if len(self._entries) < self.CAPACITY:
             heapq.heappush(self._entries, entry)
             return True
         if self._entries and duration_ms > self._entries[0][0]:

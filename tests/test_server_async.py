@@ -14,8 +14,12 @@
   (no leaked slots) after every storm;
 * **thread roles** — every engine call of a storm runs on the one engine
   thread; each compute request is prepared and run there in one job,
-  never on the helper thread; and a fleet claim loser waits off that
-  thread, so other keys keep computing while it waits.
+  never on the helper thread; a fleet claim loser waits off that
+  thread, so other keys keep computing while it waits; and loads and
+  updates run on the helper thread while a compute holds the engine;
+* **one queue** — admission hands the engine thread one compute at a
+  time, so priority, per-client round-robin and ``deadline_ms`` order
+  and expire execution, and a coalesced follower takes no slot.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ from harness import (
     assert_bit_identical,
     assert_metrics_reconcile,
     assert_no_leaked_slots,
+    encode_request,
+    raw_connection,
     reference_results,
     run_storm,
     running_daemon,
 )
+from repro.core.facts import fact
+from repro.core.parser import parse_query
 from repro.engine import (
     BatchAttributionEngine,
     SerialExecutor,
@@ -42,6 +50,7 @@ from repro.engine import (
     SQLiteResultStore,
 )
 from repro.server import AttributionClient, AttributionDaemon
+from repro.server.protocol import CoalescedRequestAborted, DeadlineExceededError
 from repro.workloads.running_example import figure_1_database
 from repro.workloads.traffic import TrafficRequest, star_traffic
 
@@ -125,6 +134,33 @@ def sharded_daemon(tmp_path_factory):
     engine = BatchAttributionEngine(executor=ShardedExecutor(jobs=2))
     with running_daemon(directory, engine=engine) as daemon:
         yield daemon
+
+
+def gated_engine():
+    """A serial engine whose ``batch`` calls wait on a gate.
+
+    Returns ``(engine, gate, started, calls)``: ``started`` is set by the
+    first call, and ``calls`` lists every call's query ``repr`` in the
+    order the engine thread ran them.
+    """
+    engine = BatchAttributionEngine(executor=SerialExecutor())
+    gate, started = threading.Event(), threading.Event()
+    calls: list[str] = []
+    real_batch = engine.batch
+
+    def batch(database, query, *args, **kwargs):
+        calls.append(repr(query))
+        started.set()
+        assert gate.wait(20), "test gate never opened"
+        return real_batch(database, query, *args, **kwargs)
+
+    engine.batch = batch  # type: ignore[method-assign]
+    return engine, gate, started, calls
+
+
+def low_query(index: int) -> str:
+    """Distinct query texts, so coalescing cannot merge them."""
+    return f"q() :- Stud(x), not TA(x), Reg(x, y{index})"
 
 
 def _run_and_audit(daemon, seed: int, clients: int = 3) -> None:
@@ -297,6 +333,31 @@ class TestThreadRoles:
             finally:
                 gate.set()
 
+    def test_loads_and_updates_run_while_a_compute_holds_the_engine(
+        self, tmp_path
+    ):
+        """The helper thread serves db_load and db_update past a busy engine."""
+        engine, gate, started, _ = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    held = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    with AttributionClient(daemon.address) as other:
+                        database = figure_1_database()
+                        database.add(fact("Reg", "Adam", "AI"), endogenous=True)
+                        loaded = other.load_database(database)
+                        updated = other.update_database(
+                            loaded, adds=[fact("Stud", "Zoe")]
+                        )
+                        assert updated not in (handle, loaded)
+                    assert not gate.is_set() and not held.done()
+                    gate.set()
+                    assert dict(held.result().shapley) != {}
+            finally:
+                gate.set()
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_typed_retryable_frames(self, tmp_path):
@@ -353,7 +414,7 @@ class TestAdmissionControl:
                 assert metrics["admission"]["shed_throttled"] >= 1
 
     def test_expired_deadline_is_a_typed_frame(self, tmp_path):
-        from repro.server.protocol import DeadlineExceededError
+        from repro.server.protocol import CoalescedRequestAborted, DeadlineExceededError
 
         db = figure_1_database()
         with running_daemon(tmp_path) as daemon:
@@ -363,6 +424,162 @@ class TestAdmissionControl:
                 with pytest.raises(DeadlineExceededError):
                     pending.result()
                 assert client.metrics()["admission"]["deadline_expired"] >= 1
+
+    def test_priority_orders_execution_behind_a_long_queue(self, tmp_path):
+        """A priority-9 request is the next engine call past 33 queued ones."""
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    held = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    low = [
+                        client.submit_batch(handle, low_query(i), priority=0)
+                        for i in range(33)
+                    ]
+                    urgent = client.submit_batch(
+                        handle, low_query(99), priority=9
+                    )
+                    client.ping()  # every request above is queued by now
+                    assert client.metrics()["queue"]["depth"] == 34
+                    gate.set()
+                    for pending in [held, *low, urgent]:
+                        assert dict(pending.result().shapley) != {}
+            finally:
+                gate.set()
+        assert len(calls) == 35
+        assert calls[:3] == [
+            repr(parse_query(text)) for text in (Q1, low_query(99), low_query(0))
+        ]
+
+    def test_clients_in_one_priority_class_alternate(self, tmp_path):
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as first, AttributionClient(
+                    daemon.address
+                ) as second:
+                    handle = first.load_database(figure_1_database())
+                    held = first.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    pending = []
+                    for client, offset in ((first, 0), (second, 10)):
+                        pending += [
+                            client.submit_batch(handle, low_query(offset + i))
+                            for i in range(3)
+                        ]
+                        client.ping()
+                    gate.set()
+                    for request in [held, *pending]:
+                        assert dict(request.result().shapley) != {}
+            finally:
+                gate.set()
+        assert calls[1:] == [
+            repr(parse_query(low_query(index))) for index in (0, 10, 1, 11, 2, 12)
+        ]
+
+    def test_deadline_passing_in_the_queue_never_runs(self, tmp_path):
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    held = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    late = client.submit_batch(
+                        handle, low_query(1), deadline_ms=50.0
+                    )
+                    with pytest.raises(DeadlineExceededError):
+                        late.result()
+                    gate.set()
+                    assert dict(held.result().shapley) != {}
+                    metrics = client.metrics()
+                    assert metrics["admission"]["deadline_expired"] == 1
+                    assert_no_leaked_slots(metrics)
+            finally:
+                gate.set()
+        assert calls == [repr(parse_query(Q1))]
+
+    def test_duplicate_of_a_queued_leader_takes_no_slot(self, tmp_path):
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    held = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    leader = client.submit("batch", db=handle, query=low_query(1))
+                    client.ping()
+                    assert client.metrics()["queue"]["depth"] == 1
+                    duplicate = client.submit(
+                        "batch", db=handle, query=low_query(1)
+                    )
+                    client.ping()
+                    assert client.metrics()["queue"]["depth"] == 1
+                    gate.set()
+                    held.result()
+                    assert leader.result()["coalesced"] is False
+                    assert duplicate.result()["coalesced"] is True
+                    assert duplicate.result()["result"] == leader.result()["result"]
+            finally:
+                gate.set()
+        assert len(calls) == 2
+
+    def test_shutdown_delivers_a_gated_leader_and_its_follower(self, tmp_path):
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    leader = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    follower = client.submit_batch(handle, Q1)
+                    client.ping()
+                    assert daemon.coalescer.stats.followers == 1
+                    daemon.request_shutdown()
+                    time.sleep(0.1)  # the drain is waiting on both
+                    gate.set()
+                    assert dict(follower.result().shapley) == dict(
+                        leader.result().shapley
+                    )
+            finally:
+                gate.set()
+        assert len(calls) == 1
+
+    def test_reaped_leader_aborts_its_follower(self, tmp_path):
+        """A queued leader dies with its connection; its follower may retry."""
+        engine, gate, started, calls = gated_engine()
+        with running_daemon(tmp_path, engine=engine) as daemon:
+            try:
+                with AttributionClient(daemon.address) as client:
+                    handle = client.load_database(figure_1_database())
+                    held = client.submit_batch(handle, Q1)
+                    assert started.wait(20)
+                    sock = raw_connection(daemon)
+                    sock.sendall(
+                        encode_request("batch", db=handle, query=low_query(1))
+                    )
+                    deadline = time.monotonic() + 20
+                    while (
+                        client.metrics()["queue"]["depth"] < 1
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.005)
+                    follower = client.submit_batch(handle, low_query(1))
+                    client.ping()
+                    assert daemon.coalescer.stats.followers == 1
+                    sock.close()
+                    with pytest.raises(CoalescedRequestAborted):
+                        follower.result()
+                    gate.set()
+                    held.result()
+                    metrics = client.metrics()
+                    assert metrics["admission"]["reaped_waiters"] == 1
+                    assert_no_leaked_slots(metrics)
+            finally:
+                gate.set()
+        assert calls == [repr(parse_query(Q1))]
 
 
 class TestGracefulDrain:

@@ -511,7 +511,8 @@ class TestClaims:
     def test_expired_claim_is_taken_over(self, tmp_path):
         a = SQLiteResultStore(tmp_path / "shared.db")
         b = SQLiteResultStore(tmp_path / "shared.db")
-        assert a.claim(("req",), ttl=0.01)
+        a.CLAIM_TTL = 0.01
+        assert a.claim(("req",))
         time.sleep(0.05)
         assert b.claim(("req",)) is True  # crashed-winner takeover
         assert b.claim_stats.expired == 1
@@ -527,15 +528,16 @@ class TestClaims:
 
         thread = threading.Thread(target=release_soon)
         thread.start()
-        assert b.await_claim(("req",), timeout=5.0) is True
+        assert b.await_claim(("req",)) is True
         thread.join()
         assert b.claim_stats.coalesced == 1
 
     def test_await_claim_times_out(self, tmp_path):
         a = SQLiteResultStore(tmp_path / "shared.db")
         b = SQLiteResultStore(tmp_path / "shared.db")
-        a.claim(("req",), ttl=30.0)
-        assert b.await_claim(("req",), timeout=0.05) is False
+        a.claim(("req",))
+        b.CLAIM_TTL = 0.05
+        assert b.await_claim(("req",)) is False
         assert b.claim_stats.timeouts == 1
 
     def test_await_claim_with_no_claim_is_immediate(self, tmp_path):
@@ -619,6 +621,7 @@ worker, path, keys, rounds = (
     int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 )
 store = SQLiteResultStore(path, max_entries=64, timeout=60.0)
+store.CLAIM_TTL = 5.0
 rng = random.Random(worker)
 
 def expected(index):
@@ -649,7 +652,7 @@ for _ in range(rounds):
             ):
                 mismatches += 1
     else:
-        if store.claim(key, ttl=5.0):
+        if store.claim(key):
             store.put(key, expected(index))
             store.release(key)
         claims += 1

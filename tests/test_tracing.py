@@ -243,7 +243,8 @@ class TestNullPaths:
         assert tracing_module.ACTIVE is None
 
     def test_span_budget_drops_but_never_orphans(self):
-        tracer = Tracer(max_spans=2)
+        tracer = Tracer()
+        tracer.MAX_SPANS = 2
         with tracer.span("root"):
             with tracer.span("kept"):
                 with tracer.span("dropped"):
@@ -338,7 +339,8 @@ class TestWireAndExport:
 
 class TestSlowTraceBuffer:
     def test_keeps_the_n_slowest(self):
-        buffer = SlowTraceBuffer(capacity=3)
+        buffer = SlowTraceBuffer()
+        buffer.CAPACITY = 3
         admitted = [
             buffer.offer({"trace_id": f"t{index}", "spans": []}, duration)
             for index, duration in enumerate([5.0, 1.0, 3.0])
@@ -354,10 +356,6 @@ class TestSlowTraceBuffer:
         assert [entry["duration_ms"] for entry in snapshot] == [5.0, 3.0, 2.0]
         assert buffer.offered == 5
         assert buffer.evicted == 2
-
-    def test_rejects_broken_capacity(self):
-        with pytest.raises(ValueError):
-            SlowTraceBuffer(capacity=0)
 
 
 class TestDaemonTraces:
