@@ -17,6 +17,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 from repro.core.evaluation import FactIndex, find_homomorphisms, holds
 from repro.core.parser import parse_query
@@ -164,13 +165,11 @@ def test_ext2_memoization_ablation(benchmark, report):
     # Unmemoized: evaluate the query afresh for every (coalition, side).
     exogenous = list(db.exogenous)
     others = [f for f in sorted(db.endogenous, key=repr) if f != target]
-    from repro.util.combinatorics import shapley_coefficient
-
     start = time.perf_counter()
     total = Fraction(0)
     n = len(others) + 1
     for size in range(n):
-        coefficient = shapley_coefficient(n, size)
+        coefficient = Fraction(factorial(size) * factorial(n - size - 1), factorial(n))
         for subset in itertools.combinations(others, size):
             chosen = list(subset)
             with_f = 1 if holds(q1, exogenous + chosen + [target]) else 0

@@ -54,7 +54,6 @@ from repro.core.query import (
     Term,
     UnionQuery,
     Variable,
-    is_variable,
 )
 
 __all__ = [
@@ -98,7 +97,6 @@ __all__ = [
     "infer_exogenous_relations",
     "is_hierarchical",
     "is_positively_connected",
-    "is_variable",
     "non_exogenous_atoms",
     "non_hierarchical_triplets",
     "parse_query",

@@ -218,8 +218,11 @@ class Database:
 
         This is the relation written :math:`\\bar R^D` in the paper: every
         tuple over ``Dom(D)`` of the right arity that is *not* a fact of
-        ``R``.  Used by ExoShap (negated exogenous atoms) and the qR¬ST
-        hardness reduction (Lemma 3.3).
+        ``R``.  ExoShap's complement step (negated exogenous atoms) calls
+        it with the query's constants added to ``domain``.  The qR¬ST
+        hardness reduction does not: it complements ``S`` over ``dom(R) ×
+        dom(T)`` only
+        (:func:`repro.reductions.shapley_reductions.complement_s_instance`).
         """
         if arity is None:
             arity = self.arity(name)

@@ -41,10 +41,6 @@ class Variable:
 Term = Union[Variable, Constant]
 
 
-def is_variable(term: Term) -> bool:
-    return isinstance(term, Variable)
-
-
 @dataclass(frozen=True, slots=True)
 class Atom:
     """A (possibly negated) relational atom ``(¬)R(t1, ..., tk)``."""

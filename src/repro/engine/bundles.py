@@ -78,6 +78,13 @@ and repeated requests share sub-results across engine calls.  Bundles
 hold only baseline vectors, so one cached tape serves every request and
 every database size it appears in; the cotangent, which depends on the
 request's player count, is never cached.
+
+The integer work runs in :mod:`repro.util.kernels`: products through
+``kernels.convolve`` and ``kernels.convolve_many`` and free-fact rows
+through ``kernels.binomial_row``, each looked up on the module at the
+call, so an instrumented ``kernels.convolve`` sees every product.  The
+rows are built per call; the only memo of this module is the slice
+layouts, which hold atoms and are bounded.
 """
 
 from __future__ import annotations
@@ -96,12 +103,7 @@ from repro.core.hierarchy import is_hierarchical
 from repro.core.query import Atom, ConjunctiveQuery, Variable
 from repro.engine.cache import BundlePool, LRUCache
 from repro.engine.fingerprint import fingerprint_component
-from repro.util.combinatorics import (
-    binomial_vector,
-    convolve,
-    convolve_many,
-    subtract_vectors,
-)
+from repro.util import kernels
 from repro.util.graphs import key_groups
 from repro.util.kernels import correlate
 
@@ -374,7 +376,7 @@ def _bundle_component_fresh(
                 memo,
                 AND,
                 tuple(children),
-                lambda: convolve_many([child.sat for child in children]),
+                lambda: kernels.convolve_many([child.sat for child in children]),
             )
         )
 
@@ -382,9 +384,9 @@ def _bundle_component_fresh(
         memo,
         OR,
         tuple(slice_bundles),
-        lambda: subtract_vectors(
-            binomial_vector(sum(bundle.owned for bundle in slice_bundles)),
-            convolve_many([_unsat(bundle) for bundle in slice_bundles]),
+        lambda: _subtract_vectors(
+            kernels.binomial_row(sum(bundle.owned for bundle in slice_bundles)),
+            kernels.convolve_many([_unsat(bundle) for bundle in slice_bundles]),
         ),
     )
 
@@ -428,7 +430,16 @@ def _bucket(facts: Iterable[Fact], position: int) -> dict[Constant, list[Fact]]:
 
 def _unsat(bundle: CountBundle) -> list[int]:
     """The UNSAT count vector of a slice of an OR step."""
-    return subtract_vectors(binomial_vector(bundle.owned), bundle.sat)
+    return _subtract_vectors(kernels.binomial_row(bundle.owned), bundle.sat)
+
+
+def _subtract_vectors(left: Sequence[int], right: Sequence[int]) -> list[int]:
+    """Element-wise ``left - right``, padding the shorter vector with zeros."""
+    size = max(len(left), len(right))
+    return [
+        (left[k] if k < len(left) else 0) - (right[k] if k < len(right) else 0)
+        for k in range(size)
+    ]
 
 
 #: The entry of a ground atom that owns no fact, by ``(negated, exogenous)``.
@@ -588,9 +599,9 @@ def batch_count_vectors(
     components, free_facts = _restricted_components(_initial_scope(database, query))
     memo: StepMemo = {}
     children = tuple(_bundle_top(component, cache, memo) for component in components)
-    sat = convolve(
-        convolve_many([child.sat for child in children]),
-        binomial_vector(len(free_facts)),
+    sat = kernels.convolve(
+        kernels.convolve_many([child.sat for child in children]),
+        kernels.binomial_row(len(free_facts)),
     )
     zero = set(free_facts)
     for child in children:
@@ -603,7 +614,7 @@ def batch_count_vectors(
         item for item in database.endogenous if item.relation not in query_relations
     )
     total = len(database.endogenous)
-    baseline = tuple(convolve(root.sat, binomial_vector(len(unused))))
+    baseline = tuple(kernels.convolve(root.sat, kernels.binomial_row(len(unused))))
     assert len(baseline) == total + 1, (len(baseline), total + 1)
     return BatchVectors(total, baseline, root, root.zero | unused)
 
@@ -621,7 +632,7 @@ def pull_back(
     numerators: dict[Fact, list[int]] = {}
     root = vectors.root
     if root.live:
-        outside = binomial_vector(vectors.total_players - root.owned)
+        outside = kernels.binomial_row(vectors.total_players - root.owned)
         _pull_back(
             root,
             [correlate(c, outside, root.owned) for c in cotangents],
@@ -670,11 +681,11 @@ def _pull_back_and(
     children = bundle.parts
     bound = sum(child.owned for child in children)
     if bound < bundle.owned:
-        free = binomial_vector(bundle.owned - bound)
+        free = kernels.binomial_row(bundle.owned - bound)
         cotangents = [correlate(g, free, bound) for g in cotangents]
     for j, child in enumerate(children):
         if child.live:
-            rest = convolve_many(
+            rest = kernels.convolve_many(
                 [other.sat for i, other in enumerate(children) if i != j]
             )
             _pull_back(
@@ -721,7 +732,7 @@ def _pull_back_or(
     live = [b for b, child in enumerate(chain) if child.live]
     if not live:
         return
-    remaining = binomial_vector(bundle.owned - 1)
+    remaining = kernels.binomial_row(bundle.owned - 1)
     base = [o + _dot(g, remaining) for g, o in zip(cotangents, offsets)]
     unsat = [_unsat(child) for child in chain]
     prefix = cotangents
@@ -731,18 +742,18 @@ def _pull_back_or(
         if len(members) > 1
     ]
     if powers:
-        shared = convolve_many(powers)
+        shared = kernels.convolve_many(powers)
         width = sum(child.owned for child in chain)
         prefix = [correlate(g, shared, width) for g in cotangents]
     last = len(chain) - 1
     suffix = [[1]] * (last + 2)
     for b in range(last, live[0], -1):
-        suffix[b] = unsat[b] if b == last else convolve(unsat[b], suffix[b + 1])
+        suffix[b] = unsat[b] if b == last else kernels.convolve(unsat[b], suffix[b + 1])
     for b in range(live[-1] + 1):
         child = chain[b]
         if child.live:
             local = [correlate(p, suffix[b + 1], child.owned) for p in prefix]
-            players = binomial_vector(child.owned - 1)
+            players = kernels.binomial_row(child.owned - 1)
             _pull_back(
                 child, local, [c - _dot(g, players) for c, g in zip(base, local)], out
             )
@@ -764,11 +775,11 @@ def _power(vector: list[int], exponent: int) -> list[int]:
     result = None
     while True:
         if exponent & 1:
-            result = vector if result is None else convolve(result, vector)
+            result = vector if result is None else kernels.convolve(result, vector)
         exponent >>= 1
         if not exponent:
             return result
-        vector = convolve(vector, vector)
+        vector = kernels.convolve(vector, vector)
 
 
 def _live_facts(bundle: CountBundle) -> Iterator[Fact]:

@@ -15,7 +15,9 @@ This module owns the *outputs* of the plan/execute pipeline:
   functionals of each fact's deletion vector, so their weight vectors
   (the *cotangents*) are pulled back down the tape once, every fact's
   Shapley and Banzhaf numerator comes out as one integer, and each value
-  is normalized to a ``Fraction`` once.
+  is normalized to a ``Fraction`` once.  Both read the one Shapley
+  weight table, :func:`repro.util.kernels.reduced_shapley_weights`,
+  built per request.
 
 Result objects are what the result stores (:mod:`repro.engine.stores`,
 :mod:`repro.engine.sqlite_store`) persist and what executors
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -35,7 +38,7 @@ from repro.engine.bundles import BatchVectors, pull_back
 from repro.engine.cache import CACHE_COUNTERS
 from repro.obs.counters import Counters
 from repro.shapley.sampling import SampleState, achieved_epsilon
-from repro.util.kernels import reduced_shapley_weights, shapley_weights
+from repro.util.kernels import reduced_shapley_weights
 
 
 #: The value every null player reads as.  ``Fraction`` is immutable, so
@@ -341,25 +344,33 @@ def result_from_state(
 def fact_numerators(vectors: BatchVectors) -> dict[Fact, tuple[int, int]]:
     """Lemma 3.2 numerators: ``(Shapley · n!, Banzhaf · 2^(n-1))`` per live fact.
 
-    With ``S`` the baseline, ``D = Sat^{-f}`` and ``w = shapley_weights(n)``,
-    the partition identity ``Sat^{+f}(k) = S(k+1) - D(k+1)`` turns the
-    Shapley numerator ``Σ_k w_k (Sat^{+f}(k) - D(k))`` into ``Σ_k w_k
-    S(k+1) - <c, D>`` with ``c_j = w_j + w_{j-1}``, and the Banzhaf one
-    into ``Σ_k S(k+1) - <(1, 2, 2, ...), D>``.  Both inner products come
-    out of one backward pass (:func:`repro.engine.bundles.pull_back`).
+    :func:`result_from_vectors` divides the weight table's numerators by
+    its denominator ``lcm(1..n)`` instead; the Shapley numerator is
+    linear in the weights, so scaling it by ``n! / lcm(1..n)`` gives the
+    one over ``n!``.
     """
     if not vectors.root.live:
         return {}
-    return _numerators(vectors, shapley_weights(vectors.total_players))
+    players = vectors.total_players
+    weights, common = reduced_shapley_weights(players)
+    scale = factorial(players) // common
+    return {
+        item: (shapley * scale, banzhaf)
+        for item, (shapley, banzhaf) in _numerators(vectors, weights).items()
+    }
 
 
 def _numerators(
     vectors: BatchVectors, weights: Sequence[int]
 ) -> dict[Fact, tuple[int, int]]:
-    """:func:`fact_numerators` with the Shapley numerator over ``weights``.
+    """Per live fact, the Shapley numerator over ``weights`` and the Banzhaf one.
 
-    The Shapley numerator is linear in the weights, so any multiple of
-    :func:`repro.util.kernels.shapley_weights` scales it alike.
+    With ``S`` the baseline, ``D = Sat^{-f}`` and ``w`` the weights, the
+    partition identity ``Sat^{+f}(k) = S(k+1) - D(k+1)`` turns the
+    Shapley numerator ``Σ_k w_k (Sat^{+f}(k) - D(k))`` into ``Σ_k w_k
+    S(k+1) - <c, D>`` with ``c_j = w_j + w_{j-1}``, and the Banzhaf one
+    into ``Σ_k S(k+1) - <(1, 2, 2, ...), D>``.  Both inner products come
+    out of one backward pass (:func:`repro.engine.bundles.pull_back`).
     """
     cotangents = (
         [w + before for w, before in zip(weights, (0, *weights))],
@@ -381,14 +392,13 @@ def result_from_vectors(vectors: BatchVectors, method: str) -> BatchResult:
     always materializes both measures.  Each value is one integer
     numerator over its denominator, normalized to a ``Fraction`` once:
     bit-identical to summing the per-size ``Fraction`` terms, because
-    ``Fraction`` canonicalizes.  The Shapley weights and ``n!`` are
-    first divided by their gcd
-    (:func:`repro.util.kernels.reduced_shapley_weights`), which shrinks
-    every integer of the backward pass from about ``log2 n!`` bits to
-    about ``1.44 n``; the ``Fraction`` is the same.  Facts in
-    isomorphic positions share their numerators, so each distinct
-    numerator pair is normalized once and its (immutable) ``Fraction``
-    values are shared.
+    ``Fraction`` canonicalizes.  The Shapley weights come over their
+    least common denominator ``lcm(1..n)``
+    (:func:`repro.util.kernels.reduced_shapley_weights`), which keeps
+    every integer of the backward pass near ``1.44 n`` bits instead of
+    ``log2 n!``.  Facts in isomorphic positions share their numerators,
+    so each distinct numerator pair is normalized once and its
+    (immutable) ``Fraction`` values are shared.
     """
     players = vectors.total_players
     shapley: dict[Fact, Fraction] = {item: Fraction(0) for item in vectors.zero_facts}

@@ -72,20 +72,19 @@ class DatabaseRegistry:
     to ``db_load`` again.
     """
 
-    def __init__(self, max_databases: int = 64, max_versions: int = 8) -> None:
-        if max_databases < 1:
-            raise ValueError(f"max_databases must be positive, got {max_databases}")
-        if max_versions < 1:
-            raise ValueError(f"max_versions must be positive, got {max_versions}")
-        self.max_databases = max_databases
-        self.max_versions = max_versions
+    #: Databases held before the least recently used is evicted.
+    MAX_DATABASES = 64
+    #: Linked versions kept per ``db_update`` lineage.
+    MAX_VERSIONS = 8
+
+    def __init__(self) -> None:
         # db_load and db_update calls, then handle lookups and evictions.
         self.stats = Counters("loads", "updates", *CACHE_COUNTERS)
         self._lock = threading.Lock()
         self._databases: OrderedDict[str, Database] = OrderedDict()
         # successor handle -> base handle: the version chains db_update
         # builds.  Bounded two ways: links die with either endpoint's
-        # eviction, and each chain is trimmed to max_versions links.
+        # eviction, and each chain is trimmed to MAX_VERSIONS links.
         self._parents: dict[str, str] = {}
 
     def __len__(self) -> int:
@@ -106,7 +105,7 @@ class DatabaseRegistry:
             self._databases.move_to_end(handle)
         else:
             self._databases[handle] = database
-            while len(self._databases) > self.max_databases:
+            while len(self._databases) > self.MAX_DATABASES:
                 stalest = next(iter(self._databases))
                 self._evict_locked(stalest)
 
@@ -126,7 +125,7 @@ class DatabaseRegistry:
         Returns ``(successor_handle, base, successor)``.  The base stays
         loaded (other clients may still hold its handle) and a chain link
         successor → base is recorded; chains longer than
-        ``max_versions`` links are trimmed from the old end — the evicted
+        :attr:`MAX_VERSIONS` links are trimmed from the old end — the evicted
         ancestors' handles go stale, exactly like an LRU eviction, and a
         client holding one simply re-uploads.  Raises
         :class:`UnknownHandleError` for unknown/evicted handles and
@@ -140,7 +139,7 @@ class DatabaseRegistry:
             self._store_locked(successor, successor_handle)
             if successor_handle != handle:
                 self._parents[successor_handle] = handle
-            # Trim this lineage to max_versions linked versions: walk the
+            # Trim this lineage to MAX_VERSIONS linked versions: walk the
             # ancestry (guarding against content-addressing cycles) and
             # evict everything past the bound.
             ancestry = []
@@ -152,7 +151,7 @@ class DatabaseRegistry:
                     break
                 seen.add(cursor)
                 ancestry.append(cursor)
-            for stale in ancestry[self.max_versions - 1 :]:
+            for stale in ancestry[self.MAX_VERSIONS - 1 :]:
                 self._evict_locked(stale)
         return successor_handle, base, successor
 

@@ -137,14 +137,8 @@ def _complement_negated_exogenous(
     for atom in query.atoms:
         if atom.negated and atom.relation in exo:
             fresh = _fresh_relation(f"{atom.relation}_comp", taken)
-            present = (
-                {item.args for item in db.relation(atom.relation)}
-                if atom.relation in db.relation_names
-                else set()
-            )
-            for combo in product(domain, repeat=atom.arity):
-                if combo not in present:
-                    db.add_exogenous(Fact(fresh, combo))
+            for item in db.complement_relation(atom.relation, atom.arity, domain):
+                db.add_exogenous(Fact(fresh, item.args))
             new_atoms.append(Atom(fresh, atom.terms, negated=False))
             new_exo.discard(atom.relation)
             new_exo.add(fresh)

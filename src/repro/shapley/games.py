@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from repro.util.kernels import ShapleyAccumulator
+from repro.util.kernels import reduced_shapley_weights
 
 Player = Hashable
 ValueFunction = Callable[[frozenset], Fraction | int]
@@ -54,8 +54,9 @@ def shapley_and_banzhaf(
     ``v`` is evaluated once per coalition, into a table indexed by the
     coalition's bitmask; each marginal ``v(S ∪ {a}) - v(S)`` then feeds
     ``a``'s Shapley coalition form ``Σ_S |S|!(n-|S|-1)!/n! · marginal``
-    and its Banzhaf average ``2^-(n-1) Σ_S marginal``.  Integer values
-    stay integers until the one division per target.
+    and its Banzhaf average ``2^-(n-1) Σ_S marginal``.  The weight table
+    is built once per call, and integer values stay integers until the
+    one division per target.
     """
     players = list(players)
     n = len(players)
@@ -68,8 +69,9 @@ def shapley_and_banzhaf(
         coalitions += [coalition | {player} for coalition in coalitions]
     values = [value(coalition) for coalition in coalitions]
     del coalitions  # the marginal loop reads only the bitmask-indexed table
-    accumulators = {target: ShapleyAccumulator(n) for target, _ in bits}
-    totals = dict.fromkeys(accumulators, 0)
+    weights, denominator = reduced_shapley_weights(n) if n else ([], 1)
+    shapley = dict.fromkeys((target for target, _ in bits), 0)
+    banzhaf = dict(shapley)
     for mask, base in enumerate(values):
         size = mask.bit_count()
         for target, bit in bits:
@@ -77,12 +79,12 @@ def shapley_and_banzhaf(
                 continue
             marginal = values[mask | bit] - base
             if marginal:
-                accumulators[target].add(size, marginal)
-                totals[target] += marginal
-    denominator = 2 ** max(n - 1, 0)
+                shapley[target] += weights[size] * marginal
+                banzhaf[target] += marginal
+    halves = 2 ** max(n - 1, 0)
     return (
-        {target: accumulators[target].value() for target in accumulators},
-        {target: Fraction(totals[target], denominator) for target in totals},
+        {player: Fraction(total, denominator) for player, total in shapley.items()},
+        {player: Fraction(total, halves) for player, total in banzhaf.items()},
     )
 
 

@@ -1,12 +1,12 @@
-"""Exact-integer kernels under the library's ``Fraction`` surface.
+"""The library's one exact-integer layer, under its ``Fraction`` surface.
 
 Every exact result in the stack — serial, sharded, daemon-served,
 delta-reused — bottoms out in two integer-arithmetic hot loops: count
-vector convolution (:func:`repro.util.combinatorics.convolve`) in the
-engine's forward pass, and correlation (:func:`correlate`, its adjoint)
-in the backward pass that turns Lemma 3.2 weight vectors into per-fact
-Shapley and Banzhaf numerators.  This module makes both fast while
-keeping the public rational API bit-identical:
+vector convolution (:func:`convolve`) in the engine's forward pass, and
+correlation (:func:`correlate`, its adjoint) in the backward pass that
+turns Lemma 3.2 weight vectors into per-fact Shapley and Banzhaf
+numerators.  This module makes both fast while keeping the public
+rational API bit-identical:
 
 * **Tiered convolution kernels.**  ``schoolbook`` is the classic
   O(n^2) multiply-add loop, unbeatable for short vectors; ``packed``
@@ -24,37 +24,37 @@ keeping the public rational API bit-identical:
   list pairwise in rounds instead of folding left, keeping operand
   sizes balanced — the shape under which the packed kernel's
   subquadratic multiply pays off most.
-* **Shared weight tables.**  :func:`factorial_cached`,
-  :func:`binomial_row` and :func:`shapley_weights` memoize the
-  factorials, binomial vectors and Shapley coalition weights that the
-  engine's assembly, the brute-force enumerations, and the generic game
-  solvers previously recomputed per call site;
-  :func:`reduced_shapley_weights` divides the weights and their ``n!``
-  by their common factor, which keeps the engine's backward pass on
-  integers of about ``1.44 n`` bits instead of ``log2 n!``.
+* **One weight table.**  :func:`reduced_shapley_weights` is the one
+  table of Shapley coalition weights, over their least common
+  denominator ``lcm(1..n)`` rather than ``n!``, which keeps the
+  engine's backward pass on integers of about ``1.44 n`` bits instead
+  of ``log2 n!``; :func:`binomial_row` is the free-fact count vector.
+  Both are built per call by exact recurrences, and nothing here is
+  memoized process-wide, so a long-lived process holds no table of a
+  player count it no longer serves.
 * **Deferred rational assembly.**  :class:`ShapleyAccumulator`
-  accumulates ``sum_k k!(n-k-1)! * marginal_k`` as one integer over the
-  common denominator ``n!`` and normalizes to a single ``Fraction`` at
-  the end — one gcd per fact instead of one per coalition size.
+  accumulates a player's weighted marginals as one integer over the
+  table's denominator and normalizes to a single ``Fraction`` at the
+  end — one gcd per player instead of one per coalition size.
   ``Fraction`` canonicalizes, so the result is bit-identical to the
-  historical per-size ``Fraction`` multiply-add.
+  per-size ``Fraction`` multiply-add.
 
 Every kernel is exact integer arithmetic; the Hypothesis suite
 (``tests/test_kernels.py``) asserts each one equals ``schoolbook`` on
-arbitrary vectors — including the negative entries
-:func:`repro.util.combinatorics.subtract_vectors` can produce — and that
-engine results are bit-identical across kernels, executors, and the
-daemon.  Per-tier counters of the convolutions that ran are
-process-wide (:func:`kernel_stats`); each engine folds its requests'
-deltas into ``engine.stats["kernel"]``, which the daemon's ``metrics``
-operation reports.
+arbitrary vectors — including the negative entries a difference of
+count vectors can hold — that the tables equal their
+``math.factorial`` and ``math.comb`` forms, and that engine results are
+bit-identical across kernels, executors, and the daemon.  Per-tier
+counters of the convolutions that ran are process-wide
+(:func:`kernel_stats`); each engine folds its requests' deltas into
+``engine.stats["kernel"]``, which the daemon's ``metrics`` operation
+reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -153,10 +153,9 @@ def convolve_packed(left: Sequence[int], right: Sequence[int]) -> list[int]:
     """The single-big-int kernel, exact for arbitrary (signed) integers.
 
     Count vectors are non-negative on every real engine path, so the
-    common case is one multiply.  Signed inputs (possible through the
-    public :func:`repro.util.combinatorics.convolve` on
-    ``subtract_vectors`` output) split into positive/negative parts —
-    four non-negative convolutions recombined exactly.
+    common case is one multiply.  Signed inputs (any caller may pass
+    them) split into positive/negative parts — four non-negative
+    convolutions recombined exactly.
     """
     if not left or not right:
         return []
@@ -264,92 +263,62 @@ def correlate(
 
 
 # ----------------------------------------------------------------------
-# Shared weight tables and deferred rational assembly
+# Weight tables and deferred rational assembly
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def factorial_cached(n: int) -> int:
-    """Memoized ``n!`` (the common Shapley denominator)."""
-    return factorial(n)
+def binomial_row(n: int) -> list[int]:
+    """``[C(n, 0), ..., C(n, n)]`` — the count vector of ``n`` free facts.
 
-
-@lru_cache(maxsize=4096)
-def binomial_row(n: int) -> tuple[int, ...]:
-    """Memoized ``(C(n, 0), ..., C(n, n))`` — the free-fact count vector.
-
-    Built by the exact step ``C(n, k + 1) = C(n, k) * (n - k) / (k + 1)``:
-    one small multiply and divide per entry instead of a ``comb`` each.
+    Built by the exact step ``C(n, k + 1) = C(n, k) * (n - k) / (k + 1)``
+    over the first half, which ``C(n, k) == C(n, n - k)`` mirrors: one
+    small multiply and divide per pair of entries instead of a ``comb``
+    each.
     """
     if n < 0:
         raise ValueError("binomial_row requires n >= 0")
     row = [1] * (n + 1)
-    for k in range(n):
-        row[k + 1] = row[k] * (n - k) // (k + 1)
-    return tuple(row)
+    for k in range(n // 2):
+        row[k + 1] = row[n - 1 - k] = row[k] * (n - k) // (k + 1)
+    return row
 
 
-@lru_cache(maxsize=2048)
-def shapley_weights(num_players: int) -> tuple[int, ...]:
-    """Integer Shapley weight numerators over the denominator ``n!``.
+def reduced_shapley_weights(num_players: int) -> tuple[list[int], int]:
+    """The Shapley coalition weights over their least common denominator.
 
-    ``shapley_weights(n)[k] == k! * (n - k - 1)!`` — the coalition
-    weight of size ``k`` times ``n!``, shared by every assembly loop in
-    the library (engine results, brute force, generic games).
-    """
-    if num_players <= 0:
-        raise ValueError("shapley_weights requires at least one player")
-    facts = [1] * num_players
-    for index in range(1, num_players):
-        facts[index] = facts[index - 1] * index
-    return tuple(
-        facts[k] * facts[num_players - 1 - k] for k in range(num_players)
-    )
-
-
-@lru_cache(maxsize=2048)
-def reduced_shapley_weights(num_players: int) -> tuple[tuple[int, ...], int]:
-    """:func:`shapley_weights` divided by their gcd, and ``n!`` divided by it.
-
-    The weights ``k!(n - 1 - k)!`` share the factor ``g = n! / lcm(1..n)``,
-    so ``w_k / g == lcm(1..n) / (n * C(n - 1, k))`` and ``n! / g ==
-    lcm(1..n)``: about ``1.44 n`` bits each instead of ``log2 n!``.
-    Every Shapley value is the same ``Fraction`` over either table.  The
-    table is built by the exact step ``w_{k+1} = w_k * (k + 1) / (n - 1 - k)``
-    (the ratio ``C(n - 1, k) / C(n - 1, k + 1)``), not a ``comb`` per entry.
+    Returns ``(w, L)`` with ``L = lcm(1..n)`` and ``w[k] / L ==
+    k!(n - 1 - k)! / n!``, the weight of a coalition of size ``k``.  The
+    weights ``k!(n - 1 - k)!`` share the factor ``n! / L``, so ``w[k] ==
+    L / (n * C(n - 1, k))``: about ``1.44 n`` bits each instead of
+    ``log2 n!``.  The table is built by the exact step ``w[k + 1] = w[k] *
+    (k + 1) / (n - 1 - k)`` (the ratio ``C(n - 1, k) / C(n - 1, k + 1)``)
+    over the first half, which ``w[k] == w[n - 1 - k]`` mirrors, not a
+    ``comb`` per entry.
     """
     if num_players <= 0:
         raise ValueError("reduced_shapley_weights requires at least one player")
+    last = num_players - 1
     common = lcm(*range(1, num_players + 1))
     weights = [common // num_players] * num_players
-    for k in range(num_players - 1):
-        weights[k + 1] = weights[k] * (k + 1) // (num_players - 1 - k)
-    return tuple(weights), common
-
-
-@lru_cache(maxsize=65536)
-def shapley_coefficient_cached(num_players: int, coalition_size: int) -> Fraction:
-    """Memoized ``k!(n-k-1)!/n!`` from the shared weight table."""
-    return Fraction(
-        shapley_weights(num_players)[coalition_size],
-        factorial_cached(num_players),
-    )
+    for k in range(last // 2):
+        weights[k + 1] = weights[last - 1 - k] = weights[k] * (k + 1) // (last - k)
+    return weights, common
 
 
 class ShapleyAccumulator:
     """Deferred Fraction assembly of one player's Shapley value.
 
-    Accumulates ``sum_k k!(n-k-1)! * marginal_k`` exactly — as a plain
-    integer while every marginal is an integer, promoting to ``Fraction``
-    only if a rational marginal arrives (generic games) — and divides by
-    ``n!`` once at the end.  ``Fraction`` canonicalizes, so the result
-    is bit-identical to the historical per-size ``Fraction``
-    multiply-add at a fraction of the gcd work.
+    Accumulates ``sum_k w[k] * marginal_k`` over the weights of
+    :func:`reduced_shapley_weights` exactly — as a plain integer while
+    every marginal is an integer, as a ``Fraction`` once a rational
+    marginal arrives (generic games) — and divides by their denominator
+    once at the end.  ``Fraction`` canonicalizes, so the result is
+    bit-identical to the per-size ``Fraction`` multiply-add of
+    ``k!(n-k-1)!/n!`` at a fraction of the gcd work.
     """
 
     __slots__ = ("_weights", "_denominator", "_total")
 
     def __init__(self, num_players: int) -> None:
-        self._weights = shapley_weights(num_players)
-        self._denominator = factorial_cached(num_players)
+        self._weights, self._denominator = reduced_shapley_weights(num_players)
         self._total: int | Fraction = 0
 
     def add(self, coalition_size: int, marginal: int | Fraction) -> None:
@@ -358,8 +327,6 @@ class ShapleyAccumulator:
 
     def value(self) -> Fraction:
         """The assembled Shapley value, normalized exactly once."""
-        if isinstance(self._total, Fraction):
-            return self._total / self._denominator
         return Fraction(self._total, self._denominator)
 
 
@@ -376,11 +343,8 @@ __all__ = [
     "convolve_packed",
     "convolve_schoolbook",
     "correlate",
-    "factorial_cached",
     "kernel_stats",
     "reduced_shapley_weights",
     "reset_kernel_stats",
-    "shapley_coefficient_cached",
-    "shapley_weights",
     "tier_for_sizes",
 ]

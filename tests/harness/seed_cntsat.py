@@ -66,13 +66,8 @@ from repro.shapley.brute_force import (
 )
 from repro.shapley.exact import shapley_from_counts
 from repro.shapley.exoshap import rewrite_to_hierarchical
-from repro.util.combinatorics import (
-    binomial_vector,
-    convolve,
-    convolve_many,
-    subtract_vectors,
-)
 from repro.util.graphs import key_groups
+from repro.util.kernels import binomial_row, convolve, convolve_many
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def count_satisfying_subsets(
     unused = sum(
         1 for item in database.endogenous if item.relation not in query_relations
     )
-    vector = convolve(_count(scope), binomial_vector(unused))
+    vector = convolve(_count(scope), binomial_row(unused))
     expected = len(database.endogenous) + 1
     assert len(vector) == expected, (len(vector), expected)
     return vector
@@ -146,7 +141,7 @@ def _count(scope: Sequence[_ScopedAtom]) -> list[int]:
     vectors = [
         _count_component(component) for component in _components(restricted)
     ]
-    vectors.append(binomial_vector(free))
+    vectors.append(binomial_row(free))
     return convolve_many(vectors)
 
 
@@ -204,10 +199,18 @@ def _count_component(component: list[_ScopedAtom]) -> list[int]:
             )
         sat = _count(slice_scope)
         unsat_vectors.append(
-            subtract_vectors(binomial_vector(slice_endogenous), sat)
+            _subtract(binomial_row(slice_endogenous), sat)
         )
     all_unsat = convolve_many(unsat_vectors)
-    return subtract_vectors(binomial_vector(total_endogenous), all_unsat)
+    return _subtract(binomial_row(total_endogenous), all_unsat)
+
+
+def _subtract(left: list[int], right: list[int]) -> list[int]:
+    """Element-wise ``left - right``, padding the shorter vector with zeros."""
+    return [
+        (left[k] if k < len(left) else 0) - (right[k] if k < len(right) else 0)
+        for k in range(max(len(left), len(right)))
+    ]
 
 
 def _count_ground(component: list[_ScopedAtom]) -> list[int]:

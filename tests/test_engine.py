@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -25,7 +26,6 @@ from repro.shapley.banzhaf import banzhaf_all_brute_force, banzhaf_all_values
 from repro.shapley.brute_force import shapley_all_brute_force
 from repro.shapley.exact import shapley_all_values
 from repro.shapley.exoshap import rewrite_to_hierarchical
-from repro.util.kernels import shapley_weights
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -39,6 +39,11 @@ from repro.workloads.running_example import (
 )
 
 
+def _weights(n):
+    """The Shapley coalition weights ``k!(n - 1 - k)!`` over ``n!``."""
+    return [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+
+
 def _reference_numerators(db, q, f):
     """Seed-path ``(Shapley · n!, Banzhaf · 2^(n-1))`` numerators of ``f``.
 
@@ -46,7 +51,7 @@ def _reference_numerators(db, q, f):
     """
     sat_exo = count_satisfying_subsets(db.with_fact_exogenous(f), q)
     sat_del = count_satisfying_subsets(db.without_fact(f), q)
-    weights = shapley_weights(len(db.endogenous))
+    weights = _weights(len(db.endogenous))
     differences = [a - b for a, b in zip(sat_exo, sat_del)]
     return sum(w * d for w, d in zip(weights, differences)), sum(differences)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -46,7 +47,6 @@ from repro.shapley.answers import (
 )
 from repro.shapley.banzhaf import banzhaf_all_brute_force
 from repro.shapley.brute_force import shapley_all_brute_force, shapley_brute_force
-from repro.util.kernels import shapley_weights
 from repro.workloads.generators import random_delta, star_join_database
 from repro.workloads.running_example import figure_1_database
 
@@ -222,6 +222,11 @@ class TestAnswerHelpers:
         assert shapley_for_answer(db, q, (1, 2), fact("R", 1)) == 0
 
 
+def _weights(n):
+    """The Shapley coalition weights ``k!(n - 1 - k)!`` over ``n!``."""
+    return [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+
+
 class TestWithWithoutSharing:
     def test_numerators_follow_the_partition_identity(self):
         # Sat(k+1) = Sat^{+f}(k) + Sat^{-f}(k+1) turns each measure into a
@@ -234,7 +239,7 @@ class TestWithWithoutSharing:
         q = parse_query("q() :- R(x), S(x, y)")
         vectors = batch_count_vectors(db, q, LRUCache(16))
         m = vectors.total_players
-        weights = shapley_weights(m)
+        weights = _weights(m)
         numerators = fact_numerators(vectors)
         assert set(numerators) == set(db.endogenous) - vectors.zero_facts
         for item, (shapley, banzhaf) in numerators.items():

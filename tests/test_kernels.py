@@ -4,7 +4,7 @@ The headline contracts (ISSUE 8):
 
 * ``convolve_packed`` equals
   ``convolve_schoolbook`` on arbitrary vectors — including the negative
-  entries ``subtract_vectors`` can produce, empty vectors, and length-1
+  entries an UNSAT vector difference can hold, empty vectors, and length-1
   edge cases — and the tiered :func:`repro.util.kernels.convolve` front
   door equals it with ``PACK_THRESHOLD`` patched to ``0`` (every call
   packed), to ``math.inf`` (every call schoolbook) and left alone;
@@ -12,12 +12,14 @@ The headline contracts (ISSUE 8):
   runs on — equals the naive ``sum_j c[i + j] * r[j]`` on signed,
   empty, singleton and boundary-length inputs;
 * ``binomial_row`` and ``reduced_shapley_weights``, built by exact
-  integer recurrences, equal their ``comb`` closed forms;
+  integer recurrences, equal their ``comb`` closed forms, the weight
+  table equals ``k!(n-k-1)!/n!`` as ``math.factorial`` gives it, and no
+  function of the layer is memoized process-wide;
 * ``convolve_many``'s balanced product tree is bit-identical to the
   sequential left fold, with the historical semantics at the edges
   (empty product ``[1]``, any empty factor nulls to ``[]``);
 * :class:`ShapleyAccumulator` reproduces the per-size
-  ``shapley_coefficient`` multiply-add bit for bit, for integer and
+  ``k!(n-k-1)!/n!`` multiply-add bit for bit, for integer and
   ``Fraction`` marginals alike;
 * engine results are bit-identical across kernels and executors: the
   schoolbook-forced serial reference vs packed-forced serial, the size
@@ -48,17 +50,11 @@ from repro.engine import (
     batch_count_vectors,
 )
 from repro.core.parser import parse_query
+from repro.engine.bundles import _subtract_vectors
 from repro.engine.results import fact_numerators, result_from_vectors
 from repro.obs.counters import Counters
 from repro.server import AttributionClient
 from repro.util import kernels
-from repro.util.combinatorics import (
-    binomial_vector,
-    convolve,
-    convolve_many,
-    shapley_coefficient,
-    subtract_vectors,
-)
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -107,7 +103,7 @@ class TestPackedKernel:
             assert kernel([-2], [7, -1]) == [-14, 2]
 
     def test_subtract_vectors_output_is_convolvable(self):
-        unsat = subtract_vectors(binomial_vector(12), [0] * 5 + [1] * 8)
+        unsat = _subtract_vectors(kernels.binomial_row(12), [0] * 5 + [1] * 8)
         reference = kernels.convolve_schoolbook(unsat, unsat)
         assert kernels.convolve_packed(unsat, unsat) == reference
 
@@ -157,18 +153,29 @@ class TestProductTree:
         assert kernels.convolve_many(factors) == folded
 
     def test_edge_semantics_match_the_historical_fold(self):
-        assert convolve_many([]) == [1]
-        assert convolve_many([[2, 1]]) == [2, 1]
-        assert convolve_many([[1, 1], [], [1, 1]]) == []
-        assert convolve_many([[1, 1]] * 3) == [1, 3, 3, 1]
+        assert kernels.convolve_many([]) == [1]
+        assert kernels.convolve_many([[2, 1]]) == [2, 1]
+        assert kernels.convolve_many([[1, 1], [], [1, 1]]) == []
+        assert kernels.convolve_many([[1, 1]] * 3) == [1, 3, 3, 1]
 
-    def test_facade_routes_through_the_kernel_layer(self):
+    def test_bundles_route_every_product_through_the_kernel_module(self):
+        # The engine looks ``kernels.convolve`` up at each call, so a patch
+        # of it (as the layer recorder installs) sees every product that
+        # the tier counters count.
+        calls = []
+        original = kernels.convolve
+
+        def counted(left, right):
+            calls.append(1)
+            return original(left, right)
+
+        database = star_join_database(6, 3, rng=random.Random(3))
         kernels.reset_kernel_stats()
-        convolve_many([[1, 1], [1, 2], [1, 3]])
-        convolve([1, 1], [1, 1])
+        with mock.patch.object(kernels, "convolve", counted):
+            batch_count_vectors(database, query_q1())
         stats = kernels.kernel_stats()
-        assert stats.tree_products == 1
-        assert stats.schoolbook_calls >= 3
+        assert stats.tree_products >= 1
+        assert len(calls) == stats.schoolbook_calls + stats.packed_calls > 0
 
 
 def _naive_correlate(coefficients, kernel, out_len):
@@ -225,30 +232,30 @@ class TestCorrelate:
             kernels.correlate([1], [1], -1)
 
 
+def _factorial_weight(n, k):
+    """The Shapley coalition weight ``k!(n-k-1)!/n!`` from ``math.factorial``."""
+    return Fraction(factorial(k) * factorial(n - 1 - k), factorial(n))
+
+
 class TestWeightTables:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=200))
+    @given(st.integers(min_value=1, max_value=60))
     def test_weights_are_the_lemma_32_numerators(self, n):
-        weights = kernels.shapley_weights(n)
+        weights, denominator = kernels.reduced_shapley_weights(n)
         assert len(weights) == n
-        for k in (0, n // 2, n - 1):
-            assert weights[k] == factorial(k) * factorial(n - 1 - k)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=120))
-    def test_cached_coefficient_matches_the_closed_form(self, n):
-        for k in (0, n // 2, n - 1):
-            assert shapley_coefficient(n, k) == Fraction(
-                factorial(k) * factorial(n - 1 - k), factorial(n)
-            )
+        assert denominator == lcm(*range(1, n + 1))
+        scale = factorial(n) // denominator
+        for k in range(n):
+            assert weights[k] * scale == factorial(k) * factorial(n - 1 - k)
+            assert Fraction(weights[k], denominator) == _factorial_weight(n, k)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
     def test_reduced_weights_divide_out_the_gcd(self, n):
-        weights = kernels.shapley_weights(n)
+        weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
         reduced, denominator = kernels.reduced_shapley_weights(n)
         common = reduce(gcd, weights)
-        assert list(reduced) == [weight // common for weight in weights]
+        assert reduced == [weight // common for weight in weights]
         assert reduce(gcd, reduced) == 1
         assert denominator * common == factorial(n)
 
@@ -280,11 +287,11 @@ class TestWeightTables:
 
     @staticmethod
     def _assert_tables_equal_the_comb_forms(n):
-        assert kernels.binomial_row(n) == tuple(comb(n, k) for k in range(n + 1))
+        assert kernels.binomial_row(n) == [comb(n, k) for k in range(n + 1)]
         if n:
             common = lcm(*range(1, n + 1))
             assert kernels.reduced_shapley_weights(n) == (
-                tuple(common // (n * comb(n - 1, k)) for k in range(n)),
+                [common // (n * comb(n - 1, k)) for k in range(n)],
                 common,
             )
 
@@ -296,18 +303,22 @@ class TestWeightTables:
     def test_recurrences_equal_the_comb_forms_at_large_n(self, n):
         self._assert_tables_equal_the_comb_forms(n)
 
-    def test_binomial_row_matches_binomial_vector(self):
-        for n in range(0, 30):
-            assert binomial_vector(n) == list(kernels.binomial_row(n))
-
-    def test_binomial_vector_returns_a_fresh_mutable_list(self):
-        first = binomial_vector(7)
-        first[0] = 999
-        assert binomial_vector(7)[0] == 1
+    def test_no_kernel_function_is_memoized(self):
+        # A process-wide table memo would hold one row and one weight
+        # table per player count a long-lived process ever served.
+        memoized = [
+            name
+            for name, value in vars(kernels).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert memoized == []
+        row = kernels.binomial_row(7)
+        row[0] = 999
+        assert kernels.binomial_row(7)[0] == 1
 
     @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=60),
         st.data(),
     )
     def test_accumulator_equals_per_size_fraction_sum(self, n, data):
@@ -324,7 +335,7 @@ class TestWeightTables:
         reference = Fraction(0)
         for size, marginal in marginals:
             accumulator.add(size, marginal)
-            reference += shapley_coefficient(n, size) * marginal
+            reference += _factorial_weight(n, size) * marginal
         assert accumulator.value() == reference
 
     def test_accumulator_promotes_on_fraction_marginals(self):
@@ -333,9 +344,9 @@ class TestWeightTables:
         accumulator.add(1, Fraction(1, 2))
         accumulator.add(2, -2)
         expected = (
-            shapley_coefficient(3, 0)
-            + shapley_coefficient(3, 1) * Fraction(1, 2)
-            - 2 * shapley_coefficient(3, 2)
+            _factorial_weight(3, 0)
+            + _factorial_weight(3, 1) * Fraction(1, 2)
+            - 2 * _factorial_weight(3, 2)
         )
         assert accumulator.value() == expected
         assert isinstance(accumulator.value(), Fraction)

@@ -8,6 +8,7 @@ generated instances.
 
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,6 @@ from repro.shapley.brute_force import (
 )
 from repro.shapley.exact import shapley_hierarchical
 from repro.shapley.games import shapley_by_permutations, shapley_by_subsets
-from repro.util.combinatorics import binomial
 from repro.workloads.generators import (
     random_database_for_query,
     random_hierarchical_query,
@@ -110,7 +110,7 @@ def test_counts_bounded_by_binomial(raw):
     counts = count_satisfying_subsets(db, Q_HIER)
     n = len(db.endogenous)
     for k, count in enumerate(counts):
-        assert 0 <= count <= binomial(n, k)
+        assert 0 <= count <= comb(n, k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -188,7 +188,8 @@ class TestNoOpUpdates:
 
 class TestVersionChainEviction:
     def test_registry_trims_chains_to_bound(self):
-        registry = DatabaseRegistry(max_versions=2)
+        registry = DatabaseRegistry()
+        registry.MAX_VERSIONS = 2
         database = Database(endogenous=[fact("R", 0)])
         handles = [registry.load(database)]
         for index in range(1, 5):
@@ -197,7 +198,7 @@ class TestVersionChainEviction:
             )
             handle, _, database = registry.update(handles[-1], delta)
             handles.append(handle)
-        # Only the newest max_versions versions of the lineage survive.
+        # Only the newest MAX_VERSIONS versions of the lineage survive.
         for stale in handles[:-2]:
             with pytest.raises(UnknownHandleError):
                 registry.get(stale)
@@ -206,7 +207,8 @@ class TestVersionChainEviction:
         assert registry.counters()["evictions"] >= len(handles) - 2
 
     def test_lru_eviction_also_drops_chain_links(self):
-        registry = DatabaseRegistry(max_databases=2, max_versions=8)
+        registry = DatabaseRegistry()
+        registry.MAX_DATABASES = 2
         base = Database(endogenous=[fact("R", 0)])
         handle = registry.load(base)
         handle2, _, _ = registry.update(
@@ -224,7 +226,8 @@ class TestVersionChainEviction:
         # Updating past the chain bound stales the client's cached handle
         # for the *base* database object; the next call re-uploads it.
         db = figure_1_database()
-        registry = DatabaseRegistry(max_versions=1)
+        registry = DatabaseRegistry()
+        registry.MAX_VERSIONS = 1
         with running_daemon(tmp_path, registry=registry) as daemon:
             with AttributionClient(daemon.address) as client:
                 client.batch(db, Q1)  # the client holds db's version
@@ -244,7 +247,8 @@ class TestVersionChainEviction:
 
     def test_explicit_stale_version_handle_still_raises(self, tmp_path):
         db = figure_1_database()
-        registry = DatabaseRegistry(max_versions=1)
+        registry = DatabaseRegistry()
+        registry.MAX_VERSIONS = 1
         with running_daemon(tmp_path, registry=registry) as daemon:
             with AttributionClient(daemon.address) as client:
                 base = client.load_database(db)
