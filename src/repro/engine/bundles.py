@@ -11,7 +11,7 @@ pass over it.
   (variable-connected components of the Gaifman graph, which touch
   disjoint fact sets) convolve their children's vectors and the free
   facts' binomial row; OR steps (slices of a component by its root
-  variable's value) convolve the slices' UNSAT vectors; ground
+  variable's value) convolve the slices' UNSAT vectors; single-atom
   components are the base case.  Each :class:`CountBundle` records its
   step and its children — the *tape* — next to its vector.
 
@@ -27,8 +27,8 @@ pass over it.
   the other factors, an OR step maps it to ``remaining - (players - d) *
   rest``.  The adjoint of convolving with ``rest`` is correlating with it
   (:func:`repro.util.kernels.correlate`), so :func:`pull_back` carries
-  ``c`` down the tape once, child by child, and finishes every fact with
-  a dot product against its tiny ground-level deletion vector.  No
+  ``c`` down the tape once, child by child, and finishes every leaf with
+  one dot product against the deletion vector its facts share.  No
   length-``n`` vector is ever built per fact.
 
 * **Bucketed slices.**  An OR step buckets its facts by root value once
@@ -38,9 +38,12 @@ pass over it.
   bucket keeps them matching the substituted atoms — so a slice frees
   no fact, and how it splits into components depends only on the
   atoms: one memoized *slice layout* per component lists the groups.
-  A ground group is a single atom, and in a self-join-free query its
-  facts are at most one, so its entry is closed-form; every other group
-  is substituted and looked up in the bundle cache.
+  A group of one atom is a closed-form leaf (:func:`_atom_step`): the
+  atom holds exactly when one of its facts is present, so its vector
+  follows from whether it is negated, whether it has an exogenous fact
+  and its endogenous fact count ``k``, and all ``k`` facts share one
+  deletion vector.  Every other group is substituted and looked up in
+  the bundle cache.
 
 * **Short outputs.**  A child owning ``s`` facts only needs the first
   ``s`` entries of its cotangent.  At an OR step with many slices the
@@ -124,7 +127,7 @@ class _Scoped:
 #: :attr:`CountBundle.kind` of the three CntSat steps.
 AND = "and"
 OR = "or"
-GROUND = "ground"
+ATOM = "atom"
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,12 @@ class CountBundle:
     produced it and ``parts`` that step's inputs: the child bundles of an
     :data:`AND` step (components; the other ``owned - sum(child.owned)``
     facts are free) or an :data:`OR` step (root-variable slices), and for
-    a :data:`GROUND` component the ``(fact, deletion vector)`` pairs of
-    its owned facts.  Facts in ``zero`` provably have ``Sat^{+f} ==
-    Sat^{-f}`` (their Shapley and Banzhaf values vanish); every other
-    owned fact is reached by exactly one path down the tape.  A bundle
-    without such a fact is never descended into and has no ``parts``.
+    an :data:`ATOM` leaf the pair ``(deletion vector, facts)``: all its
+    owned facts share one deletion vector.  Facts in ``zero`` provably
+    have ``Sat^{+f} == Sat^{-f}`` (their Shapley and Banzhaf values
+    vanish); every other owned fact is reached by exactly one path down
+    the tape.  A bundle without such a fact is never descended into and
+    has no ``parts``.
 
     ``shape`` is a process-stable digest of everything the backward pass
     reads below this entry (:func:`_shape`): two bundles with equal
@@ -160,10 +164,11 @@ class CountBundle:
         return self.owned > len(self.zero)
 
 
-# The first AND/OR entry of each (kind, child shapes) key in one forward
-# pass (:func:`_shared_step`).  Each pass makes its own: engine work runs
-# on daemon threads, and a cold engine must stay cold.
-StepMemo = dict[tuple[str, tuple[bytes, ...]], CountBundle]
+# The first entry of each (kind, child shapes) key in one forward pass
+# (:func:`_shared_step`), and of each (ATOM, (negated, exogenous, k)) key
+# (:func:`_atom_step`).  Each pass makes its own: engine work runs on
+# daemon threads, and a cold engine must stay cold.
+StepMemo = dict[tuple[str, tuple], CountBundle]
 
 #: The empty fact set every bundle without zero facts shares.
 _NO_FACTS: frozenset[Fact] = frozenset()
@@ -195,13 +200,13 @@ def _shape(
     It covers the step, its counts and vector, the child shapes — in
     order for an AND step, whose children follow the query's atom order,
     and sorted for an OR step, whose slices are ordered by the ``repr``
-    of a constant, a naming accident — and a ground entry's deletion
-    vectors in order.  Flat integer tuples pickle to canonical bytes.
+    of a constant, a naming accident — and a leaf's one shared deletion
+    vector.  Flat integer tuples pickle to canonical bytes.
     """
     digest = blake2b(pickle.dumps((kind, owned, zero, sat)), digest_size=16)
-    if kind == GROUND:
-        for _, deletion in parts:
-            digest.update(pickle.dumps(deletion))
+    if kind == ATOM:
+        if parts:
+            digest.update(pickle.dumps(parts[0]))
     else:
         shapes = [child.shape for child in parts]
         digest.update(b"".join(sorted(shapes) if kind == OR else shapes))
@@ -286,11 +291,17 @@ def _bundle_component(
     cache: BundleCache,
     memo: StepMemo,
 ) -> CountBundle:
-    """A non-ground component's OR step, memoized under its fingerprint."""
-    return cache.get_or_compute(
-        _component_key(atoms, exogenous, endogenous),
-        lambda: _bundle_component_fresh(atoms, exogenous, endogenous, cache, memo),
-    )
+    """A non-ground component's entry, memoized under its fingerprint.
+
+    A single atom is a leaf in closed form; more atoms are an OR step.
+    """
+
+    def compute() -> CountBundle:
+        if len(atoms) == 1:
+            return _atom_step(atoms[0].negated, exogenous[0], endogenous[0], memo)
+        return _bundle_component_fresh(atoms, exogenous, endogenous, cache, memo)
+
+    return cache.get_or_compute(_component_key(atoms, exogenous, endogenous), compute)
 
 
 @lru_cache(maxsize=1024)
@@ -304,8 +315,8 @@ def _slice_layout(
     the same variable from every atom whatever the value, so the
     slices' variable-connected components are the same atom-index
     ``groups`` for every value, in :func:`~repro.util.graphs.key_groups`
-    order; each is flagged ground when none of its atoms has another
-    variable (a ground group is then a single atom).
+    order; each is flagged when it is a single atom, a leaf of
+    :func:`_atom_step`.
     """
     roots = frozenset.intersection(*(atom.variables for atom in atoms))
     if not roots:
@@ -315,9 +326,7 @@ def _slice_layout(
         )
     root = min(roots, key=lambda var: var.name)
     rest = [atom.variables - {root} for atom in atoms]
-    groups = tuple(
-        (not any(rest[i] for i in group), tuple(group)) for group in key_groups(rest)
-    )
+    groups = tuple((len(group) == 1, tuple(group)) for group in key_groups(rest))
     return root, tuple(atom.terms.index(root) for atom in atoms), groups
 
 
@@ -350,14 +359,15 @@ def _bundle_component_fresh(
     slice_bundles: list[CountBundle] = []
     for value in sorted(candidates, key=repr):
         children: list[CountBundle] = []
-        for ground, group in groups:
-            if ground:
+        for single, group in groups:
+            if single:
                 (i,) = group
                 children.append(
-                    _ground_step(
+                    _atom_step(
                         atoms[i].negated,
                         exo_buckets[i].get(value, ()),
                         endo_buckets[i].get(value, ()),
+                        memo,
                     )
                 )
             else:
@@ -442,42 +452,59 @@ def _subtract_vectors(left: Sequence[int], right: Sequence[int]) -> list[int]:
     ]
 
 
-#: The entry of a ground atom that owns no fact, by ``(negated, exogenous)``.
-_GROUND_EMPTY = {
-    (negated, exogenous): _step(0, (int(exogenous != negated),), set(), GROUND, ())
-    for negated in (False, True)
-    for exogenous in (False, True)
-}
-#: The entry of a ground atom whose fact is endogenous, by ``negated``, with
-#: ``None`` in place of the fact: deleted, it fails a positive atom and
-#: leaves a negated one holding.
-_GROUND_OWNED = {
-    negated: _step(
-        1, (1, 0) if negated else (0, 1), set(), GROUND, ((None, (int(negated),)),)
-    )
-    for negated in (False, True)
-}
-
-
-def _ground_step(
-    negated: bool, exogenous: Collection[Fact], endogenous: Collection[Fact]
+def _atom_step(
+    negated: bool,
+    exogenous: Collection[Fact],
+    endogenous: Collection[Fact],
+    memo: StepMemo,
 ) -> CountBundle:
-    """Ground step, in closed form.
+    """A single-atom component, in closed form.
 
-    In a self-join-free query every fact a ground atom keeps equals the
-    atom's own fact, so it keeps at most one, either exogenous or
-    endogenous.  An atom without an endogenous fact holds in every
-    subset or in none; an endogenous fact is the only player and decides
-    it, and its deletion vector is the atom without it.
+    Every fact reaching the atom matches it, so the atom holds exactly
+    when one of them is present.  With ``k`` endogenous facts:
+
+    * positive, with an exogenous fact: it always holds, ``sat = C(k, .)``,
+      and every fact is a zero fact;
+    * positive, without: ``sat = C(k, .)`` but ``sat[0] = 0``, and every
+      fact's deletion vector is ``C(k - 1, .)`` with entry ``0`` set to 0;
+    * negated, with an exogenous fact: ``sat`` is all zeros, and every
+      fact is a zero fact;
+    * negated, without: ``sat = (1, 0, ..., 0)``, and every fact's
+      deletion vector is ``(1, 0, ..., 0)`` of length ``k``.
+
+    The entry depends on the facts only through ``k``, so the first leaf
+    of each ``(negated, exogenous, k)`` in the pass is built and hashed,
+    and the later ones reuse its vectors and shape with their own facts.
     """
-    if not endogenous:
-        return _GROUND_EMPTY[negated, bool(exogenous)]
-    (item,) = endogenous
-    template = _GROUND_OWNED[negated]
-    ((_, deletion),) = template.parts
-    return CountBundle(
-        1, template.sat, _NO_FACTS, GROUND, ((item, deletion),), template.shape
-    )
+    facts = tuple(endogenous)
+    key = (ATOM, (negated, bool(exogenous), len(facts)))
+    known = memo.get(key)
+    if known is None:
+        known = memo[key] = _atom_entry(negated, bool(exogenous), facts)
+        return known
+    if not facts:
+        return known
+    if known.live:
+        zero, parts = _NO_FACTS, (known.parts[0], facts)
+    else:
+        zero, parts = frozenset(facts), ()
+    return CountBundle(known.owned, known.sat, zero, ATOM, parts, known.shape)
+
+
+def _atom_entry(
+    negated: bool, exogenous: bool, facts: tuple[Fact, ...]
+) -> CountBundle:
+    """The leaf :func:`_atom_step` describes, built and hashed."""
+    k = len(facts)
+    if exogenous:
+        sat = [0] * (k + 1) if negated else kernels.binomial_row(k)
+        return _step(k, sat, set(facts), ATOM, ())
+    if negated:
+        sat, deletion = [1] + [0] * k, [1] + [0] * (k - 1)
+    else:
+        sat, deletion = kernels.binomial_row(k), kernels.binomial_row(max(k - 1, 0))
+        sat[0] = deletion[0] = 0
+    return _step(k, sat, set(), ATOM, (tuple(deletion), facts))
 
 
 def _initial_scope(database: Database, query: ConjunctiveQuery) -> list[_Scoped]:
@@ -510,9 +537,10 @@ def top_level_components(
     exact subproblems :func:`batch_count_vectors` will look up in its
     bundle cache, under the exact keys it will use (both sides go through
     :func:`_restricted_components` and :func:`_component_key`).  The
-    planner turns each pair into one bundle node of the work DAG; ground
-    components are omitted because the recursion computes them inline
-    instead of fingerprinting them.
+    planner turns each pair into one bundle node of the work DAG, a
+    single-atom leaf included, so a delta that leaves it alone reuses
+    it; ground components are omitted because the recursion computes
+    them inline instead of fingerprinting them.
     """
     query = query.as_boolean()
     components, _ = _restricted_components(_initial_scope(database, query))
@@ -551,7 +579,9 @@ def _bundle_top(
     if not any(scoped.atom.variables for scoped in component):
         # Ground components are cheaper to compute than to fingerprint.
         (scoped,) = component
-        return _ground_step(scoped.atom.negated, scoped.exogenous, scoped.endogenous)
+        return _atom_step(
+            scoped.atom.negated, scoped.exogenous, scoped.endogenous, memo
+        )
     return _bundle_component(
         tuple(scoped.atom for scoped in component),
         [scoped.exogenous for scoped in component],
@@ -658,9 +688,10 @@ def _pull_back(
     fact's deletion vector over the bundle's other ``owned - 1`` facts,
     and every ``g`` has length ``owned``.
     """
-    if bundle.kind == GROUND:
-        for item, deletion in bundle.parts:
-            out[item] = [o + _dot(g, deletion) for g, o in zip(cotangents, offsets)]
+    if bundle.kind == ATOM:
+        deletion, facts = bundle.parts
+        numerators = [o + _dot(g, deletion) for g, o in zip(cotangents, offsets)]
+        out.update(dict.fromkeys(facts, numerators))
     elif bundle.kind == AND:
         _pull_back_and(bundle, cotangents, offsets, out)
     else:
@@ -785,14 +816,13 @@ def _power(vector: list[int], exponent: int) -> list[int]:
 def _live_facts(bundle: CountBundle) -> Iterator[Fact]:
     """The live facts below ``bundle`` in shape order.
 
-    Ground entries keep their order, AND children the query's atom order
-    and OR slices are taken sorted by shape — the orders :func:`_shape`
-    hashes — so two bundles of one shape list their facts with equal
-    numerators at equal positions.
+    A leaf's facts all have one numerator, AND children are taken in the
+    query's atom order and OR slices sorted by shape — the orders
+    :func:`_shape` hashes — so two bundles of one shape list their facts
+    with equal numerators at equal positions.
     """
-    if bundle.kind == GROUND:
-        for item, _ in bundle.parts:
-            yield item
+    if bundle.kind == ATOM:
+        yield from bundle.parts[1]
         return
     children = bundle.parts
     if bundle.kind == OR:

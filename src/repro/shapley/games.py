@@ -60,9 +60,10 @@ def shapley_and_banzhaf(
     """
     players = list(players)
     n = len(players)
+    # A target listed twice is one player: deduplicate, keeping order.
     bits = [
         (target, 1 << players.index(target))  # ValueError for a non-player
-        for target in (players if targets is None else targets)
+        for target in dict.fromkeys(players if targets is None else targets)
     ]
     coalitions = [frozenset()]
     for player in players:

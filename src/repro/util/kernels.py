@@ -54,7 +54,8 @@ reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import isqrt, prod
 from operator import mul
 from typing import Sequence
 
@@ -296,11 +297,33 @@ def reduced_shapley_weights(num_players: int) -> tuple[list[int], int]:
     if num_players <= 0:
         raise ValueError("reduced_shapley_weights requires at least one player")
     last = num_players - 1
-    common = lcm(*range(1, num_players + 1))
+    common = _lcm_through(num_players)
     weights = [common // num_players] * num_players
     for k in range(last // 2):
         weights[k + 1] = weights[last - 1 - k] = weights[k] * (k + 1) // (last - k)
     return weights, common
+
+
+def _lcm_through(n: int) -> int:
+    """``lcm(1..n)``: the product of ``p^floor(log_p n)`` over primes ``p <= n``.
+
+    A sieve finds the primes.  Every prime enters once, in one C-level
+    product, and each one up to ``sqrt(n)`` is then raised to its largest
+    power ``<= n``.  This skips the pairwise gcds of ``math.lcm`` over
+    the whole range, each against the growing result.
+    """
+    sieve = bytearray([0, 0]) + bytearray([1]) * max(n - 1, 0)
+    root = isqrt(n)
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    common = prod(compress(range(n + 1), sieve))
+    for p in compress(range(root + 1), sieve):
+        power = p
+        while power * p <= n:
+            power *= p
+        common *= power // p
+    return common
 
 
 class ShapleyAccumulator:

@@ -269,15 +269,24 @@ class TestCacheAccounting:
         stats = engine.stats["components"]
         assert stats.misses > 0
 
-    def test_overlapping_requests_share_components(self, running_example_db, q1):
-        # Deleting one student's fact only perturbs that student's slice;
-        # every other per-student component is served from the cache.
+    def test_overlapping_requests_share_components(self):
+        # Every slice of x holds the two-atom component S(s, y), T(s, y, z),
+        # which the bundle cache keys.  Deleting one fact of slice a only
+        # perturbs that slice: the other slices' components are served
+        # from the cache.
+        query = parse_query("q() :- R(x), S(x, y), T(x, y, z)")
+        database = Database()
+        for s in ("a", "b", "c"):
+            database.add_exogenous(fact("R", s))
+            database.add_endogenous(fact("S", s, "p"))
+            database.add_endogenous(fact("T", s, "p", "u"))
+            database.add_endogenous(fact("T", s, "p", "v"))
         engine = BatchAttributionEngine()
-        engine.batch(running_example_db, q1)
+        engine.batch(database, query)
         before = engine.stats["components"].hits
-        edited = running_example_db.without_fact(fact("TA", "David"))
-        engine.batch(edited, q1)
-        assert engine.stats["components"].hits > before
+        edited = database.without_fact(fact("T", "a", "p", "v"))
+        engine.batch(edited, query)
+        assert engine.stats["components"].hits >= before + 2
 
     def test_edited_database_is_a_different_key(self, running_example_db, q1):
         engine = BatchAttributionEngine()

@@ -9,6 +9,9 @@ nothing but cost:
   constant, and a digest of warm facts equals the reference encoder's;
 * a warm fact equals, hashes like and pickles to the same bytes as a
   cold one, and unpickles cold;
+* a fact keeps its hash, but a pickle does not carry it: facts pickled
+  under one hash seed are found in the sets and dicts of a process with
+  another;
 * a successor version's handle renders only the facts its delta added;
 * facts whose reprs tie are ordered by their type-tagged text, so a
   handle is the same under every hash seed;
@@ -143,6 +146,58 @@ class TestInvisibleCache:
         assert clone == warm
         assert not hasattr(clone, "_text") and not hasattr(clone, "_rendered")
         assert repr(clone) == repr(warm) and _render(clone) == _render(warm)
+
+
+#: Facts with string, integer and ``None`` constants, as literals.
+HASHED_FACTS = """[
+    Fact("R", ("a", 1)), Fact("S", ("b",)), Fact("Reg", ("Adam", "OS", None)),
+]"""
+
+PICKLE_FACTS_SCRIPT = f"""
+import pickle, sys
+from repro.core.facts import Fact
+
+facts = {HASHED_FACTS}
+sys.stdout.buffer.write(pickle.dumps((facts, set(facts), dict.fromkeys(facts, 1))))
+"""
+
+FIND_FACTS_SCRIPT = f"""
+import pickle, sys
+from repro.core.facts import Fact
+
+shipped, shipped_set, shipped_dict = pickle.loads(sys.stdin.buffer.read())
+facts = {HASHED_FACTS}
+assert [hash(item) for item in shipped] == [hash(item) for item in facts]
+assert all(item in set(facts) for item in shipped)
+assert all(dict.fromkeys(facts, 1)[item] == 1 for item in shipped)
+assert all(item in shipped_set and shipped_dict[item] == 1 for item in facts)
+print(hash(facts[0]))
+"""
+
+
+class TestPickledHashes:
+    """Run by the sharded CI job too, under spawn and fork."""
+
+    def _run(self, script: str, seed: int, payload: bytes = b"") -> bytes:
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            input=payload,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": str(seed)},
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+        return completed.stdout
+
+    def test_facts_pickled_under_one_seed_are_found_under_another(self):
+        payload = self._run(PICKLE_FACTS_SCRIPT, 1)
+        hashes = {self._run(FIND_FACTS_SCRIPT, seed, payload) for seed in (2, 3)}
+        # The seeds hash R(a, 1) apart, so a carried hash would be stale.
+        assert len(hashes) == 2
+
+    def test_a_fact_keeps_the_hash_of_its_fields(self):
+        item = Fact("R", ["a", 1])
+        assert hash(item) == hash(("R", ("a", 1)))
+        assert hash(pickle.loads(pickle.dumps(item))) == hash(item)
 
 
 class TestSuccessorRendersItsDelta:

@@ -9,6 +9,7 @@ from repro.shapley.games import (
     efficiency_gap,
     permutation_marginals,
     shapley_all,
+    shapley_and_banzhaf,
     shapley_by_permutations,
     shapley_by_subsets,
 )
@@ -81,6 +82,12 @@ class TestShapleyAll:
 
     def test_empty_game(self):
         assert shapley_all([], lambda s: 0) == {}
+
+    def test_repeated_target_counts_once(self):
+        value = unanimity_game(frozenset({"a"}))
+        shapley, banzhaf = shapley_and_banzhaf(["a", "b"], value, ["a", "a"])
+        assert shapley == {"a": 1}
+        assert banzhaf == {"a": 1}
 
 
 class TestBanzhaf:

@@ -303,6 +303,10 @@ class TestWeightTables:
     def test_recurrences_equal_the_comb_forms_at_large_n(self, n):
         self._assert_tables_equal_the_comb_forms(n)
 
+    def test_lcm_through_equals_math_lcm_up_to_400(self):
+        for n in range(401):
+            assert kernels._lcm_through(n) == math.lcm(*range(1, n + 1)), n
+
     def test_no_kernel_function_is_memoized(self):
         # A process-wide table memo would hold one row and one weight
         # table per player count a long-lived process ever served.

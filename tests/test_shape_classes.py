@@ -38,7 +38,7 @@ from repro.engine import (
     bundle_for_component,
 )
 from repro.engine import bundles
-from repro.engine.bundles import GROUND, OR, _live_facts
+from repro.engine.bundles import ATOM, OR, _live_facts
 from repro.engine.cache import LRUCache
 from repro.engine.plan import PlanRequest, build_plan
 from repro.shapley.answers import ground_at_answer
@@ -65,7 +65,7 @@ def _largest_class(bundle) -> int:
     if bundle.kind == OR:
         shapes = Counter(child.shape for child in bundle.parts)
         largest = max(shapes.values(), default=1)
-    if bundle.kind != GROUND:
+    if bundle.kind != ATOM:
         for child in bundle.parts:
             largest = max(largest, _largest_class(child))
     return largest
@@ -239,7 +239,7 @@ def test_all_zero_unsat_slices(twins):
 def _tape(bundle):
     """Every field of every entry below ``bundle``, as one nested tuple."""
     parts = bundle.parts
-    if bundle.kind != GROUND:
+    if bundle.kind != ATOM:
         parts = tuple(_tape(child) for child in parts)
     zero = tuple(sorted(bundle.zero, key=repr))
     return (bundle.kind, bundle.owned, bundle.sat, zero, bundle.shape, parts)
